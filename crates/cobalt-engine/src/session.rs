@@ -38,26 +38,16 @@ use crate::engine::Engine;
 use crate::resilient::{FailureKind, PassFailure, PipelineReport};
 use cobalt_dsl::{Optimization, PureAnalysis};
 use cobalt_il::{parse_program, pretty_proc, Proc, Program};
-use cobalt_support::fault;
 use cobalt_support::journal::{
-    escape_field, unescape_field, Fnv64, Journal, LoadReport, LockOutcome, ResumeMode,
+    decode_fields, encode_fields, Fnv64, LoadReport, Record, ResumeMode, Store, DEFAULT_LOCK_WAIT,
 };
 use cobalt_support::pool::{self, Cancel, TaskResult};
-use std::collections::HashMap;
 use std::path::Path;
-use std::time::Duration;
-
-/// How long [`OptimizeSession::with_journal`] waits for the journal's
-/// advisory lock before degrading to unjournaled optimization.
-pub const DEFAULT_LOCK_WAIT: Duration = Duration::from_secs(5);
 
 /// Version tag mixed into every fingerprint; bump on any change to the
 /// fingerprint inputs or the record format so stale journals invalidate
 /// wholesale instead of aliasing.
 const FINGERPRINT_VERSION: &str = "cobalt-engine-fp-v1";
-
-/// Record format version written as each record's first field.
-const RECORD_VERSION: &str = "v1";
 
 /// Stable content fingerprint of one procedure's optimization pipeline.
 ///
@@ -101,63 +91,36 @@ pub(crate) struct JournalEntry {
     pub body: String,
 }
 
-impl JournalEntry {
-    /// Encodes the entry as a journal payload: tab-separated
-    /// `key=value` fields behind a version tag, values escaped.
-    pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "{RECORD_VERSION}\tfp={:016x}\tproc={}\tapplied={}\trounds={}\tbody={}",
+/// Tab-separated `key=value` fields behind a version tag; every field
+/// is required.
+impl Record for JournalEntry {
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        encode_fields(
             self.fingerprint,
-            escape_field(&self.proc),
-            self.applied,
-            self.rounds,
-            escape_field(&self.body),
+            &[
+                ("proc", &self.proc),
+                ("applied", &self.applied),
+                ("rounds", &self.rounds),
+                ("body", &self.body),
+            ],
         )
-        .into_bytes()
     }
 
-    /// Decodes a journal payload. `None` for records of an unknown
-    /// version or shape — such records are *skipped* (treated as not
-    /// cached), never trusted and never fatal.
-    pub fn decode(payload: &[u8]) -> Option<JournalEntry> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut fields = text.split('\t');
-        if fields.next()? != RECORD_VERSION {
-            return None;
-        }
-        let mut entry = JournalEntry {
-            fingerprint: 0,
-            proc: String::new(),
-            applied: 0,
-            rounds: 0,
-            body: String::new(),
-        };
-        let mut seen = 0u32;
-        for field in fields {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "fp" => entry.fingerprint = u64::from_str_radix(value, 16).ok()?,
-                "proc" => entry.proc = unescape_field(value)?,
-                "applied" => entry.applied = value.parse().ok()?,
-                "rounds" => entry.rounds = value.parse().ok()?,
-                "body" => entry.body = unescape_field(value)?,
-                _ => continue, // forward-compatible: unknown keys ignored
-            }
-            seen += 1;
-        }
-        if seen < 5 {
-            return None;
-        }
-        Some(entry)
+    fn decode(payload: &[u8]) -> Option<JournalEntry> {
+        let (fingerprint, [proc, applied, rounds, body]) =
+            decode_fields(payload, ["proc", "applied", "rounds", "body"])?;
+        Some(JournalEntry {
+            fingerprint,
+            proc,
+            applied: applied.parse().ok()?,
+            rounds: rounds.parse().ok()?,
+            body,
+        })
     }
-}
-
-/// A cached record plus its exact on-disk payload (kept so unchanged
-/// outcomes are carried into the compacted journal byte-for-byte).
-#[derive(Debug, Clone)]
-struct Cached {
-    entry: JournalEntry,
-    raw: Vec<u8>,
 }
 
 /// A resumable, parallel optimization session. See the
@@ -166,14 +129,11 @@ struct Cached {
 pub struct OptimizeSession {
     engine: Engine,
     jobs: usize,
-    journal: Option<Journal>,
-    cache: HashMap<u64, Cached>,
-    /// Payloads belonging to this session's outcomes (reused raw
-    /// records and fresh appends, in procedure order); what
-    /// [`finish`](Self::finish) compacts the journal down to.
-    session_payloads: Vec<Vec<u8>>,
-    loaded: LoadReport,
-    degraded: Option<String>,
+    store: Store<JournalEntry>,
+    /// Fingerprints of this session's outcomes (replayed and fresh, in
+    /// procedure order); what [`finish`](Self::finish) compacts the
+    /// journal down to.
+    session_fps: Vec<u64>,
 }
 
 impl OptimizeSession {
@@ -184,11 +144,8 @@ impl OptimizeSession {
         OptimizeSession {
             engine,
             jobs: 1,
-            journal: None,
-            cache: HashMap::new(),
-            session_payloads: Vec::new(),
-            loaded: LoadReport::default(),
-            degraded: None,
+            store: Store::in_memory(),
+            session_fps: Vec::new(),
         }
     }
 
@@ -201,87 +158,34 @@ impl OptimizeSession {
         self
     }
 
-    /// Attaches (creating if absent) the fixpoint journal at `path`
-    /// under its advisory exclusive lock and builds the resume cache
-    /// from its intact records.
+    /// Attaches (creating if absent) the fixpoint journal at `path` as a
+    /// locked [`Store`] and resumes from its intact records.
     ///
     /// **Never fails**: any trouble — unopenable path, lock contention,
     /// an injected `engine.journal` fault — degrades the session to
     /// unjournaled optimization with output and exit codes unchanged
-    /// ([`degraded`](Self::degraded) says why). This is deliberately
-    /// laxer than the verification session's typed open error: a
-    /// missing optimization cache must never block compilation.
+    /// ([`degraded`](Self::degraded) says why). A missing optimization
+    /// cache must never block compilation.
     #[must_use]
-    pub fn with_journal(self, path: impl AsRef<Path>, mode: ResumeMode) -> OptimizeSession {
-        self.with_journal_wait(path, mode, DEFAULT_LOCK_WAIT)
-    }
-
-    /// [`with_journal`](Self::with_journal) with an explicit lock-wait
-    /// budget (tests and impatient callers).
-    #[must_use]
-    pub fn with_journal_wait(
-        mut self,
-        path: impl AsRef<Path>,
-        mode: ResumeMode,
-        lock_wait: Duration,
-    ) -> OptimizeSession {
-        if let Err(e) = fault::point_err("engine.journal") {
-            self.degraded = Some(format!("journal unavailable ({e})"));
-            return self;
-        }
-        let mut opened = match Journal::open_locked(path, lock_wait) {
-            Ok(LockOutcome::Acquired(opened)) => opened,
-            Ok(LockOutcome::Contended { reason }) => {
-                self.degraded = Some(format!("journal lock unavailable ({reason})"));
-                return self;
-            }
-            Err(e) => {
-                self.degraded = Some(format!("journal unavailable ({e})"));
-                return self;
-            }
-        };
-        match mode {
-            ResumeMode::Fresh => {
-                if let Err(e) = opened.journal.compact(&[] as &[&[u8]]) {
-                    self.degraded = Some(format!("journal reset failed ({e})"));
-                    return self;
-                }
-                opened.report = LoadReport::default();
-            }
-            ResumeMode::Resume => {
-                for raw in &opened.records {
-                    // Later records win: a record appended after an
-                    // older result for the same pipeline supersedes it.
-                    if let Some(entry) = JournalEntry::decode(raw) {
-                        self.cache.insert(
-                            entry.fingerprint,
-                            Cached {
-                                entry,
-                                raw: raw.clone(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        self.loaded = opened.report;
-        self.journal = Some(opened.journal);
+    pub fn with_journal(mut self, path: impl AsRef<Path>, mode: ResumeMode) -> OptimizeSession {
+        self.store = Store::open(path, mode, DEFAULT_LOCK_WAIT, Some("engine.journal"))
+            .unwrap_or_else(|e| Store::unavailable(&e));
         self
     }
 
     /// Why the session is running unjournaled, if it is.
     pub fn degraded(&self) -> Option<&str> {
-        self.degraded.as_deref()
+        self.store.degraded()
     }
 
     /// What the journal loader found on disk (corruption statistics).
     pub fn load_report(&self) -> &LoadReport {
-        &self.loaded
+        self.store.load_report()
     }
 
     /// Whether a journal is attached and healthy.
     pub fn is_journaled(&self) -> bool {
-        self.journal.is_some()
+        self.store.is_journaled()
     }
 
     /// Optimizes every procedure of `program` with per-pass fault
@@ -302,21 +206,21 @@ impl OptimizeSession {
         let n = program.procs.len();
         let mut out = program.clone();
         let mut report = PipelineReport::default();
-        // One compacted payload slot per procedure, filled by cached
+        // One compacted fingerprint slot per procedure, filled by cached
         // replays now and clean fresh results in the delivery sink —
         // procedure order regardless of jobs, so compaction bytes are
         // deterministic.
-        let mut payload_slots: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut fp_slots: Vec<Option<u64>> = vec![None; n];
 
         let max_steps = self.engine.budget().max_steps();
         let lint = self.engine.lint_prepass_enabled();
         let mut tasks: Vec<(usize, u64, Proc)> = Vec::new();
         for (i, proc) in program.procs.iter().enumerate() {
             let fp = fingerprint_proc(proc, analyses, opts, max_rounds, lint, max_steps);
-            if let Some(replayed) = self.cache.get(&fp).and_then(|c| replay(proc, c)) {
+            if let Some(replayed) = self.store.get(fp).and_then(|e| replay(proc, e)) {
                 out = out.with_proc_replaced(replayed.0);
                 report.absorb(replayed.1);
-                payload_slots[i] = Some(self.cache[&fp].raw.clone());
+                fp_slots[i] = Some(fp);
                 continue;
             }
             tasks.push((i, fp, proc.clone()));
@@ -335,8 +239,6 @@ impl OptimizeSession {
                 .map(|(i, fp, p)| (*i, *fp, p.name.to_string()))
                 .collect();
             let engine = self.engine.clone();
-            let analyses_ref = analyses;
-            let opts_ref = opts;
             pool::run_ordered(
                 self.jobs,
                 tasks,
@@ -345,7 +247,7 @@ impl OptimizeSession {
                     let budget = engine.budget().fork().with_cancel(cancel.flag());
                     let worker = engine.clone().with_budget(budget);
                     let (optimized, rep) =
-                        worker.optimize_proc_resilient(proc, analyses_ref, opts_ref, max_rounds);
+                        worker.optimize_proc_resilient(proc, analyses, opts, max_rounds);
                     // A blown wall-clock deadline is fatal to the whole
                     // run (the deadline is absolute and shared): cancel
                     // the fleet instead of letting every remaining
@@ -362,16 +264,16 @@ impl OptimizeSession {
                     match result {
                         TaskResult::Done((optimized, rep)) => {
                             if rep.failures.is_empty() {
-                                let entry = JournalEntry {
+                                // Journal trouble degrades the store: a
+                                // sick disk must not change the output.
+                                self.store.insert(JournalEntry {
                                     fingerprint: *fp,
                                     proc: name.clone(),
                                     applied: rep.applied,
                                     rounds: rep.rounds,
                                     body: pretty_proc(&optimized),
-                                };
-                                let payload = entry.encode();
-                                self.append(&payload);
-                                payload_slots[*i] = Some(payload);
+                                });
+                                fp_slots[*i] = Some(*fp);
                             }
                             out = out.with_proc_replaced(optimized);
                             report.absorb(rep);
@@ -396,36 +298,15 @@ impl OptimizeSession {
             );
         }
 
-        self.session_payloads
-            .extend(payload_slots.into_iter().flatten());
+        self.session_fps.extend(fp_slots.into_iter().flatten());
         (out, report)
-    }
-
-    /// Appends one record (with fsync), degrading to unjournaled on any
-    /// trouble — a sick disk must not change what the optimizer emits.
-    fn append(&mut self, payload: &[u8]) {
-        let Some(journal) = self.journal.as_mut() else {
-            return;
-        };
-        let wrote = fault::point_err("engine.journal")
-            .map_err(std::io::Error::other)
-            .and_then(|()| journal.append(payload))
-            .and_then(|()| journal.sync());
-        if let Err(e) = wrote {
-            self.degraded = Some(format!("journal write failed ({e}); continuing unjournaled"));
-            self.journal = None;
-        }
     }
 
     /// Compacts the journal down to this session's outcomes and
     /// releases it. Compaction failure degrades (the appended records
     /// are still on disk and loadable); it never affects results.
     pub fn finish(&mut self) {
-        if let Some(mut journal) = self.journal.take() {
-            if let Err(e) = journal.compact(&self.session_payloads) {
-                self.degraded = Some(format!("journal compaction failed ({e})"));
-            }
-        }
+        self.store.finish(&self.session_fps);
     }
 }
 
@@ -433,18 +314,18 @@ impl OptimizeSession {
 /// and synthesizes the clean report. `None` (fall through to a fresh
 /// run) if the record does not actually describe this procedure or its
 /// body no longer parses.
-fn replay(proc: &Proc, cached: &Cached) -> Option<(Proc, PipelineReport)> {
-    if cached.entry.proc != proc.name.to_string() {
+fn replay(proc: &Proc, cached: &JournalEntry) -> Option<(Proc, PipelineReport)> {
+    if cached.proc != proc.name.to_string() {
         return None;
     }
-    let parsed = parse_program(&cached.entry.body).ok()?;
+    let parsed = parse_program(&cached.body).ok()?;
     let replayed = parsed.procs.into_iter().next()?;
     if replayed.name != proc.name {
         return None;
     }
     let report = PipelineReport {
-        applied: cached.entry.applied,
-        rounds: cached.entry.rounds,
+        applied: cached.applied,
+        rounds: cached.rounds,
         cached: 1,
         failures: Vec::new(),
     };
@@ -473,6 +354,24 @@ mod tests {
         assert_eq!(decoded, entry);
     }
 
+    /// The on-disk bytes of one record, pinned literally so a codec
+    /// change cannot silently orphan existing journals.
+    #[test]
+    fn record_bytes_are_golden() {
+        let entry = JournalEntry {
+            fingerprint: 0xDEAD_BEEF_0BA1_7000,
+            proc: "main".into(),
+            applied: 7,
+            rounds: 3,
+            body: "proc main(x) {\n    return x;\n}\n".into(),
+        };
+        assert_eq!(
+            entry.encode(),
+            b"v1\tfp=deadbeef0ba17000\tproc=main\tapplied=7\trounds=3\t\
+              body=proc main(x) {\\n    return x;\\n}\\n"
+        );
+    }
+
     #[test]
     fn unknown_versions_and_garbage_decode_to_none() {
         assert!(JournalEntry::decode(b"v0\tfp=00").is_none());
@@ -497,22 +396,19 @@ mod tests {
     #[test]
     fn replay_rejects_name_mismatch_and_bad_bodies() {
         let p = proc_of("proc main(x) { return x; }");
-        let good = Cached {
-            entry: JournalEntry {
-                fingerprint: 1,
-                proc: "main".into(),
-                applied: 0,
-                rounds: 1,
-                body: "proc main(x) { return x; }".into(),
-            },
-            raw: Vec::new(),
+        let good = JournalEntry {
+            fingerprint: 1,
+            proc: "main".into(),
+            applied: 0,
+            rounds: 1,
+            body: "proc main(x) { return x; }".into(),
         };
         assert!(replay(&p, &good).is_some());
         let mut wrong_name = good.clone();
-        wrong_name.entry.proc = "other".into();
+        wrong_name.proc = "other".into();
         assert!(replay(&p, &wrong_name).is_none());
         let mut bad_body = good;
-        bad_body.entry.body = "not a program".into();
+        bad_body.body = "not a program".into();
         assert!(replay(&p, &bad_body).is_none());
     }
 

@@ -1,14 +1,11 @@
-//! The shared proof cache: a [`Journal`]-backed map from request
+//! The shared proof cache: a journal-backed [`Store`] mapping request
 //! fingerprint to a finished, deterministic result.
 //!
-//! The cache obeys the standing durability rules (`DESIGN.md` §10):
-//! every insert is append+fsync so a daemon kill loses at most the
-//! in-flight work; loading tolerates truncated tails; any journal
-//! trouble (open failure, lock contention, write error, injected
-//! `serve.cache` fault) **degrades to uncached service** — the daemon
-//! keeps answering with identical verdicts, responses just carry a
-//! `note` and stop saying `served:"cache"`. A cache problem can never
-//! change a verdict.
+//! The store supplies the durability rules (`DESIGN.md` §10): a daemon
+//! kill loses at most the in-flight work, and any journal trouble
+//! (including an injected `serve.cache` fault) **degrades to uncached
+//! service** — identical verdicts, plus a `note` on every response. A
+//! cache problem can never change a verdict.
 //!
 //! Only *deterministic* outcomes are cached: exit 0 (proved / ok) and
 //! exit 2 (unsound). Resource-limited (exit 3) and error (exit 1)
@@ -17,17 +14,11 @@
 //! are always re-executed.
 
 use crate::proto::{Response, ServedFrom};
-use cobalt_support::fault;
 use cobalt_support::journal::{
-    escape_field, unescape_field, Journal, LoadReport, LockOutcome, ResumeMode,
+    decode_fields, encode_fields, Record, ResumeMode, Store,
 };
-use std::collections::HashMap;
-use std::io;
 use std::path::Path;
 use std::time::Duration;
-
-/// Record format version written as each record's first field.
-const RECORD_VERSION: &str = "v1";
 
 /// One cached result: everything needed to replay a response except
 /// the correlation id (which belongs to the asking client, not the
@@ -58,64 +49,48 @@ impl CachedResult {
     pub fn to_response(&self, id: &str, served: ServedFrom) -> Response {
         Response::ok(id, self.exit, &self.verdict, served, self.output.clone())
     }
+}
+
+/// Tab-separated `key=value` fields behind a version tag. Short records
+/// and non-deterministic exits decode to `None`: skipped, never trusted.
+impl Record for CachedResult {
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
 
     fn encode(&self) -> Vec<u8> {
-        format!(
-            "{RECORD_VERSION}\tfp={:016x}\top={}\texit={}\tverdict={}\toutput={}",
+        encode_fields(
             self.fingerprint,
-            escape_field(&self.op),
-            self.exit,
-            escape_field(&self.verdict),
-            escape_field(&self.output),
+            &[
+                ("op", &self.op),
+                ("exit", &self.exit),
+                ("verdict", &self.verdict),
+                ("output", &self.output),
+            ],
         )
-        .into_bytes()
     }
 
     fn decode(payload: &[u8]) -> Option<CachedResult> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut fields = text.split('\t');
-        if fields.next()? != RECORD_VERSION {
-            return None;
-        }
-        let mut out = CachedResult {
-            fingerprint: 0,
-            op: String::new(),
-            exit: u8::MAX,
-            verdict: String::new(),
-            output: String::new(),
-        };
-        let mut seen = 0u32;
-        for field in fields {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "fp" => out.fingerprint = u64::from_str_radix(value, 16).ok()?,
-                "op" => out.op = unescape_field(value)?,
-                "exit" => out.exit = value.parse().ok()?,
-                "verdict" => out.verdict = unescape_field(value)?,
-                "output" => out.output = unescape_field(value)?,
-                _ => continue, // forward-compatible: unknown keys ignored
-            }
-            seen += 1;
-        }
-        if seen < 5 || !Self::cacheable(out.exit) {
-            // Short records and non-deterministic exits are skipped,
-            // never trusted and never fatal.
-            return None;
-        }
-        Some(out)
+        let (fingerprint, [op, exit, verdict, output]) =
+            decode_fields(payload, ["op", "exit", "verdict", "output"])?;
+        let exit = exit.parse().ok().filter(|&e| Self::cacheable(e))?;
+        Some(CachedResult {
+            fingerprint,
+            op,
+            exit,
+            verdict,
+            output,
+        })
     }
 }
 
 /// A journal-backed, degrade-don't-fail proof cache. All methods are
 /// infallible from the caller's perspective: trouble flips the cache
-/// into its degraded (in-memory-only or fully disabled) state and the
-/// daemon keeps serving.
+/// into its degraded (in-memory-only) state and the daemon keeps
+/// serving.
 #[derive(Debug)]
 pub struct ProofCache {
-    journal: Option<Journal>,
-    map: HashMap<u64, CachedResult>,
-    loaded: LoadReport,
-    degraded: Option<String>,
+    store: Store<CachedResult>,
 }
 
 impl ProofCache {
@@ -123,148 +98,70 @@ impl ProofCache {
     /// replay still work, nothing survives a restart.
     pub fn in_memory() -> ProofCache {
         ProofCache {
-            journal: None,
-            map: HashMap::new(),
-            loaded: LoadReport::default(),
-            degraded: None,
+            store: Store::in_memory(),
         }
     }
 
     /// Opens (creating if absent) the cache journal at `path` under
     /// its advisory exclusive lock, replaying intact records into the
-    /// in-memory map (`ResumeMode::Fresh` truncates instead). Trouble
+    /// in-memory index (`ResumeMode::Fresh` truncates instead). Trouble
     /// — open failure, lock contention, an injected `serve.cache`
     /// fault — yields a *degraded* in-memory cache, never an error:
     /// the daemon must come up and serve regardless.
     pub fn open(path: impl AsRef<Path>, mode: ResumeMode, lock_wait: Duration) -> ProofCache {
-        match Self::try_open(path, mode, lock_wait) {
-            Ok(cache) => cache,
-            Err(reason) => {
-                let mut cache = Self::in_memory();
-                cache.degraded = Some(reason);
-                cache
-            }
+        ProofCache {
+            store: Store::open(path, mode, lock_wait, Some("serve.cache"))
+                .unwrap_or_else(|e| Store::unavailable(&e)),
         }
-    }
-
-    fn try_open(
-        path: impl AsRef<Path>,
-        mode: ResumeMode,
-        lock_wait: Duration,
-    ) -> Result<ProofCache, String> {
-        fault::point_err("serve.cache").map_err(|e| e.to_string())?;
-        let mut opened = match Journal::open_locked(path, lock_wait)
-            .map_err(|e| format!("cache journal open failed: {e}"))?
-        {
-            LockOutcome::Acquired(opened) => opened,
-            LockOutcome::Contended { reason } => {
-                return Err(format!("cache journal lock unavailable ({reason})"))
-            }
-        };
-        let mut map = HashMap::new();
-        match mode {
-            ResumeMode::Fresh => {
-                opened
-                    .journal
-                    .compact(&[] as &[&[u8]])
-                    .map_err(|e| format!("cache journal reset failed: {e}"))?;
-                opened.report = LoadReport::default();
-            }
-            ResumeMode::Resume => {
-                for raw in &opened.records {
-                    // Later records win (there should be no
-                    // duplicates, but reloads after an unclean kill
-                    // may replay an append twice).
-                    if let Some(r) = CachedResult::decode(raw) {
-                        map.insert(r.fingerprint, r);
-                    }
-                }
-            }
-        }
-        Ok(ProofCache {
-            journal: Some(opened.journal),
-            map,
-            loaded: opened.report,
-            degraded: None,
-        })
     }
 
     /// Why persistence was disabled, if it was. Verdicts are
     /// unaffected — only warmth across restarts is lost.
     pub fn degraded(&self) -> Option<&str> {
-        self.degraded.as_deref()
-    }
-
-    /// What the journal loader recovered and discarded at open.
-    pub fn load_report(&self) -> &LoadReport {
-        &self.loaded
+        self.store.degraded()
     }
 
     /// Number of cached results currently replayable.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.store.len()
     }
 
     /// Whether the cache holds no replayable results.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.store.is_empty()
     }
 
     /// Looks up a finished result by request fingerprint.
     pub fn get(&self, fingerprint: u64) -> Option<&CachedResult> {
-        self.map.get(&fingerprint)
+        self.store.get(fingerprint)
     }
 
-    /// Records a finished result: into the in-memory map always, and
-    /// append+fsync into the journal when the outcome is cacheable
-    /// (exit 0 or 2) and persistence is still healthy. A write failure
-    /// (or injected `serve.cache` fault) degrades persistence for the
-    /// rest of the run — the in-memory map keeps working.
+    /// Records a finished result if it is cacheable (exit 0 or 2):
+    /// into the in-memory index always, and append+fsync into the
+    /// journal while persistence is healthy. A write failure (or
+    /// injected `serve.cache` fault) degrades persistence for the rest
+    /// of the run — the in-memory index keeps working.
     pub fn insert(&mut self, result: CachedResult) {
-        if !CachedResult::cacheable(result.exit) {
-            return;
+        if CachedResult::cacheable(result.exit) {
+            self.store.insert(result);
         }
-        if let Some(journal) = self.journal.as_mut() {
-            let payload = result.encode();
-            let write = fault::point_err("serve.cache")
-                .map_err(|e| io::Error::other(e.to_string()))
-                .and_then(|()| journal.append(&payload))
-                .and_then(|()| journal.sync());
-            if let Err(e) = write {
-                self.journal = None;
-                if self.degraded.is_none() {
-                    self.degraded = Some(format!("cache journal write failed: {e}"));
-                }
-            }
-        }
-        self.map.insert(result.fingerprint, result);
     }
 
-    /// Compacts the journal down to the live map (atomic temp-file +
-    /// rename) and releases it. Called once during graceful drain; a
-    /// compaction failure degrades (the appended journal is still
-    /// valid) rather than erroring.
+    /// Compacts the journal down to every live result, in fingerprint
+    /// order (atomic temp-file + rename), and releases it. Called once
+    /// during graceful drain; a compaction failure degrades (the
+    /// appended journal is still valid) rather than erroring.
     pub fn finish(&mut self) {
-        if let Some(journal) = self.journal.as_mut() {
-            let mut fps: Vec<&u64> = self.map.keys().collect();
-            fps.sort_unstable();
-            let payloads: Vec<Vec<u8>> = fps
-                .iter()
-                .map(|fp| self.map[fp].encode())
-                .collect();
-            if let Err(e) = journal.compact(&payloads) {
-                if self.degraded.is_none() {
-                    self.degraded = Some(format!("cache journal compaction failed: {e}"));
-                }
-            }
-        }
-        self.journal = None;
+        let mut fps: Vec<u64> = self.store.fingerprints().collect();
+        fps.sort_unstable();
+        self.store.finish(&fps);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobalt_support::fault;
 
     fn result(fp: u64, exit: u8) -> CachedResult {
         CachedResult {
@@ -284,6 +181,17 @@ mod tests {
         assert_eq!(CachedResult::decode(&u.encode()), Some(u));
     }
 
+    /// The on-disk bytes of one record, pinned literally so a codec
+    /// change cannot silently orphan existing journals.
+    #[test]
+    fn record_bytes_are_golden() {
+        assert_eq!(
+            result(0xfeed_f00d_dead_beef, 2).encode(),
+            b"v1\tfp=feedf00ddeadbeef\top=verify\texit=2\tverdict=unsound\t\
+              output=verified `r`: 3/3 obligations\\twith\\ttabs\\nand newlines"
+        );
+    }
+
     #[test]
     fn decode_rejects_junk_and_uncacheable_exits() {
         assert_eq!(CachedResult::decode(b""), None);
@@ -300,88 +208,37 @@ mod tests {
         let _ = CachedResult::decode(&truncated); // must not panic
     }
 
+    /// What stays the cache's own on top of the shared store: only exits
+    /// 0 and 2 are cached, and journal faults are injected at
+    /// `serve.cache`.
     #[test]
-    fn persists_and_reloads_across_open() {
-        let dir = std::env::temp_dir().join(format!("cobalt-serve-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t1.jrnl");
+    fn caches_conclusive_exits_and_degrades_at_its_fault_site() {
+        let path =
+            std::env::temp_dir().join(format!("cobalt-serve-cache-{}.jrnl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
-        assert!(cache.degraded().is_none());
         cache.insert(result(1, 0));
         cache.insert(result(2, 2));
         cache.insert(result(3, 3)); // resource-limited: not cached at all
         assert_eq!(cache.len(), 2);
+        assert_eq!(cache.get(3), None);
+        fault::with_faults("serve.cache:fail", || cache.insert(result(4, 0)));
+        let why = cache
+            .degraded()
+            .expect("a serve.cache fault degrades")
+            .to_string();
+        assert!(why.contains("serve.cache"), "{why}");
+        assert_eq!(
+            cache.get(4),
+            Some(&result(4, 0)),
+            "in-memory replay survives"
+        );
         drop(cache); // unclean: no finish() — appends alone must survive
         let cache = ProofCache::open(&path, ResumeMode::Resume, Duration::from_secs(1));
         assert!(cache.degraded().is_none());
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(1), Some(&result(1, 0)));
         assert_eq!(cache.get(2), Some(&result(2, 2)));
-        assert_eq!(cache.get(3), None);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fresh_mode_truncates_and_finish_compacts() {
-        let dir = std::env::temp_dir().join(format!("cobalt-serve-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t2.jrnl");
-        let _ = std::fs::remove_file(&path);
-        let mut cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
-        cache.insert(result(10, 0));
-        cache.finish();
-        assert!(cache.degraded().is_none());
-        let cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
-        assert!(cache.is_empty(), "fresh mode discards prior results");
         drop(cache);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn cache_fault_degrades_open_and_write_without_changing_replay() {
-        let dir = std::env::temp_dir().join(format!("cobalt-serve-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t3.jrnl");
-        let _ = std::fs::remove_file(&path);
-        // Fault at open: cache comes up degraded but alive.
-        fault::with_faults("serve.cache:fail", || {
-            let mut cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
-            let why = cache.degraded().expect("open fault degrades").to_string();
-            assert!(why.contains("serve.cache"), "{why}");
-            cache.insert(result(5, 0));
-            assert_eq!(cache.get(5), Some(&result(5, 0)), "in-memory replay survives");
-        });
-        // Fault at the first write: open succeeds, persistence then
-        // degrades, in-memory replay still works.
-        let mut cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
-        assert!(cache.degraded().is_none());
-        fault::with_faults("serve.cache:fail", || {
-            cache.insert(result(6, 0));
-        });
-        assert!(cache.degraded().is_some());
-        assert_eq!(cache.get(6), Some(&result(6, 0)));
-        cache.insert(result(7, 0));
-        drop(cache);
-        let cache = ProofCache::open(&path, ResumeMode::Resume, Duration::from_secs(1));
-        assert!(cache.is_empty(), "nothing persisted after degradation");
-        drop(cache);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn lock_contention_degrades_second_opener() {
-        let dir = std::env::temp_dir().join(format!("cobalt-serve-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t4.jrnl");
-        let _ = std::fs::remove_file(&path);
-        let holder = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
-        assert!(holder.degraded().is_none());
-        let second = ProofCache::open(&path, ResumeMode::Resume, Duration::from_millis(50));
-        let why = second.degraded().expect("contended lock degrades").to_string();
-        assert!(why.contains("lock"), "{why}");
-        drop(holder);
-        drop(second);
         let _ = std::fs::remove_file(&path);
     }
 }

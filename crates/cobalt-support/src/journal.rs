@@ -35,17 +35,12 @@
 //! # Cross-process sharing
 //!
 //! [`Journal::open_locked`] additionally takes an **advisory exclusive
-//! lock** (BSD `flock` semantics via `std::fs::File::try_lock`) on the
-//! journal file, so several `cobalt verify --journal same-path`
-//! processes can point at one journal without interleaving half-frames:
-//! exactly one holds the journal at a time, the rest time out after a
-//! bounded wait and degrade to uncached verification. The lock follows
-//! the open file description, so it survives [`Journal::compact`]'s
-//! rename (the replacement temp file is locked *before* the rename, and
-//! exclusivity is handed over with the handle). Because a competing
-//! process may compact (rename over) the path between our `open` and
-//! our `try_lock`, acquisition re-verifies that the locked handle still
-//! names the path's inode and reopens if not.
+//! lock** (BSD `flock` semantics via `std::fs::File::try_lock`), so
+//! several processes can share one journal path without interleaving
+//! half-frames: exactly one holds it, the rest time out after a bounded
+//! wait and degrade. The lock follows the handle across
+//! [`Journal::compact`]'s rename, and acquisition re-verifies the
+//! inode in case a competitor compacted in between (`DESIGN.md` §10).
 //!
 //! # Fault points
 //!
@@ -56,12 +51,26 @@
 //! `fail` action simulates lock *contention* (an immediate
 //! [`LockOutcome::Contended`]), not an I/O error, because contention is
 //! the interesting degradation to rehearse.
+//!
+//! # Record store
+//!
+//! [`Store`] layers a fingerprint-indexed cache of typed [`Record`]s on
+//! a locked journal. It is the one open/load/append/degrade/compact
+//! implementation behind the verify session, the engine session, and
+//! the serve proof cache; records use the shared `v1` field codec
+//! ([`encode_fields`], [`decode_fields`]).
 
 use crate::fault;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+/// How long a journaled consumer waits for the advisory lock before
+/// degrading: long enough to ride out a sibling's append bursts, short
+/// enough that a wedged holder cannot wedge us.
+pub const DEFAULT_LOCK_WAIT: Duration = Duration::from_secs(5);
 
 /// The 8-byte magic prefix identifying a journal file (and its format
 /// version — bump the trailing digit on incompatible changes).
@@ -139,11 +148,62 @@ impl LoadReport {
     }
 }
 
-/// Escapes a record field for the tab-separated `key=value` codecs
-/// layered on this journal (verification and engine session records):
-/// backslash, tab, newline, and carriage return are escaped so a field
-/// can never alias the record's separators.
-pub fn escape_field(s: &str) -> String {
+/// Version tag written as the first field of every `v1` record.
+const RECORD_VERSION: &str = "v1";
+
+/// Encodes a `v1` record: `v1\tfp=<hex16>`, then one tab-separated
+/// `key=value` field per entry, in order, each value escaped.
+pub fn encode_fields(fingerprint: u64, fields: &[(&str, &dyn std::fmt::Display)]) -> Vec<u8> {
+    let mut out = format!("{RECORD_VERSION}\tfp={fingerprint:016x}");
+    for (key, value) in fields {
+        out.push('\t');
+        out.push_str(key);
+        out.push('=');
+        out.push_str(&escape_field(&value.to_string()));
+    }
+    out.into_bytes()
+}
+
+/// Decodes a `v1` record into its fingerprint and the unescaped values
+/// of `keys`, in order. Total: `None` for non-UTF-8 bytes, another
+/// version tag, a field without `=`, a bad escape, or a missing `fp` or
+/// key — such a record is skipped, never trusted, never fatal. Unknown
+/// keys are ignored (forward compatibility); a repeated key reads as
+/// its last value.
+pub fn decode_fields<const N: usize>(
+    payload: &[u8],
+    keys: [&str; N],
+) -> Option<(u64, [String; N])> {
+    let mut fields = std::str::from_utf8(payload).ok()?.split('\t');
+    if fields.next()? != RECORD_VERSION {
+        return None;
+    }
+    let mut fp = None;
+    let mut raw = [None; N];
+    for field in fields {
+        let (key, value) = field.split_once('=')?;
+        if key == "fp" {
+            fp = Some(value);
+        } else if let Some(i) = keys.iter().position(|k| *k == key) {
+            raw[i] = Some(value);
+        }
+    }
+    let fingerprint = u64::from_str_radix(fp?, 16).ok()?;
+    let mut complete = true;
+    let values = std::array::from_fn(|i| {
+        raw[i].and_then(unescape_field).unwrap_or_else(|| {
+            complete = false;
+            String::new()
+        })
+    });
+    complete.then_some((fingerprint, values))
+}
+
+/// Escapes a field value of the `v1` codec that every [`Store`]
+/// consumer uses (verify, engine, and serve records): backslash, tab,
+/// newline, and carriage return are escaped so a value can never alias
+/// the record's separators.
+fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -159,7 +219,7 @@ pub fn escape_field(s: &str) -> String {
 
 /// Reverses [`escape_field`]. `None` on a malformed escape — callers
 /// treat the whole record as not cached (total decoding, never fatal).
-pub fn unescape_field(s: &str) -> Option<String> {
+fn unescape_field(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -178,9 +238,9 @@ pub fn unescape_field(s: &str) -> Option<String> {
     Some(out)
 }
 
-/// How a journal-backed session treats an existing journal. Shared by
-/// every journal consumer (verification sessions, engine fixpoint
-/// sessions) so the CLI's `--resume`/`--fresh` contract is one type.
+/// How [`Store::open`] treats an existing journal, for every consumer
+/// (verify sessions, engine sessions, the serve proof cache), so the
+/// CLI's `--resume`/`--fresh` contract is one type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResumeMode {
     /// Reuse every intact, fingerprint-matching cached outcome; the
@@ -212,9 +272,8 @@ pub enum LockOutcome {
     /// dropped.
     Acquired(Opened),
     /// Another process (or handle) held the lock past the deadline, or
-    /// an injected `journal.lock` fault simulated that. The caller
-    /// should degrade per the PR 4 contract: verify uncached, change no
-    /// verdict.
+    /// an injected `journal.lock` fault simulated that. A [`Store`]
+    /// degrades: its consumer runs uncached and no verdict changes.
     Contended {
         /// Why acquisition gave up, for the caller's note to the user.
         reason: String,
@@ -238,14 +297,13 @@ pub struct Journal {
 impl Journal {
     /// Opens (creating if absent) the journal at `path`, recovering
     /// every intact record and truncating any corrupt tail so the file
-    /// is immediately appendable again. Takes no lock; for
-    /// cross-process sharing use [`Journal::open_locked`].
+    /// is immediately appendable again. Takes no lock; a [`Store`]
+    /// uses [`Journal::open_locked`].
     ///
     /// # Errors
     ///
-    /// Returns the underlying `io::Error` for filesystem failures
-    /// (missing parent directory, permissions, an injected
-    /// `journal.load` fault). *Corruption is not an error* — it is
+    /// The `io::Error` of a filesystem failure or an injected
+    /// `journal.load` fault. *Corruption is not an error* — it is
     /// reported in [`Opened::report`] and repaired by truncation.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Opened> {
         let path = path.as_ref().to_path_buf();
@@ -258,11 +316,9 @@ impl Journal {
     /// waiting up to `lock_wait` for a competing holder to release it.
     ///
     /// On [`LockOutcome::Acquired`] the lock is held until the journal
-    /// is dropped (it follows the file handle, including across
-    /// [`Journal::compact`]'s rename). On [`LockOutcome::Contended`]
-    /// nothing is held and nothing was modified; the caller degrades.
-    /// The wait polls `try_lock` rather than blocking indefinitely so
-    /// a wedged holder can never wedge us past the deadline.
+    /// is dropped; on [`LockOutcome::Contended`] nothing is held or
+    /// modified. The wait polls `try_lock`, so a wedged holder can never
+    /// wedge us past the deadline.
     ///
     /// # Errors
     ///
@@ -305,16 +361,6 @@ impl Journal {
             // Stale inode: the lock we won is on an unlinked file.
             // Drop it (releasing the lock) and race again.
         }
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Whether this handle holds the advisory exclusive lock.
-    pub fn is_locked(&self) -> bool {
-        self.locked
     }
 
     /// Appends one record (length + FNV-64 checksum + payload).
@@ -421,6 +467,179 @@ impl Journal {
         self.valid_len = MAGIC.len() as u64;
         Ok(())
     }
+}
+
+/// A record a [`Store`] persists: keyed by a content fingerprint and
+/// encoded to an opaque journal payload.
+pub trait Record: Sized {
+    /// The key: a hash of every input the record's result depends on.
+    fn fingerprint(&self) -> u64;
+    /// The journal payload.
+    fn encode(&self) -> Vec<u8>;
+    /// Total decoding: `None` skips the payload (never trusted, never
+    /// fatal).
+    fn decode(payload: &[u8]) -> Option<Self>;
+}
+
+/// A fingerprint-indexed record cache backed by a locked [`Journal`]
+/// (`DESIGN.md` §10). Journal trouble after the open never surfaces as
+/// an error: the store **degrades** — it drops the journal (releasing
+/// the lock), keeps answering from memory, and
+/// [`degraded`](Self::degraded) keeps the first reason.
+#[derive(Debug)]
+pub struct Store<R> {
+    journal: Option<Journal>,
+    /// The latest record per fingerprint, with its exact payload so
+    /// compaction carries it byte-for-byte.
+    index: HashMap<u64, (R, Vec<u8>)>,
+    loaded: LoadReport,
+    degraded: Option<String>,
+    /// The consumer's fault site, checked before the open and before
+    /// every append.
+    site: Option<&'static str>,
+}
+
+impl<R: Record> Store<R> {
+    /// A store without a journal: records live in memory only.
+    pub fn in_memory() -> Store<R> {
+        Store {
+            journal: None,
+            index: HashMap::new(),
+            loaded: LoadReport::default(),
+            degraded: None,
+            site: None,
+        }
+    }
+
+    /// An in-memory store degraded by a failed [`open`](Self::open),
+    /// for consumers that must run without their journal.
+    pub fn unavailable(e: &io::Error) -> Store<R> {
+        let mut store = Self::in_memory();
+        store.degrade(format!("journal unavailable ({e})"));
+        store
+    }
+
+    /// Opens (creating if absent) the journal at `path` under its
+    /// advisory lock, waiting up to `lock_wait`, and indexes every
+    /// decodable record, the latest per fingerprint winning.
+    /// [`ResumeMode::Fresh`] empties the journal instead. A fault at
+    /// `site` or lock contention yields a degraded in-memory store.
+    ///
+    /// # Errors
+    ///
+    /// The `io::Error` of a failed open or `Fresh` reset (bad path,
+    /// permissions, an injected `journal.load` fault). Corruption is
+    /// not an error; see [`load_report`](Self::load_report).
+    pub fn open(
+        path: impl AsRef<Path>,
+        mode: ResumeMode,
+        lock_wait: Duration,
+        site: Option<&'static str>,
+    ) -> io::Result<Store<R>> {
+        let mut store = Self::in_memory();
+        store.site = site;
+        if let Err(e) = check_site(site) {
+            store.degrade(format!("journal unavailable ({e})"));
+            return Ok(store);
+        }
+        let mut opened = match Journal::open_locked(path, lock_wait)? {
+            LockOutcome::Acquired(opened) => opened,
+            LockOutcome::Contended { reason } => {
+                store.degrade(format!("journal lock unavailable ({reason})"));
+                return Ok(store);
+            }
+        };
+        match mode {
+            ResumeMode::Fresh => opened.journal.compact(&[] as &[&[u8]])?,
+            ResumeMode::Resume => {
+                for raw in opened.records {
+                    if let Some(record) = R::decode(&raw) {
+                        store.index.insert(record.fingerprint(), (record, raw));
+                    }
+                }
+                store.loaded = opened.report;
+            }
+        }
+        store.journal = Some(opened.journal);
+        Ok(store)
+    }
+
+    /// The record stored under `fingerprint`.
+    pub fn get(&self, fingerprint: u64) -> Option<&R> {
+        self.index.get(&fingerprint).map(|(record, _)| record)
+    }
+
+    /// Indexes `record` and appends it with an fsync, after the site's
+    /// fault point. A failure degrades the store; the record still
+    /// answers from memory.
+    pub fn insert(&mut self, record: R) {
+        let raw = record.encode();
+        if let Some(journal) = self.journal.as_mut() {
+            let wrote = check_site(self.site)
+                .and_then(|()| journal.append(&raw))
+                .and_then(|()| journal.sync());
+            if let Err(e) = wrote {
+                self.degrade(format!("journal write failed: {e}"));
+            }
+        }
+        self.index.insert(record.fingerprint(), (record, raw));
+    }
+
+    /// Every stored fingerprint, in no particular order.
+    pub fn fingerprints(&self) -> impl Iterator<Item = u64> + '_ {
+        self.index.keys().copied()
+    }
+
+    /// Number of stored records.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether no record is stored.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Whether a journal is attached and healthy.
+    pub fn is_journaled(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// Why the store runs without its journal, if it does.
+    pub fn degraded(&self) -> Option<&str> {
+        self.degraded.as_deref()
+    }
+
+    /// What the journal loader recovered and discarded at open.
+    pub fn load_report(&self) -> &LoadReport {
+        &self.loaded
+    }
+
+    /// Atomically compacts the journal to the payloads of
+    /// `fingerprints`, in the order given (unknown ones are skipped),
+    /// and releases the lock. A compaction failure degrades; the
+    /// appended journal stays valid.
+    pub fn finish(&mut self, fingerprints: &[u64]) {
+        if let Some(mut journal) = self.journal.take() {
+            let payloads: Vec<&[u8]> = fingerprints
+                .iter()
+                .filter_map(|fp| self.index.get(fp))
+                .map(|(_, raw)| raw.as_slice())
+                .collect();
+            if let Err(e) = journal.compact(&payloads) {
+                self.degrade(format!("journal compaction failed: {e}"));
+            }
+        }
+    }
+
+    fn degrade(&mut self, reason: String) {
+        self.journal = None;
+        self.degraded.get_or_insert(reason);
+    }
+}
+
+fn check_site(site: Option<&str>) -> io::Result<()> {
+    site.map_or(Ok(()), |s| fault::point_err(s).map_err(fault_io))
 }
 
 /// Opens (creating if absent, never truncating) the journal file.
@@ -710,7 +929,6 @@ mod tests {
             LockOutcome::Acquired(o) => o,
             LockOutcome::Contended { reason } => panic!("fresh file contended: {reason}"),
         };
-        assert!(holder.journal.is_locked());
         match Journal::open_locked(&path, Duration::from_millis(20)).unwrap() {
             LockOutcome::Contended { reason } => {
                 assert!(reason.contains("held the journal lock"), "{reason}")
@@ -723,7 +941,7 @@ mod tests {
         assert!(Journal::open(&path).is_ok());
         drop(holder);
         match Journal::open_locked(&path, Duration::ZERO).unwrap() {
-            LockOutcome::Acquired(o) => assert!(o.journal.is_locked()),
+            LockOutcome::Acquired(_) => {}
             LockOutcome::Contended { reason } => panic!("lock not released on drop: {reason}"),
         }
         std::fs::remove_file(&path).ok();
@@ -760,7 +978,6 @@ mod tests {
         };
         holder.journal.append(b"pre").unwrap();
         holder.journal.compact(&[b"kept".as_slice()]).unwrap();
-        assert!(holder.journal.is_locked());
         // The path's current inode (the renamed replacement) is locked:
         // a competitor still times out.
         match Journal::open_locked(&path, Duration::from_millis(20)).unwrap() {
@@ -794,6 +1011,15 @@ mod tests {
             LockOutcome::Contended { .. } => panic!("second attempt should acquire"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn escape_roundtrips_control_characters() {
+        for s in ["", "plain", "tab\there", "line\nbreak", "back\\slash\r"] {
+            assert_eq!(unescape_field(&escape_field(s)).as_deref(), Some(s));
+        }
+        assert_eq!(unescape_field("bad\\x"), None);
+        assert_eq!(unescape_field("dangling\\"), None);
     }
 
     #[test]

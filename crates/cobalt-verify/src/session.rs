@@ -32,25 +32,18 @@ use crate::error::VerifyError;
 use crate::oblig::{obligations_for_analysis_with, obligations_for_optimization_with, Prepared};
 use cobalt_dsl::{Optimization, PureAnalysis};
 use cobalt_logic::Limits;
-use cobalt_support::journal::{Fnv64, Journal, LoadReport, LockOutcome};
-use std::collections::HashMap;
+pub use cobalt_support::journal::ResumeMode;
+use cobalt_support::journal::{
+    decode_fields, encode_fields, Fnv64, LoadReport, Record, Store, DEFAULT_LOCK_WAIT,
+};
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// How long [`Session::with_journal`] waits for the journal's advisory
-/// lock before degrading to uncached verification. Long enough to ride
-/// out a sibling's append bursts, short enough that a wedged holder
-/// cannot wedge us.
-pub const DEFAULT_LOCK_WAIT: Duration = Duration::from_secs(5);
 
 /// Version tag mixed into every fingerprint; bump on any change to the
 /// fingerprint inputs or the record format so stale journals invalidate
 /// wholesale instead of aliasing.
 const FINGERPRINT_VERSION: &str = "cobalt-oblig-fp-v1";
-
-/// Record format version written as each record's first field.
-const RECORD_VERSION: &str = "v1";
 
 /// Stable content fingerprint of one prepared obligation.
 ///
@@ -95,216 +88,105 @@ pub(crate) struct JournalEntry {
     pub detail: String,
 }
 
-impl JournalEntry {
-    /// Encodes the entry as a journal payload: tab-separated
-    /// `key=value` fields behind a version tag, values escaped.
-    pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "{RECORD_VERSION}\tfp={:016x}\trule={}\tid={}\tproved={}\trl={}\tattempts={}\tesc={}\ttier={}\telapsed_us={}\tdetail={}",
+/// Tab-separated `key=value` fields behind a version tag; every field
+/// is required (`detail` may be empty but present).
+impl Record for JournalEntry {
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        encode_fields(
             self.fingerprint,
-            escape(&self.rule),
-            escape(&self.id),
-            u8::from(self.proved),
-            u8::from(self.resource_limited),
-            self.attempts,
-            self.escalations,
-            self.tier,
-            self.elapsed_us,
-            escape(&self.detail),
+            &[
+                ("rule", &self.rule),
+                ("id", &self.id),
+                ("proved", &u8::from(self.proved)),
+                ("rl", &u8::from(self.resource_limited)),
+                ("attempts", &self.attempts),
+                ("esc", &self.escalations),
+                ("tier", &self.tier),
+                ("elapsed_us", &self.elapsed_us),
+                ("detail", &self.detail),
+            ],
         )
-        .into_bytes()
     }
 
-    /// Decodes a journal payload. `None` for records of an unknown
-    /// version or shape — such records are *skipped* (treated as not
-    /// cached), never trusted and never fatal.
-    pub fn decode(payload: &[u8]) -> Option<JournalEntry> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut fields = text.split('\t');
-        if fields.next()? != RECORD_VERSION {
-            return None;
-        }
-        let mut entry = JournalEntry {
-            fingerprint: 0,
-            rule: String::new(),
-            id: String::new(),
-            proved: false,
-            resource_limited: false,
-            attempts: 0,
-            escalations: 0,
-            tier: 0,
-            elapsed_us: 0,
-            detail: String::new(),
-        };
-        let mut seen = 0u32;
-        for field in fields {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "fp" => entry.fingerprint = u64::from_str_radix(value, 16).ok()?,
-                "rule" => entry.rule = unescape(value)?,
-                "id" => entry.id = unescape(value)?,
-                "proved" => entry.proved = value == "1",
-                "rl" => entry.resource_limited = value == "1",
-                "attempts" => entry.attempts = value.parse().ok()?,
-                "esc" => entry.escalations = value.parse().ok()?,
-                "tier" => entry.tier = value.parse().ok()?,
-                "elapsed_us" => entry.elapsed_us = value.parse().ok()?,
-                "detail" => entry.detail = unescape(value)?,
-                _ => continue, // forward-compatible: unknown keys ignored
-            }
-            seen += 1;
-        }
-        // Every v1 field is required (detail may be empty but present).
-        if seen < 10 {
-            return None;
-        }
-        Some(entry)
+    fn decode(payload: &[u8]) -> Option<JournalEntry> {
+        let keys = [
+            "rule", "id", "proved", "rl", "attempts", "esc", "tier", "elapsed_us", "detail",
+        ];
+        let (fingerprint, [rule, id, proved, rl, attempts, esc, tier, elapsed_us, detail]) =
+            decode_fields(payload, keys)?;
+        Some(JournalEntry {
+            fingerprint,
+            rule,
+            id,
+            proved: proved == "1",
+            resource_limited: rl == "1",
+            attempts: attempts.parse().ok()?,
+            escalations: esc.parse().ok()?,
+            tier: tier.parse().ok()?,
+            elapsed_us: elapsed_us.parse().ok()?,
+            detail,
+        })
     }
-}
-
-use cobalt_support::journal::{escape_field as escape, unescape_field as unescape};
-
-// `ResumeMode` moved to `cobalt-support::journal` (it is shared with
-// the engine's fixpoint sessions); re-exported here so existing users
-// keep compiling.
-pub use cobalt_support::journal::ResumeMode;
-
-/// A cached record plus its exact on-disk payload (kept so unchanged
-/// outcomes are carried into the compacted journal byte-for-byte).
-#[derive(Debug, Clone)]
-struct Cached {
-    entry: JournalEntry,
-    raw: Vec<u8>,
 }
 
 /// A resumable verification session. See the [module docs](self).
 #[derive(Debug)]
 pub struct Session {
     verifier: Verifier,
-    journal: Option<Journal>,
-    cache: HashMap<u64, Cached>,
-    /// Payloads belonging to this session's outcomes (reused raw
-    /// records and fresh appends, in discharge order); what
-    /// [`finish`](Self::finish) compacts the journal down to.
-    session_payloads: Vec<Vec<u8>>,
-    loaded: LoadReport,
-    degraded: Option<String>,
+    store: Store<JournalEntry>,
+    /// Fingerprints of this session's outcomes (replayed and fresh, in
+    /// obligation order); what [`finish`](Self::finish) compacts the
+    /// journal down to.
+    session_fps: Vec<u64>,
 }
 
 impl Session {
-    /// A session without a journal: verification behaves exactly like
-    /// calling the [`Verifier`] directly (nothing cached, nothing
-    /// persisted).
+    /// A session without a journal: verification behaves like calling
+    /// the [`Verifier`] directly, and nothing is persisted.
     pub fn new(verifier: Verifier) -> Session {
         Session {
             verifier,
-            journal: None,
-            cache: HashMap::new(),
-            session_payloads: Vec::new(),
-            loaded: LoadReport::default(),
-            degraded: None,
+            store: Store::in_memory(),
+            session_fps: Vec::new(),
         }
     }
 
-    /// Opens (creating if absent) the proof journal at `path` under its
-    /// advisory exclusive lock and builds the resume cache from its
-    /// intact records. Corrupt tails are discarded by the journal
-    /// loader — see [`load_report`](Self::load_report) for what was
-    /// recovered.
-    ///
-    /// The lock makes one journal shareable by concurrent `cobalt
-    /// verify --journal same-path` processes: exactly one holds it at a
-    /// time. A session that cannot acquire it within
-    /// [`DEFAULT_LOCK_WAIT`] (or hits an injected `journal.lock` fault)
-    /// starts **degraded** — verification proceeds uncached with
-    /// unchanged verdicts and exit codes, and
-    /// [`degraded`](Self::degraded) says why.
+    /// Opens (creating if absent) the proof journal at `path` as a
+    /// locked [`Store`] and resumes from its intact records. Lock
+    /// contention (concurrent `cobalt verify --journal same-path`)
+    /// starts the session **degraded**: verification runs uncached with
+    /// unchanged verdicts, and [`degraded`](Self::degraded) says why.
     ///
     /// # Errors
     ///
-    /// Returns the `io::Error` if the journal file cannot be opened at
+    /// The `io::Error` of a journal that cannot be opened or reset at
     /// all (bad path, permissions, injected `journal.load` fault).
-    /// Corruption inside the file is *not* an error, and neither is
-    /// lock contention.
+    /// Corruption inside the file is *not* an error.
     pub fn with_journal(
         verifier: Verifier,
         path: impl AsRef<Path>,
         mode: ResumeMode,
     ) -> io::Result<Session> {
-        Self::with_journal_wait(verifier, path, mode, DEFAULT_LOCK_WAIT)
-    }
-
-    /// [`with_journal`](Self::with_journal) with an explicit lock-wait
-    /// budget (tests and impatient callers).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`with_journal`](Self::with_journal).
-    pub fn with_journal_wait(
-        verifier: Verifier,
-        path: impl AsRef<Path>,
-        mode: ResumeMode,
-        lock_wait: Duration,
-    ) -> io::Result<Session> {
-        let mut opened = match Journal::open_locked(path, lock_wait)? {
-            LockOutcome::Acquired(opened) => opened,
-            LockOutcome::Contended { reason } => {
-                return Ok(Session {
-                    verifier,
-                    journal: None,
-                    cache: HashMap::new(),
-                    session_payloads: Vec::new(),
-                    loaded: LoadReport::default(),
-                    degraded: Some(format!("journal lock unavailable ({reason})")),
-                })
-            }
-        };
-        let mut cache = HashMap::new();
-        match mode {
-            ResumeMode::Fresh => {
-                opened.journal.compact(&[] as &[&[u8]])?;
-                opened.report = LoadReport::default();
-            }
-            ResumeMode::Resume => {
-                for raw in &opened.records {
-                    // Later records win: a re-proof appended after an
-                    // old failure supersedes it.
-                    if let Some(entry) = JournalEntry::decode(raw) {
-                        cache.insert(
-                            entry.fingerprint,
-                            Cached {
-                                entry,
-                                raw: raw.clone(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
         Ok(Session {
             verifier,
-            journal: Some(opened.journal),
-            cache,
-            session_payloads: Vec::new(),
-            loaded: opened.report,
-            degraded: None,
+            store: Store::open(path, mode, DEFAULT_LOCK_WAIT, None)?,
+            session_fps: Vec::new(),
         })
-    }
-
-    /// The wrapped verifier.
-    pub fn verifier(&self) -> &Verifier {
-        &self.verifier
     }
 
     /// What the journal loader recovered and discarded at open.
     pub fn load_report(&self) -> &LoadReport {
-        &self.loaded
+        self.store.load_report()
     }
 
     /// Why journaling was disabled mid-run, if it was. Verification
     /// results are unaffected — only caching is lost.
     pub fn degraded(&self) -> Option<&str> {
-        self.degraded.as_deref()
+        self.store.degraded()
     }
 
     /// Verifies an optimization, replaying journaled outcomes where
@@ -349,31 +231,12 @@ impl Session {
         Ok(self.run(analysis.name.clone(), &rule_src, prepared))
     }
 
-    /// Compacts the journal down to this session's outcomes (atomic
-    /// temp-file + rename), dropping superseded and stale records.
-    /// Call once after the last report; skipping it costs nothing but
-    /// disk — the journal stays correct, just uncompacted.
-    ///
-    /// A compaction failure degrades (the appended journal is still
-    /// valid) rather than erroring.
+    /// Compacts the journal down to this session's outcomes, dropping
+    /// superseded and stale records, and releases its lock. Call once
+    /// after the last report; skipping it costs only disk. A
+    /// compaction failure degrades rather than erroring.
     pub fn finish(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            if let Err(e) = journal.compact(&self.session_payloads) {
-                self.degrade(format!("journal compaction failed: {e}"));
-                return;
-            }
-        }
-        // Compaction ends this session's journaling; dropping the
-        // handle releases the advisory lock so another session (this
-        // process or another) can take over the journal immediately.
-        self.journal = None;
-    }
-
-    fn degrade(&mut self, reason: String) {
-        self.journal = None;
-        if self.degraded.is_none() {
-            self.degraded = Some(reason);
-        }
+        self.store.finish(&self.session_fps);
     }
 
     /// The session analogue of `Verifier::discharge_all`: per
@@ -395,30 +258,27 @@ impl Session {
         let total = prepared.len();
         // Partition: cache hits replay immediately into their slots,
         // everything else queues for (possibly parallel) discharge.
-        let mut outcome_slots: Vec<Option<ObligationOutcome>> = Vec::with_capacity(total);
-        outcome_slots.resize_with(total, || None);
-        let mut payload_slots: Vec<Option<Vec<u8>>> = Vec::with_capacity(total);
-        payload_slots.resize_with(total, || None);
+        let mut outcome_slots: Vec<Option<ObligationOutcome>> = (0..total).map(|_| None).collect();
+        // The fingerprints this run replays or journals, by obligation.
+        let mut fp_slots: Vec<Option<u64>> = vec![None; total];
         let mut fresh: Vec<(Prepared, usize)> = Vec::new();
         let mut fresh_meta: Vec<(usize, u64, usize)> = Vec::new(); // (orig idx, fp, start_tier)
         for (idx, p) in prepared.into_iter().enumerate() {
             let fp = fingerprint_obligation(rule_src, &p, &tiers);
-            let hit = self.cache.get(&fp);
-            if let Some(cached) = hit {
-                if cached.entry.proved {
-                    outcome_slots[idx] = Some(ObligationOutcome {
-                        id: p.id,
-                        proved: true,
-                        elapsed: Duration::from_micros(cached.entry.elapsed_us),
-                        detail: String::new(),
-                        attempts: cached.entry.attempts,
-                        escalations: cached.entry.escalations,
-                        resource_limited: false,
-                        cached: true,
-                    });
-                    payload_slots[idx] = Some(cached.raw.clone());
-                    continue;
-                }
+            let hit = self.store.get(fp);
+            if let Some(cached) = hit.filter(|c| c.proved) {
+                outcome_slots[idx] = Some(ObligationOutcome {
+                    id: p.id,
+                    proved: true,
+                    elapsed: Duration::from_micros(cached.elapsed_us),
+                    detail: String::new(),
+                    attempts: cached.attempts,
+                    escalations: cached.escalations,
+                    resource_limited: false,
+                    cached: true,
+                });
+                fp_slots[idx] = Some(fp);
+                continue;
             }
             // A recorded resource-limited failure resumes at the tier
             // after the last one it exhausted; open-branch and panic
@@ -426,20 +286,21 @@ impl Session {
             // have been the problem last time the fingerprint was
             // computed — it matches, so they simply retry) start cold.
             let start_tier = match hit {
-                Some(c) if c.entry.resource_limited => c.entry.tier as usize,
+                Some(c) if c.resource_limited => c.tier as usize,
                 _ => 0,
             };
             fresh_meta.push((idx, fp, start_tier));
             fresh.push((p, start_tier));
         }
         // Split borrows so the journaling sink can write while the
-        // verifier discharges.
+        // verifier discharges. Outcomes are journaled (append + fsync)
+        // as they land, in obligation order; journal trouble degrades
+        // the store instead of failing verification.
         let verifier = &self.verifier;
-        let journal = &mut self.journal;
-        let degraded = &mut self.degraded;
+        let store = &mut self.store;
         let fresh_outcomes = verifier.discharge_batch(fresh, report_deadline, |fi, outcome| {
             let (orig_idx, fp, start_tier) = fresh_meta[fi];
-            let entry = JournalEntry {
+            store.insert(JournalEntry {
                 fingerprint: fp,
                 rule: name.clone(),
                 id: outcome.id.clone(),
@@ -450,28 +311,13 @@ impl Session {
                 tier: (start_tier as u32).saturating_add(outcome.attempts),
                 elapsed_us: outcome.elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
                 detail: outcome.detail.clone(),
-            };
-            let payload = entry.encode();
-            // Append + fsync as each outcome lands (in obligation
-            // order); an I/O failure (or injected `journal.write`/
-            // `journal.fsync` fault) disables journaling for the rest
-            // of the session instead of failing verification.
-            if let Some(j) = journal.as_mut() {
-                if let Err(e) = j.append(&payload).and_then(|()| j.sync()) {
-                    *journal = None;
-                    if degraded.is_none() {
-                        *degraded = Some(format!("journal write failed: {e}"));
-                    }
-                    return;
-                }
-            }
-            payload_slots[orig_idx] = Some(payload);
+            });
+            fp_slots[orig_idx] = Some(fp);
         });
         for (fi, outcome) in fresh_outcomes.into_iter().enumerate() {
             outcome_slots[fresh_meta[fi].0] = Some(outcome);
         }
-        self.session_payloads
-            .extend(payload_slots.into_iter().flatten());
+        self.session_fps.extend(fp_slots.into_iter().flatten());
         Report {
             name,
             outcomes: outcome_slots
@@ -509,6 +355,18 @@ mod tests {
         assert_eq!(decoded, e);
     }
 
+    /// The on-disk bytes of one record, pinned literally so a codec
+    /// change cannot silently orphan existing journals.
+    #[test]
+    fn record_bytes_are_golden() {
+        assert_eq!(
+            entry().encode(),
+            b"v1\tfp=deadbeef01234567\trule=const_prop\tid=F2/assign_var\tproved=0\trl=1\t\
+              attempts=2\tesc=1\ttier=2\telapsed_us=1234\t\
+              detail=deadline;\\twith\\ttabs\\nand newlines\\\\"
+        );
+    }
+
     #[test]
     fn decode_rejects_unknown_versions_and_junk_without_panicking() {
         assert_eq!(JournalEntry::decode(b""), None);
@@ -527,15 +385,6 @@ mod tests {
         let mut payload = entry().encode();
         payload.extend_from_slice(b"\tfuture_field=whatever");
         assert_eq!(JournalEntry::decode(&payload), Some(entry()));
-    }
-
-    #[test]
-    fn escape_roundtrips_control_characters() {
-        for s in ["", "plain", "tab\there", "line\nbreak", "back\\slash\r"] {
-            assert_eq!(unescape(&escape(s)).as_deref(), Some(s));
-        }
-        assert_eq!(unescape("bad\\x"), None);
-        assert_eq!(unescape("dangling\\"), None);
     }
 
     #[test]

@@ -13,6 +13,12 @@ export CARGO_NET_OFFLINE=true
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
+# The benchmark (perfbench/) is its own workspace that calls the public
+# APIs of the crates; build it so an API slip fails here, not only when
+# the benchmark runs.
+echo "== cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
