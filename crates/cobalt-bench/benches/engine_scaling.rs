@@ -45,12 +45,14 @@ fn bench_full_suite(c: &mut Bench) {
     group.sample_size(10);
     for &n in &SIZES[..3] {
         let prog = bench_program(n, 11);
-        group.bench_with_input(BenchId::new("one_round", n), &prog, |b, p| {
-            b.iter(|| engine.optimize_program(p, &analyses, &opts, 1).unwrap().1)
-        });
-        group.bench_with_input(BenchId::new("to_fixpoint", n), &prog, |b, p| {
-            b.iter(|| engine.optimize_program(p, &analyses, &opts, 4).unwrap().1)
-        });
+        for (name, rounds) in [("one_round", 1), ("to_fixpoint", 4)] {
+            group.bench_with_input(BenchId::new(name, n), &prog, |b, p| {
+                b.iter(|| {
+                    let mut session = OptimizeSession::new(engine.clone());
+                    session.optimize_program(p, &analyses, &opts, rounds).1.applied
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -73,7 +75,7 @@ fn bench_taint_analysis(c: &mut Bench) {
 }
 
 /// ISSUE 7: per-procedure parallelism. One 24-procedure program, the
-/// full resilient pipeline, worker counts 1/2/4 — output bytes are
+/// full session pipeline, worker counts 1/2/4 — output bytes are
 /// identical at every count (tests/parallel.rs proves it), so the only
 /// thing this measures is wall-clock. Speedup tracks physical cores:
 /// on a single-vCPU host the trajectory is flat and measures pool

@@ -8,12 +8,21 @@
 //! cheaper — and it covers *all* programs, not just the validated runs.
 
 use cobalt_bench::{bench_program, SIZES};
-use cobalt_dsl::LabelEnv;
-use cobalt_engine::Engine;
+use cobalt_dsl::{LabelEnv, Optimization};
+use cobalt_engine::{Engine, OptimizeSession};
+use cobalt_il::Program;
 use cobalt_tv::validate_proc;
 use cobalt_verify::{SemanticMeanings, Verifier};
 use cobalt_support::bench::{Bench, BenchId};
 use cobalt_support::{bench_group, bench_main};
+
+/// Optimizes `prog` with `opts` for one round; returns the program and
+/// the rewrite count.
+fn optimize(engine: &Engine, prog: &Program, opts: &[Optimization]) -> (Program, usize) {
+    let (out, report) = OptimizeSession::new(engine.clone()).optimize_program(prog, &[], opts, 1);
+    assert!(!report.degraded(), "{:#?}", report.failures);
+    (out, report.applied)
+}
 
 /// The one-time cost: prove constant propagation sound, once and for
 /// all programs.
@@ -36,9 +45,7 @@ fn bench_validate_every_compile(c: &mut Bench) {
     let mut group = c.benchmark_group("trust/validate_per_compile");
     for &n in SIZES {
         let prog = bench_program(n, 21);
-        let (optimized, _) = engine
-            .optimize_program(&prog, &[], std::slice::from_ref(&const_prop), 1)
-            .unwrap();
+        let (optimized, _) = optimize(&engine, &prog, std::slice::from_ref(&const_prop));
         let orig = prog.main().unwrap().clone();
         let new = optimized.main().unwrap().clone();
         group.bench_with_input(BenchId::from_parameter(n), &(orig, new), |b, (o, t)| {
@@ -59,18 +66,16 @@ fn bench_compile_overhead(c: &mut Bench) {
     let prog = bench_program(160, 23);
     let mut group = c.benchmark_group("trust/compile_overhead");
     group.bench_function("optimize_only", |b| {
-        b.iter(|| engine.optimize_program(&prog, &[], &opts, 1).unwrap().1)
+        b.iter(|| optimize(&engine, &prog, &opts).1)
     });
     group.bench_function("optimize_and_validate", |b| {
         b.iter(|| {
-            let (out, n) = engine.optimize_program(&prog, &[], &opts, 1).unwrap();
+            let (out, n) = optimize(&engine, &prog, &opts);
             // Validating a multi-pass compile honestly requires
             // per-pass validation; approximate with per-opt reruns.
             let mut cur = prog.clone();
             for opt in &opts {
-                let (next, _) = engine
-                    .optimize_program(&cur, &[], std::slice::from_ref(opt), 1)
-                    .unwrap();
+                let (next, _) = optimize(&engine, &cur, std::slice::from_ref(opt));
                 let r = validate_proc(cur.main().unwrap(), next.main().unwrap()).unwrap();
                 assert!(r.validated(), "{:?}", r.rejections());
                 cur = next;

@@ -4,9 +4,9 @@
 //! (`cobalt-logic::Budget`); this module gives the *engine's* worklists
 //! the same discipline. A [`Budget`] carries an optional wall-clock
 //! deadline, an optional per-procedure step cap, and a cooperative
-//! cancel flag; a [`Meter`] spends it, checking the clock and the flag
-//! only every [`METER_CHECK_INTERVAL`] steps so the hot worklist loop
-//! stays branch-cheap.
+//! [`Cancel`] token; a [`Meter`] spends it, checking the clock and the
+//! token only every [`METER_CHECK_INTERVAL`] steps so the hot worklist
+//! loop stays branch-cheap.
 //!
 //! A "step" is one node visit of a fixpoint sweep (or one iteration of
 //! the recursive self-composition loop) — the unit in which engine work
@@ -20,18 +20,19 @@
 //!
 //! Exhaustion surfaces as
 //! [`EngineError::ResourceLimited`](crate::EngineError::ResourceLimited),
-//! which the resilient drivers turn into a quarantined
+//! which the optimization session turns into a quarantined
 //! [`PassFailure`](crate::PassFailure) of kind
 //! [`FailureKind::ResourceLimited`](crate::FailureKind) — the pass is
 //! skipped, never misapplied (sound by §4.1 noninterference).
 
 use crate::error::EngineError;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use cobalt_support::pool::Cancel;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often (in steps) a [`Meter`] consults the clock, the step
-/// count, and the cancel flag. Matches the prover's metering cadence.
+/// count, and the cancel token. Matches the prover's metering cadence.
 pub const METER_CHECK_INTERVAL: u32 = 16;
 
 /// A resource budget for engine fixpoints. See the [module docs](self).
@@ -44,7 +45,7 @@ pub const METER_CHECK_INTERVAL: u32 = 16;
 pub struct Budget {
     deadline: Option<Instant>,
     max_steps: Option<u64>,
-    cancel: Option<Arc<AtomicBool>>,
+    cancel: Option<Cancel>,
     spent: Arc<AtomicU64>,
 }
 
@@ -72,11 +73,12 @@ impl Budget {
         self
     }
 
-    /// Attaches a cooperative cancel flag: set it from any thread and
-    /// every meter observes it at its next check.
+    /// Attaches a cooperative cancel token: trip it (or a parent it is
+    /// linked to) from any thread and every meter observes it at its
+    /// next check.
     #[must_use]
-    pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Budget {
-        self.cancel = Some(flag);
+    pub fn with_cancel(mut self, cancel: Cancel) -> Budget {
+        self.cancel = Some(cancel);
         self
     }
 
@@ -92,12 +94,12 @@ impl Budget {
         self.max_steps
     }
 
-    /// The cancel flag, if one is attached.
-    pub fn cancel_flag(&self) -> Option<Arc<AtomicBool>> {
-        self.cancel.clone()
+    /// The cancel token, if one is attached.
+    pub fn cancel(&self) -> Option<&Cancel> {
+        self.cancel.as_ref()
     }
 
-    /// A budget with the same deadline, cap, and cancel flag but a
+    /// A budget with the same deadline, cap, and cancel token but a
     /// fresh step counter — an independent accounting scope.
     pub fn fork(&self) -> Budget {
         Budget {
@@ -128,7 +130,7 @@ pub struct Meter {
 
 impl Meter {
     /// Spends one step. Every [`METER_CHECK_INTERVAL`] steps the
-    /// deadline, the step cap, and the cancel flag are consulted.
+    /// deadline, the step cap, and the cancel token are consulted.
     ///
     /// # Errors
     ///
@@ -176,7 +178,7 @@ impl Meter {
             }
         }
         if let Some(cancel) = &self.budget.cancel {
-            if cancel.load(Ordering::Relaxed) {
+            if cancel.is_tripped() {
                 return Err(EngineError::ResourceLimited("cancelled".into()));
             }
         }
@@ -249,12 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_trips_cooperatively() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let budget = Budget::unlimited().with_cancel(flag.clone());
+    fn cancel_token_trips_cooperatively() {
+        let cancel = Cancel::new();
+        let budget = Budget::unlimited().with_cancel(cancel.child());
         let mut meter = budget.meter();
         meter.check().unwrap();
-        flag.store(true, Ordering::Relaxed);
+        cancel.trip();
         let e = meter.check().unwrap_err();
         assert!(e.to_string().contains("cancelled"), "{e}");
     }

@@ -15,10 +15,12 @@ use crate::error::EngineError;
 use cobalt_dsl::{
     Direction, GuardSpec, LabelEnv, LabelInst, MatchSite, Optimization, PureAnalysis, Subst,
 };
-use cobalt_il::{Proc, Program};
+use cobalt_il::Proc;
 
-/// The execution engine: a label environment plus drivers for running
-/// optimizations and pure analyses.
+/// The execution engine: a label environment, a [`Budget`], and the
+/// per-procedure primitives — legal sites, rewriting, and pure
+/// analyses. Whole programs are optimized through
+/// [`OptimizeSession`](crate::OptimizeSession).
 ///
 /// # Examples
 ///
@@ -36,7 +38,6 @@ use cobalt_il::{Proc, Program};
 #[derive(Debug, Clone)]
 pub struct Engine {
     env: LabelEnv,
-    lint_prepass: bool,
     budget: Budget,
 }
 
@@ -46,15 +47,14 @@ impl Engine {
     pub fn new(env: LabelEnv) -> Self {
         Engine {
             env,
-            lint_prepass: false,
             budget: Budget::unlimited(),
         }
     }
 
-    /// Bounds every fixpoint this engine runs by `budget`. Drivers that
-    /// process several procedures [fork](Budget::fork) the budget per
-    /// procedure so the step cap is per-procedure and therefore
-    /// deterministic at any `--jobs` count.
+    /// Bounds every fixpoint this engine runs by `budget`. The session
+    /// [forks](Budget::fork) the budget per procedure so the step cap
+    /// is per-procedure and therefore deterministic at any `--jobs`
+    /// count.
     #[must_use]
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
@@ -64,20 +64,6 @@ impl Engine {
     /// The budget bounding this engine's fixpoints.
     pub fn budget(&self) -> &Budget {
         &self.budget
-    }
-
-    /// Enables the opt-in lint pre-pass in the resilient drivers: rules
-    /// with error-severity lint diagnostics are quarantined as
-    /// [`PassFailure`](crate::PassFailure)s before any round runs,
-    /// instead of failing (or silently doing nothing) mid-pipeline.
-    pub fn with_lint_prepass(mut self) -> Self {
-        self.lint_prepass = true;
-        self
-    }
-
-    /// Whether the resilient drivers lint rules before running them.
-    pub fn lint_prepass_enabled(&self) -> bool {
-        self.lint_prepass
     }
 
     /// The label environment in use.
@@ -224,67 +210,6 @@ impl Engine {
         Ok(added)
     }
 
-    /// Optimizes one procedure with a pipeline: runs every pure analysis,
-    /// then applies each optimization in order, repeating the whole
-    /// sequence until a fixpoint or `max_rounds`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors from any pass.
-    pub fn optimize_proc(
-        &self,
-        proc: &Proc,
-        analyses: &[PureAnalysis],
-        opts: &[Optimization],
-        max_rounds: usize,
-    ) -> Result<(Proc, usize), EngineError> {
-        let mut current = proc.clone();
-        let mut total_applied = 0;
-        for _ in 0..max_rounds {
-            let mut round_applied = 0;
-            for opt in opts {
-                let mut ap = AnalyzedProc::new(current.clone())?;
-                for a in analyses {
-                    self.run_pure_analysis(&mut ap, a)?;
-                }
-                let (next, applied) = self.apply(&ap, opt)?;
-                round_applied += applied.len();
-                current = next;
-            }
-            total_applied += round_applied;
-            if round_applied == 0 {
-                break;
-            }
-        }
-        Ok((current, total_applied))
-    }
-
-    /// Optimizes every procedure of a program; see
-    /// [`optimize_proc`](Self::optimize_proc).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors from any procedure.
-    pub fn optimize_program(
-        &self,
-        program: &Program,
-        analyses: &[PureAnalysis],
-        opts: &[Optimization],
-        max_rounds: usize,
-    ) -> Result<(Program, usize), EngineError> {
-        let mut out = program.clone();
-        let mut total = 0;
-        for proc in &program.procs {
-            // Fresh step counter per procedure: the cap bounds each
-            // procedure's pipeline, not their interleaved sum.
-            let worker = self.clone().with_budget(self.budget.fork());
-            let (optimized, n) = worker.optimize_proc(proc, analyses, opts, max_rounds)?;
-            out = out.with_proc_replaced(optimized);
-            total += n;
-        }
-        Ok((out, total))
-    }
-
     /// Applies an explicit set of sites (any subset of
     /// [`legal_sites`](Self::legal_sites)) to the procedure — the
     /// `app(s', p, Δ')` function of Definition 2. Used by the
@@ -319,6 +244,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OptimizeSession;
     use cobalt_dsl::{
         BasePat, ConstPat, ExprPat, Guard, LabelArgPat, LhsPat, RegionGuard, StmtPat,
         TransformPattern, VarPat, Witness,
@@ -392,10 +318,11 @@ mod tests {
             "proc main(x) { a := 2; b := a; c := b; return c; }",
         )
         .unwrap();
-        let (opt, n) = engine
-            .optimize_proc(prog.main().unwrap(), &[], &[const_prop()], 5)
-            .unwrap();
-        assert_eq!(n, 2);
+        let (out, report) =
+            OptimizeSession::new(engine).optimize_program(&prog, &[], &[const_prop()], 5);
+        assert!(!report.degraded(), "{:#?}", report.failures);
+        assert_eq!(report.applied, 2);
+        let opt = out.main().unwrap();
         assert_eq!(opt.stmts[1].to_string(), "b := 2");
         assert_eq!(opt.stmts[2].to_string(), "c := 2");
     }
@@ -528,10 +455,10 @@ mod tests {
              proc f(n) { b := 3; d := b; return d; }",
         )
         .unwrap();
-        let (out, n) = engine
-            .optimize_program(&prog, &[], &[const_prop()], 3)
-            .unwrap();
-        assert_eq!(n, 2);
+        let (out, report) =
+            OptimizeSession::new(engine).optimize_program(&prog, &[], &[const_prop()], 3);
+        assert!(!report.degraded(), "{:#?}", report.failures);
+        assert_eq!(report.applied, 2);
         assert_eq!(out.proc(&"f".into()).unwrap().stmts[1].to_string(), "d := 3");
     }
 }

@@ -18,8 +18,8 @@ pub enum EngineError {
     Template(InstError),
     /// The analysis exhausted its [`Budget`](crate::Budget) — deadline,
     /// step cap, or cooperative cancellation. Says nothing about the
-    /// program or the rule, only that the budget ran out; the resilient
-    /// drivers quarantine the pass (sound — it is merely skipped).
+    /// program or the rule, only that the budget ran out; the session
+    /// quarantines the pass (sound — it is merely skipped).
     ResourceLimited(String),
 }
 

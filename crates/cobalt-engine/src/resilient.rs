@@ -1,13 +1,11 @@
-//! Fault-isolating pipeline drivers: graceful degradation for the
-//! optimization engine.
+//! The fault-isolating per-procedure pipeline behind
+//! [`OptimizeSession`](crate::OptimizeSession), and the
+//! [`PipelineReport`] it returns.
 //!
-//! [`Engine::optimize_proc`](crate::Engine::optimize_proc) propagates
-//! the first pass error and aborts the pipeline; a pass that *panics*
-//! takes the whole process down. The resilient drivers here instead
-//! isolate every pass (and every pure analysis) per round: a pass that
-//! returns an error or panics is recorded as a typed [`PassFailure`],
-//! quarantined for the remaining rounds, and the surviving passes keep
-//! running on the last good program.
+//! Every pass (and every pure analysis) runs isolated per round: a pass
+//! that returns an error or panics is recorded as a typed
+//! [`PassFailure`], quarantined for the remaining rounds, and the
+//! surviving passes keep running on the last good program.
 //!
 //! Skipping an arbitrary subset of passes is *sound* by construction:
 //! each optimization's `choose` heuristic already selects an arbitrary
@@ -21,7 +19,7 @@ use crate::analyzed::AnalyzedProc;
 use crate::engine::Engine;
 use crate::error::EngineError;
 use cobalt_dsl::{Optimization, PureAnalysis};
-use cobalt_il::{Proc, Program};
+use cobalt_il::Proc;
 use cobalt_support::fault;
 use std::collections::HashSet;
 use std::fmt;
@@ -35,8 +33,8 @@ pub enum FailureKind {
     /// The pass exhausted the engine [`Budget`](crate::Budget)
     /// (deadline, step cap, or cancellation). Drives the exit-3 path.
     ResourceLimited,
-    /// The pass returned an engine error (bad guard, lint rejection,
-    /// injected fault, …).
+    /// The pass returned an engine error (bad guard, injected fault,
+    /// …).
     Error,
     /// The pass panicked and was caught.
     Panic,
@@ -70,7 +68,7 @@ impl fmt::Display for FailureKind {
     }
 }
 
-/// One isolated pass (or analysis) failure inside a resilient pipeline.
+/// One isolated pass (or analysis) failure inside a pipeline run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassFailure {
     /// What kind of failure this was.
@@ -96,7 +94,7 @@ impl fmt::Display for PassFailure {
     }
 }
 
-/// The outcome of a resilient pipeline run: how much work was done and
+/// The outcome of a pipeline run: how much work was done and
 /// which passes had to be skipped.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
@@ -214,17 +212,6 @@ fn isolate<T>(f: impl FnOnce() -> Result<T, EngineError>) -> Result<T, (FailureK
     }
 }
 
-/// A quarantine reason naming the error-severity diagnostic codes,
-/// e.g. `rejected by lint: [CL001, CL009]`.
-fn lint_reason(diags: &cobalt_lint::Diagnostics) -> String {
-    let codes: Vec<&str> = diags
-        .iter()
-        .filter(|d| d.severity == cobalt_lint::Severity::Error)
-        .map(|d| d.code)
-        .collect();
-    format!("rejected by lint: [{}]", codes.join(", "))
-}
-
 fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -236,14 +223,15 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl Engine {
-    /// Optimizes one procedure like
-    /// [`optimize_proc`](Engine::optimize_proc), but with per-pass
-    /// fault isolation: a pass (or pure analysis) that returns an error
-    /// or panics is skipped — recorded as a [`PassFailure`] and
+    /// Optimizes one procedure: each round runs every pass in order,
+    /// each on a fresh [`AnalyzedProc`] labelled by every pure
+    /// analysis, until a round applies nothing or `max_rounds` is
+    /// reached. A pass (or pure analysis) that returns an error or
+    /// panics is skipped — recorded as a [`PassFailure`] and
     /// quarantined for the remaining rounds — while the other passes
     /// keep running on the last good version of the procedure. Never
     /// fails and never panics on account of a pass.
-    pub fn optimize_proc_resilient(
+    pub(crate) fn optimize_proc_resilient(
         &self,
         proc: &Proc,
         analyses: &[PureAnalysis],
@@ -268,49 +256,6 @@ impl Engine {
                 reason,
             });
         };
-        // Opt-in lint pre-pass ([`Engine::with_lint_prepass`]):
-        // structurally malformed rules are quarantined up front with
-        // their diagnostic codes, instead of erroring — or silently
-        // matching nothing — in every round. The linter itself runs
-        // under the same isolation as a pass, so a lint panic (or an
-        // injected `lint.rule` fault) degrades instead of aborting.
-        if self.lint_prepass_enabled() {
-            let ctx = cobalt_lint::LintContext::new(self.env()).with_analyses(analyses);
-            let lint_opts = cobalt_lint::RuleLintOptions::structural();
-            for analysis in analyses {
-                let key = format!("analysis:{}", analysis.name);
-                match isolate(|| Ok(cobalt_lint::lint_analysis(analysis, &ctx, &lint_opts))) {
-                    Ok(diags) if diags.has_errors() => {
-                        fail(
-                            &mut report,
-                            &mut dead,
-                            key,
-                            0,
-                            (FailureKind::Error, lint_reason(&diags)),
-                        );
-                    }
-                    Ok(_) => {}
-                    Err(reason) => fail(&mut report, &mut dead, key, 0, reason),
-                }
-            }
-            for opt in opts {
-                match isolate(|| Ok(cobalt_lint::lint_optimization(opt, &ctx, &lint_opts))) {
-                    Ok(diags) if diags.has_errors() => {
-                        fail(
-                            &mut report,
-                            &mut dead,
-                            opt.name.to_string(),
-                            0,
-                            (FailureKind::Error, lint_reason(&diags)),
-                        );
-                    }
-                    Ok(_) => {}
-                    Err(reason) => {
-                        fail(&mut report, &mut dead, opt.name.to_string(), 0, reason);
-                    }
-                }
-            }
-        }
         for round in 0..max_rounds {
             let mut round_applied = 0;
             for opt in opts {
@@ -378,31 +323,6 @@ impl Engine {
         }
         (current, report)
     }
-
-    /// Optimizes every procedure of a program with per-pass fault
-    /// isolation; see
-    /// [`optimize_proc_resilient`](Engine::optimize_proc_resilient).
-    /// The merged [`PipelineReport`] names every skipped pass with the
-    /// procedure it failed in.
-    pub fn optimize_program_resilient(
-        &self,
-        program: &Program,
-        analyses: &[PureAnalysis],
-        opts: &[Optimization],
-        max_rounds: usize,
-    ) -> (Program, PipelineReport) {
-        let mut out = program.clone();
-        let mut report = PipelineReport::default();
-        for proc in &program.procs {
-            // Per-procedure step accounting (see `Budget::fork`).
-            let worker = self.clone().with_budget(self.budget().fork());
-            let (optimized, proc_report) =
-                worker.optimize_proc_resilient(proc, analyses, opts, max_rounds);
-            report.absorb(proc_report);
-            out = out.with_proc_replaced(optimized);
-        }
-        (out, report)
-    }
 }
 
 #[cfg(test)]
@@ -412,7 +332,7 @@ mod tests {
         BasePat, ConstPat, Direction, ExprPat, ForwardWitness, Guard, GuardSpec, LabelArgPat,
         LabelEnv, LhsPat, RegionGuard, StmtPat, TransformPattern, VarPat, Witness,
     };
-    use cobalt_il::parse_program;
+    use cobalt_il::{parse_program, Program};
 
     fn const_prop() -> Optimization {
         Optimization::new(
@@ -469,31 +389,16 @@ mod tests {
         parse_program("proc main(x) { a := 2; b := a; c := b; return c; }").unwrap()
     }
 
-    #[test]
-    fn resilient_matches_strict_driver_when_nothing_fails() {
-        let engine = Engine::new(LabelEnv::standard());
-        let prog = sample();
-        let (strict, n) = engine
-            .optimize_program(&prog, &[], &[const_prop()], 5)
-            .unwrap();
-        let (resilient, report) = engine.optimize_program_resilient(&prog, &[], &[const_prop()], 5);
-        assert_eq!(
-            cobalt_il::pretty_program(&strict),
-            cobalt_il::pretty_program(&resilient)
-        );
-        assert_eq!(report.applied, n);
-        assert!(!report.degraded());
-        assert!(report.summary().contains("rewrites"));
+    fn optimize(analyses: &[PureAnalysis], opts: &[Optimization]) -> (Program, PipelineReport) {
+        crate::OptimizeSession::new(Engine::new(LabelEnv::standard()))
+            .optimize_program(&sample(), analyses, opts, 5)
     }
 
     #[test]
     fn erroring_pass_is_skipped_and_named() {
-        let engine = Engine::new(LabelEnv::standard());
-        let prog = sample();
         let mut bad = erroring_pass();
         bad.name = "inventive".into();
-        let (out, report) =
-            engine.optimize_program_resilient(&prog, &[], &[bad, const_prop()], 5);
+        let (out, report) = optimize(&[], &[bad, const_prop()]);
         // The good pass still ran to fixpoint on the untouched program.
         assert_eq!(out.main().unwrap().stmts[1].to_string(), "b := 2");
         assert!(report.degraded());
@@ -505,10 +410,7 @@ mod tests {
 
     #[test]
     fn panicking_pass_is_isolated_and_quarantined() {
-        let engine = Engine::new(LabelEnv::standard());
-        let prog = sample();
-        let (out, report) =
-            engine.optimize_program_resilient(&prog, &[], &[panicking_pass(), const_prop()], 5);
+        let (out, report) = optimize(&[], &[panicking_pass(), const_prop()]);
         assert_eq!(out.main().unwrap().stmts[2].to_string(), "c := 2");
         assert!(report.degraded());
         assert_eq!(report.skipped_passes(), vec!["panicky"]);
@@ -521,10 +423,8 @@ mod tests {
 
     #[test]
     fn injected_pass_fault_degrades_gracefully() {
-        let engine = Engine::new(LabelEnv::standard());
-        let prog = sample();
         let (out, report) = cobalt_support::fault::with_faults("engine.pass:fail@1", || {
-            engine.optimize_program_resilient(&prog, &[], &[const_prop()], 5)
+            optimize(&[], &[const_prop()])
         });
         // The first pass application was killed by the injected fault;
         // const_prop is quarantined, so the program is unchanged.
@@ -533,89 +433,12 @@ mod tests {
         assert!(report.failures[0].reason.contains("injected fault"));
         assert_eq!(
             cobalt_il::pretty_program(&out),
-            cobalt_il::pretty_program(&prog)
-        );
-    }
-
-    /// A rule whose template uses `C`, which nothing binds (CL001).
-    fn lint_broken() -> Optimization {
-        let mut opt = const_prop();
-        opt.name = "broken".into();
-        opt.pattern.guard = GuardSpec::Region(RegionGuard {
-            psi1: Guard::True,
-            psi2: Guard::True,
-        });
-        opt.pattern.witness = Witness::Forward(ForwardWitness::True);
-        opt
-    }
-
-    #[test]
-    fn lint_prepass_is_off_by_default_and_builder_enables_it() {
-        let engine = Engine::new(LabelEnv::standard());
-        assert!(!engine.lint_prepass_enabled());
-        assert!(engine.with_lint_prepass().lint_prepass_enabled());
-    }
-
-    #[test]
-    fn lint_prepass_quarantines_malformed_rule() {
-        let engine = Engine::new(LabelEnv::standard()).with_lint_prepass();
-        let prog = sample();
-        let (out, report) =
-            engine.optimize_program_resilient(&prog, &[], &[lint_broken(), const_prop()], 5);
-        // The clean pass still ran to fixpoint.
-        assert_eq!(out.main().unwrap().stmts[1].to_string(), "b := 2");
-        assert!(report.degraded());
-        assert_eq!(report.skipped_passes(), vec!["broken"]);
-        assert!(
-            report.failures[0].reason.contains("CL001"),
-            "reason should name the diagnostic code: {}",
-            report.failures[0].reason
-        );
-    }
-
-    #[test]
-    fn lint_prepass_quarantines_malformed_analysis() {
-        let engine = Engine::new(LabelEnv::standard()).with_lint_prepass();
-        let prog = sample();
-        let analyses = [PureAnalysis {
-            name: "bogus".into(),
-            guard: RegionGuard {
-                psi1: Guard::Stmt(StmtPat::Decl(VarPat::pat("X"))),
-                psi2: Guard::True,
-            },
-            // Defines a fact over `Q`, which nothing binds (CL001).
-            defines: ("facts".into(), vec![LabelArgPat::Var(VarPat::pat("Q"))]),
-            witness: ForwardWitness::True,
-        }];
-        let (out, report) =
-            engine.optimize_program_resilient(&prog, &analyses, &[const_prop()], 5);
-        assert_eq!(out.main().unwrap().stmts[1].to_string(), "b := 2");
-        assert_eq!(report.skipped_passes(), vec!["analysis:bogus"]);
-        assert!(report.failures[0].reason.contains("rejected by lint"));
-    }
-
-    #[test]
-    fn lint_prepass_panic_is_isolated() {
-        let engine = Engine::new(LabelEnv::standard()).with_lint_prepass();
-        let prog = sample();
-        let (out, report) = cobalt_support::fault::with_faults("lint.rule:panic@1", || {
-            engine.optimize_program_resilient(&prog, &[], &[const_prop()], 5)
-        });
-        // The linter blew up on the only pass, so it is quarantined and
-        // the program comes back unchanged — but the pipeline finishes.
-        assert!(report.degraded());
-        assert_eq!(report.skipped_passes(), vec!["const_prop"]);
-        assert!(report.failures[0].reason.contains("panicked"));
-        assert_eq!(
-            cobalt_il::pretty_program(&out),
-            cobalt_il::pretty_program(&prog)
+            cobalt_il::pretty_program(&sample())
         );
     }
 
     #[test]
     fn injected_analysis_fault_only_costs_labels() {
-        let engine = Engine::new(LabelEnv::standard());
-        let prog = sample();
         let analyses = [PureAnalysis {
             name: "taint".into(),
             guard: RegionGuard {
@@ -633,7 +456,7 @@ mod tests {
             witness: ForwardWitness::NotPointedTo(VarPat::pat("X")),
         }];
         let (out, report) = cobalt_support::fault::with_faults("engine.analysis:panic@1", || {
-            engine.optimize_program_resilient(&prog, &analyses, &[const_prop()], 5)
+            optimize(&analyses, &[const_prop()])
         });
         // The analysis is skipped, the optimization still runs.
         assert!(report.degraded());

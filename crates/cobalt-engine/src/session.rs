@@ -1,6 +1,7 @@
 //! Crash-safe, parallel optimization sessions: an [`OptimizeSession`]
-//! wraps an [`Engine`] and an optional persistent fixpoint journal so
-//! that a killed `cobalt optimize --journal` run resumes *warm* —
+//! is the one way to optimize a program. It wraps an [`Engine`] and an
+//! optional persistent fixpoint journal so that a killed
+//! `cobalt optimize --journal` run resumes *warm* —
 //! procedures whose pipeline already completed cleanly are replayed
 //! from the journal as cached instead of being re-optimized — and runs
 //! per-procedure pipelines on the shared worker pool
@@ -12,12 +13,12 @@
 //! fingerprint** matches: an FNV-64 hash over the input procedure's
 //! pretty-printed body, every pure analysis and optimization of the
 //! pipeline (their full `Debug` AST renderings, in order), the round
-//! cap, the lint-prepass switch, and the budget's step cap. Any
-//! semantic change to what the pipeline would compute invalidates the
-//! entry. The wall-clock deadline is deliberately *not* an input: it
-//! bounds a run, not a result — a procedure optimized under one
-//! deadline is byte-identical under another (a procedure whose run was
-//! *degraded* by any budget is never journaled at all).
+//! cap, and the budget's step cap. Any semantic change to what the
+//! pipeline would compute invalidates the entry. The wall-clock
+//! deadline is deliberately *not* an input: it bounds a run, not a
+//! result — a procedure optimized under one deadline is byte-identical
+//! under another (a procedure whose run was *degraded* by any budget is
+//! never journaled at all).
 //!
 //! # Determinism
 //!
@@ -47,20 +48,19 @@ use std::path::Path;
 /// Version tag mixed into every fingerprint; bump on any change to the
 /// fingerprint inputs or the record format so stale journals invalidate
 /// wholesale instead of aliasing.
-const FINGERPRINT_VERSION: &str = "cobalt-engine-fp-v1";
+const FINGERPRINT_VERSION: &str = "cobalt-engine-fp-v2";
 
 /// Stable content fingerprint of one procedure's optimization pipeline.
 ///
 /// Inputs: the fingerprint version, the pretty-printed input procedure,
 /// the `Debug` rendering of every pure analysis and optimization (in
-/// pipeline order), `max_rounds`, the lint-prepass switch, and the
-/// budget step cap. Nothing run-relative (deadline, jobs, paths).
+/// pipeline order), `max_rounds`, and the budget step cap. Nothing
+/// run-relative (deadline, jobs, paths).
 pub fn fingerprint_proc(
     proc: &Proc,
     analyses: &[PureAnalysis],
     opts: &[Optimization],
     max_rounds: usize,
-    lint_prepass: bool,
     max_steps: Option<u64>,
 ) -> u64 {
     let mut h = Fnv64::new();
@@ -73,7 +73,7 @@ pub fn fingerprint_proc(
     for o in opts {
         h.write(format!("{o:?}").as_bytes()).write(b"\0");
     }
-    h.write(format!("rounds={max_rounds};lint={lint_prepass};steps={max_steps:?}").as_bytes());
+    h.write(format!("rounds={max_rounds};steps={max_steps:?}").as_bytes());
     h.finish()
 }
 
@@ -137,9 +137,7 @@ pub struct OptimizeSession {
 }
 
 impl OptimizeSession {
-    /// A session without a journal, running procedures sequentially:
-    /// optimization behaves exactly like
-    /// [`Engine::optimize_program_resilient`].
+    /// A session without a journal, running procedures sequentially.
     pub fn new(engine: Engine) -> OptimizeSession {
         OptimizeSession {
             engine,
@@ -213,10 +211,9 @@ impl OptimizeSession {
         let mut fp_slots: Vec<Option<u64>> = vec![None; n];
 
         let max_steps = self.engine.budget().max_steps();
-        let lint = self.engine.lint_prepass_enabled();
         let mut tasks: Vec<(usize, u64, Proc)> = Vec::new();
         for (i, proc) in program.procs.iter().enumerate() {
-            let fp = fingerprint_proc(proc, analyses, opts, max_rounds, lint, max_steps);
+            let fp = fingerprint_proc(proc, analyses, opts, max_rounds, max_steps);
             if let Some(replayed) = self.store.get(fp).and_then(|e| replay(proc, e)) {
                 out = out.with_proc_replaced(replayed.0);
                 report.absorb(replayed.1);
@@ -227,13 +224,15 @@ impl OptimizeSession {
         }
 
         if !tasks.is_empty() {
-            // Cooperative cancellation shares the budget's flag (if
-            // any), so a CLI-level cancel and a pool-level cancel are
-            // one signal every meter observes.
-            let cancel = match self.engine.budget().cancel_flag() {
-                Some(flag) => Cancel::from_flag(flag),
-                None => Cancel::new(),
-            };
+            // The pool runs on a child of the caller's token (if any):
+            // a caller trip reaches every meter, while the deadline
+            // fail-fast below trips only this run's child — nothing
+            // inside the session ever trips the token it was handed.
+            let cancel = self
+                .engine
+                .budget()
+                .cancel()
+                .map_or_else(Cancel::new, Cancel::child);
             let meta: Vec<(usize, u64, String)> = tasks
                 .iter()
                 .map(|(i, fp, p)| (*i, *fp, p.name.to_string()))
@@ -244,14 +243,14 @@ impl OptimizeSession {
                 tasks,
                 &cancel,
                 |_idx, (_, _, proc), cancel| {
-                    let budget = engine.budget().fork().with_cancel(cancel.flag());
+                    let budget = engine.budget().fork().with_cancel(cancel.clone());
                     let worker = engine.clone().with_budget(budget);
                     let (optimized, rep) =
                         worker.optimize_proc_resilient(proc, analyses, opts, max_rounds);
                     // A blown wall-clock deadline is fatal to the whole
                     // run (the deadline is absolute and shared): cancel
-                    // the fleet instead of letting every remaining
-                    // procedure rediscover it the slow way.
+                    // the run's own fleet instead of letting every
+                    // remaining procedure rediscover it the slow way.
                     if rep.failures.iter().any(|f| {
                         f.kind == FailureKind::ResourceLimited && f.reason.contains("deadline")
                     }) {
@@ -335,7 +334,6 @@ fn replay(proc: &Proc, cached: &JournalEntry) -> Option<(Proc, PipelineReport)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobalt_dsl::LabelEnv;
 
     fn proc_of(src: &str) -> Proc {
         parse_program(src).unwrap().procs.remove(0)
@@ -385,12 +383,11 @@ mod tests {
     fn fingerprint_covers_pipeline_inputs() {
         let p = proc_of("proc main(x) { a := 2; return a; }");
         let q = proc_of("proc main(x) { a := 3; return a; }");
-        let base = fingerprint_proc(&p, &[], &[], 5, false, None);
-        assert_ne!(base, fingerprint_proc(&q, &[], &[], 5, false, None));
-        assert_ne!(base, fingerprint_proc(&p, &[], &[], 6, false, None));
-        assert_ne!(base, fingerprint_proc(&p, &[], &[], 5, true, None));
-        assert_ne!(base, fingerprint_proc(&p, &[], &[], 5, false, Some(100)));
-        assert_eq!(base, fingerprint_proc(&p, &[], &[], 5, false, None));
+        let base = fingerprint_proc(&p, &[], &[], 5, None);
+        assert_ne!(base, fingerprint_proc(&q, &[], &[], 5, None));
+        assert_ne!(base, fingerprint_proc(&p, &[], &[], 6, None));
+        assert_ne!(base, fingerprint_proc(&p, &[], &[], 5, Some(100)));
+        assert_eq!(base, fingerprint_proc(&p, &[], &[], 5, None));
     }
 
     #[test]
@@ -410,21 +407,5 @@ mod tests {
         let mut bad_body = good;
         bad_body.body = "not a program".into();
         assert!(replay(&p, &bad_body).is_none());
-    }
-
-    #[test]
-    fn unjournaled_session_matches_resilient_driver() {
-        let prog = parse_program("proc main(x) { a := 2; b := a; return b; }").unwrap();
-        let engine = Engine::new(LabelEnv::standard());
-        let (direct, direct_report) = engine.optimize_program_resilient(&prog, &[], &[], 5);
-        let mut session = OptimizeSession::new(engine);
-        let (out, report) = session.optimize_program(&prog, &[], &[], 5);
-        assert_eq!(
-            cobalt_il::pretty_program(&direct),
-            cobalt_il::pretty_program(&out)
-        );
-        assert_eq!(report.applied, direct_report.applied);
-        assert_eq!(report.cached, 0);
-        assert!(!session.is_journaled());
     }
 }

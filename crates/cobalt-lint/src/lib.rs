@@ -8,13 +8,11 @@
 //! (`cobalt-verify`). See DESIGN.md §9 for the code registry and the
 //! division of labor.
 //!
-//! Three consumers:
+//! Two consumers:
 //! - `cobalt lint` (CLI): human or JSON-lines output, exit code 4 on
 //!   lint errors;
 //! - the pre-verification gate in `cobalt-verify::checker`: rejects
-//!   structurally malformed rules before any prover obligation;
-//! - the opt-in pre-pass in `cobalt-engine`'s resilient pipeline:
-//!   quarantines lint-rejected rules as typed pass failures.
+//!   structurally malformed rules before any prover obligation.
 //!
 //! The rule linter exposes a `lint.rule` fault point
 //! (`cobalt-support::fault`); an injected `fail` surfaces as a `CL000`

@@ -23,9 +23,9 @@ use crate::cc::Cc;
 use crate::formula::Formula;
 use crate::term::{Sym, TermBank, TermData, TermId};
 use cobalt_support::fault;
+use cobalt_support::pool::Cancel;
 use cobalt_support::{FastMap, FastSet};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,8 +63,8 @@ impl Default for Limits {
 /// A cooperative resource budget for proof search, complementing the
 /// structural caps in [`Limits`]: a wall-clock deadline, an optional
 /// step cap (each search-loop iteration, asserted formula, split, and
-/// generated instance counts as one step), and a cancel flag an outside
-/// thread may set to abandon the search at the next check.
+/// generated instance counts as one step), and a cancel token an outside
+/// thread may trip to abandon the search at the next check.
 ///
 /// Exhausting any of these produces a resource-limit
 /// [`Outcome::Unknown`] — bounded effort is a report, never a crash.
@@ -75,9 +75,10 @@ pub struct Budget {
     pub deadline: Option<Duration>,
     /// Maximum number of search steps.
     pub max_steps: Option<u64>,
-    /// Cooperative cancellation: set to `true` from any thread to make
-    /// the search give up at its next budget check.
-    pub cancel: Option<Arc<AtomicBool>>,
+    /// Cooperative cancellation: trip the token (or a parent it is
+    /// linked to) from any thread to make the search give up at its
+    /// next budget check.
+    pub cancel: Option<Cancel>,
 }
 
 impl Budget {
@@ -90,7 +91,7 @@ impl Budget {
     }
 }
 
-/// How often (in steps) the meter consults the clock and cancel flag;
+/// How often (in steps) the meter consults the clock and cancel token;
 /// structural caps are checked on every step.
 const METER_CHECK_INTERVAL: u64 = 16;
 
@@ -100,7 +101,7 @@ struct Meter {
     deadline: Option<Instant>,
     max_steps: Option<u64>,
     steps: u64,
-    cancel: Option<Arc<AtomicBool>>,
+    cancel: Option<Cancel>,
 }
 
 impl Meter {
@@ -128,8 +129,8 @@ impl Meter {
             }
         }
         if self.steps == 1 || self.steps % METER_CHECK_INTERVAL == 0 {
-            if let Some(flag) = &self.cancel {
-                if flag.load(Ordering::Relaxed) {
+            if let Some(cancel) = &self.cancel {
+                if cancel.is_tripped() {
                     return Some(format!(
                         "cancelled by caller after {:.1?}",
                         self.start.elapsed()
@@ -344,21 +345,13 @@ impl Solver {
         self.budget = budget;
     }
 
-    /// Installs and returns a cancel flag: set it to `true` from any
-    /// thread and the running `prove` gives up at its next budget
-    /// check, reporting a resource-limit [`Outcome::Unknown`].
-    pub fn cancel_flag(&mut self) -> Arc<AtomicBool> {
-        let flag = Arc::new(AtomicBool::new(false));
-        self.install_cancel(flag.clone());
-        flag
-    }
-
-    /// Installs an externally shared cancel flag (e.g. a worker pool's
-    /// fail-fast token), leaving the rest of the budget untouched.
-    /// Unlike [`cancel_flag`](Self::cancel_flag), many solvers may
-    /// share one flag: tripping it stands every one of them down.
-    pub fn install_cancel(&mut self, flag: Arc<AtomicBool>) {
-        self.budget.cancel = Some(flag);
+    /// Installs a cancel token (e.g. a worker pool's fail-fast token),
+    /// leaving the rest of the budget untouched: tripping it makes the
+    /// running `prove` give up at its next budget check, reporting a
+    /// resource-limit [`Outcome::Unknown`]. Many solvers may share one
+    /// token; tripping it stands every one of them down.
+    pub fn install_cancel(&mut self, cancel: Cancel) {
+        self.budget.cancel = Some(cancel);
     }
 
     /// The distinguished "true" constant used to encode predicates.
@@ -405,10 +398,10 @@ impl Solver {
         // A cancelled or zero-budget call must not start a tableau at
         // all: NNF conversion and the congruence-closure sync below do
         // real work proportional to the obligation, and a parallel
-        // sibling that tripped our cancel flag expects us to stand down
-        // now, not after the meter's first in-search check.
-        if let Some(flag) = &self.budget.cancel {
-            if flag.load(Ordering::Relaxed) {
+        // sibling that tripped our cancel token expects us to stand
+        // down now, not after the meter's first in-search check.
+        if let Some(cancel) = &self.budget.cancel {
+            if cancel.is_tripped() {
                 return Outcome::Unknown {
                     reason: "cancelled by caller before search began".into(),
                     kind: UnknownKind::ResourceLimit,
@@ -1725,10 +1718,11 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_aborts_search() {
+    fn cancel_token_aborts_search() {
         let mut s = Solver::new();
-        let flag = s.cancel_flag();
-        flag.store(true, Ordering::Relaxed);
+        let cancel = Cancel::new();
+        s.install_cancel(cancel.clone());
+        cancel.trip();
         let task = split_heavy_task(&mut s, 8);
         let out = s.prove(&task);
         assert!(out.is_resource_limited(), "{out:?}");
@@ -1739,12 +1733,13 @@ mod tests {
 
     #[test]
     fn cancelled_solver_never_starts_a_tableau() {
-        // Regression: a pre-tripped cancel flag (a parallel sibling
+        // Regression: a pre-tripped cancel token (a parallel sibling
         // found an unsound obligation) must fast-fail before NNF and
         // congruence-closure setup, like the zero-deadline path.
         let mut s = Solver::new();
-        let flag = s.cancel_flag();
-        flag.store(true, Ordering::Relaxed);
+        let cancel = Cancel::new();
+        cancel.trip();
+        s.install_cancel(cancel);
         // A provable goal: only the fast-fail can explain an Unknown.
         let (x, y) = (s.bank.app0("x"), s.bank.app0("y"));
         let out = s.prove(&ProofTask {

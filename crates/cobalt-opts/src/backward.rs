@@ -115,7 +115,7 @@ fn choose_duplications(delta: &[MatchSite], proc: &Proc) -> Vec<MatchSite> {
 mod tests {
     use super::*;
     use cobalt_dsl::LabelEnv;
-    use cobalt_engine::{AnalyzedProc, Engine};
+    use cobalt_engine::{AnalyzedProc, Engine, OptimizeSession};
     use cobalt_il::{parse_program, pretty_proc, Interp};
 
     fn apply_to(opt: &Optimization, src: &str) -> cobalt_il::Proc {
@@ -177,9 +177,10 @@ mod tests {
             return z;
         }";
         let prog = parse_program(src).unwrap();
-        let engine = Engine::new(LabelEnv::standard());
-        let (optimized, n) = engine.optimize_program(&prog, &[], &[dae()], 4).unwrap();
-        assert!(n > 0);
+        let (optimized, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+            .optimize_program(&prog, &[], &[dae()], 4);
+        assert!(!report.degraded(), "{:#?}", report.failures);
+        assert!(report.applied > 0);
         for arg in [-3, 0, 7] {
             assert_eq!(
                 Interp::new(&prog).run(arg).unwrap(),

@@ -339,7 +339,7 @@ pub fn self_assign_removal() -> Optimization {
 mod tests {
     use super::*;
     use cobalt_dsl::LabelEnv;
-    use cobalt_engine::{AnalyzedProc, Engine};
+    use cobalt_engine::{AnalyzedProc, Engine, OptimizeSession};
     use cobalt_il::parse_program;
 
     fn apply_to(opt: &Optimization, src: &str) -> cobalt_il::Proc {
@@ -498,12 +498,11 @@ mod tests {
             (cse(), "proc main(x) { a := x * x; b := x * x; c := a + b; return c; }"),
             (const_fold(), "proc main(x) { a := 6 * 7; b := a + x; return b; }"),
         ];
-        let engine = Engine::new(LabelEnv::standard());
         for (opt, src) in cases {
             let prog = parse_program(src).unwrap();
-            let (optimized, _) = engine
-                .optimize_program(&prog, &[], std::slice::from_ref(&opt), 4)
-                .unwrap();
+            let (optimized, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+                .optimize_program(&prog, &[], std::slice::from_ref(&opt), 4);
+            assert!(!report.degraded(), "{:#?}", report.failures);
             for arg in [-2, 0, 5] {
                 let orig = Interp::new(&prog).run(arg);
                 let new = Interp::new(&optimized).run(arg);
@@ -523,8 +522,17 @@ mod tests {
 mod branch_call_prop_tests {
     use super::*;
     use cobalt_dsl::LabelEnv;
-    use cobalt_engine::Engine;
-    use cobalt_il::{parse_program, Interp};
+    use cobalt_engine::{Engine, OptimizeSession};
+    use cobalt_il::{parse_program, Interp, Program};
+
+    /// Optimizes through the session and requires a clean run; returns
+    /// the program and the rewrite count.
+    fn optimize(prog: &Program, passes: &[Optimization], rounds: usize) -> (Program, usize) {
+        let (out, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+            .optimize_program(prog, &[], passes, rounds);
+        assert!(!report.degraded(), "{:#?}", report.failures);
+        (out, report.applied)
+    }
 
     #[test]
     fn constants_reach_branch_conditions_and_fold() {
@@ -538,15 +546,7 @@ mod branch_call_prop_tests {
             return x;
         }";
         let prog = parse_program(src).unwrap();
-        let engine = Engine::new(LabelEnv::standard());
-        let (optimized, n) = engine
-            .optimize_program(
-                &prog,
-                &[],
-                &[const_prop_branch(), branch_fold_true()],
-                2,
-            )
-            .unwrap();
+        let (optimized, n) = optimize(&prog, &[const_prop_branch(), branch_fold_true()], 2);
         assert!(n >= 2, "only {n} rewrites");
         let main = optimized.main().unwrap();
         assert_eq!(main.stmts[2].to_string(), "if 1 goto 3 else 3");
@@ -573,10 +573,7 @@ mod branch_call_prop_tests {
             return t;
         }";
         let prog = parse_program(src).unwrap();
-        let engine = Engine::new(LabelEnv::standard());
-        let (optimized, n) = engine
-            .optimize_program(&prog, &[], &[const_prop_call()], 1)
-            .unwrap();
+        let (optimized, n) = optimize(&prog, &[const_prop_call()], 1);
         assert_eq!(n, 1);
         assert_eq!(
             optimized.main().unwrap().stmts[3].to_string(),
@@ -599,10 +596,7 @@ mod branch_call_prop_tests {
             return flag;
         }";
         let prog = parse_program(src).unwrap();
-        let engine = Engine::new(LabelEnv::standard());
-        let (optimized, n) = engine
-            .optimize_program(&prog, &[], &[const_prop_branch()], 1)
-            .unwrap();
+        let (optimized, n) = optimize(&prog, &[const_prop_branch()], 1);
         assert_eq!(n, 0, "{}", cobalt_il::pretty_proc(optimized.main().unwrap()));
     }
 }

@@ -26,18 +26,19 @@
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use cobalt_dsl::LabelEnv;
-//! use cobalt_engine::Engine;
+//! use cobalt_engine::{Engine, OptimizeSession};
 //! use cobalt_il::parse_program;
 //!
 //! let prog = parse_program("proc main(x) { a := 2; b := a; c := a + b; return c; }")?;
-//! let engine = Engine::new(LabelEnv::standard());
-//! let (optimized, applied) = engine.optimize_program(
+//! let mut session = OptimizeSession::new(Engine::new(LabelEnv::standard()));
+//! let (optimized, report) = session.optimize_program(
 //!     &prog,
 //!     &cobalt_opts::all_analyses(),
 //!     &cobalt_opts::default_pipeline(),
 //!     4,
-//! )?;
-//! assert!(applied > 0);
+//! );
+//! assert!(!report.degraded());
+//! assert!(report.applied > 0);
 //! # let _ = optimized;
 //! # Ok(())
 //! # }

@@ -1,5 +1,8 @@
-//! Request execution: the daemon-side equivalent of `cobalt verify` /
-//! `cobalt optimize --resilient`, rendered **deterministically**.
+//! Request execution: the one place a verify or optimize request
+//! becomes a payload, a verdict, and an exit code — for `cobalt serve`
+//! ([`execute`]) and for `cobalt verify`/`optimize`, which call the same
+//! steps with their own (possibly journaled) prover and session and
+//! differ only in rendering report lines with [`Report::summary`].
 //!
 //! Two invariants anchor the whole serve design:
 //!
@@ -21,12 +24,12 @@
 
 use crate::cache::CachedResult;
 use crate::proto::RequestOp;
-use cobalt_dsl::LabelEnv;
-use cobalt_engine::{Budget, Engine, OptimizeSession};
-use cobalt_il::{parse_program, pretty_program, validate};
+use cobalt_dsl::{LabelEnv, Optimization, PureAnalysis, Suite};
+use cobalt_engine::{Budget, Engine, OptimizeSession, PipelineReport};
+use cobalt_il::{parse_program, pretty_program, validate, Program};
 use cobalt_support::journal::Fnv64;
 use cobalt_support::pool::Cancel;
-use cobalt_verify::{Report, RetryPolicy, SemanticMeanings, Verifier};
+use cobalt_verify::{Report, RetryPolicy, SemanticMeanings, Session, Verifier, VerifyError};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -162,12 +165,16 @@ pub struct ExecResult {
 }
 
 impl ExecResult {
-    fn error(msg: impl Into<String>) -> ExecResult {
+    fn new(exit: u8, verdict: &str, output: String) -> ExecResult {
         ExecResult {
-            exit: 1,
-            verdict: "error".into(),
-            output: msg.into(),
+            exit,
+            verdict: verdict.into(),
+            output,
         }
+    }
+
+    fn error(msg: impl Into<String>) -> ExecResult {
+        ExecResult::new(1, "error", msg.into())
     }
 
     /// Packages the result for the proof cache.
@@ -193,58 +200,135 @@ impl ExecResult {
 /// cancellation token: tripping it (drain deadline) makes in-flight
 /// proving/fixpoints stop at their next budget check and the request
 /// report as resource-limited — never as proved, never as unsound.
+/// Nothing inside the execution trips `cancel` itself.
 ///
 /// Control ops (`ping`/`stats`/`shutdown`) are the server's job and
 /// answer `error` here.
 pub fn execute(op: &RequestOp, cfg: &ExecConfig, cancel: &Cancel) -> ExecResult {
-    match op {
+    execute_op(op, cfg, cancel).unwrap_or_else(|error| error)
+}
+
+/// [`execute`], with a malformed request as the error.
+fn execute_op(op: &RequestOp, cfg: &ExecConfig, cancel: &Cancel) -> Result<ExecResult, ExecResult> {
+    Ok(match op {
         RequestOp::Verify {
             suite,
             include_buggy,
-        } => exec_verify(suite.as_deref(), *include_buggy, cfg, cancel),
+        } => {
+            // Fail-fast is off: an unsound obligation must not cancel
+            // its siblings, or the outcome set — and so the FAILED
+            // lines of an exit-2 payload, which *is* cached — would
+            // depend on completion timing instead of being a pure
+            // function of the request. The request token is observed
+            // per batch through a linked child (`Verifier::with_cancel`),
+            // so a drain trip still stands every rule's batch down.
+            let rules = rules(suite.as_deref())?;
+            let mut verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard())
+                .with_retry_policy(cfg.policy.clone())
+                .with_jobs(cfg.jobs)
+                .with_cancel(cancel.clone())
+                .with_fail_fast(false);
+            verify(&mut verifier, &rules, *include_buggy, Report::summary_stable)
+        }
         RequestOp::Optimize {
             program,
             passes,
             rounds,
-        } => exec_optimize(program, passes, *rounds as usize, cfg, cancel),
+        } => {
+            let (prog, passes) = pipeline(program, passes)?;
+            let mut session = OptimizeSession::new(engine(cfg, cancel)).with_jobs(cfg.jobs);
+            let (out, report) = optimize(&mut session, &prog, &passes, *rounds as usize);
+            optimized(&out, &report)
+        }
         RequestOp::Ping | RequestOp::Stats | RequestOp::Shutdown => {
             ExecResult::error("control operations are not executable requests")
         }
+    })
+}
+
+/// The per-rule prover a verify run goes through: the daemon's
+/// [`Verifier`] or the CLI's (possibly journaled) [`Session`].
+pub trait Prover {
+    /// Proves one pure analysis sound.
+    fn analysis(&mut self, analysis: &PureAnalysis) -> Result<Report, VerifyError>;
+    /// Proves one optimization sound.
+    fn optimization(&mut self, opt: &Optimization) -> Result<Report, VerifyError>;
+}
+
+impl Prover for Verifier {
+    fn analysis(&mut self, analysis: &PureAnalysis) -> Result<Report, VerifyError> {
+        self.verify_analysis(analysis)
+    }
+
+    fn optimization(&mut self, opt: &Optimization) -> Result<Report, VerifyError> {
+        self.verify_optimization(opt)
     }
 }
 
-/// The serve-side `cobalt verify`: same verdict logic and report lines
-/// as the CLI, rendered without timings.
-fn exec_verify(
-    suite: Option<&str>,
+impl Prover for Session {
+    fn analysis(&mut self, analysis: &PureAnalysis) -> Result<Report, VerifyError> {
+        self.verify_analysis(analysis)
+    }
+
+    fn optimization(&mut self, opt: &Optimization) -> Result<Report, VerifyError> {
+        self.verify_optimization(opt)
+    }
+}
+
+/// The rules a verify request covers: the built-in registry
+/// (`suite: None`) or the parsed suite text.
+///
+/// # Errors
+///
+/// An exit-1 [`ExecResult`] for suite text that does not parse.
+pub fn rules(suite: Option<&str>) -> Result<Suite, ExecResult> {
+    match suite {
+        None => Ok(Suite {
+            optimizations: cobalt_opts::all_optimizations(),
+            analyses: cobalt_opts::all_analyses(),
+            labels: Vec::new(),
+        }),
+        Some(src) => cobalt_dsl::parse_suite(src)
+            .map_err(|e| ExecResult::error(format!("suite parse error: {e}"))),
+    }
+}
+
+/// Proves every analysis and optimization of `rules`, plus the buggy
+/// §6 variants under `include_buggy`, rule by rule through `prover`.
+/// Each report renders as `line(report)` followed by its `FAILED`
+/// obligations; the last line is the verdict sentence. Exit 0 when
+/// everything proved, 2 when an obligation genuinely failed (or a buggy
+/// variant proved), 3 when the failures were resource limits only, 1
+/// for a rule the checker refuses.
+pub fn verify(
+    prover: &mut impl Prover,
+    rules: &Suite,
     include_buggy: bool,
-    cfg: &ExecConfig,
-    cancel: &Cancel,
+    line: fn(&Report) -> String,
 ) -> ExecResult {
-    let (opts, analyses) = match suite {
-        None => (cobalt_opts::all_optimizations(), cobalt_opts::all_analyses()),
-        Some(src) => match cobalt_dsl::parse_suite(src) {
-            Ok(suite) => (suite.optimizations, suite.analyses),
-            Err(e) => return ExecResult::error(format!("suite parse error: {e}")),
-        },
+    let proved = (|| {
+        let mut sound = Vec::new();
+        for a in &rules.analyses {
+            sound.push(prover.analysis(a)?);
+        }
+        for o in &rules.optimizations {
+            sound.push(prover.optimization(o)?);
+        }
+        let mut buggy = Vec::new();
+        if include_buggy {
+            for o in cobalt_opts::buggy_optimizations() {
+                buggy.push(prover.optimization(&o)?);
+            }
+        }
+        Ok::<_, VerifyError>((sound, buggy))
+    })();
+    let (sound, buggy) = match proved {
+        Ok(reports) => reports,
+        Err(e) => return ExecResult::error(e.to_string()),
     };
-    // Fail-fast is off: an unsound obligation must not cancel its
-    // siblings, or the outcome set — and so the FAILED lines of an
-    // exit-2 payload, which *is* cached — would depend on completion
-    // timing instead of being a pure function of the request. The
-    // request token is observed per batch through a linked child
-    // (`Verifier::with_cancel`), so a drain trip still stands every
-    // rule's batch down while nothing the checker does can trip the
-    // request token itself.
-    let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard())
-        .with_retry_policy(cfg.policy.clone())
-        .with_jobs(cfg.jobs)
-        .with_cancel(cancel.clone())
-        .with_fail_fast(false);
     let mut out = String::new();
-    let mut unsound = false;
-    let mut limited = false;
-    let mut note_report = |report: &Report, out: &mut String| {
+    let (mut unsound, mut limited) = (false, false);
+    for report in &sound {
         if !report.all_proved() {
             if report.only_resource_limited_failures() {
                 limited = true;
@@ -252,7 +336,7 @@ fn exec_verify(
                 unsound = true;
             }
         }
-        out.push_str(&report.summary_stable());
+        out.push_str(&line(report));
         out.push('\n');
         for o in report.outcomes.iter().filter(|o| !o.proved) {
             out.push_str(&format!(
@@ -266,126 +350,107 @@ fn exec_verify(
                 o.detail
             ));
         }
-    };
-    for a in &analyses {
-        match verifier.verify_analysis(a) {
-            Ok(report) => note_report(&report, &mut out),
-            Err(e) => return ExecResult::error(e.to_string()),
-        }
     }
-    for o in &opts {
-        match verifier.verify_optimization(o) {
-            Ok(report) => note_report(&report, &mut out),
-            Err(e) => return ExecResult::error(e.to_string()),
-        }
-    }
-    if include_buggy {
-        for o in cobalt_opts::buggy_optimizations() {
-            let report = match verifier.verify_optimization(&o) {
-                Ok(report) => report,
-                Err(e) => return ExecResult::error(e.to_string()),
-            };
-            let rejected = !report.all_proved();
-            // A buggy variant that verifies is itself a soundness
-            // regression: fail the request (same as the CLI).
-            if !rejected {
-                unsound = true;
+    for report in &buggy {
+        // A buggy variant that verifies is itself a soundness
+        // regression: fail the run.
+        let rejected = !report.all_proved();
+        unsound |= !rejected;
+        out.push_str(&format!(
+            "{} — {}\n",
+            line(report),
+            if rejected {
+                "correctly rejected"
+            } else {
+                "UNEXPECTEDLY PROVED"
             }
-            out.push_str(&format!(
-                "{} — {}\n",
-                report.summary_stable(),
-                if rejected {
-                    "correctly rejected"
-                } else {
-                    "UNEXPECTEDLY PROVED"
-                }
-            ));
-        }
+        ));
     }
-    if unsound {
-        out.push_str("some obligations failed\n");
-        ExecResult {
-            exit: EXIT_UNSOUND,
-            verdict: "unsound".into(),
-            output: out,
-        }
+    let (exit, verdict, sentence) = if unsound {
+        (EXIT_UNSOUND, "unsound", "some obligations failed")
     } else if limited {
-        out.push_str("proving hit resource limits (inconclusive, not unsound)\n");
-        ExecResult {
-            exit: EXIT_RESOURCE_LIMITED,
-            verdict: "resource-limited".into(),
-            output: out,
-        }
+        (
+            EXIT_RESOURCE_LIMITED,
+            "resource-limited",
+            "proving hit resource limits (inconclusive, not unsound)",
+        )
     } else {
-        out.push_str("all optimizations proved sound\n");
-        ExecResult {
-            exit: 0,
-            verdict: "proved".into(),
-            output: out,
-        }
-    }
+        (0, "proved", "all optimizations proved sound")
+    };
+    out.push_str(sentence);
+    out.push('\n');
+    ExecResult::new(exit, verdict, out)
 }
 
-/// The serve-side `cobalt optimize --resilient`: pass quarantine, not
-/// error propagation, so one failing pass degrades instead of killing
-/// the request.
-fn exec_optimize(
-    program: &str,
-    passes: &str,
-    rounds: usize,
-    cfg: &ExecConfig,
-    cancel: &Cancel,
-) -> ExecResult {
-    let prog = match parse_program(program) {
-        Ok(p) => p,
-        Err(e) => return ExecResult::error(format!("program parse error: {e}")),
-    };
-    if let Err(e) = validate(&prog) {
-        return ExecResult::error(e.to_string());
-    }
-    let suite = if passes == "all" {
-        cobalt_opts::default_pipeline()
-    } else {
-        let registry = cobalt_opts::all_optimizations();
-        let mut suite = Vec::new();
-        for name in passes.split(',') {
-            match registry.iter().find(|o| o.name == name) {
-                Some(o) => suite.push(o.clone()),
-                None => return ExecResult::error(format!("unknown pass `{name}`")),
-            }
-        }
-        suite
-    };
-    let mut budget = Budget::unlimited().with_cancel(cancel.flag());
+/// The engine an optimize request runs under: `cfg`'s wall-clock
+/// budget and per-procedure step cap, observing — never tripping —
+/// `cancel`.
+pub fn engine(cfg: &ExecConfig, cancel: &Cancel) -> Engine {
+    let mut budget = Budget::unlimited().with_cancel(cancel.clone());
     if let Some(d) = cfg.timeout {
         budget = budget.with_deadline(d);
     }
     if let Some(n) = cfg.max_steps {
         budget = budget.with_max_steps(n);
     }
-    let engine = Engine::new(LabelEnv::standard()).with_budget(budget);
-    let mut session = OptimizeSession::new(engine).with_jobs(cfg.jobs);
-    let (optimized, report) =
-        session.optimize_program(&prog, &cobalt_opts::all_analyses(), &suite, rounds);
-    session.finish();
-    let mut out = String::new();
-    out.push_str(&format!("// {}\n", report.summary()));
+    Engine::new(LabelEnv::standard()).with_budget(budget)
+}
+
+/// The program and passes an optimize request names: the parsed and
+/// validated program text, and the comma-separated registry `passes`
+/// (`all` = the default pipeline).
+///
+/// # Errors
+///
+/// An exit-1 [`ExecResult`] for a program that does not parse or
+/// validate, or a pass name the registry lacks.
+pub fn pipeline(program: &str, passes: &str) -> Result<(Program, Vec<Optimization>), ExecResult> {
+    let prog = parse_program(program)
+        .map_err(|e| ExecResult::error(format!("program parse error: {e}")))?;
+    validate(&prog).map_err(|e| ExecResult::error(e.to_string()))?;
+    if passes == "all" {
+        return Ok((prog, cobalt_opts::default_pipeline()));
+    }
+    let registry = cobalt_opts::all_optimizations();
+    let passes = passes
+        .split(',')
+        .map(|name| {
+            registry
+                .iter()
+                .find(|o| o.name == name)
+                .cloned()
+                .ok_or_else(|| ExecResult::error(format!("unknown pass `{name}`")))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((prog, passes))
+}
+
+/// Optimizes `program` through `session` with every registry analysis
+/// and `passes`. Failing passes are quarantined, never fatal (paper
+/// §4.1: a skipped pass is the empty subset of its legal rewrites).
+pub fn optimize(
+    session: &mut OptimizeSession,
+    program: &Program,
+    passes: &[Optimization],
+    rounds: usize,
+) -> (Program, PipelineReport) {
+    session.optimize_program(program, &cobalt_opts::all_analyses(), passes, rounds)
+}
+
+/// The optimize payload: the report summary, one `// skipped:` line per
+/// quarantined pass, then the program. Exit 3 when a pass hit a
+/// resource limit — the program is still correct, the pass was skipped,
+/// never misapplied — else 0.
+pub fn optimized(program: &Program, report: &PipelineReport) -> ExecResult {
+    let mut out = format!("// {}\n", report.summary());
     for f in &report.failures {
         out.push_str(&format!("// skipped: {f}\n"));
     }
-    out.push_str(&pretty_program(&optimized));
+    out.push_str(&pretty_program(program));
     if report.resource_limited() {
-        ExecResult {
-            exit: EXIT_RESOURCE_LIMITED,
-            verdict: "resource-limited".into(),
-            output: out,
-        }
+        ExecResult::new(EXIT_RESOURCE_LIMITED, "resource-limited", out)
     } else {
-        ExecResult {
-            exit: 0,
-            verdict: "ok".into(),
-            output: out,
-        }
+        ExecResult::new(0, "ok", out)
     }
 }
 
@@ -563,8 +628,34 @@ mod tests {
             "budget-limited outcomes must never be cached"
         );
         // The printed program is still the (unoptimized, correct)
-        // input — resilient semantics.
+        // input — the passes were quarantined.
         assert!(r.output.contains("proc main"), "{}", r.output);
+    }
+
+    #[test]
+    fn optimize_deadline_never_trips_the_request_token() {
+        // Regression: the session's deadline fail-fast used to trip the
+        // token it was handed, so a timed-out optimize request tripped
+        // the caller's request token.
+        let op = RequestOp::Optimize {
+            program: PROGRAM.into(),
+            passes: "all".into(),
+            rounds: 2,
+        };
+        let cancel = Cancel::new();
+        let r = execute(
+            &op,
+            &ExecConfig {
+                timeout: Some(Duration::ZERO),
+                ..ExecConfig::default()
+            },
+            &cancel,
+        );
+        assert_eq!(r.exit, EXIT_RESOURCE_LIMITED, "{}", r.output);
+        assert!(
+            !cancel.is_tripped(),
+            "optimization must never trip the caller's request token"
+        );
     }
 
     #[test]

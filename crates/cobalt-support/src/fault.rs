@@ -1,7 +1,7 @@
 //! Deterministic fault injection for robustness testing.
 //!
 //! The resource-governance layer (prover deadlines, checker retries,
-//! resilient pipelines) exists to make the system *degrade* instead of
+//! pass quarantine) exists to make the system *degrade* instead of
 //! hanging or dying. Degradation paths are only trustworthy if they are
 //! exercised, so this module provides named **fault points** that the
 //! solver, checker, and engine call at their interesting seams:

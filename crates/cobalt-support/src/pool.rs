@@ -43,8 +43,8 @@ use std::sync::{mpsc, Arc, Mutex};
 /// A shared cooperative-cancellation token.
 ///
 /// Cloning is cheap (an `Arc`); all clones observe the same flag. The
-/// underlying `Arc<AtomicBool>` is exposed so it can be threaded into
-/// budgets that predate this type (e.g. the prover's `Budget::cancel`).
+/// prover's and the engine's budgets hold a `Cancel` too, so every
+/// cancellation in the workspace goes through this one linked type.
 ///
 /// Tokens form a one-way hierarchy via [`child`](Self::child):
 /// tripping a parent trips every (live) descendant, but tripping a
@@ -57,7 +57,7 @@ pub struct Cancel(Arc<CancelInner>);
 
 #[derive(Debug, Default)]
 struct CancelInner {
-    flag: Arc<AtomicBool>,
+    flag: AtomicBool,
     children: Mutex<Vec<std::sync::Weak<CancelInner>>>,
 }
 
@@ -65,14 +65,6 @@ impl Cancel {
     /// A fresh, untripped token.
     pub fn new() -> Self {
         Cancel::default()
-    }
-
-    /// A token wrapping an existing flag.
-    pub fn from_flag(flag: Arc<AtomicBool>) -> Self {
-        Cancel(Arc::new(CancelInner {
-            flag,
-            children: Mutex::new(Vec::new()),
-        }))
     }
 
     /// Trips the token: every holder — and every live child token —
@@ -96,11 +88,6 @@ impl Cancel {
     /// Whether the token has been tripped.
     pub fn is_tripped(&self) -> bool {
         self.0.flag.load(Ordering::Relaxed)
-    }
-
-    /// The underlying shared flag.
-    pub fn flag(&self) -> Arc<AtomicBool> {
-        self.0.flag.clone()
     }
 
     /// A linked child token with its **own** flag: tripping `self`
@@ -532,16 +519,14 @@ mod tests {
         for _ in 0..64 {
             drop(parent.child());
         }
-        // The solver holds only the child's flag; a parent trip must
-        // still reach it while the flag's batch is in flight.
+        // A solver's budget holds a clone of the child; a parent trip
+        // must still reach it after the batch dropped its own handle.
         let child = parent.child();
-        let flag = child.flag();
+        let held = child.clone();
         drop(child);
         parent.trip(); // prunes dead weak links, must not panic
         assert!(parent.is_tripped());
-        // The dropped child's raw flag is no longer linked — that is
-        // fine: a batch that ended has nothing left to cancel.
-        let _ = flag;
+        assert!(held.is_tripped(), "a live clone keeps the child linked");
     }
 
     #[test]

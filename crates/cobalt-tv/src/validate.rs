@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn validates_whole_optimizer_output() {
         use cobalt_dsl::LabelEnv;
-        use cobalt_engine::Engine;
+        use cobalt_engine::{Engine, OptimizeSession};
         let prog = parse_program(
             "proc main(x) {
                 a := 2;
@@ -458,11 +458,10 @@ mod tests {
              }",
         )
         .unwrap();
-        let engine = Engine::new(LabelEnv::standard());
-        let (optimized, n) = engine
-            .optimize_program(&prog, &[], &cobalt_opts::default_pipeline(), 1)
-            .unwrap();
-        assert!(n > 0);
+        let (optimized, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+            .optimize_program(&prog, &[], &cobalt_opts::default_pipeline(), 1);
+        assert!(!report.degraded(), "{:#?}", report.failures);
+        assert!(report.applied > 0);
         // Validate each round's output against its input would be the
         // honest protocol; with one round this is direct.
         let r = validate_proc(prog.main().unwrap(), optimized.main().unwrap()).unwrap();

@@ -2,7 +2,7 @@
 //! proven suite produces and never accepts an actual miscompilation.
 
 use cobalt_dsl::LabelEnv;
-use cobalt_engine::Engine;
+use cobalt_engine::{Engine, OptimizeSession};
 use cobalt_il::{generate, GenConfig, Interp, Program};
 use cobalt_support::prop::Config;
 use cobalt_support::{prop_assert, props};
@@ -14,7 +14,7 @@ props! {
     /// Completeness on the suite: each single pass's output validates.
     fn validator_accepts_suite_outputs(seed in 0u64..4_000) {
         let prog = generate(&GenConfig::sized(24, seed));
-        let engine = Engine::new(LabelEnv::standard());
+        let session = || OptimizeSession::new(Engine::new(LabelEnv::standard()));
         for opt in [
             cobalt_opts::const_prop(),
             cobalt_opts::copy_prop(),
@@ -24,10 +24,10 @@ props! {
             cobalt_opts::self_assign_removal(),
             cobalt_opts::dae(),
         ] {
-            let (optimized, n) = engine
-                .optimize_program(&prog, &[], std::slice::from_ref(&opt), 1)
-                .unwrap();
-            if n == 0 {
+            let (optimized, report) =
+                session().optimize_program(&prog, &[], std::slice::from_ref(&opt), 1);
+            prop_assert!(!report.degraded(), "{:#?}", report.failures);
+            if report.applied == 0 {
                 continue;
             }
             let report =
@@ -93,10 +93,9 @@ fn validator_handles_multi_procedure_programs() {
          proc f(n) { decl t; t := n + n; return t; }",
     )
     .unwrap();
-    let engine = Engine::new(LabelEnv::standard());
-    let (optimized, _) = engine
-        .optimize_program(&prog, &[], &cobalt_opts::default_pipeline(), 1)
-        .unwrap();
+    let (optimized, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+        .optimize_program(&prog, &[], &cobalt_opts::default_pipeline(), 1);
+    assert!(!report.degraded(), "{:#?}", report.failures);
     for proc in &prog.procs {
         let new_proc = optimized.proc(&proc.name).unwrap();
         let report = validate_proc(proc, new_proc).unwrap();

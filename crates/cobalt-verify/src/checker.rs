@@ -494,7 +494,7 @@ impl Verifier {
             let mut outcomes = Vec::with_capacity(items.len());
             for (idx, (mut p, start_tier)) in items.into_iter().enumerate() {
                 if let Some(cancel) = &self.cancel {
-                    p.solver.install_cancel(cancel.flag());
+                    p.solver.install_cancel(cancel.clone());
                 }
                 let outcome =
                     self.discharge_from(p, report_deadline, start_tier, self.cancel.as_ref());
@@ -531,7 +531,7 @@ impl Verifier {
                 let Some(mut p) = slot.take() else {
                     return None;
                 };
-                p.solver.install_cancel(cancel.flag());
+                p.solver.install_cancel(cancel.clone());
                 let outcome =
                     self.discharge_from(p, report_deadline, *start_tier, Some(cancel));
                 if self.fail_fast && !outcome.proved && !outcome.resource_limited {

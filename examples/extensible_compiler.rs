@@ -12,7 +12,7 @@ use cobalt::dsl::{
     BasePat, ConstPat, Direction, ExprPat, ForwardWitness, Guard, GuardSpec, LabelArgPat,
     LabelEnv, LhsPat, Optimization, RegionGuard, StmtPat, TransformPattern, VarPat, Witness,
 };
-use cobalt::engine::Engine;
+use cobalt::engine::{Engine, OptimizeSession};
 use cobalt::il::{parse_program, pretty_program};
 use cobalt::verify::{SemanticMeanings, Verifier};
 use std::error::Error;
@@ -92,7 +92,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             return a;
          }",
     )?;
-    let (optimized, n) = engine.optimize_program(&prog, &[], &enabled, 2)?;
+    let (optimized, report) =
+        OptimizeSession::new(engine).optimize_program(&prog, &[], &enabled, 2);
+    if report.degraded() {
+        return Err(report.summary().into());
+    }
+    let n = report.applied;
     println!("\nextended compiler applied {n} rewrites:");
     println!("{}", pretty_program(&optimized));
     assert_eq!(optimized.main().unwrap().stmts[3].to_string(), "a := 0");

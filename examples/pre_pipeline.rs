@@ -7,7 +7,7 @@
 //! ```
 
 use cobalt::dsl::LabelEnv;
-use cobalt::engine::Engine;
+use cobalt::engine::{Engine, OptimizeSession};
 use cobalt::il::{parse_program, pretty_program, Interp};
 use std::error::Error;
 
@@ -35,7 +35,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     let engine = Engine::new(LabelEnv::standard());
     let mut current = prog.clone();
     for pass in cobalt::opts::pre_pipeline() {
-        let (next, n) = engine.optimize_program(&current, &[], std::slice::from_ref(&pass), 1)?;
+        let (next, report) = OptimizeSession::new(engine.clone()).optimize_program(
+            &current,
+            &[],
+            std::slice::from_ref(&pass),
+            1,
+        );
+        if report.degraded() {
+            return Err(report.summary().into());
+        }
+        let n = report.applied;
         if n > 0 {
             println!("after {} ({} rewrites):\n{}", pass.name, n, pretty_program(&next));
         } else {

@@ -46,19 +46,22 @@ if [[ $code -ne 3 ]]; then
 fi
 
 # Fault-injection smoke through the env-var path: an injected prover
-# panic is isolated to one obligation (exit 2, completed report), and
-# an injected pass panic is skipped by the resilient pipeline (exit 0,
-# degraded report).
+# panic is isolated to one obligation (exit 2, completed report with
+# its FAILED line on stdout), and an injected pass panic is
+# quarantined by the optimization session (exit 0, degraded report).
 set +e
-COBALT_FAULTS=checker.obligation:panic@1 "$COBALT" verify >/dev/null 2>&1
+out=$(COBALT_FAULTS=checker.obligation:panic@1 "$COBALT" verify 2>/dev/null)
 code=$?
 set -e
 if [[ $code -ne 2 ]]; then
     echo "robustness: fault-injected verify exited $code (want 2)"; exit 1
 fi
-out=$(COBALT_FAULTS=engine.pass:panic@1 "$COBALT" optimize --resilient examples/programs/redundant.il 2>&1)
+if ! grep -q "FAILED" <<<"$out"; then
+    echo "robustness: fault-injected verify printed no FAILED line on stdout:"; echo "$out"; exit 1
+fi
+out=$(COBALT_FAULTS=engine.pass:panic@1 "$COBALT" optimize examples/programs/redundant.il 2>&1)
 if ! grep -q "degraded" <<<"$out"; then
-    echo "robustness: resilient optimize did not report degradation:"; echo "$out"; exit 1
+    echo "robustness: fault-injected optimize did not report degradation:"; echo "$out"; exit 1
 fi
 
 echo "== lint stage"
@@ -271,7 +274,7 @@ fi
 # Resource governance: an already-expired deadline must exit 3 (the
 # printed program is unoptimized but correct), never hang or crash.
 set +e
-"$COBALT" optimize "$engine_prog" --timeout 0 --resilient >/dev/null 2>&1
+"$COBALT" optimize "$engine_prog" --timeout 0 >/dev/null 2>&1
 code=$?
 set -e
 if [[ $code -ne 3 ]]; then
@@ -281,7 +284,7 @@ fi
 # Fault injection: an injected fixpoint failure quarantines the pass —
 # exit 0 with a degradation note, not a hard failure.
 set +e
-out=$(COBALT_FAULTS=engine.fixpoint:fail@1 "$COBALT" optimize "$engine_prog" --resilient 2>&1)
+out=$(COBALT_FAULTS=engine.fixpoint:fail@1 "$COBALT" optimize "$engine_prog" 2>&1)
 code=$?
 set -e
 if [[ $code -ne 0 ]]; then
@@ -362,6 +365,18 @@ if [[ "$warm_serve" != "$(cat /tmp/cobalt_serve_a.$$)" ]]; then
     exit 1
 fi
 rm -f /tmp/cobalt_serve_a.$$ /tmp/cobalt_serve_b.$$
+
+# The one-shot optimize prints the daemon's optimize payload byte for
+# byte — no normalization at all (both run through cobalt-serve::exec).
+"$COBALT" optimize examples/programs/redundant.il >/tmp/cobalt_opt_cli.$$ 2>/dev/null
+"$COBALT" client optimize examples/programs/redundant.il --port-file "$serve_port" \
+    >/tmp/cobalt_opt_served.$$ 2>/dev/null
+if ! cmp -s /tmp/cobalt_opt_cli.$$ /tmp/cobalt_opt_served.$$; then
+    echo "serve: daemon optimize payload diverged from one-shot CLI optimize:"
+    diff /tmp/cobalt_opt_cli.$$ /tmp/cobalt_opt_served.$$ || true
+    exit 1
+fi
+rm -f /tmp/cobalt_opt_cli.$$ /tmp/cobalt_opt_served.$$
 
 # Graceful drain: an in-band shutdown must report the drain and the
 # daemon process must exit 0 with a compacted journal left behind.

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cobalt run <prog.il> [--arg N]
-//! cobalt optimize <prog.il> [--passes a,b,…|all] [--rounds N] [--recursive-dae] [--resilient]
+//! cobalt optimize <prog.il> [--passes a,b,…|all] [--rounds N] [--recursive-dae]
 //!                 [--timeout SECS] [--max-steps N] [--jobs N]
 //!                 [--journal PATH [--resume|--fresh]] [--json]
 //! cobalt verify [<suite.cob>] [--include-buggy] [--timeout SECS] [--max-splits N]
@@ -27,27 +27,25 @@
 //! printed program is still correct — the pass was skipped, never
 //! misapplied); 1 anything else.
 //!
+//! `verify` and `optimize` print what `cobalt-serve::exec` computes —
+//! the same payload `cobalt client` gets from the daemon — after any
+//! journal or recursive-DAE notes.
+//!
 //! `lint` exit codes: 0 clean; 4 lint errors (or warnings under
 //! `--deny warn`); 1 anything else (unreadable file, parse error).
 
-use cobalt::dsl::{LabelEnv, Optimization, PureAnalysis};
-use cobalt::engine::{Budget, Engine, EngineError, OptimizeSession};
-use cobalt::il::{parse_program, pretty_program, Interp};
-use cobalt::serve::exec::ExecConfig;
+use cobalt::dsl::LabelEnv;
+use cobalt::engine::{EngineError, OptimizeSession};
+use cobalt::il::{parse_program, Interp};
+use cobalt::serve::exec::{self, ExecConfig, ExecResult, EXIT_RESOURCE_LIMITED};
 use cobalt::serve::{
     request_with_retry, ClientConfig, ClientError, Request, RequestOp, ServeConfig, Server, Status,
 };
-use cobalt::verify::{ResumeMode, RetryPolicy, SemanticMeanings, Session, Verifier};
+use cobalt::verify::{Report, ResumeMode, RetryPolicy, SemanticMeanings, Session, Verifier};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// Exit code for `verify` when an obligation genuinely failed (open
-/// branch or prover panic) — evidence of unsoundness.
-const EXIT_UNSOUND: u8 = 2;
-/// Exit code for `verify` when every failure was a resource limit
-/// (deadline, split/term/round cap) — inconclusive, not unsound.
-const EXIT_RESOURCE_LIMITED: u8 = 3;
 /// Exit code for `lint` when diagnostics fail the run (errors, or
 /// warnings under `--deny warn`).
 const EXIT_LINT: u8 = 4;
@@ -99,10 +97,12 @@ const USAGE: &str = "usage:
   cobalt run <prog.il> [--arg N]
       parse, validate, and interpret main(N) (default N = 0)
   cobalt optimize <prog.il> [--passes a,b|all] [--rounds N] [--recursive-dae]
-                  [--resilient] [--timeout SECS] [--max-steps N] [--jobs N]
+                  [--timeout SECS] [--max-steps N] [--jobs N]
                   [--journal PATH [--resume|--fresh]] [--json]
       run the (machine-verified) optimization suite and print the
-      result; --resilient skips (rather than propagates) failing passes.
+      result, exactly as `cobalt client optimize` does; a failing pass
+      is skipped (quarantined) soundly and named in a `// skipped:`
+      line. --recursive-dae then removes mutually-dead assignments.
       --timeout bounds wall-clock for the whole run and --max-steps caps
       fixpoint steps per procedure; a budget-exhausted pass is skipped
       soundly and the run exits 3. --jobs optimizes procedures across N
@@ -111,21 +111,22 @@ const USAGE: &str = "usage:
       results in a crash-safe journal and (by default, or with --resume)
       replays completed procedures as cached after a kill; --fresh
       discards it first. --json prints the pipeline report as JSON
-      lines instead of the program. --jobs/--journal/--json imply
-      --resilient. exit codes: 0 ok, 3 resource-limited, 1 other errors
+      lines instead of the program. exit codes: 0 ok, 3 resource-limited,
+      1 other errors
   cobalt verify [<suite.cob>] [--include-buggy] [--timeout SECS] [--max-splits N]
                 [--jobs N] [--journal PATH [--resume|--fresh]]
       prove every optimization sound; with no file, the built-in suite.
-      --timeout bounds wall-clock per report; --max-splits caps case
-      splits per proof attempt. --jobs discharges a report's obligations
-      across N supervised workers (default 1, or the COBALT_JOBS
-      environment variable); verdicts and exit codes are identical at
-      any job count. --journal records every obligation
-      outcome in a crash-safe proof journal and (by default, or with
-      --resume) replays already-proved obligations from it, so a killed
-      run resumes warm; --fresh discards the journal first. exit codes:
-      0 all proved, 2 unsound, 3 resource-limited (inconclusive),
-      1 other errors
+      the report on stdout is what `cobalt client verify` prints, plus
+      each report's time. --timeout bounds wall-clock per report;
+      --max-splits caps case splits per proof attempt. --jobs
+      discharges a report's obligations across N supervised workers
+      (default 1, or the COBALT_JOBS environment variable); verdicts
+      and exit codes are identical at any job count. --journal records
+      every obligation outcome in a crash-safe proof journal and (by
+      default, or with --resume) replays already-proved obligations
+      from it, so a killed run resumes warm; --fresh discards the
+      journal first. exit codes: 0 all proved, 2 unsound,
+      3 resource-limited (inconclusive), 1 other errors
   cobalt lint [<file.il|file.cob>…] [--json] [--deny warn]
       static analysis: named diagnostics (CL0xx for rules, IL0xx for
       programs) without invoking the prover. with no files, lints the
@@ -261,23 +262,6 @@ fn cmd_trace(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn suite_by_names(names: &str) -> Result<Vec<Optimization>, String> {
-    if names == "all" {
-        return Ok(cobalt::opts::default_pipeline());
-    }
-    let registry = cobalt::opts::all_optimizations();
-    names
-        .split(',')
-        .map(|n| {
-            registry
-                .iter()
-                .find(|o| o.name == n)
-                .cloned()
-                .ok_or_else(|| format!("unknown pass `{n}`"))
-        })
-        .collect()
-}
-
 /// The flag cluster shared by every budgeted command (`optimize`,
 /// `verify`, `serve`, `client`): wall-clock budget, step cap, worker
 /// count, journal spec, and output mode. Parsed once into one typed
@@ -291,10 +275,6 @@ struct CommonFlags {
     /// Resolved worker count: `--jobs N|auto`, then `COBALT_JOBS`,
     /// then 1.
     jobs: usize,
-    /// Whether `--jobs` was passed explicitly (as opposed to resolved
-    /// from the environment or defaulted) — `optimize` uses this to
-    /// imply `--resilient`.
-    jobs_explicit: bool,
     /// `--journal PATH` plus the `--resume`/`--fresh` mode.
     journal: Option<(String, ResumeMode)>,
     /// `--json`.
@@ -329,37 +309,23 @@ impl CommonFlags {
             timeout,
             max_steps,
             jobs: resolve_jobs(args).map_err(CliError::general)?,
-            jobs_explicit: flag_value(args, "--jobs").is_some(),
             journal: journal_spec(args, cmd)?.map(|(p, m)| (p.to_string(), m)),
             json: args.iter().any(|a| a == "--json"),
         })
     }
-
-    /// The engine [`Budget`] this cluster describes (`optimize` and
-    /// the daemon's per-request optimize budget).
-    fn engine_budget(&self) -> Budget {
-        let mut budget = Budget::unlimited();
-        if let Some(timeout) = self.timeout {
-            budget = budget.with_deadline(timeout);
-        }
-        if let Some(n) = self.max_steps {
-            budget = budget.with_max_steps(n);
-        }
-        budget
-    }
 }
 
-/// Maps an engine error onto the optimize exit-code contract: resource
-/// exhaustion is exit 3 (inconclusive, nothing wrong with the program),
-/// everything else exit 1.
-fn engine_cli_error(e: &EngineError) -> CliError {
-    CliError {
-        code: match e {
-            EngineError::ResourceLimited(_) => EXIT_RESOURCE_LIMITED,
-            _ => 1,
-        },
-        msg: e.to_string(),
-        out: None,
+/// How `verify` and `optimize` print a report-bearing execution result
+/// (exit 0, 2 or 3): `notes`, then the payload on stdout; a non-zero
+/// verdict adds the one `cobalt: {why}` line on stderr.
+fn exec_outcome(notes: String, result: ExecResult, why: &str) -> Result<String, CliError> {
+    match result.exit {
+        0 => Ok(notes + &result.output),
+        code => Err(CliError {
+            code,
+            msg: why.to_string(),
+            out: Some(notes + &result.output),
+        }),
     }
 }
 
@@ -375,96 +341,70 @@ fn cmd_optimize(args: &[String]) -> Result<String, CliError> {
         .unwrap_or("4")
         .parse()
         .map_err(|e| format!("--rounds: {e}"))?;
-    let passes = suite_by_names(flag_value(args, "--passes").unwrap_or("all"))?;
-    let prog = parse_program(&read(path)?).map_err(|e| e.to_string())?;
-    cobalt::il::validate(&prog).map_err(|e| e.to_string())?;
-    let engine = Engine::new(LabelEnv::standard()).with_budget(common.engine_budget());
-    let json = common.json;
-    // The session driver carries resilient (pass-quarantining)
-    // semantics; journaling, parallelism, and machine-readable reports
-    // only make sense there, so those flags imply --resilient.
-    let resilient = args.iter().any(|a| a == "--resilient")
-        || json
-        || common.journal.is_some()
-        || common.jobs_explicit;
-    if resilient {
-        let mut session = OptimizeSession::new(engine).with_jobs(common.jobs);
-        if let Some((jpath, mode)) = &common.journal {
-            session = session.with_journal(jpath, *mode);
-        }
-        let (out, report) =
-            session.optimize_program(&prog, &cobalt::opts::all_analyses(), &passes, rounds);
-        session.finish();
-        let s = if json {
-            // Machine-readable: the report only (JSON lines, stable
-            // bytes at any --jobs count).
-            format!("{}\n", report.json_lines())
-        } else {
-            let mut s = String::new();
-            if session.load_report().corrupted() {
-                s.push_str(&format!(
-                    "// note: journal recovered {} record(s), discarded {} corrupt byte(s)\n",
-                    session.load_report().records,
-                    session.load_report().discarded_bytes,
-                ));
-            }
-            if let Some(reason) = session.degraded() {
-                // Journal trouble never fails optimization — it
-                // degrades to an unjournaled run and says so.
-                s.push_str(&format!("// note: journaling disabled ({reason})\n"));
-            }
-            s.push_str(&format!("// {}\n", report.summary()));
-            for f in &report.failures {
-                s.push_str(&format!("// skipped: {f}\n"));
-            }
-            s.push_str(&pretty_program(&out));
-            s
-        };
-        if report.resource_limited() {
-            return Err(CliError {
-                code: EXIT_RESOURCE_LIMITED,
-                msg: "optimization hit resource limits; affected passes were skipped soundly"
-                    .into(),
-                out: Some(s),
-            });
-        }
-        return Ok(s);
+    let passes = flag_value(args, "--passes").unwrap_or("all");
+    let (prog, passes) =
+        exec::pipeline(&read(path)?, passes).map_err(|e| CliError::general(e.output))?;
+    let cfg = ExecConfig {
+        timeout: common.timeout,
+        max_steps: common.max_steps,
+        ..ExecConfig::default()
+    };
+    // The one-shot CLI has no caller token to observe; a fresh one is
+    // never tripped.
+    let engine = exec::engine(&cfg, &Default::default());
+    let mut session = OptimizeSession::new(engine.clone()).with_jobs(common.jobs);
+    if let Some((jpath, mode)) = &common.journal {
+        session = session.with_journal(jpath, *mode);
     }
-    let (mut out, n) = engine
-        .optimize_program(&prog, &cobalt::opts::all_analyses(), &passes, rounds)
-        .map_err(|e| engine_cli_error(&e))?;
-    let mut extra = 0;
+    let (mut out, report) = exec::optimize(&mut session, &prog, &passes, rounds);
+    session.finish();
+    let mut notes = String::new();
+    let loaded = session.load_report();
+    if loaded.corrupted() {
+        notes.push_str(&format!(
+            "// note: journal recovered {} record(s), discarded {} corrupt byte(s)\n",
+            loaded.records, loaded.discarded_bytes,
+        ));
+    }
+    if let Some(reason) = session.degraded() {
+        // Journal trouble never fails optimization — it degrades to an
+        // unjournaled run and says so.
+        notes.push_str(&format!("// note: journaling disabled ({reason})\n"));
+    }
     if args.iter().any(|a| a == "--recursive-dae") {
-        let mut next = out.clone();
-        for proc in &out.procs {
+        let mut extra = 0;
+        for proc in out.procs.clone() {
+            // Budget exhaustion is exit 3 (inconclusive), anything else 1.
             let (p, removed) =
-                cobalt::engine::apply_recursive(&engine, proc, &cobalt::opts::dae())
-                    .map_err(|e| engine_cli_error(&e))?;
+                cobalt::engine::apply_recursive(&engine, &proc, &cobalt::opts::dae()).map_err(
+                    |e| CliError {
+                        code: match e {
+                            EngineError::ResourceLimited(_) => EXIT_RESOURCE_LIMITED,
+                            _ => 1,
+                        },
+                        msg: e.to_string(),
+                        out: None,
+                    },
+                )?;
             extra += removed.len();
-            next = next.with_proc_replaced(p);
+            out = out.with_proc_replaced(p);
         }
-        out = next;
-    }
-    Ok(format!(
-        "// {} rewrites applied{}\n{}",
-        n,
         if extra > 0 {
-            format!(" (+{extra} by recursive DAE)")
-        } else {
-            String::new()
-        },
-        pretty_program(&out)
-    ))
-}
-
-fn load_suite(path: Option<&str>) -> Result<(Vec<Optimization>, Vec<PureAnalysis>), String> {
-    match path {
-        None => Ok((cobalt::opts::all_optimizations(), cobalt::opts::all_analyses())),
-        Some(p) => {
-            let suite = cobalt::dsl::parse_suite(&read(p)?).map_err(|e| e.to_string())?;
-            Ok((suite.optimizations, suite.analyses))
+            notes.push_str(&format!("// note: +{extra} by recursive DAE\n"));
         }
     }
+    let mut result = exec::optimized(&out, &report);
+    if common.json {
+        // Machine-readable: the report only (JSON lines, stable bytes
+        // at any --jobs count).
+        notes.clear();
+        result.output = format!("{}\n", report.json_lines());
+    }
+    exec_outcome(
+        notes,
+        result,
+        "optimization hit resource limits; affected passes were skipped soundly",
+    )
 }
 
 /// Builds the retry policy for `verify` from the shared `--timeout`
@@ -562,102 +502,44 @@ fn verify_session(common: &CommonFlags, verifier: Verifier) -> Result<Session, C
 fn cmd_verify(args: &[String]) -> Result<String, CliError> {
     let pos = positional(args);
     let common = CommonFlags::parse(args, "verify")?;
-    let (opts, analyses) = load_suite(pos.first().copied())?;
+    let suite = pos.first().map(|p| read(p)).transpose()?;
+    let rules = exec::rules(suite.as_deref()).map_err(|e| CliError::general(e.output))?;
     let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard())
         .with_retry_policy(verify_policy(args, &common)?)
         .with_jobs(common.jobs);
     let mut session = verify_session(&common, verifier)?;
-    let mut out = String::new();
-    if session.load_report().corrupted() {
-        out.push_str(&format!(
+    let include_buggy = args.iter().any(|a| a == "--include-buggy");
+    let result = exec::verify(&mut session, &rules, include_buggy, Report::summary);
+    if result.exit == 1 {
+        // No finish: compaction would drop the journal records of the
+        // rules this failed run never reached.
+        return Err(CliError::general(result.output));
+    }
+    session.finish();
+    let mut notes = String::new();
+    let loaded = session.load_report();
+    if loaded.corrupted() {
+        notes.push_str(&format!(
             "note: journal recovered {} record(s), discarded {} corrupt byte(s){}\n",
-            session.load_report().records,
-            session.load_report().discarded_bytes,
-            session
-                .load_report()
+            loaded.records,
+            loaded.discarded_bytes,
+            loaded
                 .corruption
                 .as_deref()
                 .map(|c| format!(" ({c})"))
                 .unwrap_or_default(),
         ));
     }
-    let mut unsound = false;
-    let mut limited = false;
-    let mut note_report = |report: &cobalt::verify::Report, out: &mut String| {
-        if !report.all_proved() {
-            if report.only_resource_limited_failures() {
-                limited = true;
-            } else {
-                unsound = true;
-            }
-        }
-        out.push_str(&report.summary());
-        out.push('\n');
-        for o in report.outcomes.iter().filter(|o| !o.proved) {
-            out.push_str(&format!(
-                "  FAILED {}{} — {}\n",
-                o.id,
-                if o.resource_limited {
-                    " (resource-limited)"
-                } else {
-                    ""
-                },
-                o.detail
-            ));
-        }
-    };
-    for a in &analyses {
-        let report = session.verify_analysis(a).map_err(|e| e.to_string())?;
-        note_report(&report, &mut out);
-    }
-    for o in &opts {
-        let report = session.verify_optimization(o).map_err(|e| e.to_string())?;
-        note_report(&report, &mut out);
-    }
-    if args.iter().any(|a| a == "--include-buggy") {
-        for o in cobalt::opts::buggy_optimizations() {
-            let report = session.verify_optimization(&o).map_err(|e| e.to_string())?;
-            let rejected = !report.all_proved();
-            // A buggy variant that verifies is itself a soundness
-            // regression: fail the command.
-            if !rejected {
-                unsound = true;
-            }
-            out.push_str(&format!(
-                "{} — {}\n",
-                report.summary(),
-                if rejected {
-                    "correctly rejected"
-                } else {
-                    "UNEXPECTEDLY PROVED"
-                }
-            ));
-        }
-    }
-    session.finish();
     if let Some(reason) = session.degraded() {
         // Journal trouble never fails verification — it degrades to an
         // uncached run and says so, preserving the exit-code contract.
-        out.push_str(&format!(
+        notes.push_str(&format!(
             "note: journaling disabled ({reason}); verification continued uncached\n"
         ));
     }
-    if unsound {
-        Err(CliError {
-            code: EXIT_UNSOUND,
-            msg: format!("{out}some obligations failed"),
-            out: None,
-        })
-    } else if limited {
-        Err(CliError {
-            code: EXIT_RESOURCE_LIMITED,
-            msg: format!("{out}proving hit resource limits (inconclusive, not unsound)"),
-            out: None,
-        })
-    } else {
-        out.push_str("all optimizations proved sound\n");
-        Ok(out)
-    }
+    // The payload's last line is its verdict sentence.
+    let why = result.output.lines().last().unwrap_or_default().to_string();
+    exec_outcome(notes, result, &why)
 }
 
 fn cmd_lint(args: &[String]) -> Result<String, CliError> {
@@ -1051,22 +933,13 @@ proc main(x) {
     #[test]
     fn optimize_timeout_zero_exits_resource_limited() {
         let p = write_tmp("opt_to.il", TWO_PROCS);
-        // Strict driver: the engine error surfaces as exit 3.
+        // Exit 3, and the (unoptimized, still-correct) program is
+        // printed with a degradation note.
         let err = run_cli(&["optimize".into(), p.clone(), "--timeout".into(), "0".into()])
             .unwrap_err();
         assert_eq!(err.code, EXIT_RESOURCE_LIMITED, "{}", err.msg);
-        // Resilient driver: same exit code, but the (unoptimized,
-        // still-correct) program is printed with a degradation note.
-        let err = run_cli(&[
-            "optimize".into(),
-            p.clone(),
-            "--timeout".into(),
-            "0".into(),
-            "--resilient".into(),
-        ])
-        .unwrap_err();
-        assert_eq!(err.code, EXIT_RESOURCE_LIMITED, "{}", err.msg);
-        let out = err.out.expect("resilient run still prints the program");
+        assert!(err.msg.contains("resource limits"), "{}", err.msg);
+        let out = err.out.expect("a budget-limited run still prints the program");
         assert!(out.contains("proc main"), "{out}");
         assert!(out.contains("resource limited"), "{out}");
         std::fs::remove_file(p).ok();
@@ -1080,7 +953,6 @@ proc main(x) {
             p.clone(),
             "--max-steps".into(),
             "0".into(),
-            "--resilient".into(),
         ])
         .unwrap_err();
         assert_eq!(err.code, EXIT_RESOURCE_LIMITED, "{}", err.msg);
@@ -1163,13 +1035,50 @@ proc main(x) {
     fn optimize_fixpoint_fault_degrades_not_fatal() {
         let p = write_tmp("opt_fault.il", TWO_PROCS);
         let out = cobalt_support::fault::with_faults("engine.fixpoint:fail@1", || {
-            run_cli(&["optimize".into(), p.clone(), "--resilient".into()]).unwrap()
+            run_cli(&["optimize".into(), p.clone()]).unwrap()
         });
         // The injected failure quarantines one pass; the run still
         // succeeds (exit 0) and prints a valid program.
         assert!(out.contains("degraded"), "{out}");
         assert!(out.contains("injected fault"), "{out}");
         assert!(out.contains("proc main"), "{out}");
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn optimize_recursive_dae_runs_whatever_other_flags() {
+        // A mutually-dead cycle: `a` and `b` only feed each other.
+        let p = write_tmp(
+            "opt_rdae.il",
+            "proc main(x) { decl a; decl b; decl i; i := x; a := b + 1; b := a + 1; \
+             i := i - 1; if i goto 4 else 8; return x; }",
+        );
+        let out = run_cli(&[
+            "optimize".into(),
+            p.clone(),
+            "--recursive-dae".into(),
+            "--jobs".into(),
+            "2".into(),
+        ])
+        .unwrap();
+        assert!(out.starts_with("// note: +2 by recursive DAE\n"), "{out}");
+        assert!(out.contains("/* 4 */ skip;"), "{out}");
+        assert!(out.contains("/* 5 */ skip;"), "{out}");
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn optimize_prints_the_daemon_payload() {
+        let p = write_tmp("opt_parity.il", TWO_PROCS);
+        let out = run_cli(&["optimize".into(), p.clone()]).unwrap();
+        let op = RequestOp::Optimize {
+            program: TWO_PROCS.into(),
+            passes: "all".into(),
+            rounds: 4,
+        };
+        let served = exec::execute(&op, &ExecConfig::default(), &Default::default());
+        assert_eq!(served.exit, 0, "{}", served.output);
+        assert_eq!(out, served.output);
         std::fs::remove_file(p).ok();
     }
 
@@ -1239,9 +1148,53 @@ proc main(x) {
             }",
         );
         let err = run_cli(&["verify".into(), p.clone()]).unwrap_err();
-        assert_eq!(err.code, EXIT_UNSOUND, "{}", err.msg);
+        assert_eq!(err.code, exec::EXIT_UNSOUND, "{}", err.msg);
         assert!(err.msg.contains("some obligations failed"), "{}", err.msg);
+        // The report itself goes to stdout, like every other verdict.
+        let out = err.out.expect("an unsound verdict still prints its report");
+        assert!(out.contains("FAILED"), "{out}");
         std::fs::remove_file(p).ok();
+    }
+
+    /// `verify`'s stdout with each report's ` in <time>` removed — the
+    /// one byte range the daemon's stable payload leaves out.
+    fn without_times(out: &str) -> String {
+        out.lines()
+            .map(|l| match l.rsplit_once(" in ") {
+                Some((head, t)) if t.starts_with(|c: char| c.is_ascii_digit()) && t.ends_with('s') => {
+                    head
+                }
+                _ => l,
+            })
+            .fold(String::new(), |acc, l| acc + l + "\n")
+    }
+
+    #[test]
+    fn verify_prints_the_daemon_payload_plus_times() {
+        let sound = "forward const_prop {
+                stmt(Y := C) followed by !mayDef(Y)
+                until X := Y => X := C
+                with witness eta(Y) == C
+            }";
+        let unsound = "forward bad_prop {
+                stmt(Y := C) followed by !mayDef(X)
+                until X := Y => X := C
+                with witness eta(Y) == C
+            }";
+        for (name, suite) in [("parity_ok.cob", sound), ("parity_bad.cob", unsound)] {
+            let p = write_tmp(name, suite);
+            let out = match run_cli(&["verify".into(), p.clone()]) {
+                Ok(out) => out,
+                Err(e) => e.out.expect("every verdict prints its report"),
+            };
+            let op = RequestOp::Verify {
+                suite: Some(suite.into()),
+                include_buggy: false,
+            };
+            let served = exec::execute(&op, &ExecConfig::default(), &Default::default());
+            assert_eq!(without_times(&out), served.output, "{name}");
+            std::fs::remove_file(p).ok();
+        }
     }
 
     fn common(args: &[String]) -> CommonFlags {
@@ -1277,13 +1230,8 @@ proc main(x) {
         assert_eq!(c.timeout, Some(std::time::Duration::from_secs(2)));
         assert_eq!(c.max_steps, Some(9));
         assert_eq!(c.jobs, 3);
-        assert!(c.jobs_explicit);
         assert_eq!(c.journal, Some(("j.cobj".to_string(), ResumeMode::Fresh)));
         assert!(c.json);
-        // And the engine budget it derives is the strict one.
-        let b = c.engine_budget();
-        assert_eq!(b.max_steps(), Some(9));
-        assert!(format!("{b:?}").contains("deadline: Some"), "{b:?}");
     }
 
     #[test]

@@ -3,11 +3,25 @@
 //! generated programs, and (noninterference, §4.1) applying *any
 //! subset* of a pattern's legal transformations is equally safe.
 
-use cobalt::dsl::LabelEnv;
-use cobalt::engine::{AnalyzedProc, Engine};
+use cobalt::dsl::{LabelEnv, Optimization, PureAnalysis};
+use cobalt::engine::{AnalyzedProc, Engine, OptimizeSession};
 use cobalt::il::{generate, EvalError, GenConfig, Interp, Program, Value};
 use cobalt_support::prop::Config;
 use cobalt_support::props;
+
+/// Optimizes through the session and requires a clean run (no pass
+/// quarantined); returns the program and the rewrite count.
+fn optimize(
+    prog: &Program,
+    analyses: &[PureAnalysis],
+    passes: &[Optimization],
+    rounds: usize,
+) -> (Program, usize) {
+    let (out, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+        .optimize_program(prog, analyses, passes, rounds);
+    assert!(!report.degraded(), "{:#?}", report.failures);
+    (out, report.applied)
+}
 
 /// Runs both programs on `arg`; panics if the original returns a value
 /// and the transformed one disagrees (the paper's notion of semantic
@@ -32,25 +46,20 @@ props! {
 
     fn suite_preserves_semantics_on_random_programs(seed in 0u64..5_000, arg in -4i64..10) {
         let prog = generate(&GenConfig::sized(30, seed));
-        let engine = Engine::new(LabelEnv::standard());
-        let (optimized, _) = engine
-            .optimize_program(
-                &prog,
-                &cobalt::opts::all_analyses(),
-                &cobalt::opts::default_pipeline(),
-                3,
-            )
-            .unwrap();
+        let (optimized, _) = optimize(
+            &prog,
+            &cobalt::opts::all_analyses(),
+            &cobalt::opts::default_pipeline(),
+            3,
+        );
         // The full registry (PRE included) is still sound when
         // round-robined — only unprofitable; exercise it too.
-        let (all_opt, _) = engine
-            .optimize_program(
-                &prog,
-                &cobalt::opts::all_analyses(),
-                &cobalt::opts::all_optimizations(),
-                2,
-            )
-            .unwrap();
+        let (all_opt, _) = optimize(
+            &prog,
+            &cobalt::opts::all_analyses(),
+            &cobalt::opts::all_optimizations(),
+            2,
+        );
         check_equivalent(&prog, &optimized, arg, "default pipeline");
         check_equivalent(&prog, &all_opt, arg, "full registry");
     }
@@ -96,10 +105,7 @@ props! {
 
     fn pre_pipeline_preserves_semantics(seed in 0u64..3_000, arg in -3i64..8) {
         let prog = generate(&GenConfig::sized(26, seed));
-        let engine = Engine::new(LabelEnv::standard());
-        let (optimized, _) = engine
-            .optimize_program(&prog, &[], &cobalt::opts::pre_pipeline(), 3)
-            .unwrap();
+        let (optimized, _) = optimize(&prog, &[], &cobalt::opts::pre_pipeline(), 3);
         check_equivalent(&prog, &optimized, arg, "PRE pipeline");
     }
 }

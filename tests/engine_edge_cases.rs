@@ -3,7 +3,7 @@
 //! examples don't cover.
 
 use cobalt::dsl::LabelEnv;
-use cobalt::engine::{AnalyzedProc, Engine};
+use cobalt::engine::{AnalyzedProc, Engine, OptimizeSession};
 use cobalt::il::{parse_program, Interp};
 
 fn engine() -> Engine {
@@ -127,10 +127,14 @@ fn self_loop_branch_reaches_fixpoint() {
 fn minimal_procedure_is_handled() {
     let src = "proc main(x) { return x; }";
     let prog = parse_program(src).unwrap();
-    let (optimized, n) = engine()
-        .optimize_program(&prog, &[], &cobalt::opts::default_pipeline(), 2)
-        .unwrap();
-    assert_eq!(n, 0);
+    let (optimized, report) = OptimizeSession::new(engine()).optimize_program(
+        &prog,
+        &[],
+        &cobalt::opts::default_pipeline(),
+        2,
+    );
+    assert!(!report.degraded(), "{:#?}", report.failures);
+    assert_eq!(report.applied, 0);
     assert_eq!(optimized, prog);
 }
 

@@ -1,15 +1,29 @@
 //! The shipped example programs parse, validate, run, and optimize —
 //! keeping `examples/programs/` honest.
 
-use cobalt::dsl::LabelEnv;
-use cobalt::engine::Engine;
-use cobalt::il::{parse_program, validate, Interp, Value};
+use cobalt::dsl::{LabelEnv, Optimization, PureAnalysis};
+use cobalt::engine::{Engine, OptimizeSession};
+use cobalt::il::{parse_program, validate, Interp, Program, Value};
 
-fn load(name: &str) -> cobalt::il::Program {
+fn load(name: &str) -> Program {
     let src = std::fs::read_to_string(format!("examples/programs/{name}")).unwrap();
     let prog = parse_program(&src).unwrap();
     validate(&prog).unwrap();
     prog
+}
+
+/// Optimizes through the session and requires a clean run (no pass
+/// quarantined); returns the program and the rewrite count.
+fn optimize(
+    prog: &Program,
+    analyses: &[PureAnalysis],
+    passes: &[Optimization],
+    rounds: usize,
+) -> (Program, usize) {
+    let (out, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+        .optimize_program(prog, analyses, passes, rounds);
+    assert!(!report.degraded(), "{:#?}", report.failures);
+    (out, report.applied)
 }
 
 #[test]
@@ -23,17 +37,14 @@ fn fib_computes_fibonacci() {
 
 #[test]
 fn example_programs_optimize_and_behave() {
-    let engine = Engine::new(LabelEnv::standard());
     for name in ["fib.il", "redundant.il", "pointers.il"] {
         let prog = load(name);
-        let (optimized, _) = engine
-            .optimize_program(
-                &prog,
-                &cobalt::opts::all_analyses(),
-                &cobalt::opts::default_pipeline(),
-                4,
-            )
-            .unwrap();
+        let (optimized, _) = optimize(
+            &prog,
+            &cobalt::opts::all_analyses(),
+            &cobalt::opts::default_pipeline(),
+            4,
+        );
         for arg in [0, 1, 7] {
             assert_eq!(
                 Interp::new(&prog).run(arg).unwrap(),
@@ -46,16 +57,13 @@ fn example_programs_optimize_and_behave() {
 
 #[test]
 fn redundant_program_actually_shrinks() {
-    let engine = Engine::new(LabelEnv::standard());
     let prog = load("redundant.il");
-    let (optimized, n) = engine
-        .optimize_program(
-            &prog,
-            &cobalt::opts::all_analyses(),
-            &cobalt::opts::default_pipeline(),
-            4,
-        )
-        .unwrap();
+    let (optimized, n) = optimize(
+        &prog,
+        &cobalt::opts::all_analyses(),
+        &cobalt::opts::default_pipeline(),
+        4,
+    );
     assert!(n >= 3, "only {n} rewrites");
     let text = cobalt::il::pretty_program(&optimized);
     // The duplicate x*x computation is gone.
@@ -64,21 +72,16 @@ fn redundant_program_actually_shrinks() {
 
 #[test]
 fn pointer_program_benefits_from_taint_analysis() {
-    let engine = Engine::new(LabelEnv::standard());
     let prog = load("pointers.il");
     // Without the analysis, the second load stays.
-    let (without, _) = engine
-        .optimize_program(&prog, &[], &[cobalt::opts::load_elim()], 2)
-        .unwrap();
-    let (with, _) = engine
-        .optimize_program(
-            &prog,
-            &cobalt::opts::all_analyses(),
-            &[cobalt::opts::load_elim()],
-            2,
-        )
-        .unwrap();
-    let loads = |p: &cobalt::il::Program| {
+    let (without, _) = optimize(&prog, &[], &[cobalt::opts::load_elim()], 2);
+    let (with, _) = optimize(
+        &prog,
+        &cobalt::opts::all_analyses(),
+        &[cobalt::opts::load_elim()],
+        2,
+    );
+    let loads = |p: &Program| {
         cobalt::il::pretty_program(p).matches("*p").count()
     };
     assert!(loads(&with) < loads(&without), "taint info should enable load elimination");

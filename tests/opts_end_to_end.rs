@@ -3,9 +3,23 @@
 //! the paper's motivating fragment end to end, and the whole suite
 //! composes on larger programs.
 
-use cobalt::dsl::LabelEnv;
-use cobalt::engine::Engine;
-use cobalt::il::{parse_program, pretty_proc, Interp, Stmt};
+use cobalt::dsl::{LabelEnv, Optimization, PureAnalysis};
+use cobalt::engine::{Engine, OptimizeSession};
+use cobalt::il::{parse_program, pretty_proc, Interp, Program, Stmt};
+
+/// Optimizes through the session and requires a clean run (no pass
+/// quarantined); returns the program and the rewrite count.
+fn optimize(
+    prog: &Program,
+    analyses: &[PureAnalysis],
+    passes: &[Optimization],
+    rounds: usize,
+) -> (Program, usize) {
+    let (out, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+        .optimize_program(prog, analyses, passes, rounds);
+    assert!(!report.degraded(), "{:#?}", report.failures);
+    (out, report.applied)
+}
 
 /// The §2.3 fragment: `x := a + b` after the branch is partially
 /// redundant (computed on the true leg only).
@@ -26,10 +40,7 @@ const PRE_EXAMPLE: &str = "proc main(q) {
 #[test]
 fn pre_pipeline_eliminates_the_partial_redundancy() {
     let prog = parse_program(PRE_EXAMPLE).unwrap();
-    let engine = Engine::new(LabelEnv::standard());
-    let (optimized, n) = engine
-        .optimize_program(&prog, &[], &cobalt::opts::pre_pipeline(), 3)
-        .unwrap();
+    let (optimized, n) = optimize(&prog, &[], &cobalt::opts::pre_pipeline(), 3);
     assert!(n >= 3, "expected duplication + CSE + cleanup, got {n}");
     let main = optimized.main().unwrap();
     let text = pretty_proc(main);
@@ -71,15 +82,12 @@ fn full_suite_composes_on_a_mixed_program() {
         return c;
     }";
     let prog = parse_program(src).unwrap();
-    let engine = Engine::new(LabelEnv::standard());
-    let (optimized, n) = engine
-        .optimize_program(
-            &prog,
-            &cobalt::opts::all_analyses(),
-            &cobalt::opts::default_pipeline(),
-            5,
-        )
-        .unwrap();
+    let (optimized, n) = optimize(
+        &prog,
+        &cobalt::opts::all_analyses(),
+        &cobalt::opts::default_pipeline(),
+        5,
+    );
     assert!(n >= 4, "only {n} rewrites fired");
     for arg in [-1, 0, 3] {
         assert_eq!(
@@ -116,10 +124,7 @@ fn loop_invariant_code_is_hoisted_by_the_pre_decomposition() {
         return t;
     }";
     let prog = parse_program(src).unwrap();
-    let engine = Engine::new(LabelEnv::standard());
-    let (optimized, _) = engine
-        .optimize_program(&prog, &[], &cobalt::opts::pre_pipeline(), 3)
-        .unwrap();
+    let (optimized, _) = optimize(&prog, &[], &cobalt::opts::pre_pipeline(), 3);
     let main = optimized.main().unwrap();
     let text = pretty_proc(main);
     // The preheader skip now computes the invariant.
@@ -157,15 +162,12 @@ fn optimizations_cooperate_across_procedures() {
         return u;
     }";
     let prog = parse_program(src).unwrap();
-    let engine = Engine::new(LabelEnv::standard());
-    let (optimized, n) = engine
-        .optimize_program(
-            &prog,
-            &cobalt::opts::all_analyses(),
-            &cobalt::opts::default_pipeline(),
-            4,
-        )
-        .unwrap();
+    let (optimized, n) = optimize(
+        &prog,
+        &cobalt::opts::all_analyses(),
+        &cobalt::opts::default_pipeline(),
+        4,
+    );
     assert!(n > 0);
     for arg in [0, 2, -5] {
         assert_eq!(

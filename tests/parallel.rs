@@ -299,7 +299,8 @@ fn optimize_output_report_and_journal_bytes_identical_at_jobs_one_and_four() {
 fn optimize_runs_are_deterministic_across_engines() {
     let prog = many_proc_program(6, 35, 19);
     let render = || {
-        let (out, report) = Engine::new(LabelEnv::standard()).optimize_program_resilient(
+        let mut session = OptimizeSession::new(Engine::new(LabelEnv::standard()));
+        let (out, report) = session.optimize_program(
             &prog,
             &cobalt::opts::all_analyses(),
             &cobalt::opts::default_pipeline(),
@@ -322,8 +323,8 @@ fn optimize_worker_panic_is_retried_to_identical_output() {
     let prog = many_proc_program(8, 25, 3);
     let analyses = cobalt::opts::all_analyses();
     let passes = cobalt::opts::default_pipeline();
-    let (baseline, base_report) = Engine::new(LabelEnv::standard())
-        .optimize_program_resilient(&prog, &analyses, &passes, 3);
+    let (baseline, base_report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+        .optimize_program(&prog, &analyses, &passes, 3);
     let mut session = OptimizeSession::new(Engine::new(LabelEnv::standard())).with_jobs(4);
     let (out, report) = fault::with_faults("pool.task:panic@2", || {
         session.optimize_program(&prog, &analyses, &passes, 3)
@@ -427,8 +428,8 @@ props! {
         let prog = many_proc_program(procs, 20, seed);
         let analyses = cobalt::opts::all_analyses();
         let passes = cobalt::opts::default_pipeline();
-        let (base_out, base_report) = Engine::new(LabelEnv::standard())
-            .optimize_program_resilient(&prog, &analyses, &passes, 2);
+        let (base_out, base_report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+            .optimize_program(&prog, &analyses, &passes, 2);
         let mut session =
             OptimizeSession::new(Engine::new(LabelEnv::standard())).with_jobs(jobs);
         let (out, report) = session.optimize_program(&prog, &analyses, &passes, 2);

@@ -9,9 +9,9 @@
 //! skipped while the rest of the compiler keeps its (machine-verified)
 //! soundness guarantee.
 
-use cobalt::dsl::LabelEnv;
-use cobalt::engine::{Budget, Engine, EngineError, FailureKind};
-use cobalt::il::{generate, EvalError, GenConfig, Interp, Program};
+use cobalt::dsl::{LabelEnv, Optimization, PureAnalysis};
+use cobalt::engine::{AnalyzedProc, Budget, Engine, FailureKind, OptimizeSession, PipelineReport};
+use cobalt::il::{generate, pretty_program, EvalError, GenConfig, Interp, Program};
 use cobalt::logic::Limits;
 use cobalt::verify::{ResumeMode, RetryPolicy, SemanticMeanings, Session, Verifier};
 use cobalt_support::fault;
@@ -125,7 +125,7 @@ fn degenerate_zero_limits_fail_every_obligation_fast() {
 #[test]
 fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
     use cobalt::logic::{Budget, Formula, Outcome, ProofTask, Solver, Stats};
-    use std::sync::atomic::Ordering;
+    use cobalt_support::pool::Cancel;
 
     // A goal that trivially proves, so only the fast-fail can explain
     // an Unknown outcome.
@@ -138,9 +138,9 @@ fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
     };
 
     let mut cancelled = Solver::new();
-    cancelled
-        .cancel_flag()
-        .store(true, Ordering::Relaxed);
+    let cancel = Cancel::new();
+    cancel.trip();
+    cancelled.install_cancel(cancel);
     let task = task_in(&mut cancelled);
     let out = cancelled.prove(&task);
     assert!(out.is_resource_limited(), "{out:?}");
@@ -342,21 +342,29 @@ fn check_equivalent(orig: &Program, new: &Program, arg: i64, context: &str) {
     }
 }
 
+/// Optimizes `prog` with every registry analysis and the default
+/// pipeline for 3 rounds, through a fresh session on `engine`.
+fn optimize(engine: &Engine, prog: &Program) -> (Program, PipelineReport) {
+    OptimizeSession::new(engine.clone()).optimize_program(
+        prog,
+        &cobalt::opts::all_analyses(),
+        &cobalt::opts::default_pipeline(),
+        3,
+    )
+}
+
 /// Acceptance: with a fault making a pass panic mid-pipeline, the
-/// resilient driver completes, names the skipped pass, and the output
-/// is still semantics-preserving by the differential harness.
+/// session completes, names the skipped pass, and the output is still
+/// semantics-preserving by the differential harness.
 #[test]
 fn fault_injected_pass_panic_degrades_gracefully_and_preserves_semantics() {
     let engine = Engine::new(LabelEnv::standard());
-    let analyses = cobalt::opts::all_analyses();
-    let passes = cobalt::opts::default_pipeline();
     for seed in [7u64, 19, 42] {
         let prog = generate(&GenConfig::sized(30, seed));
         // Hit 2: the first pass application survives, the second one
         // panics — mid-pipeline, not at the start.
-        let (out, report) = fault::with_faults("engine.pass:panic@2", || {
-            engine.optimize_program_resilient(&prog, &analyses, &passes, 3)
-        });
+        let (out, report) =
+            fault::with_faults("engine.pass:panic@2", || optimize(&engine, &prog));
         assert!(report.degraded(), "seed {seed}: fault did not fire");
         assert_eq!(report.skipped_passes().len(), 1);
         assert!(
@@ -379,11 +387,9 @@ fn fault_injected_pass_panic_degrades_gracefully_and_preserves_semantics() {
 #[test]
 fn engine_budget_exhaustion_quarantines_soundly_and_preserves_semantics() {
     let engine = Engine::new(LabelEnv::standard()).with_budget(Budget::unlimited().with_max_steps(0));
-    let analyses = cobalt::opts::all_analyses();
-    let passes = cobalt::opts::default_pipeline();
     for seed in [5u64, 23] {
         let prog = generate(&GenConfig::sized(30, seed));
-        let (out, report) = engine.optimize_program_resilient(&prog, &analyses, &passes, 3);
+        let (out, report) = optimize(&engine, &prog);
         assert!(report.degraded(), "seed {seed}: zero steps must degrade");
         assert!(
             report.resource_limited(),
@@ -415,29 +421,6 @@ fn engine_budget_exhaustion_quarantines_soundly_and_preserves_semantics() {
     }
 }
 
-/// The strict driver surfaces the same exhaustion as a typed
-/// [`EngineError::ResourceLimited`] (the CLI's exit-3), not a panic and
-/// not a silent partial result.
-#[test]
-fn strict_driver_surfaces_budget_exhaustion_as_typed_error() {
-    let engine = Engine::new(LabelEnv::standard()).with_budget(Budget::unlimited().with_max_steps(0));
-    let prog = generate(&GenConfig::sized(30, 5));
-    let err = engine
-        .optimize_program(
-            &prog,
-            &cobalt::opts::all_analyses(),
-            &cobalt::opts::default_pipeline(),
-            3,
-        )
-        .unwrap_err();
-    match err {
-        EngineError::ResourceLimited(reason) => {
-            assert!(reason.contains("step cap exhausted"), "{reason}");
-        }
-        other => panic!("expected ResourceLimited, got {other}"),
-    }
-}
-
 /// A generous budget is invisible: the governed engine produces exactly
 /// the unlimited engine's output and the report stays clean.
 #[test]
@@ -448,12 +431,10 @@ fn generous_budget_does_not_change_results() {
             .with_max_steps(50_000_000)
             .with_deadline(Duration::from_secs(600)),
     );
-    let analyses = cobalt::opts::all_analyses();
-    let passes = cobalt::opts::default_pipeline();
     for seed in [7u64, 19] {
         let prog = generate(&GenConfig::sized(30, seed));
-        let (a, ra) = unlimited.optimize_program_resilient(&prog, &analyses, &passes, 3);
-        let (b, rb) = governed.optimize_program_resilient(&prog, &analyses, &passes, 3);
+        let (a, ra) = optimize(&unlimited, &prog);
+        let (b, rb) = optimize(&governed, &prog);
         assert_eq!(
             cobalt::il::pretty_program(&a),
             cobalt::il::pretty_program(&b),
@@ -471,13 +452,10 @@ fn generous_budget_does_not_change_results() {
 #[test]
 fn fault_injected_fixpoint_failure_degrades_and_preserves_semantics() {
     let engine = Engine::new(LabelEnv::standard());
-    let analyses = cobalt::opts::all_analyses();
-    let passes = cobalt::opts::default_pipeline();
     for seed in [7u64, 42] {
         let prog = generate(&GenConfig::sized(30, seed));
-        let (out, report) = fault::with_faults("engine.fixpoint:fail@2", || {
-            engine.optimize_program_resilient(&prog, &analyses, &passes, 3)
-        });
+        let (out, report) =
+            fault::with_faults("engine.fixpoint:fail@2", || optimize(&engine, &prog));
         assert!(report.degraded(), "seed {seed}: fault did not fire");
         assert!(
             report
@@ -503,13 +481,10 @@ fn fault_injected_fixpoint_failure_degrades_and_preserves_semantics() {
 #[test]
 fn fault_injected_merge_failure_degrades_and_preserves_semantics() {
     let engine = Engine::new(LabelEnv::standard());
-    let analyses = cobalt::opts::all_analyses();
-    let passes = cobalt::opts::default_pipeline();
     for seed in [11u64, 29] {
         let prog = generate(&GenConfig::sized(30, seed));
-        let (out, report) = fault::with_faults("engine.merge:fail@4", || {
-            engine.optimize_program_resilient(&prog, &analyses, &passes, 3)
-        });
+        let (out, report) =
+            fault::with_faults("engine.merge:fail@4", || optimize(&engine, &prog));
         // Branch-free seeds may never hit merge #4; the fault then
         // simply never fires, which is itself a valid (clean) run.
         if report.degraded() {
@@ -985,25 +960,58 @@ mod serve {
     }
 }
 
-/// The resilient driver without any faults is exactly the strict
-/// driver: same output programs, same rewrite count, empty report.
-#[test]
-fn resilient_driver_is_transparent_without_faults() {
+/// The pipeline replayed sequentially from the engine's public
+/// primitives: per procedure, round, and pass, a fresh CFG, every pure
+/// analysis, then the pass — stopping after a round that applies
+/// nothing. Returns the program and the rewrite count.
+fn reference_optimize(
+    prog: &Program,
+    analyses: &[PureAnalysis],
+    passes: &[Optimization],
+    rounds: usize,
+) -> (Program, usize) {
     let engine = Engine::new(LabelEnv::standard());
+    let (mut out, mut applied) = (prog.clone(), 0);
+    for proc in &prog.procs {
+        let mut current = proc.clone();
+        for _ in 0..rounds {
+            let mut round = 0;
+            for pass in passes {
+                let mut ap = AnalyzedProc::new(current).unwrap();
+                for a in analyses {
+                    engine.run_pure_analysis(&mut ap, a).unwrap();
+                }
+                let (next, sites) = engine.apply(&ap, pass).unwrap();
+                round += sites.len();
+                current = next;
+            }
+            applied += round;
+            if round == 0 {
+                break;
+            }
+        }
+        out = out.with_proc_replaced(current);
+    }
+    (out, applied)
+}
+
+/// Without faults, `OptimizeSession` is exactly the sequential
+/// reference at any worker count: same program bytes, same rewrite
+/// count, empty report.
+#[test]
+fn session_matches_the_sequential_reference() {
     let analyses = cobalt::opts::all_analyses();
     let passes = cobalt::opts::default_pipeline();
     for seed in [3u64, 11] {
         let prog = generate(&GenConfig::sized(25, seed));
-        let (strict, n) = engine
-            .optimize_program(&prog, &analyses, &passes, 3)
-            .unwrap();
-        let (resilient, report) = engine.optimize_program_resilient(&prog, &analyses, &passes, 3);
-        assert_eq!(
-            cobalt::il::pretty_program(&strict),
-            cobalt::il::pretty_program(&resilient),
-            "seed {seed}"
-        );
-        assert_eq!(report.applied, n, "seed {seed}");
-        assert!(!report.degraded(), "seed {seed}: {:#?}", report.failures);
+        let (expected, n) = reference_optimize(&prog, &analyses, &passes, 3);
+        for jobs in [1, 4] {
+            let (out, report) = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+                .with_jobs(jobs)
+                .optimize_program(&prog, &analyses, &passes, 3);
+            assert!(!report.degraded(), "seed {seed}: {:#?}", report.failures);
+            assert_eq!(pretty_program(&expected), pretty_program(&out), "seed {seed} jobs {jobs}");
+            assert_eq!(report.applied, n, "seed {seed} jobs {jobs}");
+        }
     }
 }

@@ -30,9 +30,9 @@ fn differential_soak() {
     let mut checked = 0u64;
     for seed in 0..4_000u64 {
         let prog = generate(&GenConfig::sized(36, seed));
-        let (optimized, _) = engine
-            .optimize_program(&prog, &analyses, &opts, 3)
-            .unwrap();
+        let (optimized, report) =
+            OptimizeSession::new(engine.clone()).optimize_program(&prog, &analyses, &opts, 3);
+        assert!(!report.degraded(), "seed {seed}: {:#?}", report.failures);
         let (rec, _) = cobalt::engine::apply_recursive(
             &engine,
             optimized.main().unwrap(),
@@ -160,7 +160,7 @@ fn engine_journal_crash_resume_soak() {
     let passes = cobalt::opts::default_pipeline();
     let engine = || Engine::new(LabelEnv::standard());
     let (baseline, base_report) =
-        engine().optimize_program_resilient(&prog, &analyses, &passes, 3);
+        OptimizeSession::new(engine()).optimize_program(&prog, &analyses, &passes, 3);
     assert!(!base_report.degraded(), "{:#?}", base_report.failures);
     let baseline = pretty_program(&baseline);
     let mut rng = Rng::seed_from_u64(0xC0BA17);
