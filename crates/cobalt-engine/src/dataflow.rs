@@ -12,32 +12,52 @@
 //! starts from that universe as ⊤ and iterates downward to the greatest
 //! fixpoint.
 //!
+//! # Representation
+//!
+//! The `ψ1` solutions are collected once and sorted; a substitution's
+//! position in that sorted universe is its index. Inside the fixpoint a
+//! fact is a bitset over those indices, and the sets of all nodes share
+//! one flat buffer per kind, so a sweep allocates nothing: merge is a
+//! word-wise AND and the flow function is `(in ∧ holds[ι]) ∨ sols[ι]`.
+//! The public functions convert each fact to a [`FactSet`] once, when
+//! they return; the engine's legal-site and labelling loops read the
+//! bitsets directly, in ascending (canonical) order.
+//!
+//! `ψ2` is evaluated on demand: at node `ι` only for the substitutions
+//! in `ι`'s incoming fact, each the first time it arrives, in ascending
+//! universe order. Two bitsets per node remember which substitutions
+//! were checked and which hold, so each `(ι, θ)` pair is evaluated at
+//! most once. The flow function reads `ψ2` only on `in[ι]`, so the
+//! result equals the eager evaluation of `ψ2` over the whole universe at
+//! every node; a guard error surfaces only where a substitution actually
+//! arrives.
+//!
 //! # Determinism
 //!
-//! Fact sets are [`FastSet`]s (the deterministic word-at-a-time hasher,
-//! not SipHash's per-process random keys), and every place iteration
-//! order can reach an observable result — the `ψ1` solution universe,
-//! the label-insertion order of a pure analysis, the site order of
-//! `Δ` — iterates in *canonical* order (substitutions sorted by key).
-//! This is what makes `cobalt optimize --jobs N` byte-identical at any
-//! worker count: per-procedure fixpoints are pure functions of the
-//! procedure and the rules, with no iteration-order residue.
+//! The universe is sorted in canonical `Subst` order and every walk over
+//! a bitset is ascending, so `ψ2` evaluation order (observable through
+//! guard errors and fault counters) and the results are pure functions
+//! of the procedure and the guard, with no hash-iteration residue. This
+//! is what makes `cobalt optimize --jobs N` byte-identical at any worker
+//! count. [`FactSet`]s use the deterministic word-at-a-time hasher, and
+//! callers that iterate one sort it first.
 //!
 //! # Governance
 //!
 //! Both fixpoints are metered: the `*_metered` variants spend one
-//! [`Meter`](crate::Meter) step per node visit and return
-//! [`EngineError::ResourceLimited`] when the engine's
-//! [`Budget`](crate::Budget) is exhausted. The unmetered names keep the
-//! pre-budget signatures (an unlimited meter). The `engine.fixpoint`
-//! fault point fires at fixpoint entry and `engine.merge` at each
-//! merge-point intersection, so degradation paths are testable
-//! deterministically (`COBALT_FAULTS` grammar, DESIGN.md §8).
+//! [`Meter`] step per node visit (`ψ2` runs inside the metered sweep, so
+//! deadlines and cancellation are observed between visits) and return
+//! [`EngineError::ResourceLimited`] when the engine's [`Budget`] is
+//! exhausted. The unmetered names keep the pre-budget signatures (an
+//! unlimited meter). The `engine.fixpoint` fault point fires at fixpoint
+//! entry and `engine.merge` at each merge-point intersection, so
+//! degradation paths are testable deterministically (`COBALT_FAULTS`
+//! grammar, DESIGN.md §8).
 
 use crate::analyzed::AnalyzedProc;
 use crate::budget::{Budget, Meter};
 use crate::error::EngineError;
-use cobalt_dsl::{GuardError, LabelEnv, RegionGuard, Subst};
+use cobalt_dsl::{Guard, GuardError, LabelEnv, RegionGuard, Subst};
 use cobalt_support::fast_hash::FastSet;
 use cobalt_support::fault;
 
@@ -81,40 +101,46 @@ pub fn forward_in_facts_metered(
     guard: &RegionGuard,
     meter: &mut Meter,
 ) -> Result<Vec<FactSet>, EngineError> {
+    Ok(forward_in(ap, env, guard, meter)?.into_fact_sets(ap.proc.len()))
+}
+
+/// [`forward_in_facts_metered`] in dense form.
+pub(crate) fn forward_in(
+    ap: &AnalyzedProc,
+    env: &LabelEnv,
+    guard: &RegionGuard,
+    meter: &mut Meter,
+) -> Result<DenseFacts, EngineError> {
     fault_point("engine.fixpoint")?;
     meter.check()?;
     let n = ap.proc.len();
-    let (sols, survivors) = node_locals(ap, env, guard)?;
-    let universe: FactSet = sols.iter().flatten().cloned().collect();
+    let mut locals = Locals::new(ap, env, guard)?;
+    let len = locals.universe.len();
 
     // out[ι] starts at ⊤ (the universe); entry's in-fact is ∅.
-    let mut outs: Vec<FactSet> = vec![universe; n];
-    let mut ins: Vec<FactSet> = vec![FactSet::default(); n];
+    let mut outs = Rows::full(n, len);
+    let mut ins = Rows::empty(n, len);
+    let mut out = vec![0; outs.words];
     let mut changed = true;
     while changed {
         changed = false;
         for i in 0..n {
             meter.tick()?;
-            let in_fact = if i == ap.cfg.entry() {
-                FactSet::default()
-            } else {
+            if i != ap.cfg.entry() {
                 fault_point("engine.merge")?;
-                intersect_over(ap.cfg.predecessors(i).iter().map(|&p| &outs[p]))
-            };
-            let mut out_fact: FactSet = in_fact
-                .iter()
-                .filter(|t| survivors[i].contains(*t))
-                .cloned()
-                .collect();
-            out_fact.extend(sols[i].iter().cloned());
-            if out_fact != outs[i] {
-                outs[i] = out_fact;
+                meet_into(ins.row_mut(i), &outs, ap.cfg.predecessors(i));
+            }
+            locals.transfer(i, ins.row(i), &mut out)?;
+            if out != outs.row(i) {
+                outs.row_mut(i).copy_from_slice(&out);
                 changed = true;
             }
-            ins[i] = in_fact;
         }
     }
-    Ok(ins)
+    Ok(DenseFacts {
+        universe: locals.universe,
+        facts: ins,
+    })
 }
 
 /// Computes, for each node `ι`, the *continuation* fact of a backward
@@ -150,38 +176,46 @@ pub fn backward_cont_facts_metered(
     guard: &RegionGuard,
     meter: &mut Meter,
 ) -> Result<Vec<FactSet>, EngineError> {
+    Ok(backward_cont(ap, env, guard, meter)?.into_fact_sets(ap.proc.len()))
+}
+
+/// [`backward_cont_facts_metered`] in dense form.
+pub(crate) fn backward_cont(
+    ap: &AnalyzedProc,
+    env: &LabelEnv,
+    guard: &RegionGuard,
+    meter: &mut Meter,
+) -> Result<DenseFacts, EngineError> {
     fault_point("engine.fixpoint")?;
     meter.check()?;
     let n = ap.proc.len();
-    let (sols, survivors) = node_locals(ap, env, guard)?;
-    let universe: FactSet = sols.iter().flatten().cloned().collect();
+    let mut locals = Locals::new(ap, env, guard)?;
+    let len = locals.universe.len();
 
-    let mut facts: Vec<FactSet> = vec![universe; n];
+    let mut facts = Rows::full(n, len);
+    let mut from_succs = vec![0; facts.words];
+    let mut fact = vec![0; facts.words];
     let mut changed = true;
     while changed {
         changed = false;
         for i in (0..n).rev() {
             meter.tick()?;
             let succs = ap.cfg.successors(i);
-            let from_succs = if succs.is_empty() {
-                FactSet::default()
-            } else {
+            if !succs.is_empty() {
                 fault_point("engine.merge")?;
-                intersect_over(succs.iter().map(|&s| &facts[s]))
-            };
-            let mut fact: FactSet = from_succs
-                .iter()
-                .filter(|t| survivors[i].contains(*t))
-                .cloned()
-                .collect();
-            fact.extend(sols[i].iter().cloned());
-            if fact != facts[i] {
-                facts[i] = fact;
+            }
+            meet_into(&mut from_succs, &facts, succs);
+            locals.transfer(i, &from_succs, &mut fact)?;
+            if fact != facts.row(i) {
+                facts.row_mut(i).copy_from_slice(&fact);
                 changed = true;
             }
         }
     }
-    Ok(facts)
+    Ok(DenseFacts {
+        universe: locals.universe,
+        facts,
+    })
 }
 
 /// Derives the per-node *transformable* facts from backward
@@ -200,48 +234,210 @@ pub fn backward_site_facts(ap: &AnalyzedProc, cont: &[FactSet]) -> Vec<FactSet> 
         .collect()
 }
 
-/// Per-node `ψ1` solutions and the subset of the universe whose `ψ2`
-/// holds at the node.
-fn node_locals(
-    ap: &AnalyzedProc,
-    env: &LabelEnv,
-    guard: &RegionGuard,
-) -> Result<(Vec<Vec<Subst>>, Vec<FactSet>), EngineError> {
-    let n = ap.proc.len();
-    let mut sols = Vec::with_capacity(n);
-    for i in 0..n {
-        let ctx = ap.node_ctx(env, i);
-        sols.push(guard.psi1.solve(&ctx, &Subst::new())?);
-    }
-    let universe: Vec<Subst> = {
-        let set: FactSet = sols.iter().flatten().cloned().collect();
-        // Canonical order: ψ2 evaluation below is observable through
-        // guard errors and fault counters, so it must not depend on
-        // hash-iteration order.
-        let mut v: Vec<Subst> = set.into_iter().collect();
-        v.sort();
-        v
-    };
-    let mut survivors = Vec::with_capacity(n);
-    for i in 0..n {
-        let ctx = ap.node_ctx(env, i);
-        let mut keep = FactSet::default();
-        for theta in &universe {
-            if guard.psi2.eval(&ctx, theta)? {
-                keep.insert(theta.clone());
-            }
-        }
-        survivors.push(keep);
-    }
-    Ok((sols, survivors))
-}
-
 fn intersect_over<'a>(mut sets: impl Iterator<Item = &'a FactSet>) -> FactSet {
     let first = match sets.next() {
         Some(s) => s.clone(),
         None => return FactSet::default(),
     };
     sets.fold(first, |acc, s| acc.intersection(s).cloned().collect())
+}
+
+/// One bitset per node over a universe of substitution indices (the
+/// dense form of a `Vec<FactSet>`), stored row after row in one buffer:
+/// node `i`'s set is the `words`-long row starting at word `i * words`.
+#[derive(Clone)]
+struct Rows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Rows {
+    /// `n` empty sets over a universe of `len`. A row has at least one
+    /// word even for an empty universe: a sweep over zero-word rows of an
+    /// unallocated buffer measured several times slower on x86-64 than
+    /// one over one-word rows.
+    fn empty(n: usize, len: usize) -> Rows {
+        let words = len.div_ceil(64).max(1);
+        Rows {
+            words,
+            bits: vec![0; n * words],
+        }
+    }
+
+    /// `n` copies of the whole universe of `len`.
+    fn full(n: usize, len: usize) -> Rows {
+        let mut one = Rows::empty(1, len);
+        for k in 0..len {
+            one.insert(0, k);
+        }
+        Rows {
+            words: one.words,
+            bits: one.bits.repeat(n),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    fn insert(&mut self, i: usize, k: usize) {
+        self.row_mut(i)[k / 64] |= 1 << (k % 64);
+    }
+
+    /// The members of node `i`'s set, in ascending order.
+    fn ones(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(i).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let k = w * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    k
+                })
+            })
+        })
+    }
+}
+
+/// Sets `dst` to the intersection of the rows `of` of `rows`, or to ∅ if
+/// `of` is empty.
+fn meet_into(dst: &mut [u64], rows: &Rows, of: &[usize]) {
+    let Some((&first, rest)) = of.split_first() else {
+        dst.fill(0);
+        return;
+    };
+    dst.copy_from_slice(rows.row(first));
+    for &r in rest {
+        for (d, &b) in dst.iter_mut().zip(rows.row(r)) {
+            *d &= b;
+        }
+    }
+}
+
+/// The facts of one fixpoint in dense form: per node, a bitset over the
+/// sorted universe of substitutions. The engine reads these directly;
+/// the public functions convert them to [`FactSet`]s.
+pub(crate) struct DenseFacts {
+    universe: Vec<Subst>,
+    facts: Rows,
+}
+
+impl DenseFacts {
+    /// `theta` at each of `n` nodes.
+    pub(crate) fn everywhere(n: usize, theta: Subst) -> DenseFacts {
+        DenseFacts {
+            universe: vec![theta],
+            facts: Rows::full(n, 1),
+        }
+    }
+
+    /// Node `i`'s substitutions, in canonical (ascending) order.
+    pub(crate) fn at(&self, i: usize) -> impl Iterator<Item = &Subst> + '_ {
+        self.facts.ones(i).map(|k| &self.universe[k])
+    }
+
+    /// [`backward_site_facts`] of these continuation facts.
+    pub(crate) fn into_site_facts(self, ap: &AnalyzedProc) -> DenseFacts {
+        let n = ap.proc.len();
+        let mut sites = Rows::empty(n, self.universe.len());
+        for i in 0..n {
+            meet_into(sites.row_mut(i), &self.facts, ap.cfg.successors(i));
+        }
+        DenseFacts {
+            facts: sites,
+            ..self
+        }
+    }
+
+    /// The facts of nodes `0..n` as [`FactSet`]s.
+    fn into_fact_sets(self, n: usize) -> Vec<FactSet> {
+        (0..n).map(|i| self.at(i).cloned().collect()).collect()
+    }
+}
+
+/// What one fixpoint knows about each node: the sorted universe of
+/// `ψ1` solutions, each node's solutions as a bitset over it, and the
+/// on-demand `ψ2` memo (see the module docs).
+struct Locals<'a> {
+    ap: &'a AnalyzedProc,
+    env: &'a LabelEnv,
+    psi2: &'a Guard,
+    /// Every node's `ψ1` solutions, sorted and deduplicated.
+    universe: Vec<Subst>,
+    /// Per node: its `ψ1` solutions.
+    sols: Rows,
+    /// Per node: the substitutions whose `ψ2` has been evaluated.
+    checked: Rows,
+    /// Per node: the evaluated substitutions whose `ψ2` holds.
+    holds: Rows,
+}
+
+impl<'a> Locals<'a> {
+    fn new(
+        ap: &'a AnalyzedProc,
+        env: &'a LabelEnv,
+        guard: &'a RegionGuard,
+    ) -> Result<Locals<'a>, EngineError> {
+        let n = ap.proc.len();
+        let mut found: Vec<(Subst, usize)> = Vec::new();
+        for i in 0..n {
+            let ctx = ap.node_ctx(env, i);
+            let sols = guard.psi1.solve(&ctx, &Subst::new())?;
+            found.extend(sols.into_iter().map(|theta| (theta, i)));
+        }
+        // Canonical order: a substitution's index is its rank.
+        found.sort_unstable();
+        let mut universe: Vec<Subst> = Vec::new();
+        let mut members = Vec::with_capacity(found.len());
+        for (theta, i) in found {
+            if universe.last() != Some(&theta) {
+                universe.push(theta);
+            }
+            members.push((i, universe.len() - 1));
+        }
+        let none = Rows::empty(n, universe.len());
+        let mut sols = none.clone();
+        for (i, k) in members {
+            sols.insert(i, k);
+        }
+        Ok(Locals {
+            ap,
+            env,
+            psi2: &guard.psi2,
+            universe,
+            sols,
+            checked: none.clone(),
+            holds: none,
+        })
+    }
+
+    /// The flow function at node `i`, written to `out`:
+    /// `(in ∧ holds[i]) ∨ sols[i]`, after evaluating `ψ2` for the
+    /// substitutions reaching `i` for the first time, in ascending
+    /// universe order.
+    fn transfer(&mut self, i: usize, in_fact: &[u64], out: &mut [u64]) -> Result<(), EngineError> {
+        let ctx = self.ap.node_ctx(self.env, i);
+        let (checked, holds) = (self.checked.row_mut(i), self.holds.row_mut(i));
+        let sols = self.sols.row(i);
+        for (w, &word) in in_fact.iter().enumerate() {
+            let mut fresh = word & !checked[w];
+            checked[w] |= word;
+            while fresh != 0 {
+                let bit = fresh.trailing_zeros();
+                fresh &= fresh - 1;
+                let theta = &self.universe[w * 64 + bit as usize];
+                if self.psi2.eval(&ctx, theta)? {
+                    holds[w] |= 1 << bit;
+                }
+            }
+            out[w] = (word & holds[w]) | sols[w];
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -284,6 +480,33 @@ mod tests {
         assert_eq!(show(&ins[1]), "[C ↦ 2, Y ↦ a]");
         // After S2 (= into S3): both substitutions, as in the paper.
         assert_eq!(show(&ins[2]), "[C ↦ 2, Y ↦ a] [C ↦ 3, Y ↦ b]");
+    }
+
+    #[test]
+    fn guard_errors_surface_only_where_a_substitution_arrives() {
+        let ap = analyzed("proc main(x) { a := x; return a; }");
+        let env = LabelEnv::standard();
+        // `mayDef` takes one argument: ψ2 fails wherever it is evaluated.
+        let bad = Guard::Label(
+            "mayDef".into(),
+            vec![
+                LabelArgPat::Var(VarPat::pat("Y")),
+                LabelArgPat::Var(VarPat::pat("Y")),
+            ],
+        );
+        // The return's ψ1 solution reaches no node, so ψ2 never runs.
+        let unreached = RegionGuard {
+            psi1: Guard::Stmt(StmtPat::ReturnAny),
+            psi2: bad.clone(),
+        };
+        let ins = forward_in_facts(&ap, &env, &unreached).unwrap();
+        assert!(ins.iter().all(|f| f.is_empty()));
+        // [Y ↦ a] reaches the return, where ψ2 fails.
+        let reached = RegionGuard {
+            psi1: Guard::Stmt(StmtPat::Assign(LhsPat::Var(VarPat::pat("Y")), ExprPat::Any)),
+            psi2: bad,
+        };
+        assert!(forward_in_facts(&ap, &env, &reached).is_err());
     }
 
     #[test]

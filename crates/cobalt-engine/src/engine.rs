@@ -8,9 +8,7 @@
 
 use crate::analyzed::AnalyzedProc;
 use crate::budget::Budget;
-use crate::dataflow::{
-    backward_cont_facts_metered, backward_site_facts, forward_in_facts_metered, FactSet,
-};
+use crate::dataflow::{backward_cont, forward_in, DenseFacts};
 use crate::error::EngineError;
 use cobalt_dsl::{
     Direction, GuardSpec, LabelEnv, LabelInst, MatchSite, Optimization, PureAnalysis, Subst,
@@ -88,39 +86,31 @@ impl Engine {
     ) -> Result<Vec<MatchSite>, EngineError> {
         let pat = &opt.pattern;
         let mut meter = self.budget.meter();
-        let site_facts: Vec<FactSet> = match (&pat.guard, pat.direction) {
-            (GuardSpec::Local, _) => {
-                // Node-local rewrite: every node is a candidate with the
-                // empty substitution.
-                (0..ap.proc.len())
-                    .map(|_| std::iter::once(Subst::new()).collect())
-                    .collect()
-            }
-            (GuardSpec::Region(guard), Direction::Forward) => {
-                forward_in_facts_metered(ap, &self.env, guard, &mut meter)?
-            }
-            (GuardSpec::Region(guard), Direction::Backward) => {
-                // Paper §4.1: a forward pure analysis may not feed a
-                // backward transformation (interference). Backward
-                // guards therefore see no semantic labels.
-                let masked = ap.without_labels();
-                let cont = backward_cont_facts_metered(&masked, &self.env, guard, &mut meter)?;
-                backward_site_facts(&masked, &cont)
-            }
-        };
-        let masked_ap;
+        // Paper §4.1: a forward pure analysis may not feed a backward
+        // transformation (interference). Backward patterns therefore see
+        // no semantic labels, in their guard or their `where` clause.
+        let masked;
         let eval_ap: &AnalyzedProc = if pat.direction == Direction::Backward {
-            masked_ap = ap.without_labels();
-            &masked_ap
+            masked = ap.without_labels();
+            &masked
         } else {
             ap
+        };
+        let site_facts: DenseFacts = match (&pat.guard, pat.direction) {
+            // Node-local rewrite: every node is a candidate with the
+            // empty substitution.
+            (GuardSpec::Local, _) => DenseFacts::everywhere(ap.proc.len(), Subst::new()),
+            (GuardSpec::Region(guard), Direction::Forward) => {
+                forward_in(eval_ap, &self.env, guard, &mut meter)?
+            }
+            (GuardSpec::Region(guard), Direction::Backward) => {
+                backward_cont(eval_ap, &self.env, guard, &mut meter)?.into_site_facts(eval_ap)
+            }
         };
         let mut sites = Vec::new();
         for (i, stmt) in eval_ap.proc.stmts.iter().enumerate() {
             let ctx = eval_ap.node_ctx(&self.env, i);
-            let mut thetas: Vec<&Subst> = site_facts[i].iter().collect();
-            thetas.sort();
-            for theta in thetas {
+            for theta in site_facts.at(i) {
                 let Some(extended) = pat.from.try_match(stmt, theta) else {
                     continue;
                 };
@@ -185,14 +175,12 @@ impl Engine {
         ap: &mut AnalyzedProc,
         analysis: &PureAnalysis,
     ) -> Result<usize, EngineError> {
-        let ins = forward_in_facts_metered(ap, &self.env, &analysis.guard, &mut self.budget.meter())?;
+        let ins = forward_in(ap, &self.env, &analysis.guard, &mut self.budget.meter())?;
         let (name, args) = &analysis.defines;
         let mut added = 0;
-        for (i, fact) in ins.iter().enumerate() {
-            // Canonical label-insertion order (fact sets hash-iterate).
-            let mut thetas: Vec<&Subst> = fact.iter().collect();
-            thetas.sort();
-            for theta in thetas {
+        for i in 0..ap.proc.len() {
+            // Canonical (ascending) label-insertion order.
+            for theta in ins.at(i) {
                 let concrete = args
                     .iter()
                     .map(|a| a.instantiate(theta))

@@ -224,13 +224,19 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 impl Engine {
     /// Optimizes one procedure: each round runs every pass in order,
-    /// each on a fresh [`AnalyzedProc`] labelled by every pure
-    /// analysis, until a round applies nothing or `max_rounds` is
-    /// reached. A pass (or pure analysis) that returns an error or
-    /// panics is skipped — recorded as a [`PassFailure`] and
-    /// quarantined for the remaining rounds — while the other passes
-    /// keep running on the last good version of the procedure. Never
-    /// fails and never panics on account of a pass.
+    /// each on an [`AnalyzedProc`] labelled by every pure analysis,
+    /// until a round applies nothing or `max_rounds` is reached. A pass
+    /// (or pure analysis) that returns an error or panics is skipped —
+    /// recorded as a [`PassFailure`] and quarantined for the remaining
+    /// rounds — while the other passes keep running on the last good
+    /// version of the procedure. Never fails and never panics on
+    /// account of a pass.
+    ///
+    /// The procedure is labelled once per version: passes reuse the
+    /// labelled procedure until one changes its text or an analysis
+    /// fails. Labelling is a pure function of the text and the live
+    /// analyses, so reuse yields exactly the labels a fresh labelling
+    /// would.
     pub(crate) fn optimize_proc_resilient(
         &self,
         proc: &Proc,
@@ -256,48 +262,60 @@ impl Engine {
                 reason,
             });
         };
+        // `current`, labelled by every live analysis, once built.
+        let mut labelled: Option<AnalyzedProc> = None;
         for round in 0..max_rounds {
             let mut round_applied = 0;
             for opt in opts {
                 if dead.contains(&opt.name) {
                     continue;
                 }
-                // Prepare the analyzed procedure. A failure here is a
-                // program-level problem (ill-formed CFG), not a pass
-                // failure; without it no pass can run this round.
-                let prepared = isolate(|| AnalyzedProc::new(current.clone()));
-                let mut ap = match prepared {
-                    Ok(ap) => ap,
-                    Err(reason) => {
-                        fail(
-                            &mut report,
-                            &mut dead,
-                            format!("prepare:{}", opt.name),
-                            round,
-                            reason,
-                        );
-                        continue;
+                let (ap, reusable) = match labelled.take() {
+                    Some(ap) => (ap, true),
+                    None => {
+                        // Prepare the analyzed procedure. A failure here
+                        // is a program-level problem (ill-formed CFG),
+                        // not a pass failure; without it no pass can run
+                        // this round.
+                        let prepared = isolate(|| AnalyzedProc::new(current.clone()));
+                        let mut ap = match prepared {
+                            Ok(ap) => ap,
+                            Err(reason) => {
+                                fail(
+                                    &mut report,
+                                    &mut dead,
+                                    format!("prepare:{}", opt.name),
+                                    round,
+                                    reason,
+                                );
+                                continue;
+                            }
+                        };
+                        // Run each pure analysis in isolation: a failed
+                        // analysis only costs its labels (guards see
+                        // fewer facts, so fewer — still sound — rewrites
+                        // fire). It may leave partial labels behind, so
+                        // the next pass labels afresh without it.
+                        let mut reusable = true;
+                        for analysis in analyses {
+                            let key = format!("analysis:{}", analysis.name);
+                            if dead.contains(&key) {
+                                continue;
+                            }
+                            let ran = isolate(|| {
+                                fault::point_err("engine.analysis").map_err(|e| {
+                                    EngineError::Guard(cobalt_dsl::GuardError::new(e.to_string()))
+                                })?;
+                                self.run_pure_analysis(&mut ap, analysis)
+                            });
+                            if let Err(reason) = ran {
+                                fail(&mut report, &mut dead, key, round, reason);
+                                reusable = false;
+                            }
+                        }
+                        (ap, reusable)
                     }
                 };
-                // Run each pure analysis in isolation: a failed
-                // analysis only costs its labels (guards see fewer
-                // facts, so fewer — still sound — rewrites fire).
-                for analysis in analyses {
-                    let key = format!("analysis:{}", analysis.name);
-                    if dead.contains(&key) {
-                        continue;
-                    }
-                    let ran = isolate(|| {
-                        fault::point_err("engine.analysis")
-                            .map_err(|e| EngineError::Guard(cobalt_dsl::GuardError::new(
-                                e.to_string(),
-                            )))?;
-                        self.run_pure_analysis(&mut ap, analysis)
-                    });
-                    if let Err(reason) = ran {
-                        fail(&mut report, &mut dead, key, round, reason);
-                    }
-                }
                 // Apply the pass itself in isolation.
                 let applied = isolate(|| {
                     fault::point_err("engine.pass").map_err(|e| {
@@ -313,6 +331,9 @@ impl Engine {
                     Err(reason) => {
                         fail(&mut report, &mut dead, opt.name.to_string(), round, reason);
                     }
+                }
+                if reusable && ap.proc == current {
+                    labelled = Some(ap);
                 }
             }
             report.applied += round_applied;

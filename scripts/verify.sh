@@ -326,6 +326,16 @@ if ! grep -q "journaling disabled" <<<"$out"; then
     echo "engine: journal-fault optimize did not report degradation:"; echo "$out"; exit 1
 fi
 
+# Correctness smoke over the benchmark's 40-procedure corpus: the
+# traced replay labels before every pass and must print the session's
+# bytes, and the interpreter oracle checks refinement. The last line is
+# the run's JSON result.
+last=$(perfbench/target/release/perfbench --workload optimize_generated --seed 1 \
+    --seconds 2 --trace 1 | tail -n 1)
+if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0' <<<"$last"; then
+    echo "engine: perfbench optimize_generated smoke failed:"; echo "$last"; exit 1
+fi
+
 echo "== serve stage (daemon, shared cache, drain)"
 
 # A daemon with a proof-cache journal, hammered by concurrent clients:

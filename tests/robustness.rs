@@ -1015,3 +1015,24 @@ fn session_matches_the_sequential_reference() {
         }
     }
 }
+
+/// The session labels each version of a procedure once, not once per
+/// pass. Only `dae` changes this procedure, so it has two versions and
+/// two labellings (one `engine.analysis` hit each), where labelling
+/// before every pass takes 11 hits per round. A fault armed for the
+/// 12th hit therefore never fires: the run is clean.
+#[test]
+fn session_labels_each_procedure_version_once() {
+    let prog = cobalt::il::parse_program("proc main(x) { decl a; a := x; return x; }").unwrap();
+    let (out, report) = fault::with_faults("engine.analysis:fail@12", || {
+        OptimizeSession::new(Engine::new(LabelEnv::standard())).optimize_program(
+            &prog,
+            &cobalt::opts::all_analyses(),
+            &cobalt::opts::default_pipeline(),
+            3,
+        )
+    });
+    assert!(!report.degraded(), "{:#?}", report.failures);
+    assert_eq!((report.applied, report.rounds), (1, 2));
+    assert_eq!(out.main().unwrap().stmts[1].to_string(), "skip");
+}
