@@ -20,7 +20,10 @@ fn bench_congruence_closure(c: &mut Bench) {
                 let consts: Vec<_> = (0..n).map(|i| bank.app0(&format!("c{i}"))).collect();
                 let apps: Vec<_> = consts.iter().map(|&x| bank.app(f, vec![x])).collect();
                 let mut cc = Cc::new();
-                cc.sync(&bank);
+                cc.ensure(&bank);
+                for &a in &apps {
+                    cc.register(a, &bank);
+                }
                 for w in consts.windows(2) {
                     cc.merge(w[0], w[1], &bank);
                 }

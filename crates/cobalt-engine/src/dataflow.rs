@@ -55,9 +55,9 @@
 //! grammar, DESIGN.md §8).
 
 use crate::analyzed::AnalyzedProc;
-use crate::budget::{Budget, Meter};
 use crate::error::EngineError;
 use cobalt_dsl::{Guard, GuardError, LabelEnv, RegionGuard, Subst};
+use cobalt_support::budget::{Budget, Meter};
 use cobalt_support::fast_hash::FastSet;
 use cobalt_support::fault;
 

@@ -7,13 +7,13 @@
 //! profitability heuristic, and applies the rewrites.
 
 use crate::analyzed::AnalyzedProc;
-use crate::budget::Budget;
 use crate::dataflow::{backward_cont, forward_in, DenseFacts};
 use crate::error::EngineError;
 use cobalt_dsl::{
     Direction, GuardSpec, LabelEnv, LabelInst, MatchSite, Optimization, PureAnalysis, Subst,
 };
 use cobalt_il::Proc;
+use cobalt_support::budget::Budget;
 
 /// The execution engine: a label environment, a [`Budget`], and the
 /// per-procedure primitives — legal sites, rewriting, and pure

@@ -2,6 +2,7 @@
 
 use cobalt_dsl::{GuardError, InstError};
 use cobalt_il::WellFormedError;
+use cobalt_support::budget::Exhausted;
 use std::error::Error;
 use std::fmt;
 
@@ -16,10 +17,11 @@ pub enum EngineError {
     /// (sites whose templates fail to instantiate are normally dropped
     /// from Δ; this arises only if a `choose` function invents one).
     Template(InstError),
-    /// The analysis exhausted its [`Budget`](crate::Budget) — deadline,
-    /// step cap, or cooperative cancellation. Says nothing about the
-    /// program or the rule, only that the budget ran out; the session
-    /// quarantines the pass (sound — it is merely skipped).
+    /// The analysis exhausted its
+    /// [`Budget`](cobalt_support::budget::Budget) — deadline, step cap,
+    /// or cancellation. Says nothing about the program or the rule,
+    /// only that the budget ran out; the session quarantines the pass
+    /// (sound — it is merely skipped).
     ResourceLimited(String),
 }
 
@@ -44,6 +46,17 @@ impl Error for EngineError {
             EngineError::Template(e) => Some(e),
             EngineError::ResourceLimited(_) => None,
         }
+    }
+}
+
+/// The engine's reason strings for an exhausted budget.
+impl From<Exhausted> for EngineError {
+    fn from(e: Exhausted) -> Self {
+        EngineError::ResourceLimited(match e {
+            Exhausted::Steps(max) => format!("step cap exhausted ({max} steps)"),
+            Exhausted::Deadline => "wall-clock deadline exceeded".into(),
+            Exhausted::Cancelled => "cancelled".into(),
+        })
     }
 }
 

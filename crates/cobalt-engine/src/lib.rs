@@ -67,7 +67,6 @@
 #![warn(missing_docs)]
 
 pub mod analyzed;
-pub mod budget;
 pub mod dataflow;
 pub mod engine;
 pub mod error;
@@ -76,7 +75,6 @@ pub mod resilient;
 pub mod session;
 
 pub use analyzed::AnalyzedProc;
-pub use budget::{Budget, Meter, METER_CHECK_INTERVAL};
 pub use dataflow::{
     backward_cont_facts, backward_cont_facts_metered, backward_site_facts, forward_in_facts,
     forward_in_facts_metered, FactSet,

@@ -30,7 +30,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// distinguish "ran out of budget" from "the pass is broken".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The pass exhausted the engine [`Budget`](crate::Budget)
+    /// The pass exhausted the engine's
+    /// [`Budget`](cobalt_support::budget::Budget)
     /// (deadline, step cap, or cancellation). Drives the exit-3 path.
     ResourceLimited,
     /// The pass returned an engine error (bad guard, injected fault,

@@ -42,7 +42,7 @@ use cobalt_il::{parse_program, pretty_proc, Proc, Program};
 use cobalt_support::journal::{
     decode_fields, encode_fields, Fnv64, LoadReport, Record, ResumeMode, Store, DEFAULT_LOCK_WAIT,
 };
-use cobalt_support::pool::{self, Cancel, TaskResult};
+use cobalt_support::pool::{self, TaskResult};
 use std::path::Path;
 
 /// Version tag mixed into every fingerprint; bump on any change to the
@@ -224,15 +224,6 @@ impl OptimizeSession {
         }
 
         if !tasks.is_empty() {
-            // The pool runs on a child of the caller's token (if any):
-            // a caller trip reaches every meter, while the deadline
-            // fail-fast below trips only this run's child — nothing
-            // inside the session ever trips the token it was handed.
-            let cancel = self
-                .engine
-                .budget()
-                .cancel()
-                .map_or_else(Cancel::new, Cancel::child);
             let meta: Vec<(usize, u64, String)> = tasks
                 .iter()
                 .map(|(i, fp, p)| (*i, *fp, p.name.to_string()))
@@ -241,22 +232,9 @@ impl OptimizeSession {
             pool::run_ordered(
                 self.jobs,
                 tasks,
-                &cancel,
-                |_idx, (_, _, proc), cancel| {
-                    let budget = engine.budget().fork().with_cancel(cancel.clone());
-                    let worker = engine.clone().with_budget(budget);
-                    let (optimized, rep) =
-                        worker.optimize_proc_resilient(proc, analyses, opts, max_rounds);
-                    // A blown wall-clock deadline is fatal to the whole
-                    // run (the deadline is absolute and shared): cancel
-                    // the run's own fleet instead of letting every
-                    // remaining procedure rediscover it the slow way.
-                    if rep.failures.iter().any(|f| {
-                        f.kind == FailureKind::ResourceLimited && f.reason.contains("deadline")
-                    }) {
-                        cancel.trip();
-                    }
-                    (optimized, rep)
+                |_idx, (_, _, proc)| {
+                    let worker = engine.clone().with_budget(engine.budget().fork());
+                    worker.optimize_proc_resilient(proc, analyses, opts, max_rounds)
                 },
                 |idx, result| {
                     let (i, fp, name) = &meta[idx];

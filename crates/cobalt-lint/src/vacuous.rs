@@ -4,15 +4,15 @@
 //! pattern, label, equality, `unchanged`, …) becomes an opaque boolean
 //! variable keyed by its canonical (structural) form, so two
 //! syntactically identical atoms share one variable. The boolean
-//! skeleton then goes to the in-tree `cobalt-logic` solver under a
-//! small [`Limits`]/[`Budget`]: if `¬guard` is *proved* valid, the
-//! guard is propositionally unsatisfiable and the rule can never fire.
+//! skeleton then goes to the in-tree `cobalt-logic` solver under small
+//! [`Limits`]: if `¬guard` is *proved* valid, the guard is
+//! propositionally unsatisfiable and the rule can never fire.
 //!
 //! This is a sound under-approximation of vacuity at the boolean
 //! level: `Unknown` (including a blown budget) reports nothing.
 
 use cobalt_dsl::Guard;
-use cobalt_logic::solver::{Budget, Limits, Outcome, ProofTask, Solver};
+use cobalt_logic::solver::{Limits, Outcome, ProofTask, Solver};
 use cobalt_logic::{Formula, TermBank};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -62,7 +62,6 @@ pub fn is_propositionally_vacuous(g: &Guard, deadline: Duration) -> bool {
         max_terms: 4_096,
         deadline: Some(deadline),
     });
-    solver.set_budget(Budget::with_deadline(deadline));
     let task = ProofTask {
         hypotheses: vec![],
         goal: encoded.negate(),

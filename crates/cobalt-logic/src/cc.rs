@@ -296,16 +296,6 @@ impl Cc {
         }
     }
 
-    /// Registers every bank term, propagating congruences that involve
-    /// them. Convenience for callers whose problem spans the whole
-    /// bank; the solver instead registers its relevant set on demand.
-    pub fn sync(&mut self, bank: &TermBank) {
-        self.ensure(bank);
-        for i in 0..bank.len() {
-            self.register(TermId(i as u32), bank);
-        }
-    }
-
     /// The congruence signature of `f` applied to `args`, with each
     /// argument resolved to its current class representative.
     fn sig_key(&mut self, f: Sym, args: &[TermId]) -> SigKey {
@@ -586,13 +576,22 @@ mod tests {
         (TermBank::new(), Cc::new())
     }
 
+    /// Grows `cc` over the bank and registers `terms` (with their
+    /// subterms): the path the solver runs.
+    fn register(cc: &mut Cc, b: &TermBank, terms: &[TermId]) {
+        cc.ensure(b);
+        for &t in terms {
+            cc.register(t, b);
+        }
+    }
+
     #[test]
     fn transitivity() {
         let (mut b, mut cc) = setup();
         let x = b.app0("x");
         let y = b.app0("y");
         let z = b.app0("z");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x, y, z]);
         cc.merge(x, y, &b);
         cc.merge(y, z, &b);
         assert!(cc.are_eq(x, z));
@@ -606,7 +605,7 @@ mod tests {
         let y = b.app0("y");
         let fx = b.app(f, vec![x]);
         let fy = b.app(f, vec![y]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[fx, fy]);
         assert!(!cc.are_eq(fx, fy));
         cc.merge(x, y, &b);
         assert!(cc.are_eq(fx, fy));
@@ -618,11 +617,11 @@ mod tests {
         let f = b.sym("f");
         let x = b.app0("x");
         let y = b.app0("y");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x, y]);
         cc.merge(x, y, &b);
         let fx = b.app(f, vec![x]);
         let fy = b.app(f, vec![y]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[fx, fy]);
         assert!(cc.are_eq(fx, fy));
     }
 
@@ -637,7 +636,7 @@ mod tests {
         let gy = b.app(g, vec![y]);
         let fgx = b.app(f, vec![gx]);
         let fgy = b.app(f, vec![gy]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[fgx, fgy]);
         cc.merge(x, y, &b);
         assert!(cc.are_eq(fgx, fgy));
     }
@@ -648,7 +647,7 @@ mod tests {
         let x = b.app0("x");
         let y = b.app0("y");
         let z = b.app0("z");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x, y, z]);
         cc.assert_diseq(x, z, &b);
         assert!(!cc.in_conflict());
         cc.merge(x, y, &b);
@@ -663,7 +662,7 @@ mod tests {
         let one = b.int(1);
         let two = b.int(2);
         let x = b.app0("x");
-        cc.sync(&b);
+        register(&mut cc, &b, &[one, two, x]);
         cc.merge(x, one, &b);
         cc.merge(x, two, &b);
         assert!(cc.in_conflict());
@@ -677,7 +676,7 @@ mod tests {
         let x = b.app0("x");
         let s = b.app(skip, vec![]);
         let d = b.app(decl, vec![x]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[s, d]);
         cc.merge(s, d, &b);
         assert!(cc.in_conflict());
     }
@@ -689,7 +688,7 @@ mod tests {
         let (x, y, u, v) = (b.app0("x"), b.app0("y"), b.app0("u"), b.app0("v"));
         let p1 = b.app(pair, vec![x, y]);
         let p2 = b.app(pair, vec![u, v]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[p1, p2]);
         cc.merge(p1, p2, &b);
         assert!(!cc.in_conflict());
         assert!(cc.are_eq(x, u));
@@ -704,7 +703,7 @@ mod tests {
         let two = b.int(2);
         let c1 = b.app(c, vec![one]);
         let c2 = b.app(c, vec![two]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[c1, c2]);
         cc.merge(c1, c2, &b);
         assert!(cc.in_conflict());
     }
@@ -718,12 +717,12 @@ mod tests {
         let s = b.app(skip, vec![]);
         let d = b.app(decl, vec![x]);
         let c = b.app0("cur");
-        cc.sync(&b);
+        register(&mut cc, &b, &[s, d, c]);
         cc.merge(c, s, &b);
         assert!(cc.are_diseq(c, d, &b));
         let one = b.int(1);
         let zero = b.int(0);
-        cc.sync(&b);
+        register(&mut cc, &b, &[one, zero]);
         assert!(cc.are_diseq(one, zero, &b));
     }
 
@@ -736,14 +735,14 @@ mod tests {
         let (x, y) = (b.app0("x"), b.app0("y"));
         let lx = b.app(locval, vec![x]);
         let ly = b.app(locval, vec![y]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[lx, ly]);
         assert!(!cc.are_diseq(lx, ly, &b));
         cc.assert_diseq(x, y, &b);
         assert!(cc.are_diseq(lx, ly, &b));
         // Nested: locval(locval(x)) vs locval(locval(y)).
         let llx = b.app(locval, vec![lx]);
         let lly = b.app(locval, vec![ly]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[llx, lly]);
         assert!(cc.are_diseq(llx, lly, &b));
     }
 
@@ -752,7 +751,7 @@ mod tests {
         let (mut b, mut cc) = setup();
         let x = b.app0("x");
         let y = b.app0("y");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x, y]);
         let mut branch = cc.clone();
         branch.merge(x, y, &b);
         assert!(branch.are_eq(x, y));
@@ -767,7 +766,7 @@ mod tests {
         let y = b.app0("y");
         let fx = b.app(f, vec![x]);
         let fy = b.app(f, vec![y]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[fx, fy]);
         cc.save();
         cc.merge(x, y, &b);
         assert!(cc.are_eq(x, y));
@@ -786,17 +785,17 @@ mod tests {
         let f = b.sym("f");
         let x = b.app0("x");
         let y = b.app0("y");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x, y]);
         cc.merge(x, y, &b);
         cc.save();
         let fx = b.app(f, vec![x]);
         let fy = b.app(f, vec![y]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[fx, fy]);
         assert!(cc.are_eq(fx, fy));
         cc.restore();
-        // fx/fy were deregistered; re-syncing re-registers them and
-        // re-derives the congruence from the surviving x = y merge.
-        cc.sync(&b);
+        // fx/fy were deregistered; registering them again re-derives
+        // the congruence from the surviving x = y merge.
+        register(&mut cc, &b, &[fx, fy]);
         assert!(cc.are_eq(fx, fy));
         assert!(cc.are_eq(x, y));
     }
@@ -873,7 +872,7 @@ mod tests {
         let (mut b, mut cc) = setup();
         let x = b.app0("x");
         let y = b.app0("y");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x, y]);
         cc.save();
         cc.assert_diseq(x, y, &b);
         cc.merge(x, y, &b);
@@ -893,7 +892,7 @@ mod tests {
         let one = b.int(1);
         let two = b.int(2);
         let x = b.app0("x");
-        cc.sync(&b);
+        register(&mut cc, &b, &[one, two, x]);
         cc.merge(x, one, &b);
         cc.save();
         cc.merge(x, two, &b);
@@ -910,7 +909,7 @@ mod tests {
         let x = b.app0("x");
         let y = b.app0("y");
         let z = b.app0("z");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x, y, z]);
         cc.save();
         cc.merge(x, y, &b);
         cc.save();
@@ -929,7 +928,7 @@ mod tests {
         let x = b.app0("x");
         let y = b.app0("y");
         let z = b.app0("z");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x, y, z]);
         cc.save();
         cc.merge(x, y, &b);
         cc.save();
@@ -957,7 +956,7 @@ mod tests {
         let (x, y, u, v) = (b.app0("x"), b.app0("y"), b.app0("u"), b.app0("v"));
         let p1 = b.app(pair, vec![x, y]);
         let p2 = b.app(pair, vec![u, v]);
-        cc.sync(&b);
+        register(&mut cc, &b, &[p1, p2]);
         let mut cloned = cc.clone();
         cloned.merge(p1, p2, &b);
         cc.save();
@@ -976,11 +975,11 @@ mod tests {
         let (mut b, mut cc) = setup();
         let one = b.int(1);
         let two = b.int(2);
-        cc.sync(&b);
+        register(&mut cc, &b, &[one, two]);
         cc.merge(one, two, &b);
         assert!(cc.in_conflict());
         let x = b.app0("x");
-        cc.sync(&b);
+        register(&mut cc, &b, &[x]);
         cc.merge(x, one, &b);
         cc.assert_diseq(x, two, &b);
         assert!(cc.in_conflict());

@@ -57,6 +57,6 @@ pub mod term;
 pub use cc::Cc;
 pub use formula::Formula;
 pub use solver::{
-    clamp_context, Budget, Limits, Outcome, ProofTask, Solver, Stats, UnknownKind, SELECT, UPDATE,
+    clamp_context, Limits, Outcome, ProofTask, Solver, Stats, UnknownKind, SELECT, UPDATE,
 };
 pub use term::{Sym, TermBank, TermData, TermId};

@@ -22,8 +22,8 @@
 use crate::cc::Cc;
 use crate::formula::Formula;
 use crate::term::{Sym, TermBank, TermData, TermId};
+use cobalt_support::budget::{Budget, Exhausted, Meter};
 use cobalt_support::fault;
-use cobalt_support::pool::Cancel;
 use cobalt_support::{FastMap, FastSet};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -60,93 +60,13 @@ impl Default for Limits {
     }
 }
 
-/// A cooperative resource budget for proof search, complementing the
-/// structural caps in [`Limits`]: a wall-clock deadline, an optional
-/// step cap (each search-loop iteration, asserted formula, split, and
-/// generated instance counts as one step), and a cancel token an outside
-/// thread may trip to abandon the search at the next check.
-///
-/// Exhausting any of these produces a resource-limit
-/// [`Outcome::Unknown`] — bounded effort is a report, never a crash.
-#[derive(Debug, Clone, Default)]
-pub struct Budget {
-    /// Wall-clock deadline for one `prove` call. When [`Limits`] also
-    /// carries a deadline, the smaller of the two wins.
-    pub deadline: Option<Duration>,
-    /// Maximum number of search steps.
-    pub max_steps: Option<u64>,
-    /// Cooperative cancellation: trip the token (or a parent it is
-    /// linked to) from any thread to make the search give up at its
-    /// next budget check.
-    pub cancel: Option<Cancel>,
-}
-
-impl Budget {
-    /// A budget with only a wall-clock deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        Budget {
-            deadline: Some(deadline),
-            ..Budget::default()
-        }
-    }
-}
-
-/// How often (in steps) the meter consults the clock and cancel token;
-/// structural caps are checked on every step.
-const METER_CHECK_INTERVAL: u64 = 16;
-
-/// Runtime state of a [`Budget`] during one `prove` call.
-struct Meter {
-    start: Instant,
-    deadline: Option<Instant>,
-    max_steps: Option<u64>,
-    steps: u64,
-    cancel: Option<Cancel>,
-}
-
-impl Meter {
-    fn new(start: Instant, limits: &Limits, budget: &Budget) -> Self {
-        let duration = match (limits.deadline, budget.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Meter {
-            start,
-            deadline: duration.and_then(|d| start.checked_add(d)),
-            max_steps: budget.max_steps,
-            steps: 0,
-            cancel: budget.cancel.clone(),
-        }
-    }
-
-    /// Advances the meter by one step; returns the give-up reason once
-    /// the budget is exhausted.
-    fn tick(&mut self) -> Option<String> {
-        self.steps += 1;
-        if let Some(cap) = self.max_steps {
-            if self.steps > cap {
-                return Some(format!("step cap of {cap} exceeded"));
-            }
-        }
-        if self.steps == 1 || self.steps % METER_CHECK_INTERVAL == 0 {
-            if let Some(cancel) = &self.cancel {
-                if cancel.is_tripped() {
-                    return Some(format!(
-                        "cancelled by caller after {:.1?}",
-                        self.start.elapsed()
-                    ));
-                }
-            }
-            if let Some(deadline) = self.deadline {
-                if Instant::now() >= deadline {
-                    return Some(format!(
-                        "deadline exceeded after {:.1?}",
-                        self.start.elapsed()
-                    ));
-                }
-            }
-        }
-        None
+/// The reason a `prove` call that exhausted its budget reports; `when`
+/// says how far it got (`before search began`, `after 1.2ms`).
+fn exhausted_reason(e: Exhausted, when: &str) -> String {
+    match e {
+        Exhausted::Steps(cap) => format!("step cap of {cap} exceeded"),
+        Exhausted::Deadline => format!("deadline exceeded {when}"),
+        Exhausted::Cancelled => format!("cancelled by caller {when}"),
     }
 }
 
@@ -339,19 +259,11 @@ impl Solver {
         self.limits = limits;
     }
 
-    /// Replaces the cooperative budget (deadline, step cap, cancel
-    /// flag) applied to every subsequent `prove` call.
+    /// Replaces the budget (deadline, step cap, cancel token) every
+    /// subsequent `prove` call spends: each call meters its own fork,
+    /// tightened by the [`Limits`] deadline.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
-    }
-
-    /// Installs a cancel token (e.g. a worker pool's fail-fast token),
-    /// leaving the rest of the budget untouched: tripping it makes the
-    /// running `prove` give up at its next budget check, reporting a
-    /// resource-limit [`Outcome::Unknown`]. Many solvers may share one
-    /// token; tripping it stands every one of them down.
-    pub fn install_cancel(&mut self, cancel: Cancel) {
-        self.budget.cancel = Some(cancel);
     }
 
     /// The distinguished "true" constant used to encode predicates.
@@ -397,27 +309,15 @@ impl Solver {
         }
         // A cancelled or zero-budget call must not start a tableau at
         // all: NNF conversion and the congruence-closure sync below do
-        // real work proportional to the obligation, and a parallel
-        // sibling that tripped our cancel token expects us to stand
-        // down now, not after the meter's first in-search check.
-        if let Some(cancel) = &self.budget.cancel {
-            if cancel.is_tripped() {
-                return Outcome::Unknown {
-                    reason: "cancelled by caller before search began".into(),
-                    kind: UnknownKind::ResourceLimit,
-                    open_branch: Vec::new(),
-                    stats: Stats::default(),
-                    elapsed: start.elapsed(),
-                };
-            }
+        // real work proportional to the obligation.
+        let mut budget = self.budget.fork();
+        if let Some(d) = self.limits.deadline {
+            budget = budget.with_deadline(d);
         }
-        let effective_deadline = match (self.limits.deadline, self.budget.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if effective_deadline.is_some_and(|d| d <= start.elapsed()) {
+        let mut meter = budget.meter();
+        if let Err(e) = meter.check() {
             return Outcome::Unknown {
-                reason: "deadline exceeded before search began".into(),
+                reason: exhausted_reason(e, "before search began"),
                 kind: UnknownKind::ResourceLimit,
                 open_branch: Vec::new(),
                 stats: Stats::default(),
@@ -508,12 +408,12 @@ impl Solver {
             reg_upto,
             array_quiet_at: None,
         };
-        let meter = Meter::new(start, &self.limits, &self.budget);
         let mut search = Search {
             solver: self,
             stats: Stats::default(),
             limit_hit: None,
             meter,
+            start,
             start_terms,
             debug: std::env::var_os("COBALT_LOGIC_DEBUG").is_some(),
         };
@@ -748,6 +648,9 @@ struct Search<'a> {
     stats: Stats,
     limit_hit: Option<String>,
     meter: Meter,
+    /// When the `prove` call began (reason strings report the elapsed
+    /// time).
+    start: Instant,
     /// Bank size when the search began. The term cap bounds
     /// `bank.len() - start_terms` — terms *minted by this search* — so
     /// limits behave identically whether the bank is fresh or layered
@@ -779,11 +682,14 @@ impl Search<'_> {
         if self.limit_hit.is_some() {
             return true;
         }
-        if let Some(reason) = self.meter.tick() {
-            self.limit_hit = Some(reason);
-            return true;
+        match self.meter.tick() {
+            Ok(()) => false,
+            Err(e) => {
+                let when = format!("after {:.1?}", self.start.elapsed());
+                self.limit_hit = Some(exhausted_reason(e, &when));
+                true
+            }
         }
-        false
     }
 
     /// Terms interned since this search began.
@@ -1409,6 +1315,7 @@ enum ArrayStep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobalt_support::pool::Cancel;
 
     fn prove(solver: &mut Solver, hyps: Vec<Formula>, goal: Formula) -> bool {
         solver
@@ -1697,7 +1604,7 @@ mod tests {
             deadline: Some(Duration::from_secs(3600)),
             ..Limits::default()
         });
-        s.set_budget(Budget::with_deadline(Duration::ZERO));
+        s.set_budget(Budget::unlimited().with_deadline(Duration::ZERO));
         let task = split_heavy_task(&mut s, 8);
         assert!(s.prove(&task).is_resource_limited());
     }
@@ -1705,10 +1612,7 @@ mod tests {
     #[test]
     fn step_cap_reports_resource_limit() {
         let mut s = Solver::new();
-        s.set_budget(Budget {
-            max_steps: Some(3),
-            ..Budget::default()
-        });
+        s.set_budget(Budget::unlimited().with_max_steps(3));
         let task = split_heavy_task(&mut s, 8);
         let out = s.prove(&task);
         assert!(out.is_resource_limited(), "{out:?}");
@@ -1721,7 +1625,7 @@ mod tests {
     fn cancel_token_aborts_search() {
         let mut s = Solver::new();
         let cancel = Cancel::new();
-        s.install_cancel(cancel.clone());
+        s.set_budget(Budget::unlimited().with_cancel(cancel.clone()));
         cancel.trip();
         let task = split_heavy_task(&mut s, 8);
         let out = s.prove(&task);
@@ -1733,13 +1637,13 @@ mod tests {
 
     #[test]
     fn cancelled_solver_never_starts_a_tableau() {
-        // Regression: a pre-tripped cancel token (a parallel sibling
-        // found an unsound obligation) must fast-fail before NNF and
-        // congruence-closure setup, like the zero-deadline path.
+        // Regression: a pre-tripped cancel token (the caller withdrew
+        // the run) must fast-fail before NNF and congruence-closure
+        // setup, like the zero-deadline path.
         let mut s = Solver::new();
         let cancel = Cancel::new();
         cancel.trip();
-        s.install_cancel(cancel);
+        s.set_budget(Budget::unlimited().with_cancel(cancel));
         // A provable goal: only the fast-fail can explain an Unknown.
         let (x, y) = (s.bank.app0("x"), s.bank.app0("y"));
         let out = s.prove(&ProofTask {
@@ -1757,7 +1661,7 @@ mod tests {
     #[test]
     fn expired_deadline_never_starts_a_tableau() {
         let mut s = Solver::new();
-        s.set_budget(Budget::with_deadline(Duration::ZERO));
+        s.set_budget(Budget::unlimited().with_deadline(Duration::ZERO));
         let (x, y) = (s.bank.app0("x"), s.bank.app0("y"));
         let out = s.prove(&ProofTask {
             hypotheses: vec![Formula::Eq(x, y)],
@@ -1774,7 +1678,7 @@ mod tests {
     #[test]
     fn budget_does_not_disturb_successful_proofs() {
         let mut s = Solver::new();
-        s.set_budget(Budget::with_deadline(Duration::from_secs(60)));
+        s.set_budget(Budget::unlimited().with_deadline(Duration::from_secs(60)));
         let f = s.bank.sym("f");
         let (x, y) = (s.bank.app0("x"), s.bank.app0("y"));
         let fx = s.bank.app(f, vec![x]);

@@ -25,8 +25,9 @@
 use crate::cache::CachedResult;
 use crate::proto::RequestOp;
 use cobalt_dsl::{LabelEnv, Optimization, PureAnalysis, Suite};
-use cobalt_engine::{Budget, Engine, OptimizeSession, PipelineReport};
+use cobalt_engine::{Engine, OptimizeSession, PipelineReport};
 use cobalt_il::{parse_program, pretty_program, validate, Program};
+use cobalt_support::budget::Budget;
 use cobalt_support::journal::Fnv64;
 use cobalt_support::pool::Cancel;
 use cobalt_verify::{Report, RetryPolicy, SemanticMeanings, Session, Verifier, VerifyError};
@@ -215,19 +216,13 @@ fn execute_op(op: &RequestOp, cfg: &ExecConfig, cancel: &Cancel) -> Result<ExecR
             suite,
             include_buggy,
         } => {
-            // Fail-fast is off: an unsound obligation must not cancel
-            // its siblings, or the outcome set — and so the FAILED
-            // lines of an exit-2 payload, which *is* cached — would
-            // depend on completion timing instead of being a pure
-            // function of the request. The request token is observed
-            // per batch through a linked child (`Verifier::with_cancel`),
-            // so a drain trip still stands every rule's batch down.
+            // Every rule's report budget observes the request token, so
+            // a drain trip stands every rule's batch down.
             let rules = rules(suite.as_deref())?;
             let mut verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard())
                 .with_retry_policy(cfg.policy.clone())
                 .with_jobs(cfg.jobs)
-                .with_cancel(cancel.clone())
-                .with_fail_fast(false);
+                .with_cancel(cancel.clone());
             verify(&mut verifier, &rules, *include_buggy, Report::summary_stable)
         }
         RequestOp::Optimize {

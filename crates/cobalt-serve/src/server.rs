@@ -611,18 +611,12 @@ fn process_batch(shared: &Arc<Shared>, cache: &mut ProofCache, batch: Vec<Pendin
             executed.push(Some(run_one(&members[0].op)));
         }
     } else {
-        // The pool's cancel token is deliberately never tripped here:
-        // requests are independent, one bad suite must not cancel its
-        // neighbors. Drain cancellation arrives per-request through
-        // `register_cancel`.
-        let pool_cancel = Cancel::new();
         let ops: Vec<RequestOp> = groups.iter().map(|(_, m)| m[0].op.clone()).collect();
         executed.resize_with(groups.len(), || None);
         pool::run_ordered(
             shared.cfg.jobs,
             ops,
-            &pool_cancel,
-            |_, op, _| run_one(op),
+            |_, op| run_one(op),
             |idx, result| {
                 if let TaskResult::Done(done) = result {
                     executed[idx] = Some(done);

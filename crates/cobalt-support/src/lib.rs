@@ -12,6 +12,9 @@
 //!   [`props!`](crate::props) macro;
 //! * [`bench`] — a minimal benchmark harness (warmup, timed samples,
 //!   median/p95, JSON-lines output) standing in for `criterion`;
+//! * [`budget`] — the one resource budget (deadline, step cap, cancel
+//!   token) and its meter, spent by the prover, the checker, and the
+//!   engine;
 //! * [`fault`] — deterministic, env-driven fault injection points
 //!   (`COBALT_FAULTS=site:panic@n,…`) used to exercise the workspace's
 //!   graceful-degradation paths; off by default with near-zero cost;
@@ -21,8 +24,8 @@
 //!   locking) backing resumable verification sessions;
 //! * [`pool`] — a supervised scoped worker pool (ordered result
 //!   delivery, per-task panic isolation with one supervised retry,
-//!   cooperative cancellation, spawn-failure degradation) backing
-//!   parallel obligation discharge.
+//!   spawn-failure degradation) backing parallel obligation discharge,
+//!   plus the shared [`Cancel`](pool::Cancel) flag.
 //!
 //! The workspace's hermetic-build policy (see `DESIGN.md`) forbids
 //! external registry dependencies so that `cargo build --release
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod budget;
 pub mod fast_hash;
 pub mod fault;
 pub mod journal;

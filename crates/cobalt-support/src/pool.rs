@@ -15,11 +15,11 @@
 //!   simulates one); a second panic is surfaced to the sink as
 //!   [`TaskResult::Panicked`] — one bad task never kills the pool, the
 //!   run, or a sibling.
-//! * **Cooperative cancellation.** Every task receives a shared
-//!   [`Cancel`] token. Tasks may trip it (fail-fast) and are expected
-//!   to observe it; the pool itself keeps draining queued tasks so each
-//!   one still produces a result — cancellation changes *outcomes*,
-//!   never the shape of the result stream.
+//! * **No cancellation of its own.** A task that must stop early
+//!   observes its caller's [`Budget`](crate::budget::Budget), whose
+//!   [`Cancel`] token only the caller trips; the pool keeps draining
+//!   queued tasks so each one still produces a result — cancellation
+//!   changes *outcomes*, never the shape of the result stream.
 //! * **Graceful degradation.** Worker threads that cannot be spawned
 //!   (OS thread exhaustion, or the injectable `pool.spawn` fault) are
 //!   simply lost capacity: the pool runs with fewer workers, down to
@@ -40,26 +40,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-/// A shared cooperative-cancellation token.
+/// A shared cooperative-cancellation flag.
 ///
-/// Cloning is cheap (an `Arc`); all clones observe the same flag. The
-/// prover's and the engine's budgets hold a `Cancel` too, so every
-/// cancellation in the workspace goes through this one linked type.
-///
-/// Tokens form a one-way hierarchy via [`child`](Self::child):
-/// tripping a parent trips every (live) descendant, but tripping a
-/// child never touches its parent or siblings. That is how one
-/// caller-level token (say, a daemon drain deadline) fans out over many
-/// independent batches without a batch-internal fail-fast trip leaking
-/// across batch boundaries.
+/// Cloning is cheap (an `Arc`); all clones observe the same flag. Only
+/// the token's owner trips it — the daemon's drain, for the requests it
+/// cancels. Everything else observes it through a
+/// [`Budget`](crate::budget::Budget) and never trips a token it was
+/// handed, so one token may span any number of independent batches.
 #[derive(Debug, Clone, Default)]
-pub struct Cancel(Arc<CancelInner>);
-
-#[derive(Debug, Default)]
-struct CancelInner {
-    flag: AtomicBool,
-    children: Mutex<Vec<std::sync::Weak<CancelInner>>>,
-}
+pub struct Cancel(Arc<AtomicBool>);
 
 impl Cancel {
     /// A fresh, untripped token.
@@ -67,47 +56,14 @@ impl Cancel {
         Cancel::default()
     }
 
-    /// Trips the token: every holder — and every live child token —
-    /// observes it at their next check.
+    /// Trips the token: every holder observes it at their next check.
     pub fn trip(&self) {
-        self.0.flag.store(true, Ordering::Relaxed);
-        let mut children = self
-            .0
-            .children
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        children.retain(|weak| match weak.upgrade() {
-            Some(child) => {
-                Cancel(child).trip();
-                true
-            }
-            None => false, // the child's batch finished: prune
-        });
+        self.0.store(true, Ordering::Relaxed);
     }
 
     /// Whether the token has been tripped.
     pub fn is_tripped(&self) -> bool {
-        self.0.flag.load(Ordering::Relaxed)
-    }
-
-    /// A linked child token with its **own** flag: tripping `self`
-    /// trips the child (a child of an already-tripped token is born
-    /// tripped), but tripping the child leaves `self` — and any sibling
-    /// children — untouched. The link is weak; a dropped child costs
-    /// nothing.
-    pub fn child(&self) -> Cancel {
-        let child = Cancel::new();
-        self.0
-            .children
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Arc::downgrade(&child.0));
-        // Registered first, checked second: a concurrent `trip` either
-        // sees the registration or set the flag before this check.
-        if self.is_tripped() {
-            child.trip();
-        }
-        child
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -155,10 +111,10 @@ const MAX_TASK_RETRIES: usize = 1;
 /// Runs `tasks` on up to `jobs` worker threads, delivering each task's
 /// [`TaskResult`] to `sink` **in task order** on the calling thread.
 ///
-/// `task` receives the task's index, exclusive access to its input, and
-/// the shared cancel token. It may be called up to `1 + MAX_TASK_RETRIES`
-/// times for the same index if it panics (see the module docs); callers
-/// who catch their own panics internally are never retried.
+/// `task` receives the task's index and exclusive access to its input.
+/// It may be called up to `1 + MAX_TASK_RETRIES` times for the same
+/// index if it panics (see the module docs); callers who catch their
+/// own panics internally are never retried.
 ///
 /// With `jobs <= 1`, no threads are spawned at all: tasks run inline on
 /// the calling thread, in order, with identical supervision semantics.
@@ -167,8 +123,7 @@ const MAX_TASK_RETRIES: usize = 1;
 pub fn run_ordered<T, R>(
     jobs: usize,
     tasks: Vec<T>,
-    cancel: &Cancel,
-    task: impl Fn(usize, &mut T, &Cancel) -> R + Sync,
+    task: impl Fn(usize, &mut T) -> R + Sync,
     mut sink: impl FnMut(usize, TaskResult<R>),
 ) -> PoolStats
 where
@@ -206,7 +161,7 @@ where
                 let mut slot = slots[idx]
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                task(idx, &mut slot, cancel)
+                task(idx, &mut slot)
             }));
             let result = match ran {
                 Ok(r) => TaskResult::Done(r),
@@ -333,8 +288,7 @@ mod tests {
             let stats = run_ordered(
                 jobs,
                 tasks,
-                &Cancel::new(),
-                |idx, t, _| {
+                |idx, t| {
                     // Earlier tasks sleep longer, inverting natural
                     // completion order under parallelism.
                     std::thread::sleep(std::time::Duration::from_micros(
@@ -362,7 +316,7 @@ mod tests {
         for (jobs, n) in [(1000, 3), (64, 1), (8, 0), (2, 2)] {
             let tasks: Vec<u64> = (0..n as u64).collect();
             let mut results = Vec::new();
-            let stats = run_ordered(jobs, tasks, &Cancel::new(), |_, t, _| *t, collect(&mut results));
+            let stats = run_ordered(jobs, tasks, |_, t| *t, collect(&mut results));
             assert_eq!(stats.workers_requested, jobs.min(n), "jobs={jobs} n={n}");
             assert!(
                 stats.workers_spawned <= jobs.min(n),
@@ -381,8 +335,7 @@ mod tests {
         let stats = run_ordered(
             4,
             vec![(), (), ()],
-            &Cancel::new(),
-            |idx, _, _| {
+            |idx, _| {
                 if idx == 1 {
                     calls.fetch_add(1, Ordering::SeqCst);
                     panic!("task 1 always dies");
@@ -409,8 +362,7 @@ mod tests {
             let stats = run_ordered(
                 jobs,
                 vec![7u32, 8, 9],
-                &Cancel::new(),
-                |_, t, _| {
+                |_, t| {
                     if first.swap(false, Ordering::SeqCst) {
                         panic!("transient casualty");
                     }
@@ -430,13 +382,7 @@ mod tests {
         // supervisor retries it and every result is Done.
         let mut results = Vec::new();
         let stats = fault::with_faults("pool.task:panic@2", || {
-            run_ordered(
-                2,
-                (0..8u64).collect(),
-                &Cancel::new(),
-                |_, t, _| *t + 1,
-                collect(&mut results),
-            )
+            run_ordered(2, (0..8u64).collect(), |_, t| *t + 1, collect(&mut results))
         });
         assert_eq!(stats.retried_panics, 1);
         let values: Vec<u64> = results.into_iter().map(|(_, r)| r.ok().unwrap()).collect();
@@ -450,39 +396,11 @@ mod tests {
         // firing spec, so they fire on consecutive hits.)
         let mut results = Vec::new();
         let stats = fault::with_faults("pool.spawn:fail@1,pool.spawn:fail@1", || {
-            run_ordered(
-                2,
-                vec![1u64, 2, 3, 4],
-                &Cancel::new(),
-                |_, t, _| *t * 2,
-                collect(&mut results),
-            )
+            run_ordered(2, vec![1u64, 2, 3, 4], |_, t| *t * 2, collect(&mut results))
         });
         assert_eq!(stats.workers_spawned, 0);
         let values: Vec<u64> = results.into_iter().map(|(_, r)| r.ok().unwrap()).collect();
         assert_eq!(values, vec![2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn cancellation_is_cooperative_and_total() {
-        // Task 0 trips the token; later tasks observe it. Every task
-        // still yields exactly one result.
-        let mut results = Vec::new();
-        run_ordered(
-            2,
-            (0..16usize).collect(),
-            &Cancel::new(),
-            |idx, _, cancel| {
-                if idx == 0 {
-                    cancel.trip();
-                }
-                cancel.is_tripped()
-            },
-            collect(&mut results),
-        );
-        assert_eq!(results.len(), 16);
-        // At minimum the tail of the queue ran after the trip.
-        assert_eq!(results.last().unwrap().1.as_ref_done(), Some(&true));
     }
 
     impl<R> TaskResult<R> {
@@ -495,41 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn child_tokens_inherit_trips_downward_only() {
-        let parent = Cancel::new();
-        let a = parent.child();
-        let b = parent.child();
-        // Child trips stay local: parent and siblings are untouched.
-        a.trip();
-        assert!(a.is_tripped());
-        assert!(!parent.is_tripped(), "a child trip must not reach the parent");
-        assert!(!b.is_tripped(), "a child trip must not reach a sibling");
-        // Parent trips fan out to every live descendant.
-        let grandchild = b.child();
-        parent.trip();
-        assert!(b.is_tripped());
-        assert!(grandchild.is_tripped(), "trips propagate transitively");
-        // A child of an already-tripped token is born tripped.
-        assert!(parent.child().is_tripped());
-    }
-
-    #[test]
-    fn dropped_children_are_pruned_and_flags_stay_live() {
-        let parent = Cancel::new();
-        for _ in 0..64 {
-            drop(parent.child());
-        }
-        // A solver's budget holds a clone of the child; a parent trip
-        // must still reach it after the batch dropped its own handle.
-        let child = parent.child();
-        let held = child.clone();
-        drop(child);
-        parent.trip(); // prunes dead weak links, must not panic
-        assert!(parent.is_tripped());
-        assert!(held.is_tripped(), "a live clone keeps the child linked");
-    }
-
-    #[test]
     fn zero_and_one_jobs_run_inline_without_threads() {
         for jobs in [0, 1] {
             let caller = std::thread::current().id();
@@ -537,8 +420,7 @@ mod tests {
             let stats = run_ordered(
                 jobs,
                 vec![(), ()],
-                &Cancel::new(),
-                |_, _, _| std::thread::current().id(),
+                |_, _| std::thread::current().id(),
                 collect(&mut results),
             );
             assert_eq!(stats.workers_spawned, 0, "jobs={jobs}");
@@ -551,13 +433,7 @@ mod tests {
     #[test]
     fn empty_task_list_is_a_noop() {
         let mut sink_calls = 0;
-        let stats = run_ordered(
-            4,
-            Vec::<()>::new(),
-            &Cancel::new(),
-            |_, _, _| (),
-            |_, _| sink_calls += 1,
-        );
+        let stats = run_ordered(4, Vec::<()>::new(), |_, _| (), |_, _| sink_calls += 1);
         assert_eq!(sink_calls, 0);
         assert_eq!(stats, PoolStats::default());
     }

@@ -17,6 +17,7 @@ use crate::oblig::{
 };
 use cobalt_dsl::{LabelEnv, Optimization, PureAnalysis};
 use cobalt_logic::{clamp_context, Limits, Outcome};
+use cobalt_support::budget::{Budget, Exhausted};
 use cobalt_support::fault;
 use cobalt_support::pool::{self, Cancel, TaskResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,8 +71,8 @@ pub struct RetryPolicy {
     pub tiers: Vec<Limits>,
     /// Wall-clock budget for one whole report. When it expires,
     /// remaining obligations are recorded as resource-limited failures
-    /// without being attempted, and in-flight attempts run under a
-    /// correspondingly clipped prover deadline.
+    /// without being attempted, and in-flight attempts stop at their
+    /// next budget check.
     pub report_deadline: Option<Duration>,
 }
 
@@ -256,7 +257,6 @@ pub struct Verifier {
     pub(crate) jobs: usize,
     pub(crate) bank_mode: BankMode,
     pub(crate) cancel: Option<Cancel>,
-    pub(crate) fail_fast: bool,
 }
 
 impl Verifier {
@@ -271,7 +271,6 @@ impl Verifier {
             jobs: 1,
             bank_mode: BankMode::default(),
             cancel: None,
-            fail_fast: true,
         }
     }
 
@@ -308,27 +307,25 @@ impl Verifier {
     /// reporting as **resource-limited** (never proved, never unsound)
     /// — exactly how a `cobalt serve` drain deadline budget-cancels
     /// in-flight requests. The token is strictly an *input*: the
-    /// checker observes it (each parallel batch through a linked
-    /// [`Cancel::child`]) but never trips it, so one token may be
-    /// shared across any number of independent batches without a
-    /// batch-internal fail-fast leaking between them.
+    /// checker observes it but never trips it, so one token may be
+    /// shared across any number of independent batches.
     pub fn with_cancel(mut self, cancel: Cancel) -> Self {
         self.cancel = Some(cancel);
         self
     }
 
-    /// Controls parallel fail-fast (default `true`): whether the first
-    /// outcome that is evidence of unsoundness trips the batch's
-    /// internal cancel so siblings stand down early. Disabling it makes
-    /// every obligation run to completion regardless of siblings, so an
-    /// *unsound* report's outcome set — not just its verdict — is a
-    /// deterministic function of the obligations, at any job count.
-    /// `cobalt serve` relies on that to cache exit-2 payloads byte-for-
-    /// byte; the one-shot CLI keeps the fast default. External
-    /// cancellation ([`with_cancel`](Self::with_cancel)) is unaffected.
-    pub fn with_fail_fast(mut self, fail_fast: bool) -> Self {
-        self.fail_fast = fail_fast;
-        self
+    /// The budget of one report, started now: the report deadline and
+    /// the caller's token. Every obligation's solver spends it, and
+    /// each `prove` call tightens its own fork by the tier's deadline.
+    pub(crate) fn report_budget(&self) -> Budget {
+        let mut budget = Budget::unlimited();
+        if let Some(d) = self.policy.report_deadline {
+            budget = budget.with_deadline(d);
+        }
+        if let Some(cancel) = &self.cancel {
+            budget = budget.with_cancel(cancel.clone());
+        }
+        budget
     }
 
     /// Overrides how obligation batches own their term banks. The
@@ -453,21 +450,15 @@ impl Verifier {
     ///
     /// The parallel contract: outcomes appear in obligation order
     /// regardless of completion order, each obligation keeps its full
-    /// [`RetryPolicy`] escalation, the report deadline fans out through
-    /// every worker's prover budget, and (unless
-    /// [`with_fail_fast(false)`](Self::with_fail_fast)) the first
-    /// outcome that is evidence of unsoundness (open branch or prover
-    /// panic — not a mere resource limit) trips a batch-internal cancel
-    /// flag so siblings stand down; cancelled obligations report as
-    /// resource-limited, never as proved.
+    /// [`RetryPolicy`] escalation, and the report budget fans out
+    /// through every worker's prover budget. Each obligation runs to
+    /// its own verdict whatever its siblings find, so a report — sound
+    /// or not — is the same at any job count.
     pub fn discharge_all(&self, name: String, prepared: Vec<Prepared>) -> Report {
         let start = Instant::now();
-        let report_deadline = self
-            .policy
-            .report_deadline
-            .and_then(|d| start.checked_add(d));
+        let budget = self.report_budget();
         let items = prepared.into_iter().map(|p| (p, 0)).collect();
-        let outcomes = self.discharge_batch(items, report_deadline, |_, _| {});
+        let outcomes = self.discharge_batch(items, &budget, |_, _| {});
         Report {
             name,
             outcomes,
@@ -482,22 +473,18 @@ impl Verifier {
     /// mode), and returns the ordered outcomes.
     ///
     /// With `jobs <= 1` this is the plain sequential loop — no pool, no
-    /// cancel flag, no `pool.*` fault sites — keeping the default path
-    /// behaviorally identical to the pre-parallel checker.
+    /// `pool.*` fault sites — keeping the default path behaviorally
+    /// identical to the pre-parallel checker.
     pub(crate) fn discharge_batch(
         &self,
         items: Vec<(Prepared, usize)>,
-        report_deadline: Option<Instant>,
+        budget: &Budget,
         mut sink: impl FnMut(usize, &ObligationOutcome),
     ) -> Vec<ObligationOutcome> {
         if self.jobs <= 1 || items.len() <= 1 {
             let mut outcomes = Vec::with_capacity(items.len());
-            for (idx, (mut p, start_tier)) in items.into_iter().enumerate() {
-                if let Some(cancel) = &self.cancel {
-                    p.solver.install_cancel(cancel.clone());
-                }
-                let outcome =
-                    self.discharge_from(p, report_deadline, start_tier, self.cancel.as_ref());
+            for (idx, (p, start_tier)) in items.into_iter().enumerate() {
+                let outcome = self.discharge_from(p, budget, start_tier);
                 sink(idx, &outcome);
                 outcomes.push(outcome);
             }
@@ -510,38 +497,17 @@ impl Verifier {
             .into_iter()
             .map(|(p, tier)| (Some(p), tier))
             .collect();
-        // The pool's fail-fast flag. An externally installed token is
-        // observed through a linked child, never reused directly: a
-        // caller-side trip (e.g. a daemon drain deadline) propagates in
-        // and stands the whole batch down, but a fail-fast trip from an
-        // unsound outcome in *this* batch stays in the child — the
-        // caller's token is never written, so independent batches
-        // sharing one external token cannot cancel each other.
-        let cancel = self.cancel.as_ref().map_or_else(Cancel::new, Cancel::child);
         let mut outcomes: Vec<ObligationOutcome> = Vec::with_capacity(slots.len());
         pool::run_ordered(
             self.jobs,
             slots,
-            &cancel,
-            |_, (slot, start_tier), cancel| {
+            |_, (slot, start_tier)| {
                 // The slot is empty only if a previous execution of this
                 // task panicked *after* taking the obligation — possible
                 // for a mid-discharge worker casualty, impossible for
                 // the `pool.task` fault (which fires before pickup).
-                let Some(mut p) = slot.take() else {
-                    return None;
-                };
-                p.solver.install_cancel(cancel.clone());
-                let outcome =
-                    self.discharge_from(p, report_deadline, *start_tier, Some(cancel));
-                if self.fail_fast && !outcome.proved && !outcome.resource_limited {
-                    // Open branch or prover panic: evidence of
-                    // unsoundness. Fail fast — siblings stand down at
-                    // their next budget check. This trips the batch's
-                    // own child token only, never the caller's.
-                    cancel.trip();
-                }
-                Some(outcome)
+                let p = slot.take()?;
+                Some(self.discharge_from(p, budget, *start_tier))
             },
             |idx, result| {
                 let outcome = match result {
@@ -563,16 +529,15 @@ impl Verifier {
     /// escalation state across a crash: tiers a previous run already
     /// exhausted on this obligation are not re-attempted.
     /// `attempts`/`escalations` in the outcome count this run only.
-    /// Prover panics are isolated to the obligation. A tripped `cancel`
-    /// stops the schedule *between* tiers (escalation must not retry a
-    /// cancellation away); mid-search cancellation is the solver
-    /// budget's job.
+    /// Prover panics are isolated to the obligation. An exhausted
+    /// report `budget` stops the schedule *between* tiers (escalation
+    /// must not retry a deadline or a cancellation away); mid-search
+    /// exhaustion is the solver's job.
     pub(crate) fn discharge_from(
         &self,
         mut p: Prepared,
-        report_deadline: Option<Instant>,
+        budget: &Budget,
         start_tier: usize,
-        cancel: Option<&Cancel>,
     ) -> ObligationOutcome {
         let obligation_start = Instant::now();
         let mut attempts = 0u32;
@@ -594,41 +559,21 @@ impl Verifier {
             &self.policy.tiers
         };
         let start_tier = start_tier.min(n_tiers - 1);
+        p.solver.set_budget(budget.clone());
         for (ti, tier) in tiers.iter().enumerate().skip(start_tier) {
-            // A sibling's unsound outcome tripped the shared flag:
-            // stand down now rather than fast-failing through every
-            // remaining tier (a cancelled prove reports as a resource
+            // Stand down now rather than fast-failing through every
+            // remaining tier (an exhausted prove reports as a resource
             // limit, which would otherwise buy an escalation).
-            if cancel.is_some_and(Cancel::is_tripped) {
-                return done(
-                    false,
-                    "cancelled by caller: a parallel sibling reported unsound, or the caller \
-                     withdrew the batch"
-                        .to_string(),
-                    true,
-                    attempts,
-                );
-            }
-            // Clip this attempt's prover deadline to what remains of
-            // the report budget; if nothing remains, stop attempting.
-            let mut limits = tier.clone();
-            if let Some(deadline) = report_deadline {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    let detail = if attempts == 0 {
-                        "report deadline exceeded before first attempt".to_string()
-                    } else {
-                        "report deadline exceeded during escalation".to_string()
-                    };
-                    return done(false, detail, true, attempts);
-                }
-                limits.deadline = Some(match limits.deadline {
-                    Some(d) => d.min(remaining),
-                    None => remaining,
-                });
+            if let Err(e) = budget.meter().check() {
+                let detail = match e {
+                    Exhausted::Cancelled => "cancelled by caller: the caller withdrew the batch",
+                    _ if attempts == 0 => "report deadline exceeded before first attempt",
+                    _ => "report deadline exceeded during escalation",
+                };
+                return done(false, detail.to_string(), true, attempts);
             }
             attempts += 1;
-            p.solver.set_limits(limits);
+            p.solver.set_limits(tier.clone());
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 fault::point("checker.obligation");
                 p.solver.prove(&p.task)

@@ -249,11 +249,7 @@ impl Session {
     /// sequential run's.
     fn run(&mut self, name: String, rule_src: &str, prepared: Vec<Prepared>) -> Report {
         let start = Instant::now();
-        let report_deadline = self
-            .verifier
-            .policy
-            .report_deadline
-            .and_then(|d| start.checked_add(d));
+        let budget = self.verifier.report_budget();
         let tiers = self.verifier.policy.tiers.clone();
         let total = prepared.len();
         // Partition: cache hits replay immediately into their slots,
@@ -298,7 +294,7 @@ impl Session {
         // the store instead of failing verification.
         let verifier = &self.verifier;
         let store = &mut self.store;
-        let fresh_outcomes = verifier.discharge_batch(fresh, report_deadline, |fi, outcome| {
+        let fresh_outcomes = verifier.discharge_batch(fresh, &budget, |fi, outcome| {
             let (orig_idx, fp, start_tier) = fresh_meta[fi];
             store.insert(JournalEntry {
                 fingerprint: fp,

@@ -165,20 +165,21 @@ fi
 
 echo "== parallel stage (supervised discharge)"
 
-# Determinism: the full registry verified at --jobs 1 and --jobs 4 must
-# produce byte-identical output once per-report wall-clock times are
-# normalized away. (Verdicts, ids, order, attempt counts — everything
-# observable except speed.)
+# Determinism: the full registry, buggy variants included, verified at
+# --jobs 1 and --jobs 4 must produce byte-identical output once
+# per-report wall-clock times are normalized away. (Verdicts, ids,
+# order, attempt counts, the failed obligations of an unsound rule —
+# everything observable except speed.)
 normalize_times() { sed -E 's/ in [0-9]+(\.[0-9]+)?(ns|µs|ms|s)//g'; }
-seq_out=$("$COBALT" verify 2>&1 | normalize_times)
-par_out=$("$COBALT" verify --jobs 4 2>&1 | normalize_times)
+seq_out=$("$COBALT" verify --include-buggy 2>&1 | normalize_times)
+par_out=$("$COBALT" verify --include-buggy --jobs 4 2>&1 | normalize_times)
 if [[ "$seq_out" != "$par_out" ]]; then
     echo "parallel: --jobs 4 output diverged from --jobs 1:"
     diff <(echo "$seq_out") <(echo "$par_out") || true
     exit 1
 fi
 # And COBALT_JOBS is the same knob.
-env_out=$(COBALT_JOBS=4 "$COBALT" verify 2>&1 | normalize_times)
+env_out=$(COBALT_JOBS=4 "$COBALT" verify --include-buggy 2>&1 | normalize_times)
 if [[ "$seq_out" != "$env_out" ]]; then
     echo "parallel: COBALT_JOBS=4 output diverged from --jobs 1"; exit 1
 fi
@@ -351,9 +352,9 @@ for _ in $(seq 1 200); do [[ -s "$serve_port" ]] && break; sleep 0.05; done
 if [[ ! -s "$serve_port" ]]; then
     echo "serve: daemon never wrote its port file"; cat /tmp/cobalt_serve_log.$$; exit 1
 fi
-"$COBALT" client verify --port-file "$serve_port" >/tmp/cobalt_serve_a.$$ 2>&1 &
+"$COBALT" client verify --include-buggy --port-file "$serve_port" >/tmp/cobalt_serve_a.$$ 2>&1 &
 pid_a=$!
-"$COBALT" client verify --port-file "$serve_port" >/tmp/cobalt_serve_b.$$ 2>&1 &
+"$COBALT" client verify --include-buggy --port-file "$serve_port" >/tmp/cobalt_serve_b.$$ 2>&1 &
 pid_b=$!
 set +e
 wait "$pid_a"; code_a=$?
@@ -368,7 +369,7 @@ if [[ "$(cat /tmp/cobalt_serve_a.$$)" != "$seq_out" ]]; then
     diff <(echo "$seq_out") /tmp/cobalt_serve_a.$$ || true
     exit 1
 fi
-warm_serve=$("$COBALT" client verify --port-file "$serve_port" 2>&1)
+warm_serve=$("$COBALT" client verify --include-buggy --port-file "$serve_port" 2>&1)
 if [[ "$warm_serve" != "$(cat /tmp/cobalt_serve_a.$$)" ]]; then
     echo "serve: warm cache replay diverged from the cold serve"
     diff /tmp/cobalt_serve_a.$$ <(echo "$warm_serve") || true

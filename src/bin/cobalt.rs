@@ -1157,16 +1157,24 @@ proc main(x) {
     }
 
     /// `verify`'s stdout with each report's ` in <time>` removed — the
-    /// one byte range the daemon's stable payload leaves out.
+    /// one byte range the daemon's stable payload leaves out. The time
+    /// ends a line, or precedes a buggy variant's verdict.
     fn without_times(out: &str) -> String {
-        out.lines()
-            .map(|l| match l.rsplit_once(" in ") {
-                Some((head, t)) if t.starts_with(|c: char| c.is_ascii_digit()) && t.ends_with('s') => {
-                    head
-                }
-                _ => l,
-            })
-            .fold(String::new(), |acc, l| acc + l + "\n")
+        let mut kept = String::new();
+        let mut rest = out;
+        while let Some(at) = rest.find(" in ") {
+            kept.push_str(&rest[..at]);
+            let after = &rest[at + " in ".len()..];
+            let end = after.find([' ', '\n']).unwrap_or(after.len());
+            let time = &after[..end];
+            if time.starts_with(|c: char| c.is_ascii_digit()) && time.ends_with('s') {
+                rest = &after[end..];
+            } else {
+                kept.push_str(" in ");
+                rest = after;
+            }
+        }
+        kept + rest
     }
 
     #[test]
@@ -1181,20 +1189,33 @@ proc main(x) {
                 until X := Y => X := C
                 with witness eta(Y) == C
             }";
-        for (name, suite) in [("parity_ok.cob", sound), ("parity_bad.cob", unsound)] {
-            let p = write_tmp(name, suite);
-            let out = match run_cli(&["verify".into(), p.clone()]) {
-                Ok(out) => out,
-                Err(e) => e.out.expect("every verdict prints its report"),
-            };
+        let ok = write_tmp("parity_ok.cob", sound);
+        let bad = write_tmp("parity_bad.cob", unsound);
+        // (CLI arguments, the request the daemon answers with the same
+        // payload) — the built-in registry with its buggy variants too.
+        let inputs = [
+            (vec![ok.clone()], Some(sound), false),
+            (vec![bad.clone()], Some(unsound), false),
+            (vec!["--include-buggy".to_string()], None, true),
+        ];
+        for (args, suite, include_buggy) in inputs {
             let op = RequestOp::Verify {
-                suite: Some(suite.into()),
-                include_buggy: false,
+                suite: suite.map(String::from),
+                include_buggy,
             };
             let served = exec::execute(&op, &ExecConfig::default(), &Default::default());
-            assert_eq!(without_times(&out), served.output, "{name}");
-            std::fs::remove_file(p).ok();
+            for jobs in ["1", "4"] {
+                let mut cli = vec!["verify".to_string(), "--jobs".into(), jobs.into()];
+                cli.extend(args.iter().cloned());
+                let out = match run_cli(&cli) {
+                    Ok(out) => out,
+                    Err(e) => e.out.expect("every verdict prints its report"),
+                };
+                assert_eq!(without_times(&out), served.output, "{cli:?}");
+            }
         }
+        std::fs::remove_file(ok).ok();
+        std::fs::remove_file(bad).ok();
     }
 
     fn common(args: &[String]) -> CommonFlags {

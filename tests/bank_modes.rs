@@ -291,11 +291,7 @@ props! {
     /// Seeded equivalence sweep: any rule of the registry (sound and
     /// buggy), any worker count 1 or 4, with or without an injected
     /// one-shot worker panic — the shared-bank report always equals the
-    /// fresh-bank report under the same regime. Buggy rules run
-    /// sequentially only: under `--jobs 4` the cancellation *timing*
-    /// after the first genuine failure is legitimately nondeterministic
-    /// (see `tests/parallel.rs`), so outcome-for-outcome equality
-    /// between two distinct runs is not a sound expectation there.
+    /// fresh-bank report under the same regime.
     fn any_rule_any_jobs_any_fault_matches_across_modes(
         rule in 0usize..64,
         four_jobs in 0u8..2,
@@ -304,9 +300,7 @@ props! {
     ) {
         let jobs = if four_jobs == 1 { 4 } else { 1 };
         let mut registry = cobalt::opts::all_optimizations();
-        if jobs == 1 {
-            registry.extend(cobalt::opts::buggy_optimizations());
-        }
+        registry.extend(cobalt::opts::buggy_optimizations());
         let opt = &registry[rule % registry.len()];
         let run = |mode: BankMode| {
             let v = verifier(jobs, mode);

@@ -104,38 +104,19 @@ fn full_registry_reports_are_identical_at_jobs_one_and_four() {
     }
 }
 
-/// The buggy §6 variants fail identically too: an unsound obligation is
-/// rejected with the same verdict classification at any worker count
-/// (so the CLI exit code — the part a build system scripts against —
-/// cannot depend on `--jobs`).
+/// The buggy §6 variants fail identically too: every obligation of an
+/// unsound rule reaches its own verdict whatever its siblings find, so
+/// the report — ids, verdicts, details, attempt bookkeeping, summary —
+/// is the same at any worker count (and so is the CLI exit code, the
+/// part a build system scripts against).
 #[test]
 fn unsound_rules_are_rejected_identically_at_any_jobs() {
     for o in cobalt::opts::buggy_optimizations() {
         let r1 = verifier(1).verify_optimization(&o).unwrap();
         let r4 = verifier(4).verify_optimization(&o).unwrap();
         assert!(!r1.all_proved(), "{}: buggy rule must fail", o.name);
-        assert_eq!(r1.all_proved(), r4.all_proved(), "{}", o.name);
-        assert_eq!(
-            r1.only_resource_limited_failures(),
-            r4.only_resource_limited_failures(),
-            "{}: the exit-code classification must not depend on jobs",
-            o.name
-        );
-        // Cancellation may let siblings of the first genuine failure
-        // finish differently (proved vs cancelled), but a genuine
-        // failure itself can never be masked: every id that failed
-        // genuinely under jobs=1 fails under jobs=4 or was cancelled
-        // as resource-limited — it is never reported proved-by-luck.
-        for (a, b) in r1.outcomes.iter().zip(&r4.outcomes) {
-            assert_eq!(a.id, b.id, "{}", o.name);
-            if !a.proved && !a.resource_limited {
-                assert!(
-                    !b.proved,
-                    "{}/{}: a genuine failure must not vanish under parallelism",
-                    o.name, b.id
-                );
-            }
-        }
+        assert_eq!(normalize(&r1), normalize(&r4), "{}", o.name);
+        assert_eq!(summary_sans_time(&r1), summary_sans_time(&r4), "{}", o.name);
     }
 }
 

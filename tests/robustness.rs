@@ -10,10 +10,11 @@
 //! soundness guarantee.
 
 use cobalt::dsl::{LabelEnv, Optimization, PureAnalysis};
-use cobalt::engine::{AnalyzedProc, Budget, Engine, FailureKind, OptimizeSession, PipelineReport};
+use cobalt::engine::{AnalyzedProc, Engine, FailureKind, OptimizeSession, PipelineReport};
 use cobalt::il::{generate, pretty_program, EvalError, GenConfig, Interp, Program};
 use cobalt::logic::Limits;
 use cobalt::verify::{ResumeMode, RetryPolicy, SemanticMeanings, Session, Verifier};
+use cobalt_support::budget::Budget;
 use cobalt_support::fault;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -117,14 +118,14 @@ fn degenerate_zero_limits_fail_every_obligation_fast() {
 
 /// Companion to the degenerate-limits fast-fail above, for the other
 /// two ways a solver can be dead on arrival: a pre-tripped cancel flag
-/// (a parallel sibling already found an unsound obligation) and an
+/// (the caller withdrew the run, e.g. a daemon drain) and an
 /// already-expired deadline. Both must return a resource-limited
 /// `Unknown` before any search or interning starts — a cancelled
 /// worker that still pays NNF + congruence-closure setup per remaining
-/// obligation would make fail-fast cancellation pointless.
+/// obligation would make cancellation slow to take effect.
 #[test]
 fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
-    use cobalt::logic::{Budget, Formula, Outcome, ProofTask, Solver, Stats};
+    use cobalt::logic::{Formula, Outcome, ProofTask, Solver, Stats};
     use cobalt_support::pool::Cancel;
 
     // A goal that trivially proves, so only the fast-fail can explain
@@ -140,7 +141,7 @@ fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
     let mut cancelled = Solver::new();
     let cancel = Cancel::new();
     cancel.trip();
-    cancelled.install_cancel(cancel);
+    cancelled.set_budget(Budget::unlimited().with_cancel(cancel));
     let task = task_in(&mut cancelled);
     let out = cancelled.prove(&task);
     assert!(out.is_resource_limited(), "{out:?}");
@@ -151,7 +152,7 @@ fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
     assert_eq!(stats, Stats::default(), "no search work may have happened");
 
     let mut expired = Solver::new();
-    expired.set_budget(Budget::with_deadline(Duration::ZERO));
+    expired.set_budget(Budget::unlimited().with_deadline(Duration::ZERO));
     let task = task_in(&mut expired);
     let out = expired.prove(&task);
     assert!(out.is_resource_limited(), "{out:?}");

@@ -373,9 +373,9 @@ fn serve_chaos_soak() {
                 );
                 // Payload bytes never drift across fresh/cache/coalesced
                 // serves, rounds, or daemon generations. Only conclusive
-                // sound payloads are byte-stable: an unsound suite's
-                // FAILED lines depend on how far the fail-fast cancel let
-                // sibling obligations run, so exit-2 bytes may vary.
+                // sound payloads are byte-stable here: a drain can cancel
+                // part of an unsound suite's obligations and still answer
+                // exit 2, with those obligations among its FAILED lines.
                 if exit == 0 {
                     let prior = expected.entry(pick).or_insert_with(|| output.clone());
                     assert_eq!(*prior, output, "round {round}: payload drift for suite {pick}");
