@@ -653,6 +653,44 @@ mod tests {
         );
     }
 
+    /// The registry, the §6 rule and the standard labels are pinned
+    /// byte for byte: the registry fingerprint, and a digest of every
+    /// registry obligation's fingerprint (the proof-journal keys).
+    #[test]
+    fn registry_and_obligation_fingerprints_are_pinned() {
+        use cobalt_verify::{
+            fingerprint_obligation, obligations_for_analysis_with,
+            obligations_for_optimization_with, BankMode, Prepared,
+        };
+        assert_eq!(registry_fingerprint(), 0x550c_1395_88f9_fb60);
+        let (env, meanings) = (LabelEnv::standard(), SemanticMeanings::standard());
+        let tiers = RetryPolicy::default().tiers;
+        let mut digest = Fnv64::new();
+        let mut count = 0;
+        let mut add = |rule: String, prepared: Vec<Prepared>| {
+            for p in &prepared {
+                let fp = fingerprint_obligation(&rule, p, &tiers);
+                digest.write(format!("{fp:016x}\n").as_bytes());
+                count += 1;
+            }
+        };
+        for a in cobalt_opts::all_analyses() {
+            let prepared =
+                obligations_for_analysis_with(&a, &env, &meanings, BankMode::default()).unwrap();
+            add(format!("{a:?}"), prepared);
+        }
+        for o in cobalt_opts::all_optimizations()
+            .iter()
+            .chain(cobalt_opts::buggy_optimizations().iter())
+        {
+            let prepared =
+                obligations_for_optimization_with(o, &env, &meanings, BankMode::default()).unwrap();
+            add(format!("{o:?}"), prepared);
+        }
+        assert_eq!(count, 269);
+        assert_eq!(digest.finish(), 0x508b_0344_4655_7db9);
+    }
+
     #[test]
     fn fingerprints_separate_proof_relevant_inputs_and_ignore_budgets() {
         let cfg = ExecConfig::default();
