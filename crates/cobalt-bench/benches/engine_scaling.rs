@@ -14,8 +14,8 @@ use cobalt_support::{bench_group, bench_main};
 
 fn bench_single_pass_scaling(c: &mut Bench) {
     let engine = Engine::new(LabelEnv::standard());
-    let const_prop = cobalt_opts::const_prop();
-    let dae = cobalt_opts::dae();
+    let const_prop = cobalt_opts::optimization("const_prop").unwrap();
+    let dae = cobalt_opts::optimization("dae").unwrap();
     let mut group = c.benchmark_group("engine_scaling");
     for &n in SIZES {
         let prog = bench_program(n, 7);
@@ -59,7 +59,7 @@ fn bench_full_suite(c: &mut Bench) {
 
 fn bench_taint_analysis(c: &mut Bench) {
     let engine = Engine::new(LabelEnv::standard());
-    let taint = cobalt_opts::taint_analysis();
+    let taint = cobalt_opts::all_analyses().remove(0);
     let mut group = c.benchmark_group("taint_analysis");
     for &n in SIZES {
         let prog = bench_program(n, 13);

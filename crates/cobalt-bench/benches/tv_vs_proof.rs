@@ -28,7 +28,7 @@ fn optimize(engine: &Engine, prog: &Program, opts: &[Optimization]) -> (Program,
 /// all programs.
 fn bench_once_and_for_all(c: &mut Bench) {
     let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard());
-    let const_prop = cobalt_opts::const_prop();
+    let const_prop = cobalt_opts::optimization("const_prop").unwrap();
     c.bench_function("trust/prove_once", |b| {
         b.iter(|| {
             let report = verifier.verify_optimization(&const_prop).unwrap();
@@ -41,7 +41,7 @@ fn bench_once_and_for_all(c: &mut Bench) {
 /// for each program size.
 fn bench_validate_every_compile(c: &mut Bench) {
     let engine = Engine::new(LabelEnv::standard());
-    let const_prop = cobalt_opts::const_prop();
+    let const_prop = cobalt_opts::optimization("const_prop").unwrap();
     let mut group = c.benchmark_group("trust/validate_per_compile");
     for &n in SIZES {
         let prog = bench_program(n, 21);
@@ -62,7 +62,7 @@ fn bench_validate_every_compile(c: &mut Bench) {
 /// alone vs optimization + validation.
 fn bench_compile_overhead(c: &mut Bench) {
     let engine = Engine::new(LabelEnv::standard());
-    let opts = [cobalt_opts::const_prop(), cobalt_opts::dae()];
+    let opts = ["const_prop", "dae"].map(|name| cobalt_opts::optimization(name).unwrap());
     let prog = bench_program(160, 23);
     let mut group = c.benchmark_group("trust/compile_overhead");
     group.bench_function("optimize_only", |b| {

@@ -15,6 +15,7 @@ use crate::guard::Guard;
 use cobalt_il::{Expr, Var};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The name of a label, e.g. `mayDef` or `notTainted`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -188,7 +189,7 @@ pub struct LabelDef {
 /// # Examples
 ///
 /// ```
-/// use cobalt_dsl::{stdlib, LabelEnv};
+/// use cobalt_dsl::LabelEnv;
 /// let env = LabelEnv::standard();
 /// assert!(env.lookup(&"mayDef".into()).is_some());
 /// assert!(env.lookup(&"notTainted".into()).is_none()); // semantic
@@ -206,24 +207,21 @@ impl LabelEnv {
 
     /// The standard environment: `mayDef`/`mayUse` in their
     /// pointer-aware forms (paper §2.4), which degrade to the
-    /// conservative forms when no `notTainted` facts are present.
+    /// conservative forms when no `notTainted` facts are present. Their
+    /// text is `stdlib.cob`, parsed once per process.
     pub fn standard() -> Self {
-        let mut env = LabelEnv::new();
-        for def in crate::stdlib::standard_defs() {
-            env.define(def);
-        }
-        env
-    }
-
-    /// The fully conservative environment of paper §2.1.3: pointer
-    /// stores and calls may define (and pointer reads and calls may
-    /// use) *anything*, with no appeal to pointer analysis.
-    pub fn conservative() -> Self {
-        let mut env = LabelEnv::new();
-        for def in crate::stdlib::conservative_defs() {
-            env.define(def);
-        }
-        env
+        static STANDARD: OnceLock<LabelEnv> = OnceLock::new();
+        STANDARD
+            .get_or_init(|| {
+                let stdlib =
+                    crate::parse_suite(include_str!("stdlib.cob")).expect("stdlib.cob parses");
+                let mut env = LabelEnv::new();
+                for def in stdlib.labels {
+                    env.define(def);
+                }
+                env
+            })
+            .clone()
     }
 
     /// Registers (or replaces) a label definition.
@@ -289,5 +287,53 @@ mod tests {
         for name in ["mayDef", "mayUse"] {
             assert!(env.lookup(&name.into()).is_some(), "{name} missing");
         }
+    }
+
+    fn eval_may_def(stmt_src: &str, var: &str, tainted_facts: &[&str]) -> bool {
+        use crate::guard::{Domain, NodeCtx};
+        let stmt = cobalt_il::parse_stmt(stmt_src).unwrap();
+        let mut labels = LabelSet::new();
+        for v in tainted_facts {
+            labels.insert(LabelInst::new(
+                "notTainted",
+                vec![LabelArg::Var(Var::new(*v))],
+            ));
+        }
+        let env = LabelEnv::standard();
+        let domain = Domain::default();
+        let ctx = NodeCtx {
+            stmt: &stmt,
+            labels: &labels,
+            env: &env,
+            domain: &domain,
+        };
+        Guard::Label(
+            "mayDef".into(),
+            vec![LabelArgPat::Var(VarPat::Concrete(Var::new(var)))],
+        )
+        .eval(&ctx, &Subst::new())
+        .unwrap()
+    }
+
+    #[test]
+    fn call_with_const_arg_may_define_dst() {
+        assert!(eval_may_def("y := f(1)", "y", &[]));
+        assert!(eval_may_def("z := f(1)", "y", &[]));
+        // …but not a notTainted other variable.
+        assert!(!eval_may_def("z := f(1)", "y", &["y"]));
+        // The destination is always defined, even if notTainted.
+        assert!(eval_may_def("y := f(1)", "y", &["y"]));
+    }
+
+    #[test]
+    fn pointer_store_respects_taint() {
+        assert!(eval_may_def("*p := 1", "y", &[]));
+        assert!(!eval_may_def("*p := 1", "y", &["y"]));
+    }
+
+    #[test]
+    fn new_defines_only_its_destination() {
+        assert!(eval_may_def("y := new", "y", &[]));
+        assert!(!eval_may_def("y := new", "z", &[]));
     }
 }

@@ -56,7 +56,6 @@ pub mod label;
 pub mod opt;
 pub mod parser;
 pub mod pattern;
-pub mod stdlib;
 pub mod subst;
 pub mod witness;
 

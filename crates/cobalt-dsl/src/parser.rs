@@ -39,8 +39,11 @@
 //! variable whose kind is determined by its leading letter — `E…` for
 //! expressions, `C…`/`K…` for constants, `I…`/`J…` for branch-target
 //! indices (only inside `goto`), `P…` in callee position for procedure
-//! names, and anything else for program variables. Numerals are
-//! concrete constants; `...` is the wildcard.
+//! names, and anything else for program variables. A `$` before an
+//! upper-case identifier (`$P`, `$C`) also makes a pattern variable,
+//! classified by the letter after the `$`; the standard labels use such
+//! names for the variables of their `case` arms. Numerals are concrete
+//! constants; `...` is the wildcard.
 
 use crate::error::DslParseError;
 use crate::guard::Guard;
@@ -204,8 +207,16 @@ impl Parser {
                 col += i - start;
                 continue;
             }
-            if c.is_ascii_alphabetic() || c == '_' {
+            if c == '$' && !chars.get(i + 1).is_some_and(char::is_ascii_uppercase) {
+                return Err(DslParseError::new(
+                    line,
+                    col,
+                    "`$` must start a pattern variable such as `$P`",
+                ));
+            }
+            if c.is_ascii_alphabetic() || c == '_' || c == '$' {
                 let start = i;
+                i += 1;
                 while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
                     i += 1;
                 }
@@ -827,16 +838,22 @@ enum Operand {
     Int(i64),
 }
 
+/// The letter that classifies an identifier: its first, after the `$`
+/// of a `$`-prefixed pattern variable.
+fn lead(s: &str) -> Option<char> {
+    s.strip_prefix('$').unwrap_or(s).chars().next()
+}
+
 fn is_upper(s: &str) -> bool {
-    s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
+    lead(s).is_some_and(|c| c.is_ascii_uppercase())
 }
 
 fn is_expr_ident(s: &str) -> bool {
-    is_upper(s) && s.starts_with('E')
+    lead(s) == Some('E')
 }
 
 fn is_const_ident(s: &str) -> bool {
-    is_upper(s) && (s.starts_with('C') || s.starts_with('K'))
+    matches!(lead(s), Some('C' | 'K'))
 }
 
 fn var_pat(s: &str) -> VarPat {
@@ -869,7 +886,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_const_prop_equal_to_builder() {
+    fn parses_const_prop_equal_to_hand_built_ast() {
         let parsed = parse_optimization(
             "forward const_prop {
                 stmt(Y := C)
@@ -879,14 +896,14 @@ mod tests {
             }",
         )
         .unwrap();
-        let built = cobalt_test_fixture_const_prop();
+        let built = const_prop_ast();
         assert_eq!(parsed.name, built.name);
         assert_eq!(parsed.pattern, built.pattern);
     }
 
-    // Mirror of cobalt_opts::const_prop, duplicated here to avoid a
-    // dependency cycle.
-    fn cobalt_test_fixture_const_prop() -> Optimization {
+    /// The AST of the paper's Example 1, built by hand: the parser must
+    /// produce exactly this from its text.
+    fn const_prop_ast() -> Optimization {
         Optimization::new(
             "const_prop",
             TransformPattern {
@@ -1075,6 +1092,33 @@ mod tests {
         let env = suite.label_env();
         assert!(env.lookup(&"myUse".into()).is_some());
         assert!(env.lookup(&"mayDef".into()).is_some());
+    }
+
+    #[test]
+    fn dollar_names_are_pattern_variables_of_their_letters_kind() {
+        let suite = parse_suite(
+            "label l(Y) {
+                case X := $F($Z) => $P == Y
+                case X := $F($C) => true
+                else => false
+             }",
+        )
+        .unwrap();
+        let Guard::CaseStmt { arms, .. } = &suite.labels[0].body else {
+            panic!("expected case arms, got {:?}", suite.labels[0].body);
+        };
+        let call = |arg| StmtPat::Call {
+            dst: VarPat::pat("X"),
+            proc: ProcPat::Pat("$F".into()),
+            arg,
+        };
+        assert_eq!(arms[0].0, call(BasePat::Var(VarPat::pat("$Z"))));
+        assert_eq!(arms[0].1, Guard::VarEq(VarPat::pat("$P"), VarPat::pat("Y")));
+        assert_eq!(arms[1].0, call(BasePat::Const(ConstPat::pat("$C"))));
+        for bad in ["$", "$x", "$1"] {
+            let src = format!("local demo {{ rewrite X := {bad} => skip }}");
+            assert!(parse_optimization(&src).is_err(), "`{bad}` must not lex");
+        }
     }
 
     #[test]

@@ -233,40 +233,26 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::OptimizeSession;
-    use cobalt_dsl::{
-        BasePat, ConstPat, ExprPat, Guard, LabelArgPat, LhsPat, RegionGuard, StmtPat,
-        TransformPattern, VarPat, Witness,
-    };
-    use cobalt_dsl::ForwardWitness;
+    use cobalt_dsl::parse_optimization;
     use cobalt_il::{parse_program, pretty_proc};
 
+    const TAINT: &str = "analysis taint {
+        stmt(decl X)
+        followed by !stmt(... := &X)
+        defines notTainted(X)
+        with witness notPointedTo(X)
+    }";
+
     fn const_prop() -> Optimization {
-        Optimization::new(
-            "const_prop",
-            TransformPattern {
-                direction: Direction::Forward,
-                guard: GuardSpec::Region(RegionGuard {
-                    psi1: Guard::Stmt(StmtPat::Assign(
-                        LhsPat::Var(VarPat::pat("Y")),
-                        ExprPat::Base(BasePat::Const(ConstPat::pat("C"))),
-                    )),
-                    psi2: Guard::not_label("mayDef", vec![LabelArgPat::Var(VarPat::pat("Y"))]),
-                }),
-                from: StmtPat::Assign(
-                    LhsPat::Var(VarPat::pat("X")),
-                    ExprPat::Base(BasePat::Var(VarPat::pat("Y"))),
-                ),
-                to: StmtPat::Assign(
-                    LhsPat::Var(VarPat::pat("X")),
-                    ExprPat::Base(BasePat::Const(ConstPat::pat("C"))),
-                ),
-                where_clause: Guard::True,
-                witness: Witness::Forward(ForwardWitness::VarEqConst(
-                    VarPat::pat("Y"),
-                    ConstPat::pat("C"),
-                )),
-            },
+        parse_optimization(
+            "forward const_prop {
+                stmt(Y := C)
+                followed by !mayDef(Y)
+                until X := Y => X := C
+                with witness eta(Y) == C
+            }",
         )
+        .unwrap()
     }
 
     fn prep(src: &str) -> AnalyzedProc {
@@ -367,17 +353,8 @@ mod tests {
 
     #[test]
     fn local_rewrite_constant_folding() {
-        let fold = Optimization::new(
-            "const_fold",
-            TransformPattern {
-                direction: Direction::Forward,
-                guard: GuardSpec::Local,
-                from: StmtPat::Assign(LhsPat::Var(VarPat::pat("X")), ExprPat::Pat("E".into())),
-                to: StmtPat::Assign(LhsPat::Var(VarPat::pat("X")), ExprPat::Fold("E".into())),
-                where_clause: Guard::True,
-                witness: Witness::Forward(ForwardWitness::True),
-            },
-        );
+        let fold =
+            parse_optimization("local const_fold { rewrite X := E => X := fold(E) }").unwrap();
         let engine = Engine::new(LabelEnv::standard());
         let ap = prep("proc main(x) { a := 2 + 3; b := x + 1; c := 1 / 0; return a; }");
         let (proc, applied) = engine.apply(&ap, &fold).unwrap();
@@ -393,24 +370,8 @@ mod tests {
 
     #[test]
     fn pure_analysis_not_tainted() {
-        use cobalt_dsl::PureAnalysis;
         // notTainted(X): decl X followed by ¬stmt(... := &X).
-        let analysis = PureAnalysis {
-            name: "taint".into(),
-            guard: RegionGuard {
-                psi1: Guard::Stmt(StmtPat::Decl(VarPat::pat("X"))),
-                psi2: Guard::Stmt(StmtPat::Assign(
-                    LhsPat::Any,
-                    ExprPat::AddrOf(VarPat::pat("X")),
-                ))
-                .negate(),
-            },
-            defines: (
-                "notTainted".into(),
-                vec![LabelArgPat::Var(VarPat::pat("X"))],
-            ),
-            witness: ForwardWitness::NotPointedTo(VarPat::pat("X")),
-        };
+        let analysis = cobalt_dsl::parse_analysis(TAINT).unwrap();
         let engine = Engine::new(LabelEnv::standard());
         let mut ap = prep(
             "proc main(x) {

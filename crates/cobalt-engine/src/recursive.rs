@@ -156,34 +156,17 @@ mod tests {
     use cobalt_il::{parse_program, pretty_proc, Interp, Program, Stmt};
 
     fn dae_like() -> Optimization {
-        // Local mirror of cobalt_opts::dae (cobalt-engine cannot depend
-        // on cobalt-opts).
-        use cobalt_dsl::{
-            BackwardWitness, Direction, ExprPat, Guard, GuardSpec, LabelArgPat, LhsPat,
-            RegionGuard, StmtPat, TransformPattern, VarPat, Witness,
-        };
-        let not_use =
-            Guard::not_label("mayUse", vec![LabelArgPat::Var(VarPat::pat("X"))]);
-        Optimization::new(
-            "dae",
-            TransformPattern {
-                direction: Direction::Backward,
-                guard: GuardSpec::Region(RegionGuard {
-                    psi1: Guard::and([
-                        Guard::or([
-                            Guard::Stmt(StmtPat::Assign(LhsPat::Var(VarPat::pat("X")), ExprPat::Any)),
-                            Guard::Stmt(StmtPat::ReturnAny),
-                        ]),
-                        not_use.clone(),
-                    ]),
-                    psi2: not_use,
-                }),
-                from: StmtPat::Assign(LhsPat::Var(VarPat::pat("X")), ExprPat::Pat("E".into())),
-                to: StmtPat::Skip,
-                where_clause: Guard::True,
-                witness: Witness::Backward(BackwardWitness::AgreeExcept(VarPat::pat("X"))),
-            },
+        // The `dae` rule of cobalt-opts' suite.cob (cobalt-engine cannot
+        // depend on cobalt-opts).
+        cobalt_dsl::parse_optimization(
+            "backward dae {
+                (stmt(X := ...) || stmt(return ...)) && !mayUse(X)
+                preceded by !mayUse(X)
+                since X := E => skip
+                with witness old/X == new/X
+            }",
         )
+        .unwrap()
     }
 
     #[test]

@@ -350,39 +350,19 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobalt_dsl::{
-        BasePat, ConstPat, Direction, ExprPat, ForwardWitness, Guard, GuardSpec, LabelArgPat,
-        LabelEnv, LhsPat, RegionGuard, StmtPat, TransformPattern, VarPat, Witness,
-    };
+    use cobalt_dsl::{Guard, LabelArgPat, LabelEnv, VarPat};
     use cobalt_il::{parse_program, Program};
 
     fn const_prop() -> Optimization {
-        Optimization::new(
-            "const_prop",
-            TransformPattern {
-                direction: Direction::Forward,
-                guard: GuardSpec::Region(RegionGuard {
-                    psi1: Guard::Stmt(StmtPat::Assign(
-                        LhsPat::Var(VarPat::pat("Y")),
-                        ExprPat::Base(BasePat::Const(ConstPat::pat("C"))),
-                    )),
-                    psi2: Guard::not_label("mayDef", vec![LabelArgPat::Var(VarPat::pat("Y"))]),
-                }),
-                from: StmtPat::Assign(
-                    LhsPat::Var(VarPat::pat("X")),
-                    ExprPat::Base(BasePat::Var(VarPat::pat("Y"))),
-                ),
-                to: StmtPat::Assign(
-                    LhsPat::Var(VarPat::pat("X")),
-                    ExprPat::Base(BasePat::Const(ConstPat::pat("C"))),
-                ),
-                where_clause: Guard::True,
-                witness: Witness::Forward(ForwardWitness::VarEqConst(
-                    VarPat::pat("Y"),
-                    ConstPat::pat("C"),
-                )),
-            },
+        cobalt_dsl::parse_optimization(
+            "forward const_prop {
+                stmt(Y := C)
+                followed by !mayDef(Y)
+                until X := Y => X := C
+                with witness eta(Y) == C
+            }",
         )
+        .unwrap()
     }
 
     /// A pass whose `where` clause calls `mayDef` with the wrong arity,
@@ -461,22 +441,15 @@ mod tests {
 
     #[test]
     fn injected_analysis_fault_only_costs_labels() {
-        let analyses = [PureAnalysis {
-            name: "taint".into(),
-            guard: RegionGuard {
-                psi1: Guard::Stmt(StmtPat::Decl(VarPat::pat("X"))),
-                psi2: Guard::Stmt(StmtPat::Assign(
-                    LhsPat::Any,
-                    ExprPat::AddrOf(VarPat::pat("X")),
-                ))
-                .negate(),
-            },
-            defines: (
-                "notTainted".into(),
-                vec![LabelArgPat::Var(VarPat::pat("X"))],
-            ),
-            witness: ForwardWitness::NotPointedTo(VarPat::pat("X")),
-        }];
+        let analyses = [cobalt_dsl::parse_analysis(
+            "analysis taint {
+                stmt(decl X)
+                followed by !stmt(... := &X)
+                defines notTainted(X)
+                with witness notPointedTo(X)
+            }",
+        )
+        .unwrap()];
         let (out, report) = cobalt_support::fault::with_faults("engine.analysis:panic@1", || {
             optimize(&analyses, &[const_prop()])
         });

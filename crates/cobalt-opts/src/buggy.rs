@@ -1,95 +1,12 @@
-//! Deliberately unsound optimization variants, reproducing the
-//! debugging story of paper §6.
-//!
-//! The initial version of the authors' redundant-load elimination
-//! "precluded pointer stores from the witnessing region, to ensure that
-//! the value of `*X` was not modified. However, a failed soundness
-//! proof made us realize that even a direct assignment `Y := …` can
-//! change the value of `*X`, because `X` could point to `Y`."
-//!
-//! [`load_elim_no_alias`] is that buggy version: its region guard
-//! excludes pointer stores and calls but allows arbitrary direct
-//! assignments. The checker rejects it (see the `unsound_rejected`
-//! integration test), and the differential tests exhibit a concrete
-//! program it miscompiles.
-
-use cobalt_dsl::{
-    Direction, ExprPat, ForwardWitness, Guard, GuardSpec, LhsPat, Optimization,
-    ProcPat, RegionGuard, StmtPat, TransformPattern, VarPat, Witness,
-};
-
-fn var(p: &str) -> VarPat {
-    VarPat::pat(p)
-}
-
-/// "No pointer store, no call, no redefinition of `X` or `P`" — the
-/// plausible-but-wrong innocuousness condition: it misses direct
-/// assignments to variables `*P` may alias.
-fn no_store_no_call_no_def() -> Guard {
-    Guard::and([
-        // Not a pointer store.
-        Guard::Stmt(StmtPat::Assign(
-            LhsPat::Deref(var("$Q")),
-            ExprPat::Any,
-        ))
-        .negate(),
-        // Not a call.
-        Guard::Stmt(StmtPat::Call {
-            dst: var("$D"),
-            proc: ProcPat::Pat("$F".into()),
-            arg: cobalt_dsl::BasePat::Var(var("$Z")),
-        })
-        .negate(),
-        Guard::Stmt(StmtPat::Call {
-            dst: var("$D"),
-            proc: ProcPat::Pat("$F".into()),
-            arg: cobalt_dsl::BasePat::Const(cobalt_dsl::ConstPat::pat("$C")),
-        })
-        .negate(),
-        // X and P keep their values (syntactically).
-        Guard::SyntacticDef(var("X")).negate(),
-        Guard::SyntacticDef(var("P")).negate(),
-    ])
-}
-
-/// The unsound redundant-load elimination of paper §6:
-///
-/// ```text
-/// stmt(X := *P)
-/// followed by ⟨no pointer stores, no calls, no defs of X or P⟩
-/// until Y := *P ⇒ Y := X
-/// with witness η(X) = η(*P)
-/// ```
-///
-/// Compare with the sound `cobalt_opts::load_elim`, whose region uses
-/// `unchanged(*P)` and therefore accounts for aliased direct
-/// assignments via taint information.
-pub fn load_elim_no_alias() -> Optimization {
-    let load = || ExprPat::Deref(var("P"));
-    Optimization::new(
-        "buggy_load_elim_no_alias",
-        TransformPattern {
-            direction: Direction::Forward,
-            guard: GuardSpec::Region(RegionGuard {
-                psi1: Guard::Stmt(StmtPat::Assign(LhsPat::Var(var("X")), load())),
-                psi2: no_store_no_call_no_def(),
-            }),
-            from: StmtPat::Assign(LhsPat::Var(var("Y")), load()),
-            to: StmtPat::Assign(
-                LhsPat::Var(var("Y")),
-                ExprPat::Base(cobalt_dsl::BasePat::Var(var("X"))),
-            ),
-            where_clause: Guard::True,
-            witness: Witness::Forward(ForwardWitness::VarEqExpr(var("X"), load())),
-        },
-    )
-}
+//! A program that the deliberately unsound optimization of paper §6
+//! (`suite/buggy.cob`, served by [`crate::buggy_optimizations`])
+//! miscompiles.
 
 /// A program the buggy optimization miscompiles: `p` points to `y`, and
 /// the direct assignment `y := 9` between the two loads changes `*p`.
 ///
-/// Running the original returns 9; after `load_elim_no_alias` rewrites
-/// the second load to `b := a`, it returns 7.
+/// Running the original returns 9; after `buggy_load_elim_no_alias`
+/// rewrites the second load to `b := a`, it returns 7.
 pub fn counterexample_program() -> cobalt_il::Program {
     cobalt_il::parse_program(COUNTEREXAMPLE_SRC).expect("counterexample program parses")
 }
@@ -122,7 +39,7 @@ mod tests {
 
         let engine = Engine::new(LabelEnv::standard());
         let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-        let (bad, applied) = engine.apply(&ap, &load_elim_no_alias()).unwrap();
+        let (bad, applied) = engine.apply(&ap, &crate::buggy_optimizations()[0]).unwrap();
         assert_eq!(applied.len(), 1, "buggy opt should fire");
         assert_eq!(bad.stmts[8].to_string(), "b := a");
         let bad_prog = cobalt_il::Program::new(vec![bad]);
@@ -135,7 +52,8 @@ mod tests {
         let prog = counterexample_program();
         let engine = Engine::new(LabelEnv::standard());
         let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-        let (_, applied) = engine.apply(&ap, &crate::load_elim()).unwrap();
+        let load_elim = crate::optimization("load_elim").unwrap();
+        let (_, applied) = engine.apply(&ap, &load_elim).unwrap();
         assert!(applied.is_empty());
     }
 }

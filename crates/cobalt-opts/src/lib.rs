@@ -3,23 +3,24 @@
 //! The optimization suite of *Lerner, Millstein & Chambers,
 //! "Automatically Proving the Correctness of Compiler Optimizations"
 //! (PLDI 2003)* — "a dozen Cobalt optimizations and analyses" (§5.1),
-//! written against `cobalt-dsl`, executable with `cobalt-engine`, and
-//! provable with `cobalt-verify`:
+//! executable with `cobalt-engine` and provable with `cobalt-verify`.
+//! Each rule is its Cobalt text in `suite/suite.cob`, parsed once per
+//! process into the [registry](registry):
 //!
-//! * forward: [constant propagation](const_prop),
-//!   [constant folding](const_fold), [copy propagation](copy_prop),
-//!   [common subexpression elimination](cse),
-//!   [redundant load elimination](load_elim),
-//!   [branch folding](branch_fold_true) (both directions),
-//!   [self-assignment removal](self_assign_removal);
-//! * backward: [dead assignment elimination](dae),
-//!   [PRE code duplication](pre_duplicate) with its profitability
-//!   heuristic (§2.3);
-//! * pure analyses: the [taintedness pointer analysis](taint_analysis)
-//!   (§2.4);
-//! * and, for the §6 debugging story, the deliberately
-//!   [unsound load elimination](buggy::load_elim_no_alias) that the
-//!   checker rejects.
+//! * forward: constant propagation (into assignments, branch conditions
+//!   and call arguments), constant folding, copy propagation, common
+//!   subexpression elimination, redundant load elimination, branch
+//!   folding (both directions), self-assignment removal;
+//! * backward: dead assignment elimination and PRE code duplication
+//!   (§2.3);
+//! * pure analyses: the taintedness pointer analysis (§2.4);
+//! * and, for the §6 debugging story, the deliberately unsound load
+//!   elimination of `suite/buggy.cob`, which the checker rejects, with
+//!   a [program it miscompiles](buggy::counterexample_program).
+//!
+//! The only Rust beside the text is what the paper puts there: the
+//! profitability heuristics of `cse`, `const_fold` and PRE (§2.3),
+//! attached by rule name. [`optimization`] looks a rule up by name.
 //!
 //! # Examples
 //!
@@ -47,16 +48,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backward;
 pub mod buggy;
-pub mod forward;
-pub mod pointer;
 pub mod registry;
 
-pub use backward::{dae, pre_duplicate};
-pub use forward::{
-    branch_fold_false, branch_fold_true, const_fold, const_prop, const_prop_branch,
-    const_prop_call, copy_prop, cse, load_elim, self_assign_removal,
+pub use registry::{
+    all_analyses, all_optimizations, buggy_optimizations, default_pipeline, optimization,
+    pre_pipeline,
 };
-pub use pointer::taint_analysis;
-pub use registry::{all_analyses, all_optimizations, buggy_optimizations, default_pipeline, pre_pipeline};

@@ -43,7 +43,7 @@ pub const EXIT_RESOURCE_LIMITED: u8 = 3;
 /// Version tag mixed into every request fingerprint; bump on any
 /// change to the fingerprint inputs or the rendered output format so
 /// stale caches invalidate wholesale instead of aliasing.
-const FINGERPRINT_VERSION: &str = "cobalt-serve-fp-v1";
+const FINGERPRINT_VERSION: &str = "cobalt-serve-fp-v2";
 
 /// Per-request execution settings, fixed at daemon startup (requests
 /// choose *what* to run; the daemon's operator chooses the budgets it
@@ -219,7 +219,7 @@ fn execute_op(op: &RequestOp, cfg: &ExecConfig, cancel: &Cancel) -> Result<ExecR
             // Every rule's report budget observes the request token, so
             // a drain trip stands every rule's batch down.
             let rules = rules(suite.as_deref())?;
-            let mut verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard())
+            let mut verifier = Verifier::new(rules.label_env(), SemanticMeanings::standard())
                 .with_retry_policy(cfg.policy.clone())
                 .with_jobs(cfg.jobs)
                 .with_cancel(cancel.clone());
@@ -271,7 +271,8 @@ impl Prover for Session {
 }
 
 /// The rules a verify request covers: the built-in registry
-/// (`suite: None`) or the parsed suite text.
+/// (`suite: None`) or the parsed suite text, whose own `label`
+/// definitions [`Suite::label_env`] puts in scope.
 ///
 /// # Errors
 ///
@@ -406,14 +407,10 @@ pub fn pipeline(program: &str, passes: &str) -> Result<(Program, Vec<Optimizatio
     if passes == "all" {
         return Ok((prog, cobalt_opts::default_pipeline()));
     }
-    let registry = cobalt_opts::all_optimizations();
     let passes = passes
         .split(',')
         .map(|name| {
-            registry
-                .iter()
-                .find(|o| o.name == name)
-                .cloned()
+            cobalt_opts::optimization(name)
                 .ok_or_else(|| ExecResult::error(format!("unknown pass `{name}`")))
         })
         .collect::<Result<_, _>>()?;

@@ -16,13 +16,13 @@ props! {
         let prog = generate(&GenConfig::sized(24, seed));
         let session = || OptimizeSession::new(Engine::new(LabelEnv::standard()));
         for opt in [
-            cobalt_opts::const_prop(),
-            cobalt_opts::copy_prop(),
-            cobalt_opts::const_fold(),
-            cobalt_opts::branch_fold_true(),
-            cobalt_opts::branch_fold_false(),
-            cobalt_opts::self_assign_removal(),
-            cobalt_opts::dae(),
+            cobalt_opts::optimization("const_prop").unwrap(),
+            cobalt_opts::optimization("copy_prop").unwrap(),
+            cobalt_opts::optimization("const_fold").unwrap(),
+            cobalt_opts::optimization("branch_fold_true").unwrap(),
+            cobalt_opts::optimization("branch_fold_false").unwrap(),
+            cobalt_opts::optimization("self_assign_removal").unwrap(),
+            cobalt_opts::optimization("dae").unwrap(),
         ] {
             let (optimized, report) =
                 session().optimize_program(&prog, &[], std::slice::from_ref(&opt), 1);

@@ -130,18 +130,19 @@ mod tests {
     fn infers_the_paper_s_example() {
         // §7: const-prop's witness is the strongest postcondition of
         // Y := C.
-        let guessed = infer_witness(&cobalt_opts::const_prop()).unwrap();
-        assert_eq!(guessed, cobalt_opts::const_prop().pattern.witness);
+        let const_prop = cobalt_opts::optimization("const_prop").unwrap();
+        let guessed = infer_witness(&const_prop).unwrap();
+        assert_eq!(guessed, const_prop.pattern.witness);
     }
 
     #[test]
     fn infers_backward_agree_except() {
-        let guessed = infer_witness(&cobalt_opts::dae()).unwrap();
+        let guessed = infer_witness(&cobalt_opts::optimization("dae").unwrap()).unwrap();
         assert_eq!(
             guessed,
             Witness::Backward(BackwardWitness::AgreeExcept(x()))
         );
-        let guessed = infer_witness(&cobalt_opts::pre_duplicate()).unwrap();
+        let guessed = infer_witness(&cobalt_opts::optimization("pre_duplicate").unwrap()).unwrap();
         assert_eq!(
             guessed,
             Witness::Backward(BackwardWitness::AgreeExcept(x()))
@@ -177,7 +178,7 @@ mod tests {
         // Inferring a witness for the unsound optimization must not
         // make it verify.
         let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard());
-        let buggy = cobalt_opts::buggy::load_elim_no_alias();
+        let buggy = cobalt_opts::buggy_optimizations().remove(0);
         if let Some(guessed) = with_inferred_witness(&buggy) {
             let report = verifier.verify_optimization(&guessed).unwrap();
             assert!(!report.all_proved());
@@ -189,7 +190,7 @@ mod tests {
         // DAE's ψ1 has two alternatives (assignment or return) — for a
         // FORWARD pattern that shape would be ambiguous; check the
         // collector sees both.
-        let dae = cobalt_opts::dae();
+        let dae = cobalt_opts::optimization("dae").unwrap();
         if let GuardSpec::Region(rg) = &dae.pattern.guard {
             assert_eq!(enabling_stmts(&rg.psi1).len(), 2);
         }

@@ -62,7 +62,7 @@ fn malformed_rule_rejected_without_prover_invocation() {
 
 #[test]
 fn clean_rule_passes_the_gate_and_proves() {
-    let cp = cobalt_opts::const_prop();
+    let cp = cobalt_opts::optimization("const_prop").unwrap();
     let report = verifier().verify_optimization(&cp).expect("gate clean");
     assert!(report.all_proved(), "{}", report.summary());
 }
@@ -92,7 +92,7 @@ fn warnings_do_not_gate() {
 #[test]
 fn lint_panic_is_isolated_into_cl000() {
     let err = with_faults("lint.rule:panic@1", || {
-        verifier().verify_optimization(&cobalt_opts::const_prop())
+        verifier().verify_optimization(&cobalt_opts::optimization("const_prop").unwrap())
     })
     .expect_err("panicking lint must reject, not unwind");
     let VerifyError::Lint(diags) = err else {
@@ -121,7 +121,7 @@ fn analysis_gate_rejects_unbound_defines() {
     assert!(matches!(err, VerifyError::Lint(_)), "{err}");
 
     // The shipped taint analysis passes the gate and proves.
-    let taint = cobalt_opts::taint_analysis();
+    let taint = cobalt_opts::all_analyses().remove(0);
     let report = verifier().verify_analysis(&taint).expect("gate clean");
     assert!(report.all_proved(), "{}", report.summary());
 }

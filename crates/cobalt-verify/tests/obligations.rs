@@ -59,7 +59,7 @@ fn forward_obligation_set_structure() {
 #[test]
 fn backward_obligation_set_structure() {
     let (defs, meanings) = env();
-    let dae = cobalt_opts::dae();
+    let dae = cobalt_opts::optimization("dae").unwrap();
     let obls = obligations_for_optimization(&dae, &defs, &meanings).unwrap();
     let ids: Vec<&str> = obls.iter().map(|o| o.id.as_str()).collect();
     assert!(ids.contains(&"B1"));
@@ -75,7 +75,7 @@ fn backward_obligation_set_structure() {
 fn failed_obligations_report_counterexample_context() {
     let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard());
     let report = verifier
-        .verify_optimization(&cobalt_opts::buggy::load_elim_no_alias())
+        .verify_optimization(&cobalt_opts::buggy_optimizations().remove(0))
         .unwrap();
     assert!(!report.all_proved());
     let failed = report.outcomes.iter().find(|o| !o.proved).unwrap();
@@ -164,7 +164,7 @@ fn semantic_labels_without_meanings_are_conservative() {
     // because ¬notTainted ≡ true is the conservative direction.
     let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::none());
     let report = verifier
-        .verify_optimization(&cobalt_opts::const_prop())
+        .verify_optimization(&cobalt_opts::optimization("const_prop").unwrap())
         .unwrap();
     assert!(report.all_proved(), "{:?}", report.failures());
 }
@@ -180,26 +180,46 @@ fn verified_analysis_unlocks_dependent_optimizations() {
     // analysis's own witness.)
     let mut verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::none());
     let report = verifier
-        .verify_and_register_analysis(&cobalt_opts::taint_analysis())
+        .verify_and_register_analysis(&cobalt_opts::all_analyses().remove(0))
         .unwrap();
     assert!(report.all_proved(), "{:?}", report.failures());
     let report = verifier
-        .verify_optimization(&cobalt_opts::load_elim())
+        .verify_optimization(&cobalt_opts::optimization("load_elim").unwrap())
         .unwrap();
     assert!(report.all_proved(), "{:?}", report.failures());
 }
+
+/// The fully conservative `mayDef`/`mayUse` of paper §2.1.3: pointer
+/// stores and calls may define, and pointer reads and calls may use,
+/// anything, with no appeal to pointer information.
+const CONSERVATIVE_LABELS: &str = "
+    label mayDef(Y) {
+        case *$P := ...    => true
+        case $D := $F($Z)  => true
+        case $D := $F($C)  => true
+        else               => syntacticDef(Y)
+    }
+    label mayUse(Y) {
+        case ... := *$P    => true
+        case $D := $F($Z)  => true
+        case $D := $F($C)  => true
+        else               => syntacticUse(Y)
+    }";
 
 #[test]
 fn suite_verifies_under_conservative_labels_too() {
     // Paper §2.1.3 vs §2.4: the suite proves under the fully
     // conservative mayDef/mayUse as well — pointer information only
     // buys precision, never soundness.
-    let verifier = Verifier::new(LabelEnv::conservative(), SemanticMeanings::none());
+    let conservative = cobalt_dsl::parse_suite(CONSERVATIVE_LABELS)
+        .unwrap()
+        .label_env();
+    let verifier = Verifier::new(conservative, SemanticMeanings::none());
     for opt in [
-        cobalt_opts::const_prop(),
-        cobalt_opts::copy_prop(),
-        cobalt_opts::cse(),
-        cobalt_opts::dae(),
+        cobalt_opts::optimization("const_prop").unwrap(),
+        cobalt_opts::optimization("copy_prop").unwrap(),
+        cobalt_opts::optimization("cse").unwrap(),
+        cobalt_opts::optimization("dae").unwrap(),
     ] {
         let report = verifier.verify_optimization(&opt).unwrap();
         assert!(

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // The buggy version excludes pointer stores from the witnessing
     // region but forgets that a direct assignment `y := …` can change
     // `*p` when p points to y.
-    let buggy = cobalt::opts::buggy::load_elim_no_alias();
+    let buggy = cobalt::opts::buggy_optimizations().remove(0);
     let report = verifier.verify_optimization(&buggy)?;
     println!("{}", report.summary());
     assert!(!report.all_proved());
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // The fix: use unchanged(*P), which consults the taintedness
     // analysis — exactly the paper's resolution.
-    let fixed = cobalt::opts::load_elim();
+    let fixed = cobalt::opts::optimization("load_elim").unwrap();
     let report = verifier.verify_optimization(&fixed)?;
     println!("\n{}", report.summary());
     assert!(report.all_proved());

@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     //   stmt(Y := C) followed by ¬mayDef(Y)
     //   until X := Y ⇒ X := C
     //   with witness η(Y) = C
-    let const_prop = cobalt::opts::const_prop();
+    let const_prop = cobalt::opts::optimization("const_prop").unwrap();
 
     // 1. Prove it sound — this discharges the F1/F2/F3 obligations of
     //    paper §4.2 with the automatic theorem prover. The proof is

@@ -465,28 +465,18 @@ wait "$serve_pid"
 set -e
 rm -f "$serve_port" "$serve_journal" /tmp/cobalt_serve_log.$$
 
-echo "== perf stage (prover_speed trajectory)"
+echo "== perf stage (verify_registry correctness smoke)"
 
-# The raw-speed trajectory datapoint (ISSUE 6, BENCH_*.json): run the
-# prover_speed bench at one worker in fast mode and check it emits a
-# well-formed BENCH_JSON record. No threshold gating — the stage fails
-# only if the bench harness itself errors; the numbers are for the
-# committed per-PR trajectory, not for pass/fail.
-bench_json=$(mktemp -u /tmp/cobalt_bench_json_XXXXXX)
-set +e
-COBALT_BENCH_FAST=1 COBALT_BENCH_JSON="$bench_json" \
-    cargo bench --offline -p cobalt-bench --bench prover_speed >/dev/null 2>&1
-code=$?
-set -e
-if [[ $code -ne 0 ]]; then
-    echo "perf: prover_speed bench harness exited $code"; rm -f "$bench_json"; exit 1
+# Correctness smoke over the benchmark's verify workload: the registry
+# plus the section-6 unsound rule, proved rule by rule. The traced
+# replay re-derives every obligation and must match the Verifier's
+# verdicts; the oracles require every sound rule to prove and the
+# unsound rule to be rejected. The last line is the run's JSON result.
+last=$(perfbench/target/release/perfbench --workload verify_registry --seed 1 \
+    --seconds 2 --trace 1 | tail -n 1)
+if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0' <<<"$last"; then
+    echo "perf: perfbench verify_registry smoke failed:"; echo "$last"; exit 1
 fi
-if ! grep -q '"name":"prover_speed/registry_shared/jobs=1"' "$bench_json"; then
-    echo "perf: prover_speed emitted no registry_shared datapoint:"
-    cat "$bench_json" 2>/dev/null; rm -f "$bench_json"; exit 1
-fi
-grep 'registry_' "$bench_json" | sed 's/^/  /'
-rm -f "$bench_json"
 
 if [[ "${1:-}" == "--benches" ]]; then
     for bench in proof_times engine_scaling tv_vs_proof prover_ablation prover_speed serve_load; do

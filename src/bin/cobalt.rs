@@ -372,20 +372,19 @@ fn cmd_optimize(args: &[String]) -> Result<String, CliError> {
         notes.push_str(&format!("// note: journaling disabled ({reason})\n"));
     }
     if args.iter().any(|a| a == "--recursive-dae") {
+        let dae = cobalt::opts::optimization("dae").expect("dae is in the registry");
         let mut extra = 0;
         for proc in out.procs.clone() {
             // Budget exhaustion is exit 3 (inconclusive), anything else 1.
             let (p, removed) =
-                cobalt::engine::apply_recursive(&engine, &proc, &cobalt::opts::dae()).map_err(
-                    |e| CliError {
-                        code: match e {
-                            EngineError::ResourceLimited(_) => EXIT_RESOURCE_LIMITED,
-                            _ => 1,
-                        },
-                        msg: e.to_string(),
-                        out: None,
+                cobalt::engine::apply_recursive(&engine, &proc, &dae).map_err(|e| CliError {
+                    code: match e {
+                        EngineError::ResourceLimited(_) => EXIT_RESOURCE_LIMITED,
+                        _ => 1,
                     },
-                )?;
+                    msg: e.to_string(),
+                    out: None,
+                })?;
             extra += removed.len();
             out = out.with_proc_replaced(p);
         }
@@ -504,7 +503,7 @@ fn cmd_verify(args: &[String]) -> Result<String, CliError> {
     let common = CommonFlags::parse(args, "verify")?;
     let suite = pos.first().map(|p| read(p)).transpose()?;
     let rules = exec::rules(suite.as_deref()).map_err(|e| CliError::general(e.output))?;
-    let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard())
+    let verifier = Verifier::new(rules.label_env(), SemanticMeanings::standard())
         .with_retry_policy(verify_policy(args, &common)?)
         .with_jobs(common.jobs);
     let mut session = verify_session(&common, verifier)?;
@@ -556,7 +555,6 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
             )))
         }
     };
-    let env = LabelEnv::standard();
     let lint_opts = RuleLintOptions::default();
     let mut diags = Diagnostics::new();
     let pos = positional(args);
@@ -565,7 +563,7 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
         // included deliberately: they must be structurally clean — the
         // bug each one carries is semantic, which is the prover's job
         // (DESIGN.md §9).
-        let analyses = cobalt::opts::all_analyses();
+        let (env, analyses) = (LabelEnv::standard(), cobalt::opts::all_analyses());
         let ctx = LintContext::new(&env).with_analyses(&analyses);
         for a in &analyses {
             diags.absorb(lint_analysis(a, &ctx, &lint_opts));
@@ -581,6 +579,7 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
             if path.ends_with(".cob") {
                 let suite =
                     cobalt::dsl::parse_suite(&read(path)?).map_err(|e| e.to_string())?;
+                let env = suite.label_env();
                 let ctx = LintContext::new(&env).with_analyses(&suite.analyses);
                 for a in &suite.analyses {
                     diags.absorb(lint_analysis(a, &ctx, &lint_opts));
@@ -653,26 +652,30 @@ fn cmd_hunt(args: &[String]) -> Result<String, String> {
         .unwrap_or("3000")
         .parse()
         .map_err(|e| format!("--tries: {e}"))?;
-    let opt = if *what == "buggy" {
-        cobalt::opts::buggy::load_elim_no_alias()
+    let (opt, env) = if *what == "buggy" {
+        (
+            cobalt::opts::buggy_optimizations().remove(0),
+            LabelEnv::standard(),
+        )
     } else if what.ends_with(".cob") {
         let suite = cobalt::dsl::parse_suite(&read(what)?).map_err(|e| e.to_string())?;
-        suite
+        let env = suite.label_env();
+        let opt = suite
             .optimizations
             .into_iter()
             .next()
-            .ok_or_else(|| "suite file contains no optimizations".to_string())?
+            .ok_or_else(|| "suite file contains no optimizations".to_string())?;
+        (opt, env)
     } else {
-        cobalt::opts::all_optimizations()
-            .into_iter()
-            .find(|o| &o.name == what)
-            .ok_or_else(|| format!("unknown optimization `{what}`"))?
+        let opt = cobalt::opts::optimization(what)
+            .ok_or_else(|| format!("unknown optimization `{what}`"))?;
+        (opt, LabelEnv::standard())
     };
     let cfg = cobalt::synth::SynthConfig {
         tries,
         ..Default::default()
     };
-    match cobalt::synth::find_counterexample(&opt, &cfg) {
+    match cobalt::synth::find_counterexample(&opt, &env, &cfg) {
         Some(cx) => Ok(format!("counterexample found for `{}`:\n{cx}", opt.name)),
         None => Ok(format!(
             "no counterexample found for `{}` in {tries} tries\n",

@@ -40,7 +40,7 @@
 //! use cobalt::il::parse_program;
 //! use cobalt::verify::{SemanticMeanings, Verifier};
 //!
-//! let const_prop = cobalt::opts::const_prop();
+//! let const_prop = cobalt::opts::optimization("const_prop").unwrap();
 //!
 //! // 1. Prove it sound — once, for all programs.
 //! let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard());

@@ -71,13 +71,18 @@ impl Default for SynthConfig {
     }
 }
 
-/// Searches for a program the optimization miscompiles.
+/// Searches for a program the optimization miscompiles, with `env`'s
+/// label definitions in scope.
 ///
 /// Returns `None` if no counterexample is found within the budget —
 /// which is evidence of soundness only in the empirical sense; the real
 /// guarantee comes from `cobalt-verify`.
-pub fn find_counterexample(opt: &Optimization, config: &SynthConfig) -> Option<Counterexample> {
-    let engine = Engine::new(LabelEnv::standard());
+pub fn find_counterexample(
+    opt: &Optimization,
+    env: &LabelEnv,
+    config: &SynthConfig,
+) -> Option<Counterexample> {
+    let engine = Engine::new(env.clone());
     for t in 0..config.tries {
         let gen_cfg = GenConfig {
             num_stmts: config.program_size,
@@ -174,7 +179,8 @@ mod tests {
     #[test]
     fn synthesizes_a_counterexample_for_the_buggy_load_elim() {
         let cx = find_counterexample(
-            &cobalt_opts::buggy::load_elim_no_alias(),
+            &cobalt_opts::buggy_optimizations()[0],
+            &LabelEnv::standard(),
             &SynthConfig::default(),
         )
         .expect("the unsound optimization must have a counterexample");
@@ -204,7 +210,9 @@ mod tests {
             tries: 400,
             ..SynthConfig::default()
         };
-        assert!(find_counterexample(&cobalt_opts::load_elim(), &cfg).is_none());
-        assert!(find_counterexample(&cobalt_opts::const_prop(), &cfg).is_none());
+        for name in ["load_elim", "const_prop"] {
+            let opt = cobalt_opts::optimization(name).unwrap();
+            assert!(find_counterexample(&opt, &LabelEnv::standard(), &cfg).is_none());
+        }
     }
 }

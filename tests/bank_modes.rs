@@ -141,7 +141,7 @@ fn unsound_rules_are_rejected_identically_across_bank_modes() {
 /// bank-layout-dependent and would differ under a shared base).
 #[test]
 fn open_branch_context_is_golden_across_bank_modes() {
-    let buggy = cobalt::opts::buggy::load_elim_no_alias();
+    let buggy = cobalt::opts::buggy_optimizations().remove(0);
     let details: Vec<String> = [BankMode::PerObligation, BankMode::BatchShared]
         .into_iter()
         .map(|mode| {
@@ -205,7 +205,7 @@ fn journal_contents_are_identical_across_bank_modes() {
 /// default — the no-cache-invalidation acceptance criterion.
 #[test]
 fn fingerprints_survive_the_bank_mode_switch() {
-    let opt = cobalt::opts::const_prop();
+    let opt = cobalt::opts::optimization("const_prop").unwrap();
     let env = LabelEnv::standard();
     let meanings = SemanticMeanings::standard();
     let tiers = RetryPolicy::default().tiers;
@@ -270,7 +270,7 @@ fn budget_tripped_instantiations_retry_and_prove_on_escalation() {
         ],
         report_deadline: None,
     };
-    let opt = cobalt::opts::const_prop();
+    let opt = cobalt::opts::optimization("const_prop").unwrap();
     for mode in [BankMode::PerObligation, BankMode::BatchShared] {
         let report = verifier(1, mode)
             .with_retry_policy(starved.clone())

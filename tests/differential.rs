@@ -73,7 +73,8 @@ props! {
         // semantically equivalent program.
         let prog = generate(&GenConfig::sized(24, seed));
         let engine = Engine::new(LabelEnv::standard());
-        for opt in [cobalt::opts::const_prop(), cobalt::opts::dae(), cobalt::opts::cse()] {
+        for name in ["const_prop", "dae", "cse"] {
+            let opt = cobalt::opts::optimization(name).unwrap();
             let main = prog.main().unwrap().clone();
             let ap = AnalyzedProc::new(main).unwrap();
             let delta = engine.legal_sites(&ap, &opt).unwrap();
@@ -97,8 +98,8 @@ props! {
         let prog = generate(&GenConfig::sized(24, seed));
         let engine = Engine::new(LabelEnv::standard());
         let main = prog.main().unwrap();
-        let (optimized, _) =
-            cobalt::engine::apply_recursive(&engine, main, &cobalt::opts::dae()).unwrap();
+        let dae = cobalt::opts::optimization("dae").unwrap();
+        let (optimized, _) = cobalt::engine::apply_recursive(&engine, main, &dae).unwrap();
         let new_prog = prog.with_proc_replaced(optimized);
         check_equivalent(&prog, &new_prog, arg, "recursive DAE");
     }
@@ -118,7 +119,7 @@ fn buggy_variant_fails_differentially_where_sound_suite_does_not() {
     let engine = Engine::new(LabelEnv::standard());
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
     let (bad, _) = engine
-        .apply(&ap, &cobalt::opts::buggy::load_elim_no_alias())
+        .apply(&ap, &cobalt::opts::buggy_optimizations().remove(0))
         .unwrap();
     let bad_prog = Program::new(vec![bad]);
     let orig = Interp::new(&prog).run(0).unwrap();

@@ -2,12 +2,16 @@
 //! self-loops, and degenerate procedures — the CFG shapes the worked
 //! examples don't cover.
 
-use cobalt::dsl::LabelEnv;
+use cobalt::dsl::{LabelEnv, Optimization};
 use cobalt::engine::{AnalyzedProc, Engine, OptimizeSession};
 use cobalt::il::{parse_program, Interp};
 
 fn engine() -> Engine {
     Engine::new(LabelEnv::standard())
+}
+
+fn opt(name: &str) -> Optimization {
+    cobalt::opts::optimization(name).unwrap()
 }
 
 #[test]
@@ -31,7 +35,7 @@ fn facts_survive_nested_loops() {
     }";
     let prog = parse_program(src).unwrap();
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-    let (optimized, applied) = engine().apply(&ap, &cobalt::opts::const_prop()).unwrap();
+    let (optimized, applied) = engine().apply(&ap, &opt("const_prop")).unwrap();
     assert_eq!(applied.len(), 1);
     assert_eq!(optimized.stmts[7].to_string(), "s := 2");
     let new_prog = prog.with_proc_replaced(optimized);
@@ -61,7 +65,7 @@ fn facts_killed_inside_nested_loop_only() {
     }";
     let prog = parse_program(src).unwrap();
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-    let (_, applied) = engine().apply(&ap, &cobalt::opts::const_prop()).unwrap();
+    let (_, applied) = engine().apply(&ap, &opt("const_prop")).unwrap();
     assert!(applied.is_empty());
 }
 
@@ -81,7 +85,7 @@ fn unreachable_code_does_not_pollute_facts() {
     }";
     let prog = parse_program(src).unwrap();
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-    let (optimized, _) = engine().apply(&ap, &cobalt::opts::const_prop()).unwrap();
+    let (optimized, _) = engine().apply(&ap, &opt("const_prop")).unwrap();
     // Whether or not the engine rewrites node 5 (node 4 is a real CFG
     // predecessor even if dynamically unreachable), semantics hold.
     let new_prog = prog.with_proc_replaced(optimized);
@@ -104,7 +108,7 @@ fn multiple_returns_all_enable_dae() {
     }";
     let prog = parse_program(src).unwrap();
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-    let (optimized, applied) = engine().apply(&ap, &cobalt::opts::dae()).unwrap();
+    let (optimized, applied) = engine().apply(&ap, &opt("dae")).unwrap();
     assert_eq!(applied.len(), 1);
     assert_eq!(optimized.stmts[1].to_string(), "skip");
 }
@@ -154,7 +158,7 @@ fn merge_of_three_predecessors_intersects() {
     }";
     let prog = parse_program(src).unwrap();
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-    let (optimized, applied) = engine().apply(&ap, &cobalt::opts::const_prop()).unwrap();
+    let (optimized, applied) = engine().apply(&ap, &opt("const_prop")).unwrap();
     // Both predecessors that reach 7 assign a := 2 → rewrite fires.
     assert_eq!(applied.len(), 1, "{}", cobalt::il::pretty_proc(&optimized));
     assert_eq!(optimized.stmts[7].to_string(), "c := 2");

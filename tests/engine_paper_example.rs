@@ -2,12 +2,16 @@
 //! paper §5.2 — the substitution-set dataflow facts and the final
 //! rewrite of `c := a` to `c := 2`.
 
-use cobalt::dsl::{LabelEnv, RegionGuard};
+use cobalt::dsl::{LabelEnv, Optimization, RegionGuard};
 use cobalt::engine::{forward_in_facts, AnalyzedProc, Engine};
 use cobalt::il::parse_program;
 
+fn const_prop() -> Optimization {
+    cobalt::opts::optimization("const_prop").unwrap()
+}
+
 fn const_prop_guard() -> RegionGuard {
-    match &cobalt::opts::const_prop().pattern.guard {
+    match &const_prop().pattern.guard {
         cobalt::dsl::GuardSpec::Region(rg) => rg.clone(),
         _ => unreachable!("const_prop is a region pattern"),
     }
@@ -37,7 +41,7 @@ fn fixed_point_rewrites_like_the_paper() {
     let prog = parse_program("proc main(x) { a := 2; b := 3; c := a; return c; }").unwrap();
     let engine = Engine::new(LabelEnv::standard());
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-    let (optimized, applied) = engine.apply(&ap, &cobalt::opts::const_prop()).unwrap();
+    let (optimized, applied) = engine.apply(&ap, &const_prop()).unwrap();
     assert_eq!(applied.len(), 1);
     assert_eq!(optimized.stmts[2].to_string(), "c := 2");
 }
@@ -60,7 +64,7 @@ fn all_instances_evaluated_simultaneously() {
     .unwrap();
     let engine = Engine::new(LabelEnv::standard());
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-    let (optimized, applied) = engine.apply(&ap, &cobalt::opts::const_prop()).unwrap();
+    let (optimized, applied) = engine.apply(&ap, &const_prop()).unwrap();
     assert_eq!(applied.len(), 3);
     assert_eq!(optimized.stmts[2].to_string(), "c := 2");
     assert_eq!(optimized.stmts[3].to_string(), "d := 3");
@@ -84,6 +88,6 @@ fn loops_reach_a_fixed_point() {
     .unwrap();
     let engine = Engine::new(LabelEnv::standard());
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
-    let (optimized, applied) = engine.apply(&ap, &cobalt::opts::const_prop()).unwrap();
+    let (optimized, applied) = engine.apply(&ap, &const_prop()).unwrap();
     assert!(applied.is_empty(), "{}", cobalt::il::pretty_proc(&optimized));
 }

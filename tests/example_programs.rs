@@ -73,14 +73,10 @@ fn redundant_program_actually_shrinks() {
 #[test]
 fn pointer_program_benefits_from_taint_analysis() {
     let prog = load("pointers.il");
+    let load_elim = [cobalt::opts::optimization("load_elim").unwrap()];
     // Without the analysis, the second load stays.
-    let (without, _) = optimize(&prog, &[], &[cobalt::opts::load_elim()], 2);
-    let (with, _) = optimize(
-        &prog,
-        &cobalt::opts::all_analyses(),
-        &[cobalt::opts::load_elim()],
-        2,
-    );
+    let (without, _) = optimize(&prog, &[], &load_elim, 2);
+    let (with, _) = optimize(&prog, &cobalt::opts::all_analyses(), &load_elim, 2);
     let loads = |p: &Program| {
         cobalt::il::pretty_program(p).matches("*p").count()
     };

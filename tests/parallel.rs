@@ -152,7 +152,7 @@ fn journal_contents_are_identical_at_jobs_one_and_four() {
 /// the retry.
 #[test]
 fn injected_worker_panic_is_retried_to_an_identical_report() {
-    let opt = cobalt::opts::const_prop();
+    let opt = cobalt::opts::optimization("const_prop").unwrap();
     let baseline = verifier(1).verify_optimization(&opt).unwrap();
     let faulted = fault::with_faults("pool.task:panic@3", || {
         verifier(4).verify_optimization(&opt).unwrap()
@@ -166,7 +166,7 @@ fn injected_worker_panic_is_retried_to_an_identical_report() {
 /// journal written — identically at jobs 1 and 4.
 #[test]
 fn journal_lock_fault_degrades_identically_at_any_jobs() {
-    let opt = cobalt::opts::const_prop();
+    let opt = cobalt::opts::optimization("const_prop").unwrap();
     let baseline = verifier(1).verify_optimization(&opt).unwrap();
     for jobs in [1usize, 4] {
         let path = scratch_journal(&format!("lockfault_j{jobs}"));

@@ -77,7 +77,7 @@ fn fifty_ms_deadline_completes_suite_without_hang_or_panic() {
 #[test]
 fn default_policy_proves_const_prop_with_attempt_bookkeeping() {
     let report = verifier()
-        .verify_optimization(&cobalt::opts::const_prop())
+        .verify_optimization(&cobalt::opts::optimization("const_prop").unwrap())
         .unwrap();
     assert!(report.all_proved(), "{}", report.summary());
     assert!(report.total_attempts() >= report.outcomes.len() as u32);
@@ -100,7 +100,7 @@ fn degenerate_zero_limits_fail_every_obligation_fast() {
     });
     let start = std::time::Instant::now();
     let report = v
-        .verify_optimization(&cobalt::opts::const_prop())
+        .verify_optimization(&cobalt::opts::optimization("const_prop").unwrap())
         .unwrap();
     assert!(!report.outcomes.is_empty());
     for o in &report.outcomes {
@@ -171,7 +171,7 @@ fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
 fn prover_panic_is_isolated_to_one_obligation() {
     let report = fault::with_faults("checker.obligation:panic@1", || {
         verifier()
-            .verify_optimization(&cobalt::opts::const_prop())
+            .verify_optimization(&cobalt::opts::optimization("const_prop").unwrap())
             .unwrap()
     });
     let panicked: Vec<_> = report

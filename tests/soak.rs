@@ -36,7 +36,7 @@ fn differential_soak() {
         let (rec, _) = cobalt::engine::apply_recursive(
             &engine,
             optimized.main().unwrap(),
-            &cobalt::opts::dae(),
+            &cobalt::opts::optimization("dae").unwrap(),
         )
         .unwrap();
         let final_prog = optimized.with_proc_replaced(rec);

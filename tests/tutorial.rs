@@ -85,3 +85,55 @@ fn tutorial_sloppy_variant_fails_as_described() {
     assert!(!report.all_proved());
     assert!(report.failures().contains(&"F2/assign_var"));
 }
+
+/// The TUTORIAL's `myMayDef` label, as the tutorial prints it, guarding
+/// a copy of constant propagation.
+fn tutorial_label_suite() -> String {
+    let doc = include_str!("../docs/TUTORIAL.md");
+    let start = doc
+        .find("label myMayDef(Y) {")
+        .expect("the tutorial defines myMayDef");
+    let len = doc[start..].find("\n  }").expect("the label block closes") + "\n  }".len();
+    format!(
+        "{}\n\nforward my_const_prop {{
+            stmt(Y := C)
+            followed by !myMayDef(Y)
+            until X := Y => X := C
+            with witness eta(Y) == C
+        }}",
+        &doc[start..start + len]
+    )
+}
+
+#[test]
+fn tutorial_label_is_in_scope_for_verify_and_lint() {
+    use cobalt::serve::exec::{execute, ExecConfig};
+    use cobalt::serve::RequestOp;
+    let suite = tutorial_label_suite();
+    let op = RequestOp::Verify {
+        suite: Some(suite.clone()),
+        include_buggy: false,
+    };
+    let r = execute(
+        &op,
+        &ExecConfig::default(),
+        &cobalt_support::pool::Cancel::new(),
+    );
+    assert_eq!(r.exit, 0, "{}", r.output);
+
+    let path =
+        std::env::temp_dir().join(format!("cobalt_tutorial_label_{}.cob", std::process::id()));
+    std::fs::write(&path, &suite).unwrap();
+    let lint = std::process::Command::new(env!("CARGO_BIN_EXE_cobalt"))
+        .arg("lint")
+        .arg(&path)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let out = String::from_utf8_lossy(&lint.stdout);
+    assert!(lint.status.success(), "{out}");
+    assert!(
+        !out.contains("CL003"),
+        "the suite's own label is in scope: {out}"
+    );
+}

@@ -18,7 +18,7 @@ fn verifier() -> Verifier {
 #[test]
 fn buggy_load_elimination_is_rejected() {
     let report = verifier()
-        .verify_optimization(&cobalt::opts::buggy::load_elim_no_alias())
+        .verify_optimization(&cobalt::opts::buggy_optimizations().remove(0))
         .unwrap();
     assert!(!report.all_proved(), "the unsound variant must not verify");
     // The failure shows up in witness preservation (F2): a direct
@@ -36,7 +36,7 @@ fn buggy_load_elimination_is_rejected() {
 #[test]
 fn fixed_load_elimination_is_proved() {
     let report = verifier()
-        .verify_optimization(&cobalt::opts::load_elim())
+        .verify_optimization(&cobalt::opts::optimization("load_elim").unwrap())
         .unwrap();
     assert!(report.all_proved(), "{:?}", report.failures());
 }
@@ -49,7 +49,7 @@ fn the_bug_is_a_real_miscompilation() {
     let engine = Engine::new(LabelEnv::standard());
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
     let (bad, applied) = engine
-        .apply(&ap, &cobalt::opts::buggy::load_elim_no_alias())
+        .apply(&ap, &cobalt::opts::buggy_optimizations().remove(0))
         .unwrap();
     assert!(!applied.is_empty());
     let bad_prog = cobalt::il::Program::new(vec![bad]);
@@ -68,7 +68,7 @@ fn translation_validation_also_catches_it_but_only_per_run() {
     let engine = Engine::new(LabelEnv::standard());
     let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
     let (bad, _) = engine
-        .apply(&ap, &cobalt::opts::buggy::load_elim_no_alias())
+        .apply(&ap, &cobalt::opts::buggy_optimizations().remove(0))
         .unwrap();
     let report = cobalt::tv::validate_proc(prog.main().unwrap(), &bad).unwrap();
     assert!(!report.validated());
