@@ -5,11 +5,10 @@
 //! impact on the time to run an optimization" — this benchmark gives
 //! the engine-side baseline those overheads are compared against.)
 
-use cobalt_bench::{bench_program, many_proc_program, SIZES};
+use cobalt_bench::{bench_program, SIZES};
 use cobalt_dsl::LabelEnv;
 use cobalt_engine::{AnalyzedProc, Engine, OptimizeSession};
 use cobalt_support::bench::{Bench, BenchId, Throughput};
-use cobalt_support::journal::ResumeMode;
 use cobalt_support::{bench_group, bench_main};
 
 fn bench_single_pass_scaling(c: &mut Bench) {
@@ -74,80 +73,10 @@ fn bench_taint_analysis(c: &mut Bench) {
     group.finish();
 }
 
-/// ISSUE 7: per-procedure parallelism. One 24-procedure program, the
-/// full session pipeline, worker counts 1/2/4 — output bytes are
-/// identical at every count (tests/parallel.rs proves it), so the only
-/// thing this measures is wall-clock. Speedup tracks physical cores:
-/// on a single-vCPU host the trajectory is flat and measures pool
-/// overhead instead (see BENCH_7.json).
-fn bench_jobs_scaling(c: &mut Bench) {
-    let analyses = cobalt_opts::all_analyses();
-    let opts = cobalt_opts::all_optimizations();
-    let prog = many_proc_program(24, 40, 7);
-    let mut group = c.benchmark_group("engine_jobs");
-    group.sample_size(10);
-    for jobs in [1usize, 2, 4] {
-        group.bench_with_input(BenchId::new("optimize", jobs), &prog, |b, p| {
-            b.iter(|| {
-                let mut session =
-                    OptimizeSession::new(Engine::new(LabelEnv::standard())).with_jobs(jobs);
-                let (_, report) = session.optimize_program(p, &analyses, &opts, 3);
-                report.applied
-            })
-        });
-    }
-    group.finish();
-}
-
-/// ISSUE 7: warm-restart value. A cold journaled run pays the full
-/// fixpoint cost; the warm run replays every procedure from the
-/// journal (parse + fingerprint only). The ratio is what a crash —
-/// or an incremental rebuild — gets back.
-fn bench_journal_warm_resume(c: &mut Bench) {
-    let analyses = cobalt_opts::all_analyses();
-    let opts = cobalt_opts::all_optimizations();
-    let prog = many_proc_program(24, 40, 7);
-    let path = std::env::temp_dir().join(format!(
-        "cobalt_bench_engine_journal_{}.cobj",
-        std::process::id()
-    ));
-    let mut group = c.benchmark_group("engine_journal");
-    group.sample_size(10);
-    group.bench_with_input(BenchId::new("cold", 24usize), &prog, |b, p| {
-        b.iter(|| {
-            std::fs::remove_file(&path).ok();
-            let mut session = OptimizeSession::new(Engine::new(LabelEnv::standard()))
-                .with_journal(&path, ResumeMode::Fresh);
-            let (_, report) = session.optimize_program(p, &analyses, &opts, 3);
-            session.finish();
-            report.applied
-        })
-    });
-    // Seed one complete journal, then measure pure replay.
-    std::fs::remove_file(&path).ok();
-    let mut seed = OptimizeSession::new(Engine::new(LabelEnv::standard()))
-        .with_journal(&path, ResumeMode::Fresh);
-    seed.optimize_program(&prog, &analyses, &opts, 3);
-    seed.finish();
-    group.bench_with_input(BenchId::new("warm", 24usize), &prog, |b, p| {
-        b.iter(|| {
-            let mut session = OptimizeSession::new(Engine::new(LabelEnv::standard()))
-                .with_journal(&path, ResumeMode::Resume);
-            let (_, report) = session.optimize_program(p, &analyses, &opts, 3);
-            session.finish();
-            report.cached
-        })
-    });
-    group.finish();
-    std::fs::remove_file(&path).ok();
-}
-
 bench_group!(
     benches,
     bench_single_pass_scaling,
     bench_full_suite,
-    bench_taint_analysis,
-    bench_jobs_scaling,
-    bench_journal_warm_resume
+    bench_taint_analysis
 );
 bench_main!(benches);

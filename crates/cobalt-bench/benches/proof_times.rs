@@ -2,8 +2,9 @@
 //! reproduction of the paper's §5.1 claim ("3 to 104 seconds, with an
 //! average of 28 seconds" on Simplify/2003 hardware).
 //!
-//! One benchmark per optimization and analysis; the summary table the
-//! paper reports is printed by `cargo run --release --example prove_all`.
+//! One benchmark per optimization and analysis, plus the rejection of
+//! the §6 unsound rule; EXPERIMENTS.md's E1 table is these medians.
+//! Obligation counts per rule are in `cobalt verify`'s summary lines.
 
 use cobalt_dsl::LabelEnv;
 use cobalt_verify::{SemanticMeanings, Verifier};

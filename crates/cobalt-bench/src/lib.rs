@@ -24,9 +24,9 @@ pub fn bench_program(stmts: usize, seed: u64) -> Program {
 }
 
 /// A deterministic program of `procs` similarly-sized procedures, each
-/// with `stmts_per_proc` statements — the workload for the `--jobs`
-/// scaling benchmarks and the parallel-determinism tests, where
-/// per-procedure fixpoints are the unit of parallelism.
+/// with `stmts_per_proc` statements — the workload for the
+/// parallel-determinism and soak tests, where per-procedure fixpoints
+/// are the unit of parallelism.
 ///
 /// Each procedure is an independently generated call-free `main` body
 /// (calls would dangle across the merge), renamed `main`, `p1`, `p2`, …

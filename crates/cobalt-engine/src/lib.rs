@@ -71,7 +71,6 @@ pub mod dataflow;
 pub mod engine;
 pub mod error;
 pub mod recursive;
-pub mod resilient;
 pub mod session;
 
 pub use analyzed::AnalyzedProc;
@@ -82,5 +81,4 @@ pub use dataflow::{
 pub use engine::Engine;
 pub use recursive::apply_recursive;
 pub use error::EngineError;
-pub use resilient::{FailureKind, PassFailure, PipelineReport};
-pub use session::OptimizeSession;
+pub use session::{FailureKind, OptimizeSession, PassFailure, PipelineReport};

@@ -376,11 +376,6 @@ impl Stmt {
         Stmt::Assign(Lhs::var(name), e)
     }
 
-    /// Whether this statement is a (conditional) branch.
-    pub fn is_branch(&self) -> bool {
-        matches!(self, Stmt::If { .. })
-    }
-
     /// The variables whose *contents* this statement reads.
     ///
     /// `&x` does not read `x`; `*x := e` reads `x` (the pointer) and the

@@ -4,14 +4,7 @@
 //! workspace's benches use: benchmark groups, per-group sample sizes,
 //! throughput annotation, warmup, N timed samples, and median/p95/mean
 //! statistics. Results are printed human-readably and, one JSON object
-//! per line, to stdout (prefixed `BENCH_JSON`) and optionally appended
-//! to the file named by `COBALT_BENCH_JSON`.
-//!
-//! Environment knobs:
-//!
-//! * `COBALT_BENCH_FAST=1` — smoke mode: tiny warmup and sample counts,
-//!   for CI liveness checks rather than measurement;
-//! * `COBALT_BENCH_JSON=path` — also append JSON lines to `path`.
+//! per line, to stdout (prefixed `BENCH_JSON`).
 //!
 //! Entry points are the [`bench_group!`](crate::bench_group) and
 //! [`bench_main!`](crate::bench_main) macros:
@@ -27,13 +20,13 @@
 //! cobalt_support::bench_main!(benches);
 //! ```
 //!
-//! When `cargo test` executes a `harness = false` bench target it
-//! passes `--test`; the harness then runs every benchmark for a single
-//! iteration (a smoke test) instead of measuring.
+//! There are two modes. `cargo bench` measures. When `cargo test` (or
+//! `cargo bench -- --test`) executes a `harness = false` bench target
+//! it passes `--test`; the harness then runs every benchmark for a
+//! single iteration (a smoke test) instead of measuring.
 
 use std::fmt::Display;
 use std::hint::black_box;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Timing profile for one run of the harness.
@@ -50,22 +43,13 @@ pub struct Profile {
 }
 
 impl Profile {
-    fn from_env(args: &[String]) -> Self {
-        let smoke_only = args.iter().any(|a| a == "--test");
-        if smoke_only {
-            return Profile {
+    fn from_args(args: &[String]) -> Self {
+        if args.iter().any(|a| a == "--test") {
+            Profile {
                 sample_size: 1,
                 warmup: Duration::ZERO,
                 sample_time: Duration::ZERO,
                 smoke_only: true,
-            };
-        }
-        if std::env::var("COBALT_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty()) {
-            Profile {
-                sample_size: 5,
-                warmup: Duration::from_millis(5),
-                sample_time: Duration::from_millis(5),
-                smoke_only: false,
             }
         } else {
             Profile {
@@ -111,8 +95,6 @@ impl From<String> for BenchId {
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// Statistics for one benchmark, in nanoseconds per iteration.
@@ -137,45 +119,6 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// A single-measurement `Stats`: one wall-clock observation of one
-    /// run, for ad-hoc `BENCH_JSON` datapoints emitted outside the
-    /// sampling harness (e.g. an example timing its own end-to-end
-    /// work). All percentile fields collapse to the one measurement.
-    pub fn single(name: impl Into<String>, elapsed: Duration, throughput: Option<Throughput>) -> Self {
-        let ns = elapsed.as_secs_f64() * 1e9;
-        Stats {
-            name: name.into(),
-            samples: 1,
-            iters_per_sample: 1,
-            median_ns: ns,
-            p95_ns: ns,
-            mean_ns: ns,
-            min_ns: ns,
-            throughput,
-        }
-    }
-
-    /// Emits this result exactly as the harness would: a `BENCH_JSON`
-    /// line on stdout, plus an appended line to the file named by
-    /// `COBALT_BENCH_JSON` if set (failures to append warn, never
-    /// error — a bench datapoint must not fail the run).
-    pub fn emit(&self) {
-        println!("BENCH_JSON {}", self.json());
-        if let Some(path) = std::env::var_os("COBALT_BENCH_JSON") {
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| writeln!(f, "{}", self.json()));
-            if let Err(e) = appended {
-                eprintln!(
-                    "warning: cannot append to {}: {e}",
-                    std::path::Path::new(&path).display()
-                );
-            }
-        }
-    }
-
     /// This result as a one-line JSON object (the `BENCH_JSON` payload).
     pub fn json(&self) -> String {
         let mut s = format!(
@@ -184,18 +127,11 @@ impl Stats {
             self.name, self.samples, self.iters_per_sample,
             self.median_ns, self.p95_ns, self.mean_ns, self.min_ns,
         );
-        match self.throughput {
-            Some(Throughput::Elements(n)) => {
-                let per_sec = n as f64 / (self.median_ns * 1e-9);
-                s.push_str(&format!(
-                    ",\"elements\":{n},\"elements_per_sec\":{per_sec:.1}"
-                ));
-            }
-            Some(Throughput::Bytes(n)) => {
-                let per_sec = n as f64 / (self.median_ns * 1e-9);
-                s.push_str(&format!(",\"bytes\":{n},\"bytes_per_sec\":{per_sec:.1}"));
-            }
-            None => {}
+        if let Some(Throughput::Elements(n)) = self.throughput {
+            let per_sec = n as f64 / (self.median_ns * 1e-9);
+            s.push_str(&format!(
+                ",\"elements\":{n},\"elements_per_sec\":{per_sec:.1}"
+            ));
         }
         s.push('}');
         s
@@ -262,26 +198,23 @@ pub struct Bench {
     profile: Profile,
     filter: Option<String>,
     results: Vec<Stats>,
-    json_path: Option<std::path::PathBuf>,
 }
 
 impl Bench {
-    /// Builds a harness from CLI args and environment variables.
+    /// Builds a harness from the process's command-line arguments.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let profile = Profile::from_env(&args);
+        let profile = Profile::from_args(&args);
         // The first non-flag argument is a substring filter (as with
         // libtest/criterion).
         let filter = args
             .iter()
             .find(|a| !a.starts_with('-') && *a != "benches")
             .cloned();
-        let json_path = std::env::var_os("COBALT_BENCH_JSON").map(Into::into);
         Bench {
             profile,
             filter,
             results: Vec::new(),
-            json_path,
         }
     }
 
@@ -291,7 +224,6 @@ impl Bench {
             profile,
             filter: None,
             results: Vec::new(),
-            json_path: None,
         }
     }
 
@@ -371,16 +303,6 @@ impl Bench {
             fmt_ns(stats.min_ns),
         );
         println!("BENCH_JSON {}", stats.json());
-        if let Some(path) = &self.json_path {
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| writeln!(f, "{}", stats.json()));
-            if let Err(e) = appended {
-                eprintln!("warning: cannot append to {}: {e}", path.display());
-            }
-        }
     }
 
     /// All results collected so far.
@@ -411,8 +333,6 @@ impl BenchGroup<'_> {
     /// Overrides the number of timed samples for this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         if !self.bench.profile.smoke_only {
-            // The profile caps the group's request so fast/smoke runs
-            // stay fast even for groups that ask for more samples.
             self.sample_size = n.clamp(2, self.bench.profile.sample_size.max(2));
         }
         self
@@ -532,21 +452,6 @@ mod tests {
             b.iter(|| calls += 1);
         });
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn single_measurement_stats_collapse_percentiles() {
-        let stats = Stats::single(
-            "prove_all/registry/jobs=4",
-            Duration::from_millis(250),
-            Some(Throughput::Elements(70)),
-        );
-        assert_eq!(stats.samples, 1);
-        assert_eq!(stats.median_ns, stats.p95_ns);
-        assert_eq!(stats.median_ns, 250_000_000.0);
-        let json = stats.json();
-        assert!(json.contains("\"elements\":70"), "{json}");
-        assert!(json.contains("elements_per_sec"), "{json}");
     }
 
     #[test]

@@ -354,14 +354,10 @@ where
         Ok(Ok(())) => Outcome::Pass,
         Ok(Err(CaseError::Reject)) => Outcome::Reject,
         Ok(Err(CaseError::Fail(msg))) => Outcome::Fail(msg),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "panicked with a non-string payload".into());
-            Outcome::Fail(format!("panic: {msg}"))
-        }
+        Err(payload) => Outcome::Fail(format!(
+            "panic: {}",
+            crate::pool::panic_message(payload.as_ref())
+        )),
     }
 }
 

@@ -14,7 +14,7 @@
 //!   on every path from a node before `x` is used or `e` changes.
 
 use cobalt_il::{BaseExpr, Cfg, Expr, Lhs, Proc, Stmt, Var};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A value-equality fact about the state before a node.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -187,19 +187,6 @@ pub fn anticipated(proc: &Proc, cfg: &Cfg, start: usize, x: &Var, e: &Expr) -> b
         }
     }
     ant.get(start).copied().unwrap_or(false)
-}
-
-/// A map from variables to known facts, for quick lookup during VC
-/// construction.
-pub fn facts_about(facts: &FactSet) -> HashMap<&Var, Vec<&Fact>> {
-    let mut map: HashMap<&Var, Vec<&Fact>> = HashMap::new();
-    for f in facts {
-        let v = match f {
-            Fact::VarConst(x, _) | Fact::VarVar(x, _) | Fact::VarExpr(x, _) => x,
-        };
-        map.entry(v).or_default().push(f);
-    }
-    map
 }
 
 #[cfg(test)]

@@ -339,11 +339,6 @@ impl Verifier {
         self
     }
 
-    /// The configured [`BankMode`].
-    pub fn bank_mode(&self) -> BankMode {
-        self.bank_mode
-    }
-
     /// Attempts to prove an optimization sound.
     ///
     /// # Errors
@@ -382,7 +377,7 @@ impl Verifier {
                         rule: name.to_string(),
                         part: "lint".into(),
                     },
-                    format!("lint panicked: {}", panic_message(&*payload)),
+                    format!("lint panicked: {}", pool::panic_message(&*payload)),
                 ));
                 diags
             }
@@ -583,7 +578,7 @@ impl Verifier {
                     // A prover panic is a failed obligation, not a
                     // failed suite (and not worth retrying: the same
                     // inputs would panic again).
-                    let detail = format!("panicked: {}", panic_message(payload.as_ref()));
+                    let detail = format!("panicked: {}", pool::panic_message(payload.as_ref()));
                     return done(false, detail, false, attempts);
                 }
                 Ok(outcome) => match outcome {
@@ -629,16 +624,5 @@ fn panicked_outcome(id: &str, message: &str) -> ObligationOutcome {
         escalations: 0,
         resource_limited: false,
         cached: false,
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }

@@ -172,13 +172,6 @@ pub enum Shape {
     Return(TermId),
 }
 
-impl Shape {
-    /// Whether this is a `return` shape.
-    pub fn is_return(&self) -> bool {
-        matches!(self, Shape::Return(_))
-    }
-}
-
 /// A symbolic binding of pattern variables to logic terms.
 pub type Bind = BTreeMap<PatVar, TermId>;
 

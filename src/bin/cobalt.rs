@@ -172,6 +172,9 @@ const USAGE: &str = "usage:
 
 /// Entry point, factored for testing.
 fn run_cli(args: &[String]) -> Result<String, CliError> {
+    if let Some(flag) = flag_missing_value(args) {
+        return Err(CliError::general(format!("{flag}: expected a value")));
+    }
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]).map_err(CliError::general),
@@ -194,6 +197,23 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))
 }
 
+/// The flags that take the next argument as their value.
+#[rustfmt::skip]
+const VALUE_FLAGS: &[&str] = &[
+    "--arg", "--passes", "--rounds", "--tries", "--timeout", "--max-splits", "--max-steps",
+    "--jobs", "--deny", "--journal", "--addr", "--port-file", "--queue", "--retries",
+    "--io-timeout", "--read-timeout-ms", "--write-timeout-ms", "--drain-ms",
+];
+
+/// The first value flag that is last, or followed by another `--` flag
+/// instead of its value. (`--arg -5` is a value.)
+fn flag_missing_value(args: &[String]) -> Option<&str> {
+    args.iter().enumerate().find_map(|(i, a)| {
+        let missing = args.get(i + 1).is_none_or(|v| v.starts_with("--"));
+        (VALUE_FLAGS.contains(&a.as_str()) && missing).then_some(a.as_str())
+    })
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.windows(2)
         .find(|w| w[0] == flag)
@@ -203,20 +223,13 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 fn positional(args: &[String]) -> Vec<&str> {
     let mut out = Vec::new();
     let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
+    for a in args {
         if skip {
             skip = false;
             continue;
         }
         if a.starts_with("--") {
-            // Flags with values.
-            skip = matches!(
-                a.as_str(),
-                "--arg" | "--passes" | "--rounds" | "--tries" | "--timeout" | "--max-splits"
-                    | "--max-steps" | "--jobs" | "--deny" | "--journal" | "--addr"
-                    | "--port-file" | "--queue" | "--retries" | "--io-timeout"
-                    | "--read-timeout-ms" | "--write-timeout-ms" | "--drain-ms"
-            ) && i + 1 < args.len();
+            skip = VALUE_FLAGS.contains(&a.as_str());
             continue;
         }
         out.push(a.as_str());
@@ -898,6 +911,28 @@ mod tests {
         let p = write_tmp("run.il", "proc main(x) { decl y; y := x + 1; return y; }");
         let out = run_cli(&["run".into(), p.clone(), "--arg".into(), "41".into()]).unwrap();
         assert_eq!(out, "main(41) = 42\n");
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn value_flag_without_a_value_is_an_error() {
+        let p = write_tmp("noval.il", "proc main(x) { decl y; y := x + 1; return y; }");
+        let cases: [(&[&str], &str); 3] = [
+            (&["verify", "--timeout"], "--timeout"),
+            (&["run", &p, "--arg"], "--arg"),
+            (&["verify", "--journal", "--fresh"], "--journal"),
+        ];
+        for (case, flag) in cases {
+            let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
+            let err = run_cli(&args).unwrap_err();
+            assert_eq!(err.code, 1, "{case:?}: {}", err.msg);
+            assert_eq!(err.msg, format!("{flag}: expected a value"), "{case:?}");
+        }
+        // The journal is not created under the name of the next flag.
+        assert!(!std::path::Path::new("--fresh").exists());
+        // A negative number is a value, not a flag.
+        let out = run_cli(&["run".into(), p.clone(), "--arg".into(), "-5".into()]).unwrap();
+        assert_eq!(out, "main(-5) = -4\n");
         std::fs::remove_file(p).ok();
     }
 
