@@ -144,6 +144,16 @@ impl LabelArgPat {
             _ => {}
         }
     }
+
+    /// Appends every pattern-variable occurrence, in order, including
+    /// those nested inside a compound expression argument.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        match self {
+            LabelArgPat::Var(v) => v.vars(out),
+            LabelArgPat::Const(c) => c.vars(out),
+            LabelArgPat::Expr(e) => e.vars(out),
+        }
+    }
 }
 
 impl fmt::Display for LabelArgPat {

@@ -3,6 +3,7 @@
 //! concrete fragments and instantiation under a substitution.
 
 use crate::error::InstError;
+use crate::label::FragKind;
 use crate::subst::{Binding, PatVar, Subst};
 use cobalt_il::{eval_op, BaseExpr, Expr, Index, Lhs, OpKind, ProcName, Stmt, Var};
 use std::fmt;
@@ -43,6 +44,13 @@ impl VarPat {
                 Some(other) => Err(InstError::kind_mismatch(p, "variable", other)),
                 None => Err(InstError::unbound(p)),
             },
+        }
+    }
+
+    /// Appends the pattern variable, if this is one.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        if let VarPat::Pat(p) = self {
+            out.push((p.clone(), FragKind::Var));
         }
     }
 }
@@ -94,6 +102,13 @@ impl ConstPat {
             },
         }
     }
+
+    /// Appends the pattern variable, if this is one.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        if let ConstPat::Pat(p) = self {
+            out.push((p.clone(), FragKind::Const));
+        }
+    }
 }
 
 impl fmt::Display for ConstPat {
@@ -133,6 +148,14 @@ impl BasePat {
         match self {
             BasePat::Var(vp) => Ok(BaseExpr::Var(vp.instantiate(theta)?)),
             BasePat::Const(cp) => Ok(BaseExpr::Const(cp.instantiate(theta)?)),
+        }
+    }
+
+    /// Appends the pattern variable, if there is one.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        match self {
+            BasePat::Var(v) => v.vars(out),
+            BasePat::Const(c) => c.vars(out),
         }
     }
 }
@@ -222,6 +245,17 @@ impl ExprPat {
                     .map(Expr::constant)
                     .ok_or_else(|| InstError::not_foldable(p, &e))
             }
+        }
+    }
+
+    /// Appends every pattern-variable occurrence, in order.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        match self {
+            ExprPat::Pat(p) | ExprPat::Fold(p) => out.push((p.clone(), FragKind::Expr)),
+            ExprPat::Any => {}
+            ExprPat::Base(b) => b.vars(out),
+            ExprPat::Deref(v) | ExprPat::AddrOf(v) => v.vars(out),
+            ExprPat::Op(_, args) => args.iter().for_each(|a| a.vars(out)),
         }
     }
 }
@@ -355,6 +389,13 @@ impl IdxPat {
                 Some(other) => Err(InstError::kind_mismatch(p, "index", other)),
                 None => Err(InstError::unbound(p)),
             },
+        }
+    }
+
+    /// Appends the pattern variable, if this is one.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        if let IdxPat::Pat(p) = self {
+            out.push((p.clone(), FragKind::Index));
         }
     }
 }
@@ -535,6 +576,38 @@ impl StmtPat {
                 else_target: else_target.instantiate(theta)?,
             }),
             StmtPat::Return(vp) => Ok(Stmt::Return(vp.instantiate(theta)?)),
+        }
+    }
+
+    /// Appends every pattern-variable occurrence, in order, with its
+    /// fragment kind; a repeated variable is reported at each
+    /// occurrence.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        match self {
+            StmtPat::Any | StmtPat::Skip | StmtPat::ReturnAny => {}
+            StmtPat::Decl(v) | StmtPat::New(v) | StmtPat::Return(v) => v.vars(out),
+            StmtPat::Assign(lhs, e) => {
+                if let LhsPat::Var(v) | LhsPat::Deref(v) = lhs {
+                    v.vars(out);
+                }
+                e.vars(out);
+            }
+            StmtPat::Call { dst, proc, arg } => {
+                dst.vars(out);
+                if let ProcPat::Pat(p) = proc {
+                    out.push((p.clone(), FragKind::Proc));
+                }
+                arg.vars(out);
+            }
+            StmtPat::If {
+                cond,
+                then_target,
+                else_target,
+            } => {
+                cond.vars(out);
+                then_target.vars(out);
+                else_target.vars(out);
+            }
         }
     }
 }

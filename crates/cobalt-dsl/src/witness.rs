@@ -12,7 +12,9 @@
 //! it; it covers all the witnesses used by the paper's optimization
 //! suite.
 
+use crate::label::FragKind;
 use crate::pattern::{ConstPat, ExprPat, VarPat};
+use crate::subst::PatVar;
 use std::fmt;
 
 /// A forward witness: a predicate over one state `η`.
@@ -35,6 +37,29 @@ pub enum ForwardWitness {
     NotPointedTo(VarPat),
     /// Conjunction of witnesses.
     And(Vec<ForwardWitness>),
+}
+
+impl ForwardWitness {
+    /// Appends every pattern-variable occurrence, in order.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        match self {
+            ForwardWitness::True => {}
+            ForwardWitness::VarEqConst(x, c) => {
+                x.vars(out);
+                c.vars(out);
+            }
+            ForwardWitness::VarEqVar(x, y) => {
+                x.vars(out);
+                y.vars(out);
+            }
+            ForwardWitness::VarEqExpr(x, e) => {
+                x.vars(out);
+                e.vars(out);
+            }
+            ForwardWitness::NotPointedTo(x) => x.vars(out),
+            ForwardWitness::And(ws) => ws.iter().for_each(|w| w.vars(out)),
+        }
+    }
 }
 
 impl fmt::Display for ForwardWitness {

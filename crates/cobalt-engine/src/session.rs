@@ -347,8 +347,7 @@ impl OptimizeSession {
     /// cache must never block compilation.
     #[must_use]
     pub fn with_journal(mut self, path: impl AsRef<Path>, mode: ResumeMode) -> OptimizeSession {
-        self.store = Store::open(path, mode, DEFAULT_LOCK_WAIT, Some("engine.journal"))
-            .unwrap_or_else(|e| Store::unavailable(&e));
+        self.store = Store::open(path, mode, DEFAULT_LOCK_WAIT, Some("engine.journal"));
         self
     }
 

@@ -13,8 +13,8 @@
 use crate::diag::{Diagnostic, Diagnostics, Location};
 use crate::vacuous;
 use cobalt_dsl::{
-    BackwardWitness, BasePat, ConstPat, Direction, ExprPat, ForwardWitness, Guard, GuardSpec,
-    LabelArgPat, LabelEnv, LhsPat, Optimization, PureAnalysis, StmtPat, VarPat, Witness,
+    BackwardWitness, BasePat, ConstPat, Direction, ExprPat, FragKind, Guard, GuardSpec, LabelEnv,
+    LhsPat, Optimization, PatVar, PureAnalysis, StmtPat, VarPat, Witness,
 };
 use cobalt_support::fault;
 use std::collections::BTreeSet;
@@ -92,73 +92,11 @@ struct GuardVars {
     uses: BTreeSet<String>,
 }
 
-fn var_pat(out: &mut BTreeSet<String>, vp: &VarPat) {
-    if let VarPat::Pat(p) = vp {
-        out.insert(p.as_str().to_string());
-    }
-}
-
-fn const_pat(out: &mut BTreeSet<String>, cp: &ConstPat) {
-    if let ConstPat::Pat(p) = cp {
-        out.insert(p.as_str().to_string());
-    }
-}
-
-fn base_pat(out: &mut BTreeSet<String>, bp: &BasePat) {
-    match bp {
-        BasePat::Var(v) => var_pat(out, v),
-        BasePat::Const(c) => const_pat(out, c),
-    }
-}
-
-fn expr_pat(out: &mut BTreeSet<String>, ep: &ExprPat) {
-    match ep {
-        ExprPat::Pat(p) | ExprPat::Fold(p) => {
-            out.insert(p.as_str().to_string());
-        }
-        ExprPat::Any => {}
-        ExprPat::Base(b) => base_pat(out, b),
-        ExprPat::Deref(v) | ExprPat::AddrOf(v) => var_pat(out, v),
-        ExprPat::Op(_, args) => {
-            for a in args {
-                base_pat(out, a);
-            }
-        }
-    }
-}
-
-/// All pattern variables of a statement pattern, of every fragment kind.
-fn stmt_pat_vars(out: &mut BTreeSet<String>, sp: &StmtPat) {
-    match sp {
-        StmtPat::Any | StmtPat::Skip | StmtPat::ReturnAny => {}
-        StmtPat::Decl(v) | StmtPat::New(v) | StmtPat::Return(v) => var_pat(out, v),
-        StmtPat::Assign(lhs, e) => {
-            match lhs {
-                LhsPat::Var(v) | LhsPat::Deref(v) => var_pat(out, v),
-                LhsPat::Any => {}
-            }
-            expr_pat(out, e);
-        }
-        StmtPat::Call { dst, proc, arg } => {
-            var_pat(out, dst);
-            if let cobalt_dsl::ProcPat::Pat(p) = proc {
-                out.insert(p.as_str().to_string());
-            }
-            base_pat(out, arg);
-        }
-        StmtPat::If {
-            cond,
-            then_target,
-            else_target,
-        } => {
-            base_pat(out, cond);
-            for t in [then_target, else_target] {
-                if let cobalt_dsl::IdxPat::Pat(p) = t {
-                    out.insert(p.as_str().to_string());
-                }
-            }
-        }
-    }
+/// The names of the pattern variables `walk` appends.
+fn names(walk: impl FnOnce(&mut Vec<(PatVar, FragKind)>)) -> BTreeSet<String> {
+    let mut vars = Vec::new();
+    walk(&mut vars);
+    vars.into_iter().map(|(p, _)| p.as_str().to_string()).collect()
 }
 
 /// Whether a statement pattern contains a wildcard that cannot be
@@ -209,74 +147,29 @@ fn collect_guard(g: &Guard, positive: bool, in_arm: bool, acc: &mut GuardVars) {
             } else {
                 &mut acc.local_binders
             };
-            stmt_pat_vars(sink, sp);
+            sink.extend(names(|out| sp.vars(out)));
         }
         Guard::Label(_, args) => {
-            let mut vs = Vec::new();
-            for a in args {
-                a.pattern_vars(&mut vs);
-                // `pattern_vars` only reports top-level pattern
-                // variables; compound expression arguments may mention
-                // more.
-                if let LabelArgPat::Expr(e) = a {
-                    expr_pat(&mut acc.uses, e);
-                }
-            }
-            for (p, _) in vs {
-                acc.uses.insert(p.as_str().to_string());
-            }
+            acc.uses.extend(names(|out| args.iter().for_each(|a| a.vars(out))));
         }
-        Guard::SyntacticDef(v) | Guard::SyntacticUse(v) => var_pat(&mut acc.uses, v),
-        Guard::Unchanged(e) => expr_pat(&mut acc.uses, e),
-        Guard::ConstEq(a, b) => {
-            const_pat(&mut acc.uses, a);
-            const_pat(&mut acc.uses, b);
+        Guard::SyntacticDef(v) | Guard::SyntacticUse(v) => {
+            acc.uses.extend(names(|out| v.vars(out)));
         }
-        Guard::VarEq(a, b) => {
-            var_pat(&mut acc.uses, a);
-            var_pat(&mut acc.uses, b);
-        }
+        Guard::Unchanged(e) => acc.uses.extend(names(|out| e.vars(out))),
+        Guard::ConstEq(a, b) => acc.uses.extend(names(|out| {
+            a.vars(out);
+            b.vars(out);
+        })),
+        Guard::VarEq(a, b) => acc.uses.extend(names(|out| {
+            a.vars(out);
+            b.vars(out);
+        })),
         Guard::CaseStmt { arms, default } => {
             for (pat, g) in arms {
-                stmt_pat_vars(&mut acc.local_binders, pat);
+                acc.local_binders.extend(names(|out| pat.vars(out)));
                 collect_guard(g, positive, true, acc);
             }
             collect_guard(default, positive, true, acc);
-        }
-    }
-}
-
-/// Pattern variables a witness refers to.
-fn witness_vars(out: &mut BTreeSet<String>, w: &Witness) {
-    match w {
-        Witness::Forward(fw) => forward_witness_vars(out, fw),
-        Witness::Backward(bw) => match bw {
-            BackwardWitness::Identical => {}
-            BackwardWitness::AgreeExcept(v) => var_pat(out, v),
-        },
-    }
-}
-
-fn forward_witness_vars(out: &mut BTreeSet<String>, w: &ForwardWitness) {
-    match w {
-        ForwardWitness::True => {}
-        ForwardWitness::VarEqConst(v, c) => {
-            var_pat(out, v);
-            const_pat(out, c);
-        }
-        ForwardWitness::VarEqVar(a, b) => {
-            var_pat(out, a);
-            var_pat(out, b);
-        }
-        ForwardWitness::VarEqExpr(v, e) => {
-            var_pat(out, v);
-            expr_pat(out, e);
-        }
-        ForwardWitness::NotPointedTo(v) => var_pat(out, v),
-        ForwardWitness::And(ws) => {
-            for w in ws {
-                forward_witness_vars(out, w);
-            }
         }
     }
 }
@@ -309,67 +202,12 @@ fn pat_subsumes(a: &StmtPat, b: &StmtPat) -> bool {
     // A repeated variable constrains matching position-dependently, so
     // position-wise subsumption would be unsound; bail out.
     let mut occurrences = Vec::new();
-    stmt_pat_var_list(a, &mut occurrences);
-    let distinct: BTreeSet<&String> = occurrences.iter().collect();
+    a.vars(&mut occurrences);
+    let distinct: BTreeSet<&PatVar> = occurrences.iter().map(|(p, _)| p).collect();
     if distinct.len() != occurrences.len() {
         return false;
     }
     subsumes_inner(a, b)
-}
-
-/// Every pattern-variable occurrence in `sp`, in order, with repeats.
-fn stmt_pat_var_list(sp: &StmtPat, out: &mut Vec<String>) {
-    let var = |out: &mut Vec<String>, vp: &VarPat| {
-        if let VarPat::Pat(p) = vp {
-            out.push(p.as_str().to_string());
-        }
-    };
-    let base = |out: &mut Vec<String>, bp: &BasePat| match bp {
-        BasePat::Var(VarPat::Pat(p)) | BasePat::Const(ConstPat::Pat(p)) => {
-            out.push(p.as_str().to_string());
-        }
-        _ => {}
-    };
-    match sp {
-        StmtPat::Any | StmtPat::Skip | StmtPat::ReturnAny => {}
-        StmtPat::Decl(v) | StmtPat::New(v) | StmtPat::Return(v) => var(out, v),
-        StmtPat::Assign(lhs, e) => {
-            match lhs {
-                LhsPat::Var(v) | LhsPat::Deref(v) => var(out, v),
-                LhsPat::Any => {}
-            }
-            match e {
-                ExprPat::Pat(p) | ExprPat::Fold(p) => out.push(p.as_str().to_string()),
-                ExprPat::Any => {}
-                ExprPat::Base(b) => base(out, b),
-                ExprPat::Deref(v) | ExprPat::AddrOf(v) => var(out, v),
-                ExprPat::Op(_, args) => {
-                    for a in args {
-                        base(out, a);
-                    }
-                }
-            }
-        }
-        StmtPat::Call { dst, proc, arg } => {
-            var(out, dst);
-            if let cobalt_dsl::ProcPat::Pat(p) = proc {
-                out.push(p.as_str().to_string());
-            }
-            base(out, arg);
-        }
-        StmtPat::If {
-            cond,
-            then_target,
-            else_target,
-        } => {
-            base(out, cond);
-            for t in [then_target, else_target] {
-                if let cobalt_dsl::IdxPat::Pat(p) = t {
-                    out.push(p.as_str().to_string());
-                }
-            }
-        }
-    }
 }
 
 fn subsumes_inner(a: &StmtPat, b: &StmtPat) -> bool {
@@ -525,10 +363,7 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
 
     // Collect binding structure. `from` binds by matching; psi1 binds
     // via the solve discipline; psi2/where only consume bindings.
-    let mut from_vars = BTreeSet::new();
-    if let Some(from) = parts.from {
-        stmt_pat_vars(&mut from_vars, from);
-    }
+    let from_vars = names(|out| parts.from.iter().for_each(|from| from.vars(out)));
     let mut psi1_vars = GuardVars::default();
     let mut other_vars = GuardVars::default();
     for (part, g) in &parts.guards {
@@ -556,9 +391,7 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
     // CL001 / CL007: template and witness variables must be bound.
     let mut template_uses: Vec<(String, &'static str)> = Vec::new();
     if let Some(to) = parts.to {
-        let mut vs = BTreeSet::new();
-        stmt_pat_vars(&mut vs, to);
-        template_uses.extend(vs.into_iter().map(|v| (v, "to")));
+        template_uses.extend(names(|out| to.vars(out)).into_iter().map(|v| (v, "to")));
     }
     template_uses.extend(parts.witness_vars.iter().map(|v| (v.clone(), "witness")));
     template_uses.extend(parts.defines_vars.iter().map(|v| (v.clone(), "defines")));
@@ -770,15 +603,16 @@ pub fn lint_optimization(
     }
     guards.push(("where", &pat.where_clause));
 
-    let mut wvars = BTreeSet::new();
-    witness_vars(&mut wvars, &pat.witness);
-
     let parts = RuleParts {
         name: &opt.name,
         guards,
         from: Some(&pat.from),
         to: Some(&pat.to),
-        witness_vars: wvars,
+        witness_vars: names(|out| match &pat.witness {
+            Witness::Forward(w) => w.vars(out),
+            Witness::Backward(BackwardWitness::Identical) => {}
+            Witness::Backward(BackwardWitness::AgreeExcept(x)) => x.vars(out),
+        }),
         defines_vars: BTreeSet::new(),
     };
     diags.absorb(lint_parts(&parts, ctx, opts));
@@ -826,27 +660,13 @@ pub fn lint_analysis(
         return diags;
     }
 
-    let mut wvars = BTreeSet::new();
-    forward_witness_vars(&mut wvars, &analysis.witness);
-    let mut dvars = BTreeSet::new();
-    for a in &analysis.defines.1 {
-        let mut vs = Vec::new();
-        a.pattern_vars(&mut vs);
-        for (p, _k) in vs {
-            dvars.insert(p.as_str().to_string());
-        }
-        if let LabelArgPat::Expr(e) = a {
-            expr_pat(&mut dvars, e);
-        }
-    }
-
     let parts = RuleParts {
         name: &analysis.name,
         guards: vec![("psi1", &analysis.guard.psi1), ("psi2", &analysis.guard.psi2)],
         from: None,
         to: None,
-        witness_vars: wvars,
-        defines_vars: dvars,
+        witness_vars: names(|out| analysis.witness.vars(out)),
+        defines_vars: names(|out| analysis.defines.1.iter().for_each(|a| a.vars(out))),
     };
     diags.absorb(lint_parts(&parts, ctx, opts));
     diags

@@ -110,8 +110,7 @@ impl ProofCache {
     /// the daemon must come up and serve regardless.
     pub fn open(path: impl AsRef<Path>, mode: ResumeMode, lock_wait: Duration) -> ProofCache {
         ProofCache {
-            store: Store::open(path, mode, lock_wait, Some("serve.cache"))
-                .unwrap_or_else(|e| Store::unavailable(&e)),
+            store: Store::open(path, mode, lock_wait, Some("serve.cache")),
         }
     }
 

@@ -34,23 +34,23 @@
 //!
 //! # Cross-process sharing
 //!
-//! [`Journal::open_locked`] additionally takes an **advisory exclusive
-//! lock** (BSD `flock` semantics via `std::fs::File::try_lock`), so
-//! several processes can share one journal path without interleaving
-//! half-frames: exactly one holds it, the rest time out after a bounded
-//! wait and degrade. The lock follows the handle across
-//! [`Journal::compact`]'s rename, and acquisition re-verifies the
-//! inode in case a competitor compacted in between (`DESIGN.md` §10).
+//! [`Journal::open`] takes an **advisory exclusive lock** (BSD `flock`
+//! semantics via `std::fs::File::try_lock`), so several processes can
+//! share one journal path without interleaving half-frames: exactly one
+//! holds it, the rest time out after a bounded wait and degrade. The
+//! lock follows the handle across [`Journal::compact`]'s rename, and
+//! acquisition re-verifies the inode in case a competitor compacted in
+//! between (`DESIGN.md` §10).
 //!
 //! # Fault points
 //!
 //! `journal.load`, `journal.write`, and `journal.fsync` are
 //! [`fault`](crate::fault) sites (`fail` actions surface as
 //! `io::Error`), so callers' degradation paths are testable:
-//! `COBALT_FAULTS=journal.write:fail@1`. `journal.lock` is special: a
-//! `fail` action simulates lock *contention* (an immediate
-//! [`LockOutcome::Contended`]), not an I/O error, because contention is
-//! the interesting degradation to rehearse.
+//! `COBALT_FAULTS=journal.write:fail@1`. A `fail` action at
+//! `journal.lock` simulates lock *contention*: an immediate
+//! [`io::ErrorKind::WouldBlock`] error, the same one a real timeout
+//! gives.
 //!
 //! # Record store
 //!
@@ -263,23 +263,6 @@ pub struct Opened {
     pub report: LoadReport,
 }
 
-/// The result of a deadline-bounded locked open: either the journal
-/// (with the advisory exclusive lock held for its lifetime) or a report
-/// that another holder kept the lock for the whole wait.
-#[derive(Debug)]
-pub enum LockOutcome {
-    /// The lock was acquired; the journal is exclusively ours until
-    /// dropped.
-    Acquired(Opened),
-    /// Another process (or handle) held the lock past the deadline, or
-    /// an injected `journal.lock` fault simulated that. A [`Store`]
-    /// degrades: its consumer runs uncached and no verdict changes.
-    Contended {
-        /// Why acquisition gave up, for the caller's note to the user.
-        reason: String,
-    },
-}
-
 /// An append-only journal of checksummed records. See the
 /// [module docs](self) for the format and crash-safety contract.
 #[derive(Debug)]
@@ -289,50 +272,30 @@ pub struct Journal {
     /// End of the last good record (including the magic header); the
     /// next append goes here.
     valid_len: u64,
-    /// Whether this handle holds the advisory exclusive lock (and must
-    /// hand it over across compaction renames).
-    locked: bool,
 }
 
 impl Journal {
-    /// Opens (creating if absent) the journal at `path`, recovering
-    /// every intact record and truncating any corrupt tail so the file
-    /// is immediately appendable again. Takes no lock; a [`Store`]
-    /// uses [`Journal::open_locked`].
-    ///
-    /// # Errors
-    ///
-    /// The `io::Error` of a filesystem failure or an injected
-    /// `journal.load` fault. *Corruption is not an error* — it is
-    /// reported in [`Opened::report`] and repaired by truncation.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Opened> {
-        let path = path.as_ref().to_path_buf();
-        fault::point_err("journal.load").map_err(fault_io)?;
-        let file = open_file(&path)?;
-        load(path, file, false)
-    }
-
-    /// Opens the journal at `path` under an **advisory exclusive lock**,
-    /// waiting up to `lock_wait` for a competing holder to release it.
-    ///
-    /// On [`LockOutcome::Acquired`] the lock is held until the journal
-    /// is dropped; on [`LockOutcome::Contended`] nothing is held or
-    /// modified. The wait polls `try_lock`, so a wedged holder can never
+    /// Opens (creating if absent) the journal at `path` under an
+    /// **advisory exclusive lock**, waiting up to `lock_wait` for a
+    /// competing holder to release it, then recovers every intact
+    /// record and truncates any corrupt tail so the file is immediately
+    /// appendable again. The lock is held until the journal is
+    /// dropped. The wait polls `try_lock`, so a wedged holder can never
     /// wedge us past the deadline.
     ///
     /// # Errors
     ///
-    /// Returns an `io::Error` for filesystem failures (including an
-    /// injected `journal.load` fault). Lock *contention* is not an
-    /// error, and an injected `journal.lock` fault is surfaced as
-    /// contention, not as `Err`.
-    pub fn open_locked(path: impl AsRef<Path>, lock_wait: Duration) -> io::Result<LockOutcome> {
+    /// An [`io::ErrorKind::WouldBlock`] error when another holder kept
+    /// the lock for the whole wait (or an injected `journal.lock` fault
+    /// simulated that); nothing is held or modified then. Otherwise the
+    /// `io::Error` of a filesystem failure or an injected
+    /// `journal.load` fault. *Corruption is not an error* — it is
+    /// reported in [`Opened::report`] and repaired by truncation.
+    pub fn open(path: impl AsRef<Path>, lock_wait: Duration) -> io::Result<Opened> {
         let path = path.as_ref().to_path_buf();
         fault::point_err("journal.load").map_err(fault_io)?;
         if let Err(e) = fault::point_err("journal.lock") {
-            return Ok(LockOutcome::Contended {
-                reason: format!("simulated lock contention ({e})"),
-            });
+            return Err(contended(format!("simulated lock contention ({e})")));
         }
         let deadline = Instant::now() + lock_wait;
         // Outer loop: reopen when the path was renamed-over (a
@@ -342,21 +305,19 @@ impl Journal {
             loop {
                 match file.try_lock() {
                     Ok(()) => break,
-                    Err(TryLockError::WouldBlock) => {
-                        if Instant::now() >= deadline {
-                            return Ok(LockOutcome::Contended {
-                                reason: format!(
-                                    "another process held the journal lock for {lock_wait:?}"
-                                ),
-                            });
-                        }
+                    Err(TryLockError::WouldBlock) if Instant::now() < deadline => {
                         std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Err(TryLockError::WouldBlock) => {
+                        return Err(contended(format!(
+                            "another process held the journal lock for {lock_wait:?}"
+                        )));
                     }
                     Err(TryLockError::Error(e)) => return Err(e),
                 }
             }
             if same_inode(&file, &path)? {
-                return load(path, file, true).map(LockOutcome::Acquired);
+                return load(path, file);
             }
             // Stale inode: the lock we won is on an unlinked file.
             // Drop it (releasing the lock) and race again.
@@ -410,7 +371,6 @@ impl Journal {
     pub fn compact<P: AsRef<[u8]>>(&mut self, records: &[P]) -> io::Result<()> {
         fault::point_err("journal.write").map_err(fault_io)?;
         let tmp_path = tmp_sibling(&self.path);
-        let locked = self.locked;
         let result = (|| -> io::Result<(File, u64)> {
             let mut tmp = OpenOptions::new()
                 .read(true)
@@ -433,14 +393,12 @@ impl Journal {
                 buf.extend_from_slice(payload);
             }
             tmp.write_all(&buf)?;
-            if locked {
-                // Lock the replacement *before* it becomes the journal,
-                // so exclusivity never lapses across the rename: a
-                // competitor that opens the path pre-rename locks a
-                // doomed inode (and re-verifies, per `open_locked`); one
-                // that opens it post-rename finds it already locked.
-                tmp.lock()?;
-            }
+            // Lock the replacement *before* it becomes the journal, so
+            // exclusivity never lapses across the rename: a competitor
+            // that opens the path pre-rename locks a doomed inode (and
+            // re-verifies, per `open`); one that opens it post-rename
+            // finds it already locked.
+            tmp.lock()?;
             fault::point_err("journal.fsync").map_err(fault_io)?;
             tmp.sync_data()?;
             std::fs::rename(&tmp_path, &self.path)?;
@@ -511,57 +469,50 @@ impl<R: Record> Store<R> {
         }
     }
 
-    /// An in-memory store degraded by a failed [`open`](Self::open),
-    /// for consumers that must run without their journal.
-    pub fn unavailable(e: &io::Error) -> Store<R> {
-        let mut store = Self::in_memory();
-        store.degrade(format!("journal unavailable ({e})"));
-        store
-    }
-
     /// Opens (creating if absent) the journal at `path` under its
     /// advisory lock, waiting up to `lock_wait`, and indexes every
     /// decodable record, the latest per fingerprint winning.
-    /// [`ResumeMode::Fresh`] empties the journal instead. A fault at
-    /// `site` or lock contention yields a degraded in-memory store.
+    /// [`ResumeMode::Fresh`] empties the journal instead.
     ///
-    /// # Errors
-    ///
-    /// The `io::Error` of a failed open or `Fresh` reset (bad path,
-    /// permissions, an injected `journal.load` fault). Corruption is
-    /// not an error; see [`load_report`](Self::load_report).
+    /// **Never fails**: a fault at `site`, lock contention, or any
+    /// error opening or resetting the journal (bad path, permissions,
+    /// an injected `journal.load` fault) yields a degraded in-memory
+    /// store. Corruption is not an error; see
+    /// [`load_report`](Self::load_report).
     pub fn open(
         path: impl AsRef<Path>,
         mode: ResumeMode,
         lock_wait: Duration,
         site: Option<&'static str>,
-    ) -> io::Result<Store<R>> {
+    ) -> Store<R> {
         let mut store = Self::in_memory();
         store.site = site;
-        if let Err(e) = check_site(site) {
-            store.degrade(format!("journal unavailable ({e})"));
-            return Ok(store);
-        }
-        let mut opened = match Journal::open_locked(path, lock_wait)? {
-            LockOutcome::Acquired(opened) => opened,
-            LockOutcome::Contended { reason } => {
-                store.degrade(format!("journal lock unavailable ({reason})"));
-                return Ok(store);
-            }
-        };
-        match mode {
-            ResumeMode::Fresh => opened.journal.compact(&[] as &[&[u8]])?,
-            ResumeMode::Resume => {
-                for raw in opened.records {
-                    if let Some(record) = R::decode(&raw) {
-                        store.index.insert(record.fingerprint(), (record, raw));
-                    }
+        let opened = check_site(site)
+            .and_then(|()| Journal::open(path, lock_wait))
+            .and_then(|mut opened| {
+                if mode == ResumeMode::Fresh {
+                    opened.journal.compact(&[] as &[&[u8]])?;
                 }
-                store.loaded = opened.report;
+                Ok(opened)
+            });
+        match opened {
+            Ok(opened) => {
+                if mode == ResumeMode::Resume {
+                    for raw in opened.records {
+                        if let Some(record) = R::decode(&raw) {
+                            store.index.insert(record.fingerprint(), (record, raw));
+                        }
+                    }
+                    store.loaded = opened.report;
+                }
+                store.journal = Some(opened.journal);
             }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                store.degrade(format!("journal lock unavailable ({e})"));
+            }
+            Err(e) => store.degrade(format!("journal unavailable ({e})")),
         }
-        store.journal = Some(opened.journal);
-        Ok(store)
+        store
     }
 
     /// The record stored under `fingerprint`.
@@ -654,7 +605,7 @@ fn open_file(path: &Path) -> io::Result<File> {
 
 /// Reads, scans, and repairs an already-opened journal file, producing
 /// the [`Opened`] handle.
-fn load(path: PathBuf, mut file: File, locked: bool) -> io::Result<Opened> {
+fn load(path: PathBuf, mut file: File) -> io::Result<Opened> {
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
     let (records, valid_len, report) = scan(&bytes);
@@ -667,7 +618,6 @@ fn load(path: PathBuf, mut file: File, locked: bool) -> io::Result<Opened> {
         path,
         file,
         valid_len,
-        locked,
     };
     if journal.valid_len == 0 {
         journal.write_magic()?;
@@ -753,6 +703,11 @@ fn fault_io(e: fault::FaultError) -> io::Error {
     io::Error::other(e)
 }
 
+/// The error of an open that never got the lock.
+fn contended(reason: String) -> io::Error {
+    io::Error::new(io::ErrorKind::WouldBlock, reason)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,13 +723,14 @@ mod tests {
     fn roundtrip_append_and_reload() {
         let path = tmp("roundtrip");
         std::fs::remove_file(&path).ok();
-        let mut opened = Journal::open(&path).unwrap();
+        let mut opened = Journal::open(&path, Duration::ZERO).unwrap();
         assert!(opened.records.is_empty());
         opened.journal.append(b"alpha").unwrap();
         opened.journal.append(b"").unwrap(); // empty payloads are legal
         opened.journal.append(b"gamma\tdelta\n").unwrap();
         opened.journal.sync().unwrap();
-        let reopened = Journal::open(&path).unwrap();
+        drop(opened);
+        let reopened = Journal::open(&path, Duration::ZERO).unwrap();
         assert_eq!(
             reopened.records,
             vec![b"alpha".to_vec(), b"".to_vec(), b"gamma\tdelta\n".to_vec()]
@@ -787,14 +743,14 @@ mod tests {
     fn truncated_tail_is_discarded_and_repaired() {
         let path = tmp("truncated");
         std::fs::remove_file(&path).ok();
-        let mut opened = Journal::open(&path).unwrap();
+        let mut opened = Journal::open(&path, Duration::ZERO).unwrap();
         opened.journal.append(b"keep-me").unwrap();
         opened.journal.append(b"lose-my-tail").unwrap();
         drop(opened);
         let len = std::fs::metadata(&path).unwrap().len();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..len as usize - 3]).unwrap();
-        let recovered = Journal::open(&path).unwrap();
+        let recovered = Journal::open(&path, Duration::ZERO).unwrap();
         assert_eq!(recovered.records, vec![b"keep-me".to_vec()]);
         assert!(recovered.report.corrupted());
         assert!(recovered.report.corruption.is_some());
@@ -803,7 +759,7 @@ mod tests {
         let mut journal = recovered.journal;
         journal.append(b"appended").unwrap();
         drop(journal);
-        let reloaded = Journal::open(&path).unwrap();
+        let reloaded = Journal::open(&path, Duration::ZERO).unwrap();
         assert_eq!(
             reloaded.records,
             vec![b"keep-me".to_vec(), b"appended".to_vec()]
@@ -816,7 +772,7 @@ mod tests {
     fn bit_flip_discards_from_the_flipped_record() {
         let path = tmp("bitflip");
         std::fs::remove_file(&path).ok();
-        let mut opened = Journal::open(&path).unwrap();
+        let mut opened = Journal::open(&path, Duration::ZERO).unwrap();
         for payload in [b"record-one".as_slice(), b"record-two", b"record-three"] {
             opened.journal.append(payload).unwrap();
         }
@@ -826,7 +782,7 @@ mod tests {
         let second_payload_start = MAGIC.len() + FRAME + b"record-one".len() + FRAME;
         bytes[second_payload_start + 2] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let recovered = Journal::open(&path).unwrap();
+        let recovered = Journal::open(&path, Duration::ZERO).unwrap();
         assert_eq!(recovered.records, vec![b"record-one".to_vec()]);
         assert!(recovered
             .report
@@ -841,11 +797,12 @@ mod tests {
     fn foreign_file_is_not_trusted() {
         let path = tmp("foreign");
         std::fs::write(&path, b"this is not a journal at all").unwrap();
-        let recovered = Journal::open(&path).unwrap();
+        let recovered = Journal::open(&path, Duration::ZERO).unwrap();
         assert!(recovered.records.is_empty());
         assert!(recovered.report.corrupted());
+        drop(recovered);
         // And it has been converted into a valid empty journal.
-        let reloaded = Journal::open(&path).unwrap();
+        let reloaded = Journal::open(&path, Duration::ZERO).unwrap();
         assert!(reloaded.records.is_empty());
         assert!(!reloaded.report.corrupted());
         std::fs::remove_file(&path).ok();
@@ -859,7 +816,7 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(b"junk");
         std::fs::write(&path, &bytes).unwrap();
-        let recovered = Journal::open(&path).unwrap();
+        let recovered = Journal::open(&path, Duration::ZERO).unwrap();
         assert!(recovered.records.is_empty());
         assert!(recovered
             .report
@@ -874,7 +831,7 @@ mod tests {
     fn compact_replaces_contents_atomically() {
         let path = tmp("compact");
         std::fs::remove_file(&path).ok();
-        let mut opened = Journal::open(&path).unwrap();
+        let mut opened = Journal::open(&path, Duration::ZERO).unwrap();
         opened.journal.append(b"old-1").unwrap();
         opened.journal.append(b"old-2").unwrap();
         opened
@@ -885,7 +842,7 @@ mod tests {
         opened.journal.append(b"post").unwrap();
         opened.journal.sync().unwrap();
         drop(opened);
-        let reloaded = Journal::open(&path).unwrap();
+        let reloaded = Journal::open(&path, Duration::ZERO).unwrap();
         assert_eq!(
             reloaded.records,
             vec![
@@ -903,9 +860,10 @@ mod tests {
     fn fault_points_surface_as_io_errors() {
         let path = tmp("faults");
         std::fs::remove_file(&path).ok();
-        let e = fault::with_faults("journal.load:fail@1", || Journal::open(&path)).unwrap_err();
+        let e = fault::with_faults("journal.load:fail@1", || Journal::open(&path, Duration::ZERO))
+            .unwrap_err();
         assert!(e.to_string().contains("injected fault"));
-        let mut opened = Journal::open(&path).unwrap();
+        let mut opened = Journal::open(&path, Duration::ZERO).unwrap();
         let e = fault::with_faults("journal.write:fail@1", || opened.journal.append(b"x"))
             .unwrap_err();
         assert!(e.to_string().contains("journal.write"));
@@ -914,7 +872,7 @@ mod tests {
         // After a failed append nothing was written: reload is clean.
         opened.journal.append(b"real").unwrap();
         drop(opened);
-        let reloaded = Journal::open(&path).unwrap();
+        let reloaded = Journal::open(&path, Duration::ZERO).unwrap();
         assert_eq!(reloaded.records, vec![b"real".to_vec()]);
         std::fs::remove_file(&path).ok();
     }
@@ -925,25 +883,12 @@ mod tests {
         // process contend exactly like two processes do.
         let path = tmp("lock_excl");
         std::fs::remove_file(&path).ok();
-        let holder = match Journal::open_locked(&path, Duration::ZERO).unwrap() {
-            LockOutcome::Acquired(o) => o,
-            LockOutcome::Contended { reason } => panic!("fresh file contended: {reason}"),
-        };
-        match Journal::open_locked(&path, Duration::from_millis(20)).unwrap() {
-            LockOutcome::Contended { reason } => {
-                assert!(reason.contains("held the journal lock"), "{reason}")
-            }
-            LockOutcome::Acquired(_) => panic!("lock was not exclusive"),
-        }
-        // Unlocked open still works (advisory locks don't block I/O) —
-        // the discipline is the caller's, which is why Session always
-        // goes through open_locked.
-        assert!(Journal::open(&path).is_ok());
+        let holder = Journal::open(&path, Duration::ZERO).expect("fresh file acquires");
+        let e = Journal::open(&path, Duration::from_millis(20)).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{e}");
+        assert!(e.to_string().contains("held the journal lock"), "{e}");
         drop(holder);
-        match Journal::open_locked(&path, Duration::ZERO).unwrap() {
-            LockOutcome::Acquired(_) => {}
-            LockOutcome::Contended { reason } => panic!("lock not released on drop: {reason}"),
-        }
+        Journal::open(&path, Duration::ZERO).expect("lock released on drop");
         std::fs::remove_file(&path).ok();
     }
 
@@ -951,20 +896,12 @@ mod tests {
     fn lock_wait_outlasts_a_short_holder() {
         let path = tmp("lock_wait");
         std::fs::remove_file(&path).ok();
-        let holder = match Journal::open_locked(&path, Duration::ZERO).unwrap() {
-            LockOutcome::Acquired(o) => o,
-            LockOutcome::Contended { .. } => unreachable!(),
-        };
+        let holder = Journal::open(&path, Duration::ZERO).unwrap();
         let path2 = path.clone();
-        let waiter = std::thread::spawn(move || {
-            Journal::open_locked(&path2, Duration::from_secs(5)).unwrap()
-        });
+        let waiter = std::thread::spawn(move || Journal::open(&path2, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(30));
         drop(holder);
-        match waiter.join().unwrap() {
-            LockOutcome::Acquired(_) => {}
-            LockOutcome::Contended { reason } => panic!("waiter should win the lock: {reason}"),
-        }
+        waiter.join().unwrap().expect("waiter should win the lock");
         std::fs::remove_file(&path).ok();
     }
 
@@ -972,44 +909,32 @@ mod tests {
     fn lock_survives_compaction_rename() {
         let path = tmp("lock_compact");
         std::fs::remove_file(&path).ok();
-        let mut holder = match Journal::open_locked(&path, Duration::ZERO).unwrap() {
-            LockOutcome::Acquired(o) => o,
-            LockOutcome::Contended { .. } => unreachable!(),
-        };
+        let mut holder = Journal::open(&path, Duration::ZERO).unwrap();
         holder.journal.append(b"pre").unwrap();
         holder.journal.compact(&[b"kept".as_slice()]).unwrap();
         // The path's current inode (the renamed replacement) is locked:
         // a competitor still times out.
-        match Journal::open_locked(&path, Duration::from_millis(20)).unwrap() {
-            LockOutcome::Contended { .. } => {}
-            LockOutcome::Acquired(_) => panic!("exclusivity lapsed across compaction"),
-        }
+        let e = Journal::open(&path, Duration::from_millis(20)).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "exclusivity lapsed: {e}");
         holder.journal.append(b"post").unwrap();
         drop(holder);
-        let reloaded = Journal::open(&path).unwrap();
+        let reloaded = Journal::open(&path, Duration::ZERO).unwrap();
         assert_eq!(reloaded.records, vec![b"kept".to_vec(), b"post".to_vec()]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn lock_fault_simulates_contention_not_io_error() {
+    fn lock_fault_simulates_contention() {
         let path = tmp("lock_fault");
         std::fs::remove_file(&path).ok();
-        let outcome = fault::with_faults("journal.lock:fail@1", || {
-            Journal::open_locked(&path, Duration::from_secs(5))
+        let e = fault::with_faults("journal.lock:fail@1", || {
+            Journal::open(&path, Duration::from_secs(5))
         })
-        .unwrap();
-        match outcome {
-            LockOutcome::Contended { reason } => {
-                assert!(reason.contains("simulated lock contention"), "{reason}")
-            }
-            LockOutcome::Acquired(_) => panic!("fault should have contended"),
-        }
+        .unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{e}");
+        assert!(e.to_string().contains("simulated lock contention"), "{e}");
         // The fault fired once; a retry acquires normally.
-        match Journal::open_locked(&path, Duration::ZERO).unwrap() {
-            LockOutcome::Acquired(_) => {}
-            LockOutcome::Contended { .. } => panic!("second attempt should acquire"),
-        }
+        Journal::open(&path, Duration::ZERO).expect("second attempt should acquire");
         std::fs::remove_file(&path).ok();
     }
 

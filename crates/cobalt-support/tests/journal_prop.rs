@@ -12,6 +12,7 @@
 use cobalt_support::journal::{Journal, FRAME, MAGIC};
 use cobalt_support::{prop, prop_assert, prop_assert_eq, props};
 use std::path::PathBuf;
+use std::time::Duration;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -43,7 +44,7 @@ fn base_file() -> &'static Vec<u8> {
     static FILE: OnceLock<Vec<u8>> = OnceLock::new();
     FILE.get_or_init(|| {
         let path = scratch_path("base");
-        let mut opened = Journal::open(&path).expect("fresh journal opens");
+        let mut opened = Journal::open(&path, Duration::ZERO).expect("fresh journal opens");
         for p in base_payloads() {
             opened.journal.append(&p).expect("append");
         }
@@ -77,7 +78,8 @@ fn check_recovery(tag: &str, bytes: &[u8]) -> Result<usize, prop::CaseError> {
     // (a) + (b): loading never panics (a panic would fail the whole
     // test) and yields only a prefix of the original record sequence —
     // anything else would be a trusted-but-wrong record.
-    let opened = Journal::open(&path).expect("open never errors on corrupt bytes");
+    let opened =
+        Journal::open(&path, Duration::ZERO).expect("open never errors on corrupt bytes");
     let n = opened.records.len();
     prop_assert!(
         n <= originals.len(),
@@ -97,7 +99,7 @@ fn check_recovery(tag: &str, bytes: &[u8]) -> Result<usize, prop::CaseError> {
     // record lands after the recovered prefix with no residual
     // corruption (open() truncated the bad tail away).
     let fresh = b"post-recovery append".to_vec();
-    let mut reopened = Journal::open(&path).expect("reopen after repair");
+    let mut reopened = Journal::open(&path, Duration::ZERO).expect("reopen after repair");
     prop_assert!(
         !reopened.report.corrupted(),
         "first open must have repaired the file: {:?}",
@@ -108,7 +110,7 @@ fn check_recovery(tag: &str, bytes: &[u8]) -> Result<usize, prop::CaseError> {
     reopened.journal.sync().expect("sync after recovery");
     drop(reopened);
 
-    let last = Journal::open(&path).expect("open after append");
+    let last = Journal::open(&path, Duration::ZERO).expect("open after append");
     prop_assert_eq!(last.records.len(), n + 1);
     prop_assert_eq!(last.records.last().expect("appended record"), &fresh);
     prop_assert!(!last.report.corrupted(), "{:?}", last.report);

@@ -44,7 +44,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn open_waiting(path: &PathBuf, mode: ResumeMode, lock_wait: Duration) -> Store<Rec> {
-    Store::open(path, mode, lock_wait, Some(SITE)).expect("journal opens")
+    Store::open(path, mode, lock_wait, Some(SITE))
 }
 
 fn open(path: &PathBuf, mode: ResumeMode) -> Store<Rec> {
@@ -53,7 +53,7 @@ fn open(path: &PathBuf, mode: ResumeMode) -> Store<Rec> {
 
 /// The raw payloads on disk, in file order.
 fn on_disk(path: &PathBuf) -> Vec<Vec<u8>> {
-    Journal::open(path).expect("journal reopens").records
+    Journal::open(path, Duration::ZERO).expect("journal reopens").records
 }
 
 #[test]
@@ -127,11 +127,10 @@ fn first_degrade_reason_is_kept() {
         store.finish(&[1, 2]);
     });
     assert_eq!(store.degraded(), Some(first.as_str()));
-    // An open that fails outright degrades a consumer's fallback store.
-    let err = Store::<Rec>::open(std::env::temp_dir(), ResumeMode::Resume, DEFAULT_LOCK_WAIT, None)
-        .unwrap_err();
-    let fallback = Store::<Rec>::unavailable(&err);
-    assert!(fallback.degraded().unwrap().contains("journal unavailable"));
+    // An open that fails outright yields a degraded store.
+    let failed: Store<Rec> =
+        Store::open(std::env::temp_dir(), ResumeMode::Resume, DEFAULT_LOCK_WAIT, None);
+    assert!(failed.degraded().unwrap().contains("journal unavailable"));
     std::fs::remove_file(&path).ok();
 }
 

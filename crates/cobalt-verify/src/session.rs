@@ -36,7 +36,6 @@ pub use cobalt_support::journal::ResumeMode;
 use cobalt_support::journal::{
     decode_fields, encode_fields, Fnv64, LoadReport, Record, Store, DEFAULT_LOCK_WAIT,
 };
-use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -156,26 +155,20 @@ impl Session {
     }
 
     /// Opens (creating if absent) the proof journal at `path` as a
-    /// locked [`Store`] and resumes from its intact records. Lock
-    /// contention (concurrent `cobalt verify --journal same-path`)
-    /// starts the session **degraded**: verification runs uncached with
+    /// locked [`Store`] and resumes from its intact records.
+    ///
+    /// **Never fails**: lock contention (concurrent `cobalt verify
+    /// --journal same-path`) or a journal that cannot be opened at all
+    /// (bad path, permissions, injected `journal.load` fault) starts
+    /// the session **degraded**: verification runs uncached with
     /// unchanged verdicts, and [`degraded`](Self::degraded) says why.
-    ///
-    /// # Errors
-    ///
-    /// The `io::Error` of a journal that cannot be opened or reset at
-    /// all (bad path, permissions, injected `journal.load` fault).
-    /// Corruption inside the file is *not* an error.
-    pub fn with_journal(
-        verifier: Verifier,
-        path: impl AsRef<Path>,
-        mode: ResumeMode,
-    ) -> io::Result<Session> {
-        Ok(Session {
+    /// Corruption inside the file is not an error.
+    pub fn with_journal(verifier: Verifier, path: impl AsRef<Path>, mode: ResumeMode) -> Session {
+        Session {
             verifier,
-            store: Store::open(path, mode, DEFAULT_LOCK_WAIT, None)?,
+            store: Store::open(path, mode, DEFAULT_LOCK_WAIT, None),
             session_fps: Vec::new(),
-        })
+        }
     }
 
     /// What the journal loader recovered and discarded at open.

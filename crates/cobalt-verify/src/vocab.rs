@@ -8,9 +8,8 @@
 
 use crate::error::VerifyError;
 use cobalt_dsl::{
-    BackwardWitness, BasePat, ConstPat, ExprPat, ForwardWitness, FragKind, Guard, GuardSpec,
-    IdxPat, LabelArgPat, LhsPat, Optimization, PatVar, ProcPat, PureAnalysis, StmtPat,
-    TransformPattern, VarPat, Witness,
+    BackwardWitness, FragKind, Guard, GuardSpec, Optimization, PatVar, PureAnalysis,
+    TransformPattern, Witness,
 };
 use std::collections::BTreeMap;
 
@@ -27,158 +26,50 @@ fn kind_name(k: FragKind) -> &'static str {
     }
 }
 
-fn add(kinds: &mut Kinds, p: &PatVar, k: FragKind) -> Result<(), VerifyError> {
-    match kinds.get(p) {
-        Some(&prev) if prev != k => Err(VerifyError::KindConflict {
-            var: p.to_string(),
-            first: kind_name(prev).into(),
-            second: kind_name(k).into(),
-        }),
-        _ => {
-            kinds.insert(p.clone(), k);
-            Ok(())
-        }
-    }
-}
-
-fn var_pat(kinds: &mut Kinds, v: &VarPat) -> Result<(), VerifyError> {
-    if let VarPat::Pat(p) = v {
-        add(kinds, p, FragKind::Var)?;
-    }
-    Ok(())
-}
-
-fn const_pat(kinds: &mut Kinds, c: &ConstPat) -> Result<(), VerifyError> {
-    if let ConstPat::Pat(p) = c {
-        add(kinds, p, FragKind::Const)?;
-    }
-    Ok(())
-}
-
-fn base_pat(kinds: &mut Kinds, b: &BasePat) -> Result<(), VerifyError> {
-    match b {
-        BasePat::Var(v) => var_pat(kinds, v),
-        BasePat::Const(c) => const_pat(kinds, c),
-    }
-}
-
-fn expr_pat(kinds: &mut Kinds, e: &ExprPat) -> Result<(), VerifyError> {
-    match e {
-        ExprPat::Pat(p) | ExprPat::Fold(p) => add(kinds, p, FragKind::Expr),
-        ExprPat::Any => Ok(()),
-        ExprPat::Base(b) => base_pat(kinds, b),
-        ExprPat::Deref(v) | ExprPat::AddrOf(v) => var_pat(kinds, v),
-        ExprPat::Op(_, args) => {
-            for a in args {
-                base_pat(kinds, a)?;
+/// The kind of each variable in `occurrences`; the first occurrence
+/// whose kind differs from an earlier one is the conflict reported.
+fn kinds(occurrences: Vec<(PatVar, FragKind)>) -> Result<Kinds, VerifyError> {
+    let mut kinds = Kinds::new();
+    for (p, k) in occurrences {
+        match kinds.get(&p) {
+            Some(&prev) if prev != k => {
+                return Err(VerifyError::KindConflict {
+                    var: p.to_string(),
+                    first: kind_name(prev).into(),
+                    second: kind_name(k).into(),
+                })
             }
-            Ok(())
-        }
-    }
-}
-
-fn idx_pat(kinds: &mut Kinds, i: &IdxPat) -> Result<(), VerifyError> {
-    if let IdxPat::Pat(p) = i {
-        add(kinds, p, FragKind::Index)?;
-    }
-    Ok(())
-}
-
-/// Collects pattern variables from a statement pattern.
-pub fn stmt_pat(kinds: &mut Kinds, s: &StmtPat) -> Result<(), VerifyError> {
-    match s {
-        StmtPat::Any | StmtPat::Skip | StmtPat::ReturnAny => Ok(()),
-        StmtPat::Decl(v) | StmtPat::New(v) | StmtPat::Return(v) => var_pat(kinds, v),
-        StmtPat::Assign(lhs, e) => {
-            match lhs {
-                LhsPat::Var(v) | LhsPat::Deref(v) => var_pat(kinds, v)?,
-                LhsPat::Any => {}
+            _ => {
+                kinds.insert(p, k);
             }
-            expr_pat(kinds, e)
-        }
-        StmtPat::Call { dst, proc, arg } => {
-            var_pat(kinds, dst)?;
-            if let ProcPat::Pat(p) = proc {
-                add(kinds, p, FragKind::Proc)?;
-            }
-            base_pat(kinds, arg)
-        }
-        StmtPat::If {
-            cond,
-            then_target,
-            else_target,
-        } => {
-            base_pat(kinds, cond)?;
-            idx_pat(kinds, then_target)?;
-            idx_pat(kinds, else_target)
         }
     }
+    Ok(kinds)
 }
 
-/// Collects pattern variables from a guard. Arm-local variables of
+/// Appends the pattern variables of a guard. Arm-local variables of
 /// `case` patterns are *not* collected (they are bound per shape during
 /// encoding), but variables in arm guards and label arguments are.
-pub fn guard(kinds: &mut Kinds, g: &Guard) -> Result<(), VerifyError> {
+fn guard(g: &Guard, out: &mut Vec<(PatVar, FragKind)>) {
     match g {
-        Guard::True | Guard::False => Ok(()),
-        Guard::Not(inner) => guard(kinds, inner),
-        Guard::And(gs) | Guard::Or(gs) => {
-            for g in gs {
-                guard(kinds, g)?;
-            }
-            Ok(())
-        }
-        Guard::Stmt(s) => stmt_pat(kinds, s),
-        Guard::Label(_, args) => {
-            for a in args {
-                match a {
-                    LabelArgPat::Var(v) => var_pat(kinds, v)?,
-                    LabelArgPat::Const(c) => const_pat(kinds, c)?,
-                    LabelArgPat::Expr(e) => expr_pat(kinds, e)?,
-                }
-            }
-            Ok(())
-        }
-        Guard::SyntacticDef(v) | Guard::SyntacticUse(v) => var_pat(kinds, v),
-        Guard::Unchanged(e) => expr_pat(kinds, e),
+        Guard::True | Guard::False => {}
+        Guard::Not(inner) => guard(inner, out),
+        Guard::And(gs) | Guard::Or(gs) => gs.iter().for_each(|g| guard(g, out)),
+        Guard::Stmt(s) => s.vars(out),
+        Guard::Label(_, args) => args.iter().for_each(|a| a.vars(out)),
+        Guard::SyntacticDef(v) | Guard::SyntacticUse(v) => v.vars(out),
+        Guard::Unchanged(e) => e.vars(out),
         Guard::ConstEq(a, b) => {
-            const_pat(kinds, a)?;
-            const_pat(kinds, b)
+            a.vars(out);
+            b.vars(out);
         }
         Guard::VarEq(a, b) => {
-            var_pat(kinds, a)?;
-            var_pat(kinds, b)
+            a.vars(out);
+            b.vars(out);
         }
         Guard::CaseStmt { arms, default } => {
-            for (_, g) in arms {
-                guard(kinds, g)?;
-            }
-            guard(kinds, default)
-        }
-    }
-}
-
-fn forward_witness(kinds: &mut Kinds, w: &ForwardWitness) -> Result<(), VerifyError> {
-    match w {
-        ForwardWitness::True => Ok(()),
-        ForwardWitness::VarEqConst(x, c) => {
-            var_pat(kinds, x)?;
-            const_pat(kinds, c)
-        }
-        ForwardWitness::VarEqVar(x, y) => {
-            var_pat(kinds, x)?;
-            var_pat(kinds, y)
-        }
-        ForwardWitness::VarEqExpr(x, e) => {
-            var_pat(kinds, x)?;
-            expr_pat(kinds, e)
-        }
-        ForwardWitness::NotPointedTo(x) => var_pat(kinds, x),
-        ForwardWitness::And(ws) => {
-            for w in ws {
-                forward_witness(kinds, w)?;
-            }
-            Ok(())
+            arms.iter().for_each(|(_, g)| guard(g, out));
+            guard(default, out);
         }
     }
 }
@@ -190,42 +81,39 @@ pub fn of_optimization(opt: &Optimization) -> Result<Kinds, VerifyError> {
 
 /// Collects the full vocabulary of a transformation pattern.
 pub fn of_pattern(pat: &TransformPattern) -> Result<Kinds, VerifyError> {
-    let mut kinds = Kinds::new();
-    stmt_pat(&mut kinds, &pat.from)?;
-    stmt_pat(&mut kinds, &pat.to)?;
-    guard(&mut kinds, &pat.where_clause)?;
+    let mut vars = Vec::new();
+    pat.from.vars(&mut vars);
+    pat.to.vars(&mut vars);
+    guard(&pat.where_clause, &mut vars);
     if let GuardSpec::Region(rg) = &pat.guard {
-        guard(&mut kinds, &rg.psi1)?;
-        guard(&mut kinds, &rg.psi2)?;
+        guard(&rg.psi1, &mut vars);
+        guard(&rg.psi2, &mut vars);
     }
     match &pat.witness {
-        Witness::Forward(w) => forward_witness(&mut kinds, w)?,
+        Witness::Forward(w) => w.vars(&mut vars),
         Witness::Backward(BackwardWitness::Identical) => {}
-        Witness::Backward(BackwardWitness::AgreeExcept(x)) => var_pat(&mut kinds, x)?,
+        Witness::Backward(BackwardWitness::AgreeExcept(x)) => x.vars(&mut vars),
     }
-    Ok(kinds)
+    kinds(vars)
 }
 
 /// Collects the full vocabulary of a pure analysis.
 pub fn of_analysis(analysis: &PureAnalysis) -> Result<Kinds, VerifyError> {
-    let mut kinds = Kinds::new();
-    guard(&mut kinds, &analysis.guard.psi1)?;
-    guard(&mut kinds, &analysis.guard.psi2)?;
-    for a in &analysis.defines.1 {
-        match a {
-            LabelArgPat::Var(v) => var_pat(&mut kinds, v)?,
-            LabelArgPat::Const(c) => const_pat(&mut kinds, c)?,
-            LabelArgPat::Expr(e) => expr_pat(&mut kinds, e)?,
-        }
-    }
-    forward_witness(&mut kinds, &analysis.witness)?;
-    Ok(kinds)
+    let mut vars = Vec::new();
+    guard(&analysis.guard.psi1, &mut vars);
+    guard(&analysis.guard.psi2, &mut vars);
+    analysis.defines.1.iter().for_each(|a| a.vars(&mut vars));
+    analysis.witness.vars(&mut vars);
+    kinds(vars)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobalt_dsl::{Direction, RegionGuard};
+    use cobalt_dsl::{
+        BasePat, ConstPat, Direction, ExprPat, ForwardWitness, LabelArgPat, LhsPat, RegionGuard,
+        StmtPat, VarPat,
+    };
 
     #[test]
     fn collects_const_prop_vocabulary() {
@@ -278,9 +166,8 @@ mod tests {
 
     #[test]
     fn case_arm_locals_not_collected() {
-        let mut kinds = Kinds::new();
+        let mut vars = Vec::new();
         guard(
-            &mut kinds,
             &Guard::CaseStmt {
                 arms: vec![(
                     StmtPat::Assign(LhsPat::Deref(VarPat::pat("$P")), ExprPat::Any),
@@ -288,9 +175,8 @@ mod tests {
                 )],
                 default: Box::new(Guard::SyntacticDef(VarPat::pat("Y"))),
             },
-        )
-        .unwrap();
-        assert!(kinds.contains_key(&"Y".into()));
-        assert!(!kinds.contains_key(&"$P".into()));
+            &mut vars,
+        );
+        assert_eq!(vars, vec![("Y".into(), FragKind::Var)]);
     }
 }

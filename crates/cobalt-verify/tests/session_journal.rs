@@ -7,6 +7,7 @@ use cobalt_logic::Limits;
 use cobalt_support::journal::Journal;
 use cobalt_verify::{ResumeMode, RetryPolicy, SemanticMeanings, Session, Verifier};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn tmp_journal(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
@@ -24,7 +25,7 @@ fn verifier() -> Verifier {
 /// All journal payloads currently on disk, as strings, keyed by the
 /// rule name embedded in each record.
 fn payloads_by_rule(path: &PathBuf) -> Vec<(String, String)> {
-    let opened = Journal::open(path).expect("journal reopens");
+    let opened = Journal::open(path, Duration::ZERO).expect("journal reopens");
     assert!(!opened.report.corrupted(), "{:?}", opened.report);
     opened
         .records
@@ -51,7 +52,7 @@ fn fingerprint_invalidation_is_per_rule_and_cache_reuse_is_byte_for_byte() {
     let registry = cobalt_opts::all_optimizations();
     assert!(registry.len() >= 3, "need a real registry for this test");
 
-    let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     for opt in &registry {
         let report = session.verify_optimization(opt).unwrap();
         assert!(report.all_proved(), "{}", report.summary());
@@ -78,7 +79,7 @@ fn fingerprint_invalidation_is_per_rule_and_cache_reuse_is_byte_for_byte() {
         })
         .collect();
 
-    let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     for opt in &mutated_registry {
         let report = session.verify_optimization(opt).unwrap();
         assert!(report.all_proved(), "{}", report.summary());
@@ -143,7 +144,7 @@ fn warm_resume_replays_everything_without_proving() {
     let analyses = cobalt_opts::all_analyses();
     let opts = cobalt_opts::all_optimizations();
 
-    let mut cold = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut cold = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     for a in &analyses {
         assert!(cold.verify_analysis(a).unwrap().all_proved());
     }
@@ -152,7 +153,7 @@ fn warm_resume_replays_everything_without_proving() {
     }
     cold.finish();
 
-    let mut warm = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut warm = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     for a in &analyses {
         let report = warm.verify_analysis(a).unwrap();
         assert!(report.all_proved());
@@ -175,11 +176,11 @@ fn fresh_mode_discards_the_cache() {
     let path = tmp_journal("fresh");
     let opt = cobalt_opts::all_optimizations().remove(0);
 
-    let mut first = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut first = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     assert_eq!(first.verify_optimization(&opt).unwrap().cached_count(), 0);
     first.finish();
 
-    let mut fresh = Session::with_journal(verifier(), &path, ResumeMode::Fresh).unwrap();
+    let mut fresh = Session::with_journal(verifier(), &path, ResumeMode::Fresh);
     let report = fresh.verify_optimization(&opt).unwrap();
     assert_eq!(report.cached_count(), 0, "fresh session must not reuse");
     assert!(report.all_proved());
@@ -230,8 +231,7 @@ fn resource_limited_failures_resume_escalation_at_the_recorded_tier() {
         ),
         &path,
         ResumeMode::Resume,
-    )
-    .unwrap();
+    );
     let report = cobalt_support::fault::with_faults("checker.obligation:delay_ms@150", || {
         killed.verify_optimization(&opt).unwrap()
     });
@@ -249,8 +249,7 @@ fn resource_limited_failures_resume_escalation_at_the_recorded_tier() {
     // prevented from ever starting (attempts=0, tier=0) run cold (two
     // attempts).
     let mut resumed =
-        Session::with_journal(verifier().with_retry_policy(two_tier), &path, ResumeMode::Resume)
-            .unwrap();
+        Session::with_journal(verifier().with_retry_policy(two_tier), &path, ResumeMode::Resume);
     let report = resumed.verify_optimization(&opt).unwrap();
     resumed.finish();
     assert!(report.all_proved(), "{}", report.summary());

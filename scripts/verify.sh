@@ -43,6 +43,16 @@ if [[ $code -ne 3 ]]; then
     echo "robustness: verify --timeout 0 exited $code (want 3)"; exit 1
 fi
 
+# A misspelled flag is an error (exit 1), never silently dropped: here
+# it would otherwise skip the §6 regression check and still exit 0.
+set +e
+err=$("$COBALT" verify --include-bugy 2>&1 >/dev/null)
+code=$?
+set -e
+if [[ $code -ne 1 ]] || ! grep -q "unknown flag" <<<"$err"; then
+    echo "robustness: verify --include-bugy exited $code (want 1, unknown flag):"; echo "$err"; exit 1
+fi
+
 # Fault-injection smoke through the env-var path: an injected prover
 # panic is isolated to one obligation (exit 2, completed report with
 # its FAILED line on stdout), and an injected pass panic is
@@ -161,6 +171,18 @@ if ! grep -q "journaling disabled" <<<"$out"; then
     echo "journal: write-fault verify did not report degradation:"; echo "$out"; exit 1
 fi
 
+# A journal path that cannot be opened degrades the same way: exit 0,
+# uncached, with the note.
+missing_dir=$(mktemp -d /tmp/cobalt_verify_missing_XXXXXX)
+set +e
+out=$("$COBALT" verify --journal "$missing_dir/missing/j" 2>&1)
+code=$?
+set -e
+rm -rf "$missing_dir"
+if [[ $code -ne 0 ]] || ! grep -q "journaling disabled" <<<"$out"; then
+    echo "journal: unopenable-journal verify exited $code (want 0, degraded):"; echo "$out"; exit 1
+fi
+
 echo "== parallel stage (supervised discharge)"
 
 # Determinism: the full registry, buggy variants included, verified at
@@ -175,11 +197,6 @@ if [[ "$seq_out" != "$par_out" ]]; then
     echo "parallel: --jobs 4 output diverged from --jobs 1:"
     diff <(echo "$seq_out") <(echo "$par_out") || true
     exit 1
-fi
-# And COBALT_JOBS is the same knob.
-env_out=$(COBALT_JOBS=4 "$COBALT" verify --include-buggy 2>&1 | normalize_times)
-if [[ "$seq_out" != "$env_out" ]]; then
-    echo "parallel: COBALT_JOBS=4 output diverged from --jobs 1"; exit 1
 fi
 # A bad jobs value is a typed CLI error (exit 1), not a panic.
 set +e

@@ -65,7 +65,7 @@ fn summary_sans_time(report: &Report) -> String {
 /// Journal record payloads with the (timing-dependent) `elapsed_us`
 /// field zeroed; everything else must be byte-identical.
 fn journal_sans_time(path: &PathBuf) -> Vec<String> {
-    let opened = Journal::open(path).expect("journal reopens");
+    let opened = Journal::open(path, Duration::ZERO).expect("journal reopens");
     assert!(!opened.report.corrupted(), "{:?}", opened.report);
     opened
         .records
@@ -184,7 +184,7 @@ fn journal_contents_are_identical_across_bank_modes() {
     for mode in [BankMode::PerObligation, BankMode::BatchShared] {
         let path = scratch_journal(&format!("bytes_{mode:?}"));
         let mut session =
-            Session::with_journal(verifier(1, mode), &path, ResumeMode::Resume).unwrap();
+            Session::with_journal(verifier(1, mode), &path, ResumeMode::Resume);
         for opt in &registry {
             assert!(session.verify_optimization(opt).unwrap().all_proved());
         }
@@ -230,8 +230,7 @@ fn fingerprints_survive_the_bank_mode_switch() {
         verifier(1, BankMode::PerObligation),
         &path,
         ResumeMode::Resume,
-    )
-    .unwrap();
+    );
     assert!(cold.verify_optimization(&opt).unwrap().all_proved());
     cold.finish();
     drop(cold);
@@ -239,8 +238,7 @@ fn fingerprints_survive_the_bank_mode_switch() {
         verifier(1, BankMode::BatchShared),
         &path,
         ResumeMode::Resume,
-    )
-    .unwrap();
+    );
     let report = warm.verify_optimization(&opt).unwrap();
     assert!(report.all_proved(), "{}", report.summary());
     assert_eq!(

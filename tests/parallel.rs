@@ -15,6 +15,7 @@ use cobalt_bench::many_proc_program;
 use cobalt_support::journal::Journal;
 use cobalt_support::{fault, prop, prop_assert, prop_assert_eq, props};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn verifier(jobs: usize) -> Verifier {
     Verifier::new(LabelEnv::standard(), SemanticMeanings::standard()).with_jobs(jobs)
@@ -60,7 +61,7 @@ fn summary_sans_time(report: &Report) -> String {
 /// Journal record payloads with the (timing-dependent) `elapsed_us`
 /// field zeroed; everything else must be byte-identical.
 fn journal_sans_time(path: &PathBuf) -> Vec<String> {
-    let opened = Journal::open(path).expect("journal reopens");
+    let opened = Journal::open(path, Duration::ZERO).expect("journal reopens");
     assert!(!opened.report.corrupted(), "{:?}", opened.report);
     opened
         .records
@@ -131,7 +132,7 @@ fn journal_contents_are_identical_at_jobs_one_and_four() {
     for jobs in [1usize, 4] {
         let path = scratch_journal(&format!("bytes_j{jobs}"));
         let mut session =
-            Session::with_journal(verifier(jobs), &path, ResumeMode::Resume).unwrap();
+            Session::with_journal(verifier(jobs), &path, ResumeMode::Resume);
         for opt in &registry {
             assert!(session.verify_optimization(opt).unwrap().all_proved());
         }
@@ -171,7 +172,7 @@ fn journal_lock_fault_degrades_identically_at_any_jobs() {
     for jobs in [1usize, 4] {
         let path = scratch_journal(&format!("lockfault_j{jobs}"));
         let mut session = fault::with_faults("journal.lock:fail@1", || {
-            Session::with_journal(verifier(jobs), &path, ResumeMode::Resume).unwrap()
+            Session::with_journal(verifier(jobs), &path, ResumeMode::Resume)
         });
         let reason = session
             .degraded()
@@ -199,7 +200,7 @@ fn kill_mid_parallel_run_resumes_from_the_journal() {
     let registry = cobalt::opts::all_optimizations();
     assert!(registry.len() >= 3);
 
-    let mut killed = Session::with_journal(verifier(4), &path, ResumeMode::Resume).unwrap();
+    let mut killed = Session::with_journal(verifier(4), &path, ResumeMode::Resume);
     for opt in &registry[..2] {
         assert!(killed.verify_optimization(opt).unwrap().all_proved());
     }
@@ -207,7 +208,7 @@ fn kill_mid_parallel_run_resumes_from_the_journal() {
 
     for resume_jobs in [1usize, 4] {
         let mut resumed =
-            Session::with_journal(verifier(resume_jobs), &path, ResumeMode::Resume).unwrap();
+            Session::with_journal(verifier(resume_jobs), &path, ResumeMode::Resume);
         assert!(
             !resumed.load_report().corrupted(),
             "in-order append+sync leaves a clean journal: {:?}",
@@ -384,7 +385,7 @@ props! {
             _ => {
                 let path = scratch_journal(&format!("prop_{rule}_{jobs}_{panic_at}"));
                 let mut session = fault::with_faults("journal.lock:fail@1", || {
-                    Session::with_journal(verifier(jobs), &path, ResumeMode::Resume).unwrap()
+                    Session::with_journal(verifier(jobs), &path, ResumeMode::Resume)
                 });
                 let degraded = session.degraded().is_some();
                 let r = session.verify_optimization(opt).unwrap();

@@ -205,7 +205,7 @@ fn kill_mid_run_resume_skips_already_proved_obligations() {
     assert!(registry.len() >= 3, "need several rules to kill between");
 
     // Run 1 gets through two rules, then the process "dies".
-    let mut killed = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut killed = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     for opt in &registry[..2] {
         assert!(killed.verify_optimization(opt).unwrap().all_proved());
     }
@@ -213,7 +213,7 @@ fn kill_mid_run_resume_skips_already_proved_obligations() {
 
     // Run 2 resumes: the dead run's obligations are cached, the rest
     // prove fresh, and the suite completes.
-    let mut resumed = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut resumed = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     assert!(
         !resumed.load_report().corrupted(),
         "append+sync per outcome leaves a clean journal: {:?}",
@@ -252,7 +252,7 @@ fn torn_write_on_kill_is_discarded_and_only_that_obligation_reproves() {
     let path = scratch_journal("torn");
     let registry = cobalt::opts::all_optimizations();
 
-    let mut killed = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut killed = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     for opt in &registry[..2] {
         assert!(killed.verify_optimization(opt).unwrap().all_proved());
     }
@@ -264,7 +264,7 @@ fn torn_write_on_kill_is_discarded_and_only_that_obligation_reproves() {
     file.set_len(len - 3).unwrap();
     drop(file);
 
-    let mut resumed = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut resumed = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     assert!(
         resumed.load_report().corrupted(),
         "the tear must be reported: {:?}",
@@ -291,7 +291,7 @@ fn torn_write_on_kill_is_discarded_and_only_that_obligation_reproves() {
     resumed.finish();
 
     // After finish() the journal is compacted and clean again.
-    let clean = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let clean = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     assert!(!clean.load_report().corrupted(), "{:?}", clean.load_report());
     std::fs::remove_file(&path).ok();
 }
@@ -304,7 +304,7 @@ fn journal_write_fault_degrades_session_but_preserves_durable_records() {
     let path = scratch_journal("write_fault");
     let registry = cobalt::opts::all_optimizations();
 
-    let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     let reports: Vec<_> = fault::with_faults("journal.write:fail@3", || {
         registry
             .iter()
@@ -320,7 +320,7 @@ fn journal_write_fault_degrades_session_but_preserves_durable_records() {
     assert!(reason.contains("injected fault"), "{reason}");
     session.finish();
 
-    let resumed = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+    let resumed = Session::with_journal(verifier(), &path, ResumeMode::Resume);
     assert!(!resumed.load_report().corrupted(), "{:?}", resumed.load_report());
     assert_eq!(
         resumed.load_report().records,

@@ -86,8 +86,12 @@ fn journal_crash_resume_soak() {
     for round in 0..300u32 {
         // Run the suite, dying after a random number of rules.
         let survive = rng.gen_range(0..=registry.len());
-        let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume)
-            .unwrap_or_else(|e| panic!("round {round}: journal must always open: {e}"));
+        let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume);
+        assert!(
+            session.degraded().is_none(),
+            "round {round}: journal must always open: {:?}",
+            session.degraded()
+        );
         for opt in &registry[..survive] {
             let report = session.verify_optimization(opt).unwrap();
             assert!(report.all_proved(), "round {round}: {}", report.summary());
@@ -96,7 +100,7 @@ fn journal_crash_resume_soak() {
             session.finish();
             assert!(session.degraded().is_none(), "round {round}");
             // A completed journal warms the very next full run entirely.
-            let mut warm = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+            let mut warm = Session::with_journal(verifier(), &path, ResumeMode::Resume);
             for opt in &registry {
                 let report = warm.verify_optimization(opt).unwrap();
                 assert_eq!(
@@ -436,8 +440,7 @@ fn parallel_kill_resume_soak() {
     for round in 0..120u32 {
         let jobs = if round % 2 == 0 { 4 } else { 1 };
         let survive = rng.gen_range(0..=registry.len());
-        let mut session = Session::with_journal(verifier(jobs), &path, ResumeMode::Resume)
-            .unwrap_or_else(|e| panic!("round {round}: journal must always open: {e}"));
+        let mut session = Session::with_journal(verifier(jobs), &path, ResumeMode::Resume);
         assert!(
             session.degraded().is_none(),
             "round {round}: the dead run's lock died with it; no contention"
@@ -457,7 +460,7 @@ fn parallel_kill_resume_soak() {
             // A completed journal warms the next full run — at the
             // *other* worker count — entirely.
             let mut warm =
-                Session::with_journal(verifier(5 - jobs), &path, ResumeMode::Resume).unwrap();
+                Session::with_journal(verifier(5 - jobs), &path, ResumeMode::Resume);
             for opt in &registry {
                 let report = warm.verify_optimization(opt).unwrap();
                 assert_eq!(
