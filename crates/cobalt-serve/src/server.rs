@@ -15,6 +15,12 @@
 //!        else: pool::run_ordered  ─→ execute, cache, reply "fresh"
 //! ```
 //!
+//! **Accept and wake:** the acceptor blocks in `accept`. Whoever starts
+//! the drain wakes it by connecting to the listener's own address; the
+//! signal watcher (one thread, a 50 ms tick, off the request path)
+//! turns SIGTERM/SIGINT into that same drain and re-sends the wake
+//! until the acceptor has returned.
+//!
 //! **Drain state machine:** `Running` → (signal or `shutdown` request)
 //! → `Draining` (accept loop stops, new work sheds, queued + in-flight
 //! work finishes) → (after `drain_wait`) → `Cancelling` (every live
@@ -31,8 +37,8 @@ use cobalt_support::fault;
 use cobalt_support::journal::ResumeMode;
 use cobalt_support::pool::{self, Cancel, TaskResult};
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -144,12 +150,28 @@ struct Counters {
     errors: AtomicU64,
 }
 
+/// The longest request line the daemon reads, newline included. The
+/// whole registry suite is about 2 KB; a longer line is refused and its
+/// connection closed, because the stream cannot be resynchronised
+/// mid-line.
+const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// How often the signal watcher checks for SIGTERM/SIGINT and, once
+/// draining, repeats the acceptor's wake.
+const WATCH_TICK: Duration = Duration::from_millis(50);
+
 struct Shared {
     cfg: ServeConfig,
+    /// The bound listen address; the drain's wake connects here.
+    addr: SocketAddr,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
-    /// `Running` → `Draining`: accept stops, enqueue sheds.
+    /// `Running` → `Draining`: accept stops, enqueue sheds. Set under
+    /// the queue lock (see [`Shared::start_draining`]).
     draining: AtomicBool,
+    /// The acceptor has seen `draining` and dropped the listener; until
+    /// then the signal watcher keeps re-sending the wake.
+    accept_done: AtomicBool,
     /// `Draining` → `Cancelling`: new executions start pre-cancelled.
     hard_cancel: AtomicBool,
     /// Cancel tokens of in-flight executions, tripped at `Cancelling`.
@@ -175,9 +197,26 @@ impl Shared {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// `Running` → `Draining`; idempotent. The flag changes under the
+    /// queue lock, as `enqueue`'s items do, so the dispatcher — which
+    /// checks both under that lock before it waits — cannot miss the
+    /// notify. Then a connect to the listener's own address wakes the
+    /// blocked acceptor. A failed connect is ignored: the signal watcher
+    /// calls this again every tick until `accept_done`.
     fn start_draining(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        {
+            let _q = self.lock_queue();
+            self.draining.store(true, Ordering::SeqCst);
+        }
         self.queue_cv.notify_all();
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
     }
 
     /// `Cancelling`: every in-flight execution stands down at its next
@@ -243,8 +282,8 @@ impl Shared {
 pub struct Server;
 
 impl Server {
-    /// Binds, opens the proof cache, and starts the accept and
-    /// dispatcher threads.
+    /// Binds, opens the proof cache, and starts the accept, dispatcher
+    /// and signal-watcher threads.
     ///
     /// # Errors
     ///
@@ -264,12 +303,14 @@ impl Server {
             None => ProofCache::in_memory(),
         };
         let shared = Arc::new(Shared {
+            addr,
             queue: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 stopped: false,
             }),
             queue_cv: Condvar::new(),
             draining: AtomicBool::new(false),
+            accept_done: AtomicBool::new(false),
             hard_cancel: AtomicBool::new(false),
             live: Mutex::new(Vec::new()),
             ewma_us: AtomicU64::new(0),
@@ -291,11 +332,17 @@ impl Server {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
                 let faults = shared.faults.clone();
-                fault::with_overrides(faults.as_ref(), || accept_loop(&shared, &listener));
+                fault::with_overrides(faults.as_ref(), || accept_loop(&shared, listener));
             })
         };
+        // Detached: it holds neither the listener nor the journal and
+        // exits within a tick of `accept_done`, so `join` need not
+        // wait for it.
+        {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || watch_loop(&shared));
+        }
         Ok(ServerHandle {
-            addr,
             shared,
             accept: Some(accept),
             dispatcher: Some(dispatcher),
@@ -306,7 +353,6 @@ impl Server {
 
 /// A running daemon: its bound address and the levers to stop it.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
     dispatcher: Option<thread::JoinHandle<()>>,
@@ -316,7 +362,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Requests a graceful drain, exactly as an in-band `shutdown`
@@ -349,22 +395,19 @@ impl ServerHandle {
     }
 }
 
-/// Accepts connections until drain starts. Nonblocking accept + short
-/// sleeps so the signal flag and the draining flag are polled even
-/// when no clients arrive.
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
-        // Cannot poll the drain flags on a blocking listener; shut the
-        // daemon down rather than running un-drainable.
-        shared.start_draining();
-        return;
-    }
+/// Accepts connections until drain starts, blocking in `accept`. The
+/// drain's wake connect (see [`Shared::start_draining`]) makes `accept`
+/// return; `draining` is checked after every return, `Ok` or `Err`,
+/// and before the `serve.accept` fault point, so an injected fault
+/// cannot swallow the wake. Returning drops the listener.
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
-        if sig::shutdown_requested() || shared.draining.load(Ordering::SeqCst) {
-            shared.start_draining();
+        let accepted = listener.accept();
+        if shared.draining.load(Ordering::SeqCst) {
+            shared.accept_done.store(true, Ordering::SeqCst);
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 // An injected accept fault drops this connection; the
                 // loop — and the daemon — carry on. The client sees a
@@ -379,18 +422,34 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     fault::with_overrides(faults.as_ref(), || handle_connection(&shared, stream));
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
+            // A real accept error (say EMFILE) backs off so it cannot
+            // spin.
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
+/// The signal watcher: turns SIGTERM/SIGINT into a drain (noticed
+/// within a tick) and, once draining, repeats the acceptor's wake every
+/// tick until the acceptor has returned, so a failed wake connect
+/// delays the drain by a tick, never forever.
+fn watch_loop(shared: &Shared) {
+    loop {
+        thread::sleep(WATCH_TICK);
+        if shared.accept_done.load(Ordering::SeqCst) {
+            return;
+        }
+        if shared.draining.load(Ordering::SeqCst) || sig::shutdown_requested() {
+            shared.start_draining();
+        }
+    }
+}
+
 /// One connection: newline-delimited request/response exchanges until
-/// EOF, a deadline, or an injected `serve.read`/`serve.write` fault
-/// disconnects it. Disconnection is always safe for the daemon — the
-/// client owns retry.
+/// EOF, a deadline, a line longer than [`MAX_REQUEST_BYTES`] (answered
+/// with a typed error first), or an injected `serve.read`/`serve.write`
+/// fault disconnects it. Disconnection is always safe for the daemon —
+/// the client owns retry.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let ok = stream
         .set_read_timeout(Some(shared.cfg.read_timeout))
@@ -410,36 +469,47 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             return;
         }
         let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,         // EOF: client done
-            Ok(_) => {}
-            Err(_) => return,        // deadline or reset: disconnect
-        }
-        if line.trim().is_empty() {
+        let n = match (&mut reader)
+            .take(MAX_REQUEST_BYTES as u64 + 1)
+            .read_line(&mut line)
+        {
+            Ok(0) => return, // EOF: client done
+            Ok(n) => n,
+            Err(_) => return, // deadline or reset: disconnect
+        };
+        let oversized = n > MAX_REQUEST_BYTES;
+        if !oversized && line.trim().is_empty() {
             continue;
         }
-        let response = match Request::decode(line.trim_end()) {
-            Err(e) => {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                Response::error("", e.to_string())
-            }
-            Ok(request) => {
-                shared.stats.received.fetch_add(1, Ordering::Relaxed);
-                answer(shared, request)
+        let response = if oversized {
+            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+            let error = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            Response::error("", error)
+        } else {
+            match Request::decode(line.trim_end()) {
+                Err(e) => {
+                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+                    Response::error("", e.to_string())
+                }
+                Ok(request) => {
+                    shared.stats.received.fetch_add(1, Ordering::Relaxed);
+                    answer(shared, request)
+                }
             }
         };
-        let done = response.status == crate::proto::Status::Bye;
-        if fault::point_err("serve.write").is_err() {
-            return;
+        let bye = response.status == crate::proto::Status::Bye;
+        let sent = fault::point_err("serve.write").is_ok()
+            && writer
+                .write_all(format!("{}\n", response.encode()).as_bytes())
+                .and_then(|()| writer.flush())
+                .is_ok();
+        if bye {
+            // Drain only once the `bye` is written (or failed to be):
+            // the drain wakes the acceptor, after which `cobalt serve`
+            // may exit before this thread writes anything.
+            shared.start_draining();
         }
-        if writer
-            .write_all(format!("{}\n", response.encode()).as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
-        if done {
+        if !sent || oversized || bye {
             return;
         }
     }
@@ -465,10 +535,8 @@ fn answer(shared: &Arc<Shared>, request: Request) -> Response {
             );
             Response::ok(&request.id, 0, "ok", ServedFrom::Fresh, output)
         }
-        RequestOp::Shutdown => {
-            shared.start_draining();
-            Response::bye(&request.id)
-        }
+        // The connection thread starts the drain after writing the bye.
+        RequestOp::Shutdown => Response::bye(&request.id),
         RequestOp::Verify { .. } | RequestOp::Optimize { .. } => {
             let fp = exec::request_fingerprint(&request.op, &shared.cfg.exec);
             match enqueue(shared, fp, request) {
@@ -541,11 +609,12 @@ fn dispatcher_loop(shared: &Arc<Shared>, mut cache: ProofCache, summary_tx: &mps
                     let _ = summary_tx.send(shared.summary(&cache));
                     return;
                 }
-                let (guard, _) = shared
+                // Both predicates change only under this lock, so no
+                // notify falls between the checks above and this wait.
+                q = shared
                     .queue_cv
-                    .wait_timeout(q, Duration::from_millis(50))
+                    .wait(q)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q = guard;
             }
         };
         process_batch(shared, &mut cache, batch);
@@ -744,20 +813,62 @@ mod tests {
             retries: 0,
             ..client_cfg(&handle)
         };
+        // A connection accepted before the drain (the ping proves its
+        // thread is serving it) stays open and answers new work with a
+        // typed shed, never an execution.
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut exchange = |req: &Request| {
+            writer
+                .write_all(format!("{}\n", req.encode()).as_bytes())
+                .unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            Response::decode(line.trim_end()).unwrap()
+        };
+        let ping = Request {
+            id: "p".into(),
+            op: RequestOp::Ping,
+        };
+        assert_eq!(exchange(&ping).status, Status::Ok);
         handle.shutdown();
-        // Accept may take a poll tick to stop; until then the daemon
-        // must answer with a typed shed, never execute.
-        match request_with_retry(&ccfg, &verify_req("x", SUITE)) {
-            Err(crate::client::ClientError::Shed(r)) => {
-                assert!(r.error.contains("draining"), "{}", r.error)
-            }
-            Err(crate::client::ClientError::Connect(_)) => {} // accept already stopped
-            // Listener dropped with our connection still in its
-            // backlog: reset instead of refused, equally "not served".
-            Err(crate::client::ClientError::Io(_)) => {}
-            other => panic!("expected shed or a refused/reset connection, got {other:?}"),
+        let shed = exchange(&verify_req("x", SUITE));
+        assert_eq!(shed.status, Status::Shed);
+        assert!(shed.error.contains("draining"), "{}", shed.error);
+        // `shutdown` has set `draining` and woken the acceptor, which
+        // checks the flag on every return from `accept`: a new
+        // connection is refused, or reset if it reached the backlog
+        // before the listener was dropped.
+        match request_with_retry(&ccfg, &verify_req("y", SUITE)) {
+            Err(crate::client::ClientError::Connect(_) | crate::client::ClientError::Io(_)) => {}
+            other => panic!("expected a refused or reset connection, got {other:?}"),
         }
         let summary = handle.join();
         assert_eq!(summary.fresh, 0);
+    }
+
+    #[test]
+    fn oversized_request_line_is_refused() {
+        let handle = Server::start(quick_cfg()).unwrap();
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writer
+            .write_all(&vec![b'a'; MAX_REQUEST_BYTES + 1])
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let refusal = Response::decode(line.trim_end()).unwrap();
+        assert_eq!(refusal.status, Status::Error);
+        assert_eq!(
+            refusal.error,
+            format!("request line exceeds {MAX_REQUEST_BYTES} bytes")
+        );
+        // The stream cannot be resynchronised mid-line: EOF follows.
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
+        handle.shutdown();
+        assert_eq!(handle.join().errors, 1);
     }
 }

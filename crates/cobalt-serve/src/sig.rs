@@ -1,8 +1,9 @@
 //! Minimal, dependency-free signal hookup: SIGTERM/SIGINT set a
-//! process-wide flag that the accept loop polls, funneling operator
-//! signals into the **same graceful-drain path** as an in-band
-//! `shutdown` request (`DESIGN.md` §14). No handler logic beyond one
-//! atomic store — everything interesting happens on normal threads.
+//! process-wide flag that each daemon's signal watcher checks every
+//! 50 ms, off the request path, funneling operator signals into the
+//! **same graceful-drain path** as an in-band `shutdown` request
+//! (`DESIGN.md` §14). No handler logic beyond one atomic store —
+//! everything interesting happens on normal threads.
 //!
 //! This is the one place in the crate that needs `unsafe`: registering
 //! a C signal handler against the libc that `std` already links. On

@@ -421,6 +421,28 @@ if [[ ! -s "$serve_journal" ]]; then
 fi
 rm -f "$serve_port" "$serve_journal" /tmp/cobalt_serve_log.$$
 
+# Signal drain: SIGTERM funnels into the same drain as an in-band
+# shutdown, so the daemon exits 0 and leaves its proof-cache journal.
+serve_journal=$(mktemp -u /tmp/cobalt_serve_journal_XXXXXX.cobj)
+"$COBALT" serve --port-file "$serve_port" --journal "$serve_journal" \
+    >/tmp/cobalt_serve_log.$$ 2>&1 &
+serve_pid=$!
+for _ in $(seq 1 200); do [[ -s "$serve_port" ]] && break; sleep 0.05; done
+if ! "$COBALT" client verify --port-file "$serve_port" >/dev/null 2>&1; then
+    echo "serve: client verify failed before SIGTERM"; cat /tmp/cobalt_serve_log.$$; exit 1
+fi
+kill -TERM "$serve_pid"
+set +e
+wait "$serve_pid"; code=$?
+set -e
+if [[ $code -ne 0 ]]; then
+    echo "serve: SIGTERM-drained daemon exited $code (want 0):"; cat /tmp/cobalt_serve_log.$$; exit 1
+fi
+if [[ ! -s "$serve_journal" ]]; then
+    echo "serve: SIGTERM-drained daemon left no proof-cache journal"; exit 1
+fi
+rm -f "$serve_port" "$serve_journal" /tmp/cobalt_serve_log.$$
+
 # Overload smoke: a one-slot queue behind a deliberately slow prover
 # must answer the overflow client with a typed shed (exit 3 after
 # retries), never a hang or a protocol error.

@@ -863,6 +863,50 @@ mod serve {
         assert_eq!(summary.errors, 1, "{summary:?}");
     }
 
+    /// Starts `cobalt serve` as a child process on `journal`, writing its
+    /// address to `port_file`, with `COBALT_FAULTS` set to `faults`.
+    fn spawn_daemon(
+        port_file: &std::path::Path,
+        journal: &std::path::Path,
+        faults: Option<&str>,
+    ) -> std::process::Child {
+        std::fs::remove_file(port_file).ok();
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_cobalt"));
+        cmd.args([
+            "serve",
+            "--port-file",
+            port_file.to_str().unwrap(),
+            "--journal",
+            journal.to_str().unwrap(),
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null());
+        if let Some(f) = faults {
+            cmd.env("COBALT_FAULTS", f);
+        }
+        cmd.spawn().unwrap()
+    }
+
+    /// A client for the daemon whose address appears in `port_file`.
+    fn await_daemon(port_file: &std::path::Path) -> ClientConfig {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Ok(s) = std::fs::read_to_string(port_file) {
+                if s.trim().ends_with(|c: char| c.is_ascii_digit()) && !s.trim().is_empty() {
+                    return ClientConfig {
+                        addr: s.trim().to_string(),
+                        io_timeout: Duration::from_secs(120),
+                        retries: 3,
+                        backoff_base: Duration::from_millis(10),
+                        backoff_cap: Duration::from_millis(100),
+                    };
+                }
+            }
+            assert!(std::time::Instant::now() < deadline, "daemon never bound");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
     /// Acceptance: SIGKILL the daemon *process* mid-request, restart it
     /// on the same journal, and the work completed before the kill
     /// replays from cache while the interrupted request re-proves.
@@ -872,53 +916,13 @@ mod serve {
         let tag = format!("cobalt_robustness_{}_kill9", std::process::id());
         let journal = dir.join(format!("{tag}.cobj"));
         let port_file = dir.join(format!("{tag}.port"));
-        let suite_file = dir.join(format!("{tag}.cob"));
-        for f in [&journal, &port_file] {
-            std::fs::remove_file(f).ok();
-        }
-        std::fs::write(&suite_file, SUITE).unwrap();
-
-        let spawn_daemon = |faults: Option<&str>| {
-            let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_cobalt"));
-            cmd.args([
-                "serve",
-                "--port-file",
-                port_file.to_str().unwrap(),
-                "--journal",
-                journal.to_str().unwrap(),
-            ])
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null());
-            if let Some(f) = faults {
-                cmd.env("COBALT_FAULTS", f);
-            }
-            cmd.spawn().unwrap()
-        };
-        let await_port = || {
-            let deadline = std::time::Instant::now() + Duration::from_secs(30);
-            loop {
-                if let Ok(s) = std::fs::read_to_string(&port_file) {
-                    if s.trim().ends_with(|c: char| c.is_ascii_digit()) && !s.trim().is_empty() {
-                        return s.trim().to_string();
-                    }
-                }
-                assert!(std::time::Instant::now() < deadline, "daemon never bound");
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        };
-        let cfg_for = |addr: String| ClientConfig {
-            addr,
-            io_timeout: Duration::from_secs(120),
-            retries: 3,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(100),
-        };
+        std::fs::remove_file(&journal).ok();
 
         // Daemon 1 (with injected prover delay so the kill lands
         // mid-request): complete one suite, then kill -9 during the
         // second.
-        let mut child = spawn_daemon(Some("checker.obligation:delay_ms@20"));
-        let cfg = cfg_for(await_port());
+        let mut child = spawn_daemon(&port_file, &journal, Some("checker.obligation:delay_ms@20"));
+        let cfg = await_daemon(&port_file);
         let first = request_with_retry(&cfg, &verify_req("a", SUITE)).unwrap();
         assert_eq!(first.exit, 0, "{}", first.output);
         let interrupted = {
@@ -935,9 +939,8 @@ mod serve {
 
         // Daemon 2, same journal: the completed suite replays from
         // cache; the interrupted one proves fresh — same verdicts.
-        std::fs::remove_file(&port_file).ok();
-        let mut child = spawn_daemon(None);
-        let cfg = cfg_for(await_port());
+        let mut child = spawn_daemon(&port_file, &journal, None);
+        let cfg = await_daemon(&port_file);
         let warm = request_with_retry(&cfg, &verify_req("a2", SUITE)).unwrap();
         assert_eq!(warm.exit, 0, "{}", warm.output);
         assert_eq!(
@@ -955,8 +958,64 @@ mod serve {
         assert_eq!(bye.status, Status::Bye);
         let status = child.wait().unwrap();
         assert!(status.success(), "graceful drain must exit 0: {status:?}");
-        for f in [&journal, &port_file, &suite_file] {
+        for f in [&journal, &port_file] {
             std::fs::remove_file(f).ok();
+        }
+    }
+
+    /// SIGTERM and SIGINT drain the daemon exactly as an in-band
+    /// `shutdown` does: exit 0 with the proof cache compacted into its
+    /// journal, so a restarted daemon serves the same request from
+    /// cache, byte for byte.
+    #[cfg(unix)]
+    #[test]
+    fn signals_drain_like_shutdown() {
+        for signal in ["-TERM", "-INT"] {
+            let dir = std::env::temp_dir();
+            let tag = format!("cobalt_robustness_{}_{}", std::process::id(), &signal[1..]);
+            let journal = dir.join(format!("{tag}.cobj"));
+            let port_file = dir.join(format!("{tag}.port"));
+            std::fs::remove_file(&journal).ok();
+
+            let mut child = spawn_daemon(&port_file, &journal, None);
+            let cfg = await_daemon(&port_file);
+            let first = request_with_retry(&cfg, &verify_req("a", SUITE)).unwrap();
+            assert_eq!(first.exit, 0, "{}", first.output);
+            assert_eq!(first.served, ServedFrom::Fresh);
+            let kill = std::process::Command::new("kill")
+                .args([signal, &child.id().to_string()])
+                .status()
+                .unwrap();
+            assert!(kill.success(), "kill {signal}: {kill:?}");
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            let status = loop {
+                if let Some(status) = child.try_wait().unwrap() {
+                    break status;
+                }
+                if std::time::Instant::now() >= deadline {
+                    child.kill().ok();
+                    child.wait().ok();
+                    panic!("daemon did not exit within 10 s of kill {signal}");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            };
+            assert!(status.success(), "kill {signal}: exit {status:?}");
+
+            let mut child = spawn_daemon(&port_file, &journal, None);
+            let cfg = await_daemon(&port_file);
+            let warm = request_with_retry(&cfg, &verify_req("a2", SUITE)).unwrap();
+            assert_eq!(warm.served, ServedFrom::Cache, "kill {signal}");
+            assert_eq!(warm.output, first.output, "kill {signal}");
+            let shutdown = Request {
+                id: "q".into(),
+                op: RequestOp::Shutdown,
+            };
+            let bye = request_with_retry(&cfg, &shutdown).unwrap();
+            assert_eq!(bye.status, Status::Bye);
+            assert!(child.wait().unwrap().success());
+            for f in [&journal, &port_file] {
+                std::fs::remove_file(f).ok();
+            }
         }
     }
 }
