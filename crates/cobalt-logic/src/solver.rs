@@ -415,7 +415,6 @@ impl Solver {
             meter,
             start,
             start_terms,
-            debug: std::env::var_os("COBALT_LOGIC_DEBUG").is_some(),
         };
         let closed = search.close(&mut branch);
         let stats = search.stats.clone();
@@ -656,9 +655,6 @@ struct Search<'a> {
     /// limits behave identically whether the bank is fresh or layered
     /// on a large shared base.
     start_terms: usize,
-    /// `COBALT_LOGIC_DEBUG` presence, resolved once per search: the
-    /// split loop is far too hot for a `getenv` per iteration.
-    debug: bool,
 }
 
 /// Checkpoint of everything [`Search::split`] must rewind between
@@ -861,13 +857,6 @@ impl Search<'_> {
             return BranchResult::Open(vec![]);
         }
         self.stats.splits += 1;
-        if self.debug && self.stats.splits <= 64 {
-            let parts: Vec<String> = alternatives
-                .iter()
-                .map(|a| a.display(&self.solver.bank))
-                .collect();
-            eprintln!("[split {}] {}", self.stats.splits, parts.join("  |  "));
-        }
         if self.stats.splits > self.solver.limits.max_splits {
             self.limit_hit = Some(format!(
                 "case-split limit of {} exceeded",
@@ -886,17 +875,7 @@ impl Search<'_> {
             // base savepoint at the top).
             let mark = if last { None } else { Some(self.mark(branch)) };
             branch.todo.push(alt);
-            let res = self.close(branch);
-            if self.debug && self.stats.splits <= 64 {
-                eprintln!(
-                    "[alt {i} of split] {}",
-                    match &res {
-                        BranchResult::Closed => "closed",
-                        BranchResult::Open(_) => "open",
-                    }
-                );
-            }
-            match res {
+            match self.close(branch) {
                 BranchResult::Closed => {
                     if let Some(mark) = mark {
                         self.restore(branch, mark);
@@ -959,14 +938,6 @@ impl Search<'_> {
                 false
             }
             Formula::Exists { vars, body } => {
-                if self.debug {
-                    eprintln!(
-                        "[skolemize] splits={} foralls={} inst_rounds={}",
-                        branch.splits.len(),
-                        branch.foralls.len(),
-                        branch.inst_rounds
-                    );
-                }
                 let mut map = Vec::with_capacity(vars.len());
                 for v in vars {
                     let name = self.solver.bank.sym_name(v).to_string();

@@ -1,8 +1,8 @@
 //! Request execution: the one place a verify or optimize request
 //! becomes a payload, a verdict, and an exit code — for `cobalt serve`
 //! ([`execute`]) and for `cobalt verify`/`optimize`, which call the same
-//! steps with their own (possibly journaled) prover and session and
-//! differ only in rendering report lines with [`Report::summary`].
+//! steps with their own (possibly journaled) sessions and differ only
+//! in rendering report lines with [`Report::summary`].
 //!
 //! Two invariants anchor the whole serve design:
 //!
@@ -24,7 +24,7 @@
 
 use crate::cache::CachedResult;
 use crate::proto::RequestOp;
-use cobalt_dsl::{LabelEnv, Optimization, PureAnalysis, Suite};
+use cobalt_dsl::{LabelEnv, Optimization, Suite};
 use cobalt_engine::{Engine, OptimizeSession, PipelineReport};
 use cobalt_il::{parse_program, pretty_program, validate, Program};
 use cobalt_support::budget::Budget;
@@ -219,11 +219,11 @@ fn execute_op(op: &RequestOp, cfg: &ExecConfig, cancel: &Cancel) -> Result<ExecR
             // Every rule's report budget observes the request token, so
             // a drain trip stands every rule's batch down.
             let rules = rules(suite.as_deref())?;
-            let mut verifier = Verifier::new(rules.label_env(), SemanticMeanings::standard())
+            let verifier = Verifier::new(rules.label_env(), SemanticMeanings::standard())
                 .with_retry_policy(cfg.policy.clone())
                 .with_jobs(cfg.jobs)
                 .with_cancel(cancel.clone());
-            verify(&mut verifier, &rules, *include_buggy, Report::summary_stable)
+            verify(&mut Session::new(verifier), &rules, *include_buggy, Report::summary_stable)
         }
         RequestOp::Optimize {
             program,
@@ -239,35 +239,6 @@ fn execute_op(op: &RequestOp, cfg: &ExecConfig, cancel: &Cancel) -> Result<ExecR
             ExecResult::error("control operations are not executable requests")
         }
     })
-}
-
-/// The per-rule prover a verify run goes through: the daemon's
-/// [`Verifier`] or the CLI's (possibly journaled) [`Session`].
-pub trait Prover {
-    /// Proves one pure analysis sound.
-    fn analysis(&mut self, analysis: &PureAnalysis) -> Result<Report, VerifyError>;
-    /// Proves one optimization sound.
-    fn optimization(&mut self, opt: &Optimization) -> Result<Report, VerifyError>;
-}
-
-impl Prover for Verifier {
-    fn analysis(&mut self, analysis: &PureAnalysis) -> Result<Report, VerifyError> {
-        self.verify_analysis(analysis)
-    }
-
-    fn optimization(&mut self, opt: &Optimization) -> Result<Report, VerifyError> {
-        self.verify_optimization(opt)
-    }
-}
-
-impl Prover for Session {
-    fn analysis(&mut self, analysis: &PureAnalysis) -> Result<Report, VerifyError> {
-        self.verify_analysis(analysis)
-    }
-
-    fn optimization(&mut self, opt: &Optimization) -> Result<Report, VerifyError> {
-        self.verify_optimization(opt)
-    }
 }
 
 /// The rules a verify request covers: the built-in registry
@@ -290,14 +261,14 @@ pub fn rules(suite: Option<&str>) -> Result<Suite, ExecResult> {
 }
 
 /// Proves every analysis and optimization of `rules`, plus the buggy
-/// §6 variants under `include_buggy`, rule by rule through `prover`.
+/// §6 variants under `include_buggy`, rule by rule through `session`.
 /// Each report renders as `line(report)` followed by its `FAILED`
 /// obligations; the last line is the verdict sentence. Exit 0 when
 /// everything proved, 2 when an obligation genuinely failed (or a buggy
 /// variant proved), 3 when the failures were resource limits only, 1
 /// for a rule the checker refuses.
 pub fn verify(
-    prover: &mut impl Prover,
+    session: &mut Session,
     rules: &Suite,
     include_buggy: bool,
     line: fn(&Report) -> String,
@@ -305,15 +276,15 @@ pub fn verify(
     let proved = (|| {
         let mut sound = Vec::new();
         for a in &rules.analyses {
-            sound.push(prover.analysis(a)?);
+            sound.push(session.verify_analysis(a)?);
         }
         for o in &rules.optimizations {
-            sound.push(prover.optimization(o)?);
+            sound.push(session.verify_optimization(o)?);
         }
         let mut buggy = Vec::new();
         if include_buggy {
             for o in cobalt_opts::buggy_optimizations() {
-                buggy.push(prover.optimization(&o)?);
+                buggy.push(session.verify_optimization(&o)?);
             }
         }
         Ok::<_, VerifyError>((sound, buggy))

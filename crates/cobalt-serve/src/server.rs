@@ -35,7 +35,7 @@ use crate::proto::{Request, RequestOp, Response, ServedFrom};
 use crate::sig;
 use cobalt_support::fault;
 use cobalt_support::journal::ResumeMode;
-use cobalt_support::pool::{self, Cancel, TaskResult};
+use cobalt_support::pool::{self, Cancel};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -655,10 +655,11 @@ fn process_batch(shared: &Arc<Shared>, cache: &mut ProofCache, batch: Vec<Pendin
     if groups.is_empty() {
         return;
     }
-    // Pass 2: execute one leader per group. A single group keeps the
-    // whole `jobs` budget for within-request parallelism; multiple
-    // groups split it across requests. Either way the response bytes
-    // are identical — determinism is exec's contract.
+    // Pass 2: execute one leader per group, supervised by the pool. A
+    // single group runs on this thread and keeps the whole `jobs`
+    // budget for within-request parallelism; multiple groups split it
+    // across requests. Either way the response bytes are identical —
+    // determinism is exec's contract.
     let inner_jobs = if groups.len() == 1 {
         shared.cfg.jobs.max(1)
     } else {
@@ -668,31 +669,19 @@ fn process_batch(shared: &Arc<Shared>, cache: &mut ProofCache, batch: Vec<Pendin
         jobs: inner_jobs,
         ..shared.cfg.exec.clone()
     };
-    let run_one = |op: &RequestOp| {
-        let cancel = shared.register_cancel();
-        let started = Instant::now();
-        let result = exec::execute(op, &exec_cfg, &cancel);
-        (result, started.elapsed())
-    };
-    let mut executed: Vec<Option<(exec::ExecResult, Duration)>> = Vec::with_capacity(groups.len());
-    if groups.len() <= 1 || shared.cfg.jobs <= 1 {
-        for (_, members) in &groups {
-            executed.push(Some(run_one(&members[0].op)));
-        }
-    } else {
-        let ops: Vec<RequestOp> = groups.iter().map(|(_, m)| m[0].op.clone()).collect();
-        executed.resize_with(groups.len(), || None);
-        pool::run_ordered(
-            shared.cfg.jobs,
-            ops,
-            |_, op| run_one(op),
-            |idx, result| {
-                if let TaskResult::Done(done) = result {
-                    executed[idx] = Some(done);
-                }
-            },
-        );
-    }
+    let ops: Vec<&RequestOp> = groups.iter().map(|(_, m)| &m[0].op).collect();
+    let mut executed: Vec<Option<(exec::ExecResult, Duration)>> = Vec::with_capacity(ops.len());
+    pool::run_ordered(
+        shared.cfg.jobs,
+        ops,
+        |_, op| {
+            let cancel = shared.register_cancel();
+            let started = Instant::now();
+            let result = exec::execute(op, &exec_cfg, &cancel);
+            (result, started.elapsed())
+        },
+        |_, result| executed.push(result.ok()),
+    );
     // Pass 3: cache, account, and answer.
     for ((fp, members), done) in groups.into_iter().zip(executed) {
         let Some((result, elapsed)) = done else {

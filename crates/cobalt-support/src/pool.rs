@@ -7,8 +7,10 @@
 //!
 //! * **Deterministic delivery.** Results are handed to the caller's
 //!   sink *in task-index order*, whatever order workers finish in, via
-//!   a reorder buffer drained on the calling thread. A caller that
-//!   journals or prints per result sees exactly the sequential order.
+//!   one reorder buffer drained on the calling thread as results land.
+//!   A caller that journals or prints per result sees exactly the
+//!   sequential order, and at one worker sees each result before the
+//!   next task starts.
 //! * **Panic supervision.** Each task runs under `catch_unwind`. A task
 //!   that panics is retried once on the assumption that the panic was a
 //!   worker-environment casualty (the injectable `pool.task` fault
@@ -109,17 +111,19 @@ pub struct PoolStats {
 const MAX_TASK_RETRIES: usize = 1;
 
 /// Runs `tasks` on up to `jobs` worker threads, delivering each task's
-/// [`TaskResult`] to `sink` **in task order** on the calling thread.
+/// [`TaskResult`] to `sink` **in task order** on the calling thread, as
+/// soon as it and every earlier result have landed.
 ///
 /// `task` receives the task's index and exclusive access to its input.
 /// It may be called up to `1 + MAX_TASK_RETRIES` times for the same
 /// index if it panics (see the module docs); callers who catch their
 /// own panics internally are never retried.
 ///
-/// With `jobs <= 1`, no threads are spawned at all: tasks run inline on
-/// the calling thread, in order, with identical supervision semantics.
-/// The pool never returns before every task has produced exactly one
-/// result.
+/// With one worker (`jobs <= 1`, a single task, or every spawn failed)
+/// no thread runs a task: the calling thread drains the queue itself,
+/// under the same supervision, so the sink sees each result before the
+/// next task starts. The pool never returns before every task has
+/// produced exactly one result.
 pub fn run_ordered<T, R>(
     jobs: usize,
     tasks: Vec<T>,
@@ -136,9 +140,6 @@ where
         workers_requested: workers,
         ..PoolStats::default()
     };
-    if n == 0 {
-        return stats;
-    }
 
     // Shared state: each task slot is lockable (a retry re-runs on the
     // same input), the queue hands out indices, and per-slot retry
@@ -150,8 +151,9 @@ where
     let overrides = fault::capture_overrides();
 
     // One worker's drain loop: pull an index, run the task under
-    // catch_unwind, requeue on a first panic, send the result.
-    let drain = |tx: mpsc::Sender<(usize, TaskResult<R>)>| {
+    // catch_unwind, requeue on a first panic, hand the result to
+    // `deliver` (which returns false when nobody is listening).
+    let drain = |deliver: &mut dyn FnMut(usize, TaskResult<R>) -> bool| {
         fault::with_overrides(overrides.as_ref(), || loop {
             let Some(idx) = queue.lock().ok().and_then(|mut q| q.pop_front()) else {
                 return;
@@ -185,77 +187,54 @@ where
                     TaskResult::Panicked(panic_message(payload.as_ref()))
                 }
             };
-            if tx.send((idx, result)).is_err() {
-                return; // receiver gone: nothing left to report to
+            if !deliver(idx, result) {
+                return;
             }
         })
     };
 
-    if workers <= 1 {
-        // Inline mode: same semantics, no threads. The sink still sees
-        // results strictly in index order because the queue is ordered
-        // (retries go to the front, so a retried task completes before
-        // its successors run).
-        let (tx, rx) = mpsc::channel();
-        drain(tx);
-        let mut buffer: BTreeMap<usize, TaskResult<R>> = rx.into_iter().collect();
-        for idx in 0..n {
-            let result = buffer
-                .remove(&idx)
-                .expect("inline drain produced every result");
-            sink(idx, result);
+    // The reorder buffer: every result passes through it, and the sink
+    // gets the next expected index as soon as it has landed.
+    let mut buffer: BTreeMap<usize, TaskResult<R>> = BTreeMap::new();
+    let mut next = 0usize;
+    let mut reorder = |idx: usize, result: TaskResult<R>| {
+        buffer.insert(idx, result);
+        while let Some(result) = buffer.remove(&next) {
+            sink(next, result);
+            next += 1;
         }
-        stats.workers_spawned = 0;
-        stats.retried_panics = *retried.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        return stats;
-    }
+        true
+    };
 
-    let (tx, rx) = mpsc::channel::<(usize, TaskResult<R>)>();
-    std::thread::scope(|scope| {
-        let mut spawned = 0usize;
-        for worker in 0..workers {
-            // A spawn that fails (injected `pool.spawn` fault or a real
-            // OS refusal) just means less parallelism; the remaining
-            // workers — or, at zero, the calling thread below — still
-            // complete every task.
-            if fault::point_err("pool.spawn").is_err() {
-                continue;
-            }
-            let tx = tx.clone();
-            let drain = &drain;
-            let builder = std::thread::Builder::new().name(format!("cobalt-pool-{worker}"));
-            if builder.spawn_scoped(scope, move || drain(tx)).is_ok() {
-                spawned += 1;
-            }
-        }
-        stats.workers_spawned = spawned;
-        drop(tx);
-        if spawned == 0 {
-            // Total spawn failure: degrade to inline execution. The
-            // receiver is drained afterwards; it is empty.
-            let (inline_tx, inline_rx) = mpsc::channel();
-            drain(inline_tx);
-            let mut buffer: BTreeMap<usize, TaskResult<R>> = inline_rx.into_iter().collect();
-            for idx in 0..n {
-                if let Some(result) = buffer.remove(&idx) {
-                    sink(idx, result);
+    if workers > 1 {
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            for worker in 0..workers {
+                // A spawn that fails (injected `pool.spawn` fault or a
+                // real OS refusal) just means less parallelism; the
+                // remaining workers — or, at zero, the calling thread
+                // below — still complete every task.
+                if fault::point_err("pool.spawn").is_err() {
+                    continue;
                 }
+                let tx = tx.clone();
+                let drain = &drain;
+                let builder = std::thread::Builder::new().name(format!("cobalt-pool-{worker}"));
+                let spawned = builder.spawn_scoped(scope, move || {
+                    drain(&mut |idx, result| tx.send((idx, result)).is_ok())
+                });
+                stats.workers_spawned += usize::from(spawned.is_ok());
             }
-            return;
-        }
-        // Reorder buffer: deliver to the sink in index order as soon as
-        // the next expected index has landed.
-        let mut buffer: BTreeMap<usize, TaskResult<R>> = BTreeMap::new();
-        let mut next = 0usize;
-        for (idx, result) in rx {
-            buffer.insert(idx, result);
-            while let Some(result) = buffer.remove(&next) {
-                sink(next, result);
-                next += 1;
+            drop(tx);
+            for (idx, result) in rx {
+                reorder(idx, result);
             }
-        }
-        debug_assert!(buffer.is_empty(), "workers exited with results undelivered");
-    });
+        });
+    }
+    if stats.workers_spawned == 0 {
+        drain(&mut reorder);
+    }
+    debug_assert!(next == n && buffer.is_empty(), "results left undelivered");
     stats.retried_panics = *retried.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     stats
 }
@@ -427,6 +406,29 @@ mod tests {
             for (_, r) in &results {
                 assert_eq!(r.as_ref_done(), Some(&caller), "jobs={jobs}");
             }
+        }
+    }
+
+    /// A caller that journals from the sink (an optimize session) must
+    /// see each result as it lands, not after the whole batch: with one
+    /// worker, task `i` starts only after the sink has seen `i` results.
+    #[test]
+    fn one_worker_delivers_each_result_before_the_next_task() {
+        for (jobs, faults) in [(0, ""), (1, ""), (2, "pool.spawn:fail@1,pool.spawn:fail@1")] {
+            let delivered = AtomicUsize::new(0);
+            let mut in_step = Vec::new();
+            fault::with_faults(faults, || {
+                run_ordered(
+                    jobs,
+                    vec![(); 5],
+                    |idx, _| delivered.load(Ordering::SeqCst) == idx,
+                    |_, r| {
+                        delivered.fetch_add(1, Ordering::SeqCst);
+                        in_step.push(r.ok().unwrap());
+                    },
+                )
+            });
+            assert_eq!(in_step, [true; 5], "jobs={jobs} faults={faults:?}");
         }
     }
 

@@ -15,11 +15,12 @@ use crate::error::VerifyError;
 use crate::oblig::{
     obligations_for_analysis_with, obligations_for_optimization_with, BankMode, Prepared,
 };
+use crate::session::discharge;
 use cobalt_dsl::{LabelEnv, Optimization, PureAnalysis};
 use cobalt_logic::{clamp_context, Limits, Outcome};
 use cobalt_support::budget::{Budget, Exhausted};
 use cobalt_support::fault;
-use cobalt_support::pool::{self, Cancel, TaskResult};
+use cobalt_support::pool::{self, Cancel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -100,16 +101,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with exactly one tier and no report deadline — the
-    /// pre-retry behaviour of running every obligation once under
-    /// fixed limits.
-    pub fn single(limits: Limits) -> Self {
-        RetryPolicy {
-            tiers: vec![limits],
-            report_deadline: None,
-        }
-    }
-
     /// Sets the overall per-report wall-clock budget.
     pub fn with_report_deadline(mut self, deadline: Duration) -> Self {
         self.report_deadline = Some(deadline);
@@ -251,12 +242,12 @@ impl Report {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Verifier {
-    pub(crate) env: LabelEnv,
-    pub(crate) meanings: SemanticMeanings,
+    env: LabelEnv,
+    meanings: SemanticMeanings,
     pub(crate) policy: RetryPolicy,
     pub(crate) jobs: usize,
-    pub(crate) bank_mode: BankMode,
-    pub(crate) cancel: Option<Cancel>,
+    bank_mode: BankMode,
+    cancel: Option<Cancel>,
 }
 
 impl Verifier {
@@ -274,32 +265,20 @@ impl Verifier {
         }
     }
 
-    /// Overrides the prover's resource limits with a single fixed tier
-    /// (no retries, no report deadline).
-    pub fn with_limits(self, limits: Limits) -> Self {
-        self.with_retry_policy(RetryPolicy::single(limits))
-    }
-
     /// Overrides the full retry policy.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Sets how many worker threads [`discharge_all`](Self::discharge_all)
-    /// may use. `0` and `1` both mean sequential discharge on the
-    /// calling thread (the default, byte-for-byte the pre-parallel
-    /// behaviour); higher values fan obligations out across a
-    /// supervised pool while preserving report order, verdicts, and
-    /// per-obligation retry escalation.
+    /// Sets how many worker threads a report's obligations may use.
+    /// `0` and `1` both mean discharge on the calling thread (the
+    /// default); higher values fan obligations out across a supervised
+    /// pool while preserving report order, verdicts, and per-obligation
+    /// retry escalation.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
-    }
-
-    /// The configured worker count (≥ 1).
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Installs an external cancellation token: trip it from any
@@ -346,12 +325,30 @@ impl Verifier {
     /// Returns [`VerifyError`] if the optimization cannot be encoded at
     /// all; failed *proofs* are reported in the [`Report`].
     pub fn verify_optimization(&self, opt: &Optimization) -> Result<Report, VerifyError> {
+        let prepared = self.prepare_optimization(opt)?;
+        Ok(discharge(self, opt.name.clone(), prepared, None).0)
+    }
+
+    /// The lint gate, then the obligations of an optimization.
+    pub(crate) fn prepare_optimization(
+        &self,
+        opt: &Optimization,
+    ) -> Result<Vec<Prepared>, VerifyError> {
         self.lint_gate(&opt.name, |ctx, opts| {
             cobalt_lint::lint_optimization(opt, ctx, opts)
         })?;
-        let prepared =
-            obligations_for_optimization_with(opt, &self.env, &self.meanings, self.bank_mode)?;
-        Ok(self.discharge_all(opt.name.clone(), prepared))
+        obligations_for_optimization_with(opt, &self.env, &self.meanings, self.bank_mode)
+    }
+
+    /// The lint gate, then the obligations of a pure analysis.
+    pub(crate) fn prepare_analysis(
+        &self,
+        analysis: &PureAnalysis,
+    ) -> Result<Vec<Prepared>, VerifyError> {
+        self.lint_gate(&analysis.name, |ctx, opts| {
+            cobalt_lint::lint_analysis(analysis, ctx, opts)
+        })?;
+        obligations_for_analysis_with(analysis, &self.env, &self.meanings, self.bank_mode)
     }
 
     /// The fast pre-verification gate (DESIGN.md §9): structural lints
@@ -360,7 +357,7 @@ impl Verifier {
     /// constructed, let alone sent to the prover. A panic inside the
     /// linter (e.g. an injected `lint.rule` fault) is isolated into a
     /// `CL000` diagnostic rather than unwinding through the checker.
-    pub(crate) fn lint_gate(
+    fn lint_gate(
         &self,
         name: &str,
         lint: impl FnOnce(&cobalt_lint::LintContext<'_>, &cobalt_lint::RuleLintOptions) -> cobalt_lint::Diagnostics,
@@ -395,12 +392,8 @@ impl Verifier {
     ///
     /// Returns [`VerifyError`] if the analysis cannot be encoded.
     pub fn verify_analysis(&self, analysis: &PureAnalysis) -> Result<Report, VerifyError> {
-        self.lint_gate(&analysis.name, |ctx, opts| {
-            cobalt_lint::lint_analysis(analysis, ctx, opts)
-        })?;
-        let prepared =
-            obligations_for_analysis_with(analysis, &self.env, &self.meanings, self.bank_mode)?;
-        Ok(self.discharge_all(analysis.name.clone(), prepared))
+        let prepared = self.prepare_analysis(analysis)?;
+        Ok(discharge(self, analysis.name.clone(), prepared, None).0)
     }
 
     /// Verifies a pure analysis and, on success, registers its label's
@@ -438,85 +431,6 @@ impl Verifier {
                 .register(analysis.defines.0.clone(), params, analysis.witness.clone());
         }
         Ok(report)
-    }
-
-    /// Discharges a prepared obligation set into a [`Report`], using
-    /// the configured number of [`jobs`](Self::with_jobs).
-    ///
-    /// The parallel contract: outcomes appear in obligation order
-    /// regardless of completion order, each obligation keeps its full
-    /// [`RetryPolicy`] escalation, and the report budget fans out
-    /// through every worker's prover budget. Each obligation runs to
-    /// its own verdict whatever its siblings find, so a report — sound
-    /// or not — is the same at any job count.
-    pub fn discharge_all(&self, name: String, prepared: Vec<Prepared>) -> Report {
-        let start = Instant::now();
-        let budget = self.report_budget();
-        let items = prepared.into_iter().map(|p| (p, 0)).collect();
-        let outcomes = self.discharge_batch(items, &budget, |_, _| {});
-        Report {
-            name,
-            outcomes,
-            elapsed: start.elapsed(),
-        }
-    }
-
-    /// Discharges `(obligation, start_tier)` pairs, delivering each
-    /// outcome to `sink` **in obligation order** as soon as it and all
-    /// its predecessors are done (a [`crate::Session`] journals from
-    /// the sink, so the journal's append order matches sequential
-    /// mode), and returns the ordered outcomes.
-    ///
-    /// With `jobs <= 1` this is the plain sequential loop — no pool, no
-    /// `pool.*` fault sites — keeping the default path behaviorally
-    /// identical to the pre-parallel checker.
-    pub(crate) fn discharge_batch(
-        &self,
-        items: Vec<(Prepared, usize)>,
-        budget: &Budget,
-        mut sink: impl FnMut(usize, &ObligationOutcome),
-    ) -> Vec<ObligationOutcome> {
-        if self.jobs <= 1 || items.len() <= 1 {
-            let mut outcomes = Vec::with_capacity(items.len());
-            for (idx, (p, start_tier)) in items.into_iter().enumerate() {
-                let outcome = self.discharge_from(p, budget, start_tier);
-                sink(idx, &outcome);
-                outcomes.push(outcome);
-            }
-            return outcomes;
-        }
-        // Ids survive outside the slots so a task that dies twice (the
-        // supervised-retry budget) still yields a named outcome.
-        let ids: Vec<String> = items.iter().map(|(p, _)| p.id.clone()).collect();
-        let slots: Vec<(Option<Prepared>, usize)> = items
-            .into_iter()
-            .map(|(p, tier)| (Some(p), tier))
-            .collect();
-        let mut outcomes: Vec<ObligationOutcome> = Vec::with_capacity(slots.len());
-        pool::run_ordered(
-            self.jobs,
-            slots,
-            |_, (slot, start_tier)| {
-                // The slot is empty only if a previous execution of this
-                // task panicked *after* taking the obligation — possible
-                // for a mid-discharge worker casualty, impossible for
-                // the `pool.task` fault (which fires before pickup).
-                let p = slot.take()?;
-                Some(self.discharge_from(p, budget, *start_tier))
-            },
-            |idx, result| {
-                let outcome = match result {
-                    TaskResult::Done(Some(outcome)) => outcome,
-                    TaskResult::Done(None) => {
-                        panicked_outcome(&ids[idx], "obligation lost to a worker crash")
-                    }
-                    TaskResult::Panicked(message) => panicked_outcome(&ids[idx], &message),
-                };
-                sink(idx, &outcome);
-                outcomes.push(outcome);
-            },
-        );
-        outcomes
     }
 
     /// Runs one obligation through the retry schedule starting at limit
@@ -606,23 +520,5 @@ impl Verifier {
             }
         }
         unreachable!("the last tier always returns")
-    }
-}
-
-/// The outcome recorded for an obligation whose worker died past the
-/// pool's supervision budget (or lost the obligation to a mid-discharge
-/// crash). Shaped like the sequential checker's in-obligation panic
-/// outcome: failed, not resource-limited — a panic is evidence of a
-/// bug, not of an undersized budget.
-fn panicked_outcome(id: &str, message: &str) -> ObligationOutcome {
-    ObligationOutcome {
-        id: id.to_string(),
-        proved: false,
-        elapsed: Duration::ZERO,
-        detail: format!("panicked: {message}"),
-        attempts: 0,
-        escalations: 0,
-        resource_limited: false,
-        cached: false,
     }
 }

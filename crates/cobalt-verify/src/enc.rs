@@ -246,7 +246,7 @@ impl<'a> Enc<'a> {
 
     /// A universally quantified pointwise fact about a store:
     /// `∀l. body(select(store, l))`, with the select as trigger.
-    fn forall_store(
+    pub(crate) fn forall_store(
         &mut self,
         store: TermId,
         mk_body: impl FnOnce(&mut Self, TermId) -> Formula,
@@ -270,7 +270,8 @@ impl<'a> Enc<'a> {
         t
     }
 
-    fn app(&mut self, f: &str, args: Vec<TermId>) -> TermId {
+    /// `f(args)`.
+    pub(crate) fn app(&mut self, f: &str, args: Vec<TermId>) -> TermId {
         let s = self.s.bank.sym(f);
         self.s.bank.app(s, args)
     }
@@ -888,15 +889,11 @@ impl<'a> Enc<'a> {
         })
     }
 
-    fn op_kind_term(&mut self, kind: cobalt_il::OpKind) -> TermId {
+    /// The constant term for a specific operator kind.
+    pub(crate) fn op_kind_term(&mut self, kind: cobalt_il::OpKind) -> TermId {
         let name = format!("op${kind:?}");
         let s = self.s.bank.constructor(&name);
         self.s.bank.app(s, Vec::new())
-    }
-
-    /// The constant term for a specific operator kind (public alias).
-    pub fn op_kind_term_pub(&mut self, kind: cobalt_il::OpKind) -> TermId {
-        self.op_kind_term(kind)
     }
 
     /// The label-definition environment in use.
@@ -922,20 +919,6 @@ impl<'a> Enc<'a> {
             self.var_terms.push(t);
         }
         t
-    }
-
-    /// Public application helper.
-    pub fn app_pub(&mut self, f: &str, args: Vec<TermId>) -> TermId {
-        self.app(f, args)
-    }
-
-    /// A `∀l. body(select(store, l))` fact with the select as trigger.
-    pub fn forall_store_pub(
-        &mut self,
-        store: TermId,
-        mk_body: impl FnOnce(&mut Self, TermId) -> Formula,
-    ) -> Formula {
-        self.forall_store(store, mk_body)
     }
 
     /// A universally quantified pointwise relation between two stores:

@@ -501,7 +501,7 @@ impl Enc<'_> {
                 if pats.len() != args.len() {
                     return Ok(false);
                 }
-                let kt = self.op_kind_term_pub(*kind);
+                let kt = self.op_kind_term(*kind);
                 conds.push(Formula::Eq(kt, *o));
                 for (p, a) in pats.iter().zip(args) {
                     if !self.match_arg(p, a, bind, conds)? {
@@ -704,8 +704,8 @@ impl Enc<'_> {
                         // extractor to stay quantifier-free.
                         let pt = self.var_pat_term(p, bind)?;
                         let pv = self.val(st, pt);
-                        let il = self.app_pub("isloc", vec![pv]);
-                        let lof = self.app_pub("locOf", vec![pv]);
+                        let il = self.app("isloc", vec![pv]);
+                        let lof = self.app("locOf", vec![pv]);
                         let target = self.s.select(st.store, lof);
                         // Inverse construction: a location value is the
                         // locval of its extractor image.
@@ -732,7 +732,7 @@ impl Enc<'_> {
                 let xt = self.var_pat_term(x, bind)?;
                 let l = self.loc(st, xt);
                 let lv = self.locval(l);
-                self.forall_store_pub(st.store, |_, sel| Formula::ne(sel, lv))
+                self.forall_store(st.store, |_, sel| Formula::ne(sel, lv))
             }
             ForwardWitness::And(ws) => {
                 let mut parts = Vec::new();
@@ -749,7 +749,7 @@ impl Enc<'_> {
     pub fn not_pointed_to_term(&mut self, v: TermId, st: &SymState) -> Formula {
         let l = self.loc(st, v);
         let lv = self.locval(l);
-        self.forall_store_pub(st.store, |_, sel| Formula::ne(sel, lv))
+        self.forall_store(st.store, |_, sel| Formula::ne(sel, lv))
     }
 
     /// Encodes a backward witness `P(η_old, η_new)`.
@@ -824,19 +824,19 @@ impl Enc<'_> {
             }),
             ExprPat::Base(BasePat::Var(vp)) => {
                 let u = self.var_pat_term(vp, bind)?;
-                Ok(self.app_pub("varexpr", vec![u]))
+                Ok(self.app("varexpr", vec![u]))
             }
             ExprPat::Base(BasePat::Const(cp)) => {
                 let k = self.const_pat_term(cp, bind)?;
-                Ok(self.app_pub("cstexpr", vec![k]))
+                Ok(self.app("cstexpr", vec![k]))
             }
             ExprPat::Deref(vp) => {
                 let u = self.var_pat_term(vp, bind)?;
-                Ok(self.app_pub("derefexpr", vec![u]))
+                Ok(self.app("derefexpr", vec![u]))
             }
             ExprPat::AddrOf(vp) => {
                 let u = self.var_pat_term(vp, bind)?;
-                Ok(self.app_pub("addrexpr", vec![u]))
+                Ok(self.app("addrexpr", vec![u]))
             }
             other => Err(VerifyError::Unsupported(format!(
                 "expression pattern `{other}` in this position"

@@ -79,7 +79,6 @@ pub use enc::{Enc, SemanticMeanings, Shape, SymState, TaintMode};
 pub use error::VerifyError;
 pub use infer::{infer_witness, with_inferred_witness};
 pub use oblig::{
-    obligations_for_analysis, obligations_for_analysis_with, obligations_for_optimization,
-    obligations_for_optimization_with, BankMode, Prepared,
+    obligations_for_analysis_with, obligations_for_optimization_with, BankMode, Prepared,
 };
 pub use session::{fingerprint_obligation, ResumeMode, Session};

@@ -207,27 +207,13 @@ fn check_template_safe(shape: &Shape) -> Result<(), VerifyError> {
     }
 }
 
-/// Builds the obligations of an optimization under the default
+/// Builds the obligations of an optimization under the given
 /// [`BankMode`].
 ///
 /// # Errors
 ///
 /// Returns [`VerifyError`] if the optimization cannot be encoded (its
 /// proofs then cannot be attempted at all).
-pub fn obligations_for_optimization(
-    opt: &Optimization,
-    defs: &LabelEnv,
-    meanings: &SemanticMeanings,
-) -> Result<Vec<Prepared>, VerifyError> {
-    obligations_for_optimization_with(opt, defs, meanings, BankMode::default())
-}
-
-/// Builds the obligations of an optimization under an explicit
-/// [`BankMode`].
-///
-/// # Errors
-///
-/// Returns [`VerifyError`] if the optimization cannot be encoded.
 pub fn obligations_for_optimization_with(
     opt: &Optimization,
     defs: &LabelEnv,
@@ -293,20 +279,7 @@ pub fn obligations_for_optimization_with(
     prepare(specs, defs, meanings, &kinds, mode)
 }
 
-/// Builds A1/A2 for a pure analysis under the default [`BankMode`].
-///
-/// # Errors
-///
-/// Returns [`VerifyError`] if the analysis cannot be encoded.
-pub fn obligations_for_analysis(
-    analysis: &PureAnalysis,
-    defs: &LabelEnv,
-    meanings: &SemanticMeanings,
-) -> Result<Vec<Prepared>, VerifyError> {
-    obligations_for_analysis_with(analysis, defs, meanings, BankMode::default())
-}
-
-/// Builds A1/A2 for a pure analysis under an explicit [`BankMode`].
+/// Builds A1/A2 for a pure analysis under the given [`BankMode`].
 ///
 /// # Errors
 ///

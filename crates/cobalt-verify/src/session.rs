@@ -7,6 +7,10 @@
 //! and any journal corruption degrades to re-proving, never to a
 //! trusted-but-wrong outcome. See `DESIGN.md` §10.
 //!
+//! The [`Verifier`] and a session prove a rule through the same
+//! routine; a session without a journal ([`Session::new`]) is the
+//! verifier: it fingerprints, replays and persists nothing.
+//!
 //! # Fingerprints
 //!
 //! A cached outcome is only reused when its **content fingerprint**
@@ -29,13 +33,14 @@
 
 use crate::checker::{ObligationOutcome, Report, Verifier};
 use crate::error::VerifyError;
-use crate::oblig::{obligations_for_analysis_with, obligations_for_optimization_with, Prepared};
+use crate::oblig::Prepared;
 use cobalt_dsl::{Optimization, PureAnalysis};
 use cobalt_logic::Limits;
 pub use cobalt_support::journal::ResumeMode;
 use cobalt_support::journal::{
     decode_fields, encode_fields, Fnv64, LoadReport, Record, Store, DEFAULT_LOCK_WAIT,
 };
+use cobalt_support::pool::{self, TaskResult};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -136,7 +141,8 @@ impl Record for JournalEntry {
 #[derive(Debug)]
 pub struct Session {
     verifier: Verifier,
-    store: Store<JournalEntry>,
+    /// The proof journal; `None` for a session without one.
+    store: Option<Store<JournalEntry>>,
     /// Fingerprints of this session's outcomes (replayed and fresh, in
     /// obligation order); what [`finish`](Self::finish) compacts the
     /// journal down to.
@@ -145,11 +151,12 @@ pub struct Session {
 
 impl Session {
     /// A session without a journal: verification behaves like calling
-    /// the [`Verifier`] directly, and nothing is persisted.
+    /// the [`Verifier`] directly — nothing is fingerprinted, replayed,
+    /// or persisted.
     pub fn new(verifier: Verifier) -> Session {
         Session {
             verifier,
-            store: Store::in_memory(),
+            store: None,
             session_fps: Vec::new(),
         }
     }
@@ -166,20 +173,23 @@ impl Session {
     pub fn with_journal(verifier: Verifier, path: impl AsRef<Path>, mode: ResumeMode) -> Session {
         Session {
             verifier,
-            store: Store::open(path, mode, DEFAULT_LOCK_WAIT, None),
+            store: Some(Store::open(path, mode, DEFAULT_LOCK_WAIT, None)),
             session_fps: Vec::new(),
         }
     }
 
     /// What the journal loader recovered and discarded at open.
-    pub fn load_report(&self) -> &LoadReport {
-        self.store.load_report()
+    pub fn load_report(&self) -> LoadReport {
+        self.store
+            .as_ref()
+            .map(|store| store.load_report().clone())
+            .unwrap_or_default()
     }
 
     /// Why journaling was disabled mid-run, if it was. Verification
     /// results are unaffected — only caching is lost.
     pub fn degraded(&self) -> Option<&str> {
-        self.store.degraded()
+        self.store.as_ref()?.degraded()
     }
 
     /// Verifies an optimization, replaying journaled outcomes where
@@ -191,17 +201,8 @@ impl Session {
     /// Returns [`VerifyError`] if the optimization cannot be encoded
     /// (same contract as [`Verifier::verify_optimization`]).
     pub fn verify_optimization(&mut self, opt: &Optimization) -> Result<Report, VerifyError> {
-        self.verifier.lint_gate(&opt.name, |ctx, opts| {
-            cobalt_lint::lint_optimization(opt, ctx, opts)
-        })?;
-        let prepared = obligations_for_optimization_with(
-            opt,
-            &self.verifier.env,
-            &self.verifier.meanings,
-            self.verifier.bank_mode,
-        )?;
-        let rule_src = format!("{opt:?}");
-        Ok(self.run(opt.name.clone(), &rule_src, prepared))
+        let prepared = self.verifier.prepare_optimization(opt)?;
+        Ok(self.run(&opt.name, opt, prepared))
     }
 
     /// Verifies a pure analysis with the same journaling behaviour as
@@ -211,17 +212,8 @@ impl Session {
     ///
     /// Returns [`VerifyError`] if the analysis cannot be encoded.
     pub fn verify_analysis(&mut self, analysis: &PureAnalysis) -> Result<Report, VerifyError> {
-        self.verifier.lint_gate(&analysis.name, |ctx, opts| {
-            cobalt_lint::lint_analysis(analysis, ctx, opts)
-        })?;
-        let prepared = obligations_for_analysis_with(
-            analysis,
-            &self.verifier.env,
-            &self.verifier.meanings,
-            self.verifier.bank_mode,
-        )?;
-        let rule_src = format!("{analysis:?}");
-        Ok(self.run(analysis.name.clone(), &rule_src, prepared))
+        let prepared = self.verifier.prepare_analysis(analysis)?;
+        Ok(self.run(&analysis.name, analysis, prepared))
     }
 
     /// Compacts the journal down to this session's outcomes, dropping
@@ -229,92 +221,150 @@ impl Session {
     /// after the last report; skipping it costs only disk. A
     /// compaction failure degrades rather than erroring.
     pub fn finish(&mut self) {
-        self.store.finish(&self.session_fps);
+        if let Some(store) = &mut self.store {
+            store.finish(&self.session_fps);
+        }
     }
 
-    /// The session analogue of `Verifier::discharge_all`: per
-    /// obligation, replay a cached proof, or discharge (resuming
-    /// escalation for a known resource-limited failure) and journal the
-    /// outcome. Fresh obligations go through the verifier's batch
-    /// discharge, so a parallel (`jobs > 1`) verifier fans them out
-    /// across its pool; the journaling sink receives outcomes in
-    /// obligation order, so journal bytes are identical to a
-    /// sequential run's.
-    fn run(&mut self, name: String, rule_src: &str, prepared: Vec<Prepared>) -> Report {
-        let start = Instant::now();
-        let budget = self.verifier.report_budget();
-        let tiers = self.verifier.policy.tiers.clone();
-        let total = prepared.len();
-        // Partition: cache hits replay immediately into their slots,
-        // everything else queues for (possibly parallel) discharge.
-        let mut outcome_slots: Vec<Option<ObligationOutcome>> = (0..total).map(|_| None).collect();
-        // The fingerprints this run replays or journals, by obligation.
-        let mut fp_slots: Vec<Option<u64>> = vec![None; total];
-        let mut fresh: Vec<(Prepared, usize)> = Vec::new();
-        let mut fresh_meta: Vec<(usize, u64, usize)> = Vec::new(); // (orig idx, fp, start_tier)
-        for (idx, p) in prepared.into_iter().enumerate() {
-            let fp = fingerprint_obligation(rule_src, &p, &tiers);
-            let hit = self.store.get(fp);
-            if let Some(cached) = hit.filter(|c| c.proved) {
-                outcome_slots[idx] = Some(ObligationOutcome {
-                    id: p.id,
-                    proved: true,
-                    elapsed: Duration::from_micros(cached.elapsed_us),
-                    detail: String::new(),
-                    attempts: cached.attempts,
-                    escalations: cached.escalations,
-                    resource_limited: false,
-                    cached: true,
-                });
-                fp_slots[idx] = Some(fp);
-                continue;
+    /// Discharges one rule's obligations against the journal, if any;
+    /// the rule's `Debug` rendering is its fingerprint source.
+    fn run(&mut self, name: &str, rule: &dyn std::fmt::Debug, prepared: Vec<Prepared>) -> Report {
+        let journal = self.store.as_mut().map(|store| (format!("{rule:?}"), store));
+        let (report, fps) = discharge(&self.verifier, name.to_string(), prepared, journal);
+        self.session_fps.extend(fps);
+        report
+    }
+}
+
+/// Discharges one rule's prepared obligations into a [`Report`]: the
+/// one path behind [`Verifier`] and [`Session`].
+///
+/// With a `journal` (the rule's source and the store), each obligation
+/// is fingerprinted: a journaled proof replays as cached, a journaled
+/// resource-limited failure resumes escalation at the tier after the
+/// last one it exhausted, and every fresh outcome is appended and
+/// fsynced as it lands, in obligation order, so journal bytes do not
+/// depend on the worker count. Without one nothing is fingerprinted and
+/// every obligation starts at tier 0. Journal trouble degrades the
+/// store instead of failing verification.
+///
+/// The parallel contract: fresh obligations fan out across the
+/// verifier's [`jobs`](Verifier::with_jobs); outcomes appear in
+/// obligation order regardless of completion order, each obligation
+/// keeps its full retry escalation, and each runs to its own verdict
+/// whatever its siblings find, so a report — sound or not — is the same
+/// at any job count.
+///
+/// Returns the report and the fingerprints this run replayed or
+/// journaled, in obligation order.
+pub(crate) fn discharge(
+    verifier: &Verifier,
+    name: String,
+    prepared: Vec<Prepared>,
+    mut journal: Option<(String, &mut Store<JournalEntry>)>,
+) -> (Report, Vec<u64>) {
+    let start = Instant::now();
+    let budget = verifier.report_budget();
+    let mut outcomes: Vec<Option<ObligationOutcome>> = Vec::with_capacity(prepared.len());
+    let mut fps: Vec<Option<u64>> = vec![None; prepared.len()];
+    // Per obligation to discharge: its index, fingerprint, start tier
+    // and id (which survives outside the slot so a task that dies twice
+    // still yields a named outcome), and the obligation itself.
+    let mut meta: Vec<(usize, Option<u64>, usize, String)> = Vec::with_capacity(prepared.len());
+    let mut slots: Vec<Option<Prepared>> = Vec::with_capacity(prepared.len());
+    for (idx, p) in prepared.into_iter().enumerate() {
+        let (mut fp, mut start_tier) = (None, 0);
+        if let Some((rule_src, store)) = &journal {
+            let key = fingerprint_obligation(rule_src, &p, &verifier.policy.tiers);
+            match store.get(key) {
+                Some(cached) if cached.proved => {
+                    outcomes.push(Some(ObligationOutcome {
+                        id: p.id,
+                        proved: true,
+                        elapsed: Duration::from_micros(cached.elapsed_us),
+                        detail: String::new(),
+                        attempts: cached.attempts,
+                        escalations: cached.escalations,
+                        resource_limited: false,
+                        cached: true,
+                    }));
+                    fps[idx] = Some(key);
+                    continue;
+                }
+                // Open-branch and panic failures (deterministic, but
+                // the rule or encoding may have been the problem last
+                // time) simply retry from the first tier.
+                Some(cached) if cached.resource_limited => start_tier = cached.tier as usize,
+                _ => {}
             }
-            // A recorded resource-limited failure resumes at the tier
-            // after the last one it exhausted; open-branch and panic
-            // failures (deterministic, but the rule or encoding may
-            // have been the problem last time the fingerprint was
-            // computed — it matches, so they simply retry) start cold.
-            let start_tier = match hit {
-                Some(c) if c.resource_limited => c.tier as usize,
-                _ => 0,
+            fp = Some(key);
+        }
+        outcomes.push(None);
+        meta.push((idx, fp, start_tier, p.id.clone()));
+        slots.push(Some(p));
+    }
+    pool::run_ordered(
+        verifier.jobs,
+        slots,
+        |fi, slot| {
+            // The slot is empty only if a previous execution of this
+            // task panicked *after* taking the obligation — possible
+            // for a mid-discharge casualty, impossible for the
+            // `pool.task` fault (which fires before pickup).
+            let p = slot.take()?;
+            Some(verifier.discharge_from(p, &budget, meta[fi].2))
+        },
+        |fi, result| {
+            let (idx, fp, start_tier, id) = &meta[fi];
+            let outcome = match result {
+                TaskResult::Done(Some(outcome)) => outcome,
+                TaskResult::Done(None) => panicked_outcome(id, "obligation lost to a worker crash"),
+                TaskResult::Panicked(message) => panicked_outcome(id, &message),
             };
-            fresh_meta.push((idx, fp, start_tier));
-            fresh.push((p, start_tier));
-        }
-        // Split borrows so the journaling sink can write while the
-        // verifier discharges. Outcomes are journaled (append + fsync)
-        // as they land, in obligation order; journal trouble degrades
-        // the store instead of failing verification.
-        let verifier = &self.verifier;
-        let store = &mut self.store;
-        let fresh_outcomes = verifier.discharge_batch(fresh, &budget, |fi, outcome| {
-            let (orig_idx, fp, start_tier) = fresh_meta[fi];
-            store.insert(JournalEntry {
-                fingerprint: fp,
-                rule: name.clone(),
-                id: outcome.id.clone(),
-                proved: outcome.proved,
-                resource_limited: outcome.resource_limited,
-                attempts: outcome.attempts,
-                escalations: outcome.escalations,
-                tier: (start_tier as u32).saturating_add(outcome.attempts),
-                elapsed_us: outcome.elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-                detail: outcome.detail.clone(),
-            });
-            fp_slots[orig_idx] = Some(fp);
-        });
-        for (fi, outcome) in fresh_outcomes.into_iter().enumerate() {
-            outcome_slots[fresh_meta[fi].0] = Some(outcome);
-        }
-        self.session_fps.extend(fp_slots.into_iter().flatten());
-        Report {
-            name,
-            outcomes: outcome_slots
-                .into_iter()
-                .map(|o| o.expect("every obligation produced exactly one outcome"))
-                .collect(),
-            elapsed: start.elapsed(),
-        }
+            if let (Some(fp), Some((_, store))) = (*fp, journal.as_mut()) {
+                store.insert(JournalEntry {
+                    fingerprint: fp,
+                    rule: name.clone(),
+                    id: outcome.id.clone(),
+                    proved: outcome.proved,
+                    resource_limited: outcome.resource_limited,
+                    attempts: outcome.attempts,
+                    escalations: outcome.escalations,
+                    tier: (*start_tier as u32).saturating_add(outcome.attempts),
+                    elapsed_us: outcome.elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
+                    detail: outcome.detail.clone(),
+                });
+                fps[*idx] = Some(fp);
+            }
+            outcomes[*idx] = Some(outcome);
+        },
+    );
+    let report = Report {
+        name,
+        outcomes: outcomes
+            .into_iter()
+            .map(|o| o.expect("every obligation produced exactly one outcome"))
+            .collect(),
+        elapsed: start.elapsed(),
+    };
+    (report, fps.into_iter().flatten().collect())
+}
+
+/// The outcome recorded for an obligation whose task died past the
+/// pool's supervision budget (or lost the obligation to a mid-discharge
+/// crash). Shaped like the checker's in-obligation panic outcome:
+/// failed, not resource-limited — a panic is evidence of a bug, not of
+/// an undersized budget.
+fn panicked_outcome(id: &str, message: &str) -> ObligationOutcome {
+    ObligationOutcome {
+        id: id.to_string(),
+        proved: false,
+        elapsed: Duration::ZERO,
+        detail: format!("panicked: {message}"),
+        attempts: 0,
+        escalations: 0,
+        resource_limited: false,
+        cached: false,
     }
 }
 
@@ -381,10 +431,11 @@ mod tests {
         use cobalt_dsl::LabelEnv;
         use crate::enc::SemanticMeanings;
         let opt = cobalt_opts_fixture();
-        let prepared = crate::oblig::obligations_for_optimization(
+        let prepared = crate::oblig::obligations_for_optimization_with(
             &opt,
             &LabelEnv::standard(),
             &SemanticMeanings::standard(),
+            crate::oblig::BankMode::default(),
         )
         .unwrap();
         let p = &prepared[0];
@@ -401,10 +452,11 @@ mod tests {
             fingerprint_obligation("rule-src", p, &tiers[..1]),
             "limit tiers are fingerprint inputs"
         );
-        let mut renamed = crate::oblig::obligations_for_optimization(
+        let mut renamed = crate::oblig::obligations_for_optimization_with(
             &opt,
             &LabelEnv::standard(),
             &SemanticMeanings::standard(),
+            crate::oblig::BankMode::default(),
         )
         .unwrap();
         renamed[0].id.push('!');

@@ -7,10 +7,17 @@ use cobalt_dsl::{
     LabelArgPat, LabelEnv, LhsPat, Optimization, RegionGuard, StmtPat, TransformPattern, VarPat,
     Witness,
 };
-use cobalt_verify::{obligations_for_optimization, SemanticMeanings, Verifier};
+use cobalt_verify::{
+    obligations_for_optimization_with, BankMode, Prepared, SemanticMeanings, Verifier, VerifyError,
+};
 
 fn env() -> (LabelEnv, SemanticMeanings) {
     (LabelEnv::standard(), SemanticMeanings::standard())
+}
+
+fn obligations(opt: &Optimization) -> Result<Vec<Prepared>, VerifyError> {
+    let (defs, meanings) = env();
+    obligations_for_optimization_with(opt, &defs, &meanings, BankMode::default())
 }
 
 fn const_prop_like() -> Optimization {
@@ -44,8 +51,7 @@ fn const_prop_like() -> Optimization {
 
 #[test]
 fn forward_obligation_set_structure() {
-    let (defs, meanings) = env();
-    let obls = obligations_for_optimization(&const_prop_like(), &defs, &meanings).unwrap();
+    let obls = obligations(&const_prop_like()).unwrap();
     let ids: Vec<&str> = obls.iter().map(|o| o.id.as_str()).collect();
     // Exactly one F1 survives static filtering (only assign-const
     // statements can satisfy stmt(Y := C)).
@@ -58,9 +64,8 @@ fn forward_obligation_set_structure() {
 
 #[test]
 fn backward_obligation_set_structure() {
-    let (defs, meanings) = env();
     let dae = cobalt_opts::optimization("dae").unwrap();
-    let obls = obligations_for_optimization(&dae, &defs, &meanings).unwrap();
+    let obls = obligations(&dae).unwrap();
     let ids: Vec<&str> = obls.iter().map(|o| o.id.as_str()).collect();
     assert!(ids.contains(&"B1"));
     // B2 skips statically-vacuous shapes (calls and pointer-reads are
@@ -90,7 +95,6 @@ fn failed_obligations_report_counterexample_context() {
 
 #[test]
 fn kind_conflicts_are_encoding_errors() {
-    let (defs, meanings) = env();
     let bad = Optimization::new(
         "kind_conflict",
         TransformPattern {
@@ -106,13 +110,12 @@ fn kind_conflicts_are_encoding_errors() {
             witness: Witness::Forward(ForwardWitness::True),
         },
     );
-    let err = obligations_for_optimization(&bad, &defs, &meanings).unwrap_err();
+    let err = obligations(&bad).unwrap_err();
     assert!(err.to_string().contains("both"));
 }
 
 #[test]
 fn unsafe_templates_are_rejected_not_assumed() {
-    let (defs, meanings) = env();
     // s' dereferences a pointer: the transformed program could fault
     // where the original did not, so the checker refuses to encode it
     // rather than assume success (paper footnote 6).
@@ -127,16 +130,15 @@ fn unsafe_templates_are_rejected_not_assumed() {
             witness: Witness::Forward(ForwardWitness::True),
         },
     );
-    let err = obligations_for_optimization(&bad, &defs, &meanings).unwrap_err();
+    let err = obligations(&bad).unwrap_err();
     assert!(err.to_string().contains("template"), "{err}");
 }
 
 #[test]
 fn wrong_witness_direction_is_an_error() {
-    let (defs, meanings) = env();
     let mut opt = const_prop_like();
     opt.pattern.witness = Witness::Backward(BackwardWitness::Identical);
-    assert!(obligations_for_optimization(&opt, &defs, &meanings).is_err());
+    assert!(obligations(&opt).is_err());
 }
 
 #[test]
@@ -150,7 +152,7 @@ fn a_wrong_witness_fails_rather_than_errors() {
         VarPat::pat("X"),
         VarPat::pat("Y"),
     ));
-    let obls = obligations_for_optimization(&opt, &defs, &meanings).unwrap();
+    let obls = obligations(&opt).unwrap();
     let verifier = Verifier::new(defs, meanings);
     let report = verifier.verify_optimization(&opt).unwrap();
     assert!(!report.all_proved());

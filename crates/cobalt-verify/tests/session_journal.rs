@@ -266,19 +266,23 @@ fn resource_limited_failures_resume_escalation_at_the_recorded_tier() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Sessions without a journal behave exactly like the bare verifier.
+/// Sessions without a journal behave exactly like the bare verifier:
+/// a rule verified twice is proved twice, never replayed as cached.
 #[test]
 fn sessionless_verification_is_transparent() {
     let opt = cobalt_opts::all_optimizations().remove(0);
     let bare = verifier().verify_optimization(&opt).unwrap();
     let mut session = Session::new(verifier());
-    let via_session = session.verify_optimization(&opt).unwrap();
+    let first = session.verify_optimization(&opt).unwrap();
+    let second = session.verify_optimization(&opt).unwrap();
     session.finish();
     assert!(session.degraded().is_none());
-    assert_eq!(bare.outcomes.len(), via_session.outcomes.len());
-    for (a, b) in bare.outcomes.iter().zip(&via_session.outcomes) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.proved, b.proved);
-        assert!(!b.cached);
+    for via_session in [first, second] {
+        assert_eq!(bare.outcomes.len(), via_session.outcomes.len());
+        for (a, b) in bare.outcomes.iter().zip(&via_session.outcomes) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.proved, b.proved);
+            assert!(!b.cached, "{}: replayed without a journal", b.id);
+        }
     }
 }

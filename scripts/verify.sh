@@ -217,6 +217,39 @@ if [[ $code -ne 0 ]]; then
     echo "parallel: worker-panic verify exited $code (want 0)"; exit 1
 fi
 
+# The supervisor runs at every job count: at --jobs 1 the calling
+# thread drains the pool, so the same fault fires (its panic message
+# reaches stderr), is retried, and stdout matches the unfaulted run.
+plain_out=$("$COBALT" verify --jobs 1 2>/dev/null | normalize_times)
+set +e
+faulted_out=$(COBALT_FAULTS=pool.task:panic@3 "$COBALT" verify --jobs 1 \
+    2>/tmp/cobalt_pool_err.$$)
+code=$?
+set -e
+if [[ $code -ne 0 ]] || ! grep -q "pool.task" /tmp/cobalt_pool_err.$$; then
+    echo "parallel: --jobs 1 worker-panic verify exited $code (want 0, fault fired):"
+    cat /tmp/cobalt_pool_err.$$; rm -f /tmp/cobalt_pool_err.$$; exit 1
+fi
+rm -f /tmp/cobalt_pool_err.$$
+if [[ "$(normalize_times <<<"$faulted_out")" != "$plain_out" ]]; then
+    echo "parallel: --jobs 1 worker-panic output diverged from the unfaulted run:"
+    diff <(echo "$plain_out") <(normalize_times <<<"$faulted_out") || true
+    exit 1
+fi
+
+# Without --journal nothing is cached: a rule stated twice is proved
+# twice, never replayed.
+twice=$(mktemp /tmp/cobalt_twice_XXXXXX.cob)
+for _ in 1 2; do
+    printf 'forward const_prop {\n    stmt(Y := C)\n    followed by !mayDef(Y)\n' >>"$twice"
+    printf '    until X := Y => X := C\n    with witness eta(Y) == C\n}\n' >>"$twice"
+done
+out=$("$COBALT" verify "$twice" 2>&1)
+rm -f "$twice"
+if [[ $(grep -c "const_prop: 27/27 obligations proved" <<<"$out") -ne 2 ]] || grep -q "cached" <<<"$out"; then
+    echo "parallel: a rule stated twice without a journal was not proved twice:"; echo "$out"; exit 1
+fi
+
 # Two concurrent processes sharing one journal: the advisory lock
 # serializes or degrades them, but both must exit 0.
 journal=$(mktemp -u /tmp/cobalt_verify_journal_XXXXXX.cobj)

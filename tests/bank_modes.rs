@@ -302,7 +302,7 @@ props! {
         let opt = &registry[rule % registry.len()];
         let run = |mode: BankMode| {
             let v = verifier(jobs, mode);
-            if faulted == 1 && jobs > 1 {
+            if faulted == 1 {
                 let spec = format!("pool.task:panic@{panic_at}");
                 fault::with_faults(&spec, || v.verify_optimization(opt).unwrap())
             } else {

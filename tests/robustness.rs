@@ -92,11 +92,14 @@ fn default_policy_proves_const_prop_with_attempt_bookkeeping() {
 /// resource limit, before any search or interning starts.
 #[test]
 fn degenerate_zero_limits_fail_every_obligation_fast() {
-    let v = verifier().with_limits(Limits {
-        max_splits: 0,
-        max_inst_rounds: 0,
-        max_terms: 0,
-        deadline: None,
+    let v = verifier().with_retry_policy(RetryPolicy {
+        tiers: vec![Limits {
+            max_splits: 0,
+            max_inst_rounds: 0,
+            max_terms: 0,
+            deadline: None,
+        }],
+        report_deadline: None,
     });
     let start = std::time::Instant::now();
     let report = v
@@ -1095,4 +1098,52 @@ fn session_labels_each_procedure_version_once() {
     assert!(!report.degraded(), "{:#?}", report.failures);
     assert_eq!((report.applied, report.rounds), (1, 2));
     assert_eq!(out.main().unwrap().stmts[1].to_string(), "skip");
+}
+
+/// A killed `cobalt optimize --journal` run resumes warm only from the
+/// records that landed before the kill. At one job the session must
+/// journal each procedure as it finishes, not all of them once the last
+/// one is done: the journal grows past its 8-byte header before half
+/// the run has passed.
+#[test]
+fn one_job_optimize_journals_each_procedure_as_it_finishes() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
+
+    let prog = cobalt_bench::many_proc_program(6, 20, 7);
+    let path = scratch_journal("one_job_streams");
+    let finished = AtomicBool::new(false);
+    let start = Instant::now();
+    let first_record = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            while !finished.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(120) {
+                if std::fs::metadata(&path).is_ok_and(|m| m.len() > 8) {
+                    return Some(start.elapsed());
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            None
+        });
+        let mut session = OptimizeSession::new(Engine::new(LabelEnv::standard()))
+            .with_journal(&path, ResumeMode::Fresh);
+        let (_, report) = fault::with_faults("engine.pass:delay_ms@5", || {
+            session.optimize_program(
+                &prog,
+                &cobalt::opts::all_analyses(),
+                &cobalt::opts::default_pipeline(),
+                4,
+            )
+        });
+        finished.store(true, Ordering::SeqCst);
+        assert!(!report.degraded(), "{:#?}", report.failures);
+        session.finish();
+        watcher.join().unwrap()
+    });
+    let total = start.elapsed();
+    std::fs::remove_file(&path).ok();
+    let first_record = first_record.unwrap_or(total);
+    assert!(
+        first_record < total / 2,
+        "first journal record after {first_record:?} of a {total:?} run"
+    );
 }
