@@ -415,6 +415,8 @@ impl Solver {
             meter,
             start,
             start_terms,
+            tt: None,
+            row_selects: FastMap::default(),
         };
         let closed = search.close(&mut branch);
         let stats = search.stats.clone();
@@ -520,7 +522,7 @@ struct PendingSplit {
 }
 
 /// The branch's relevant terms, indexed for the hot loops: a membership
-/// set, a deterministic *mark order* (every output-affecting iteration
+/// bitmap, a deterministic *mark order* (every output-affecting iteration
 /// walks it, never numeric `TermId` order — ids depend on the bank
 /// layout, which differs between a fresh and a batch-shared bank), a
 /// per-top-symbol index of ground applications for trigger matching,
@@ -528,7 +530,8 @@ struct PendingSplit {
 /// theory.
 #[derive(Debug, Default)]
 struct RelevantSet {
-    set: FastSet<TermId>,
+    /// Membership, one bit per term id.
+    bits: Vec<u64>,
     /// Marked terms in mark order; the symbol is `Some(f)` exactly when
     /// the term was indexed under `by_top[f]` (a ground application).
     order: Vec<(TermId, Option<Sym>)>,
@@ -563,11 +566,27 @@ impl RelevantSet {
         }
     }
 
+    /// Flips `t`'s membership bit, growing the bitmap as the bank grows.
+    fn toggle(&mut self, t: TermId) {
+        let (word, bit) = (t.idx() / 64, t.idx() % 64);
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
+        }
+        self.bits[word] ^= 1 << bit;
+    }
+
+    fn contains(&self, t: TermId) -> bool {
+        self.bits
+            .get(t.idx() / 64)
+            .is_some_and(|w| w & (1 << (t.idx() % 64)) != 0)
+    }
+
     /// Adds `t` and all its subterms.
     fn mark_term(&mut self, bank: &TermBank, t: TermId) {
-        if !self.set.insert(t) {
+        if self.contains(t) {
             return;
         }
+        self.toggle(t);
         let mut top = None;
         if let TermData::App(f, args) = bank.data(t) {
             let f = *f;
@@ -623,7 +642,7 @@ impl RelevantSet {
     fn rollback(&mut self, mark: RelevantMark) {
         while self.order.len() > mark.order_len {
             let (t, top) = self.order.pop().expect("len checked");
-            self.set.remove(&t);
+            self.toggle(t);
             if let Some(f) = top {
                 self.by_top
                     .get_mut(&f)
@@ -655,6 +674,11 @@ struct Search<'a> {
     /// limits behave identically whether the bank is fresh or layered
     /// on a large shared base.
     start_terms: usize,
+    /// The `$true` constant, interned by the first `Holds` literal.
+    tt: Option<TermId>,
+    /// Read-over-write's `select(m2, k)` terms by `(m2, k)`: the bank
+    /// is append-only, so a term built once stays valid for the call.
+    row_selects: FastMap<(TermId, TermId), TermId>,
 }
 
 /// Checkpoint of everything [`Search::split`] must rewind between
@@ -712,7 +736,7 @@ impl Search<'_> {
     /// `Holds` literals without ever being marked relevant (it must not
     /// feed trigger matching or binding enumeration).
     fn register_tt(&mut self, branch: &mut Branch) -> TermId {
-        let tt = self.solver.tt();
+        let tt = *self.tt.get_or_insert_with(|| self.solver.tt());
         branch.cc.ensure(&self.solver.bank);
         branch.cc.register(tt, &self.solver.bank);
         tt
@@ -759,19 +783,22 @@ impl Search<'_> {
             if let Some(pos) = self.pick_split(branch) {
                 branch.splits[pos].consumed = true;
                 branch.consumed_log.push(pos);
+                // A status check touches only the congruence core, so the
+                // disjuncts are read in place and only undecided ones cloned.
+                let disjuncts = std::mem::take(&mut branch.splits[pos].formulas);
                 let mut remaining = Vec::new();
                 let mut satisfied = false;
-                for di in 0..branch.splits[pos].formulas.len() {
-                    let d = branch.splits[pos].formulas[di].clone();
-                    match self.literal_status(branch, &d) {
+                for d in &disjuncts {
+                    match self.literal_status(branch, d) {
                         LitStatus::True => {
                             satisfied = true;
                             break;
                         }
                         LitStatus::False => {}
-                        LitStatus::Undecided => remaining.push(d),
+                        LitStatus::Undecided => remaining.push(d.clone()),
                     }
                 }
+                branch.splits[pos].formulas = disjuncts;
                 if satisfied {
                     continue;
                 }
@@ -907,13 +934,13 @@ impl Search<'_> {
             Formula::Not(inner) => match *inner {
                 Formula::Eq(a, b) => {
                     self.sync_cc(branch);
-                    branch.cc.assert_diseq(a, b, &self.solver.bank);
+                    branch.cc.assert_diseq(a, b);
                     branch.cc.in_conflict()
                 }
                 Formula::Holds(t) => {
                     let tt = self.register_tt(branch);
                     self.sync_cc(branch);
-                    branch.cc.assert_diseq(t, tt, &self.solver.bank);
+                    branch.cc.assert_diseq(t, tt);
                     branch.cc.in_conflict()
                 }
                 other => {
@@ -1039,7 +1066,10 @@ impl Search<'_> {
                         self.limit_hit = Some("term limit exceeded".into());
                         return ArrayStep::Quiet;
                     }
-                    let s2 = self.solver.select(m2, k);
+                    let s2 = *self
+                        .row_selects
+                        .entry((m2, k))
+                        .or_insert_with(|| self.solver.select(m2, k));
                     branch.relevant.mark_term(&self.solver.bank, s2);
                     self.sync_cc(branch);
                     if !branch.cc.are_eq(s, s2) {
@@ -1066,24 +1096,35 @@ impl Search<'_> {
 
     /// Trigger-based instantiation of universal hypotheses.
     fn instantiate(&mut self, branch: &mut Branch) -> Vec<Formula> {
+        let Branch {
+            foralls,
+            relevant,
+            done_instances,
+            done_order,
+            ..
+        } = branch;
         let mut out = Vec::new();
-        for fi in 0..branch.foralls.len() {
-            let (vars, triggers) = match &branch.foralls[fi] {
-                Formula::Forall { vars, triggers, .. } => (vars.clone(), triggers.clone()),
-                _ => continue,
+        let mut bindings = Vec::new();
+        for (fi, f) in foralls.iter().enumerate() {
+            let Formula::Forall {
+                vars,
+                triggers,
+                body,
+            } = f
+            else {
+                continue;
             };
-            let bindings = if triggers.is_empty() {
-                enumerate_bindings(&self.solver.bank, &branch.relevant, &vars)
+            bindings.clear();
+            if triggers.is_empty() {
+                enumerate_bindings(&self.solver.bank, relevant, vars, &mut bindings);
             } else {
-                let mut all = Vec::new();
-                for &trig in &triggers {
-                    match_trigger(&self.solver.bank, &branch.relevant, trig, &vars, &mut all);
+                for &trig in triggers {
+                    match_trigger(&self.solver.bank, relevant, trig, vars, &mut bindings);
                 }
-                all
-            };
-            for binding in bindings {
-                let key = (fi, InstKey::of(&vars, &binding));
-                if branch.done_instances.contains(&key) {
+            }
+            for binding in &bindings {
+                let key = (fi, InstKey::of(vars, binding));
+                if done_instances.contains(&key) {
                     continue;
                 }
                 // Limit and budget checks come BEFORE the done-instance
@@ -1097,13 +1138,9 @@ impl Search<'_> {
                 if self.out_of_budget() {
                     return out;
                 }
-                branch.done_instances.insert(key.clone());
-                branch.done_order.push(key);
-                let Formula::Forall { body, .. } = &branch.foralls[fi] else {
-                    unreachable!("checked above");
-                };
-                let body = (**body).clone();
-                out.push(body.subst(&mut self.solver.bank, &binding));
+                done_instances.insert(key.clone());
+                done_order.push(key);
+                out.push(body.subst(&mut self.solver.bank, binding));
             }
         }
         out
@@ -1189,30 +1226,30 @@ fn bound(binding: &Binding, v: Sym) -> Option<TermId> {
 }
 
 /// For trigger-less single-variable quantifiers: every ground term
-/// relevant to the branch (capped), in mark order.
+/// relevant to the branch (capped), in mark order, appended to `out`.
 fn enumerate_bindings(
     bank: &TermBank,
     relevant: &RelevantSet,
     vars: &[Sym],
-) -> Vec<Binding> {
+    out: &mut Vec<Binding>,
+) {
     if vars.len() != 1 {
-        return Vec::new();
+        return;
     }
     const ENUM_CAP: usize = 512;
-    let mut out = Vec::new();
     for &(t, _) in relevant.order.iter().take(ENUM_CAP) {
         if matches!(bank.data(t), TermData::Var(_)) || bank.has_var(t) {
             continue;
         }
         out.push(vec![(vars[0], t)]);
     }
-    out
 }
 
 /// Matches one trigger pattern against the branch's ground terms,
 /// appending complete bindings to `out`. An application trigger only
 /// consults the `by_top` bucket for its head symbol — the common case —
-/// instead of scanning every relevant term.
+/// instead of scanning every relevant term. One buffer serves every
+/// candidate; only a complete match is copied out.
 fn match_trigger(
     bank: &TermBank,
     relevant: &RelevantSet,
@@ -1220,27 +1257,29 @@ fn match_trigger(
     vars: &[Sym],
     out: &mut Vec<Binding>,
 ) {
-    let candidates: Box<dyn Iterator<Item = TermId> + '_> = match bank.data(trigger) {
-        TermData::App(f, _) => match relevant.by_top.get(f) {
-            Some(bucket) => Box::new(bucket.iter().copied()),
-            None => return,
-        },
-        // Rare non-application trigger: fall back to the full mark-order
-        // scan of ground terms.
-        _ => Box::new(
-            relevant
-                .order
-                .iter()
-                .map(|&(t, _)| t)
-                .filter(|&t| !bank.has_var(t)),
-        ),
-    };
-    for t in candidates {
-        let mut binding = Binding::new();
+    let mut binding = Binding::new();
+    let mut try_match = |t: TermId| {
+        binding.clear();
         if match_pattern(bank, trigger, t, &mut binding)
             && vars.iter().all(|v| bound(&binding, *v).is_some())
         {
-            out.push(binding);
+            out.push(binding.clone());
+        }
+    };
+    match bank.data(trigger) {
+        TermData::App(f, _) => {
+            for &t in relevant.by_top.get(f).map_or(&[][..], Vec::as_slice) {
+                try_match(t);
+            }
+        }
+        // Rare non-application trigger: fall back to the full mark-order
+        // scan of ground terms.
+        _ => {
+            for &(t, _) in &relevant.order {
+                if !bank.has_var(t) {
+                    try_match(t);
+                }
+            }
         }
     }
 }

@@ -259,20 +259,22 @@ impl TermBank {
         if !self.has_var(t) {
             return t;
         }
-        match self.data(t).clone() {
-            TermData::Var(v) => map
-                .iter()
-                .find(|&&(s, _)| s == v)
-                .map_or(t, |&(_, r)| r),
-            TermData::Int(_) => t,
-            TermData::App(f, args) => {
-                let new_args: Vec<TermId> = args.iter().map(|&a| self.subst(a, map)).collect();
-                if new_args == args {
-                    t
-                } else {
-                    self.app(f, new_args)
-                }
-            }
+        let (f, mut args) = match self.data(t) {
+            TermData::Var(v) => return map.iter().find(|&&(s, _)| s == *v).map_or(t, |&(_, r)| r),
+            TermData::Int(_) => return t,
+            // The copy becomes the substituted argument list.
+            TermData::App(f, args) => (*f, args.clone()),
+        };
+        let mut changed = false;
+        for a in &mut args {
+            let b = self.subst(*a, map);
+            changed |= b != *a;
+            *a = b;
+        }
+        if changed {
+            self.app(f, args)
+        } else {
+            t
         }
     }
 

@@ -897,12 +897,12 @@ impl<'a> Enc<'a> {
     }
 
     /// The label-definition environment in use.
-    pub fn label_defs(&self) -> &LabelEnv {
+    pub fn label_defs(&self) -> &'a LabelEnv {
         self.defs
     }
 
     /// The semantic-label meanings in use.
-    pub fn meanings(&self) -> &SemanticMeanings {
+    pub fn meanings(&self) -> &'a SemanticMeanings {
         self.meanings
     }
 

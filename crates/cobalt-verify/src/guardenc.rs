@@ -120,7 +120,7 @@ impl Enc<'_> {
                 }
             }
             Guard::Label(name, args) => {
-                if let Some(def) = self.label_defs().lookup(name).cloned() {
+                if let Some(def) = self.label_defs().lookup(name) {
                     if def.params.len() != args.len() {
                         return Err(VerifyError::Unsupported(format!(
                             "label `{name}` arity mismatch"
@@ -137,8 +137,7 @@ impl Enc<'_> {
                     match self.taint_mode() {
                         TaintMode::AbsentFalse => (polarize(Formula::False, negated), vec![]),
                         TaintMode::Semantic => {
-                            let Some((params, witness)) = self.meanings().lookup(name).cloned()
-                            else {
+                            let Some((params, witness)) = self.meanings().lookup(name) else {
                                 return Ok((polarize(Formula::False, negated), vec![]));
                             };
                             if params.len() != args.len() {
@@ -153,13 +152,13 @@ impl Enc<'_> {
                                 inner.insert(p.clone(), t);
                             }
                             if !negated {
-                                if let ForwardWitness::NotPointedTo(VarPat::Pat(p)) = &witness {
+                                if let ForwardWitness::NotPointedTo(VarPat::Pat(p)) = witness {
                                     if let Some(&t) = inner.get(p) {
                                         taints.push(t);
                                     }
                                 }
                             }
-                            let f = self.fwd_witness(&witness, &ctx.st, &inner)?;
+                            let f = self.fwd_witness(witness, &ctx.st, &inner)?;
                             (polarize(f, negated), taints)
                         }
                     }
@@ -327,7 +326,7 @@ impl Enc<'_> {
                 out
             }
             Guard::Label(name, args) => {
-                if let Some(def) = self.label_defs().lookup(name).cloned() {
+                if let Some(def) = self.label_defs().lookup(name) {
                     if def.params.len() != args.len() {
                         return Err(VerifyError::Unsupported(format!(
                             "label `{name}` arity mismatch"
@@ -341,9 +340,9 @@ impl Enc<'_> {
                     self.definite_taints_depth(&def.body, shape, &inner, negated, depth + 1)?
                 } else if !negated && self.taint_mode() == TaintMode::Semantic {
                     if let Some((params, ForwardWitness::NotPointedTo(VarPat::Pat(p)))) =
-                        self.meanings().lookup(name).cloned()
+                        self.meanings().lookup(name)
                     {
-                        let pos = params.iter().position(|q| q == &p);
+                        let pos = params.iter().position(|q| q == p);
                         match pos.and_then(|i| args.get(i)) {
                             Some(a) => vec![self.label_arg_term(a, bind)?],
                             None => vec![],

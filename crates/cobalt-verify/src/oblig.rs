@@ -79,9 +79,10 @@ impl std::fmt::Debug for Prepared {
 type BuildFn =
     dyn Fn(&mut Enc<'_>, &Bind) -> Result<Option<(Vec<Formula>, Formula)>, VerifyError>;
 
-/// One obligation recipe. The closure is `Fn`, not `FnOnce`: under
-/// [`BankMode::BatchShared`] it runs twice — once into the shared
-/// vocabulary solver, once into the obligation's own overlay solver.
+/// One obligation recipe. [`prepare`] runs its closure once in either
+/// [`BankMode`]: into the obligation's own solver, or into the batch's
+/// shared vocabulary solver, whose frozen bank the obligation's overlay
+/// solver then sits on.
 struct Spec {
     id: String,
     taint: TaintMode,

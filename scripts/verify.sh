@@ -542,11 +542,23 @@ echo "== perf stage (verify_registry correctness smoke)"
 # replay re-derives every obligation and must match the Verifier's
 # verdicts; the oracles require every sound rule to prove and the
 # unsound rule to be rejected. The last line is the run's JSON result.
-last=$(perfbench/target/release/perfbench --workload verify_registry --seed 1 \
-    --seconds 2 --trace 1 | tail -n 1)
+smoke=$(perfbench/target/release/perfbench --workload verify_registry --seed 1 \
+    --seconds 2 --trace 1)
+last=$(tail -n 1 <<<"$smoke")
 if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0' <<<"$last"; then
     echo "perf: perfbench verify_registry smoke failed:"; echo "$last"; exit 1
 fi
+# The search itself, not only its verdicts: every obligation gets a
+# fresh solver, so these counts do not depend on the seed, and a speed
+# change that moves a split, an instance or a branch fails here.
+for want in "verify.obligations = 269" "logic.calls = 270" "logic.splits = 3921" \
+    "logic.instances = 10383" "logic.branches = 4013"; do
+    if ! grep -qx "metric $want count" <<<"$smoke"; then
+        echo "perf: verify_registry smoke: want $want, got:"
+        grep -E '^metric (verify\.obligations|logic\.(calls|splits|instances|branches)) ' <<<"$smoke"
+        exit 1
+    fi
+done
 
 # Build every paper-experiment bench and run each benchmark once
 # (smoke mode), so a bench that no longer compiles or whose asserts
