@@ -110,6 +110,12 @@ impl fmt::Display for DslParseError {
 
 impl Error for DslParseError {}
 
+impl From<cobalt_il::ParseError> for DslParseError {
+    fn from(e: cobalt_il::ParseError) -> Self {
+        DslParseError::new(e.line, e.col, e.message)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

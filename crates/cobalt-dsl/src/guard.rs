@@ -9,6 +9,10 @@
 //!   domains of the procedure's variables, constants, and expressions)
 //!   that make the guard hold at a node. This is what the execution
 //!   engine uses to seed dataflow facts at enabling statements.
+//!
+//! [`Guard::visit`] is the one walk over a guard's atoms; what a guard
+//! binds ([`Scope::binds`], [`Guard::enumerated_vars`]) is stated on it
+//! once, for `solve`, the linter and the checker's vocabulary alike.
 
 use crate::error::GuardError;
 use crate::label::{FragKind, LabelArgPat, LabelEnv, LabelName, LabelSet};
@@ -94,6 +98,134 @@ impl Guard {
     /// A `¬l(args)` shorthand.
     pub fn not_label(name: impl Into<LabelName>, args: Vec<LabelArgPat>) -> Guard {
         Guard::Label(name.into(), args).negate()
+    }
+}
+
+/// A node that [`Guard::visit`] reports.
+#[derive(Debug, Clone, Copy)]
+pub enum GuardNode<'g> {
+    /// An atom: any guard other than `!`, `&&`, `||` and `case`.
+    Atom(&'g Guard),
+    /// A `case` construct, reported before its arms.
+    Case(&'g [(StmtPat, Guard)]),
+    /// The pattern of a `case` arm, reported before the arm's guard.
+    ArmPattern(&'g StmtPat),
+}
+
+/// Where [`Guard::visit`] found a node.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Scope {
+    /// Under at least one `!`.
+    pub negated: bool,
+    /// Inside a `case` arm (its pattern, its guard, or the `else` guard).
+    pub in_arm: bool,
+}
+
+impl Scope {
+    /// Whether a `stmt(…)` atom here binds its variables by matching:
+    /// under no `!` and outside every `case`.
+    pub fn binds(self) -> bool {
+        !self.negated && !self.in_arm
+    }
+}
+
+impl Guard {
+    /// Visits the atoms, `case` constructs and `case` arm patterns of
+    /// the guard in pre-order, left to right, with where each sits.
+    pub fn visit<'g>(&'g self, f: &mut impl FnMut(GuardNode<'g>, Scope)) {
+        self.visit_in(Scope::default(), f);
+    }
+
+    fn visit_in<'g>(&'g self, scope: Scope, f: &mut impl FnMut(GuardNode<'g>, Scope)) {
+        match self {
+            Guard::Not(g) => g.visit_in(
+                Scope {
+                    negated: true,
+                    ..scope
+                },
+                f,
+            ),
+            Guard::And(gs) | Guard::Or(gs) => gs.iter().for_each(|g| g.visit_in(scope, f)),
+            Guard::CaseStmt { arms, default } => {
+                f(GuardNode::Case(arms), scope);
+                let arm = Scope {
+                    in_arm: true,
+                    ..scope
+                };
+                for (pat, g) in arms {
+                    f(GuardNode::ArmPattern(pat), arm);
+                    g.visit_in(arm, f);
+                }
+                default.visit_in(arm, f);
+            }
+            atom => f(GuardNode::Atom(atom), scope),
+        }
+    }
+
+    /// Appends every pattern-variable occurrence of the guard's atoms,
+    /// in order, with its fragment kind. `case` arm patterns are left
+    /// out: the variables they bind are local to their arm.
+    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
+        self.visit(&mut |node, _| {
+            if let GuardNode::Atom(atom) = node {
+                atom_vars(atom, out);
+            }
+        });
+    }
+
+    /// The statement patterns that bind by matching ([`Scope::binds`]),
+    /// in order.
+    pub fn binding_stmts(&self) -> Vec<&StmtPat> {
+        let mut out = Vec::new();
+        self.visit(&mut |node, scope| match node {
+            GuardNode::Atom(Guard::Stmt(pat)) if scope.binds() => out.push(pat),
+            _ => {}
+        });
+        out
+    }
+
+    /// The pattern variables [`Guard::solve`] enumerates over the
+    /// procedure's domain: those of every atom that is not a statement
+    /// pattern, arm guards included, each once, in order of first
+    /// occurrence.
+    pub fn enumerated_vars(&self) -> Vec<(PatVar, FragKind)> {
+        let mut all = Vec::new();
+        self.visit(&mut |node, _| match node {
+            GuardNode::Atom(Guard::Stmt(_)) => {}
+            GuardNode::Atom(atom) => atom_vars(atom, &mut all),
+            GuardNode::Case(_) | GuardNode::ArmPattern(_) => {}
+        });
+        let mut out: Vec<(PatVar, FragKind)> = Vec::with_capacity(all.len());
+        for (p, kind) in all {
+            if !out.iter().any(|(q, _)| *q == p) {
+                out.push((p, kind));
+            }
+        }
+        out
+    }
+}
+
+/// The pattern-variable occurrences of one atom, nested ones included.
+fn atom_vars(atom: &Guard, out: &mut Vec<(PatVar, FragKind)>) {
+    match atom {
+        Guard::Stmt(pat) => pat.vars(out),
+        Guard::Label(_, args) => args.iter().for_each(|a| a.vars(out)),
+        Guard::SyntacticDef(v) | Guard::SyntacticUse(v) => v.vars(out),
+        Guard::Unchanged(e) => e.vars(out),
+        Guard::ConstEq(a, b) => {
+            a.vars(out);
+            b.vars(out);
+        }
+        Guard::VarEq(a, b) => {
+            a.vars(out);
+            b.vars(out);
+        }
+        Guard::True
+        | Guard::False
+        | Guard::Not(_)
+        | Guard::And(_)
+        | Guard::Or(_)
+        | Guard::CaseStmt { .. } => {}
     }
 }
 
@@ -282,10 +414,8 @@ impl Guard {
             other => {
                 // Enumerate the unbound pattern variables over the
                 // procedure's fragment domains, then filter by `eval`.
-                let mut needed = Vec::new();
-                other.pattern_vars(&mut needed);
+                let mut needed = other.enumerated_vars();
                 needed.retain(|(p, _)| !theta.contains(p));
-                needed.dedup_by(|a, b| a.0 == b.0);
                 let mut candidates = vec![theta.clone()];
                 for (p, kind) in &needed {
                     let mut next = Vec::new();
@@ -321,56 +451,6 @@ impl Guard {
                     }
                 }
                 Ok(out)
-            }
-        }
-    }
-
-    /// Collects the pattern variables of the guard that require bindings
-    /// for evaluation (label arguments and equality operands; statement
-    /// patterns bind by matching and are not included).
-    pub fn pattern_vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
-        match self {
-            Guard::True | Guard::False | Guard::Stmt(_) => {}
-            Guard::Not(g) => g.pattern_vars(out),
-            Guard::And(gs) | Guard::Or(gs) => {
-                for g in gs {
-                    g.pattern_vars(out);
-                }
-            }
-            Guard::Label(_, args) => {
-                for a in args {
-                    a.pattern_vars(out);
-                }
-            }
-            Guard::SyntacticDef(VarPat::Pat(p)) | Guard::SyntacticUse(VarPat::Pat(p)) => {
-                out.push((p.clone(), FragKind::Var));
-            }
-            Guard::SyntacticDef(_) | Guard::SyntacticUse(_) => {}
-            Guard::Unchanged(ExprPat::Pat(p)) => out.push((p.clone(), FragKind::Expr)),
-            Guard::Unchanged(_) => {}
-            Guard::ConstEq(a, b) => {
-                for c in [a, b] {
-                    if let ConstPat::Pat(p) = c {
-                        out.push((p.clone(), FragKind::Const));
-                    }
-                }
-            }
-            Guard::VarEq(a, b) => {
-                for v in [a, b] {
-                    if let VarPat::Pat(p) = v {
-                        out.push((p.clone(), FragKind::Var));
-                    }
-                }
-            }
-            Guard::CaseStmt { arms, default } => {
-                // Arm-pattern variables are arm-local; only the guards'
-                // free variables matter. This over-approximates by
-                // including arm-locals; enumeration remains sound since
-                // matching rebinds them consistently.
-                for (_, g) in arms {
-                    g.pattern_vars(out);
-                }
-                default.pattern_vars(out);
             }
         }
     }
@@ -610,6 +690,61 @@ mod tests {
             domain: &domain,
         };
         assert!(g.solve(&ctx0, &Subst::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn solve_enumerates_a_repeated_variable_once() {
+        // l(X, Y, X): X repeats with Y between. Each solution comes back
+        // once, not once per domain variable.
+        let x = || LabelArgPat::Var(VarPat::pat("X"));
+        let g = Guard::Label(
+            "l".into(),
+            vec![x(), LabelArgPat::Var(VarPat::pat("Y")), x()],
+        );
+        let (stmt, mut labels, env, domain) = ctx_parts("skip");
+        let [a, b] = [Var::new("a"), Var::new("b")].map(LabelArg::Var);
+        labels.insert(LabelInst::new("l", vec![a.clone(), b, a]));
+        let ctx = NodeCtx {
+            stmt: &stmt,
+            labels: &labels,
+            env: &env,
+            domain: &domain,
+        };
+        let sols = g.solve(&ctx, &Subst::new()).unwrap();
+        let shown: Vec<String> = sols.iter().map(Subst::to_string).collect();
+        assert_eq!(shown, ["[X ↦ a, Y ↦ b]"]);
+    }
+
+    #[test]
+    fn enumerated_vars_are_deep_first_occurrences_outside_statements() {
+        let g = Guard::and([
+            Guard::Stmt(StmtPat::assign_pats("Z", "E")),
+            Guard::Unchanged(ExprPat::Deref(VarPat::pat("P"))),
+            Guard::Label(
+                "l".into(),
+                vec![
+                    LabelArgPat::Var(VarPat::pat("X")),
+                    LabelArgPat::Const(ConstPat::pat("C")),
+                    LabelArgPat::Var(VarPat::pat("X")),
+                ],
+            ),
+            Guard::CaseStmt {
+                arms: vec![(
+                    StmtPat::Decl(VarPat::pat("D")),
+                    Guard::SyntacticUse(VarPat::pat("P")),
+                )],
+                default: Box::new(Guard::VarEq(VarPat::pat("W"), VarPat::pat("X"))),
+            }
+            .negate(),
+        ]);
+        let vars: Vec<String> = g
+            .enumerated_vars()
+            .iter()
+            .map(|(p, kind)| format!("{p}:{kind:?}"))
+            .collect();
+        assert_eq!(vars, ["P:Var", "X:Var", "C:Const", "W:Var"]);
+        let binding: Vec<String> = g.binding_stmts().iter().map(|s| s.to_string()).collect();
+        assert_eq!(binding, ["Z := E"]);
     }
 
     #[test]

@@ -134,17 +134,6 @@ impl LabelArgPat {
         }
     }
 
-    /// The pattern variables occurring in this argument, with the kind
-    /// of fragment each ranges over.
-    pub fn pattern_vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
-        match self {
-            LabelArgPat::Var(VarPat::Pat(p)) => out.push((p.clone(), FragKind::Var)),
-            LabelArgPat::Const(ConstPat::Pat(p)) => out.push((p.clone(), FragKind::Const)),
-            LabelArgPat::Expr(ExprPat::Pat(p)) => out.push((p.clone(), FragKind::Expr)),
-            _ => {}
-        }
-    }
-
     /// Appends every pattern-variable occurrence, in order, including
     /// those nested inside a compound expression argument.
     pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {

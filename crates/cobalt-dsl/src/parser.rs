@@ -44,6 +44,17 @@
 //! classified by the letter after the `$`; the standard labels use such
 //! names for the variables of their `case` arms. Numerals are concrete
 //! constants; `...` is the wildcard.
+//!
+//! # Tokens
+//!
+//! Rule text is read with the IL's lexer and cursor
+//! ([`cobalt_il::parser::Cursor`]), so a statement pattern is IL
+//! statement syntax: it may use every IL operator (`+ - * / %`,
+//! `== != < <= > >=`, `&& ||`, unary `!`, and `-` before a numeral),
+//! and comments are `#` or `//` to the end of the line, or `/* … */`.
+//! A pattern inside a guard is wrapped in `stmt(...)`, so its operators
+//! never meet the guard's `&&`, `||` and `!`; a bare pattern (`from`,
+//! `to`, a `case` arm) ends at the `=>`, keyword or `}` after it.
 
 use crate::error::DslParseError;
 use crate::guard::Guard;
@@ -53,7 +64,9 @@ use crate::opt::{
 };
 use crate::pattern::{BasePat, ConstPat, ExprPat, IdxPat, LhsPat, ProcPat, StmtPat, VarPat};
 use crate::witness::{BackwardWitness, ForwardWitness};
-use cobalt_il::OpKind;
+use cobalt_il::lexer::TokenKind as T;
+use cobalt_il::parser::{binop, Cursor};
+use cobalt_il::{OpKind, ParseError};
 
 /// Parses a single optimization definition.
 ///
@@ -81,7 +94,7 @@ use cobalt_il::OpKind;
 pub fn parse_optimization(src: &str) -> Result<Optimization, DslParseError> {
     let mut p = Parser::new(src)?;
     let opt = p.parse_optimization()?;
-    p.expect_eof()?;
+    p.c.expect(T::Eof)?;
     Ok(opt)
 }
 
@@ -93,7 +106,7 @@ pub fn parse_optimization(src: &str) -> Result<Optimization, DslParseError> {
 pub fn parse_analysis(src: &str) -> Result<PureAnalysis, DslParseError> {
     let mut p = Parser::new(src)?;
     let a = p.parse_analysis()?;
-    p.expect_eof()?;
+    p.c.expect(T::Eof)?;
     Ok(a)
 }
 
@@ -130,10 +143,10 @@ impl Suite {
 pub fn parse_suite(src: &str) -> Result<Suite, DslParseError> {
     let mut p = Parser::new(src)?;
     let mut suite = Suite::default();
-    while !p.at_eof() {
-        if p.peek_word("analysis") {
+    while !p.c.at_eof() {
+        if p.c.at_keyword("analysis") {
             suite.analyses.push(p.parse_analysis()?);
-        } else if p.peek_word("label") {
+        } else if p.c.at_keyword("label") {
             suite.labels.push(p.parse_label_def()?);
         } else {
             suite.optimizations.push(p.parse_optimization()?);
@@ -142,212 +155,80 @@ pub fn parse_suite(src: &str) -> Result<Suite, DslParseError> {
     Ok(suite)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    Sym(&'static str),
-    Eof,
-}
-
+/// The rule productions, over the IL's tokens and cursor.
 struct Parser {
-    toks: Vec<(Tok, usize, usize)>,
-    pos: usize,
+    c: Cursor,
 }
-
-const SYMS: &[&str] = &[
-    ":=", "=>", "==", "&&", "||", "...", "(", ")", "{", "}", ",", "!", "*", "&", "/", "+", "-",
-    "%", "<", ">",
-];
 
 impl Parser {
-    fn new(src: &str) -> Result<Self, DslParseError> {
-        let mut toks = Vec::new();
-        let chars: Vec<char> = src.chars().collect();
-        let (mut i, mut line, mut col) = (0usize, 1usize, 1usize);
-        'outer: while i < chars.len() {
-            let c = chars[i];
-            if c == '\n' {
-                i += 1;
-                line += 1;
-                col = 1;
-                continue;
-            }
-            if c.is_whitespace() {
-                i += 1;
-                col += 1;
-                continue;
-            }
-            if c == '#' || (c == '/' && chars.get(i + 1) == Some(&'/')) {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-                continue;
-            }
-            for s in SYMS {
-                let sc: Vec<char> = s.chars().collect();
-                if chars[i..].starts_with(&sc) {
-                    // `/` would shadow `//` comments; handled above.
-                    toks.push((Tok::Sym(s), line, col));
-                    i += sc.len();
-                    col += sc.len();
-                    continue 'outer;
-                }
-            }
-            if c.is_ascii_digit() {
-                let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                let n = text.parse().map_err(|_| {
-                    DslParseError::new(line, col, format!("integer `{text}` out of range"))
-                })?;
-                toks.push((Tok::Int(n), line, col));
-                col += i - start;
-                continue;
-            }
-            if c == '$' && !chars.get(i + 1).is_some_and(char::is_ascii_uppercase) {
-                return Err(DslParseError::new(
-                    line,
-                    col,
-                    "`$` must start a pattern variable such as `$P`",
-                ));
-            }
-            if c.is_ascii_alphabetic() || c == '_' || c == '$' {
-                let start = i;
-                i += 1;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                toks.push((Tok::Ident(text), line, col));
-                col += i - start;
-                continue;
-            }
-            return Err(DslParseError::new(
-                line,
-                col,
-                format!("unrecognized character `{c}`"),
-            ));
+    fn new(src: &str) -> Result<Self, ParseError> {
+        Ok(Parser {
+            c: Cursor::new(src)?,
+        })
+    }
+
+    /// Consumes an identifier or a `$`-name and returns its text.
+    fn name(&mut self) -> Result<String, ParseError> {
+        self.expect_name("identifier")
+    }
+
+    /// Consumes a name, or fails saying it expected `what`.
+    fn expect_name(&mut self, what: &str) -> Result<String, ParseError> {
+        self.eat_name(|_| true).ok_or_else(|| {
+            self.c.err(format!(
+                "expected {what}, found {}",
+                self.c.peek().kind.describe()
+            ))
+        })
+    }
+
+    /// Consumes a name that satisfies `ok` and returns its text.
+    fn eat_name(&mut self, ok: impl FnOnce(&str) -> bool) -> Option<String> {
+        let s = name_of(&self.c.peek().kind).filter(|s| ok(s))?.to_string();
+        self.c.bump();
+        Some(s)
+    }
+
+    /// Consumes a numeral and returns its value.
+    fn eat_int(&mut self) -> Option<i64> {
+        let T::Int(n) = self.c.peek().kind else {
+            return None;
+        };
+        self.c.bump();
+        Some(n)
+    }
+
+    /// One or more `item`s, separated by `sep`.
+    fn sep_by<X>(
+        &mut self,
+        sep: &T,
+        mut item: impl FnMut(&mut Self) -> Result<X, ParseError>,
+    ) -> Result<Vec<X>, ParseError> {
+        let mut items = vec![item(self)?];
+        while self.c.eat(sep) {
+            items.push(item(self)?);
         }
-        toks.push((Tok::Eof, line, col));
-        Ok(Parser { toks, pos: 0 })
-    }
-
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos.min(self.toks.len() - 1)].0
-    }
-
-    fn at_eof(&self) -> bool {
-        matches!(self.peek(), Tok::Eof)
-    }
-
-    fn err(&self, msg: impl Into<String>) -> DslParseError {
-        let (_, line, col) = &self.toks[self.pos.min(self.toks.len() - 1)];
-        DslParseError::new(*line, *col, msg)
-    }
-
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].0.clone();
-        if self.pos < self.toks.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat_sym(&mut self, s: &str) -> bool {
-        if self.peek() == &Tok::Sym(match_sym(s)) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_sym(&mut self, s: &str) -> Result<(), DslParseError> {
-        if self.eat_sym(s) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{s}`, found {}", describe(self.peek()))))
-        }
-    }
-
-    fn peek_word(&self, w: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == w)
-    }
-
-    fn eat_word(&mut self, w: &str) -> bool {
-        if self.peek_word(w) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_word(&mut self, w: &str) -> Result<(), DslParseError> {
-        if self.eat_word(w) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{w}`, found {}", describe(self.peek()))))
-        }
-    }
-
-    fn expect_ident(&mut self) -> Result<String, DslParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            other => Err(self.err(format!("expected identifier, found {}", describe(&other)))),
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<(), DslParseError> {
-        if self.at_eof() {
-            Ok(())
-        } else {
-            Err(self.err(format!("trailing input: {}", describe(self.peek()))))
-        }
+        Ok(items)
     }
 
     // ---- top level -----------------------------------------------------
 
-    fn parse_optimization(&mut self) -> Result<Optimization, DslParseError> {
-        let direction = if self.eat_word("forward") {
+    fn parse_optimization(&mut self) -> Result<Optimization, ParseError> {
+        let direction = if self.c.eat_keyword("forward") {
             Some(Direction::Forward)
-        } else if self.eat_word("backward") {
+        } else if self.c.eat_keyword("backward") {
             Some(Direction::Backward)
-        } else if self.eat_word("local") {
+        } else if self.c.eat_keyword("local") {
             None
         } else {
-            return Err(self.err("expected `forward`, `backward`, or `local`"));
+            return Err(self.c.err("expected `forward`, `backward`, or `local`"));
         };
-        let name = self.expect_ident()?;
-        self.expect_sym("{")?;
-        let opt = match direction {
+        let name = self.name()?;
+        self.c.expect(T::LBrace)?;
+        let guard = match direction {
             None => {
-                self.expect_word("rewrite")?;
-                let from = self.parse_stmt_pattern()?;
-                self.expect_sym("=>")?;
-                let to = self.parse_stmt_pattern()?;
-                let where_clause = if self.eat_word("where") {
-                    self.parse_guard()?
-                } else {
-                    Guard::True
-                };
-                Optimization::new(
-                    name,
-                    TransformPattern {
-                        direction: Direction::Forward,
-                        guard: GuardSpec::Local,
-                        from,
-                        to,
-                        where_clause,
-                        witness: Witness::Forward(ForwardWitness::True),
-                    },
-                )
+                self.c.expect_keyword("rewrite")?;
+                GuardSpec::Local
             }
             Some(direction) => {
                 let psi1 = self.parse_guard()?;
@@ -355,64 +236,63 @@ impl Parser {
                     Direction::Forward => ("followed", "until"),
                     Direction::Backward => ("preceded", "since"),
                 };
-                self.expect_word(kw2)?;
-                self.expect_word("by")?;
+                self.c.expect_keyword(kw2)?;
+                self.c.expect_keyword("by")?;
                 let psi2 = self.parse_guard()?;
-                self.expect_word(kw3)?;
-                let from = self.parse_stmt_pattern()?;
-                self.expect_sym("=>")?;
-                let to = self.parse_stmt_pattern()?;
-                let where_clause = if self.eat_word("where") {
-                    self.parse_guard()?
-                } else {
-                    Guard::True
-                };
-                self.expect_word("with")?;
-                self.expect_word("witness")?;
-                let witness = match direction {
-                    Direction::Forward => Witness::Forward(self.parse_forward_witness()?),
-                    Direction::Backward => Witness::Backward(self.parse_backward_witness()?),
-                };
-                Optimization::new(
-                    name,
-                    TransformPattern {
-                        direction,
-                        guard: GuardSpec::Region(RegionGuard { psi1, psi2 }),
-                        from,
-                        to,
-                        where_clause,
-                        witness,
-                    },
-                )
+                self.c.expect_keyword(kw3)?;
+                GuardSpec::Region(RegionGuard { psi1, psi2 })
             }
         };
-        self.expect_sym("}")?;
-        Ok(opt)
+        let from = self.parse_stmt_pattern()?;
+        self.c.expect(T::FatArrow)?;
+        let to = self.parse_stmt_pattern()?;
+        let where_clause = if self.c.eat_keyword("where") {
+            self.parse_guard()?
+        } else {
+            Guard::True
+        };
+        let witness = match direction {
+            None => Witness::Forward(ForwardWitness::True),
+            Some(direction) => {
+                self.c.expect_keyword("with")?;
+                self.c.expect_keyword("witness")?;
+                match direction {
+                    Direction::Forward => Witness::Forward(self.parse_forward_witness()?),
+                    Direction::Backward => Witness::Backward(self.parse_backward_witness()?),
+                }
+            }
+        };
+        self.c.expect(T::RBrace)?;
+        Ok(Optimization::new(
+            name,
+            TransformPattern {
+                direction: direction.unwrap_or(Direction::Forward),
+                guard,
+                from,
+                to,
+                where_clause,
+                witness,
+            },
+        ))
     }
 
-    fn parse_analysis(&mut self) -> Result<PureAnalysis, DslParseError> {
-        self.expect_word("analysis")?;
-        let name = self.expect_ident()?;
-        self.expect_sym("{")?;
+    fn parse_analysis(&mut self) -> Result<PureAnalysis, ParseError> {
+        self.c.expect_keyword("analysis")?;
+        let name = self.name()?;
+        self.c.expect(T::LBrace)?;
         let psi1 = self.parse_guard()?;
-        self.expect_word("followed")?;
-        self.expect_word("by")?;
+        self.c.expect_keyword("followed")?;
+        self.c.expect_keyword("by")?;
         let psi2 = self.parse_guard()?;
-        self.expect_word("defines")?;
-        let label = self.expect_ident()?;
-        self.expect_sym("(")?;
-        let mut args = Vec::new();
-        loop {
-            args.push(self.parse_label_arg()?);
-            if !self.eat_sym(",") {
-                break;
-            }
-        }
-        self.expect_sym(")")?;
-        self.expect_word("with")?;
-        self.expect_word("witness")?;
+        self.c.expect_keyword("defines")?;
+        let label = self.name()?;
+        self.c.expect(T::LParen)?;
+        let args = self.sep_by(&T::Comma, Self::parse_label_arg)?;
+        self.c.expect(T::RParen)?;
+        self.c.expect_keyword("with")?;
+        self.c.expect_keyword("witness")?;
         let witness = self.parse_forward_witness()?;
-        self.expect_sym("}")?;
+        self.c.expect(T::RBrace)?;
         Ok(PureAnalysis {
             name,
             guard: RegionGuard { psi1, psi2 },
@@ -433,35 +313,29 @@ impl Parser {
     ///
     /// A body without `case` arms is a plain guard:
     /// `label l(X) { <guard> }`.
-    fn parse_label_def(&mut self) -> Result<LabelDef, DslParseError> {
-        self.expect_word("label")?;
-        let name = self.expect_ident()?;
-        self.expect_sym("(")?;
-        let mut params = Vec::new();
-        loop {
-            params.push(self.expect_ident()?.as_str().into());
-            if !self.eat_sym(",") {
-                break;
-            }
-        }
-        self.expect_sym(")")?;
-        self.expect_sym("{")?;
-        let body = if self.peek_word("case") {
+    fn parse_label_def(&mut self) -> Result<LabelDef, ParseError> {
+        self.c.expect_keyword("label")?;
+        let name = self.name()?;
+        self.c.expect(T::LParen)?;
+        let params = self.sep_by(&T::Comma, |p| Ok(p.name()?.as_str().into()))?;
+        self.c.expect(T::RParen)?;
+        self.c.expect(T::LBrace)?;
+        let body = if self.c.at_keyword("case") {
             let mut arms = Vec::new();
-            while self.eat_word("case") {
+            while self.c.eat_keyword("case") {
                 let pat = self.parse_stmt_pattern()?;
-                self.expect_sym("=>")?;
+                self.c.expect(T::FatArrow)?;
                 let guard = self.parse_guard()?;
                 arms.push((pat, guard));
             }
-            self.expect_word("else")?;
-            self.expect_sym("=>")?;
+            self.c.expect_keyword("else")?;
+            self.c.expect(T::FatArrow)?;
             let default = Box::new(self.parse_guard()?);
             Guard::CaseStmt { arms, default }
         } else {
             self.parse_guard()?
         };
-        self.expect_sym("}")?;
+        self.c.expect(T::RBrace)?;
         Ok(LabelDef {
             name: name.as_str().into(),
             params,
@@ -471,46 +345,35 @@ impl Parser {
 
     // ---- guards ---------------------------------------------------------
 
-    fn parse_guard(&mut self) -> Result<Guard, DslParseError> {
-        let mut parts = vec![self.parse_guard_and()?];
-        while self.eat_sym("||") {
-            parts.push(self.parse_guard_and()?);
-        }
+    fn parse_guard(&mut self) -> Result<Guard, ParseError> {
+        let parts = self.sep_by(&T::PipePipe, |p| {
+            Ok(Guard::and(p.sep_by(&T::AmpAmp, Self::parse_guard_atom)?))
+        })?;
         Ok(Guard::or(parts))
     }
 
-    fn parse_guard_and(&mut self) -> Result<Guard, DslParseError> {
-        let mut parts = vec![self.parse_guard_atom()?];
-        while self.eat_sym("&&") {
-            parts.push(self.parse_guard_atom()?);
-        }
-        Ok(Guard::and(parts))
-    }
-
-    fn parse_guard_atom(&mut self) -> Result<Guard, DslParseError> {
-        if self.eat_sym("!") {
+    fn parse_guard_atom(&mut self) -> Result<Guard, ParseError> {
+        if self.c.eat(&T::Bang) {
             return Ok(self.parse_guard_atom()?.negate());
         }
-        if self.eat_sym("(") {
+        if self.c.eat(&T::LParen) {
             let g = self.parse_guard()?;
-            self.expect_sym(")")?;
+            self.c.expect(T::RParen)?;
             return Ok(g);
         }
-        if self.eat_word("true") {
+        if self.c.eat_keyword("true") {
             return Ok(Guard::True);
         }
-        if self.eat_word("false") {
+        if self.c.eat_keyword("false") {
             return Ok(Guard::False);
         }
         // stmt(...), unchanged(...), syntacticDef/Use(...), labels, and
         // equalities `A == B`.
-        let name = self.expect_ident()?;
-        if self.peek() == &Tok::Sym("==") {
-            // VarEq / ConstEq with the first operand an identifier.
-            self.bump();
-            return self.parse_equality(Operand::Ident(name));
+        let name = self.name()?;
+        if self.c.eat(&T::EqEq) {
+            return self.parse_equality(&name);
         }
-        self.expect_sym("(")?;
+        self.c.expect(T::LParen)?;
         let g = match name.as_str() {
             "stmt" => {
                 let pat = self.parse_stmt_pattern()?;
@@ -519,179 +382,142 @@ impl Parser {
             "unchanged" => Guard::Unchanged(self.parse_expr_pattern()?),
             "syntacticDef" => Guard::SyntacticDef(self.parse_var_pattern()?),
             "syntacticUse" => Guard::SyntacticUse(self.parse_var_pattern()?),
-            _ => {
-                let mut args = Vec::new();
-                loop {
-                    args.push(self.parse_label_arg()?);
-                    if !self.eat_sym(",") {
-                        break;
-                    }
-                }
-                Guard::Label(name.as_str().into(), args)
-            }
+            _ => Guard::Label(
+                name.as_str().into(),
+                self.sep_by(&T::Comma, Self::parse_label_arg)?,
+            ),
         };
-        self.expect_sym(")")?;
+        self.c.expect(T::RParen)?;
         Ok(g)
     }
 
-    fn parse_equality(&mut self, lhs: Operand) -> Result<Guard, DslParseError> {
-        let rhs = match self.peek().clone() {
-            Tok::Int(n) => {
-                self.bump();
-                Operand::Int(n)
-            }
-            Tok::Ident(s) => {
-                self.bump();
-                Operand::Ident(s)
-            }
-            other => return Err(self.err(format!("expected operand, found {}", describe(&other)))),
-        };
-        match (&lhs, &rhs) {
-            (Operand::Int(a), Operand::Int(b)) => Ok(Guard::ConstEq(
-                ConstPat::Concrete(*a),
-                ConstPat::Concrete(*b),
-            )),
-            (Operand::Ident(a), Operand::Int(b)) => {
-                Ok(Guard::ConstEq(const_pat(a), ConstPat::Concrete(*b)))
-            }
-            (Operand::Int(a), Operand::Ident(b)) => {
-                Ok(Guard::ConstEq(ConstPat::Concrete(*a), const_pat(b)))
-            }
-            (Operand::Ident(a), Operand::Ident(b)) => {
-                if is_const_ident(a) || is_const_ident(b) {
-                    Ok(Guard::ConstEq(const_pat(a), const_pat(b)))
-                } else {
-                    Ok(Guard::VarEq(var_pat(a), var_pat(b)))
-                }
-            }
+    /// The right operand of `lhs == …`: a constant comparison if either
+    /// side is a constant, else a variable comparison.
+    fn parse_equality(&mut self, lhs: &str) -> Result<Guard, ParseError> {
+        if let Some(n) = self.eat_int() {
+            return Ok(Guard::ConstEq(const_pat(lhs), ConstPat::Concrete(n)));
         }
+        let rhs = self.expect_name("operand")?;
+        Ok(if is_const_ident(lhs) || is_const_ident(&rhs) {
+            Guard::ConstEq(const_pat(lhs), const_pat(&rhs))
+        } else {
+            Guard::VarEq(var_pat(lhs), var_pat(&rhs))
+        })
     }
 
-    fn parse_label_arg(&mut self) -> Result<LabelArgPat, DslParseError> {
-        match self.peek().clone() {
-            Tok::Int(n) => {
-                self.bump();
-                Ok(LabelArgPat::Const(ConstPat::Concrete(n)))
-            }
-            Tok::Sym("*") | Tok::Sym("&") => Ok(LabelArgPat::Expr(self.parse_expr_pattern()?)),
-            Tok::Ident(s) => {
-                self.bump();
-                if is_expr_ident(&s) {
-                    Ok(LabelArgPat::Expr(ExprPat::Pat(s.as_str().into())))
-                } else if is_const_ident(&s) {
-                    Ok(LabelArgPat::Const(const_pat(&s)))
-                } else {
-                    Ok(LabelArgPat::Var(var_pat(&s)))
-                }
-            }
-            other => Err(self.err(format!(
-                "expected label argument, found {}",
-                describe(&other)
-            ))),
+    fn parse_label_arg(&mut self) -> Result<LabelArgPat, ParseError> {
+        if let Some(n) = self.eat_int() {
+            return Ok(LabelArgPat::Const(ConstPat::Concrete(n)));
         }
+        if self.c.at(&T::Star) || self.c.at(&T::Amp) {
+            return Ok(LabelArgPat::Expr(self.parse_expr_pattern()?));
+        }
+        let s = self.expect_name("label argument")?;
+        Ok(if is_expr_ident(&s) {
+            LabelArgPat::Expr(ExprPat::Pat(s.as_str().into()))
+        } else if is_const_ident(&s) {
+            LabelArgPat::Const(const_pat(&s))
+        } else {
+            LabelArgPat::Var(var_pat(&s))
+        })
     }
 
     // ---- witnesses ------------------------------------------------------
 
-    fn parse_forward_witness(&mut self) -> Result<ForwardWitness, DslParseError> {
-        let first = self.parse_forward_witness_atom()?;
-        let mut rest = Vec::new();
-        while self.eat_sym("&&") {
-            rest.push(self.parse_forward_witness_atom()?);
-        }
-        Ok(if rest.is_empty() {
-            first
+    fn parse_forward_witness(&mut self) -> Result<ForwardWitness, ParseError> {
+        let mut parts = self.sep_by(&T::AmpAmp, Self::parse_forward_witness_atom)?;
+        Ok(if parts.len() == 1 {
+            parts.remove(0)
         } else {
-            let mut parts = vec![first];
-            parts.extend(rest);
             ForwardWitness::And(parts)
         })
     }
 
-    fn parse_forward_witness_atom(&mut self) -> Result<ForwardWitness, DslParseError> {
-        if self.eat_word("true") {
+    fn parse_forward_witness_atom(&mut self) -> Result<ForwardWitness, ParseError> {
+        if self.c.eat_keyword("true") {
             return Ok(ForwardWitness::True);
         }
-        if self.eat_word("notPointedTo") {
-            self.expect_sym("(")?;
+        if self.c.eat_keyword("notPointedTo") {
+            self.c.expect(T::LParen)?;
             let v = self.parse_var_pattern()?;
-            self.expect_sym(")")?;
+            self.c.expect(T::RParen)?;
             return Ok(ForwardWitness::NotPointedTo(v));
         }
-        self.expect_word("eta")?;
-        self.expect_sym("(")?;
+        self.c.expect_keyword("eta")?;
+        self.c.expect(T::LParen)?;
         let x = self.parse_var_pattern()?;
-        self.expect_sym(")")?;
-        self.expect_sym("==")?;
-        if self.eat_word("eta") {
-            self.expect_sym("(")?;
+        self.c.expect(T::RParen)?;
+        self.c.expect(T::EqEq)?;
+        if self.c.eat_keyword("eta") {
+            self.c.expect(T::LParen)?;
             let e = self.parse_expr_pattern()?;
-            self.expect_sym(")")?;
+            self.c.expect(T::RParen)?;
             return Ok(match e {
                 ExprPat::Base(BasePat::Var(y)) => ForwardWitness::VarEqVar(x, y),
                 e => ForwardWitness::VarEqExpr(x, e),
             });
         }
-        match self.peek().clone() {
-            Tok::Int(n) => {
-                self.bump();
-                Ok(ForwardWitness::VarEqConst(x, ConstPat::Concrete(n)))
-            }
-            Tok::Ident(s) if is_const_ident(&s) => {
-                self.bump();
-                Ok(ForwardWitness::VarEqConst(x, const_pat(&s)))
-            }
-            other => Err(self.err(format!(
+        if let Some(n) = self.eat_int() {
+            return Ok(ForwardWitness::VarEqConst(x, ConstPat::Concrete(n)));
+        }
+        match self.eat_name(is_const_ident) {
+            Some(s) => Ok(ForwardWitness::VarEqConst(x, const_pat(&s))),
+            None => Err(self.c.err(format!(
                 "expected constant or `eta(...)`, found {}",
-                describe(&other)
+                self.c.peek().kind.describe()
             ))),
         }
     }
 
-    fn parse_backward_witness(&mut self) -> Result<BackwardWitness, DslParseError> {
-        self.expect_word("old")?;
-        if self.eat_sym("/") {
+    fn parse_backward_witness(&mut self) -> Result<BackwardWitness, ParseError> {
+        self.c.expect_keyword("old")?;
+        if self.c.eat(&T::Slash) {
             let x = self.parse_var_pattern()?;
-            self.expect_sym("==")?;
-            self.expect_word("new")?;
-            self.expect_sym("/")?;
+            self.c.expect(T::EqEq)?;
+            self.c.expect_keyword("new")?;
+            self.c.expect(T::Slash)?;
             let x2 = self.parse_var_pattern()?;
             if x != x2 {
-                return Err(self.err("old/X == new/Y must name the same variable"));
+                return Err(self.c.err("old/X == new/Y must name the same variable"));
             }
             Ok(BackwardWitness::AgreeExcept(x))
         } else {
-            self.expect_sym("==")?;
-            self.expect_word("new")?;
+            self.c.expect(T::EqEq)?;
+            self.c.expect_keyword("new")?;
             Ok(BackwardWitness::Identical)
         }
     }
 
     // ---- patterns -------------------------------------------------------
 
-    fn parse_var_pattern(&mut self) -> Result<VarPat, DslParseError> {
-        let s = self.expect_ident()?;
+    fn parse_var_pattern(&mut self) -> Result<VarPat, ParseError> {
+        let s = self.name()?;
         Ok(var_pat(&s))
     }
 
-    fn parse_stmt_pattern(&mut self) -> Result<StmtPat, DslParseError> {
-        if self.eat_word("skip") {
+    /// A statement pattern: IL statement syntax plus pattern variables
+    /// and wildcards. A bare pattern (`from`, `to`, a `case` arm) ends
+    /// at the `=>`, keyword or `}` that follows it; one inside a guard
+    /// is wrapped in `stmt(...)`, so its operators never meet the
+    /// guard's `&&`, `||` and `!`.
+    fn parse_stmt_pattern(&mut self) -> Result<StmtPat, ParseError> {
+        if self.c.eat_keyword("skip") {
             return Ok(StmtPat::Skip);
         }
-        if self.eat_word("decl") {
+        if self.c.eat_keyword("decl") {
             return Ok(StmtPat::Decl(self.parse_var_pattern()?));
         }
-        if self.eat_word("return") {
-            if self.eat_sym("...") {
+        if self.c.eat_keyword("return") {
+            if self.c.eat(&T::Ellipsis) {
                 return Ok(StmtPat::ReturnAny);
             }
             return Ok(StmtPat::Return(self.parse_var_pattern()?));
         }
-        if self.eat_word("if") {
+        if self.c.eat_keyword("if") {
             let cond = self.parse_base_pattern()?;
-            self.expect_word("goto")?;
+            self.c.expect_keyword("goto")?;
             let t1 = self.parse_idx_pattern()?;
-            self.expect_word("else")?;
+            self.c.expect_keyword("else")?;
             let t2 = self.parse_idx_pattern()?;
             return Ok(StmtPat::If {
                 cond,
@@ -700,142 +526,112 @@ impl Parser {
             });
         }
         // Left-hand side: `*X`, `...`, or a variable.
-        let lhs = if self.eat_sym("*") {
+        let lhs = if self.c.eat(&T::Star) {
             LhsPat::Deref(self.parse_var_pattern()?)
-        } else if self.eat_sym("...") {
+        } else if self.c.eat(&T::Ellipsis) {
             LhsPat::Any
         } else {
             LhsPat::Var(self.parse_var_pattern()?)
         };
-        self.expect_sym(":=")?;
+        self.c.expect(T::Assign)?;
         // Right-hand side: `new`, a call `P(b)`, or an expression.
-        if self.eat_word("new") {
+        if self.c.eat_keyword("new") {
             return match lhs {
                 LhsPat::Var(v) => Ok(StmtPat::New(v)),
-                _ => Err(self.err("`:= new` requires a variable destination")),
+                _ => Err(self.c.err("`:= new` requires a variable destination")),
             };
         }
-        if let (Tok::Ident(callee), Tok::Sym("(")) = (
-            self.peek().clone(),
-            self.toks[(self.pos + 1).min(self.toks.len() - 1)].0.clone(),
-        ) {
-            if !is_expr_ident(&callee) && !self.peek_word("fold") {
-                self.bump();
-                self.bump();
-                let arg = self.parse_base_pattern()?;
-                self.expect_sym(")")?;
-                let dst = match lhs {
-                    LhsPat::Var(v) => v,
-                    _ => return Err(self.err("calls require a variable destination")),
-                };
-                return Ok(StmtPat::Call {
-                    dst,
-                    proc: ProcPat::Pat(callee.as_str().into()),
-                    arg,
-                });
-            }
+        let callee = name_of(&self.c.peek().kind)
+            .filter(|s| !is_expr_ident(s) && *s != "fold" && self.c.peek2() == &T::LParen)
+            .map(str::to_string);
+        if let Some(callee) = callee {
+            self.c.bump();
+            self.c.bump();
+            let arg = self.parse_base_pattern()?;
+            self.c.expect(T::RParen)?;
+            let dst = match lhs {
+                LhsPat::Var(v) => v,
+                _ => return Err(self.c.err("calls require a variable destination")),
+            };
+            return Ok(StmtPat::Call {
+                dst,
+                proc: ProcPat::Pat(callee.as_str().into()),
+                arg,
+            });
         }
         let e = self.parse_expr_pattern()?;
         Ok(StmtPat::Assign(lhs, e))
     }
 
-    fn parse_idx_pattern(&mut self) -> Result<IdxPat, DslParseError> {
-        match self.peek().clone() {
-            Tok::Int(n) if n >= 0 => {
-                self.bump();
-                Ok(IdxPat::Concrete(n as usize))
-            }
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(IdxPat::Pat(s.as_str().into()))
-            }
-            other => Err(self.err(format!(
-                "expected branch target, found {}",
-                describe(&other)
-            ))),
+    fn parse_idx_pattern(&mut self) -> Result<IdxPat, ParseError> {
+        // The lexer reads no sign, so a numeral is never negative.
+        if let Some(n) = self.eat_int() {
+            return Ok(IdxPat::Concrete(n as usize));
         }
+        Ok(IdxPat::Pat(
+            self.expect_name("branch target")?.as_str().into(),
+        ))
     }
 
-    fn parse_base_pattern(&mut self) -> Result<BasePat, DslParseError> {
-        match self.peek().clone() {
-            Tok::Int(n) => {
-                self.bump();
-                Ok(BasePat::Const(ConstPat::Concrete(n)))
-            }
-            Tok::Sym("-") => {
-                self.bump();
-                match self.bump() {
-                    Tok::Int(n) => Ok(BasePat::Const(ConstPat::Concrete(-n))),
-                    other => {
-                        Err(self.err(format!("expected integer, found {}", describe(&other))))
-                    }
-                }
-            }
-            Tok::Ident(s) => {
-                self.bump();
-                if is_const_ident(&s) {
-                    Ok(BasePat::Const(const_pat(&s)))
-                } else {
-                    Ok(BasePat::Var(var_pat(&s)))
-                }
-            }
-            other => Err(self.err(format!(
-                "expected variable or constant, found {}",
-                describe(&other)
-            ))),
+    fn parse_base_pattern(&mut self) -> Result<BasePat, ParseError> {
+        if let Some(n) = self.eat_int() {
+            return Ok(BasePat::Const(ConstPat::Concrete(n)));
         }
+        if self.c.eat(&T::Minus) {
+            return match self.c.bump().kind {
+                T::Int(n) => Ok(BasePat::Const(ConstPat::Concrete(-n))),
+                other => Err(self
+                    .c
+                    .err(format!("expected integer, found {}", other.describe()))),
+            };
+        }
+        let s = self.expect_name("variable or constant")?;
+        Ok(if is_const_ident(&s) {
+            BasePat::Const(const_pat(&s))
+        } else {
+            BasePat::Var(var_pat(&s))
+        })
     }
 
-    fn parse_expr_pattern(&mut self) -> Result<ExprPat, DslParseError> {
-        if self.eat_sym("...") {
+    fn parse_expr_pattern(&mut self) -> Result<ExprPat, ParseError> {
+        if self.c.eat(&T::Ellipsis) {
             return Ok(ExprPat::Any);
         }
-        if self.eat_sym("*") {
+        if self.c.eat(&T::Star) {
             return Ok(ExprPat::Deref(self.parse_var_pattern()?));
         }
-        if self.eat_sym("&") {
+        if self.c.eat(&T::Amp) {
             return Ok(ExprPat::AddrOf(self.parse_var_pattern()?));
         }
-        if self.eat_word("fold") {
-            self.expect_sym("(")?;
-            let e = self.expect_ident()?;
-            self.expect_sym(")")?;
+        if self.c.eat(&T::Bang) {
+            return Ok(ExprPat::Op(OpKind::Not, vec![self.parse_base_pattern()?]));
+        }
+        if self.c.eat_keyword("fold") {
+            self.c.expect(T::LParen)?;
+            let e = self.name()?;
+            self.c.expect(T::RParen)?;
             return Ok(ExprPat::Fold(e.as_str().into()));
         }
         // Expression pattern variable?
-        if let Tok::Ident(s) = self.peek().clone() {
-            if is_expr_ident(&s) {
-                self.bump();
-                return Ok(ExprPat::Pat(s.as_str().into()));
-            }
+        if let Some(s) = self.eat_name(is_expr_ident) {
+            return Ok(ExprPat::Pat(s.as_str().into()));
         }
         let first = self.parse_base_pattern()?;
-        if let Some(op) = self.peek_binop() {
-            self.bump();
+        if let Some(op) = binop(&self.c.peek().kind) {
+            self.c.bump();
             let second = self.parse_base_pattern()?;
             return Ok(ExprPat::Op(op, vec![first, second]));
         }
         Ok(ExprPat::Base(first))
     }
-
-    fn peek_binop(&self) -> Option<OpKind> {
-        match self.peek() {
-            Tok::Sym("+") => Some(OpKind::Add),
-            Tok::Sym("-") => Some(OpKind::Sub),
-            Tok::Sym("*") => Some(OpKind::Mul),
-            Tok::Sym("/") => Some(OpKind::Div),
-            Tok::Sym("%") => Some(OpKind::Mod),
-            Tok::Sym("==") => Some(OpKind::Eq),
-            Tok::Sym("<") => Some(OpKind::Lt),
-            Tok::Sym(">") => Some(OpKind::Gt),
-            _ => None,
-        }
-    }
 }
 
-enum Operand {
-    Ident(String),
-    Int(i64),
+/// The text of a name a rule may use: an identifier or a `$`-name.
+fn name_of(kind: &T) -> Option<&str> {
+    match kind {
+        T::Ident(s) | T::PatName(s) => Some(s),
+        _ => None,
+    }
 }
 
 /// The letter that classifies an identifier: its first, after the `$`
@@ -866,19 +662,6 @@ fn var_pat(s: &str) -> VarPat {
 
 fn const_pat(s: &str) -> ConstPat {
     ConstPat::Pat(s.into())
-}
-
-fn match_sym(s: &str) -> &'static str {
-    SYMS.iter().find(|&&x| x == s).copied().unwrap_or("")
-}
-
-fn describe(t: &Tok) -> String {
-    match t {
-        Tok::Ident(s) => format!("identifier `{s}`"),
-        Tok::Int(n) => format!("integer `{n}`"),
-        Tok::Sym(s) => format!("`{s}`"),
-        Tok::Eof => "end of input".to_string(),
-    }
 }
 
 #[cfg(test)]
@@ -1145,6 +928,53 @@ mod tests {
         )
         .unwrap();
         assert_eq!(opt.name, "const_prop");
+    }
+
+    #[test]
+    fn block_comments_and_every_il_operator_parse() {
+        let suite = parse_suite(
+            "/* leading
+                block comment */
+             local l {
+                rewrite X := A != B => X := !A   # the IL's own operators
+                where stmt(Y := A <= B) || !stmt(Y := A >= B) && stmt(Y := A && B)
+             }",
+        )
+        .unwrap();
+        let pat = &suite.optimizations[0].pattern;
+        let op = |op, a: &str, b: &str| {
+            ExprPat::Op(
+                op,
+                vec![BasePat::Var(VarPat::pat(a)), BasePat::Var(VarPat::pat(b))],
+            )
+        };
+        assert_eq!(
+            pat.from,
+            StmtPat::Assign(LhsPat::Var(VarPat::pat("X")), op(OpKind::Ne, "A", "B"))
+        );
+        assert_eq!(
+            pat.to,
+            StmtPat::Assign(
+                LhsPat::Var(VarPat::pat("X")),
+                ExprPat::Op(OpKind::Not, vec![BasePat::Var(VarPat::pat("A"))])
+            )
+        );
+        let assign = |e| Guard::Stmt(StmtPat::Assign(LhsPat::Var(VarPat::pat("Y")), e));
+        assert_eq!(
+            pat.where_clause,
+            Guard::or([
+                assign(op(OpKind::Le, "A", "B")),
+                Guard::and([
+                    assign(op(OpKind::Ge, "A", "B")).negate(),
+                    assign(op(OpKind::And, "A", "B")),
+                ]),
+            ])
+        );
+        let or = parse_optimization("local o { rewrite X := A || B => skip }").unwrap();
+        assert_eq!(
+            or.pattern.from,
+            StmtPat::Assign(LhsPat::Var(VarPat::pat("X")), op(OpKind::Or, "A", "B"))
+        );
     }
 
     #[test]

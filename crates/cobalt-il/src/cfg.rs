@@ -38,10 +38,12 @@ impl Cfg {
     /// Returns a [`WellFormedError`] if the procedure is empty, does not
     /// end with `return`, or branches out of range.
     pub fn new(proc: &Proc) -> Result<Cfg, WellFormedError> {
-        let n = proc.stmts.len();
-        if n == 0 || !matches!(proc.stmts[n - 1], Stmt::Return(_)) {
-            return Err(WellFormedError::MissingReturn(proc.name.to_string()));
+        let mut violations = Vec::new();
+        shape_violations(proc, &mut violations);
+        if let Some(e) = violations.into_iter().next() {
+            return Err(e);
         }
+        let n = proc.stmts.len();
         let mut succs = vec![Vec::new(); n];
         let mut exits = Vec::new();
         for (i, s) in proc.stmts.iter().enumerate() {
@@ -52,29 +54,14 @@ impl Cfg {
                     else_target,
                     ..
                 } => {
-                    for &t in [then_target, else_target] {
-                        if t >= n {
-                            return Err(WellFormedError::BadBranchTarget {
-                                proc: proc.name.to_string(),
-                                index: i,
-                                target: t,
-                            });
-                        }
-                    }
                     succs[i].push(*then_target);
                     if else_target != then_target {
                         succs[i].push(*else_target);
                     }
                 }
-                _ => {
-                    if i + 1 >= n {
-                        // A non-return, non-branch statement in final
-                        // position would fall off the end; the trailing
-                        // `return` check above already rejected this.
-                        return Err(WellFormedError::MissingReturn(proc.name.to_string()));
-                    }
-                    succs[i].push(i + 1);
-                }
+                // The last statement is a `return`, so any other has a
+                // next one.
+                _ => succs[i].push(i + 1),
             }
         }
         let mut preds = vec![Vec::new(); n];
@@ -143,6 +130,74 @@ impl Cfg {
     }
 }
 
+/// Appends [`Cfg::new`]'s conditions that one procedure violates: a
+/// missing trailing `return`, then each out-of-range branch target,
+/// statement by statement, `then` before `else`.
+fn shape_violations(proc: &Proc, out: &mut Vec<WellFormedError>) {
+    if !matches!(proc.stmts.last(), Some(Stmt::Return(_))) {
+        out.push(WellFormedError::MissingReturn(proc.name.to_string()));
+    }
+    for (index, s) in proc.stmts.iter().enumerate() {
+        if let Stmt::If {
+            then_target,
+            else_target,
+            ..
+        } = s
+        {
+            for &target in [then_target, else_target] {
+                if target >= proc.stmts.len() {
+                    out.push(WellFormedError::BadBranchTarget {
+                        proc: proc.name.to_string(),
+                        index,
+                        target,
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Every violation of paper §3.1's conditions except a missing `main`
+/// (which a library fragment may lack), one list per procedure of
+/// `prog`, in its order. A procedure's list holds, in the order
+/// [`validate`] checks them: a name that repeats an earlier
+/// procedure's; statement by statement, a second `decl` of a local and
+/// a call of an unknown procedure; then [`Cfg::new`]'s, a missing
+/// trailing `return` and each out-of-range branch target.
+pub fn violations(prog: &Program) -> Vec<Vec<WellFormedError>> {
+    let mut all = Vec::with_capacity(prog.procs.len());
+    for (i, p) in prog.procs.iter().enumerate() {
+        let mut out = Vec::new();
+        if prog.procs[..i].iter().any(|q| q.name == p.name) {
+            out.push(WellFormedError::DuplicateProc(p.name.to_string()));
+        }
+        let mut declared: Vec<&Var> = Vec::new();
+        for (index, s) in p.stmts.iter().enumerate() {
+            match s {
+                Stmt::Decl(v) if declared.contains(&v) => {
+                    out.push(WellFormedError::DuplicateDecl {
+                        proc: p.name.to_string(),
+                        index,
+                        var: v.to_string(),
+                    })
+                }
+                Stmt::Decl(v) => declared.push(v),
+                Stmt::Call { proc: callee, .. } if prog.proc(callee).is_none() => {
+                    out.push(WellFormedError::UnknownProc {
+                        proc: p.name.to_string(),
+                        index,
+                        callee: callee.to_string(),
+                    })
+                }
+                _ => {}
+            }
+        }
+        shape_violations(p, &mut out);
+        all.push(out);
+    }
+    all
+}
+
 /// Checks the global well-formedness conditions of paper §3.1: a `main`
 /// procedure exists, procedure names are unique, no procedure declares a
 /// local twice, every procedure ends in `return` with in-range branch
@@ -150,7 +205,8 @@ impl Cfg {
 ///
 /// # Errors
 ///
-/// Returns the first violation found.
+/// Returns [`WellFormedError::NoMain`], else the first violation
+/// [`violations`] lists.
 ///
 /// # Examples
 ///
@@ -165,34 +221,10 @@ pub fn validate(prog: &Program) -> Result<(), WellFormedError> {
     if prog.main().is_none() {
         return Err(WellFormedError::NoMain);
     }
-    for (i, p) in prog.procs.iter().enumerate() {
-        if prog.procs[..i].iter().any(|q| q.name == p.name) {
-            return Err(WellFormedError::DuplicateProc(p.name.to_string()));
-        }
-        let mut declared: Vec<&Var> = Vec::new();
-        for (idx, s) in p.stmts.iter().enumerate() {
-            if let Stmt::Decl(v) = s {
-                if declared.contains(&v) {
-                    return Err(WellFormedError::DuplicateDecl {
-                        proc: p.name.to_string(),
-                        var: v.to_string(),
-                    });
-                }
-                declared.push(v);
-            }
-            if let Stmt::Call { proc: callee, .. } = s {
-                if prog.proc(callee).is_none() {
-                    return Err(WellFormedError::UnknownProc {
-                        proc: p.name.to_string(),
-                        index: idx,
-                        callee: callee.to_string(),
-                    });
-                }
-            }
-        }
-        Cfg::new(p)?;
+    match violations(prog).into_iter().flatten().next() {
+        Some(e) => Err(e),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -259,6 +291,38 @@ mod tests {
     fn reachable_skips_dead_code() {
         let cfg = cfg_of("if x goto 3 else 3; skip; skip; return x;").unwrap();
         assert_eq!(cfg.reachable(), vec![0, 3]);
+    }
+
+    #[test]
+    fn violations_lists_every_violation_in_validate_order() {
+        let prog = parse_program(
+            "proc main(x) { decl y; y := g(1); decl y; if x goto 9 else 7; }
+             proc main(z) { return z; }",
+        )
+        .unwrap();
+        let all = violations(&prog);
+        let shown: Vec<Vec<String>> = all
+            .iter()
+            .map(|vs| vs.iter().map(ToString::to_string).collect())
+            .collect();
+        assert_eq!(
+            shown,
+            [
+                vec![
+                    "call at `main`:1 names unknown procedure `g`",
+                    "procedure `main` declares `y` more than once",
+                    "procedure `main` does not end with a return statement",
+                    "branch at `main`:3 targets out-of-range index 9",
+                    "branch at `main`:3 targets out-of-range index 7",
+                ],
+                vec!["duplicate procedure `main`"],
+            ]
+        );
+        assert_eq!(validate(&prog).unwrap_err(), all[0][0]);
+        assert!(matches!(
+            all[0][1],
+            WellFormedError::DuplicateDecl { index: 2, .. }
+        ));
     }
 
     #[test]

@@ -52,6 +52,8 @@ pub enum WellFormedError {
     DuplicateDecl {
         /// The offending procedure.
         proc: String,
+        /// Index of the second declaration.
+        index: usize,
         /// The variable declared twice.
         var: String,
     },
@@ -82,7 +84,7 @@ impl fmt::Display for WellFormedError {
         match self {
             WellFormedError::NoMain => write!(f, "program has no main procedure"),
             WellFormedError::DuplicateProc(p) => write!(f, "duplicate procedure `{p}`"),
-            WellFormedError::DuplicateDecl { proc, var } => {
+            WellFormedError::DuplicateDecl { proc, var, .. } => {
                 write!(f, "procedure `{proc}` declares `{var}` more than once")
             }
             WellFormedError::MissingReturn(p) => {

@@ -1,8 +1,11 @@
-//! Lexer for the textual form of the intermediate language.
+//! Lexer for the textual form of the intermediate language and of the
+//! Cobalt rules (`cobalt-dsl`) that embed IL statements as patterns.
 //!
-//! The token set is shared by the IL parser; the Cobalt DSL parser in
-//! `cobalt-dsl` has its own lexer because its token set (pattern
-//! variables, `=>`, keywords like `followed`) is a superset.
+//! One token set serves both parsers. Rule text adds four lexemes:
+//! `=>`, the `...` wildcard, `$`-names (`$P`: a `$` then an upper-case
+//! letter) and `#` line comments. The IL parser accepts none of the
+//! first three tokens, so IL text that uses them is a parse error;
+//! comments (`//`, `#` and `/* */`) are skipped in both.
 
 use crate::error::ParseError;
 
@@ -22,6 +25,9 @@ pub struct Token {
 pub enum TokenKind {
     /// An identifier or keyword.
     Ident(String),
+    /// A `$`-prefixed pattern-variable name such as `$P` (rule text
+    /// only; the text keeps the `$`).
+    PatName(String),
     /// An unsigned integer literal (signs are handled by the parser).
     Int(i64),
     /// `:=`
@@ -68,6 +74,10 @@ pub enum TokenKind {
     Gt,
     /// `>=`
     Ge,
+    /// `=>` (rule text only).
+    FatArrow,
+    /// `...`, the wildcard (rule text only).
+    Ellipsis,
     /// End of input.
     Eof,
 }
@@ -77,6 +87,7 @@ impl TokenKind {
     pub fn describe(&self) -> String {
         match self {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
+            TokenKind::PatName(s) => format!("pattern variable `{s}`"),
             TokenKind::Int(n) => format!("integer `{n}`"),
             TokenKind::Eof => "end of input".to_string(),
             other => format!("`{}`", other.text()),
@@ -107,14 +118,19 @@ impl TokenKind {
             TokenKind::Le => "<=",
             TokenKind::Gt => ">",
             TokenKind::Ge => ">=",
-            TokenKind::Ident(_) | TokenKind::Int(_) | TokenKind::Eof => unreachable!(),
+            TokenKind::FatArrow => "=>",
+            TokenKind::Ellipsis => "...",
+            TokenKind::Ident(_) | TokenKind::PatName(_) | TokenKind::Int(_) | TokenKind::Eof => {
+                unreachable!()
+            }
         }
     }
 }
 
-/// Tokenizes IL source text.
+/// Tokenizes IL or rule source text.
 ///
-/// Line comments start with `//` and run to end of line.
+/// Line comments start with `//` or `#` and run to end of line; block
+/// comments run from `/*` to `*/`.
 ///
 /// # Errors
 ///
@@ -150,7 +166,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
                 i += 1;
                 col += 1;
             }
-            '/' if next == Some('/') => {
+            c if c == '#' || (c == '/' && next == Some('/')) => {
                 while i < bytes.len() && bytes[i] != '\n' {
                     i += 1;
                 }
@@ -201,6 +217,10 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
             '/' => push!(TokenKind::Slash, 1),
             '%' => push!(TokenKind::Percent, 1),
             '=' if next == Some('=') => push!(TokenKind::EqEq, 2),
+            '=' if next == Some('>') => push!(TokenKind::FatArrow, 2),
+            '.' if next == Some('.') && bytes.get(i + 2) == Some(&'.') => {
+                push!(TokenKind::Ellipsis, 3)
+            }
             '!' if next == Some('=') => push!(TokenKind::BangEq, 2),
             '!' => push!(TokenKind::Bang, 1),
             '<' if next == Some('=') => push!(TokenKind::Le, 2),
@@ -223,14 +243,26 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
                 });
                 col += i - start;
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            '$' if !next.is_some_and(|c| c.is_ascii_uppercase()) => {
+                return Err(ParseError::new(
+                    line,
+                    col,
+                    "`$` must start a pattern variable such as `$P`",
+                ))
+            }
+            c if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
                 let start = i;
+                i += 1;
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
                     i += 1;
                 }
                 let text: String = bytes[start..i].iter().collect();
                 tokens.push(Token {
-                    kind: TokenKind::Ident(text),
+                    kind: if c == '$' {
+                        TokenKind::PatName(text)
+                    } else {
+                        TokenKind::Ident(text)
+                    },
                     line,
                     col,
                 });
@@ -318,6 +350,23 @@ mod tests {
         assert_eq!(toks[0].line, 2);
         let err = tokenize("/* never closed").unwrap_err();
         assert!(err.message.contains("unterminated"));
+    }
+
+    #[test]
+    fn rule_lexemes_and_hash_comments() {
+        assert_eq!(
+            kinds("$P => ... # to end of line\n$C2"),
+            vec![
+                TokenKind::PatName("$P".into()),
+                TokenKind::FatArrow,
+                TokenKind::Ellipsis,
+                TokenKind::PatName("$C2".into()),
+                TokenKind::Eof
+            ]
+        );
+        for bad in ["$", "$x", "$1", "..", "="] {
+            assert!(tokenize(bad).is_err(), "`{bad}` must not lex");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod parser;
 pub mod pretty;
 
 pub use ast::{BaseExpr, Expr, Index, Lhs, OpKind, Proc, ProcName, Program, Stmt, Var};
-pub use cfg::{validate, Cfg};
+pub use cfg::{validate, violations, Cfg};
 pub use error::{EvalError, ParseError, WellFormedError};
 pub use gen::{generate, GenConfig};
 pub use interp::{

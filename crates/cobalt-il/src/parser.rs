@@ -13,6 +13,9 @@
 //!     return x;
 //! }
 //! ```
+//!
+//! The [`Cursor`] and [`binop`] here are also the Cobalt rule parser's
+//! (`cobalt-dsl`), which reads rule text with the same tokens.
 
 use crate::ast::{BaseExpr, Expr, Lhs, OpKind, Proc, Program, Stmt, Var};
 use crate::error::ParseError;
@@ -36,10 +39,9 @@ use crate::lexer::{tokenize, Token, TokenKind};
 /// # }
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Cursor::new(src)?;
     let mut procs = Vec::new();
-    while !p.at(&TokenKind::Eof) {
+    while !p.at_eof() {
         procs.push(p.parse_proc()?);
     }
     Ok(Program::new(procs))
@@ -63,8 +65,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// # }
 /// ```
 pub fn parse_stmt(src: &str) -> Result<Stmt, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Cursor::new(src)?;
     let s = p.parse_stmt()?;
     let _ = p.eat(&TokenKind::Semi);
     p.expect(TokenKind::Eof)?;
@@ -77,40 +78,67 @@ pub fn parse_stmt(src: &str) -> Result<Stmt, ParseError> {
 ///
 /// Returns a [`ParseError`] on malformed input or trailing tokens.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Cursor::new(src)?;
     let e = p.parse_expr()?;
     p.expect(TokenKind::Eof)?;
     Ok(e)
 }
 
-struct Parser {
+/// A position in the tokens of IL or rule text: the one token-level
+/// interface of this crate's parser and of the Cobalt rule parser in
+/// `cobalt-dsl`.
+#[derive(Debug, Clone)]
+pub struct Cursor {
     tokens: Vec<Token>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl Cursor {
+    /// Tokenizes `src` and starts at its first token, or returns the
+    /// lexer's error.
+    pub fn new(src: &str) -> Result<Cursor, ParseError> {
+        Ok(Cursor {
+            tokens: tokenize(src)?,
+            pos: 0,
+        })
+    }
+
+    /// The current token; at the end of input, the final `Eof`.
+    pub fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek2(&self) -> &TokenKind {
+    /// The kind of the token after the current one.
+    pub fn peek2(&self) -> &TokenKind {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
-    fn at(&self, kind: &TokenKind) -> bool {
+    /// Whether the current token is of `kind`.
+    pub fn at(&self, kind: &TokenKind) -> bool {
         &self.peek().kind == kind
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Whether the input is exhausted.
+    pub fn at_eof(&self) -> bool {
+        self.at(&TokenKind::Eof)
+    }
+
+    /// Whether the current token is the identifier `kw`.
+    pub fn at_keyword(&self, kw: &str) -> bool {
+        matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw)
+    }
+
+    /// Consumes and returns the current token; `Eof` is never consumed.
+    pub fn bump(&mut self) -> Token {
+        let t = self.peek().clone();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    /// Consumes the current token if it is of `kind`.
+    pub fn eat(&mut self, kind: &TokenKind) -> bool {
         if self.at(kind) {
             self.bump();
             true
@@ -119,12 +147,24 @@ impl Parser {
         }
     }
 
-    fn err(&self, message: impl Into<String>) -> ParseError {
+    /// Consumes the current token if it is the identifier `kw`.
+    pub fn eat_keyword(&mut self, kw: &str) -> bool {
+        if self.at_keyword(kw) {
+            self.bump();
+            true
+        } else {
+            false
+        }
+    }
+
+    /// An error at the current token.
+    pub fn err(&self, message: impl Into<String>) -> ParseError {
         let t = self.peek();
         ParseError::new(t.line, t.col, message)
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
+    /// Consumes a token of `kind`, or fails naming the token found.
+    pub fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
         if self.at(&kind) {
             Ok(self.bump())
         } else {
@@ -136,9 +176,12 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().kind.clone() {
+    /// Consumes an identifier and returns its text, or fails naming
+    /// the token found.
+    pub fn expect_ident(&mut self) -> Result<String, ParseError> {
+        match &self.peek().kind {
             TokenKind::Ident(s) => {
+                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -146,16 +189,42 @@ impl Parser {
         }
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.peek().kind.clone() {
-            TokenKind::Ident(s) if s == kw => {
-                self.bump();
-                Ok(())
-            }
-            other => Err(self.err(format!("expected `{kw}`, found {}", other.describe()))),
+    /// Consumes the identifier `kw`, or fails naming the token found.
+    pub fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
+        if self.eat_keyword(kw) {
+            Ok(())
+        } else {
+            Err(self.err(format!(
+                "expected `{kw}`, found {}",
+                self.peek().kind.describe()
+            )))
         }
     }
+}
 
+/// The binary operator a token denotes, in IL expressions and rule
+/// patterns alike.
+pub fn binop(kind: &TokenKind) -> Option<OpKind> {
+    Some(match kind {
+        TokenKind::Plus => OpKind::Add,
+        TokenKind::Minus => OpKind::Sub,
+        TokenKind::Star => OpKind::Mul,
+        TokenKind::Slash => OpKind::Div,
+        TokenKind::Percent => OpKind::Mod,
+        TokenKind::EqEq => OpKind::Eq,
+        TokenKind::BangEq => OpKind::Ne,
+        TokenKind::Lt => OpKind::Lt,
+        TokenKind::Le => OpKind::Le,
+        TokenKind::Gt => OpKind::Gt,
+        TokenKind::Ge => OpKind::Ge,
+        TokenKind::AmpAmp => OpKind::And,
+        TokenKind::PipePipe => OpKind::Or,
+        _ => return None,
+    })
+}
+
+/// The IL productions.
+impl Cursor {
     fn expect_index(&mut self) -> Result<usize, ParseError> {
         match self.peek().kind.clone() {
             TokenKind::Int(n) if n >= 0 => {
@@ -178,7 +247,7 @@ impl Parser {
         self.expect(TokenKind::LBrace)?;
         let mut stmts = Vec::new();
         while !self.at(&TokenKind::RBrace) {
-            if self.at(&TokenKind::Eof) {
+            if self.at_eof() {
                 return Err(self.err("unexpected end of input inside procedure body"));
             }
             stmts.push(self.parse_stmt()?);
@@ -279,7 +348,7 @@ impl Parser {
             }
             _ => {
                 let first = self.parse_base()?;
-                if let Some(op) = self.peek_binop() {
+                if let Some(op) = binop(&self.peek().kind) {
                     self.bump();
                     let second = self.parse_base()?;
                     Ok(Expr::Op(op, vec![first, second]))
@@ -287,25 +356,6 @@ impl Parser {
                     Ok(Expr::Base(first))
                 }
             }
-        }
-    }
-
-    fn peek_binop(&self) -> Option<OpKind> {
-        match self.peek().kind {
-            TokenKind::Plus => Some(OpKind::Add),
-            TokenKind::Minus => Some(OpKind::Sub),
-            TokenKind::Star => Some(OpKind::Mul),
-            TokenKind::Slash => Some(OpKind::Div),
-            TokenKind::Percent => Some(OpKind::Mod),
-            TokenKind::EqEq => Some(OpKind::Eq),
-            TokenKind::BangEq => Some(OpKind::Ne),
-            TokenKind::Lt => Some(OpKind::Lt),
-            TokenKind::Le => Some(OpKind::Le),
-            TokenKind::Gt => Some(OpKind::Gt),
-            TokenKind::Ge => Some(OpKind::Ge),
-            TokenKind::AmpAmp => Some(OpKind::And),
-            TokenKind::PipePipe => Some(OpKind::Or),
-            _ => None,
         }
     }
 
@@ -426,6 +476,21 @@ mod tests {
         // `*p + 1` is not expressible: operator args are base exprs only.
         assert!(parse_stmt("x := *p + 1").is_err());
         assert!(parse_stmt("x := &p + 1").is_err());
+    }
+
+    #[test]
+    fn rule_only_tokens_are_not_il() {
+        for bad in [
+            "x := $X",
+            "x := y => skip",
+            "x := ...",
+            "... := x",
+            "return $R",
+        ] {
+            assert!(parse_stmt(bad).is_err(), "`{bad}` must not parse as IL");
+        }
+        let prog = parse_program("# a comment\nproc main(x) { return x; # trailing\n}").unwrap();
+        assert_eq!(prog.procs.len(), 1);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! The IL linter: structural checks over `cobalt-il` procedures and
-//! programs, emitting `IL0xx` diagnostics (registry in DESIGN.md §9).
+//! The IL linter: structural checks over `cobalt-il` programs,
+//! emitting `IL0xx` diagnostics (registry in DESIGN.md §9).
 //!
-//! Branch-target and fall-through problems (IL001/IL002) are detected
-//! directly from the statement list so they are reported even when the
-//! CFG cannot be built; the CFG-based checks (reachability, definite
-//! assignment) run only on procedures whose CFG constructs.
+//! The §3.1 well-formedness violations (IL001, IL002, IL006, IL007,
+//! IL008) are the ones [`cobalt_il::violations`] lists, so lint and
+//! `validate` cannot disagree on them; a missing `main` is not one of
+//! them, because fixtures and library fragments are legitimate lint
+//! inputs. The CFG-based checks (reachability, definite assignment)
+//! run only on procedures whose CFG constructs.
 
 use crate::diag::{Diagnostic, Diagnostics, Location};
-use cobalt_il::{Cfg, Expr, Lhs, Proc, Program, Stmt, Var};
+use cobalt_il::{Cfg, Expr, Lhs, Proc, Program, Stmt, Var, WellFormedError};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn loc(proc: &Proc, index: Option<usize>) -> Location {
@@ -17,47 +19,60 @@ fn loc(proc: &Proc, index: Option<usize>) -> Location {
     }
 }
 
-/// Lints one procedure.
-pub fn lint_proc(proc: &Proc, diags: &mut Diagnostics) {
+/// The diagnostic for one of `proc`'s §3.1 violations.
+fn violation(proc: &Proc, v: &WellFormedError) -> Option<Diagnostic> {
     let n = proc.stmts.len();
+    Some(match v {
+        WellFormedError::BadBranchTarget { index, target, .. } => Diagnostic::error(
+            "IL001",
+            loc(proc, Some(*index)),
+            format!("branch target {target} is out of range (procedure has {n} statements)"),
+        )
+        .with_suggestion("branch targets are 0-based statement indices"),
+        WellFormedError::MissingReturn(_) => Diagnostic::error(
+            "IL002",
+            loc(proc, n.checked_sub(1)),
+            "procedure does not end in `return`; control can fall off the end",
+        )
+        .with_suggestion("add a trailing `return <var>;`"),
+        WellFormedError::UnknownProc { index, callee, .. } => Diagnostic::error(
+            "IL006",
+            loc(proc, Some(*index)),
+            format!("call to unknown procedure `{callee}`"),
+        )
+        .with_suggestion("define the procedure or fix the name"),
+        WellFormedError::DuplicateDecl { index, var, .. } => Diagnostic::error(
+            "IL007",
+            loc(proc, Some(*index)),
+            format!("`{var}` is declared more than once"),
+        ),
+        WellFormedError::DuplicateProc(name) => Diagnostic::error(
+            "IL008",
+            loc(proc, None),
+            format!("procedure `{name}` is defined more than once"),
+        )
+        .with_suggestion("rename one of them; `run` and `optimize` reject the program"),
+        // `violations` never lists it: lint does not require a `main`.
+        WellFormedError::NoMain => return None,
+    })
+}
 
-    // IL001: branch targets must be in range.
-    let mut structurally_sound = true;
-    for (i, s) in proc.stmts.iter().enumerate() {
-        if let Stmt::If {
-            then_target,
-            else_target,
-            ..
-        } = s
-        {
-            for &t in [then_target, else_target] {
-                if t >= n {
-                    structurally_sound = false;
-                    diags.push(
-                        Diagnostic::error(
-                            "IL001",
-                            loc(proc, Some(i)),
-                            format!("branch target {t} is out of range (procedure has {n} statements)"),
-                        )
-                        .with_suggestion("branch targets are 0-based statement indices"),
-                    );
-                }
-            }
+/// Lints a whole program, procedure by procedure: its §3.1 violations
+/// in the order `validate` checks them, then the IL005 and CFG-based
+/// warnings.
+pub fn lint_program(prog: &Program, diags: &mut Diagnostics) {
+    for (proc, violations) in prog.procs.iter().zip(cobalt_il::violations(prog)) {
+        for d in violations.iter().filter_map(|v| violation(proc, v)) {
+            diags.push(d);
         }
+        lint_proc(proc, diags);
     }
+}
 
-    // IL002: control must not fall off the end.
-    if n == 0 || !matches!(proc.stmts[n - 1], Stmt::Return(_)) {
-        structurally_sound = false;
-        diags.push(
-            Diagnostic::error(
-                "IL002",
-                loc(proc, n.checked_sub(1)),
-                "procedure does not end in `return`; control can fall off the end",
-            )
-            .with_suggestion("add a trailing `return <var>;`"),
-        );
-    }
+/// The warnings about one procedure: IL005, then, when its CFG
+/// constructs, IL003 and IL004.
+fn lint_proc(proc: &Proc, diags: &mut Diagnostics) {
+    let n = proc.stmts.len();
 
     // IL005: a pointer assigned `&x` but never dereferenced suggests a
     // dead address-of (statement-list scan; no CFG needed).
@@ -93,9 +108,6 @@ pub fn lint_proc(proc: &Proc, diags: &mut Diagnostics) {
     }
 
     // The remaining checks need a CFG.
-    if !structurally_sound {
-        return;
-    }
     let Ok(cfg) = Cfg::new(proc) else {
         return;
     };
@@ -155,46 +167,6 @@ pub fn lint_proc(proc: &Proc, diags: &mut Diagnostics) {
                     )
                     .with_suggestion(format!("declare or assign `{v}` on every path to here")),
                 );
-            }
-        }
-    }
-}
-
-/// Lints a whole program: every procedure, plus the cross-procedure
-/// checks (IL006 unknown callee, IL007 duplicate declaration). A
-/// missing `main` is deliberately *not* a lint — fixtures and library
-/// fragments are legitimate lint inputs.
-pub fn lint_program(prog: &Program, diags: &mut Diagnostics) {
-    for p in &prog.procs {
-        lint_proc(p, diags);
-
-        // IL007: duplicate `decl` of the same local.
-        let mut declared: BTreeSet<&Var> = BTreeSet::new();
-        for (i, s) in p.stmts.iter().enumerate() {
-            if let Stmt::Decl(v) = s {
-                if !declared.insert(v) {
-                    diags.push(Diagnostic::error(
-                        "IL007",
-                        loc(p, Some(i)),
-                        format!("`{v}` is declared more than once"),
-                    ));
-                }
-            }
-        }
-
-        // IL006: every callee must exist.
-        for (i, s) in p.stmts.iter().enumerate() {
-            if let Stmt::Call { proc: callee, .. } = s {
-                if prog.proc(callee).is_none() {
-                    diags.push(
-                        Diagnostic::error(
-                            "IL006",
-                            loc(p, Some(i)),
-                            format!("call to unknown procedure `{callee}`"),
-                        )
-                        .with_suggestion("define the procedure or fix the name"),
-                    );
-                }
             }
         }
     }
@@ -295,6 +267,26 @@ mod tests {
     fn il007_duplicate_decl() {
         let diags = lint_src("proc main(x) { decl y; decl y; return x; }");
         assert!(codes(&diags).contains(&"IL007"), "{}", diags.render_human());
+    }
+
+    #[test]
+    fn il008_duplicate_procedure() {
+        // `run` and `optimize` reject this program; lint must too.
+        let diags = lint_src(
+            "proc main(x) { y := f(x); return y; } proc f(a) { return a; } \
+             proc f(b) { decl c; return b; }",
+        );
+        let found: Vec<_> = diags
+            .iter()
+            .map(|d| (d.code, d.location.to_string()))
+            .collect();
+        assert_eq!(
+            found,
+            [("IL008", "f".to_string())],
+            "{}",
+            diags.render_human()
+        );
+        assert!(diags.has_errors());
     }
 
     #[test]

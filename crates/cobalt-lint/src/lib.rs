@@ -27,6 +27,6 @@ pub mod rule;
 pub mod vacuous;
 
 pub use diag::{json_escape, Diagnostic, Diagnostics, Location, Severity};
-pub use il::{lint_proc, lint_program};
+pub use il::lint_program;
 pub use rule::{lint_analysis, lint_optimization, LintContext, RuleLintOptions};
 pub use vacuous::is_propositionally_vacuous;

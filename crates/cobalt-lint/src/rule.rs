@@ -1,20 +1,22 @@
 //! The rule linter: structural well-formedness checks over `cobalt-dsl`
 //! ASTs, emitting `CL0xx` diagnostics (registry in DESIGN.md §9).
 //!
-//! The linter understands the engine's binding discipline: at apply
-//! time a rewrite's substitution carries every variable matched by the
-//! positive statement patterns of `ψ1`, every non-statement pattern
-//! variable of `ψ1` (enumerated over the procedure domain by
-//! [`Guard::solve`]), and every variable bound by matching `from`.
-//! Statement patterns under negation or inside `case` arms never
-//! contribute bindings — a template or witness variable whose only
-//! occurrence is there can never be instantiated.
+//! The linter reads the engine's binding discipline from `cobalt-dsl`:
+//! at apply time a rewrite's substitution carries every variable
+//! matched by a binding statement pattern of `ψ1` ([`Scope::binds`]),
+//! every variable [`Guard::solve`] enumerates over the procedure domain
+//! ([`Guard::enumerated_vars`]), and every variable bound by matching
+//! `from`. Statement patterns under negation or inside `case` arms
+//! never contribute bindings — a template or witness variable whose
+//! only occurrence is there can never be instantiated.
+//!
+//! [`Scope::binds`]: cobalt_dsl::Scope::binds
 
 use crate::diag::{Diagnostic, Diagnostics, Location};
 use crate::vacuous;
 use cobalt_dsl::{
-    BackwardWitness, BasePat, ConstPat, Direction, ExprPat, FragKind, Guard, GuardSpec, LabelEnv,
-    LhsPat, Optimization, PatVar, PureAnalysis, StmtPat, VarPat, Witness,
+    BackwardWitness, BasePat, ConstPat, Direction, ExprPat, FragKind, Guard, GuardNode, GuardSpec,
+    LabelEnv, LhsPat, Optimization, PatVar, PureAnalysis, StmtPat, VarPat, Witness,
 };
 use cobalt_support::fault;
 use std::collections::BTreeSet;
@@ -86,9 +88,8 @@ struct GuardVars {
     /// Statement-pattern variables that can never bind: under a
     /// negation or inside a `case` arm.
     local_binders: BTreeSet<String>,
-    /// Non-statement pattern variables (label arguments, equality
-    /// operands, `unchanged` operands): `solve` enumerates these over
-    /// the procedure domain, so they are bound in every fact.
+    /// The variables `solve` enumerates over the procedure domain
+    /// ([`Guard::enumerated_vars`]), so they are bound in every fact.
     uses: BTreeSet<String>,
 }
 
@@ -117,80 +118,20 @@ fn stmt_pat_has_fold(sp: &StmtPat) -> bool {
     matches!(sp, StmtPat::Assign(_, ExprPat::Fold(_)))
 }
 
-/// Whether any statement pattern inside the guard contains `fold(_)`.
-fn guard_has_fold(g: &Guard) -> bool {
-    match g {
-        Guard::Stmt(sp) => stmt_pat_has_fold(sp),
-        Guard::Not(inner) => guard_has_fold(inner),
-        Guard::And(gs) | Guard::Or(gs) => gs.iter().any(guard_has_fold),
-        Guard::CaseStmt { arms, default } => {
-            arms.iter()
-                .any(|(pat, g)| stmt_pat_has_fold(pat) || guard_has_fold(g))
-                || guard_has_fold(default)
-        }
-        _ => false,
-    }
-}
-
-fn collect_guard(g: &Guard, positive: bool, in_arm: bool, acc: &mut GuardVars) {
-    match g {
-        Guard::True | Guard::False => {}
-        Guard::Not(inner) => collect_guard(inner, false, in_arm, acc),
-        Guard::And(gs) | Guard::Or(gs) => {
-            for g in gs {
-                collect_guard(g, positive, in_arm, acc);
+/// Sorts the guard's variables by how `Guard::solve` binds them.
+fn collect_guard(g: &Guard, acc: &mut GuardVars) {
+    g.visit(&mut |node, scope| {
+        let (sink, pat) = match node {
+            GuardNode::Atom(Guard::Stmt(pat)) if scope.binds() => (&mut acc.positive_binders, pat),
+            GuardNode::Atom(Guard::Stmt(pat)) | GuardNode::ArmPattern(pat) => {
+                (&mut acc.local_binders, pat)
             }
-        }
-        Guard::Stmt(sp) => {
-            let sink = if positive && !in_arm {
-                &mut acc.positive_binders
-            } else {
-                &mut acc.local_binders
-            };
-            sink.extend(names(|out| sp.vars(out)));
-        }
-        Guard::Label(_, args) => {
-            acc.uses.extend(names(|out| args.iter().for_each(|a| a.vars(out))));
-        }
-        Guard::SyntacticDef(v) | Guard::SyntacticUse(v) => {
-            acc.uses.extend(names(|out| v.vars(out)));
-        }
-        Guard::Unchanged(e) => acc.uses.extend(names(|out| e.vars(out))),
-        Guard::ConstEq(a, b) => acc.uses.extend(names(|out| {
-            a.vars(out);
-            b.vars(out);
-        })),
-        Guard::VarEq(a, b) => acc.uses.extend(names(|out| {
-            a.vars(out);
-            b.vars(out);
-        })),
-        Guard::CaseStmt { arms, default } => {
-            for (pat, g) in arms {
-                acc.local_binders.extend(names(|out| pat.vars(out)));
-                collect_guard(g, positive, true, acc);
-            }
-            collect_guard(default, positive, true, acc);
-        }
-    }
-}
-
-/// All `case` constructs in a guard, for the arm-reachability check.
-fn case_stmts<'g>(g: &'g Guard, out: &mut Vec<&'g Guard>) {
-    match g {
-        Guard::Not(inner) => case_stmts(inner, out),
-        Guard::And(gs) | Guard::Or(gs) => {
-            for g in gs {
-                case_stmts(g, out);
-            }
-        }
-        Guard::CaseStmt { arms, default } => {
-            out.push(g);
-            for (_, g) in arms {
-                case_stmts(g, out);
-            }
-            case_stmts(default, out);
-        }
-        _ => {}
+            _ => return,
+        };
+        sink.extend(names(|out| pat.vars(out)));
+    });
+    for (p, _) in g.enumerated_vars() {
+        acc.uses.insert(p.as_str().to_string());
     }
 }
 
@@ -317,30 +258,6 @@ fn expr_subsumes(a: &ExprPat, b: &ExprPat) -> bool {
     }
 }
 
-/// All label references `(name, arity, part)` in a guard.
-fn label_refs<'g>(
-    g: &'g Guard,
-    part: &'static str,
-    out: &mut Vec<(&'g cobalt_dsl::LabelName, usize, &'static str)>,
-) {
-    match g {
-        Guard::Not(inner) => label_refs(inner, part, out),
-        Guard::And(gs) | Guard::Or(gs) => {
-            for g in gs {
-                label_refs(g, part, out);
-            }
-        }
-        Guard::Label(name, args) => out.push((name, args.len(), part)),
-        Guard::CaseStmt { arms, default } => {
-            for (_, g) in arms {
-                label_refs(g, part, out);
-            }
-            label_refs(default, part, out);
-        }
-        _ => {}
-    }
-}
-
 /// The pieces of a rule or analysis, normalized so one walker serves
 /// both.
 struct RuleParts<'r> {
@@ -368,9 +285,9 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
     let mut other_vars = GuardVars::default();
     for (part, g) in &parts.guards {
         if *part == "psi1" {
-            collect_guard(g, true, false, &mut psi1_vars);
+            collect_guard(g, &mut psi1_vars);
         } else {
-            collect_guard(g, true, false, &mut other_vars);
+            collect_guard(g, &mut other_vars);
         }
     }
 
@@ -455,7 +372,11 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
     // CL003 / CL004: label references must resolve, with the right arity.
     let mut refs = Vec::new();
     for (part, g) in &parts.guards {
-        label_refs(g, part, &mut refs);
+        g.visit(&mut |node, _| {
+            if let GuardNode::Atom(Guard::Label(name, args)) = node {
+                refs.push((name, args.len(), *part));
+            }
+        });
     }
     for (name, arity, part) in refs {
         match ctx.env.lookup(name) {
@@ -494,28 +415,28 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
 
     // CL005: unreachable `case` arms.
     for (part, g) in &parts.guards {
-        let mut cases = Vec::new();
-        case_stmts(g, &mut cases);
-        for case in cases {
-            if let Guard::CaseStmt { arms, .. } = case {
-                for (j, (pat_j, _)) in arms.iter().enumerate() {
-                    if arms[..j].iter().any(|(pat_i, _)| pat_subsumes(pat_i, pat_j)) {
-                        diags.push(
-                            Diagnostic::warning(
-                                "CL005",
-                                loc(part),
-                                format!(
-                                    "`case` arm {} (`{pat_j:?}`) is unreachable: an \
-                                     earlier arm matches every statement it matches",
-                                    j + 1
-                                ),
-                            )
-                            .with_suggestion("reorder the arms or delete the shadowed one"),
-                        );
-                    }
+        g.visit(&mut |node, _| {
+            let GuardNode::Case(arms) = node else { return };
+            for (j, (pat_j, _)) in arms.iter().enumerate() {
+                if arms[..j]
+                    .iter()
+                    .any(|(pat_i, _)| pat_subsumes(pat_i, pat_j))
+                {
+                    diags.push(
+                        Diagnostic::warning(
+                            "CL005",
+                            loc(part),
+                            format!(
+                                "`case` arm {} (`{pat_j:?}`) is unreachable: an \
+                                 earlier arm matches every statement it matches",
+                                j + 1
+                            ),
+                        )
+                        .with_suggestion("reorder the arms or delete the shadowed one"),
+                    );
                 }
             }
-        }
+        });
     }
 
     // CL006: wildcards in the rewrite template can never instantiate.
@@ -546,7 +467,13 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
         }
     }
     for (part, g) in &parts.guards {
-        if guard_has_fold(g) {
+        let mut has_fold = false;
+        g.visit(&mut |node, _| {
+            if let GuardNode::Atom(Guard::Stmt(pat)) | GuardNode::ArmPattern(pat) = node {
+                has_fold |= stmt_pat_has_fold(pat);
+            }
+        });
+        if has_fold {
             diags.push(Diagnostic::error(
                 "CL010",
                 loc(part),

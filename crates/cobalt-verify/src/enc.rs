@@ -175,6 +175,13 @@ pub enum Shape {
 /// A symbolic binding of pattern variables to logic terms.
 pub type Bind = BTreeMap<PatVar, TermId>;
 
+/// The constant `bind` gives pattern variable `p`.
+pub(crate) fn bound(bind: &Bind, p: &PatVar) -> Result<TermId, VerifyError> {
+    bind.get(p)
+        .copied()
+        .ok_or_else(|| VerifyError::Unsupported(format!("unbound pattern variable `{p}`")))
+}
+
 /// The encoder. One per proof obligation; owns fresh-name generation
 /// and accumulates emitted hypotheses in [`Enc::extra`].
 pub struct Enc<'a> {
@@ -763,61 +770,28 @@ impl<'a> Enc<'a> {
     /// Returns [`VerifyError::Unsupported`] for wildcard patterns, which
     /// cannot appear in rewrite rules.
     pub fn shape_of_pattern(&mut self, pat: &StmtPat, bind: &Bind) -> Result<Shape, VerifyError> {
-        let var = |enc: &mut Enc<'_>, v: &VarPat| -> Result<TermId, VerifyError> {
-            match v {
-                VarPat::Pat(p) => bind.get(p).copied().ok_or_else(|| {
-                    VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-                }),
-                VarPat::Concrete(name) => {
-                    let t = enc.s.bank.app0(&format!("var${name}"));
-                    if !enc.var_terms.contains(&t) {
-                        enc.var_terms.push(t);
-                    }
-                    Ok(t)
-                }
-            }
-        };
-        let cst = |enc: &mut Enc<'_>, c: &ConstPat| -> Result<TermId, VerifyError> {
-            match c {
-                ConstPat::Pat(p) => bind.get(p).copied().ok_or_else(|| {
-                    VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-                }),
-                ConstPat::Concrete(n) => Ok(enc.s.bank.int(*n)),
-            }
-        };
-        let idx = |enc: &mut Enc<'_>, i: &IdxPat| -> Result<TermId, VerifyError> {
-            match i {
-                IdxPat::Pat(p) => bind.get(p).copied().ok_or_else(|| {
-                    VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-                }),
-                IdxPat::Concrete(n) => Ok(enc.s.bank.int(*n as i64)),
-            }
+        let idx = |enc: &mut Enc<'_>, i: &IdxPat| match i {
+            IdxPat::Pat(p) => bound(bind, p),
+            IdxPat::Concrete(n) => Ok(enc.s.bank.int(*n as i64)),
         };
         let rhs = |enc: &mut Enc<'_>, e: &ExprPat| -> Result<RhsShape, VerifyError> {
             Ok(match e {
-                ExprPat::Pat(p) => RhsShape::Opaque(bind.get(p).copied().ok_or_else(|| {
-                    VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-                })?),
-                ExprPat::Fold(p) => RhsShape::FoldOf(bind.get(p).copied().ok_or_else(|| {
-                    VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-                })?),
+                ExprPat::Pat(p) => RhsShape::Opaque(bound(bind, p)?),
+                ExprPat::Fold(p) => RhsShape::FoldOf(bound(bind, p)?),
                 ExprPat::Any => {
                     return Err(VerifyError::Unsupported(
                         "wildcard expression in rewrite pattern".into(),
                     ))
                 }
-                ExprPat::Base(BasePat::Var(v)) => RhsShape::Var(var(enc, v)?),
-                ExprPat::Base(BasePat::Const(c)) => RhsShape::Const(cst(enc, c)?),
-                ExprPat::Deref(v) => RhsShape::Deref(var(enc, v)?),
-                ExprPat::AddrOf(v) => RhsShape::AddrOf(var(enc, v)?),
+                ExprPat::Base(BasePat::Var(v)) => RhsShape::Var(enc.var_pat_term(v, bind)?),
+                ExprPat::Base(BasePat::Const(c)) => RhsShape::Const(enc.const_pat_term(c, bind)?),
+                ExprPat::Deref(v) => RhsShape::Deref(enc.var_pat_term(v, bind)?),
+                ExprPat::AddrOf(v) => RhsShape::AddrOf(enc.var_pat_term(v, bind)?),
                 ExprPat::Op(kind, args) => {
                     let o = enc.op_kind_term(*kind);
                     let mut shapes = Vec::new();
                     for a in args {
-                        shapes.push(match a {
-                            BasePat::Var(v) => ArgShape::Var(var(enc, v)?),
-                            BasePat::Const(c) => ArgShape::Const(cst(enc, c)?),
-                        });
+                        shapes.push(enc.base_pat_shape(a, bind)?);
                     }
                     if shapes.is_empty() || shapes.len() > 2 {
                         return Err(VerifyError::Unsupported(
@@ -835,16 +809,16 @@ impl<'a> Enc<'a> {
                 ))
             }
             StmtPat::Skip => Shape::Skip,
-            StmtPat::Decl(v) => Shape::Decl(var(self, v)?),
-            StmtPat::New(v) => Shape::New(var(self, v)?),
-            StmtPat::Return(v) => Shape::Return(var(self, v)?),
+            StmtPat::Decl(v) => Shape::Decl(self.var_pat_term(v, bind)?),
+            StmtPat::New(v) => Shape::New(self.var_pat_term(v, bind)?),
+            StmtPat::Return(v) => Shape::Return(self.var_pat_term(v, bind)?),
             StmtPat::Assign(LhsPat::Var(v), e) => {
-                let w = var(self, v)?;
+                let w = self.var_pat_term(v, bind)?;
                 let r = rhs(self, e)?;
                 Shape::AssignVar(w, r)
             }
             StmtPat::Assign(LhsPat::Deref(v), e) => {
-                let w = var(self, v)?;
+                let w = self.var_pat_term(v, bind)?;
                 let r = rhs(self, e)?;
                 Shape::AssignDeref(w, r)
             }
@@ -854,38 +828,55 @@ impl<'a> Enc<'a> {
                 ))
             }
             StmtPat::Call { dst, proc, arg } => {
-                let d = var(self, dst)?;
+                let d = self.var_pat_term(dst, bind)?;
                 let p = match proc {
-                    ProcPat::Pat(p) => bind.get(p).copied().ok_or_else(|| {
-                        VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-                    })?,
+                    ProcPat::Pat(p) => bound(bind, p)?,
                     ProcPat::Concrete(name) => self.s.bank.app0(&format!("proc${name}")),
-                };
-                let a = match arg {
-                    BasePat::Var(v) => ArgShape::Var(var(self, v)?),
-                    BasePat::Const(c) => ArgShape::Const(cst(self, c)?),
                 };
                 Shape::Call {
                     dst: d,
                     proc: p,
-                    arg: a,
+                    arg: self.base_pat_shape(arg, bind)?,
                 }
             }
             StmtPat::If {
                 cond,
                 then_target,
                 else_target,
-            } => {
-                let c = match cond {
-                    BasePat::Var(v) => ArgShape::Var(var(self, v)?),
-                    BasePat::Const(c) => ArgShape::Const(cst(self, c)?),
-                };
-                Shape::If {
-                    cond: c,
-                    t1: idx(self, then_target)?,
-                    t2: idx(self, else_target)?,
-                }
-            }
+            } => Shape::If {
+                cond: self.base_pat_shape(cond, bind)?,
+                t1: idx(self, then_target)?,
+                t2: idx(self, else_target)?,
+            },
+        })
+    }
+
+    /// The term of a variable position: the bound constant of a pattern
+    /// variable, the `var$…` constant of a concrete variable.
+    pub(crate) fn var_pat_term(&mut self, vp: &VarPat, bind: &Bind) -> Result<TermId, VerifyError> {
+        match vp {
+            VarPat::Pat(p) => bound(bind, p),
+            VarPat::Concrete(name) => Ok(self.concrete_var_term(name.as_str())),
+        }
+    }
+
+    /// The term of a constant position.
+    pub(crate) fn const_pat_term(
+        &mut self,
+        cp: &ConstPat,
+        bind: &Bind,
+    ) -> Result<TermId, VerifyError> {
+        match cp {
+            ConstPat::Pat(p) => bound(bind, p),
+            ConstPat::Concrete(n) => Ok(self.s.bank.int(*n)),
+        }
+    }
+
+    /// The shape of a base-expression position.
+    fn base_pat_shape(&mut self, b: &BasePat, bind: &Bind) -> Result<ArgShape, VerifyError> {
+        Ok(match b {
+            BasePat::Var(v) => ArgShape::Var(self.var_pat_term(v, bind)?),
+            BasePat::Const(c) => ArgShape::Const(self.const_pat_term(c, bind)?),
         })
     }
 

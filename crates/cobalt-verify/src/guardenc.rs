@@ -9,7 +9,7 @@
 //! and the pattern-variable constants, and semantic labels become their
 //! verified witness meanings.
 
-use crate::enc::{ArgShape, Bind, Enc, RhsShape, Shape, SymState, TaintMode};
+use crate::enc::{bound, ArgShape, Bind, Enc, RhsShape, Shape, SymState, TaintMode};
 use crate::error::VerifyError;
 use cobalt_dsl::{
     BackwardWitness, BasePat, ConstPat, ExprPat, ForwardWitness, Guard, IdxPat, LabelArgPat,
@@ -675,9 +675,7 @@ impl Enc<'_> {
                 let vx = self.val(st, xt);
                 match ep {
                     ExprPat::Pat(p) => {
-                        let e = *bind.get(p).ok_or_else(|| {
-                            VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-                        })?;
+                        let e = bound(bind, p)?;
                         let ev = self.eval_e(st, e);
                         Formula::Eq(vx, ev)
                     }
@@ -798,29 +796,9 @@ impl Enc<'_> {
         ])
     }
 
-    fn var_pat_term(&mut self, vp: &VarPat, bind: &Bind) -> Result<TermId, VerifyError> {
-        match vp {
-            VarPat::Pat(p) => bind.get(p).copied().ok_or_else(|| {
-                VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-            }),
-            VarPat::Concrete(name) => Ok(self.concrete_var_term(name.as_str())),
-        }
-    }
-
-    fn const_pat_term(&mut self, cp: &ConstPat, bind: &Bind) -> Result<TermId, VerifyError> {
-        match cp {
-            ConstPat::Pat(p) => bind.get(p).copied().ok_or_else(|| {
-                VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-            }),
-            ConstPat::Concrete(n) => Ok(self.s.bank.int(*n)),
-        }
-    }
-
     fn expr_pat_term(&mut self, ep: &ExprPat, bind: &Bind) -> Result<TermId, VerifyError> {
         match ep {
-            ExprPat::Pat(p) => bind.get(p).copied().ok_or_else(|| {
-                VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-            }),
+            ExprPat::Pat(p) => bound(bind, p),
             ExprPat::Base(BasePat::Var(vp)) => {
                 let u = self.var_pat_term(vp, bind)?;
                 Ok(self.app("varexpr", vec![u]))
@@ -847,9 +825,6 @@ impl Enc<'_> {
         match a {
             LabelArgPat::Var(vp) => self.var_pat_term(vp, bind),
             LabelArgPat::Const(cp) => self.const_pat_term(cp, bind),
-            LabelArgPat::Expr(ExprPat::Pat(p)) => bind.get(p).copied().ok_or_else(|| {
-                VerifyError::Unsupported(format!("unbound pattern variable `{p}`"))
-            }),
             LabelArgPat::Expr(e) => self.expr_pat_term(e, bind),
         }
     }

@@ -18,8 +18,8 @@
 //! unsound one (the same argument as the paper's footnote 1).
 
 use cobalt_dsl::{
-    BackwardWitness, BasePat, Direction, ExprPat, ForwardWitness, Guard, GuardSpec, LhsPat,
-    Optimization, StmtPat, Witness,
+    BackwardWitness, BasePat, Direction, ExprPat, ForwardWitness, GuardSpec, LhsPat, Optimization,
+    StmtPat, Witness,
 };
 
 /// Guesses a witness for the transformation pattern, or `None` if the
@@ -41,9 +41,12 @@ pub fn infer_witness(opt: &Optimization) -> Option<Witness> {
     match (&pat.guard, pat.direction) {
         (GuardSpec::Local, _) => Some(Witness::Forward(ForwardWitness::True)),
         (GuardSpec::Region(rg), Direction::Forward) => {
-            let enabling = enabling_stmts(&rg.psi1);
-            let mut guesses: Vec<ForwardWitness> = enabling
-                .iter()
+            // The statement patterns ψ1 requires: its binding `stmt(…)`
+            // atoms (an `||` of statement forms yields every alternative).
+            let mut guesses: Vec<ForwardWitness> = rg
+                .psi1
+                .binding_stmts()
+                .into_iter()
                 .filter_map(strongest_postcondition)
                 .collect();
             guesses.dedup();
@@ -62,26 +65,6 @@ pub fn infer_witness(opt: &Optimization) -> Option<Witness> {
             Some(Witness::Backward(BackwardWitness::AgreeExcept(touched)))
         }
     }
-}
-
-/// Collects the statement patterns `ψ1` requires through positive
-/// `stmt(…)` conjuncts (descending through `And`; an `Or` of statement
-/// forms yields all alternatives).
-fn enabling_stmts(psi1: &Guard) -> Vec<StmtPat> {
-    let mut out = Vec::new();
-    collect(psi1, &mut out);
-    fn collect(g: &Guard, out: &mut Vec<StmtPat>) {
-        match g {
-            Guard::Stmt(s) => out.push(s.clone()),
-            Guard::And(gs) | Guard::Or(gs) => {
-                for g in gs {
-                    collect(g, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 /// The strongest postcondition of an enabling statement pattern, in the
@@ -192,7 +175,7 @@ mod tests {
         // collector sees both.
         let dae = cobalt_opts::optimization("dae").unwrap();
         if let GuardSpec::Region(rg) = &dae.pattern.guard {
-            assert_eq!(enabling_stmts(&rg.psi1).len(), 2);
+            assert_eq!(rg.psi1.binding_stmts().len(), 2);
         }
     }
 }

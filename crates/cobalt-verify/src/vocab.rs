@@ -8,8 +8,8 @@
 
 use crate::error::VerifyError;
 use cobalt_dsl::{
-    BackwardWitness, FragKind, Guard, GuardSpec, Optimization, PatVar, PureAnalysis,
-    TransformPattern, Witness,
+    BackwardWitness, FragKind, GuardSpec, Optimization, PatVar, PureAnalysis, TransformPattern,
+    Witness,
 };
 use std::collections::BTreeMap;
 
@@ -47,33 +47,6 @@ fn kinds(occurrences: Vec<(PatVar, FragKind)>) -> Result<Kinds, VerifyError> {
     Ok(kinds)
 }
 
-/// Appends the pattern variables of a guard. Arm-local variables of
-/// `case` patterns are *not* collected (they are bound per shape during
-/// encoding), but variables in arm guards and label arguments are.
-fn guard(g: &Guard, out: &mut Vec<(PatVar, FragKind)>) {
-    match g {
-        Guard::True | Guard::False => {}
-        Guard::Not(inner) => guard(inner, out),
-        Guard::And(gs) | Guard::Or(gs) => gs.iter().for_each(|g| guard(g, out)),
-        Guard::Stmt(s) => s.vars(out),
-        Guard::Label(_, args) => args.iter().for_each(|a| a.vars(out)),
-        Guard::SyntacticDef(v) | Guard::SyntacticUse(v) => v.vars(out),
-        Guard::Unchanged(e) => e.vars(out),
-        Guard::ConstEq(a, b) => {
-            a.vars(out);
-            b.vars(out);
-        }
-        Guard::VarEq(a, b) => {
-            a.vars(out);
-            b.vars(out);
-        }
-        Guard::CaseStmt { arms, default } => {
-            arms.iter().for_each(|(_, g)| guard(g, out));
-            guard(default, out);
-        }
-    }
-}
-
 /// Collects the full vocabulary of an optimization.
 pub fn of_optimization(opt: &Optimization) -> Result<Kinds, VerifyError> {
     of_pattern(&opt.pattern)
@@ -84,10 +57,10 @@ pub fn of_pattern(pat: &TransformPattern) -> Result<Kinds, VerifyError> {
     let mut vars = Vec::new();
     pat.from.vars(&mut vars);
     pat.to.vars(&mut vars);
-    guard(&pat.where_clause, &mut vars);
+    pat.where_clause.vars(&mut vars);
     if let GuardSpec::Region(rg) = &pat.guard {
-        guard(&rg.psi1, &mut vars);
-        guard(&rg.psi2, &mut vars);
+        rg.psi1.vars(&mut vars);
+        rg.psi2.vars(&mut vars);
     }
     match &pat.witness {
         Witness::Forward(w) => w.vars(&mut vars),
@@ -100,8 +73,8 @@ pub fn of_pattern(pat: &TransformPattern) -> Result<Kinds, VerifyError> {
 /// Collects the full vocabulary of a pure analysis.
 pub fn of_analysis(analysis: &PureAnalysis) -> Result<Kinds, VerifyError> {
     let mut vars = Vec::new();
-    guard(&analysis.guard.psi1, &mut vars);
-    guard(&analysis.guard.psi2, &mut vars);
+    analysis.guard.psi1.vars(&mut vars);
+    analysis.guard.psi2.vars(&mut vars);
     analysis.defines.1.iter().for_each(|a| a.vars(&mut vars));
     analysis.witness.vars(&mut vars);
     kinds(vars)
@@ -111,8 +84,8 @@ pub fn of_analysis(analysis: &PureAnalysis) -> Result<Kinds, VerifyError> {
 mod tests {
     use super::*;
     use cobalt_dsl::{
-        BasePat, ConstPat, Direction, ExprPat, ForwardWitness, LabelArgPat, LhsPat, RegionGuard,
-        StmtPat, VarPat,
+        BasePat, ConstPat, Direction, ExprPat, ForwardWitness, Guard, LabelArgPat, LhsPat,
+        RegionGuard, StmtPat, VarPat,
     };
 
     #[test]
@@ -167,16 +140,14 @@ mod tests {
     #[test]
     fn case_arm_locals_not_collected() {
         let mut vars = Vec::new();
-        guard(
-            &Guard::CaseStmt {
-                arms: vec![(
-                    StmtPat::Assign(LhsPat::Deref(VarPat::pat("$P")), ExprPat::Any),
-                    Guard::True,
-                )],
-                default: Box::new(Guard::SyntacticDef(VarPat::pat("Y"))),
-            },
-            &mut vars,
-        );
+        Guard::CaseStmt {
+            arms: vec![(
+                StmtPat::Assign(LhsPat::Deref(VarPat::pat("$P")), ExprPat::Any),
+                Guard::True,
+            )],
+            default: Box::new(Guard::SyntacticDef(VarPat::pat("Y"))),
+        }
+        .vars(&mut vars);
         assert_eq!(vars, vec![("Y".into(), FragKind::Var)]);
     }
 }

@@ -104,6 +104,40 @@ while IFS= read -r line; do
     esac
 done <<<"$json"
 
+# Lint and `run` state §3.1 well-formedness once (`cobalt_il::violations`):
+# a duplicate procedure, which `run` and `optimize` reject, is IL008 and
+# fails lint with exit 4.
+dup_il=$(mktemp /tmp/cobalt_lint_dup_XXXXXX.il)
+printf 'proc main(x) { y := f(x); return y; } proc f(a) { return a; } proc f(b) { decl c; return b; }\n' >"$dup_il"
+set +e
+out=$("$COBALT" lint "$dup_il" 2>/dev/null)
+code=$?
+set -e
+rm -f "$dup_il"
+if [[ $code -ne 4 || "$out" != *IL008* ]]; then
+    echo "lint: duplicate procedure exited $code (want 4, naming IL008)"; exit 1
+fi
+
+# Rules read the IL's tokens: a statement pattern may use any IL
+# operator, here `!=`, and the rule lints clean.
+ne_cob=$(mktemp /tmp/cobalt_lint_ne_XXXXXX.cob)
+cat >"$ne_cob" <<'EOF'
+forward ne_prop {
+    stmt(Y := A != B)
+    followed by !mayDef(Y) && !mayDef(A) && !mayDef(B)
+    until X := Y => X := A != B
+    with witness eta(Y) == eta(A != B)
+}
+EOF
+set +e
+"$COBALT" lint "$ne_cob" >/dev/null 2>&1
+code=$?
+set -e
+rm -f "$ne_cob"
+if [[ $code -ne 0 ]]; then
+    echo "lint: a rule using \`!=\` exited $code (want 0)"; exit 1
+fi
+
 # An injected lint fault must surface as CL000 and fail the run.
 set +e
 COBALT_FAULTS=lint.rule:fail@1 "$COBALT" lint >/dev/null 2>&1

@@ -1317,6 +1317,25 @@ proc main(x) {
     }
 
     #[test]
+    fn lint_flags_a_duplicate_procedure_like_run_does() {
+        // `run` rejects the second `f`; lint reports it as IL008.
+        let p = write_tmp(
+            "lint_dup_proc.il",
+            "proc main(x) { y := f(x); return y; } proc f(a) { return a; } \
+             proc f(b) { decl c; return b; }",
+        );
+        let run = run_cli(&["run".into(), p.clone()]).unwrap_err();
+        assert!(run.msg.contains("duplicate procedure `f`"), "{run:?}");
+        let err = run_cli(&["lint".into(), p.clone()]).unwrap_err();
+        assert_eq!(err.code, EXIT_LINT);
+        assert!(
+            err.out.as_deref().unwrap_or("").contains("IL008"),
+            "{err:?}"
+        );
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
     fn lint_deny_warn_promotes_warnings() {
         // Statements after the first return are unreachable: IL003,
         // a warning — passing by default, failing under --deny warn.

@@ -163,3 +163,40 @@ fn merge_of_three_predecessors_intersects() {
     assert_eq!(applied.len(), 1, "{}", cobalt::il::pretty_proc(&optimized));
     assert_eq!(optimized.stmts[7].to_string(), "c := 2");
 }
+
+/// A rule whose ψ1 names `P` only inside `unchanged(*P)`, a
+/// non-statement atom. `Guard::solve` enumerates it over the
+/// procedure's variables, as lint's binding check assumes, so the rule
+/// runs instead of failing on an unbound variable.
+const PROBE: &str = "forward probe {
+    stmt(X := Y) && unchanged(*P)
+    followed by !mayDef(X) && !mayDef(Y)
+    until Z := X => Z := Y
+    with witness eta(X) == eta(Y)
+}";
+
+#[test]
+fn variables_nested_in_guard_atoms_are_enumerated() {
+    let probe = cobalt::dsl::parse_optimization(PROBE).unwrap();
+    let prog = parse_program(
+        "proc main(x) { decl a; decl b; decl c; decl p; decl q; p := &q; \
+         a := x; b := a; c := b; return c; }",
+    )
+    .unwrap();
+    let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
+    // Without the taint analysis's facts `unchanged(*P)` holds nowhere,
+    // so nothing is rewritten, but the guard evaluates.
+    engine().apply(&ap, &probe).expect("no guard error");
+
+    let (optimized, report) = OptimizeSession::new(engine()).optimize_program(
+        &prog,
+        &cobalt::opts::all_analyses(),
+        std::slice::from_ref(&probe),
+        8,
+    );
+    assert!(!report.degraded(), "{:#?}", report.failures);
+    assert_eq!(report.summary(), "3 rewrites in 3 rounds");
+    let main = optimized.main().unwrap();
+    assert_eq!(main.stmts[7].to_string(), "b := x");
+    assert_eq!(main.stmts[8].to_string(), "c := x");
+}
