@@ -28,5 +28,5 @@ pub mod vacuous;
 
 pub use diag::{json_escape, Diagnostic, Diagnostics, Location, Severity};
 pub use il::lint_program;
-pub use rule::{lint_analysis, lint_optimization, LintContext, RuleLintOptions};
+pub use rule::{lint_analysis, lint_label, lint_optimization, LintContext, RuleLintOptions};
 pub use vacuous::is_propositionally_vacuous;

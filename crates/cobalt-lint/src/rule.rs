@@ -15,8 +15,9 @@
 use crate::diag::{Diagnostic, Diagnostics, Location};
 use crate::vacuous;
 use cobalt_dsl::{
-    BackwardWitness, BasePat, ConstPat, Direction, ExprPat, FragKind, Guard, GuardNode, GuardSpec,
-    LabelEnv, LhsPat, Optimization, PatVar, PureAnalysis, StmtPat, VarPat, Witness,
+    BackwardWitness, BasePat, ConstPat, Direction, ExprPat, ForwardWitness, FragKind, Guard,
+    GuardNode, GuardSpec, LabelDef, LabelEnv, LhsPat, Optimization, PatVar, PureAnalysis, StmtPat,
+    VarPat, Witness,
 };
 use cobalt_support::fault;
 use std::collections::BTreeSet;
@@ -116,6 +117,26 @@ fn stmt_pat_has_wildcard(sp: &StmtPat) -> bool {
 /// any concrete statement ([`ExprPat::Fold`] is template-only).
 fn stmt_pat_has_fold(sp: &StmtPat) -> bool {
     matches!(sp, StmtPat::Assign(_, ExprPat::Fold(_)))
+}
+
+/// Whether the checker can encode a forward witness `eta(X) == eta(E)`
+/// with this `E`: a pattern variable, a variable, a constant, `&x` or
+/// `*p`, the forms `cobalt-verify`'s `fwd_witness` encodes.
+fn witness_expr_encodable(e: &ExprPat) -> bool {
+    match e {
+        ExprPat::Pat(_) | ExprPat::Base(_) | ExprPat::AddrOf(_) | ExprPat::Deref(_) => true,
+        ExprPat::Any | ExprPat::Op(..) | ExprPat::Fold(_) => false,
+    }
+}
+
+/// The expressions of a forward witness's `eta(X) == eta(E)` conjuncts
+/// that the checker cannot encode, in order.
+fn unencodable_witness_exprs<'w>(w: &'w ForwardWitness, out: &mut Vec<&'w ExprPat>) {
+    match w {
+        ForwardWitness::VarEqExpr(_, e) if !witness_expr_encodable(e) => out.push(e),
+        ForwardWitness::And(ws) => ws.iter().for_each(|w| unencodable_witness_exprs(w, out)),
+        _ => {}
+    }
 }
 
 /// Sorts the guard's variables by how `Guard::solve` binds them.
@@ -269,6 +290,92 @@ struct RuleParts<'r> {
     witness_vars: BTreeSet<String>,
     /// Variables used by the analysis's `defines` arguments.
     defines_vars: BTreeSet<String>,
+    /// The forward witness, if the rule has one.
+    forward_witness: Option<&'r ForwardWitness>,
+}
+
+/// The checks that apply to any guard, a label body's included: label
+/// references resolve with the right arity (CL003, CL004), and no `case`
+/// arm is shadowed by an earlier one (CL005).
+fn lint_guards(
+    rule: &str,
+    guards: &[(&'static str, &Guard)],
+    ctx: &LintContext<'_>,
+    diags: &mut Diagnostics,
+) {
+    let loc = |part: &str| Location::Rule {
+        rule: rule.to_string(),
+        part: part.to_string(),
+    };
+    // CL003 / CL004: label references must resolve, with the right arity.
+    let mut refs = Vec::new();
+    for (part, g) in guards {
+        g.visit(&mut |node, _| {
+            if let GuardNode::Atom(Guard::Label(name, args)) = node {
+                refs.push((name, args.len(), *part));
+            }
+        });
+    }
+    for (name, arity, part) in refs {
+        match ctx.env.lookup(name) {
+            Some(def) => {
+                if def.params.len() != arity {
+                    diags.push(Diagnostic::error(
+                        "CL004",
+                        loc(part),
+                        format!(
+                            "label `{name}` expects {} argument(s), got {arity}",
+                            def.params.len()
+                        ),
+                    ));
+                }
+            }
+            None => {
+                if !ctx.semantic.contains(name.as_str()) {
+                    diags.push(
+                        Diagnostic::warning(
+                            "CL003",
+                            loc(part),
+                            format!(
+                                "label `{name}` is neither defined in the label \
+                                 environment nor produced by a known pure analysis"
+                            ),
+                        )
+                        .with_suggestion(
+                            "semantic labels evaluate to false when absent; \
+                             check the spelling or register the analysis",
+                        ),
+                    );
+                }
+            }
+        }
+    }
+
+    // CL005: unreachable `case` arms.
+    for (part, g) in guards {
+        g.visit(&mut |node, _| {
+            let GuardNode::Case(arms) = node else { return };
+            for (j, (pat_j, _)) in arms.iter().enumerate() {
+                if arms[..j]
+                    .iter()
+                    .any(|(pat_i, _)| pat_subsumes(pat_i, pat_j))
+                {
+                    diags.push(
+                        Diagnostic::warning(
+                            "CL005",
+                            loc(part),
+                            format!(
+                                "`case` arm {} (`{pat_j:?}`) is unreachable: an \
+                                 earlier arm matches every statement it matches",
+                                j + 1
+                            ),
+                        )
+                        .with_suggestion("reorder the arms or delete the shadowed one"),
+                    );
+                }
+            }
+        });
+    }
 }
 
 fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptions) -> Diagnostics {
@@ -369,75 +476,7 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
         }
     }
 
-    // CL003 / CL004: label references must resolve, with the right arity.
-    let mut refs = Vec::new();
-    for (part, g) in &parts.guards {
-        g.visit(&mut |node, _| {
-            if let GuardNode::Atom(Guard::Label(name, args)) = node {
-                refs.push((name, args.len(), *part));
-            }
-        });
-    }
-    for (name, arity, part) in refs {
-        match ctx.env.lookup(name) {
-            Some(def) => {
-                if def.params.len() != arity {
-                    diags.push(Diagnostic::error(
-                        "CL004",
-                        loc(part),
-                        format!(
-                            "label `{name}` expects {} argument(s), got {arity}",
-                            def.params.len()
-                        ),
-                    ));
-                }
-            }
-            None => {
-                if !ctx.semantic.contains(name.as_str()) {
-                    diags.push(
-                        Diagnostic::warning(
-                            "CL003",
-                            loc(part),
-                            format!(
-                                "label `{name}` is neither defined in the label \
-                                 environment nor produced by a known pure analysis"
-                            ),
-                        )
-                        .with_suggestion(
-                            "semantic labels evaluate to false when absent; \
-                             check the spelling or register the analysis",
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // CL005: unreachable `case` arms.
-    for (part, g) in &parts.guards {
-        g.visit(&mut |node, _| {
-            let GuardNode::Case(arms) = node else { return };
-            for (j, (pat_j, _)) in arms.iter().enumerate() {
-                if arms[..j]
-                    .iter()
-                    .any(|(pat_i, _)| pat_subsumes(pat_i, pat_j))
-                {
-                    diags.push(
-                        Diagnostic::warning(
-                            "CL005",
-                            loc(part),
-                            format!(
-                                "`case` arm {} (`{pat_j:?}`) is unreachable: an \
-                                 earlier arm matches every statement it matches",
-                                j + 1
-                            ),
-                        )
-                        .with_suggestion("reorder the arms or delete the shadowed one"),
-                    );
-                }
-            }
-        });
-    }
+    lint_guards(parts.name, &parts.guards, ctx, &mut diags);
 
     // CL006: wildcards in the rewrite template can never instantiate.
     if let Some(to) = parts.to {
@@ -480,6 +519,29 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
                 "`fold(...)` in a guard statement pattern never matches any statement",
             ));
         }
+    }
+
+    // CL011: witness expressions the checker cannot encode.
+    let mut unencodable = Vec::new();
+    if let Some(w) = parts.forward_witness {
+        unencodable_witness_exprs(w, &mut unencodable);
+    }
+    for e in unencodable {
+        diags.push(
+            Diagnostic::error(
+                "CL011",
+                loc("witness"),
+                format!(
+                    "the checker cannot encode the witness expression `{e}`: `eta(X) == \
+                     eta(E)` needs E to be a pattern variable, a variable, a constant, \
+                     `&x` or `*p`"
+                ),
+            )
+            .with_suggestion(
+                "bind the expression to a pattern variable (`stmt(Y := E)`) and write \
+                 `eta(Y) == eta(E)`",
+            ),
+        );
     }
 
     // CL008: budgeted propositional-contradiction quick-check.
@@ -541,6 +603,10 @@ pub fn lint_optimization(
             Witness::Backward(BackwardWitness::AgreeExcept(x)) => x.vars(out),
         }),
         defines_vars: BTreeSet::new(),
+        forward_witness: match &pat.witness {
+            Witness::Forward(w) => Some(w),
+            Witness::Backward(_) => None,
+        },
     };
     diags.absorb(lint_parts(&parts, ctx, opts));
 
@@ -564,6 +630,16 @@ pub fn lint_optimization(
         );
     }
 
+    diags
+}
+
+/// Lints a label definition's body with the guard checks that apply
+/// outside a rule: CL003 and CL004 on the labels it references, CL005 on
+/// its `case` arms. Diagnostics point at part `label` of the label's
+/// name.
+pub fn lint_label(def: &LabelDef, ctx: &LintContext<'_>) -> Diagnostics {
+    let mut diags = Diagnostics::new();
+    lint_guards(def.name.as_str(), &[("label", &def.body)], ctx, &mut diags);
     diags
 }
 
@@ -594,6 +670,7 @@ pub fn lint_analysis(
         to: None,
         witness_vars: names(|out| analysis.witness.vars(out)),
         defines_vars: names(|out| analysis.defines.1.iter().for_each(|a| a.vars(out))),
+        forward_witness: Some(&analysis.witness),
     };
     diags.absorb(lint_parts(&parts, ctx, opts));
     diags
@@ -866,6 +943,83 @@ mod tests {
         let e = env();
         let diags = lint_optimization(&rule, &LintContext::new(&e), &opts());
         assert!(codes(&diags).contains(&"CL010"), "{}", diags.render_human());
+    }
+
+    #[test]
+    fn cl011_witness_expression_the_checker_cannot_encode() {
+        // The checker encodes `eta(X) == eta(E)` only for a handful of
+        // forms of E; an operator application is not one of them.
+        let rule = |witness: &str| {
+            cobalt_dsl::parse_optimization(&format!(
+                "forward add_prop {{
+                    stmt(Y := A + B) followed by !mayDef(Y) && !mayDef(A) && !mayDef(B)
+                    until X := Y => X := A + B
+                    with witness {witness}
+                }}"
+            ))
+            .unwrap()
+        };
+        let e = env();
+        let ctx = LintContext::new(&e);
+        let diags = lint_optimization(&rule("eta(Y) == eta(A + B)"), &ctx, &opts());
+        assert_eq!(codes(&diags), ["CL011"], "{}", diags.render_human());
+        assert!(diags.has_errors());
+        assert!(
+            diags.render_human().contains("`A + B`"),
+            "{}",
+            diags.render_human()
+        );
+        let diags = lint_optimization(&rule("eta(Y) == eta(A)"), &ctx, &opts());
+        assert!(diags.is_empty(), "{}", diags.render_human());
+        let analysis = cobalt_dsl::parse_analysis(
+            "analysis sums {
+                stmt(Y := A + B)
+                followed by !mayDef(Y) && !mayDef(A) && !mayDef(B)
+                defines hasSum(Y)
+                with witness eta(Y) == eta(A * B)
+            }",
+        )
+        .unwrap();
+        let diags = lint_analysis(&analysis, &ctx, &opts());
+        assert_eq!(codes(&diags), ["CL011"], "{}", diags.render_human());
+    }
+
+    #[test]
+    fn label_bodies_get_the_guard_checks() {
+        let def = |body| LabelDef {
+            name: "dup".into(),
+            params: vec!["Y".into()],
+            body,
+        };
+        let shadowed = def(Guard::CaseStmt {
+            arms: vec![(StmtPat::Skip, Guard::True), (StmtPat::Skip, Guard::False)],
+            default: Box::new(Guard::Label(
+                "mayDfe".into(),
+                vec![LabelArgPat::Var(VarPat::pat("Y"))],
+            )),
+        });
+        let e = env();
+        let diags = lint_label(&shadowed, &LintContext::new(&e));
+        assert_eq!(
+            codes(&diags),
+            ["CL003", "CL005"],
+            "{}",
+            diags.render_human()
+        );
+        assert!(
+            diags.render_human().contains("dup/label"),
+            "{}",
+            diags.render_human()
+        );
+        let arity = def(Guard::Label(
+            "mayDef".into(),
+            vec![LabelArgPat::Var(VarPat::pat("Y")); 2],
+        ));
+        assert_eq!(codes(&lint_label(&arity, &LintContext::new(&e))), ["CL004"]);
+        for def in e.iter() {
+            let diags = lint_label(def, &LintContext::new(&e));
+            assert!(diags.is_empty(), "{}", diags.render_human());
+        }
     }
 
     #[test]

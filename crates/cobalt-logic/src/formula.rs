@@ -106,38 +106,20 @@ impl Formula {
         Formula::Not(Box::new(Formula::Eq(a, b)))
     }
 
-    /// Converts to negation normal form: negations pushed to the atoms,
-    /// `Implies`/`Iff` expanded.
-    pub fn nnf(self) -> Formula {
-        self.nnf_inner(false)
-    }
-
-    fn nnf_inner(self, negated: bool) -> Formula {
+    /// The negation normal form of `self`, or of `¬self` when `negated`:
+    /// negations pushed to the atoms, `Implies`/`Iff` expanded. Built
+    /// from a borrow, so the input is never copied.
+    pub fn nnf(&self, negated: bool) -> Formula {
         match self {
-            Formula::True => {
-                if negated {
-                    Formula::False
-                } else {
-                    Formula::True
-                }
-            }
-            Formula::False => {
-                if negated {
-                    Formula::True
-                } else {
-                    Formula::False
-                }
-            }
-            f @ (Formula::Eq(_, _) | Formula::Holds(_)) => {
-                if negated {
-                    Formula::Not(Box::new(f))
-                } else {
-                    f
-                }
-            }
-            Formula::Not(p) => p.nnf_inner(!negated),
+            Formula::True if negated => Formula::False,
+            Formula::False if negated => Formula::True,
+            Formula::True => Formula::True,
+            Formula::False => Formula::False,
+            Formula::Eq(..) | Formula::Holds(_) if negated => Formula::Not(Box::new(self.clone())),
+            Formula::Eq(..) | Formula::Holds(_) => self.clone(),
+            Formula::Not(p) => p.nnf(!negated),
             Formula::And(ps) => {
-                let parts = ps.into_iter().map(|p| p.nnf_inner(negated));
+                let parts = ps.iter().map(|p| p.nnf(negated));
                 if negated {
                     Formula::or(parts)
                 } else {
@@ -145,56 +127,47 @@ impl Formula {
                 }
             }
             Formula::Or(ps) => {
-                let parts = ps.into_iter().map(|p| p.nnf_inner(negated));
+                let parts = ps.iter().map(|p| p.nnf(negated));
                 if negated {
                     Formula::and(parts)
                 } else {
                     Formula::or(parts)
                 }
             }
-            Formula::Implies(p, q) => {
-                // p ⇒ q  ≡  ¬p ∨ q
-                if negated {
-                    Formula::and([p.nnf_inner(false), q.nnf_inner(true)])
-                } else {
-                    Formula::or([p.nnf_inner(true), q.nnf_inner(false)])
-                }
-            }
-            Formula::Iff(p, q) => {
-                // p ⇔ q ≡ (p ⇒ q) ∧ (q ⇒ p); ¬(p ⇔ q) ≡ (p ∧ ¬q) ∨ (q ∧ ¬p)
-                let (p2, q2) = (p.clone(), q.clone());
-                if negated {
-                    Formula::or([
-                        Formula::and([p.nnf_inner(false), q.nnf_inner(true)]),
-                        Formula::and([q2.nnf_inner(false), p2.nnf_inner(true)]),
-                    ])
-                } else {
-                    Formula::and([
-                        Formula::or([p.nnf_inner(true), q.nnf_inner(false)]),
-                        Formula::or([q2.nnf_inner(true), p2.nnf_inner(false)]),
-                    ])
-                }
-            }
-            Formula::Forall { vars, triggers, body } => {
-                let body = Box::new(body.nnf_inner(negated));
-                if negated {
-                    Formula::Exists { vars, body }
-                } else {
-                    Formula::Forall { vars, triggers, body }
-                }
-            }
-            Formula::Exists { vars, body } => {
-                let body = Box::new(body.nnf_inner(negated));
-                if negated {
-                    Formula::Forall {
-                        vars,
-                        triggers: Vec::new(),
-                        body,
-                    }
-                } else {
-                    Formula::Exists { vars, body }
-                }
-            }
+            // p ⇒ q  ≡  ¬p ∨ q
+            Formula::Implies(p, q) if negated => Formula::and([p.nnf(false), q.nnf(true)]),
+            Formula::Implies(p, q) => Formula::or([p.nnf(true), q.nnf(false)]),
+            // p ⇔ q ≡ (p ⇒ q) ∧ (q ⇒ p); ¬(p ⇔ q) ≡ (p ∧ ¬q) ∨ (q ∧ ¬p)
+            Formula::Iff(p, q) if negated => Formula::or([
+                Formula::and([p.nnf(false), q.nnf(true)]),
+                Formula::and([q.nnf(false), p.nnf(true)]),
+            ]),
+            Formula::Iff(p, q) => Formula::and([
+                Formula::or([p.nnf(true), q.nnf(false)]),
+                Formula::or([q.nnf(true), p.nnf(false)]),
+            ]),
+            Formula::Forall { vars, body, .. } if negated => Formula::Exists {
+                vars: vars.clone(),
+                body: Box::new(body.nnf(true)),
+            },
+            Formula::Forall {
+                vars,
+                triggers,
+                body,
+            } => Formula::Forall {
+                vars: vars.clone(),
+                triggers: triggers.clone(),
+                body: Box::new(body.nnf(false)),
+            },
+            Formula::Exists { vars, body } if negated => Formula::Forall {
+                vars: vars.clone(),
+                triggers: Vec::new(),
+                body: Box::new(body.nnf(true)),
+            },
+            Formula::Exists { vars, body } => Formula::Exists {
+                vars: vars.clone(),
+                body: Box::new(body.nnf(false)),
+            },
         }
     }
 
@@ -301,8 +274,8 @@ mod tests {
         let mut b = TermBank::new();
         let x = b.app0("x");
         let y = b.app0("y");
-        let f = Formula::implies(Formula::Eq(x, y), Formula::Holds(x)).negate();
-        let nnf = f.nnf();
+        let f = Formula::implies(Formula::Eq(x, y), Formula::Holds(x));
+        let nnf = f.nnf(true);
         // ¬(x=y ⇒ P) ≡ x=y ∧ ¬P
         assert_eq!(
             nnf,
@@ -323,8 +296,7 @@ mod tests {
             triggers: vec![],
             body: Box::new(Formula::Holds(x)),
         }
-        .negate()
-        .nnf();
+        .nnf(true);
         match f {
             Formula::Exists { vars, body } => {
                 assert_eq!(vars, vec![v]);
@@ -342,9 +314,41 @@ mod tests {
             Box::new(Formula::Holds(x)),
             Box::new(Formula::True),
         )
-        .nnf();
+        .nnf(false);
         // (P ⇔ true) simplifies all the way to P.
         assert_eq!(f.display(&b), "x");
+    }
+
+    #[test]
+    fn nnf_of_the_negation_is_nnf_with_negated_polarity() {
+        let mut b = TermBank::new();
+        let (x, y) = (b.app0("x"), b.app0("y"));
+        let v = b.sym("V");
+        let atoms = [Formula::Eq(x, y), Formula::Holds(x)];
+        let [eq, holds] = atoms.clone();
+        let cases = [
+            Formula::True,
+            Formula::False,
+            eq.clone(),
+            Formula::ne(x, y),
+            Formula::and(atoms.clone()),
+            Formula::or(atoms),
+            Formula::implies(eq.clone(), holds.clone()),
+            Formula::Iff(Box::new(eq.clone()), Box::new(holds.clone())),
+            Formula::Forall {
+                vars: vec![v],
+                triggers: vec![x],
+                body: Box::new(Formula::implies(eq.clone(), holds.clone())),
+            },
+            Formula::Exists {
+                vars: vec![v],
+                body: Box::new(Formula::Not(Box::new(holds))),
+            },
+        ];
+        for f in cases {
+            assert_eq!(f.nnf(true), f.clone().negate().nnf(false), "{f:?}");
+            assert_eq!(f.nnf(false).nnf(false), f.nnf(false), "{f:?}");
+        }
     }
 
     #[test]

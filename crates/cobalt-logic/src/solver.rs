@@ -25,7 +25,6 @@ use crate::term::{Sym, TermBank, TermData, TermId};
 use cobalt_support::budget::{Budget, Exhausted, Meter};
 use cobalt_support::fault;
 use cobalt_support::{FastMap, FastSet};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,6 +78,23 @@ pub struct Stats {
     pub instances: usize,
     /// Number of tableau branches closed.
     pub branches: usize,
+}
+
+impl Stats {
+    fn add(&mut self, other: &Stats) {
+        self.splits += other.splits;
+        self.instances += other.instances;
+        self.branches += other.branches;
+    }
+
+    /// What the search counted between `earlier` and `self`.
+    fn since(&self, earlier: &Stats) -> Stats {
+        Stats {
+            splits: self.splits - earlier.splits,
+            instances: self.instances - earlier.instances,
+            branches: self.branches - earlier.branches,
+        }
+    }
 }
 
 /// Why a proof attempt came back [`Outcome::Unknown`]. The distinction
@@ -189,7 +205,7 @@ pub fn clamp_context(lits: &mut Vec<String>, max_lits: usize, max_chars: usize) 
 }
 
 /// A proof obligation: `hypotheses ⊨ goal`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProofTask {
     /// Formulas assumed true.
     pub hypotheses: Vec<Formula>,
@@ -225,6 +241,54 @@ pub struct Solver {
     /// terms — hash-consing guarantees a merge-free sync — so the next
     /// call resumes from it instead of re-registering every term.
     cc_cache: Option<Cc>,
+    /// Where the last `prove` stopped, if it stopped on a resource
+    /// limit: the next call on the same task continues from here.
+    checkpoint: Option<Checkpoint>,
+}
+
+/// One case split on the search's current path.
+#[derive(Debug, Clone, Default)]
+struct SplitFrame {
+    /// The alternative being explored.
+    alt: usize,
+    /// What the alternatives before it cost until each closed.
+    refuted: Stats,
+    /// How many skolems those alternatives minted.
+    skolems: u64,
+}
+
+/// What a resource-limited `prove` leaves behind so that the next call
+/// on the same task, with caps no lower, continues the search instead of
+/// restarting it.
+///
+/// The next call replays `path` from the root: at each depth it skips
+/// the alternatives the earlier attempt refuted, adds what they cost to
+/// the statistics and to the skolem counter, and explores the one the
+/// earlier attempt was in. Skipping is sound because a subtree reports
+/// closed only on a real conflict (a congruence clash, an all-false
+/// disjunction, a `false` literal), never on a limit; and since every
+/// cap the path passed is passed again, the replay retraces it. After a
+/// split-cap or round-cap stop the resumed call returns exactly what a
+/// restart returns, apart from `elapsed`.
+#[derive(Debug)]
+struct Checkpoint {
+    task: ProofTask,
+    /// The attempt's limits; only the counted caps are compared.
+    limits: Limits,
+    /// The splits the attempt was inside when it stopped, outermost first.
+    path: Vec<SplitFrame>,
+}
+
+impl Checkpoint {
+    /// Whether a `prove` of `task` under `limits` may continue from
+    /// here: the same task (compared, not hashed: a collision would skip
+    /// alternatives never refuted for it) and no counted cap lower.
+    fn resumes(&self, task: &ProofTask, limits: &Limits) -> bool {
+        limits.max_splits >= self.limits.max_splits
+            && limits.max_inst_rounds >= self.limits.max_inst_rounds
+            && limits.max_terms >= self.limits.max_terms
+            && self.task == *task
+    }
 }
 
 impl Solver {
@@ -290,8 +354,20 @@ impl Solver {
     /// when any cap, deadline, or cancellation is hit the search stops
     /// and reports a resource-limit [`Outcome::Unknown`] — it never
     /// runs unbounded.
+    ///
+    /// A call that repeats the previous call's task after it stopped on
+    /// a resource limit, with no counted cap (`max_splits`,
+    /// `max_inst_rounds`, `max_terms`) lower, continues that search
+    /// instead of restarting it: it explores the same tree in the same
+    /// order and counts the same [`Stats`], without searching the
+    /// refuted subtrees again. This is how an escalating retry spends
+    /// each tier's effort only once.
     pub fn prove(&mut self, task: &ProofTask) -> Outcome {
         let start = Instant::now();
+        let resume = self
+            .checkpoint
+            .take()
+            .filter(|c| c.resumes(task, &self.limits));
         fault::point("solver.prove");
         // Degenerate limits short-circuit before any work. The term cap
         // bounds terms *minted during this call* — never the bank's
@@ -324,48 +400,7 @@ impl Solver {
                 elapsed: start.elapsed(),
             };
         }
-        // Canonicalize the NNF hypothesis set before building any search
-        // state: flatten conjunctions, drop `true`, dedup structural
-        // repeats, and close immediately on an explicit `false` or an
-        // exact literal/negation pair (the cheap contradictions that
-        // otherwise cost a full tableau setup to notice).
-        let mut work: VecDeque<Formula> =
-            task.hypotheses.iter().map(|h| h.clone().nnf()).collect();
-        work.push_back(task.goal.clone().negate().nnf());
-        let mut formulas: Vec<Formula> = Vec::with_capacity(work.len());
-        let mut seen: FastSet<Formula> = FastSet::default();
-        let mut contradiction = false;
-        while let Some(f) = work.pop_front() {
-            match f {
-                Formula::True => {}
-                Formula::False => {
-                    contradiction = true;
-                    break;
-                }
-                Formula::And(ps) => {
-                    for p in ps.into_iter().rev() {
-                        work.push_front(p);
-                    }
-                }
-                f => {
-                    let neg = match &f {
-                        Formula::Not(p) => Some((**p).clone()),
-                        Formula::Eq(..) | Formula::Holds(..) => {
-                            Some(Formula::Not(Box::new(f.clone())))
-                        }
-                        _ => None,
-                    };
-                    if neg.is_some_and(|n| seen.contains(&n)) {
-                        contradiction = true;
-                        break;
-                    }
-                    if seen.insert(f.clone()) {
-                        formulas.push(f);
-                    }
-                }
-            }
-        }
-        if contradiction {
+        let Some(formulas) = conjuncts(task) else {
             return Outcome::Proved {
                 stats: Stats {
                     branches: 1,
@@ -373,7 +408,7 @@ impl Solver {
                 },
                 elapsed: start.elapsed(),
             };
-        }
+        };
         let start_terms = self.bank.len();
         let mut cc = self.cc_cache.take().unwrap_or_default();
         cc.ensure(&self.bank);
@@ -408,6 +443,10 @@ impl Solver {
             reg_upto,
             array_quiet_at: None,
         };
+        let (replay, kept_task) = match resume {
+            Some(c) => (c.path, Some(c.task)),
+            None => (Vec::new(), None),
+        };
         let mut search = Search {
             solver: self,
             stats: Stats::default(),
@@ -417,10 +456,13 @@ impl Solver {
             start_terms,
             tt: None,
             row_selects: FastMap::default(),
+            path: Vec::new(),
+            replay: replay.into_iter(),
         };
         let closed = search.close(&mut branch);
         let stats = search.stats.clone();
         let limit_hit = search.limit_hit.take();
+        let path = std::mem::take(&mut search.path);
         let mut cc = branch.cc;
         cc.restore_all();
         self.cc_cache = Some(cc);
@@ -429,7 +471,14 @@ impl Solver {
             BranchResult::Closed => Outcome::Proved { stats, elapsed },
             BranchResult::Open(lits) => {
                 let (reason, kind) = match limit_hit {
-                    Some(reason) => (reason, UnknownKind::ResourceLimit),
+                    Some(reason) => {
+                        self.checkpoint = Some(Checkpoint {
+                            task: kept_task.unwrap_or_else(|| task.clone()),
+                            limits: self.limits.clone(),
+                            path,
+                        });
+                        (reason, UnknownKind::ResourceLimit)
+                    }
                     None => (
                         "open branch: goal not provable from hypotheses".into(),
                         UnknownKind::OpenBranch,
@@ -450,6 +499,68 @@ impl Solver {
         self.skolem_counter += 1;
         let name = format!("$sk_{}_{}", base, self.skolem_counter);
         self.bank.app0(&name)
+    }
+}
+
+/// The task's hypotheses and negated goal in NNF, flattened into
+/// conjuncts (`true` dropped) and deduplicated in first-occurrence
+/// order; `None` on an explicit `false` or an exact literal/negation
+/// pair, the cheap contradictions that otherwise cost a full tableau
+/// setup to notice. Nothing is copied: each NNF tree is built once from
+/// a borrow, and the dedup keys literals by `(polarity, atom)` and other
+/// formulas by reference into the list.
+fn conjuncts(task: &ProofTask) -> Option<Vec<Formula>> {
+    let mut flat = Vec::with_capacity(task.hypotheses.len() + 1);
+    let roots = task.hypotheses.iter().map(|h| h.nnf(false));
+    for f in roots.chain([task.goal.nnf(true)]) {
+        if !flatten(f, &mut flat) {
+            return None;
+        }
+    }
+    let mut literals = FastSet::default();
+    let mut others: FastSet<&Formula> = FastSet::default();
+    let mut keep = Vec::with_capacity(flat.len());
+    for f in &flat {
+        keep.push(match literal(f) {
+            Some((positive, atom)) => {
+                if literals.contains(&(!positive, atom)) {
+                    return None;
+                }
+                literals.insert((positive, atom))
+            }
+            None => others.insert(f),
+        });
+    }
+    let mut keep = keep.into_iter();
+    flat.retain(|_| keep.next().expect("one flag per conjunct"));
+    Some(flat)
+}
+
+/// Appends the conjuncts of an NNF formula to `out`, dropping `true`;
+/// false when one of them is `false`.
+fn flatten(f: Formula, out: &mut Vec<Formula>) -> bool {
+    match f {
+        Formula::True => true,
+        Formula::False => false,
+        Formula::And(ps) => ps.into_iter().all(|p| flatten(p, out)),
+        f => {
+            out.push(f);
+            true
+        }
+    }
+}
+
+/// An NNF literal as `(positive, atom)`, the atom `t₁ = t₂` as
+/// `(t₁, Some(t₂))` and `Holds(t)` as `(t, None)`.
+fn literal(f: &Formula) -> Option<(bool, (TermId, Option<TermId>))> {
+    let (positive, atom) = match f {
+        Formula::Not(p) => (false, &**p),
+        f => (true, f),
+    };
+    match *atom {
+        Formula::Eq(a, b) => Some((positive, (a, Some(b)))),
+        Formula::Holds(t) => Some((positive, (t, None))),
+        _ => None,
     }
 }
 
@@ -679,6 +790,12 @@ struct Search<'a> {
     /// Read-over-write's `select(m2, k)` terms by `(m2, k)`: the bank
     /// is append-only, so a term built once stays valid for the call.
     row_selects: FastMap<(TermId, TermId), TermId>,
+    /// The splits the search is inside, outermost first; what is left
+    /// when a limit stops the search becomes the [`Checkpoint`].
+    path: Vec<SplitFrame>,
+    /// The rest of a resumed attempt's path, one frame per split still
+    /// to retrace.
+    replay: std::vec::IntoIter<SplitFrame>,
 }
 
 /// Checkpoint of everything [`Search::split`] must rewind between
@@ -894,23 +1011,37 @@ impl Search<'_> {
         // Splits only fire once the todo queue is drained, so the mark
         // below need not capture queue contents beyond its (zero) length.
         debug_assert!(branch.todo.is_empty(), "split on a non-drained todo queue");
+        // Retracing a resumed attempt's path: start at the alternative
+        // it was exploring, and count the ones it refuted as it did.
+        let frame = self.replay.next().unwrap_or_default();
+        self.stats.add(&frame.refuted);
+        self.solver.skolem_counter += frame.skolems;
+        let first = frame.alt;
+        self.path.push(frame);
         let n = alternatives.len();
-        for (i, alt) in alternatives.into_iter().enumerate() {
+        for (i, alt) in alternatives.into_iter().enumerate().skip(first) {
             let last = i + 1 == n;
             // The last alternative continues in place: its effects are
             // covered by the enclosing savepoint (or the prove-level
             // base savepoint at the top).
             let mark = if last { None } else { Some(self.mark(branch)) };
+            let (stats, skolems) = (self.stats.clone(), self.solver.skolem_counter);
             branch.todo.push(alt);
             match self.close(branch) {
                 BranchResult::Closed => {
+                    assert_eq!(self.replay.len(), 0, "a retraced split closed");
                     if let Some(mark) = mark {
                         self.restore(branch, mark);
                     }
+                    let frame = self.path.last_mut().expect("pushed above");
+                    frame.alt += 1;
+                    frame.refuted.add(&self.stats.since(&stats));
+                    frame.skolems += self.solver.skolem_counter - skolems;
                 }
                 open => return open,
             }
         }
+        self.path.pop();
         BranchResult::Closed
     }
 
@@ -945,7 +1076,7 @@ impl Search<'_> {
                 }
                 other => {
                     // NNF guarantees negation only wraps atoms.
-                    branch.todo.push(other.negate().nnf());
+                    branch.todo.push(other.nnf(true));
                     false
                 }
             },
@@ -976,7 +1107,7 @@ impl Search<'_> {
                 false
             }
             Formula::Implies(_, _) | Formula::Iff(_, _) => {
-                branch.todo.push(f.nnf());
+                branch.todo.push(f.nnf(false));
                 false
             }
         }
@@ -1991,6 +2122,151 @@ mod tests {
             s2.bank.app(f, vec![aa])
         };
         assert!(prove(&mut s2, vec![hyp], Formula::Eq(fa2, a)));
+    }
+
+    /// A full binary tree of case splits: `x_i = a ∨ x_i = b` for each
+    /// `i < n`, each side minting a skolem equal to `x_i`. A leaf closes
+    /// only on the hypothesis `P(c_0, …, c_{n-1})` for its own choices;
+    /// one is given for every leaf except `skip`, which stays open. So
+    /// a search refutes every leaf explored before `skip`, and the open
+    /// branch it reports names the skolems of `skip`'s path.
+    fn tree_task(s: &mut Solver, n: usize, skip: usize) -> ProofTask {
+        let p = s.bank.sym("P");
+        let (a, b) = (s.bank.app0("a"), s.bank.app0("b"));
+        let xs: Vec<TermId> = (0..n).map(|i| s.bank.app0(&format!("x{i}"))).collect();
+        let mut hypotheses = vec![Formula::ne(a, b)];
+        for &x in &xs {
+            let side = |s: &mut Solver, c: TermId, v: &str| {
+                let (vsym, var) = (s.bank.sym(v), s.bank.var(v));
+                Formula::and([
+                    Formula::Eq(x, c),
+                    Formula::Exists {
+                        vars: vec![vsym],
+                        body: Box::new(Formula::Eq(var, x)),
+                    },
+                ])
+            };
+            let (left, right) = (side(s, a, "V"), side(s, b, "W"));
+            hypotheses.push(Formula::or([left, right]));
+        }
+        // Leaf `k` takes `b` at depth `i` when bit `n - 1 - i` of `k` is
+        // set, so leaves are numbered in search order.
+        for k in (0..1 << n).filter(|&k| k != skip) {
+            let args = (0..n)
+                .map(|i| if k >> (n - 1 - i) & 1 == 1 { b } else { a })
+                .collect();
+            hypotheses.push(Formula::Holds(s.bank.app(p, args)));
+        }
+        let goal_atom = s.bank.app(p, xs);
+        ProofTask {
+            hypotheses,
+            goal: Formula::Holds(goal_atom),
+        }
+    }
+
+    /// What an outcome says, `elapsed` aside.
+    fn verdict(o: &Outcome) -> String {
+        match o {
+            Outcome::Proved { stats, .. } => format!("proved {stats:?}"),
+            Outcome::Unknown {
+                reason,
+                kind,
+                open_branch,
+                stats,
+                ..
+            } => format!("{kind:?} {reason} {stats:?} {open_branch:?}"),
+        }
+    }
+
+    /// Proves `tree_task(n, skip)` once per split cap on one solver. With
+    /// `restart`, an unrelated task in between drops the checkpoint, so
+    /// each attempt searches from the root.
+    fn ladder(n: usize, skip: usize, caps: &[usize], restart: bool) -> Vec<Outcome> {
+        let mut s = Solver::new();
+        let task = tree_task(&mut s, n, skip);
+        let trivial = ProofTask {
+            hypotheses: vec![],
+            goal: Formula::True,
+        };
+        let mut out = Vec::new();
+        for (i, &max_splits) in caps.iter().enumerate() {
+            if restart && i > 0 {
+                assert!(s.prove(&trivial).is_proved());
+                assert!(s.checkpoint.is_none(), "another task drops the checkpoint");
+            }
+            s.set_limits(Limits {
+                max_splits,
+                ..Limits::default()
+            });
+            out.push(s.prove(&task));
+        }
+        out
+    }
+
+    #[test]
+    fn resumed_escalation_matches_a_restart() {
+        let caps = [4, 16, 20_000];
+        let last_leaf = (1 << 6) - 1;
+        let resumed = ladder(6, last_leaf, &caps, false);
+        let restarted = ladder(6, last_leaf, &caps, true);
+        for (r, s) in resumed.iter().zip(&restarted) {
+            assert_eq!(verdict(r), verdict(s));
+        }
+        assert!(resumed[..2].iter().all(Outcome::is_resource_limited));
+        // The last leaf is open after the whole tree: 63 splits, 63
+        // closed leaves, and its context names the skolems it minted,
+        // numbered after every skolem the refuted leaves minted.
+        let Outcome::Unknown {
+            kind,
+            open_branch,
+            stats,
+            ..
+        } = &resumed[2]
+        else {
+            panic!("expected an open branch: {:?}", resumed[2]);
+        };
+        assert_eq!(*kind, UnknownKind::OpenBranch);
+        assert_eq!((stats.splits, stats.branches), (63, 63));
+        assert!(
+            open_branch.iter().any(|l| l.contains("$sk_W_")),
+            "{open_branch:?}"
+        );
+    }
+
+    #[test]
+    fn resume_skips_the_refuted_splits() {
+        let mut s = Solver::with_limits(Limits {
+            max_splits: 40,
+            ..Limits::default()
+        });
+        let task = tree_task(&mut s, 6, (1 << 6) - 1);
+        assert!(s.prove(&task).is_resource_limited());
+        s.set_limits(Limits::default());
+        // A restart enters `split` once per split it counts, 63 times;
+        // the resumed attempt enters it only on the path and after it.
+        let out = cobalt_support::fault::with_faults("solver.split:panic@63", || s.prove(&task));
+        assert_eq!(out.stats().splits, 63, "{out:?}");
+    }
+
+    #[test]
+    fn a_lower_cap_or_another_task_does_not_resume() {
+        let last_leaf = (1 << 6) - 1;
+        let lower = ladder(6, last_leaf, &[16, 4], false);
+        let restarted = ladder(6, last_leaf, &[16, 4], true);
+        assert_eq!(verdict(&lower[1]), verdict(&restarted[1]));
+        assert_eq!(lower[1].stats().splits, 5);
+        // A task whose first leaf is open must find it, not skip it as
+        // the leaf the other task refuted.
+        let mut s = Solver::with_limits(Limits {
+            max_splits: 16,
+            ..Limits::default()
+        });
+        let closed_first = tree_task(&mut s, 6, last_leaf);
+        let open_first = tree_task(&mut s, 6, 0);
+        assert!(s.prove(&closed_first).is_resource_limited());
+        let out = s.prove(&open_first);
+        assert!(!out.is_resource_limited(), "{out:?}");
+        assert_eq!(out.stats().splits, 6);
     }
 
     #[test]

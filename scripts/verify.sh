@@ -119,23 +119,29 @@ if [[ $code -ne 4 || "$out" != *IL008* ]]; then
 fi
 
 # Rules read the IL's tokens: a statement pattern may use any IL
-# operator, here `!=`, and the rule lints clean.
+# operator, here `!=`, and the rule lints clean. Its witness names the
+# expression through `E`: the checker cannot encode `eta(A != B)`, and
+# lint says so with CL011 (exit 4).
 ne_cob=$(mktemp /tmp/cobalt_lint_ne_XXXXXX.cob)
-cat >"$ne_cob" <<'EOF'
-forward ne_prop {
-    stmt(Y := A != B)
-    followed by !mayDef(Y) && !mayDef(A) && !mayDef(B)
-    until X := Y => X := A != B
-    with witness eta(Y) == eta(A != B)
+ne_rule() {
+    printf 'forward ne_prop {\n    %s\n    followed by !mayDef(Y) && !mayDef(A) && !mayDef(B)\n    until X := Y => X := A != B\n    with witness %s\n}\n' "$1" "$2"
 }
-EOF
+ne_rule 'stmt(Y := E) && stmt(Y := A != B)' 'eta(Y) == eta(E)' >"$ne_cob"
 set +e
 "$COBALT" lint "$ne_cob" >/dev/null 2>&1
 code=$?
 set -e
-rm -f "$ne_cob"
 if [[ $code -ne 0 ]]; then
-    echo "lint: a rule using \`!=\` exited $code (want 0)"; exit 1
+    echo "lint: a rule using \`!=\` exited $code (want 0)"; rm -f "$ne_cob"; exit 1
+fi
+ne_rule 'stmt(Y := A != B)' 'eta(Y) == eta(A != B)' >"$ne_cob"
+set +e
+out=$("$COBALT" lint "$ne_cob" 2>/dev/null)
+code=$?
+set -e
+rm -f "$ne_cob"
+if [[ $code -ne 4 || "$out" != *CL011* ]]; then
+    echo "lint: witness \`eta(A != B)\` exited $code (want 4, naming CL011)"; exit 1
 fi
 
 # An injected lint fault must surface as CL000 and fail the run.
@@ -584,12 +590,15 @@ if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0' <<<"$last";
 fi
 # The search itself, not only its verdicts: every obligation gets a
 # fresh solver, so these counts do not depend on the seed, and a speed
-# change that moves a split, an instance or a branch fails here.
-for want in "verify.obligations = 269" "logic.calls = 270" "logic.splits = 3921" \
-    "logic.instances = 10383" "logic.branches = 4013"; do
+# change that moves a split, an instance or a branch fails here. The
+# one escalation (the section-6 rule's F2/decl, which resumes at tier 1
+# where tier 0 stopped) stays under test through the attempt counts.
+for want in "verify.obligations = 269" "verify.attempts = 270" "verify.escalations = 1" \
+    "logic.calls = 270" "logic.splits = 3921" "logic.instances = 10383" \
+    "logic.branches = 4013"; do
     if ! grep -qx "metric $want count" <<<"$smoke"; then
         echo "perf: verify_registry smoke: want $want, got:"
-        grep -E '^metric (verify\.obligations|logic\.(calls|splits|instances|branches)) ' <<<"$smoke"
+        grep -E '^metric (verify\.(obligations|attempts|escalations)|logic\.(calls|splits|instances|branches)) ' <<<"$smoke"
         exit 1
     fi
 done

@@ -8,7 +8,7 @@
 //! the same payload `cobalt client` gets from the daemon — after any
 //! journal or recursive-DAE notes.
 
-use cobalt::dsl::{parse_suite, LabelEnv, Suite};
+use cobalt::dsl::{parse_suite, LabelDef, LabelEnv, Suite};
 use cobalt::engine::{EngineError, OptimizeSession};
 use cobalt::il::{parse_program, Interp};
 use cobalt::serve::exec::{self, ExecConfig, ExecResult, EXIT_RESOURCE_LIMITED};
@@ -484,17 +484,22 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
 
 fn cmd_lint(args: &Args) -> Result<String, CliError> {
     use cobalt::lint::{
-        lint_analysis, lint_optimization, lint_program, Diagnostics, LintContext, RuleLintOptions,
+        lint_analysis, lint_label, lint_optimization, lint_program, Diagnostics, LintContext,
+        RuleLintOptions,
     };
     let deny_warnings = match args.value("--deny") {
         None => false,
         Some("warn") => true,
         Some(other) => bail!("--deny: expected `warn`, got `{other}`"),
     };
-    let lint_suite = |suite: &Suite| {
+    // A suite's labels, then its analyses and optimizations.
+    let lint_suite = |suite: &Suite, labels: &[LabelDef]| {
         let mut diags = Diagnostics::new();
         let (env, opts) = (suite.label_env(), RuleLintOptions::default());
         let ctx = LintContext::new(&env).with_analyses(&suite.analyses);
+        for l in labels {
+            diags.absorb(lint_label(l, &ctx));
+        }
         for a in &suite.analyses {
             diags.absorb(lint_analysis(a, &ctx, &opts));
         }
@@ -505,17 +510,20 @@ fn cmd_lint(args: &Args) -> Result<String, CliError> {
     };
     let mut diags = Diagnostics::new();
     if args.pos.is_empty() {
-        // Lint the whole built-in registry. The buggy §6 variants are
-        // included deliberately: they must be structurally clean — the
-        // bug each one carries is semantic, which is the prover's job
-        // (DESIGN.md §9).
+        // Lint the whole built-in registry and the standard labels. The
+        // buggy §6 variants are included deliberately: they must be
+        // structurally clean — the bug each one carries is semantic,
+        // which is the prover's job (DESIGN.md §9).
         let mut registry = exec::rules(None).map_err(|e| e.output)?;
         registry.optimizations.extend(cobalt::opts::buggy_optimizations());
-        diags.absorb(lint_suite(&registry));
+        let mut labels: Vec<LabelDef> = LabelEnv::standard().iter().cloned().collect();
+        labels.sort_by(|a, b| a.name.as_str().cmp(b.name.as_str()));
+        diags.absorb(lint_suite(&registry, &labels));
     }
     for path in &args.pos {
         if path.ends_with(".cob") {
-            diags.absorb(lint_suite(&parse_suite(&read(path)?)?));
+            let suite = parse_suite(&read(path)?)?;
+            diags.absorb(lint_suite(&suite, &suite.labels));
         } else {
             lint_program(&parse_program(&read(path)?)?, &mut diags);
         }
@@ -1386,6 +1394,36 @@ proc main(x) {
         std::fs::remove_file(p).ok();
         let bad = run_cli(&["lint".into(), "--deny".into(), "error".into()]).unwrap_err();
         assert_eq!(bad.code, 1);
+    }
+
+    #[test]
+    fn lint_checks_label_definitions() {
+        // `case` appears only in label bodies: a shadowed arm there is
+        // CL005, a warning that fails the run under --deny warn.
+        let p = write_tmp(
+            "lint_labels.cob",
+            "label dup(Y) { case skip => true case skip => false else => false }
+             forward skip_dup {
+                stmt(decl Y) followed by !dup(Y)
+                until X := Y => X := Y
+                with witness true
+             }",
+        );
+        let ok = run_cli(&["lint".into(), p.clone()]).unwrap();
+        assert!(ok.contains("CL005") && ok.contains("dup/label"), "{ok}");
+        let err = run_cli(&["lint".into(), p.clone(), "--deny".into(), "warn".into()]).unwrap_err();
+        assert_eq!(err.code, EXIT_LINT, "{}", err.msg);
+        std::fs::remove_file(p).ok();
+        // The registry's own text stays clean, labels included.
+        for path in [
+            "crates/cobalt-opts/suite/suite.cob",
+            "crates/cobalt-opts/suite/buggy.cob",
+            "crates/cobalt-dsl/src/stdlib.cob",
+        ] {
+            let path = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
+            let out = run_cli(&["lint".into(), path.clone(), "--deny".into(), "warn".into()]);
+            assert!(out.is_ok(), "{path}: {out:?}");
+        }
     }
 
     #[test]
