@@ -496,6 +496,21 @@ impl StmtPat {
         StmtPat::Assign(LhsPat::Var(VarPat::pat(x)), ExprPat::Pat(PatVar::new(e)))
     }
 
+    /// What keeps this pattern from being a rewrite template the checker
+    /// can prove, if anything: a pointer store, or a dereference or an
+    /// operator application on the right. The symbolic execution of the
+    /// transformed program may not assume that these succeed (the
+    /// paper's footnote 6).
+    pub fn template_violation(&self) -> Option<&'static str> {
+        match self {
+            StmtPat::Assign(LhsPat::Deref(_), _) => Some("pointer store"),
+            StmtPat::Assign(_, ExprPat::Deref(_) | ExprPat::Op(..)) => {
+                Some("dereference or operator application")
+            }
+            _ => None,
+        }
+    }
+
     /// Matches against a concrete statement under `theta`, extending
     /// `theta` with new bindings on success. On failure `theta` may be
     /// partially extended; callers should clone first (see

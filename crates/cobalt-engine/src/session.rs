@@ -310,7 +310,8 @@ impl Record for JournalEntry {
 pub struct OptimizeSession {
     engine: Engine,
     jobs: usize,
-    store: Store<JournalEntry>,
+    /// The fixpoint journal; `None` for a session without one.
+    store: Option<Store<JournalEntry>>,
     /// Fingerprints of this session's outcomes (replayed and fresh, in
     /// procedure order); what [`finish`](Self::finish) compacts the
     /// journal down to.
@@ -318,12 +319,13 @@ pub struct OptimizeSession {
 }
 
 impl OptimizeSession {
-    /// A session without a journal, running procedures sequentially.
+    /// A session without a journal, running procedures sequentially:
+    /// nothing is fingerprinted, replayed, or persisted.
     pub fn new(engine: Engine) -> OptimizeSession {
         OptimizeSession {
             engine,
             jobs: 1,
-            store: Store::in_memory(),
+            store: None,
             session_fps: Vec::new(),
         }
     }
@@ -347,23 +349,31 @@ impl OptimizeSession {
     /// cache must never block compilation.
     #[must_use]
     pub fn with_journal(mut self, path: impl AsRef<Path>, mode: ResumeMode) -> OptimizeSession {
-        self.store = Store::open(path, mode, DEFAULT_LOCK_WAIT, Some("engine.journal"));
+        self.store = Some(Store::open(
+            path,
+            mode,
+            DEFAULT_LOCK_WAIT,
+            Some("engine.journal"),
+        ));
         self
     }
 
-    /// Why the session is running unjournaled, if it is.
+    /// Why a journaled session is running unjournaled, if it is.
     pub fn degraded(&self) -> Option<&str> {
-        self.store.degraded()
+        self.store.as_ref()?.degraded()
     }
 
     /// What the journal loader found on disk (corruption statistics).
-    pub fn load_report(&self) -> &LoadReport {
-        self.store.load_report()
+    pub fn load_report(&self) -> LoadReport {
+        self.store
+            .as_ref()
+            .map(|store| store.load_report().clone())
+            .unwrap_or_default()
     }
 
     /// Whether a journal is attached and healthy.
     pub fn is_journaled(&self) -> bool {
-        self.store.is_journaled()
+        self.store.as_ref().is_some_and(Store::is_journaled)
     }
 
     /// Optimizes every procedure of `program` with per-pass fault
@@ -391,20 +401,26 @@ impl OptimizeSession {
         let mut fp_slots: Vec<Option<u64>> = vec![None; n];
 
         let max_steps = self.engine.budget().max_steps();
-        let mut tasks: Vec<(usize, u64, Proc)> = Vec::new();
+        // Per procedure to optimize: its index, its fingerprint when
+        // journaled, and the procedure.
+        let mut tasks: Vec<(usize, Option<u64>, Proc)> = Vec::new();
         for (i, proc) in program.procs.iter().enumerate() {
+            let Some(store) = &self.store else {
+                tasks.push((i, None, proc.clone()));
+                continue;
+            };
             let fp = fingerprint_proc(proc, analyses, opts, max_rounds, max_steps);
-            if let Some(replayed) = self.store.get(fp).and_then(|e| replay(proc, e)) {
+            if let Some(replayed) = store.get(fp).and_then(|e| replay(proc, e)) {
                 out = out.with_proc_replaced(replayed.0);
                 report.absorb(replayed.1);
                 fp_slots[i] = Some(fp);
                 continue;
             }
-            tasks.push((i, fp, proc.clone()));
+            tasks.push((i, Some(fp), proc.clone()));
         }
 
         if !tasks.is_empty() {
-            let meta: Vec<(usize, u64, String)> = tasks
+            let meta: Vec<(usize, Option<u64>, String)> = tasks
                 .iter()
                 .map(|(i, fp, p)| (*i, *fp, p.name.to_string()))
                 .collect();
@@ -420,17 +436,20 @@ impl OptimizeSession {
                     let (i, fp, name) = &meta[idx];
                     match result {
                         TaskResult::Done((optimized, rep)) => {
-                            if rep.failures.is_empty() {
-                                // Journal trouble degrades the store: a
-                                // sick disk must not change the output.
-                                self.store.insert(JournalEntry {
-                                    fingerprint: *fp,
-                                    proc: name.clone(),
-                                    applied: rep.applied,
-                                    rounds: rep.rounds,
-                                    body: pretty_proc(&optimized),
-                                });
-                                fp_slots[*i] = Some(*fp);
+                            if let (Some(fp), Some(store)) = (*fp, &mut self.store) {
+                                if rep.failures.is_empty() {
+                                    // Journal trouble degrades the store:
+                                    // a sick disk must not change the
+                                    // output.
+                                    store.insert(JournalEntry {
+                                        fingerprint: fp,
+                                        proc: name.clone(),
+                                        applied: rep.applied,
+                                        rounds: rep.rounds,
+                                        body: pretty_proc(&optimized),
+                                    });
+                                    fp_slots[*i] = Some(fp);
+                                }
                             }
                             out = out.with_proc_replaced(optimized);
                             report.absorb(rep);
@@ -463,7 +482,9 @@ impl OptimizeSession {
     /// releases it. Compaction failure degrades (the appended records
     /// are still on disk and loadable); it never affects results.
     pub fn finish(&mut self) {
-        self.store.finish(&self.session_fps);
+        if let Some(store) = &mut self.store {
+            store.finish(&self.session_fps);
+        }
     }
 }
 
@@ -746,6 +767,17 @@ mod tests {
     fn optimize(analyses: &[PureAnalysis], opts: &[Optimization]) -> (Program, PipelineReport) {
         crate::OptimizeSession::new(Engine::new(LabelEnv::standard()))
             .optimize_program(&sample(), analyses, opts, 5)
+    }
+
+    #[test]
+    fn a_session_without_a_journal_replays_nothing() {
+        let mut session = crate::OptimizeSession::new(Engine::new(LabelEnv::standard()));
+        let (first, report) = session.optimize_program(&sample(), &[], &[const_prop()], 5);
+        assert_eq!(report.cached, 0);
+        // The same program again is optimized again, not replayed.
+        let (again, report) = session.optimize_program(&sample(), &[], &[const_prop()], 5);
+        assert_eq!((again, report.cached), (first, 0));
+        assert!(!session.is_journaled() && session.degraded().is_none());
     }
 
     #[test]

@@ -544,6 +544,25 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
         );
     }
 
+    // CL012: templates the checker cannot prove.
+    if let Some(violation) = parts.to.and_then(StmtPat::template_violation) {
+        diags.push(
+            Diagnostic::error(
+                "CL012",
+                loc("to"),
+                format!(
+                    "the checker cannot prove a rewrite template with a {violation}: the \
+                     transformed program may not assume that it succeeds"
+                ),
+            )
+            .with_suggestion(
+                "an assignment template may only write a variable, from a pattern variable, \
+                 a variable, a constant, `&x` or `fold(E)`; match operators and dereferences \
+                 in `from` or psi1 instead",
+            ),
+        );
+    }
+
     // CL008: budgeted propositional-contradiction quick-check.
     if opts.vacuous_check {
         for (part, g) in &parts.guards {
@@ -951,9 +970,9 @@ mod tests {
         // forms of E; an operator application is not one of them.
         let rule = |witness: &str| {
             cobalt_dsl::parse_optimization(&format!(
-                "forward add_prop {{
+                "forward add_cse {{
                     stmt(Y := A + B) followed by !mayDef(Y) && !mayDef(A) && !mayDef(B)
-                    until X := Y => X := A + B
+                    until X := A + B => X := Y
                     with witness {witness}
                 }}"
             ))
@@ -982,6 +1001,34 @@ mod tests {
         .unwrap();
         let diags = lint_analysis(&analysis, &ctx, &opts());
         assert_eq!(codes(&diags), ["CL011"], "{}", diags.render_human());
+    }
+
+    #[test]
+    fn cl012_template_the_checker_cannot_prove() {
+        let e = env();
+        let ctx = LintContext::new(&e);
+        let lint = |src: &str| {
+            let rule = cobalt_dsl::parse_optimization(src).unwrap();
+            lint_optimization(&rule, &ctx, &opts())
+        };
+        for (template, violation) in [
+            ("X := B != A", "operator application"),
+            ("X := *A", "dereference"),
+            ("*X := B", "pointer store"),
+        ] {
+            let diags = lint(&format!(
+                "local swap {{ rewrite X := A != B => {template} }}"
+            ));
+            assert_eq!(codes(&diags), ["CL012"], "{}", diags.render_human());
+            assert!(diags.has_errors());
+            assert!(
+                diags.render_human().contains(violation),
+                "{}",
+                diags.render_human()
+            );
+        }
+        let diags = lint("local swap { rewrite X := A != B => X := B }");
+        assert!(diags.is_empty(), "{}", diags.render_human());
     }
 
     #[test]

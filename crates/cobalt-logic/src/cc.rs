@@ -170,15 +170,6 @@ impl Cc {
         }
     }
 
-    /// Pops every outstanding savepoint, rewinding to the state before
-    /// the first [`save`](Cc::save). Convenient when a search unwinds
-    /// through several nested splits at once.
-    pub fn restore_all(&mut self) {
-        while self.trailing() {
-            self.restore();
-        }
-    }
-
     /// The state-change counter (see the `version` field): any two
     /// observably different states of this context report different
     /// versions, so equal versions mean cached query results are still
@@ -902,30 +893,6 @@ mod tests {
         assert!(!cc.are_eq(x, z));
         cc.restore();
         assert!(!cc.are_eq(x, y));
-    }
-
-    #[test]
-    fn restore_all_pops_every_savepoint() {
-        let (mut b, mut cc) = setup();
-        let x = b.app0("x");
-        let y = b.app0("y");
-        let z = b.app0("z");
-        register(&mut cc, &b, &[x, y, z]);
-        cc.save();
-        cc.merge(x, y, &b);
-        cc.save();
-        cc.merge(y, z, &b);
-        cc.save();
-        cc.assert_diseq(x, z);
-        assert!(cc.in_conflict());
-        cc.restore_all();
-        assert!(!cc.in_conflict());
-        assert!(!cc.are_eq(x, y));
-        assert!(!cc.are_eq(y, z));
-        // After restore_all the trail is quiescent: path compression is
-        // legal again and mutations are permanent.
-        cc.merge(x, z, &b);
-        assert!(cc.are_eq(x, z));
     }
 
     #[test]

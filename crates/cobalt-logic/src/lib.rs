@@ -56,7 +56,5 @@ pub mod term;
 
 pub use cc::Cc;
 pub use formula::Formula;
-pub use solver::{
-    clamp_context, Limits, Outcome, ProofTask, Solver, Stats, UnknownKind, SELECT, UPDATE,
-};
+pub use solver::{Limits, Outcome, ProofTask, Solver, Stats, UnknownKind, SELECT, UPDATE};
 pub use term::{Sym, TermBank, TermData, TermId};

@@ -80,23 +80,6 @@ pub struct Stats {
     pub branches: usize,
 }
 
-impl Stats {
-    fn add(&mut self, other: &Stats) {
-        self.splits += other.splits;
-        self.instances += other.instances;
-        self.branches += other.branches;
-    }
-
-    /// What the search counted between `earlier` and `self`.
-    fn since(&self, earlier: &Stats) -> Stats {
-        Stats {
-            splits: self.splits - earlier.splits,
-            instances: self.instances - earlier.instances,
-            branches: self.branches - earlier.branches,
-        }
-    }
-}
-
 /// Why a proof attempt came back [`Outcome::Unknown`]. The distinction
 /// drives retry policy: a resource limit is worth retrying with a
 /// bigger budget, an open branch is not.
@@ -186,7 +169,7 @@ pub const MAX_CONTEXT_LITERAL_CHARS: usize = 200;
 /// literals, each at most `max_chars` characters, with a trailing
 /// `… (+N more)` marker when literals were dropped. Large proof
 /// obligations otherwise produce unbounded multi-KB failure strings.
-pub fn clamp_context(lits: &mut Vec<String>, max_lits: usize, max_chars: usize) {
+fn clamp_context(lits: &mut Vec<String>, max_lits: usize, max_chars: usize) {
     for lit in lits.iter_mut() {
         if lit.chars().count() > max_chars {
             let cut = lit
@@ -205,7 +188,7 @@ pub fn clamp_context(lits: &mut Vec<String>, max_lits: usize, max_chars: usize) 
 }
 
 /// A proof obligation: `hypotheses ⊨ goal`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ProofTask {
     /// Formulas assumed true.
     pub hypotheses: Vec<Formula>,
@@ -236,59 +219,6 @@ pub struct Solver {
     limits: Limits,
     budget: Budget,
     skolem_counter: u64,
-    /// Congruence-closure context kept warm between `prove` calls.
-    /// The permanent (below-savepoint) layer only ever registers bank
-    /// terms — hash-consing guarantees a merge-free sync — so the next
-    /// call resumes from it instead of re-registering every term.
-    cc_cache: Option<Cc>,
-    /// Where the last `prove` stopped, if it stopped on a resource
-    /// limit: the next call on the same task continues from here.
-    checkpoint: Option<Checkpoint>,
-}
-
-/// One case split on the search's current path.
-#[derive(Debug, Clone, Default)]
-struct SplitFrame {
-    /// The alternative being explored.
-    alt: usize,
-    /// What the alternatives before it cost until each closed.
-    refuted: Stats,
-    /// How many skolems those alternatives minted.
-    skolems: u64,
-}
-
-/// What a resource-limited `prove` leaves behind so that the next call
-/// on the same task, with caps no lower, continues the search instead of
-/// restarting it.
-///
-/// The next call replays `path` from the root: at each depth it skips
-/// the alternatives the earlier attempt refuted, adds what they cost to
-/// the statistics and to the skolem counter, and explores the one the
-/// earlier attempt was in. Skipping is sound because a subtree reports
-/// closed only on a real conflict (a congruence clash, an all-false
-/// disjunction, a `false` literal), never on a limit; and since every
-/// cap the path passed is passed again, the replay retraces it. After a
-/// split-cap or round-cap stop the resumed call returns exactly what a
-/// restart returns, apart from `elapsed`.
-#[derive(Debug)]
-struct Checkpoint {
-    task: ProofTask,
-    /// The attempt's limits; only the counted caps are compared.
-    limits: Limits,
-    /// The splits the attempt was inside when it stopped, outermost first.
-    path: Vec<SplitFrame>,
-}
-
-impl Checkpoint {
-    /// Whether a `prove` of `task` under `limits` may continue from
-    /// here: the same task (compared, not hashed: a collision would skip
-    /// alternatives never refuted for it) and no counted cap lower.
-    fn resumes(&self, task: &ProofTask, limits: &Limits) -> bool {
-        limits.max_splits >= self.limits.max_splits
-            && limits.max_inst_rounds >= self.limits.max_inst_rounds
-            && limits.max_terms >= self.limits.max_terms
-            && self.task == *task
-    }
 }
 
 impl Solver {
@@ -355,19 +285,11 @@ impl Solver {
     /// and reports a resource-limit [`Outcome::Unknown`] — it never
     /// runs unbounded.
     ///
-    /// A call that repeats the previous call's task after it stopped on
-    /// a resource limit, with no counted cap (`max_splits`,
-    /// `max_inst_rounds`, `max_terms`) lower, continues that search
-    /// instead of restarting it: it explores the same tree in the same
-    /// order and counts the same [`Stats`], without searching the
-    /// refuted subtrees again. This is how an escalating retry spends
-    /// each tier's effort only once.
+    /// Each call is one complete search from the root: no search state
+    /// survives it, only the bank's interned terms and the skolem
+    /// counter.
     pub fn prove(&mut self, task: &ProofTask) -> Outcome {
         let start = Instant::now();
-        let resume = self
-            .checkpoint
-            .take()
-            .filter(|c| c.resumes(task, &self.limits));
         fault::point("solver.prove");
         // Degenerate limits short-circuit before any work. The term cap
         // bounds terms *minted during this call* — never the bank's
@@ -410,25 +332,19 @@ impl Solver {
             };
         };
         let start_terms = self.bank.len();
-        let mut cc = self.cc_cache.take().unwrap_or_default();
+        let mut cc = Cc::new();
         cc.ensure(&self.bank);
         let mut relevant = RelevantSet::new(&self.bank);
         for f in &formulas {
             relevant.mark_formula(&self.bank, f);
         }
-        // Register the task's relevant terms — and only those — into
-        // the permanent layer. Under a batch-shared bank the bank holds
-        // a whole rule's vocabulary; registering every bank term would
-        // make each obligation pay for its siblings. The permanent
-        // layer stays merge-free (hash-consing keeps virgin signatures
-        // unique), keeping the cached context reusable forever.
+        // Register the task's relevant terms — and only those. Under a
+        // batch-shared bank the bank holds a whole rule's vocabulary;
+        // registering every bank term would make each obligation pay
+        // for its siblings.
         for &(t, _) in &relevant.order {
             cc.register(t, &self.bank);
         }
-        // Base savepoint: every search-time effect (merges, diseqs,
-        // registrations of minted terms) lands on the undo trail and is
-        // rewound before the context goes back in the cache.
-        cc.save();
         let reg_upto = relevant.order.len();
         let mut branch = Branch {
             cc,
@@ -443,10 +359,6 @@ impl Solver {
             reg_upto,
             array_quiet_at: None,
         };
-        let (replay, kept_task) = match resume {
-            Some(c) => (c.path, Some(c.task)),
-            None => (Vec::new(), None),
-        };
         let mut search = Search {
             solver: self,
             stats: Stats::default(),
@@ -456,29 +368,16 @@ impl Solver {
             start_terms,
             tt: None,
             row_selects: FastMap::default(),
-            path: Vec::new(),
-            replay: replay.into_iter(),
         };
         let closed = search.close(&mut branch);
         let stats = search.stats.clone();
         let limit_hit = search.limit_hit.take();
-        let path = std::mem::take(&mut search.path);
-        let mut cc = branch.cc;
-        cc.restore_all();
-        self.cc_cache = Some(cc);
         let elapsed = start.elapsed();
         match closed {
             BranchResult::Closed => Outcome::Proved { stats, elapsed },
             BranchResult::Open(lits) => {
                 let (reason, kind) = match limit_hit {
-                    Some(reason) => {
-                        self.checkpoint = Some(Checkpoint {
-                            task: kept_task.unwrap_or_else(|| task.clone()),
-                            limits: self.limits.clone(),
-                            path,
-                        });
-                        (reason, UnknownKind::ResourceLimit)
-                    }
+                    Some(reason) => (reason, UnknownKind::ResourceLimit),
                     None => (
                         "open branch: goal not provable from hypotheses".into(),
                         UnknownKind::OpenBranch,
@@ -790,12 +689,6 @@ struct Search<'a> {
     /// Read-over-write's `select(m2, k)` terms by `(m2, k)`: the bank
     /// is append-only, so a term built once stays valid for the call.
     row_selects: FastMap<(TermId, TermId), TermId>,
-    /// The splits the search is inside, outermost first; what is left
-    /// when a limit stops the search becomes the [`Checkpoint`].
-    path: Vec<SplitFrame>,
-    /// The rest of a resumed attempt's path, one frame per split still
-    /// to retrace.
-    replay: std::vec::IntoIter<SplitFrame>,
 }
 
 /// Checkpoint of everything [`Search::split`] must rewind between
@@ -994,7 +887,7 @@ impl Search<'_> {
     /// close. Alternatives share one branch via savepoint/rewind (the
     /// undo trail in [`Cc`]) instead of deep-cloning per alternative;
     /// an open result propagates straight out, leaving its savepoints
-    /// for the prove-level `restore_all`.
+    /// to die with the call's `Cc`.
     fn split(&mut self, branch: &mut Branch, alternatives: Vec<Formula>) -> BranchResult {
         fault::point("solver.split");
         if self.out_of_budget() {
@@ -1011,37 +904,23 @@ impl Search<'_> {
         // Splits only fire once the todo queue is drained, so the mark
         // below need not capture queue contents beyond its (zero) length.
         debug_assert!(branch.todo.is_empty(), "split on a non-drained todo queue");
-        // Retracing a resumed attempt's path: start at the alternative
-        // it was exploring, and count the ones it refuted as it did.
-        let frame = self.replay.next().unwrap_or_default();
-        self.stats.add(&frame.refuted);
-        self.solver.skolem_counter += frame.skolems;
-        let first = frame.alt;
-        self.path.push(frame);
         let n = alternatives.len();
-        for (i, alt) in alternatives.into_iter().enumerate().skip(first) {
+        for (i, alt) in alternatives.into_iter().enumerate() {
             let last = i + 1 == n;
             // The last alternative continues in place: its effects are
-            // covered by the enclosing savepoint (or the prove-level
-            // base savepoint at the top).
+            // covered by the enclosing savepoint, or need no undoing at
+            // the top.
             let mark = if last { None } else { Some(self.mark(branch)) };
-            let (stats, skolems) = (self.stats.clone(), self.solver.skolem_counter);
             branch.todo.push(alt);
             match self.close(branch) {
                 BranchResult::Closed => {
-                    assert_eq!(self.replay.len(), 0, "a retraced split closed");
                     if let Some(mark) = mark {
                         self.restore(branch, mark);
                     }
-                    let frame = self.path.last_mut().expect("pushed above");
-                    frame.alt += 1;
-                    frame.refuted.add(&self.stats.since(&stats));
-                    frame.skolems += self.solver.skolem_counter - skolems;
                 }
                 open => return open,
             }
         }
-        self.path.pop();
         BranchResult::Closed
     }
 
@@ -2008,9 +1887,8 @@ mod tests {
 
     #[test]
     fn solver_is_reusable_across_prove_calls() {
-        // The cached congruence context must rewind completely between
-        // calls: a merge assumed in one proof must not leak into the
-        // next, and the next proof must still see the whole bank.
+        // A merge assumed in one proof must not leak into the next, and
+        // the next proof must still see the whole bank.
         let mut s = Solver::new();
         let f = s.bank.sym("f");
         let (x, y, z) = (s.bank.app0("x"), s.bank.app0("y"), s.bank.app0("z"));
@@ -2122,151 +2000,6 @@ mod tests {
             s2.bank.app(f, vec![aa])
         };
         assert!(prove(&mut s2, vec![hyp], Formula::Eq(fa2, a)));
-    }
-
-    /// A full binary tree of case splits: `x_i = a ∨ x_i = b` for each
-    /// `i < n`, each side minting a skolem equal to `x_i`. A leaf closes
-    /// only on the hypothesis `P(c_0, …, c_{n-1})` for its own choices;
-    /// one is given for every leaf except `skip`, which stays open. So
-    /// a search refutes every leaf explored before `skip`, and the open
-    /// branch it reports names the skolems of `skip`'s path.
-    fn tree_task(s: &mut Solver, n: usize, skip: usize) -> ProofTask {
-        let p = s.bank.sym("P");
-        let (a, b) = (s.bank.app0("a"), s.bank.app0("b"));
-        let xs: Vec<TermId> = (0..n).map(|i| s.bank.app0(&format!("x{i}"))).collect();
-        let mut hypotheses = vec![Formula::ne(a, b)];
-        for &x in &xs {
-            let side = |s: &mut Solver, c: TermId, v: &str| {
-                let (vsym, var) = (s.bank.sym(v), s.bank.var(v));
-                Formula::and([
-                    Formula::Eq(x, c),
-                    Formula::Exists {
-                        vars: vec![vsym],
-                        body: Box::new(Formula::Eq(var, x)),
-                    },
-                ])
-            };
-            let (left, right) = (side(s, a, "V"), side(s, b, "W"));
-            hypotheses.push(Formula::or([left, right]));
-        }
-        // Leaf `k` takes `b` at depth `i` when bit `n - 1 - i` of `k` is
-        // set, so leaves are numbered in search order.
-        for k in (0..1 << n).filter(|&k| k != skip) {
-            let args = (0..n)
-                .map(|i| if k >> (n - 1 - i) & 1 == 1 { b } else { a })
-                .collect();
-            hypotheses.push(Formula::Holds(s.bank.app(p, args)));
-        }
-        let goal_atom = s.bank.app(p, xs);
-        ProofTask {
-            hypotheses,
-            goal: Formula::Holds(goal_atom),
-        }
-    }
-
-    /// What an outcome says, `elapsed` aside.
-    fn verdict(o: &Outcome) -> String {
-        match o {
-            Outcome::Proved { stats, .. } => format!("proved {stats:?}"),
-            Outcome::Unknown {
-                reason,
-                kind,
-                open_branch,
-                stats,
-                ..
-            } => format!("{kind:?} {reason} {stats:?} {open_branch:?}"),
-        }
-    }
-
-    /// Proves `tree_task(n, skip)` once per split cap on one solver. With
-    /// `restart`, an unrelated task in between drops the checkpoint, so
-    /// each attempt searches from the root.
-    fn ladder(n: usize, skip: usize, caps: &[usize], restart: bool) -> Vec<Outcome> {
-        let mut s = Solver::new();
-        let task = tree_task(&mut s, n, skip);
-        let trivial = ProofTask {
-            hypotheses: vec![],
-            goal: Formula::True,
-        };
-        let mut out = Vec::new();
-        for (i, &max_splits) in caps.iter().enumerate() {
-            if restart && i > 0 {
-                assert!(s.prove(&trivial).is_proved());
-                assert!(s.checkpoint.is_none(), "another task drops the checkpoint");
-            }
-            s.set_limits(Limits {
-                max_splits,
-                ..Limits::default()
-            });
-            out.push(s.prove(&task));
-        }
-        out
-    }
-
-    #[test]
-    fn resumed_escalation_matches_a_restart() {
-        let caps = [4, 16, 20_000];
-        let last_leaf = (1 << 6) - 1;
-        let resumed = ladder(6, last_leaf, &caps, false);
-        let restarted = ladder(6, last_leaf, &caps, true);
-        for (r, s) in resumed.iter().zip(&restarted) {
-            assert_eq!(verdict(r), verdict(s));
-        }
-        assert!(resumed[..2].iter().all(Outcome::is_resource_limited));
-        // The last leaf is open after the whole tree: 63 splits, 63
-        // closed leaves, and its context names the skolems it minted,
-        // numbered after every skolem the refuted leaves minted.
-        let Outcome::Unknown {
-            kind,
-            open_branch,
-            stats,
-            ..
-        } = &resumed[2]
-        else {
-            panic!("expected an open branch: {:?}", resumed[2]);
-        };
-        assert_eq!(*kind, UnknownKind::OpenBranch);
-        assert_eq!((stats.splits, stats.branches), (63, 63));
-        assert!(
-            open_branch.iter().any(|l| l.contains("$sk_W_")),
-            "{open_branch:?}"
-        );
-    }
-
-    #[test]
-    fn resume_skips_the_refuted_splits() {
-        let mut s = Solver::with_limits(Limits {
-            max_splits: 40,
-            ..Limits::default()
-        });
-        let task = tree_task(&mut s, 6, (1 << 6) - 1);
-        assert!(s.prove(&task).is_resource_limited());
-        s.set_limits(Limits::default());
-        // A restart enters `split` once per split it counts, 63 times;
-        // the resumed attempt enters it only on the path and after it.
-        let out = cobalt_support::fault::with_faults("solver.split:panic@63", || s.prove(&task));
-        assert_eq!(out.stats().splits, 63, "{out:?}");
-    }
-
-    #[test]
-    fn a_lower_cap_or_another_task_does_not_resume() {
-        let last_leaf = (1 << 6) - 1;
-        let lower = ladder(6, last_leaf, &[16, 4], false);
-        let restarted = ladder(6, last_leaf, &[16, 4], true);
-        assert_eq!(verdict(&lower[1]), verdict(&restarted[1]));
-        assert_eq!(lower[1].stats().splits, 5);
-        // A task whose first leaf is open must find it, not skip it as
-        // the leaf the other task refuted.
-        let mut s = Solver::with_limits(Limits {
-            max_splits: 16,
-            ..Limits::default()
-        });
-        let closed_first = tree_task(&mut s, 6, last_leaf);
-        let open_first = tree_task(&mut s, 6, 0);
-        assert!(s.prove(&closed_first).is_resource_limited());
-        let out = s.prove(&open_first);
-        assert!(!out.is_resource_limited(), "{out:?}");
-        assert_eq!(out.stats().splits, 6);
     }
 
     #[test]

@@ -623,21 +623,49 @@ mod tests {
 
     /// The registry, the §6 rule and the standard labels are pinned
     /// byte for byte: the registry fingerprint, and a digest of every
-    /// registry obligation's fingerprint (the proof-journal keys).
+    /// registry obligation's fingerprint (the proof-journal keys), both
+    /// under the former three-tier default ladder, whose digest pins the
+    /// encodings, and under the one-tier default.
     #[test]
     fn registry_and_obligation_fingerprints_are_pinned() {
+        use cobalt_logic::Limits;
+        assert_eq!(registry_fingerprint(), 0x550c_1395_88f9_fb60);
+        let former_ladder = [
+            Limits {
+                max_splits: 500,
+                max_inst_rounds: 2,
+                max_terms: 50_000,
+                deadline: Some(Duration::from_millis(250)),
+            },
+            Limits {
+                max_splits: 4_000,
+                max_inst_rounds: 3,
+                max_terms: 100_000,
+                deadline: Some(Duration::from_secs(2)),
+            },
+            Limits::default(),
+        ];
+        assert_eq!(
+            obligation_digest(&former_ladder),
+            (269, 0x508b_0344_4655_7db9)
+        );
+        let tiers = RetryPolicy::default().tiers;
+        assert_eq!(obligation_digest(&tiers), (269, 0x6002_24e7_449d_e1f0));
+    }
+
+    /// How many registry obligations there are, and a digest of their
+    /// fingerprints under `tiers`.
+    fn obligation_digest(tiers: &[cobalt_logic::Limits]) -> (usize, u64) {
         use cobalt_verify::{
             fingerprint_obligation, obligations_for_analysis_with,
             obligations_for_optimization_with, BankMode, Prepared,
         };
-        assert_eq!(registry_fingerprint(), 0x550c_1395_88f9_fb60);
         let (env, meanings) = (LabelEnv::standard(), SemanticMeanings::standard());
-        let tiers = RetryPolicy::default().tiers;
         let mut digest = Fnv64::new();
         let mut count = 0;
         let mut add = |rule: String, prepared: Vec<Prepared>| {
             for p in &prepared {
-                let fp = fingerprint_obligation(&rule, p, &tiers);
+                let fp = fingerprint_obligation(&rule, p, tiers);
                 digest.write(format!("{fp:016x}\n").as_bytes());
                 count += 1;
             }
@@ -655,8 +683,7 @@ mod tests {
                 obligations_for_optimization_with(o, &env, &meanings, BankMode::default()).unwrap();
             add(format!("{o:?}"), prepared);
         }
-        assert_eq!(count, 269);
-        assert_eq!(digest.finish(), 0x508b_0344_4655_7db9);
+        (count, digest.finish())
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! (paper §5.1).
 //!
 //! Proving is **resource-governed**: each obligation is attempted under
-//! an escalating sequence of prover limits (a [`RetryPolicy`]), the
-//! whole report may carry a wall-clock deadline, and a prover panic is
-//! isolated to the one obligation it occurred in. The paper's pitch is
-//! that soundness checking is *automatic* — Simplify runs under the
-//! hood with bounded effort and a failed or timed-out proof is a
-//! report, never a crash.
+//! bounded prover limits (a [`RetryPolicy`]), the whole report may carry
+//! a wall-clock deadline, and a prover panic is isolated to the one
+//! obligation it occurred in. The paper's pitch is that soundness
+//! checking is *automatic* — Simplify runs under the hood with bounded
+//! effort and a failed or timed-out proof is a report, never a crash.
 
 use crate::enc::SemanticMeanings;
 use crate::error::VerifyError;
@@ -17,7 +16,7 @@ use crate::oblig::{
 };
 use crate::session::discharge;
 use cobalt_dsl::{LabelEnv, Optimization, PureAnalysis};
-use cobalt_logic::{clamp_context, Limits, Outcome};
+use cobalt_logic::{Limits, Outcome};
 use cobalt_support::budget::{Budget, Exhausted};
 use cobalt_support::fault;
 use cobalt_support::pool::{self, Cancel};
@@ -58,14 +57,16 @@ pub struct ObligationOutcome {
     pub cached: bool,
 }
 
-/// Escalating prover-limit tiers plus an overall per-report deadline —
-/// the checker's iterative-deepening retry schedule.
+/// Prover-limit tiers plus an overall per-report deadline — the
+/// checker's retry schedule.
 ///
 /// Each obligation starts at `tiers[0]`. An attempt that comes back as
-/// a *resource-limit* [`Outcome::Unknown`] escalates to the next tier;
-/// a proof, an open branch, or a panic is final. This keeps the common
-/// case fast (most obligations prove instantly under small limits)
-/// while still giving hard obligations the full budget.
+/// a *resource-limit* [`Outcome::Unknown`] escalates to the next tier,
+/// which searches again from the root; a proof, an open branch, or a
+/// panic is final. The default is one tier, [`Limits::default()`]: the
+/// search is deterministic and its caps only stop it, so a lower tier
+/// can change no verdict, only repeat a prefix of the last tier's
+/// search.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// The limit tiers, attempted in order.
@@ -80,21 +81,7 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            tiers: vec![
-                Limits {
-                    max_splits: 500,
-                    max_inst_rounds: 2,
-                    max_terms: 50_000,
-                    deadline: Some(Duration::from_millis(250)),
-                },
-                Limits {
-                    max_splits: 4_000,
-                    max_inst_rounds: 3,
-                    max_terms: 100_000,
-                    deadline: Some(Duration::from_secs(2)),
-                },
-                Limits::default(),
-            ],
+            tiers: vec![Limits::default()],
             report_deadline: None,
         }
     }
@@ -507,12 +494,11 @@ impl Verifier {
                         ..
                     } => {
                         let limited = kind == cobalt_logic::UnknownKind::ResourceLimit;
-                        let mut context = open_branch;
-                        clamp_context(&mut context, 12, 200);
-                        let detail = if context.is_empty() {
+                        // The solver clamps the context already.
+                        let detail = if open_branch.is_empty() {
                             reason
                         } else {
-                            format!("{reason}; context: {}", context.join("; "))
+                            format!("{reason}; context: {}", open_branch.join("; "))
                         };
                         return done(false, detail, limited, attempts);
                     }
@@ -520,5 +506,48 @@ impl Verifier {
             }
         }
         unreachable!("the last tier always returns")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cobalt_logic::{Formula, ProofTask, Solver};
+
+    #[test]
+    fn open_branch_context_keeps_the_solvers_count() {
+        // Twenty universals without triggers are never instantiated, so
+        // the open branch lists twenty of them: the solver keeps twelve
+        // and says how many it dropped.
+        let mut solver = Solver::new();
+        let p = solver.bank.sym("p");
+        let mut hypotheses = Vec::new();
+        for i in 0..20 {
+            let (v, w) = (format!("V{i}"), format!("W{i}"));
+            let vars = vec![solver.bank.sym(&v), solver.bank.sym(&w)];
+            let args = vec![solver.bank.var(&v), solver.bank.var(&w)];
+            hypotheses.push(Formula::Forall {
+                vars,
+                triggers: vec![],
+                body: Box::new(Formula::Holds(solver.bank.app(p, args))),
+            });
+        }
+        let (x, y) = (solver.bank.app0("x"), solver.bank.app0("y"));
+        let task = ProofTask {
+            hypotheses,
+            goal: Formula::Eq(x, y),
+        };
+        let prepared = Prepared {
+            id: "wide".into(),
+            solver,
+            task,
+        };
+        let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::standard());
+        let outcome = verifier.discharge_from(prepared, &Budget::unlimited(), 0);
+        assert!(!outcome.proved);
+        let (_, context) = outcome.detail.split_once("; context: ").expect("a context");
+        let literals: Vec<&str> = context.split("; ").collect();
+        assert_eq!(literals.len(), 13, "{}", outcome.detail);
+        assert_eq!(literals[12], "… (+8 more)");
     }
 }

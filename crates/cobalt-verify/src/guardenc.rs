@@ -33,10 +33,9 @@ pub struct GuardCtx<'b> {
 }
 
 impl Enc<'_> {
-    /// Encodes `ψ` (or `¬ψ` when `negated`) at the shape, returning the
-    /// formula together with the variable terms that are *definitely*
-    /// `notPointedTo` whenever the formula holds (used for call frame
-    /// conditions).
+    /// Encodes `ψ` (or `¬ψ` when `negated`) at the shape. The variables
+    /// it makes definitely `notPointedTo`, which call frame conditions
+    /// need, come from [`definite_taints`](Self::definite_taints).
     ///
     /// # Errors
     ///
@@ -48,7 +47,7 @@ impl Enc<'_> {
         ctx: &GuardCtx<'_>,
         bind: &Bind,
         negated: bool,
-    ) -> Result<(Formula, Vec<TermId>), VerifyError> {
+    ) -> Result<Formula, VerifyError> {
         self.encode_guard_depth(g, ctx, bind, negated, 0)
     }
 
@@ -59,54 +58,42 @@ impl Enc<'_> {
         bind: &Bind,
         negated: bool,
         depth: usize,
-    ) -> Result<(Formula, Vec<TermId>), VerifyError> {
+    ) -> Result<Formula, VerifyError> {
         if depth > MAX_DEPTH {
             return Err(VerifyError::Unsupported(
                 "label definitions recurse too deeply".into(),
             ));
         }
         Ok(match g {
-            Guard::True => (polarize(Formula::True, negated), vec![]),
-            Guard::False => (polarize(Formula::False, negated), vec![]),
+            Guard::True => polarize(Formula::True, negated),
+            Guard::False => polarize(Formula::False, negated),
             Guard::Not(inner) => self.encode_guard_depth(inner, ctx, bind, !negated, depth)?,
             Guard::And(gs) => {
                 let mut parts = Vec::new();
-                let mut taints = Vec::new();
                 for g in gs {
-                    let (f, t) = self.encode_guard_depth(g, ctx, bind, negated, depth)?;
-                    parts.push(f);
-                    if !negated {
-                        taints.extend(t);
-                    }
+                    parts.push(self.encode_guard_depth(g, ctx, bind, negated, depth)?);
                 }
-                let f = if negated {
+                if negated {
                     Formula::or(parts)
                 } else {
                     Formula::and(parts)
-                };
-                (f, taints)
+                }
             }
             Guard::Or(gs) => {
                 let mut parts = Vec::new();
-                let mut taints = Vec::new();
                 for g in gs {
-                    let (f, t) = self.encode_guard_depth(g, ctx, bind, negated, depth)?;
-                    parts.push(f);
-                    if negated {
-                        taints.extend(t);
-                    }
+                    parts.push(self.encode_guard_depth(g, ctx, bind, negated, depth)?);
                 }
-                let f = if negated {
+                if negated {
                     Formula::and(parts)
                 } else {
                     Formula::or(parts)
-                };
-                (f, taints)
+                }
             }
             Guard::Stmt(pat) => {
                 let m = self.match_stmt_shape(pat, ctx.shape, bind)?;
                 match m {
-                    None => (polarize(Formula::False, negated), vec![]),
+                    None => polarize(Formula::False, negated),
                     Some((newbind, conds)) => {
                         if newbind.len() > bind.len() {
                             return Err(VerifyError::Unsupported(
@@ -114,8 +101,7 @@ impl Enc<'_> {
                                     .into(),
                             ));
                         }
-                        let f = Formula::and(conds);
-                        (polarize(f, negated), vec![])
+                        polarize(Formula::and(conds), negated)
                     }
                 }
             }
@@ -135,10 +121,10 @@ impl Enc<'_> {
                 } else {
                     // Semantic label.
                     match self.taint_mode() {
-                        TaintMode::AbsentFalse => (polarize(Formula::False, negated), vec![]),
+                        TaintMode::AbsentFalse => polarize(Formula::False, negated),
                         TaintMode::Semantic => {
                             let Some((params, witness)) = self.meanings().lookup(name) else {
-                                return Ok((polarize(Formula::False, negated), vec![]));
+                                return Ok(polarize(Formula::False, negated));
                             };
                             if params.len() != args.len() {
                                 return Err(VerifyError::Unsupported(format!(
@@ -146,20 +132,12 @@ impl Enc<'_> {
                                 )));
                             }
                             let mut inner = Bind::new();
-                            let mut taints = Vec::new();
                             for (p, a) in params.iter().zip(args) {
                                 let t = self.label_arg_term(a, bind)?;
                                 inner.insert(p.clone(), t);
                             }
-                            if !negated {
-                                if let ForwardWitness::NotPointedTo(VarPat::Pat(p)) = witness {
-                                    if let Some(&t) = inner.get(p) {
-                                        taints.push(t);
-                                    }
-                                }
-                            }
                             let f = self.fwd_witness(witness, &ctx.st, &inner)?;
-                            (polarize(f, negated), taints)
+                            polarize(f, negated)
                         }
                     }
                 }
@@ -176,17 +154,16 @@ impl Enc<'_> {
                     | Shape::If { .. }
                     | Shape::Return(_) => Formula::False,
                 };
-                (polarize(f, negated), vec![])
+                polarize(f, negated)
             }
             Guard::SyntacticUse(vp) => {
                 let tv = self.var_pat_term(vp, bind)?;
                 let reads = self.shape_reads(ctx.shape)?;
                 let f = Formula::or(reads.into_iter().map(|r| Formula::Eq(tv, r)));
-                (polarize(f, negated), vec![])
+                polarize(f, negated)
             }
             Guard::Unchanged(ep) => {
                 let mut parts = Vec::new();
-                let mut taints = Vec::new();
                 // Semantic content: evalExpr is preserved across each
                 // execution's step.
                 let e = self.expr_pat_term(ep, bind)?;
@@ -216,9 +193,7 @@ impl Enc<'_> {
                             "mayDef",
                             vec![LabelArgPat::Var(v.clone())],
                         );
-                        let (f, t) = self.encode_guard_depth(&g, ctx, bind, false, depth + 1)?;
-                        parts.push(f);
-                        taints.extend(t);
+                        parts.push(self.encode_guard_depth(&g, ctx, bind, false, depth + 1)?);
                     }
                     if matches!(ep, ExprPat::Deref(_)) {
                         match ctx.shape {
@@ -229,13 +204,10 @@ impl Enc<'_> {
                                 // The assigned variable must be
                                 // unaliased (the paper §6 corner case).
                                 let f = self.not_pointed_to_term(*w, &ctx.st);
-                                match self.taint_mode() {
-                                    TaintMode::AbsentFalse => parts.push(Formula::False),
-                                    TaintMode::Semantic => {
-                                        parts.push(f);
-                                        taints.push(*w);
-                                    }
-                                }
+                                parts.push(match self.taint_mode() {
+                                    TaintMode::AbsentFalse => Formula::False,
+                                    TaintMode::Semantic => f,
+                                });
                             }
                             Shape::Decl(_)
                             | Shape::Skip
@@ -244,20 +216,17 @@ impl Enc<'_> {
                         }
                     }
                 }
-                if negated {
-                    taints.clear();
-                }
-                (polarize(Formula::and(parts), negated), taints)
+                polarize(Formula::and(parts), negated)
             }
             Guard::ConstEq(a, b) => {
                 let ta = self.const_pat_term(a, bind)?;
                 let tb = self.const_pat_term(b, bind)?;
-                (polarize(Formula::Eq(ta, tb), negated), vec![])
+                polarize(Formula::Eq(ta, tb), negated)
             }
             Guard::VarEq(a, b) => {
                 let ta = self.var_pat_term(a, bind)?;
                 let tb = self.var_pat_term(b, bind)?;
-                (polarize(Formula::Eq(ta, tb), negated), vec![])
+                polarize(Formula::Eq(ta, tb), negated)
             }
             Guard::CaseStmt { arms, default } => {
                 for (pat, arm_guard) in arms {
@@ -872,8 +841,8 @@ mod tests {
             steps: vec![],
         };
         let g = Guard::not_label("mayDef", vec![LabelArgPat::Var(VarPat::pat("Y"))]);
-        let (f, taints) = enc.encode_guard(&g, &ctx, &bind, false).unwrap();
-        assert!(taints.is_empty());
+        let f = enc.encode_guard(&g, &ctx, &bind, false).unwrap();
+        assert!(enc.definite_taints(&g, &shape, &bind).unwrap().is_empty());
         // ¬mayDef(Y) at `w := k` should boil down to ¬(Y = w).
         let y = bind[&"Y".into()];
         let display = f.display(&enc.s.bank);
@@ -910,8 +879,7 @@ mod tests {
             st,
             steps: vec![],
         };
-        let (f, taints2) = enc.encode_guard(&g, &ctx, &bind, false).unwrap();
-        assert_eq!(taints2, taints);
+        let f = enc.encode_guard(&g, &ctx, &bind, false).unwrap();
         assert!(f.display(&enc.s.bank).contains("forall"));
     }
 
@@ -932,7 +900,7 @@ mod tests {
             steps: vec![],
         };
         let g = Guard::not_label("mayDef", vec![LabelArgPat::Var(VarPat::pat("Y"))]);
-        let (f, _) = enc.encode_guard(&g, &ctx, &bind, false).unwrap();
+        let f = enc.encode_guard(&g, &ctx, &bind, false).unwrap();
         assert_eq!(f, Formula::False);
     }
 
@@ -957,7 +925,7 @@ mod tests {
             LhsPat::Var(VarPat::pat("Y")),
             ExprPat::Base(BasePat::Const(ConstPat::pat("C"))),
         ));
-        let (f, _) = enc.encode_guard(&g, &ctx, &bind, false).unwrap();
+        let f = enc.encode_guard(&g, &ctx, &bind, false).unwrap();
         let d = f.display(&enc.s.bank);
         assert!(d.contains("pv$Y") && d.contains("pv$C"), "{d}");
         // Against skip: statically false.
@@ -967,7 +935,7 @@ mod tests {
             st,
             steps: vec![],
         };
-        let (f2, _) = enc.encode_guard(&g, &ctx2, &bind, false).unwrap();
+        let f2 = enc.encode_guard(&g, &ctx2, &bind, false).unwrap();
         assert_eq!(f2, Formula::False);
     }
 
@@ -993,7 +961,7 @@ mod tests {
             steps: vec![],
         };
         let g = Guard::SyntacticUse(VarPat::pat("Y"));
-        let (f, _) = enc.encode_guard(&g, &ctx, &bind, true).unwrap();
+        let f = enc.encode_guard(&g, &ctx, &bind, true).unwrap();
         // ¬syntacticUse(Y) = ¬(Y = u1 ∨ Y = u2).
         let d = f.display(&enc.s.bank);
         assert!(d.starts_with("(not"), "{d}");

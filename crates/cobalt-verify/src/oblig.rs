@@ -32,7 +32,7 @@
 //! counter restarts per spec and nothing user-visible prints raw term
 //! ids, so the bank layout underneath an obligation is unobservable.
 
-use crate::enc::{Bind, Enc, RhsShape, SemanticMeanings, Shape, TaintMode};
+use crate::enc::{Bind, Enc, SemanticMeanings, Shape, TaintMode};
 use crate::error::VerifyError;
 use crate::guardenc::GuardCtx;
 use crate::vocab::{self, Kinds};
@@ -189,25 +189,6 @@ fn witness_taint_vars(w: &ForwardWitness, bind: &Bind) -> Vec<TermId> {
     }
 }
 
-/// Rejects rewrite templates whose symbolic execution would need
-/// success assumptions we are not entitled to make for the *transformed*
-/// program (footnote 6 of the paper): dereferences and operator
-/// applications on the right-hand side of `s'`.
-fn check_template_safe(shape: &Shape) -> Result<(), VerifyError> {
-    let bad = |r: &RhsShape| {
-        matches!(r, RhsShape::Deref(_) | RhsShape::Op(_, _))
-    };
-    match shape {
-        Shape::AssignDeref(_, _) => Err(VerifyError::Unsupported(
-            "pointer store in rewrite template".into(),
-        )),
-        Shape::AssignVar(_, r) if bad(r) => Err(VerifyError::Unsupported(
-            "dereference or operator application in rewrite template".into(),
-        )),
-        _ => Ok(()),
-    }
-}
-
 /// Builds the obligations of an optimization under the given
 /// [`BankMode`].
 ///
@@ -221,8 +202,13 @@ pub fn obligations_for_optimization_with(
     meanings: &SemanticMeanings,
     mode: BankMode,
 ) -> Result<Vec<Prepared>, VerifyError> {
-    let kinds = vocab::of_optimization(opt)?;
     let pat = &opt.pattern;
+    if let Some(violation) = pat.to.template_violation() {
+        return Err(VerifyError::Unsupported(format!(
+            "{violation} in rewrite template"
+        )));
+    }
+    let kinds = vocab::of_optimization(opt)?;
     let mut specs = Vec::new();
     match (&pat.guard, pat.direction) {
         (GuardSpec::Local, _) => {
@@ -256,7 +242,6 @@ pub fn obligations_for_optimization_with(
                     let st0 = enc.init_state("0");
                     let from_shape = enc.shape_of_pattern(&from, bind)?;
                     let to_shape = enc.shape_of_pattern(&to, bind)?;
-                    check_template_safe(&to_shape)?;
                     let st_old = enc.step(&from_shape, &st0, &[], true)?;
                     let st_new = enc.step(&to_shape, &st0, &[], false)?;
                     let ctx = GuardCtx {
@@ -264,7 +249,7 @@ pub fn obligations_for_optimization_with(
                         st: st0,
                         steps: vec![(st0, st_old)],
                     };
-                    let (wc, _) = enc.encode_guard(&where_clause, &ctx, bind, false)?;
+                    let wc = enc.encode_guard(&where_clause, &ctx, bind, false)?;
                     if is_statically_false(&wc) {
                         return Ok(None);
                     }
@@ -330,7 +315,7 @@ fn region_f1_f2(
                     st: st0,
                     steps: vec![(st0, st1)],
                 };
-                let (g, _) = enc.encode_guard(&psi, &ctx, bind, false)?;
+                let g = enc.encode_guard(&psi, &ctx, bind, false)?;
                 if is_statically_false(&g) {
                     return Ok(None);
                 }
@@ -358,7 +343,6 @@ fn f3_spec(opt: &Optimization) -> Result<Spec, VerifyError> {
             let st0 = enc.init_state("0");
             let from_shape = enc.shape_of_pattern(&pat.from, bind)?;
             let to_shape = enc.shape_of_pattern(&pat.to, bind)?;
-            check_template_safe(&to_shape)?;
             let mut hyps = Vec::new();
             let taints = enc.definite_taints(&pat.where_clause, &from_shape, bind)?;
             let st1 = enc.step(&from_shape, &st0, &taints, true)?;
@@ -368,7 +352,7 @@ fn f3_spec(opt: &Optimization) -> Result<Spec, VerifyError> {
                 st: st0,
                 steps: vec![(st0, st1)],
             };
-            let (wc, _) = enc.encode_guard(&pat.where_clause, &ctx, bind, false)?;
+            let wc = enc.encode_guard(&pat.where_clause, &ctx, bind, false)?;
             if is_statically_false(&wc) {
                 return Ok(None);
             }
@@ -412,7 +396,7 @@ fn backward_shapes(
                         st: st_old,
                         steps: vec![],
                     };
-                    let (g, _) = enc.encode_guard(&psi, &ctx, bind, false)?;
+                    let g = enc.encode_guard(&psi, &ctx, bind, false)?;
                     if is_statically_false(&g) {
                         return Ok(None);
                     }
@@ -439,7 +423,7 @@ fn backward_shapes(
                     st: st_old,
                     steps: vec![(st_old, st1_old), (st_new, st1_new)],
                 };
-                let (g, _) = enc.encode_guard(&psi, &ctx, bind, false)?;
+                let g = enc.encode_guard(&psi, &ctx, bind, false)?;
                 if is_statically_false(&g) {
                     return Ok(None);
                 }

@@ -447,9 +447,13 @@ mod tests {
             "deterministic"
         );
         assert_ne!(base, fingerprint_obligation("rule-src-2", p, &tiers));
+        let capped = [Limits {
+            max_splits: 1,
+            ..tiers[0].clone()
+        }];
         assert_ne!(
             base,
-            fingerprint_obligation("rule-src", p, &tiers[..1]),
+            fingerprint_obligation("rule-src", p, &capped),
             "limit tiers are fingerprint inputs"
         );
         let mut renamed = crate::oblig::obligations_for_optimization_with(

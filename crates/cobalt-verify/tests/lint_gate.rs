@@ -127,7 +127,7 @@ fn analysis_gate_rejects_unbound_defines() {
 }
 
 /// One expression of every `ExprPat` form, over the variables the rule
-/// of `witness_lint_matches_the_encoder` binds.
+/// of [`lint_and_encode`] binds.
 fn expression_forms() -> Vec<ExprPat> {
     let (a, b) = (VarPat::pat("A"), VarPat::pat("B"));
     vec![
@@ -161,16 +161,37 @@ fn form(e: &ExprPat) -> usize {
     }
 }
 
-#[test]
-fn witness_lint_matches_the_encoder() {
-    // CL011 must fire for exactly the witness expressions the checker's
-    // encoder refuses, so the lint gate and `fwd_witness` cannot drift.
-    let forms = expression_forms();
-    let mut seen: Vec<usize> = forms.iter().map(form).collect();
+/// One left-hand side of every `LhsPat` form, numbered as `form`
+/// numbers expressions.
+fn lhs_forms() -> Vec<LhsPat> {
+    let forms = vec![
+        LhsPat::Var(VarPat::pat("X")),
+        LhsPat::Deref(VarPat::pat("X")),
+        LhsPat::Any,
+    ];
+    let mut seen: Vec<usize> = forms
+        .iter()
+        .map(|l| match l {
+            LhsPat::Var(_) => 0,
+            LhsPat::Deref(_) => 1,
+            LhsPat::Any => 2,
+        })
+        .collect();
     seen.sort_unstable();
-    assert_eq!(seen, (0..8).collect::<Vec<_>>(), "one example per form");
+    assert_eq!(seen, [0, 1, 2], "one example per form");
+    forms
+}
+
+/// Runs the rule `stmt(Y := A + B) followed by !mayDef(Y) && !mayDef(A)
+/// && !mayDef(B) until X := E => to with witness w` through the
+/// structural lint and the encoder: whether lint reported `code`, the
+/// lint errors if there are any, and what the encoder said.
+fn lint_and_encode(
+    to: StmtPat,
+    witness: ForwardWitness,
+    code: &str,
+) -> (bool, Option<String>, Result<(), VerifyError>) {
     let env = LabelEnv::standard();
-    let meanings = SemanticMeanings::standard();
     let not_def = |v: &str| {
         Guard::Not(Box::new(Guard::Label(
             "mayDef".into(),
@@ -184,44 +205,82 @@ fn witness_lint_matches_the_encoder() {
             BasePat::Var(VarPat::pat("B")),
         ],
     );
+    let rule = Optimization::new(
+        "probe",
+        TransformPattern {
+            direction: Direction::Forward,
+            guard: GuardSpec::Region(RegionGuard {
+                psi1: Guard::Stmt(StmtPat::Assign(LhsPat::Var(VarPat::pat("Y")), add)),
+                psi2: Guard::And(vec![not_def("Y"), not_def("A"), not_def("B")]),
+            }),
+            from: StmtPat::assign_pats("X", "E"),
+            to,
+            where_clause: Guard::True,
+            witness: Witness::Forward(witness),
+        },
+    );
+    let diags = cobalt_lint::lint_optimization(
+        &rule,
+        &cobalt_lint::LintContext::new(&env),
+        &cobalt_lint::RuleLintOptions::structural(),
+    );
+    let encoded = cobalt_verify::obligations_for_optimization_with(
+        &rule,
+        &env,
+        &SemanticMeanings::standard(),
+        Default::default(),
+    );
+    let linted = diags.iter().any(|d| d.code == code);
+    let errors = diags.has_errors().then(|| diags.render_human());
+    (linted, errors, encoded.map(drop))
+}
+
+#[test]
+fn witness_lint_matches_the_encoder() {
+    // CL011 must fire for exactly the witness expressions the checker's
+    // encoder refuses, so the lint gate and `fwd_witness` cannot drift.
+    let forms = expression_forms();
+    let mut seen: Vec<usize> = forms.iter().map(form).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..8).collect::<Vec<_>>(), "one example per form");
     for e in forms {
-        let rule = Optimization::new(
-            "witness_form",
-            TransformPattern {
-                direction: Direction::Forward,
-                guard: GuardSpec::Region(RegionGuard {
-                    psi1: Guard::Stmt(StmtPat::Assign(LhsPat::Var(VarPat::pat("Y")), add.clone())),
-                    psi2: Guard::And(vec![not_def("Y"), not_def("A"), not_def("B")]),
-                }),
-                from: StmtPat::assign_pats("X", "E"),
-                to: StmtPat::assign_pats("X", "E"),
-                where_clause: Guard::True,
-                witness: Witness::Forward(ForwardWitness::VarEqExpr(VarPat::pat("Y"), e.clone())),
-            },
-        );
-        let diags = cobalt_lint::lint_optimization(
-            &rule,
-            &cobalt_lint::LintContext::new(&env),
-            &cobalt_lint::RuleLintOptions::structural(),
-        );
-        let linted = diags.iter().any(|d| d.code == "CL011");
-        assert!(
-            !diags.has_errors() || linted,
-            "{e}: {}",
-            diags.render_human()
-        );
-        let encoded = cobalt_verify::obligations_for_optimization_with(
-            &rule,
-            &env,
-            &meanings,
-            Default::default(),
-        );
+        let witness = ForwardWitness::VarEqExpr(VarPat::pat("Y"), e.clone());
+        let (linted, errors, encoded) =
+            lint_and_encode(StmtPat::assign_pats("X", "E"), witness, "CL011");
+        assert!(errors.is_none() || linted, "{e}: {errors:?}");
         match encoded {
-            Ok(_) => assert!(!linted, "{e}: CL011 on a witness the checker encodes"),
+            Ok(()) => assert!(!linted, "{e}: CL011 on a witness the checker encodes"),
             Err(VerifyError::Unsupported(m)) if m.contains("witness expression form") => {
                 assert!(linted, "{e}: the checker refuses a witness lint passes")
             }
             Err(other) => panic!("{e}: {other}"),
         }
     }
+}
+
+#[test]
+fn template_lint_matches_the_encoder() {
+    // CL012 must fire for exactly the rewrite templates the checker
+    // refuses, so the lint gate and the encoder cannot drift. A
+    // template the encoder refuses for another reason (a wildcard) is
+    // caught by another lint.
+    let mut refused = 0;
+    for lhs in lhs_forms() {
+        for e in expression_forms() {
+            let to = StmtPat::Assign(lhs.clone(), e);
+            let (linted, errors, encoded) =
+                lint_and_encode(to.clone(), ForwardWitness::True, "CL012");
+            match encoded {
+                Ok(()) => assert!(!linted, "{to}: CL012 on a template the checker encodes"),
+                Err(VerifyError::Unsupported(m)) if m.ends_with("in rewrite template") => {
+                    assert!(linted, "{to}: the checker refuses a template lint passes");
+                    refused += 1;
+                }
+                Err(other) => assert!(!linted && errors.is_some(), "{to}: {other}: {errors:?}"),
+            }
+        }
+    }
+    // Every pointer store, and a dereference and an operator
+    // application under each other left-hand side.
+    assert_eq!(refused, 8 + 2 * 2, "refused templates");
 }

@@ -121,10 +121,12 @@ fi
 # Rules read the IL's tokens: a statement pattern may use any IL
 # operator, here `!=`, and the rule lints clean. Its witness names the
 # expression through `E`: the checker cannot encode `eta(A != B)`, and
-# lint says so with CL011 (exit 4).
+# lint says so with CL011 (exit 4). Its template is a variable: the
+# checker cannot prove a template that applies an operator, and lint
+# says so with CL012 (exit 4).
 ne_cob=$(mktemp /tmp/cobalt_lint_ne_XXXXXX.cob)
 ne_rule() {
-    printf 'forward ne_prop {\n    %s\n    followed by !mayDef(Y) && !mayDef(A) && !mayDef(B)\n    until X := Y => X := A != B\n    with witness %s\n}\n' "$1" "$2"
+    printf 'forward ne_cse {\n    %s\n    followed by !mayDef(Y) && !mayDef(A) && !mayDef(B)\n    until X := A != B => X := Y\n    with witness %s\n}\n' "$1" "$2"
 }
 ne_rule 'stmt(Y := E) && stmt(Y := A != B)' 'eta(Y) == eta(E)' >"$ne_cob"
 set +e
@@ -139,9 +141,17 @@ set +e
 out=$("$COBALT" lint "$ne_cob" 2>/dev/null)
 code=$?
 set -e
-rm -f "$ne_cob"
 if [[ $code -ne 4 || "$out" != *CL011* ]]; then
-    echo "lint: witness \`eta(A != B)\` exited $code (want 4, naming CL011)"; exit 1
+    echo "lint: witness \`eta(A != B)\` exited $code (want 4, naming CL011)"; rm -f "$ne_cob"; exit 1
+fi
+printf 'local ne { rewrite X := A != B => X := B != A }\n' >"$ne_cob"
+set +e
+out=$("$COBALT" lint "$ne_cob" 2>/dev/null)
+code=$?
+set -e
+rm -f "$ne_cob"
+if [[ $code -ne 4 || "$out" != *CL012* ]]; then
+    echo "lint: template \`X := B != A\` exited $code (want 4, naming CL012)"; exit 1
 fi
 
 # An injected lint fault must surface as CL000 and fail the run.
@@ -591,11 +601,11 @@ fi
 # The search itself, not only its verdicts: every obligation gets a
 # fresh solver, so these counts do not depend on the seed, and a speed
 # change that moves a split, an instance or a branch fails here. The
-# one escalation (the section-6 rule's F2/decl, which resumes at tier 1
-# where tier 0 stopped) stays under test through the attempt counts.
-for want in "verify.obligations = 269" "verify.attempts = 270" "verify.escalations = 1" \
-    "logic.calls = 270" "logic.splits = 3921" "logic.instances = 10383" \
-    "logic.branches = 4013"; do
+# default retry policy is one tier, so each obligation is one attempt
+# and nothing escalates.
+for want in "verify.obligations = 269" "verify.attempts = 269" "verify.escalations = 0" \
+    "logic.calls = 269" "logic.splits = 3420" "logic.instances = 7893" \
+    "logic.branches = 3515"; do
     if ! grep -qx "metric $want count" <<<"$smoke"; then
         echo "perf: verify_registry smoke: want $want, got:"
         grep -E '^metric (verify\.(obligations|attempts|escalations)|logic\.(calls|splits|instances|branches)) ' <<<"$smoke"
