@@ -40,6 +40,18 @@ pub enum ForwardWitness {
 }
 
 impl ForwardWitness {
+    /// The expressions `E` of this witness's `η(X) = η(E)` conjuncts that
+    /// the checker cannot encode, in order: it encodes `E` only as a
+    /// pattern variable, a variable, a constant, `&x` or `*p`.
+    pub fn unencodable_exprs(&self) -> Vec<&ExprPat> {
+        use ExprPat::{Any, Fold, Op};
+        match self {
+            ForwardWitness::VarEqExpr(_, e @ (Any | Op(..) | Fold(_))) => vec![e],
+            ForwardWitness::And(ws) => ws.iter().flat_map(Self::unencodable_exprs).collect(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Appends every pattern-variable occurrence, in order.
     pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
         match self {

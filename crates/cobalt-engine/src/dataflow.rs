@@ -19,9 +19,9 @@
 //! fact is a bitset over those indices, and the sets of all nodes share
 //! one flat buffer per kind, so a sweep allocates nothing: merge is a
 //! word-wise AND and the flow function is `(in ∧ holds[ι]) ∨ sols[ι]`.
-//! The public functions convert each fact to a [`FactSet`] once, when
-//! they return; the engine's legal-site and labelling loops read the
-//! bitsets directly, in ascending (canonical) order.
+//! The engine's legal-site and labelling loops read the bitsets
+//! directly, in ascending (canonical) order; the public functions convert
+//! the same facts to [`FactSet`]s once, when they return.
 //!
 //! `ψ2` is evaluated on demand: at node `ι` only for the substitutions
 //! in `ι`'s incoming fact, each the first time it arrives, in ascending
@@ -44,15 +44,15 @@
 //!
 //! # Governance
 //!
-//! Both fixpoints are metered: the `*_metered` variants spend one
-//! [`Meter`] step per node visit (`ψ2` runs inside the metered sweep, so
-//! deadlines and cancellation are observed between visits) and return
-//! [`EngineError::ResourceLimited`] when the engine's [`Budget`] is
-//! exhausted. The unmetered names keep the pre-budget signatures (an
-//! unlimited meter). The `engine.fixpoint` fault point fires at fixpoint
-//! entry and `engine.merge` at each merge-point intersection, so
-//! degradation paths are testable deterministically (`COBALT_FAULTS`
-//! grammar, DESIGN.md §8).
+//! Both fixpoints spend one [`Meter`] step per node visit (`ψ2` runs
+//! inside the metered sweep, so deadlines and cancellation are observed
+//! between visits) and return [`EngineError::ResourceLimited`] when the
+//! meter's [`Budget`] is exhausted. The engine passes a meter of its
+//! budget; the public functions, views for tests, an unlimited one. The
+//! site-fact meet is one unmetered sweep. The `engine.fixpoint` fault
+//! point fires at fixpoint entry and `engine.merge` at each merge-point
+//! intersection, so degradation paths are testable deterministically
+//! (`COBALT_FAULTS` grammar, DESIGN.md §8).
 
 use crate::analyzed::AnalyzedProc;
 use crate::error::EngineError;
@@ -85,26 +85,11 @@ pub fn forward_in_facts(
     env: &LabelEnv,
     guard: &RegionGuard,
 ) -> Result<Vec<FactSet>, EngineError> {
-    forward_in_facts_metered(ap, env, guard, &mut Budget::unlimited().meter())
+    let ins = forward_in(ap, env, guard, &mut Budget::unlimited().meter())?;
+    Ok(ins.into_fact_sets(ap.proc.len()))
 }
 
-/// [`forward_in_facts`] under a budget: spends one meter step per node
-/// visit.
-///
-/// # Errors
-///
-/// Propagates guard-evaluation errors;
-/// [`EngineError::ResourceLimited`] on budget exhaustion.
-pub fn forward_in_facts_metered(
-    ap: &AnalyzedProc,
-    env: &LabelEnv,
-    guard: &RegionGuard,
-    meter: &mut Meter,
-) -> Result<Vec<FactSet>, EngineError> {
-    Ok(forward_in(ap, env, guard, meter)?.into_fact_sets(ap.proc.len()))
-}
-
-/// [`forward_in_facts_metered`] in dense form.
+/// [`forward_in_facts`] in dense form, under `meter`.
 pub(crate) fn forward_in(
     ap: &AnalyzedProc,
     env: &LabelEnv,
@@ -160,26 +145,28 @@ pub fn backward_cont_facts(
     env: &LabelEnv,
     guard: &RegionGuard,
 ) -> Result<Vec<FactSet>, EngineError> {
-    backward_cont_facts_metered(ap, env, guard, &mut Budget::unlimited().meter())
+    let cont = backward_cont(ap, env, guard, &mut Budget::unlimited().meter())?;
+    Ok(cont.into_fact_sets(ap.proc.len()))
 }
 
-/// [`backward_cont_facts`] under a budget: spends one meter step per
-/// node visit.
+/// Computes, for each node `ι`, the *transformable* facts of a backward
+/// region guard, those [`Engine::legal_sites`](crate::Engine::legal_sites)
+/// reads: `θ` is valid at `ι` iff it is in every successor's
+/// continuation fact.
 ///
 /// # Errors
 ///
-/// Propagates guard-evaluation errors;
-/// [`EngineError::ResourceLimited`] on budget exhaustion.
-pub fn backward_cont_facts_metered(
+/// Propagates guard-evaluation errors.
+pub fn backward_site_facts(
     ap: &AnalyzedProc,
     env: &LabelEnv,
     guard: &RegionGuard,
-    meter: &mut Meter,
 ) -> Result<Vec<FactSet>, EngineError> {
-    Ok(backward_cont(ap, env, guard, meter)?.into_fact_sets(ap.proc.len()))
+    let cont = backward_cont(ap, env, guard, &mut Budget::unlimited().meter())?;
+    Ok(cont.into_site_facts(ap).into_fact_sets(ap.proc.len()))
 }
 
-/// [`backward_cont_facts_metered`] in dense form.
+/// [`backward_cont_facts`] in dense form, under `meter`.
 pub(crate) fn backward_cont(
     ap: &AnalyzedProc,
     env: &LabelEnv,
@@ -216,30 +203,6 @@ pub(crate) fn backward_cont(
         universe: locals.universe,
         facts,
     })
-}
-
-/// Derives the per-node *transformable* facts from backward
-/// continuation facts: `θ` is valid at `ι` iff it is in every
-/// successor's continuation fact.
-pub fn backward_site_facts(ap: &AnalyzedProc, cont: &[FactSet]) -> Vec<FactSet> {
-    (0..ap.proc.len())
-        .map(|i| {
-            let succs = ap.cfg.successors(i);
-            if succs.is_empty() {
-                FactSet::default()
-            } else {
-                intersect_over(succs.iter().map(|&s| &cont[s]))
-            }
-        })
-        .collect()
-}
-
-fn intersect_over<'a>(mut sets: impl Iterator<Item = &'a FactSet>) -> FactSet {
-    let first = match sets.next() {
-        Some(s) => s.clone(),
-        None => return FactSet::default(),
-    };
-    sets.fold(first, |acc, s| acc.intersection(s).cloned().collect())
 }
 
 /// One bitset per node over a universe of substitution indices (the
@@ -598,8 +561,7 @@ mod tests {
             "proc main(x) { decl y; y := 5; y := x; return y; }",
         );
         let env = LabelEnv::standard();
-        let cont = backward_cont_facts(&ap, &env, &dae_guard()).unwrap();
-        let sites = backward_site_facts(&ap, &cont);
+        let sites = backward_site_facts(&ap, &env, &dae_guard()).unwrap();
         // At node 1 (y := 5) the substitution [X ↦ y] must be valid.
         assert!(
             sites[1].iter().any(|t| t.to_string() == "[X ↦ y]"),
@@ -616,8 +578,7 @@ mod tests {
             "proc main(x) { decl y; y := 5; z := y; y := x; return y; }",
         );
         let env = LabelEnv::standard();
-        let cont = backward_cont_facts(&ap, &env, &dae_guard()).unwrap();
-        let sites = backward_site_facts(&ap, &cont);
+        let sites = backward_site_facts(&ap, &env, &dae_guard()).unwrap();
         // z := y uses y, so y := 5 is not dead.
         assert!(sites[1].iter().all(|t| t.to_string() != "[X ↦ y]"));
         // But z := y itself is dead (z never used afterwards).
@@ -628,8 +589,7 @@ mod tests {
     fn backward_return_enables_everything_unused() {
         let ap = analyzed("proc main(x) { y := 7; return x; }");
         let env = LabelEnv::standard();
-        let cont = backward_cont_facts(&ap, &env, &dae_guard()).unwrap();
-        let sites = backward_site_facts(&ap, &cont);
+        let sites = backward_site_facts(&ap, &env, &dae_guard()).unwrap();
         // y := 7 is dead because return x doesn't use y.
         assert!(sites[0].iter().any(|t| t.to_string() == "[X ↦ y]"));
         // x is used by the return: not in the fact.

@@ -130,8 +130,9 @@ impl Engine {
     }
 
     /// Runs the full optimization on a prepared procedure: computes Δ,
-    /// filters through `choose`, and applies the selected rewrites.
-    /// Returns the transformed procedure and the sites applied.
+    /// filters through `choose`, and applies the selected rewrites with
+    /// [`apply_sites`](Self::apply_sites). Returns the transformed
+    /// procedure and the sites applied.
     ///
     /// If `choose` selects several sites at the same index, the first
     /// (in selection order) wins, matching the paper's nondeterministic
@@ -145,23 +146,10 @@ impl Engine {
         ap: &AnalyzedProc,
         opt: &Optimization,
     ) -> Result<(Proc, Vec<MatchSite>), EngineError> {
-        let delta = self.legal_sites(ap, opt)?;
-        let selected = opt.choose.select(&delta, &ap.proc);
-        let mut stmts = ap.proc.stmts.clone();
-        let mut applied: Vec<MatchSite> = Vec::new();
-        for site in selected {
-            if applied.iter().any(|s| s.index == site.index) {
-                continue;
-            }
-            stmts[site.index] = opt.pattern.to.instantiate(&site.subst)?;
-            applied.push(site);
-        }
-        let proc = Proc {
-            name: ap.proc.name.clone(),
-            param: ap.proc.param.clone(),
-            stmts,
-        };
-        Ok((proc, applied))
+        let mut applied = opt.choose.select(&self.legal_sites(ap, opt)?, &ap.proc);
+        let mut first = vec![true; ap.proc.len()];
+        applied.retain(|site| std::mem::take(&mut first[site.index]));
+        Ok((self.apply_sites(ap, opt, &applied)?, applied))
     }
 
     /// Runs a pure analysis, adding its label to every node whose guard
@@ -332,6 +320,31 @@ mod tests {
         assert_eq!(proc.stmts[1].to_string(), "c := a");
         let delta = engine.legal_sites(&ap, &const_prop()).unwrap();
         assert_eq!(delta.len(), 2);
+    }
+
+    #[test]
+    fn apply_keeps_the_first_chosen_site_per_index() {
+        // Two constants reach each `skip`, so each has two legal sites
+        // with different rewrites.
+        let fill = parse_optimization(
+            "forward fill {
+                stmt(Y := C)
+                followed by !mayDef(Y)
+                until skip => Y := C
+                with witness eta(Y) == C
+            }",
+        )
+        .unwrap();
+        let engine = Engine::new(LabelEnv::standard());
+        let ap = prep("proc main(x) { a := 2; b := 3; skip; skip; return a; }");
+        let delta = engine.legal_sites(&ap, &fill).unwrap();
+        let at: Vec<usize> = delta.iter().map(|s| s.index).collect();
+        assert_eq!(at, [2, 2, 3, 3]);
+        let twice = fill.with_choose(|sites, _| sites.iter().rev().chain(sites).cloned().collect());
+        let (proc, applied) = engine.apply(&ap, &twice).unwrap();
+        assert_eq!(applied, [delta[3].clone(), delta[1].clone()]);
+        assert_eq!(proc.stmts[2].to_string(), "b := 3");
+        assert_eq!(proc.stmts[3].to_string(), "b := 3");
     }
 
     #[test]

@@ -74,10 +74,7 @@ pub mod recursive;
 pub mod session;
 
 pub use analyzed::AnalyzedProc;
-pub use dataflow::{
-    backward_cont_facts, backward_cont_facts_metered, backward_site_facts, forward_in_facts,
-    forward_in_facts_metered, FactSet,
-};
+pub use dataflow::{backward_cont_facts, backward_site_facts, forward_in_facts, FactSet};
 pub use engine::Engine;
 pub use recursive::apply_recursive;
 pub use error::EngineError;

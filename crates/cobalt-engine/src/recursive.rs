@@ -27,6 +27,7 @@
 //! this reproduction, on the differential property tests.
 
 use crate::analyzed::AnalyzedProc;
+use crate::dataflow::{backward_cont, forward_in};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use cobalt_dsl::{MatchSite, Optimization};
@@ -40,6 +41,9 @@ use cobalt_il::Proc;
 /// [`Engine::apply`] to a fixpoint; for cyclic dependencies (mutually
 /// dead assignments) it removes strictly more.
 ///
+/// Each call spends a [fork](cobalt_support::budget::Budget::fork) of
+/// the engine's budget: a step cap bounds each procedure, as in a session.
+///
 /// # Errors
 ///
 /// Propagates engine errors.
@@ -48,6 +52,7 @@ pub fn apply_recursive(
     proc: &Proc,
     opt: &Optimization,
 ) -> Result<(Proc, Vec<MatchSite>), EngineError> {
+    let engine = &engine.clone().with_budget(engine.budget().fork());
     // All syntactic candidates.
     let candidates: Vec<MatchSite> = {
         let ap = AnalyzedProc::new(proc.clone())?;
@@ -97,21 +102,15 @@ pub fn apply_recursive(
         let probe = AnalyzedProc::new(context)?.without_labels();
         let site_facts = match opt.pattern.direction {
             cobalt_dsl::Direction::Forward => {
-                crate::dataflow::forward_in_facts_metered(&probe, engine.env(), &region, &mut meter)?
+                forward_in(&probe, engine.env(), &region, &mut meter)?
             }
             cobalt_dsl::Direction::Backward => {
-                let cont = crate::dataflow::backward_cont_facts_metered(
-                    &probe,
-                    engine.env(),
-                    &region,
-                    &mut meter,
-                )?;
-                crate::dataflow::backward_site_facts(&probe, &cont)
+                backward_cont(&probe, engine.env(), &region, &mut meter)?.into_site_facts(&probe)
             }
         };
         let mut next = Vec::new();
         for site in &candidates {
-            let compatible = site_facts[site.index].iter().any(|fact| {
+            let compatible = site_facts.at(site.index).any(|fact| {
                 let mut merged = site.subst.clone();
                 merged.merge(fact)
             });

@@ -30,15 +30,12 @@ pub struct RuleLintOptions {
     /// (CL008). Off in the checker's fast pre-verification gate, on in
     /// `cobalt lint`.
     pub vacuous_check: bool,
-    /// Wall-clock budget for one CL008 quick-check.
-    pub vacuous_deadline: Duration,
 }
 
 impl Default for RuleLintOptions {
     fn default() -> Self {
         RuleLintOptions {
             vacuous_check: true,
-            vacuous_deadline: Duration::from_millis(50),
         }
     }
 }
@@ -48,7 +45,6 @@ impl RuleLintOptions {
     pub fn structural() -> Self {
         RuleLintOptions {
             vacuous_check: false,
-            ..RuleLintOptions::default()
         }
     }
 }
@@ -117,26 +113,6 @@ fn stmt_pat_has_wildcard(sp: &StmtPat) -> bool {
 /// any concrete statement ([`ExprPat::Fold`] is template-only).
 fn stmt_pat_has_fold(sp: &StmtPat) -> bool {
     matches!(sp, StmtPat::Assign(_, ExprPat::Fold(_)))
-}
-
-/// Whether the checker can encode a forward witness `eta(X) == eta(E)`
-/// with this `E`: a pattern variable, a variable, a constant, `&x` or
-/// `*p`, the forms `cobalt-verify`'s `fwd_witness` encodes.
-fn witness_expr_encodable(e: &ExprPat) -> bool {
-    match e {
-        ExprPat::Pat(_) | ExprPat::Base(_) | ExprPat::AddrOf(_) | ExprPat::Deref(_) => true,
-        ExprPat::Any | ExprPat::Op(..) | ExprPat::Fold(_) => false,
-    }
-}
-
-/// The expressions of a forward witness's `eta(X) == eta(E)` conjuncts
-/// that the checker cannot encode, in order.
-fn unencodable_witness_exprs<'w>(w: &'w ForwardWitness, out: &mut Vec<&'w ExprPat>) {
-    match w {
-        ForwardWitness::VarEqExpr(_, e) if !witness_expr_encodable(e) => out.push(e),
-        ForwardWitness::And(ws) => ws.iter().for_each(|w| unencodable_witness_exprs(w, out)),
-        _ => {}
-    }
 }
 
 /// Sorts the guard's variables by how `Guard::solve` binds them.
@@ -522,11 +498,7 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
     }
 
     // CL011: witness expressions the checker cannot encode.
-    let mut unencodable = Vec::new();
-    if let Some(w) = parts.forward_witness {
-        unencodable_witness_exprs(w, &mut unencodable);
-    }
-    for e in unencodable {
+    for e in parts.forward_witness.iter().flat_map(|w| w.unencodable_exprs()) {
         diags.push(
             Diagnostic::error(
                 "CL011",
@@ -565,8 +537,10 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
 
     // CL008: budgeted propositional-contradiction quick-check.
     if opts.vacuous_check {
+        // Wall-clock budget for one quick-check.
+        const DEADLINE: Duration = Duration::from_millis(50);
         for (part, g) in &parts.guards {
-            if vacuous::is_propositionally_vacuous(g, opts.vacuous_deadline) {
+            if vacuous::is_propositionally_vacuous(g, DEADLINE) {
                 diags.push(
                     Diagnostic::warning(
                         "CL008",
@@ -703,7 +677,6 @@ mod tests {
         VarPat, Witness,
     };
     use cobalt_dsl::{ForwardWitness, StmtPat};
-    use std::time::Duration;
 
     fn env() -> LabelEnv {
         LabelEnv::standard()
@@ -1081,11 +1054,7 @@ mod tests {
             Witness::Forward(ForwardWitness::True),
         );
         let e = env();
-        let lint_opts = RuleLintOptions {
-            vacuous_check: true,
-            vacuous_deadline: Duration::from_millis(200),
-        };
-        let diags = lint_optimization(&rule, &LintContext::new(&e), &lint_opts);
+        let diags = lint_optimization(&rule, &LintContext::new(&e), &RuleLintOptions::default());
         assert!(codes(&diags).contains(&"CL008"), "{}", diags.render_human());
 
         // The structural gate skips the solver entirely.

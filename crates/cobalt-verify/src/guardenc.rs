@@ -687,6 +687,9 @@ impl Enc<'_> {
                         self.extra.push(Formula::Eq(ev, target));
                         Formula::and([Formula::Holds(il), Formula::Eq(vx, target)])
                     }
+                    // A rule's own witness is refused up front
+                    // (`ForwardWitness::unencodable_exprs`); a registered
+                    // semantic-label meaning is not.
                     other => {
                         return Err(VerifyError::Unsupported(format!(
                             "witness expression form `{other}`"

@@ -189,6 +189,16 @@ fn witness_taint_vars(w: &ForwardWitness, bind: &Bind) -> Vec<TermId> {
     }
 }
 
+/// Refuses a witness the encoder cannot encode (lint's CL011).
+fn check_witness_encodable(w: &ForwardWitness) -> Result<(), VerifyError> {
+    match w.unencodable_exprs().first() {
+        Some(e) => Err(VerifyError::Unsupported(format!(
+            "witness expression form `{e}`"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Builds the obligations of an optimization under the given
 /// [`BankMode`].
 ///
@@ -207,6 +217,9 @@ pub fn obligations_for_optimization_with(
         return Err(VerifyError::Unsupported(format!(
             "{violation} in rewrite template"
         )));
+    }
+    if let Witness::Forward(w) = &pat.witness {
+        check_witness_encodable(w)?;
     }
     let kinds = vocab::of_optimization(opt)?;
     let mut specs = Vec::new();
@@ -276,6 +289,7 @@ pub fn obligations_for_analysis_with(
     meanings: &SemanticMeanings,
     mode: BankMode,
 ) -> Result<Vec<Prepared>, VerifyError> {
+    check_witness_encodable(&analysis.witness)?;
     let kinds = vocab::of_analysis(analysis)?;
     let RegionGuard { psi1, psi2 } = &analysis.guard;
     let w = &analysis.witness;

@@ -425,6 +425,35 @@ if ! grep -q "journaling disabled" <<<"$out"; then
     echo "engine: journal-fault optimize did not report degradation:"; echo "$out"; exit 1
 fi
 
+# Recursive DAE (paper §5.2) removes a mutually-dead loop cycle that
+# plain DAE keeps, spends --max-steps per procedure, and when it runs
+# out keeps the program and names the skipped pass (exit 3).
+dead_cycle='proc main(x) { decl a; decl b; decl i; i := x; a := b + 1; b := a + 1; i := i - 1; if i goto 4 else 8; return x; }'
+rdae_prog=$(mktemp /tmp/cobalt_rdae_XXXXXX.il)
+rdae_copies=$(mktemp /tmp/cobalt_rdae_copies_XXXXXX.il)
+echo "$dead_cycle" >"$rdae_prog"
+for name in main c1 c2 c3; do echo "${dead_cycle/main/$name}"; done >"$rdae_copies"
+set +e
+out=$("$COBALT" optimize "$rdae_prog" --recursive-dae --jobs 2 2>&1)
+"$COBALT" optimize "$rdae_copies" --recursive-dae --max-steps 120 >/dev/null 2>&1
+code_copies=$?
+short=$("$COBALT" optimize "$rdae_prog" --recursive-dae --max-steps 20 2>/dev/null)
+code_short=$?
+set -e
+rm -f "$rdae_prog" "$rdae_copies"
+if ! grep -qx '// note: +2 by recursive DAE' <<<"$out" || ! grep -qF '/* 4 */ skip;' <<<"$out" \
+    || ! grep -qF '/* 5 */ skip;' <<<"$out"; then
+    echo "engine: recursive DAE did not remove the dead cycle:"; echo "$out"; exit 1
+fi
+if [[ $code_copies -ne 0 ]]; then
+    echo "engine: recursive DAE on four procedures at --max-steps 120 exited $code_copies (want 0)"
+    exit 1
+fi
+if [[ $code_short -ne 3 ]] || ! grep -q '^proc main' <<<"$short"; then
+    echo "engine: recursive DAE at --max-steps 20 exited $code_short (want 3, program on stdout):"
+    echo "$short"; exit 1
+fi
+
 # Correctness smoke over the benchmark's 40-procedure corpus: the
 # traced replay labels before every pass and must print the session's
 # bytes, and the interpreter oracle checks refinement. The last line is

@@ -9,7 +9,7 @@
 //! journal or recursive-DAE notes.
 
 use cobalt::dsl::{parse_suite, LabelDef, LabelEnv, Suite};
-use cobalt::engine::{EngineError, OptimizeSession};
+use cobalt::engine::{EngineError, FailureKind, OptimizeSession, PassFailure};
 use cobalt::il::{parse_program, Interp};
 use cobalt::serve::exec::{self, ExecConfig, ExecResult, EXIT_RESOURCE_LIMITED};
 use cobalt::serve::{
@@ -389,7 +389,7 @@ fn cmd_optimize(args: &Args) -> Result<String, CliError> {
     if let Some((jpath, mode)) = journal {
         session = session.with_journal(jpath, mode);
     }
-    let (mut out, report) = exec::optimize(&mut session, &prog, &passes, rounds);
+    let (mut out, mut report) = exec::optimize(&mut session, &prog, &passes, rounds);
     session.finish();
     let mut notes = String::new();
     let loaded = session.load_report();
@@ -408,18 +408,24 @@ fn cmd_optimize(args: &Args) -> Result<String, CliError> {
         let dae = cobalt::opts::optimization("dae").expect("dae is in the registry");
         let mut extra = 0;
         for proc in out.procs.clone() {
-            // Budget exhaustion is exit 3 (inconclusive), anything else 1.
-            let (p, removed) =
-                cobalt::engine::apply_recursive(&engine, &proc, &dae).map_err(|e| CliError {
-                    code: match e {
-                        EngineError::ResourceLimited(_) => EXIT_RESOURCE_LIMITED,
-                        _ => 1,
+            // A procedure it fails on keeps the pipeline's text and is
+            // reported as a skipped pass (exit 3 for a resource limit).
+            match cobalt::engine::apply_recursive(&engine, &proc, &dae) {
+                Ok((p, removed)) => {
+                    extra += removed.len();
+                    out = out.with_proc_replaced(p);
+                }
+                Err(e) => report.failures.push(PassFailure {
+                    kind: match e {
+                        EngineError::ResourceLimited(_) => FailureKind::ResourceLimited,
+                        _ => FailureKind::Error,
                     },
-                    msg: e.to_string(),
-                    out: None,
-                })?;
-            extra += removed.len();
-            out = out.with_proc_replaced(p);
+                    proc: proc.name.to_string(),
+                    pass: "recursive:dae".into(),
+                    round: 0,
+                    reason: e.to_string(),
+                }),
+            }
         }
         if extra > 0 {
             notes.push_str(&format!("// note: +{extra} by recursive DAE\n"));
@@ -915,14 +921,13 @@ proc main(x) {
         std::fs::remove_file(p).ok();
     }
 
+    /// A mutually-dead cycle: `a` and `b` only feed each other.
+    const DEAD_CYCLE: &str = "proc main(x) { decl a; decl b; decl i; i := x; a := b + 1; \
+                              b := a + 1; i := i - 1; if i goto 4 else 8; return x; }";
+
     #[test]
     fn optimize_recursive_dae_runs_whatever_other_flags() {
-        // A mutually-dead cycle: `a` and `b` only feed each other.
-        let p = write_tmp(
-            "opt_rdae.il",
-            "proc main(x) { decl a; decl b; decl i; i := x; a := b + 1; b := a + 1; \
-             i := i - 1; if i goto 4 else 8; return x; }",
-        );
+        let p = write_tmp("opt_rdae.il", DEAD_CYCLE);
         let out = run_cli(&[
             "optimize".into(),
             p.clone(),
@@ -934,6 +939,45 @@ proc main(x) {
         assert!(out.starts_with("// note: +2 by recursive DAE\n"), "{out}");
         assert!(out.contains("/* 4 */ skip;"), "{out}");
         assert!(out.contains("/* 5 */ skip;"), "{out}");
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn optimize_recursive_dae_caps_steps_per_procedure() {
+        // Four copies of the cycle: each procedure fits the cap alone.
+        let copies: Vec<String> = ["main", "c1", "c2", "c3"]
+            .iter()
+            .map(|name| DEAD_CYCLE.replace("main", name))
+            .collect();
+        let p = write_tmp("opt_rdae_cap.il", &copies.join("\n"));
+        let out = run_cli(&[
+            "optimize".into(),
+            p.clone(),
+            "--recursive-dae".into(),
+            "--max-steps".into(),
+            "120".into(),
+        ])
+        .unwrap();
+        assert!(out.starts_with("// note: +8 by recursive DAE\n"), "{out}");
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn optimize_recursive_dae_out_of_steps_prints_the_program() {
+        let p = write_tmp("opt_rdae_ms.il", DEAD_CYCLE);
+        let err = run_cli(&[
+            "optimize".into(),
+            p.clone(),
+            "--recursive-dae".into(),
+            "--max-steps".into(),
+            "20".into(),
+        ])
+        .unwrap_err();
+        assert_eq!(err.code, EXIT_RESOURCE_LIMITED, "{}", err.msg);
+        let out = err.out.expect("a resource-limited run prints the program");
+        assert!(out.contains("proc main"), "{out}");
+        let skipped = "// skipped: main: pass `recursive:dae`";
+        assert!(out.contains(skipped), "{out}");
         std::fs::remove_file(p).ok();
     }
 

@@ -8,7 +8,9 @@
 //! the same facts for every region guard of the registry — the sound
 //! optimizations, the §6 buggy one and the pure analyses — on the
 //! example programs and on generated procedures, each also with its
-//! branches rewired backward so that the property sees loops.
+//! branches rewired backward so that the property sees loops. For a
+//! backward guard the check covers the continuation facts and the site
+//! facts, the meet over successors that `Engine::legal_sites` reads.
 
 use cobalt::dsl::{Direction, GuardSpec, LabelEnv, LabelInst, PureAnalysis, RegionGuard, Subst};
 use cobalt::engine::{
@@ -204,9 +206,11 @@ fn check(proc: &Proc) -> Result<usize, String> {
                 let want = reference_backward(&masked, &env, &guard);
                 let got = backward_cont_facts(&masked, &env, &guard).map_err(|e| e.to_string())?;
                 same(&format!("{what} (continuation)"), &got, &want)?;
+                let sites =
+                    backward_site_facts(&masked, &env, &guard).map_err(|e| e.to_string())?;
                 same(
                     &format!("{what} (sites)"),
-                    &backward_site_facts(&masked, &got),
+                    &sites,
                     &reference_sites(&masked, &want),
                 )?;
                 found += want.iter().map(|f| f.len()).sum::<usize>();
