@@ -28,7 +28,8 @@
 //! fingerprint** matches: an FNV-64 hash over the input procedure's
 //! pretty-printed body, every pure analysis and optimization of the
 //! pipeline (their full `Debug` AST renderings, in order), the round
-//! cap, and the budget's step cap. Any semantic change to what the
+//! cap, the budget's step cap, and the self-composed rule's `Debug`
+//! rendering when there is one. Any semantic change to what the
 //! pipeline would compute invalidates the entry. The wall-clock
 //! deadline is deliberately *not* an input: it bounds a run, not a
 //! result — a procedure optimized under one deadline is byte-identical
@@ -53,6 +54,7 @@
 use crate::analyzed::AnalyzedProc;
 use crate::engine::Engine;
 use crate::error::EngineError;
+use crate::recursive::apply_recursive;
 use cobalt_dsl::{Optimization, PureAnalysis};
 use cobalt_il::{parse_program, pretty_proc, Proc, Program};
 use cobalt_support::fault;
@@ -235,7 +237,8 @@ const FINGERPRINT_VERSION: &str = "cobalt-engine-fp-v2";
 ///
 /// Inputs: the fingerprint version, the pretty-printed input procedure,
 /// the `Debug` rendering of every pure analysis and optimization (in
-/// pipeline order), `max_rounds`, and the budget step cap. Nothing
+/// pipeline order), `max_rounds`, the budget step cap, and the
+/// self-composed rule's `Debug` rendering when there is one. Nothing
 /// run-relative (deadline, jobs, paths).
 pub fn fingerprint_proc(
     proc: &Proc,
@@ -243,6 +246,7 @@ pub fn fingerprint_proc(
     opts: &[Optimization],
     max_rounds: usize,
     max_steps: Option<u64>,
+    recursive: Option<&Optimization>,
 ) -> u64 {
     let mut h = Fnv64::new();
     h.write(FINGERPRINT_VERSION.as_bytes()).write(b"\0");
@@ -255,6 +259,10 @@ pub fn fingerprint_proc(
         h.write(format!("{o:?}").as_bytes()).write(b"\0");
     }
     h.write(format!("rounds={max_rounds};steps={max_steps:?}").as_bytes());
+    if let Some(rule) = recursive {
+        h.write(b"\0recursive\0")
+            .write(format!("{rule:?}").as_bytes());
+    }
     h.finish()
 }
 
@@ -310,6 +318,8 @@ impl Record for JournalEntry {
 pub struct OptimizeSession {
     engine: Engine,
     jobs: usize,
+    /// The rule composed with itself after each procedure's pipeline.
+    recursive: Option<Optimization>,
     /// The fixpoint journal; `None` for a session without one.
     store: Option<Store<JournalEntry>>,
     /// Fingerprints of this session's outcomes (replayed and fresh, in
@@ -325,6 +335,7 @@ impl OptimizeSession {
         OptimizeSession {
             engine,
             jobs: 1,
+            recursive: None,
             store: None,
             session_fps: Vec::new(),
         }
@@ -336,6 +347,16 @@ impl OptimizeSession {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> OptimizeSession {
         self.jobs = jobs.max(1);
+        self
+    }
+
+    /// Ends each procedure's pipeline by composing `opt` with itself
+    /// ([`apply_recursive`], paper §5.2), isolated like a pass: each
+    /// removed site is a rewrite, and a failure is pass
+    /// `recursive:<name>` in round 0.
+    #[must_use]
+    pub fn with_recursive(mut self, opt: Optimization) -> OptimizeSession {
+        self.recursive = Some(opt);
         self
     }
 
@@ -400,7 +421,7 @@ impl OptimizeSession {
         // deterministic.
         let mut fp_slots: Vec<Option<u64>> = vec![None; n];
 
-        let max_steps = self.engine.budget().max_steps();
+        let (max_steps, recursive) = (self.engine.budget().max_steps(), self.recursive.as_ref());
         // Per procedure to optimize: its index, its fingerprint when
         // journaled, and the procedure.
         let mut tasks: Vec<(usize, Option<u64>, Proc)> = Vec::new();
@@ -409,7 +430,7 @@ impl OptimizeSession {
                 tasks.push((i, None, proc.clone()));
                 continue;
             };
-            let fp = fingerprint_proc(proc, analyses, opts, max_rounds, max_steps);
+            let fp = fingerprint_proc(proc, analyses, opts, max_rounds, max_steps, recursive);
             if let Some(replayed) = store.get(fp).and_then(|e| replay(proc, e)) {
                 out = out.with_proc_replaced(replayed.0);
                 report.absorb(replayed.1);
@@ -430,7 +451,7 @@ impl OptimizeSession {
                 tasks,
                 |_idx, (_, _, proc)| {
                     let worker = engine.clone().with_budget(engine.budget().fork());
-                    optimize_proc(&worker, proc, analyses, opts, max_rounds)
+                    optimize_proc(&worker, proc, analyses, opts, max_rounds, recursive)
                 },
                 |idx, result| {
                     let (i, fp, name) = &meta[idx];
@@ -524,12 +545,15 @@ fn replay(proc: &Proc, cached: &JournalEntry) -> Option<(Proc, PipelineReport)> 
 /// fails. Labelling is a pure function of the text and the live
 /// analyses, so reuse yields exactly the labels a fresh labelling
 /// would.
+/// A `recursive` rule then composes itself on the result
+/// ([`apply_recursive`], on its own budget fork), as a pass of round 0.
 fn optimize_proc(
     engine: &Engine,
     proc: &Proc,
     analyses: &[PureAnalysis],
     opts: &[Optimization],
     max_rounds: usize,
+    recursive: Option<&Optimization>,
 ) -> (Proc, PipelineReport) {
     let mut current = proc.clone();
     let mut report = PipelineReport::default();
@@ -628,6 +652,18 @@ fn optimize_proc(
             break;
         }
     }
+    if let Some(rule) = recursive {
+        match isolate(|| apply_recursive(engine, &current, rule)) {
+            Ok((composed, removed)) => {
+                report.applied += removed.len();
+                current = composed;
+            }
+            Err(reason) => {
+                let pass = format!("recursive:{}", rule.name);
+                fail(&mut report, &mut dead, pass, 0, reason);
+            }
+        }
+    }
     (current, report)
 }
 
@@ -700,11 +736,15 @@ mod tests {
     fn fingerprint_covers_pipeline_inputs() {
         let p = proc_of("proc main(x) { a := 2; return a; }");
         let q = proc_of("proc main(x) { a := 3; return a; }");
-        let base = fingerprint_proc(&p, &[], &[], 5, None);
-        assert_ne!(base, fingerprint_proc(&q, &[], &[], 5, None));
-        assert_ne!(base, fingerprint_proc(&p, &[], &[], 6, None));
-        assert_ne!(base, fingerprint_proc(&p, &[], &[], 5, Some(100)));
-        assert_eq!(base, fingerprint_proc(&p, &[], &[], 5, None));
+        let base = fingerprint_proc(&p, &[], &[], 5, None, None);
+        assert_ne!(base, fingerprint_proc(&q, &[], &[], 5, None, None));
+        assert_ne!(base, fingerprint_proc(&p, &[], &[], 6, None, None));
+        assert_ne!(base, fingerprint_proc(&p, &[], &[], 5, Some(100), None));
+        assert_ne!(
+            base,
+            fingerprint_proc(&p, &[], &[], 5, None, Some(&const_prop()))
+        );
+        assert_eq!(base, fingerprint_proc(&p, &[], &[], 5, None, None));
     }
 
     #[test]

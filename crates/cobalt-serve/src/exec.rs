@@ -43,7 +43,7 @@ pub const EXIT_RESOURCE_LIMITED: u8 = 3;
 /// Version tag mixed into every request fingerprint; bump on any
 /// change to the fingerprint inputs or the rendered output format so
 /// stale caches invalidate wholesale instead of aliasing.
-const FINGERPRINT_VERSION: &str = "cobalt-serve-fp-v2";
+const FINGERPRINT_VERSION: &str = "cobalt-serve-fp-v3";
 
 /// Per-request execution settings, fixed at daemon startup (requests
 /// choose *what* to run; the daemon's operator chooses the budgets it
@@ -219,10 +219,7 @@ fn execute_op(op: &RequestOp, cfg: &ExecConfig, cancel: &Cancel) -> Result<ExecR
             // Every rule's report budget observes the request token, so
             // a drain trip stands every rule's batch down.
             let rules = rules(suite.as_deref())?;
-            let verifier = Verifier::new(rules.label_env(), SemanticMeanings::standard())
-                .with_retry_policy(cfg.policy.clone())
-                .with_jobs(cfg.jobs)
-                .with_cancel(cancel.clone());
+            let verifier = verifier(&rules, cfg, cancel);
             verify(&mut Session::new(verifier), &rules, *include_buggy, Report::summary_stable)
         }
         RequestOp::Optimize {
@@ -260,13 +257,25 @@ pub fn rules(suite: Option<&str>) -> Result<Suite, ExecResult> {
     }
 }
 
+/// The verifier a verify request runs under: `rules`' labels in scope,
+/// the built-in [`SemanticMeanings::standard`] (the session adds the
+/// meaning of each analysis it proves), and `cfg`'s retry policy and
+/// jobs, observing — never tripping — `cancel`.
+pub fn verifier(rules: &Suite, cfg: &ExecConfig, cancel: &Cancel) -> Verifier {
+    Verifier::new(rules.label_env(), SemanticMeanings::standard())
+        .with_retry_policy(cfg.policy.clone())
+        .with_jobs(cfg.jobs)
+        .with_cancel(cancel.clone())
+}
+
 /// Proves every analysis and optimization of `rules`, plus the buggy
-/// §6 variants under `include_buggy`, rule by rule through `session`.
-/// Each report renders as `line(report)` followed by its `FAILED`
-/// obligations; the last line is the verdict sentence. Exit 0 when
-/// everything proved, 2 when an obligation genuinely failed (or a buggy
-/// variant proved), 3 when the failures were resource limits only, 1
-/// for a rule the checker refuses.
+/// §6 variants under `include_buggy`, rule by rule through `session`:
+/// the analyses first, so each one that proves lends its label's meaning
+/// to the rules after it. Each report renders as `line(report)`
+/// followed by its `FAILED` obligations; the last line is the verdict
+/// sentence. Exit 0 when everything proved, 2 when an obligation
+/// genuinely failed (or a buggy variant proved), 3 when the failures
+/// were resource limits only, 1 for a rule the checker refuses.
 pub fn verify(
     session: &mut Session,
     rules: &Suite,

@@ -230,7 +230,7 @@ impl Report {
 #[derive(Debug, Clone)]
 pub struct Verifier {
     env: LabelEnv,
-    meanings: SemanticMeanings,
+    pub(crate) meanings: SemanticMeanings,
     pub(crate) policy: RetryPolicy,
     pub(crate) jobs: usize,
     bank_mode: BankMode,
@@ -381,43 +381,6 @@ impl Verifier {
     pub fn verify_analysis(&self, analysis: &PureAnalysis) -> Result<Report, VerifyError> {
         let prepared = self.prepare_analysis(analysis)?;
         Ok(discharge(self, analysis.name.clone(), prepared, None).0)
-    }
-
-    /// Verifies a pure analysis and, on success, registers its label's
-    /// meaning so later optimizations may rely on it — the verified
-    /// counterpart of paper §2.4's "the witness provides the new
-    /// label's meaning".
-    ///
-    /// Returns the report; the meaning is registered only when every
-    /// obligation was proved, so an unverified analysis can never lend
-    /// its label to an optimization proof.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VerifyError`] if the analysis cannot be encoded, or if
-    /// its `defines` arguments are not plain pattern variables (the
-    /// only form a meaning can be parameterized by).
-    pub fn verify_and_register_analysis(
-        &mut self,
-        analysis: &PureAnalysis,
-    ) -> Result<Report, VerifyError> {
-        let report = self.verify_analysis(analysis)?;
-        if report.all_proved() {
-            let params: Vec<cobalt_dsl::PatVar> = analysis
-                .defines
-                .1
-                .iter()
-                .map(|a| match a {
-                    cobalt_dsl::LabelArgPat::Var(cobalt_dsl::VarPat::Pat(p)) => Ok(p.clone()),
-                    other => Err(VerifyError::Unsupported(format!(
-                        "label parameter `{other}` is not a pattern variable"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?;
-            self.meanings
-                .register(analysis.defines.0.clone(), params, analysis.witness.clone());
-        }
-        Ok(report)
     }
 
     /// Runs one obligation through the retry schedule starting at limit

@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, HashMap};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaintMode {
     /// Forward obligations: a semantic label stands for its (separately
-    /// verified) witness meaning.
+    /// verified) witness meaning; one without a meaning is refused.
     Semantic,
     /// Backward obligations: forward-analysis labels are unavailable
     /// (paper §4.1), so a semantic label is encoded as *false*.
@@ -59,33 +59,49 @@ pub enum TaintMode {
 /// The meanings of semantic labels: for each label name, its parameter
 /// list and the forward witness its defining analysis was verified
 /// against.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SemanticMeanings {
     map: HashMap<LabelName, (Vec<PatVar>, ForwardWitness)>,
 }
 
 impl SemanticMeanings {
-    /// No semantic labels: every unknown label is treated as absent.
-    pub fn none() -> Self {
-        SemanticMeanings::default()
-    }
-
     /// The standard meanings: `notTainted(X)` means `notPointedTo(X, η)`
-    /// (paper §2.4). Callers must verify the defining analysis before
-    /// relying on this (see `cobalt-opts`).
+    /// (paper §2.4), the witness of `cobalt-opts`' `taint` analysis,
+    /// which the standard `mayDef` and `mayUse` rely on. Callers must
+    /// verify that analysis before relying on this.
     pub fn standard() -> Self {
-        let mut m = SemanticMeanings::default();
-        m.register(
-            "notTainted".into(),
+        let taint = (
             vec!["X".into()],
             ForwardWitness::NotPointedTo(VarPat::pat("X")),
         );
-        m
+        SemanticMeanings {
+            map: HashMap::from([("notTainted".into(), taint)]),
+        }
     }
 
-    /// Registers the meaning of a semantic label.
-    pub fn register(&mut self, name: LabelName, params: Vec<PatVar>, witness: ForwardWitness) {
-        self.map.insert(name, (params, witness));
+    /// Registers the meaning of a semantic label; registering an equal
+    /// meaning again does nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::Unsupported`] naming the label when it already
+    /// has a different meaning, which it keeps.
+    pub fn register(
+        &mut self,
+        name: LabelName,
+        params: Vec<PatVar>,
+        witness: ForwardWitness,
+    ) -> Result<(), VerifyError> {
+        let meaning = (params, witness);
+        match self.map.get(&name) {
+            Some(held) if *held != meaning => Err(VerifyError::Unsupported(format!(
+                "semantic label `{name}` already has a different verified meaning"
+            ))),
+            _ => {
+                self.map.insert(name, meaning);
+                Ok(())
+            }
+        }
     }
 
     /// Looks up a meaning.

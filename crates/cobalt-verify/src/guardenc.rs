@@ -7,7 +7,9 @@
 //! (their `case` arms select on the shape's statement constructor), the
 //! syntactic primitives become equations between the shape's skolems
 //! and the pattern-variable constants, and semantic labels become their
-//! verified witness meanings.
+//! verified witness meanings. A forward obligation refuses a semantic
+//! label that has no meaning; a backward one reads every semantic label
+//! as false (footnote 5: backward rules see no forward-analysis labels).
 
 use crate::enc::{bound, ArgShape, Bind, Enc, RhsShape, Shape, SymState, TaintMode};
 use crate::error::VerifyError;
@@ -124,7 +126,10 @@ impl Enc<'_> {
                         TaintMode::AbsentFalse => polarize(Formula::False, negated),
                         TaintMode::Semantic => {
                             let Some((params, witness)) = self.meanings().lookup(name) else {
-                                return Ok(polarize(Formula::False, negated));
+                                return Err(VerifyError::Unsupported(format!(
+                                    "semantic label `{name}` has no verified meaning (verify \
+                                     the analysis that defines it before the rules that use it)"
+                                )));
                             };
                             if params.len() != args.len() {
                                 return Err(VerifyError::Unsupported(format!(

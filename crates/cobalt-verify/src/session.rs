@@ -8,8 +8,10 @@
 //! trusted-but-wrong outcome. See `DESIGN.md` §10.
 //!
 //! The [`Verifier`] and a session prove a rule through the same
-//! routine; a session without a journal ([`Session::new`]) is the
-//! verifier: it fingerprints, replays and persists nothing.
+//! routine; a session without a journal ([`Session::new`])
+//! fingerprints, replays and persists nothing. A session is also how a
+//! suite is verified: each analysis it proves lends its label's meaning
+//! to the rules verified after it.
 //!
 //! # Fingerprints
 //!
@@ -32,9 +34,10 @@
 //! warmth, and [`Session::degraded`] reports why.
 
 use crate::checker::{ObligationOutcome, Report, Verifier};
+use crate::enc::SemanticMeanings;
 use crate::error::VerifyError;
 use crate::oblig::Prepared;
-use cobalt_dsl::{Optimization, PureAnalysis};
+use cobalt_dsl::{LabelArgPat, Optimization, PureAnalysis, VarPat};
 use cobalt_logic::Limits;
 pub use cobalt_support::journal::ResumeMode;
 use cobalt_support::journal::{
@@ -150,9 +153,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session without a journal: verification behaves like calling
-    /// the [`Verifier`] directly — nothing is fingerprinted, replayed,
-    /// or persisted.
+    /// A session without a journal: nothing is fingerprinted,
+    /// replayed, or persisted.
     pub fn new(verifier: Verifier) -> Session {
         Session {
             verifier,
@@ -206,14 +208,39 @@ impl Session {
     }
 
     /// Verifies a pure analysis with the same journaling behaviour as
-    /// [`verify_optimization`](Self::verify_optimization).
+    /// [`verify_optimization`](Self::verify_optimization); when every
+    /// obligation proves, registers its label's meaning (paper §2.4)
+    /// for the rules this session verifies after it.
     ///
     /// # Errors
     ///
-    /// Returns [`VerifyError`] if the analysis cannot be encoded.
+    /// Returns [`VerifyError`] if the analysis cannot be encoded, if its
+    /// `defines` arguments are not pattern variables, or if its label
+    /// already has a different meaning.
     pub fn verify_analysis(&mut self, analysis: &PureAnalysis) -> Result<Report, VerifyError> {
         let prepared = self.verifier.prepare_analysis(analysis)?;
-        Ok(self.run(&analysis.name, analysis, prepared))
+        let report = self.run(&analysis.name, analysis, prepared);
+        if report.all_proved() {
+            let (label, args) = &analysis.defines;
+            let params = args
+                .iter()
+                .map(|a| match a {
+                    LabelArgPat::Var(VarPat::Pat(p)) => Ok(p.clone()),
+                    other => Err(VerifyError::Unsupported(format!(
+                        "label parameter `{other}` is not a pattern variable"
+                    ))),
+                })
+                .collect::<Result<_, _>>()?;
+            let meanings = &mut self.verifier.meanings;
+            meanings.register(label.clone(), params, analysis.witness.clone())?;
+        }
+        Ok(report)
+    }
+
+    /// The semantic-label meanings later rules are verified against:
+    /// the verifier's, plus those of the analyses this session proved.
+    pub fn meanings(&self) -> &SemanticMeanings {
+        &self.verifier.meanings
     }
 
     /// Compacts the journal down to this session's outcomes, dropping

@@ -8,7 +8,8 @@ use cobalt_dsl::{
     Witness,
 };
 use cobalt_verify::{
-    obligations_for_optimization_with, BankMode, Prepared, SemanticMeanings, Verifier, VerifyError,
+    obligations_for_optimization_with, BankMode, Prepared, SemanticMeanings, Session, Verifier,
+    VerifyError,
 };
 
 fn env() -> (LabelEnv, SemanticMeanings) {
@@ -160,35 +161,54 @@ fn a_wrong_witness_fails_rather_than_errors() {
 }
 
 #[test]
-fn semantic_labels_without_meanings_are_conservative() {
-    // With no registered meanings, notTainted-based reasoning yields
-    // "absent" labels; the pointer-aware suite must still verify,
-    // because ¬notTainted ≡ true is the conservative direction.
-    let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::none());
-    let report = verifier
+fn semantic_labels_without_meanings_are_refused() {
+    // With no registered meanings, the standard mayDef's `notTainted`
+    // arm has nothing to stand for. Reading it as false would drop
+    // every F2 store and call shape as statically false and "prove"
+    // const_prop 16/16 instead of 27/27; the encoder refuses instead.
+    let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::default());
+    let err = verifier
         .verify_optimization(&cobalt_opts::optimization("const_prop").unwrap())
-        .unwrap();
-    assert!(report.all_proved(), "{:?}", report.failures());
+        .unwrap_err();
+    assert!(
+        matches!(&err, VerifyError::Unsupported(msg) if msg.contains("`notTainted`")),
+        "{err}"
+    );
+    assert!(err.to_string().contains("no verified meaning"), "{err}");
 }
 
 #[test]
 fn verified_analysis_unlocks_dependent_optimizations() {
     // The trust chain of paper §2.4: start with NO semantic meanings,
-    // verify the taint analysis, register its meaning, and only then
-    // does the pointer-aware load elimination have the facts its proof
-    // relies on. (load_elim verifies either way — absent labels are the
-    // conservative direction — so the check here is that registration
-    // goes through the verified path and the registered meaning is the
-    // analysis's own witness.)
-    let mut verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::none());
-    let report = verifier
-        .verify_and_register_analysis(&cobalt_opts::all_analyses().remove(0))
+    // verify the taint analysis, and only then does the pointer-aware
+    // load elimination have the meaning its proof relies on.
+    let load_elim = cobalt_opts::optimization("load_elim").unwrap();
+    let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::default());
+    let mut session = Session::new(verifier);
+    assert!(session.verify_optimization(&load_elim).is_err());
+    let report = session
+        .verify_analysis(&cobalt_opts::all_analyses().remove(0))
         .unwrap();
     assert!(report.all_proved(), "{:?}", report.failures());
-    let report = verifier
-        .verify_optimization(&cobalt_opts::optimization("load_elim").unwrap())
-        .unwrap();
-    assert!(report.all_proved(), "{:?}", report.failures());
+    let report = session.verify_optimization(&load_elim).unwrap();
+    assert_eq!(
+        report.summary_stable(),
+        "load_elim: 16/16 obligations proved"
+    );
+}
+
+#[test]
+fn the_standard_meanings_are_the_verified_taint_analysis() {
+    // `SemanticMeanings::standard()` is a copy of what `suite.cob`'s
+    // `taint` analysis defines: verifying the registry's analyses from
+    // no meanings at all must register exactly it.
+    let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::default());
+    let mut session = Session::new(verifier);
+    for analysis in cobalt_opts::all_analyses() {
+        let report = session.verify_analysis(&analysis).unwrap();
+        assert!(report.all_proved(), "{:?}", report.failures());
+    }
+    assert_eq!(session.meanings(), &SemanticMeanings::standard());
 }
 
 /// The fully conservative `mayDef`/`mayUse` of paper §2.1.3: pointer
@@ -216,7 +236,7 @@ fn suite_verifies_under_conservative_labels_too() {
     let conservative = cobalt_dsl::parse_suite(CONSERVATIVE_LABELS)
         .unwrap()
         .label_env();
-    let verifier = Verifier::new(conservative, SemanticMeanings::none());
+    let verifier = Verifier::new(conservative, SemanticMeanings::default());
     for opt in [
         cobalt_opts::optimization("const_prop").unwrap(),
         cobalt_opts::optimization("copy_prop").unwrap(),

@@ -163,6 +163,38 @@ if [[ $code -ne 4 ]]; then
     echo "lint: fault-injected lint exited $code (want 4)"; exit 1
 fi
 
+echo "== verify stage (analysis-defined labels)"
+
+# A label an analysis defines means that analysis's verified witness.
+# Here `myLabel` means only notPointedTo(X), which does not keep Y's
+# value, so `bad_prop` is unsound: verify rejects it (exit 2, the same
+# 13 F2 failures as under the built-in notTainted) and hunt, which runs
+# the file's analyses, finds the miscompile. A label no analysis gives
+# a meaning is refused (exit 1), never read as false.
+hole_cob=$(mktemp /tmp/cobalt_hole_XXXXXX.cob)
+printf '%s\n' \
+    'analysis mytaint { stmt(decl X) followed by !stmt(... := &X) defines myLabel(X) with witness notPointedTo(X) }' \
+    'forward bad_prop { stmt(Y := C) followed by myLabel(Y) until X := Y => X := C with witness eta(Y) == C }' \
+    >"$hole_cob"
+set +e
+out=$("$COBALT" verify "$hole_cob" 2>/dev/null)
+code=$?
+hunt=$("$COBALT" hunt "$hole_cob" 2>&1)
+sed -i 1d "$hole_cob"
+err=$("$COBALT" verify "$hole_cob" 2>&1 >/dev/null)
+code_unknown=$?
+set -e
+rm -f "$hole_cob"
+if [[ $code -ne 2 ]] || ! grep -qF '  FAILED F2/assign_const' <<<"$out"; then
+    echo "verify: the analysis-label suite exited $code (want 2, FAILED F2/assign_const):"; echo "$out"; exit 1
+fi
+if ! grep -qF 'counterexample found for `bad_prop`' <<<"$hunt"; then
+    echo "verify: hunt found no counterexample for the analysis-label suite:"; echo "$hunt"; exit 1
+fi
+if [[ $code_unknown -ne 1 ]] || ! grep -qF '`myLabel`' <<<"$err"; then
+    echo "verify: a label with no verified meaning exited $code_unknown (want 1, naming it):"; echo "$err"; exit 1
+fi
+
 echo "== journal stage (crash-safe resume)"
 
 # Interrupted run: a tight report deadline kills the suite mid-way
@@ -425,9 +457,11 @@ if ! grep -q "journaling disabled" <<<"$out"; then
     echo "engine: journal-fault optimize did not report degradation:"; echo "$out"; exit 1
 fi
 
-# Recursive DAE (paper §5.2) removes a mutually-dead loop cycle that
-# plain DAE keeps, spends --max-steps per procedure, and when it runs
-# out keeps the program and names the skipped pass (exit 3).
+# Recursive DAE (paper §5.2) runs in the session's per-procedure task:
+# it removes a mutually-dead loop cycle that plain DAE keeps, its
+# removals count in the summary and in --json, it spends --max-steps per
+# procedure, and when it runs out it keeps the program and names the
+# skipped pass (exit 3).
 dead_cycle='proc main(x) { decl a; decl b; decl i; i := x; a := b + 1; b := a + 1; i := i - 1; if i goto 4 else 8; return x; }'
 rdae_prog=$(mktemp /tmp/cobalt_rdae_XXXXXX.il)
 rdae_copies=$(mktemp /tmp/cobalt_rdae_copies_XXXXXX.il)
@@ -435,19 +469,23 @@ echo "$dead_cycle" >"$rdae_prog"
 for name in main c1 c2 c3; do echo "${dead_cycle/main/$name}"; done >"$rdae_copies"
 set +e
 out=$("$COBALT" optimize "$rdae_prog" --recursive-dae --jobs 2 2>&1)
-"$COBALT" optimize "$rdae_copies" --recursive-dae --max-steps 120 >/dev/null 2>&1
+json=$("$COBALT" optimize "$rdae_prog" --recursive-dae --json 2>&1)
+copies=$("$COBALT" optimize "$rdae_copies" --recursive-dae --max-steps 120 2>/dev/null)
 code_copies=$?
 short=$("$COBALT" optimize "$rdae_prog" --recursive-dae --max-steps 20 2>/dev/null)
 code_short=$?
 set -e
 rm -f "$rdae_prog" "$rdae_copies"
-if ! grep -qx '// note: +2 by recursive DAE' <<<"$out" || ! grep -qF '/* 4 */ skip;' <<<"$out" \
+if ! grep -qx '// 2 rewrites in 1 rounds' <<<"$out" || ! grep -qF '/* 4 */ skip;' <<<"$out" \
     || ! grep -qF '/* 5 */ skip;' <<<"$out"; then
     echo "engine: recursive DAE did not remove the dead cycle:"; echo "$out"; exit 1
 fi
-if [[ $code_copies -ne 0 ]]; then
-    echo "engine: recursive DAE on four procedures at --max-steps 120 exited $code_copies (want 0)"
-    exit 1
+if ! grep -qF '"applied":2,' <<<"$json"; then
+    echo "engine: --recursive-dae --json does not count the removed sites:"; echo "$json"; exit 1
+fi
+if [[ $code_copies -ne 0 ]] || ! grep -qx '// 8 rewrites in 1 rounds' <<<"$copies"; then
+    echo "engine: recursive DAE on four procedures at --max-steps 120 exited $code_copies (want 0, 8 rewrites):"
+    echo "$copies"; exit 1
 fi
 if [[ $code_short -ne 3 ]] || ! grep -q '^proc main' <<<"$short"; then
     echo "engine: recursive DAE at --max-steps 20 exited $code_short (want 3, program on stdout):"

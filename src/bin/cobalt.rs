@@ -6,17 +6,17 @@
 //!
 //! `verify` and `optimize` print what `cobalt-serve::exec` computes —
 //! the same payload `cobalt client` gets from the daemon — after any
-//! journal or recursive-DAE notes.
+//! journal notes.
 
 use cobalt::dsl::{parse_suite, LabelDef, LabelEnv, Suite};
-use cobalt::engine::{EngineError, FailureKind, OptimizeSession, PassFailure};
+use cobalt::engine::OptimizeSession;
 use cobalt::il::{parse_program, Interp};
 use cobalt::serve::exec::{self, ExecConfig, ExecResult, EXIT_RESOURCE_LIMITED};
 use cobalt::serve::{
     request_with_retry, ClientConfig, ClientError, Request, RequestOp, ServeConfig, Server, Status,
 };
 use cobalt::synth::SynthConfig;
-use cobalt::verify::{Report, ResumeMode, RetryPolicy, SemanticMeanings, Session, Verifier};
+use cobalt::verify::{Report, ResumeMode, RetryPolicy, Session};
 use std::fmt::Display;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -384,12 +384,15 @@ fn cmd_optimize(args: &Args) -> Result<String, CliError> {
     let (prog, passes) = exec::pipeline(&read(path)?, passes).map_err(|e| e.output)?;
     // The one-shot CLI has no caller token to observe; a fresh one is
     // never tripped.
-    let engine = exec::engine(&cfg, &Default::default());
-    let mut session = OptimizeSession::new(engine.clone()).with_jobs(jobs);
+    let mut session = OptimizeSession::new(exec::engine(&cfg, &Default::default())).with_jobs(jobs);
+    if args.has("--recursive-dae") {
+        let dae = cobalt::opts::optimization("dae").expect("dae is in the registry");
+        session = session.with_recursive(dae);
+    }
     if let Some((jpath, mode)) = journal {
         session = session.with_journal(jpath, mode);
     }
-    let (mut out, mut report) = exec::optimize(&mut session, &prog, &passes, rounds);
+    let (out, report) = exec::optimize(&mut session, &prog, &passes, rounds);
     session.finish();
     let mut notes = String::new();
     let loaded = session.load_report();
@@ -403,33 +406,6 @@ fn cmd_optimize(args: &Args) -> Result<String, CliError> {
         // Journal trouble never fails optimization — it degrades to an
         // unjournaled run and says so.
         notes.push_str(&format!("// note: journaling disabled ({reason})\n"));
-    }
-    if args.has("--recursive-dae") {
-        let dae = cobalt::opts::optimization("dae").expect("dae is in the registry");
-        let mut extra = 0;
-        for proc in out.procs.clone() {
-            // A procedure it fails on keeps the pipeline's text and is
-            // reported as a skipped pass (exit 3 for a resource limit).
-            match cobalt::engine::apply_recursive(&engine, &proc, &dae) {
-                Ok((p, removed)) => {
-                    extra += removed.len();
-                    out = out.with_proc_replaced(p);
-                }
-                Err(e) => report.failures.push(PassFailure {
-                    kind: match e {
-                        EngineError::ResourceLimited(_) => FailureKind::ResourceLimited,
-                        _ => FailureKind::Error,
-                    },
-                    proc: proc.name.to_string(),
-                    pass: "recursive:dae".into(),
-                    round: 0,
-                    reason: e.to_string(),
-                }),
-            }
-        }
-        if extra > 0 {
-            notes.push_str(&format!("// note: +{extra} by recursive DAE\n"));
-        }
     }
     let mut result = exec::optimized(&out, &report);
     if args.has("--json") {
@@ -446,14 +422,15 @@ fn cmd_optimize(args: &Args) -> Result<String, CliError> {
 }
 
 fn cmd_verify(args: &Args) -> Result<String, CliError> {
-    let policy = args.policy()?;
-    let jobs = args.jobs()?;
+    let cfg = ExecConfig {
+        policy: args.policy()?,
+        jobs: args.jobs()?,
+        ..ExecConfig::default()
+    };
     let journal = args.journal()?;
     let suite = args.pos.first().map(|p| read(p)).transpose()?;
     let rules = exec::rules(suite.as_deref()).map_err(|e| e.output)?;
-    let verifier = Verifier::new(rules.label_env(), SemanticMeanings::standard())
-        .with_retry_policy(policy)
-        .with_jobs(jobs);
+    let verifier = exec::verifier(&rules, &cfg, &Default::default());
     let mut session = match journal {
         None => Session::new(verifier),
         Some((path, mode)) => Session::with_journal(verifier, path, mode),
@@ -584,6 +561,9 @@ fn cmd_hunt(args: &Args) -> Result<String, CliError> {
         tries: args.get("--tries")?.unwrap_or(defaults.tries),
         ..defaults
     };
+    // The registry's analyses, then a suite file's own, as
+    // `Suite::label_env` puts a file's labels after the standard ones.
+    let mut analyses = cobalt::opts::all_analyses();
     let (opt, env) = if what == "buggy" {
         (cobalt::opts::buggy_optimizations().remove(0), LabelEnv::standard())
     } else if what.ends_with(".cob") {
@@ -591,13 +571,14 @@ fn cmd_hunt(args: &Args) -> Result<String, CliError> {
         let Some(opt) = suite.optimizations.first().cloned() else {
             bail!("suite file contains no optimizations")
         };
+        analyses.extend(suite.analyses.iter().cloned());
         (opt, suite.label_env())
     } else {
         let opt = cobalt::opts::optimization(what)
             .ok_or_else(|| format!("unknown optimization `{what}`"))?;
         (opt, LabelEnv::standard())
     };
-    match cobalt::synth::find_counterexample(&opt, &env, &cfg) {
+    match cobalt::synth::find_counterexample(&opt, &env, &analyses, &cfg) {
         Some(cx) => Ok(format!("counterexample found for `{}`:\n{cx}", opt.name)),
         None => Ok(format!(
             "no counterexample found for `{}` in {} tries\n",
@@ -936,9 +917,19 @@ proc main(x) {
             "2".into(),
         ])
         .unwrap();
-        assert!(out.starts_with("// note: +2 by recursive DAE\n"), "{out}");
+        assert!(out.starts_with("// 2 rewrites in 1 rounds\n"), "{out}");
         assert!(out.contains("/* 4 */ skip;"), "{out}");
         assert!(out.contains("/* 5 */ skip;"), "{out}");
+        // `--json` counts the removed sites too.
+        let json = run_cli(&[
+            "optimize".into(),
+            p.clone(),
+            "--recursive-dae".into(),
+            "--json".into(),
+        ])
+        .unwrap();
+        let summary = "{\"type\":\"summary\",\"applied\":2,";
+        assert!(json.starts_with(summary), "{json}");
         std::fs::remove_file(p).ok();
     }
 
@@ -958,7 +949,7 @@ proc main(x) {
             "120".into(),
         ])
         .unwrap();
-        assert!(out.starts_with("// note: +8 by recursive DAE\n"), "{out}");
+        assert!(out.starts_with("// 8 rewrites in 1 rounds\n"), "{out}");
         std::fs::remove_file(p).ok();
     }
 
@@ -1068,6 +1059,70 @@ proc main(x) {
         let out = err.out.expect("an unsound verdict still prints its report");
         assert!(out.contains("FAILED"), "{out}");
         std::fs::remove_file(p).ok();
+    }
+
+    /// A suite whose analysis defines `myLabel` as `notPointedTo(X)`,
+    /// which does not keep `Y`'s value: `bad_prop` is unsound.
+    const HOLE_SUITE: &str = "
+        analysis mytaint { stmt(decl X) followed by !stmt(... := &X)
+            defines myLabel(X) with witness notPointedTo(X) }
+        forward bad_prop { stmt(Y := C) followed by myLabel(Y)
+            until X := Y => X := C with witness eta(Y) == C }";
+
+    /// `verify` of `suite` as `file`: the exit code, stdout and the
+    /// error message.
+    fn verify_suite(file: &str, suite: &str) -> (u8, String, String) {
+        let p = write_tmp(file, suite);
+        let result = run_cli(&["verify".into(), p.clone()]);
+        std::fs::remove_file(p).ok();
+        match result {
+            Ok(out) => (0, out, String::new()),
+            Err(e) => (e.code, e.out.unwrap_or_default(), e.msg),
+        }
+    }
+
+    #[test]
+    fn verify_reads_an_analysis_label_as_its_verified_witness() {
+        let failed = |out: &str| -> Vec<String> {
+            let lines = out.lines().filter(|l| l.starts_with("  FAILED "));
+            lines
+                .map(|l| l.split(" — ").next().unwrap().to_string())
+                .collect()
+        };
+        let (code, hole, _) = verify_suite("hole.cob", HOLE_SUITE);
+        assert_eq!(code, exec::EXIT_UNSOUND, "{hole}");
+        assert!(
+            hole.contains("bad_prop: 14/27 obligations proved"),
+            "{hole}"
+        );
+        // The control: the same suite under the built-in label's name.
+        let control = HOLE_SUITE.replace("myLabel", "notTainted");
+        let (code, control, _) = verify_suite("hole_control.cob", &control);
+        assert_eq!(code, exec::EXIT_UNSOUND, "{control}");
+        assert_eq!(failed(&hole).len(), 13, "{hole}");
+        assert_eq!(failed(&hole), failed(&control));
+    }
+
+    #[test]
+    fn verify_refuses_a_semantic_label_without_a_verified_meaning() {
+        let (analysis, rule) = HOLE_SUITE.split_once("forward").unwrap();
+        let used_early = "analysis early { stmt(decl X) followed by myLabel(X)
+                              defines early(X) with witness notPointedTo(X) }";
+        let conflict = "analysis zero { stmt(X := 0) followed by !mayDef(X)
+                            defines notTainted(X) with witness eta(X) == 0 }";
+        for (file, suite, label) in [
+            ("label_unknown.cob", format!("forward{rule}"), "`myLabel`"),
+            (
+                "label_early.cob",
+                format!("{used_early}\n{analysis}"),
+                "`myLabel`",
+            ),
+            ("label_conflict.cob", conflict.to_string(), "`notTainted`"),
+        ] {
+            let (code, out, msg) = verify_suite(file, &suite);
+            assert_eq!(code, 1, "{file}: {out}");
+            assert!(msg.contains(label), "{file}: {msg}");
+        }
     }
 
     /// `verify`'s stdout with each report's ` in <time>` removed — the

@@ -10,14 +10,16 @@
 //! This module realizes the goal by search rather than by decoding the
 //! prover's open branch: it generates random programs biased toward the
 //! pointer-heavy shapes that unsound optimizations typically mishandle,
-//! applies the optimization, and differentially executes original vs
-//! transformed. A hit is then *minimized* by replacing statements with
-//! `skip` while the miscompilation persists, yielding a small witness
-//! program a compiler writer can read — the same artifact §6's
-//! narrative reconstructs by hand.
+//! optimizes each through an [`OptimizeSession`] — the one optimize
+//! driver, so the optimization sees the labels of the suite's pure
+//! analyses exactly as it would in a real pipeline — and differentially
+//! executes original vs transformed. A hit is then *minimized* by
+//! replacing statements with `skip` while the miscompilation persists,
+//! yielding a small witness program a compiler writer can read — the
+//! same artifact §6's narrative reconstructs by hand.
 
-use cobalt_dsl::{LabelEnv, Optimization};
-use cobalt_engine::{AnalyzedProc, Engine};
+use cobalt_dsl::{LabelEnv, Optimization, PureAnalysis};
+use cobalt_engine::{Engine, OptimizeSession};
 use cobalt_il::{generate, GenConfig, Interp, Program, Stmt, Value};
 
 /// A concrete demonstration that an optimization is unsound.
@@ -72,7 +74,8 @@ impl Default for SynthConfig {
 }
 
 /// Searches for a program the optimization miscompiles, with `env`'s
-/// label definitions in scope.
+/// label definitions in scope and `analyses` labelling each program
+/// before the optimization runs.
 ///
 /// Returns `None` if no counterexample is found within the budget —
 /// which is evidence of soundness only in the empirical sense; the real
@@ -80,9 +83,11 @@ impl Default for SynthConfig {
 pub fn find_counterexample(
     opt: &Optimization,
     env: &LabelEnv,
+    analyses: &[PureAnalysis],
     config: &SynthConfig,
 ) -> Option<Counterexample> {
-    let engine = Engine::new(env.clone());
+    let mut session = OptimizeSession::new(Engine::new(env.clone()));
+    let opts = std::slice::from_ref(opt);
     for t in 0..config.tries {
         let gen_cfg = GenConfig {
             num_stmts: config.program_size,
@@ -94,27 +99,28 @@ pub fn find_counterexample(
             seed: config.seed.wrapping_add(t),
         };
         let prog = generate(&gen_cfg);
-        if let Some(cx) = try_program(&engine, opt, &prog, &config.args) {
-            return Some(minimize(&engine, opt, cx, &config.args));
+        if let Some(cx) = try_program(&mut session, opts, analyses, &prog, &config.args) {
+            return Some(minimize(&mut session, opts, analyses, cx, &config.args));
         }
     }
     None
 }
 
-/// Applies the optimization and looks for a behavioural difference.
+/// Optimizes `prog` with `opts` for one round, after `analyses`, and
+/// looks for a behavioural difference. A program the optimization does
+/// not rewrite, or on which a pass was quarantined, is no
+/// counterexample.
 fn try_program(
-    engine: &Engine,
-    opt: &Optimization,
+    session: &mut OptimizeSession,
+    opts: &[Optimization],
+    analyses: &[PureAnalysis],
     prog: &Program,
     args: &[i64],
 ) -> Option<Counterexample> {
-    let main = prog.main()?;
-    let ap = AnalyzedProc::new(main.clone()).ok()?;
-    let (new_main, applied) = engine.apply(&ap, opt).ok()?;
-    if applied.is_empty() {
+    let (transformed, report) = session.optimize_program(prog, analyses, opts, 1);
+    if report.applied == 0 || report.degraded() {
         return None;
     }
-    let transformed = prog.with_proc_replaced(new_main);
     for &arg in args {
         let orig = Interp::new(prog).with_fuel(100_000).run(arg);
         let Ok(original_result) = orig else { continue };
@@ -139,8 +145,9 @@ fn try_program(
 /// Shrinks the counterexample: greedily replaces statements with `skip`
 /// while the miscompilation persists.
 fn minimize(
-    engine: &Engine,
-    opt: &Optimization,
+    session: &mut OptimizeSession,
+    opts: &[Optimization],
+    analyses: &[PureAnalysis],
     mut cx: Counterexample,
     args: &[i64],
 ) -> Counterexample {
@@ -160,7 +167,7 @@ fn minimize(
             if cobalt_il::validate(&candidate).is_err() {
                 continue;
             }
-            if let Some(smaller) = try_program(engine, opt, &candidate, args) {
+            if let Some(smaller) = try_program(session, opts, analyses, &candidate, args) {
                 cx = smaller;
                 improved = true;
                 break;
@@ -181,6 +188,7 @@ mod tests {
         let cx = find_counterexample(
             &cobalt_opts::buggy_optimizations()[0],
             &LabelEnv::standard(),
+            &cobalt_opts::all_analyses(),
             &SynthConfig::default(),
         )
         .expect("the unsound optimization must have a counterexample");
@@ -210,9 +218,36 @@ mod tests {
             tries: 400,
             ..SynthConfig::default()
         };
+        let analyses = cobalt_opts::all_analyses();
         for name in ["load_elim", "const_prop"] {
             let opt = cobalt_opts::optimization(name).unwrap();
-            assert!(find_counterexample(&opt, &LabelEnv::standard(), &cfg).is_none());
+            assert!(find_counterexample(&opt, &LabelEnv::standard(), &analyses, &cfg).is_none());
         }
+    }
+
+    #[test]
+    fn finds_the_miscompile_behind_an_analysis_label() {
+        // `myLabel` means only `notPointedTo`, which does not keep `Y`'s
+        // value: the rule holds only where the suite's own analysis
+        // labels the program, so the search must run that analysis.
+        let suite = cobalt_dsl::parse_suite(
+            "analysis mytaint { stmt(decl X) followed by !stmt(... := &X)
+                 defines myLabel(X) with witness notPointedTo(X) }
+             forward bad_prop { stmt(Y := C) followed by myLabel(Y)
+                 until X := Y => X := C with witness eta(Y) == C }",
+        )
+        .unwrap();
+        let mut analyses = cobalt_opts::all_analyses();
+        analyses.extend(suite.analyses.iter().cloned());
+        let cx = find_counterexample(
+            &suite.optimizations[0],
+            &suite.label_env(),
+            &analyses,
+            &SynthConfig::default(),
+        )
+        .expect("the rule miscompiles once its label holds");
+        let orig = Interp::new(&cx.program).run(cx.arg).unwrap();
+        assert_eq!(orig, cx.original_result);
+        assert_ne!(cx.transformed_result, Ok(orig));
     }
 }

@@ -1079,6 +1079,79 @@ fn session_matches_the_sequential_reference() {
     }
 }
 
+/// `with_recursive` composes a rule with itself inside each procedure's
+/// task. Its reference is the composition it replaced: the session
+/// without it, then `apply_recursive` on each procedure. On generated
+/// programs whose branches are rewired backward into loops, plus the
+/// mutually-dead cycle, the session prints the reference's bytes at one
+/// and four jobs and counts each removed site as a rewrite, and a
+/// journaled cold/warm pair replays every procedure byte for byte.
+#[test]
+fn recursive_session_matches_the_composition_after_the_session() {
+    let analyses = cobalt::opts::all_analyses();
+    let passes = cobalt::opts::default_pipeline();
+    let dae = cobalt::opts::optimization("dae").unwrap();
+    let engine = Engine::new(LabelEnv::standard());
+    let cycle = "proc cycle(x) { decl a; decl b; decl i; i := x; a := b + 1; b := a + 1; \
+                 i := i - 1; if i goto 4 else 8; return x; }";
+    let mut removed_total = 0;
+    for seed in [3u64, 11, 29] {
+        let mut prog = generate(&GenConfig::sized(25, seed));
+        for proc in &mut prog.procs {
+            for (i, stmt) in proc.stmts.iter_mut().enumerate() {
+                if let cobalt::il::Stmt::If { then_target, .. } = stmt {
+                    *then_target = i / 2;
+                }
+            }
+        }
+        prog.procs
+            .extend(cobalt::il::parse_program(cycle).unwrap().procs);
+
+        let (mut expected, report) =
+            OptimizeSession::new(engine.clone()).optimize_program(&prog, &analyses, &passes, 3);
+        assert!(!report.degraded(), "seed {seed}: {:#?}", report.failures);
+        let mut applied = report.applied;
+        for proc in expected.procs.clone() {
+            let (composed, removed) =
+                cobalt::engine::apply_recursive(&engine, &proc, &dae).unwrap();
+            applied += removed.len();
+            removed_total += removed.len();
+            expected = expected.with_proc_replaced(composed);
+        }
+        let session = || OptimizeSession::new(engine.clone()).with_recursive(dae.clone());
+        for jobs in [1, 4] {
+            let (out, report) = session()
+                .with_jobs(jobs)
+                .optimize_program(&prog, &analyses, &passes, 3);
+            assert!(!report.degraded(), "seed {seed}: {:#?}", report.failures);
+            assert_eq!(
+                pretty_program(&expected),
+                pretty_program(&out),
+                "seed {seed} jobs {jobs}"
+            );
+            assert_eq!(report.applied, applied, "seed {seed} jobs {jobs}");
+        }
+
+        let path = scratch_journal(&format!("recursive_{seed}"));
+        let mut cold = session().with_journal(&path, ResumeMode::Fresh);
+        let (cold_out, cold_report) = cold.optimize_program(&prog, &analyses, &passes, 3);
+        cold.finish();
+        let mut warm = session().with_journal(&path, ResumeMode::Resume);
+        let (warm_out, warm_report) = warm.optimize_program(&prog, &analyses, &passes, 3);
+        warm.finish();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(warm_report.cached, prog.procs.len(), "seed {seed}");
+        assert_eq!(
+            pretty_program(&cold_out),
+            pretty_program(&warm_out),
+            "seed {seed}"
+        );
+        assert_eq!(cold_report.applied, warm_report.applied, "seed {seed}");
+    }
+    // Each program's cycle is removed, so the composition did work.
+    assert!(removed_total >= 6, "{removed_total}");
+}
+
 /// The session labels each version of a procedure once, not once per
 /// pass. Only `dae` changes this procedure, so it has two versions and
 /// two labellings (one `engine.analysis` hit each), where labelling
