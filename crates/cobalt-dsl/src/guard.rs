@@ -10,15 +10,18 @@
 //!   that make the guard hold at a node. This is what the execution
 //!   engine uses to seed dataflow facts at enabling statements.
 //!
-//! [`Guard::visit`] is the one walk over a guard's atoms; what a guard
-//! binds ([`Scope::binds`], [`Guard::enumerated_vars`]) is stated on it
-//! once, for `solve`, the linter and the checker's vocabulary alike.
+//! [`Guard::visit`] is the one walk over a guard's atoms, and
+//! [`GuardVars`] states the binding discipline on it once, for `solve`
+//! ([`Guard::enumerated_vars`]), the linter and the checker's vocabulary
+//! alike. A variable only statement patterns that bind nothing name is
+//! local to each pattern, which matches it afresh.
 
 use crate::error::GuardError;
 use crate::label::{FragKind, LabelArgPat, LabelEnv, LabelName, LabelSet};
 use crate::pattern::{ConstPat, ExprPat, StmtPat, VarPat};
 use crate::subst::{Binding, PatVar, Subst};
 use cobalt_il::{Expr, Proc, Stmt, Var};
+use std::collections::BTreeSet;
 
 /// Maximum depth of nested label definitions, guarding against cyclic
 /// definitions.
@@ -162,17 +165,6 @@ impl Guard {
         }
     }
 
-    /// Appends every pattern-variable occurrence of the guard's atoms,
-    /// in order, with its fragment kind. `case` arm patterns are left
-    /// out: the variables they bind are local to their arm.
-    pub fn vars(&self, out: &mut Vec<(PatVar, FragKind)>) {
-        self.visit(&mut |node, _| {
-            if let GuardNode::Atom(atom) = node {
-                atom_vars(atom, out);
-            }
-        });
-    }
-
     /// The statement patterns that bind by matching ([`Scope::binds`]),
     /// in order.
     pub fn binding_stmts(&self) -> Vec<&StmtPat> {
@@ -185,23 +177,80 @@ impl Guard {
     }
 
     /// The pattern variables [`Guard::solve`] enumerates over the
-    /// procedure's domain: those of every atom that is not a statement
-    /// pattern, arm guards included, each once, in order of first
+    /// procedure's domain: those [`GuardVars`] reads as
+    /// [`Reading::Enumerated`] in a `ψ1`, each once, in order of first
     /// occurrence.
     pub fn enumerated_vars(&self) -> Vec<(PatVar, FragKind)> {
-        let mut all = Vec::new();
-        self.visit(&mut |node, _| match node {
-            GuardNode::Atom(Guard::Stmt(_)) => {}
-            GuardNode::Atom(atom) => atom_vars(atom, &mut all),
-            GuardNode::Case(_) | GuardNode::ArmPattern(_) => {}
-        });
-        let mut out: Vec<(PatVar, FragKind)> = Vec::with_capacity(all.len());
-        for (p, kind) in all {
-            if !out.iter().any(|(q, _)| *q == p) {
+        let mut out: Vec<(PatVar, FragKind)> = Vec::new();
+        for (p, kind, reading) in GuardVars::of_rule([(self, true)]).occurrences {
+            if reading == Reading::Enumerated && !out.iter().any(|(q, _)| *q == p) {
                 out.push((p, kind));
             }
         }
         out
+    }
+}
+
+/// How the binding discipline reads one occurrence of a guard variable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reading {
+    /// In a binding statement pattern of `ψ1` ([`Scope::binds`]).
+    Matched,
+    /// In another atom of `ψ1`, which [`Guard::solve`] enumerates.
+    Enumerated,
+    /// In an atom of `ψ2` or `where` that is no statement pattern.
+    Read,
+    /// In any other statement pattern, `case` arm patterns included.
+    InStmt,
+}
+
+/// A rule's guard variables, sorted by the binding discipline.
+#[derive(Debug, Clone)]
+pub struct GuardVars {
+    /// Every variable occurrence of the guards, in order, with its kind.
+    pub occurrences: Vec<(PatVar, FragKind, Reading)>,
+}
+
+impl GuardVars {
+    /// Sorts the variables of a rule's guards, each flagged when it is
+    /// the rule's `ψ1`.
+    pub fn of_rule<'g>(guards: impl IntoIterator<Item = (&'g Guard, bool)>) -> GuardVars {
+        let mut occurrences = Vec::new();
+        for (g, psi1) in guards {
+            g.visit(&mut |node, scope| {
+                let reading = match (node, psi1) {
+                    (GuardNode::Case(_), _) => return,
+                    (GuardNode::ArmPattern(_), _) => Reading::InStmt,
+                    (GuardNode::Atom(Guard::Stmt(_)), true) if scope.binds() => Reading::Matched,
+                    (GuardNode::Atom(Guard::Stmt(_)), _) => Reading::InStmt,
+                    (GuardNode::Atom(_), true) => Reading::Enumerated,
+                    (GuardNode::Atom(_), false) => Reading::Read,
+                };
+                let mut vars = Vec::new();
+                match node {
+                    GuardNode::Atom(atom) => atom_vars(atom, &mut vars),
+                    GuardNode::ArmPattern(pat) => pat.vars(&mut vars),
+                    GuardNode::Case(_) => {}
+                }
+                occurrences.extend(vars.into_iter().map(|(p, kind)| (p, kind, reading)));
+            });
+        }
+        GuardVars { occurrences }
+    }
+
+    /// `outside` (what the rule names outside its guards: `from`, `to`,
+    /// the witness, `defines`), then the occurrences `θ` binds. The rest
+    /// are local to each statement pattern they occur in: every
+    /// occurrence is [`Reading::InStmt`] and `outside` does not name
+    /// them, so `θ` never binds one and each pattern matches it afresh.
+    pub fn theta(self, mut outside: Vec<(PatVar, FragKind)>) -> Vec<(PatVar, FragKind)> {
+        let mut theta: BTreeSet<PatVar> = outside.iter().map(|o| o.0.clone()).collect();
+        let read = self.occurrences.iter().filter(|o| o.2 != Reading::InStmt);
+        theta.extend(read.map(|o| o.0.clone()));
+        let mut occurrences = self.occurrences;
+        occurrences.retain(|o| theta.contains(&o.0));
+        outside.extend(occurrences.into_iter().map(|(p, kind, _)| (p, kind)));
+        outside
     }
 }
 
@@ -745,6 +794,45 @@ mod tests {
         assert_eq!(vars, ["P:Var", "X:Var", "C:Const", "W:Var"]);
         let binding: Vec<String> = g.binding_stmts().iter().map(|s| s.to_string()).collect();
         assert_eq!(binding, ["Z := E"]);
+    }
+
+    #[test]
+    fn guard_vars_sort_by_the_binding_discipline() {
+        let opt = crate::parse_optimization(
+            "forward t { stmt(Y := C) && !stmt(Y := 0)
+                 followed by !stmt(*$Q := ...) && !mayDef(Y) && !stmt(... := *P)
+                 until X := P => X := C with witness eta(Y) == C }",
+        )
+        .unwrap();
+        let crate::GuardSpec::Region(rg) = &opt.pattern.guard else {
+            unreachable!("a region rule")
+        };
+        let vars = GuardVars::of_rule([(&rg.psi1, true), (&rg.psi2, false)]);
+        let shown: Vec<String> = (vars.occurrences.iter())
+            .map(|(p, _, reading)| format!("{p}:{reading:?}"))
+            .collect();
+        assert_eq!(
+            shown,
+            [
+                "Y:Matched",
+                "C:Matched",
+                "Y:InStmt",
+                "$Q:InStmt",
+                "Y:Read",
+                "P:InStmt"
+            ]
+        );
+        // `from` names P, so it is θ's; `$Q` is local to its pattern.
+        let theta = |outside: &[&str]| -> Vec<String> {
+            let outside = outside
+                .iter()
+                .map(|p| (PatVar::from(*p), FragKind::Var))
+                .collect();
+            let theta = vars.clone().theta(outside);
+            theta.iter().map(|(p, _)| p.to_string()).collect()
+        };
+        assert_eq!(theta(&["P"]), ["P", "Y", "C", "Y", "Y", "P"]);
+        assert_eq!(theta(&[]), ["Y", "C", "Y", "Y"]);
     }
 
     #[test]

@@ -1,26 +1,25 @@
 //! The rule linter: structural well-formedness checks over `cobalt-dsl`
 //! ASTs, emitting `CL0xx` diagnostics (registry in DESIGN.md §9).
 //!
-//! The linter reads the engine's binding discipline from `cobalt-dsl`:
-//! at apply time a rewrite's substitution carries every variable
-//! matched by a binding statement pattern of `ψ1` ([`Scope::binds`]),
-//! every variable [`Guard::solve`] enumerates over the procedure domain
-//! ([`Guard::enumerated_vars`]), and every variable bound by matching
-//! `from`. Statement patterns under negation or inside `case` arms
-//! never contribute bindings — a template or witness variable whose
-//! only occurrence is there can never be instantiated.
-//!
-//! [`Scope::binds`]: cobalt_dsl::Scope::binds
+//! The linter reads the engine's binding discipline from `cobalt-dsl`'s
+//! [`GuardVars`], as the checker's vocabulary does: at apply time a
+//! rewrite's substitution carries every variable matched by a binding
+//! statement pattern of `ψ1`, every variable [`Guard::solve`] enumerates
+//! over the procedure domain, and every variable bound by matching
+//! `from`. The other statement patterns (under negation, inside `case`
+//! arms, in `ψ2` and `where`) never contribute bindings — a template or
+//! witness variable whose only occurrence is there can never be
+//! instantiated.
 
 use crate::diag::{Diagnostic, Diagnostics, Location};
 use crate::vacuous;
 use cobalt_dsl::{
     BackwardWitness, BasePat, ConstPat, Direction, ExprPat, ForwardWitness, FragKind, Guard,
-    GuardNode, GuardSpec, LabelDef, LabelEnv, LhsPat, Optimization, PatVar, PureAnalysis, StmtPat,
-    VarPat, Witness,
+    GuardNode, GuardSpec, GuardVars, LabelArgPat, LabelDef, LabelEnv, LhsPat, Optimization, PatVar,
+    PureAnalysis, Reading, StmtPat, VarPat, Witness,
 };
 use cobalt_support::fault;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// Options for a rule-lint run.
@@ -50,44 +49,49 @@ impl RuleLintOptions {
 }
 
 /// What the linter knows about labels: the definition environment plus
-/// the names attached semantically by pure analyses.
+/// the semantic labels in scope, each with the meaning its defining
+/// analysis gives it (its `defines` arguments and witness).
 #[derive(Debug, Clone)]
 pub struct LintContext<'a> {
     env: &'a LabelEnv,
-    semantic: BTreeSet<String>,
+    semantic: BTreeMap<String, (Vec<LabelArgPat>, ForwardWitness)>,
 }
 
 impl<'a> LintContext<'a> {
-    /// A context over `env`; the built-in semantic label `notTainted`
-    /// (paper §2.4) is always known.
+    /// A context over `env` with no semantic label in scope.
     pub fn new(env: &'a LabelEnv) -> Self {
-        let mut semantic = BTreeSet::new();
-        semantic.insert("notTainted".to_string());
-        LintContext { env, semantic }
+        LintContext {
+            env,
+            semantic: BTreeMap::new(),
+        }
     }
 
-    /// Also treat every label defined by `analyses` as known.
+    /// Also brings the label of each of `analyses` into scope, in order
+    /// ([`learn`](Self::learn)).
     pub fn with_analyses(mut self, analyses: &[PureAnalysis]) -> Self {
-        for a in analyses {
-            self.semantic.insert(a.defines.0.to_string());
-        }
+        analyses.iter().for_each(|a| self.learn(a));
         self
     }
-}
 
-/// Variable occurrences collected from a guard, split by how the
-/// engine's solve/eval discipline treats them.
-#[derive(Debug, Default)]
-struct GuardVars {
-    /// Statement-pattern variables in positive, non-`case` positions:
-    /// these bind by matching.
-    positive_binders: BTreeSet<String>,
-    /// Statement-pattern variables that can never bind: under a
-    /// negation or inside a `case` arm.
-    local_binders: BTreeSet<String>,
-    /// The variables `solve` enumerates over the procedure domain
-    /// ([`Guard::enumerated_vars`]), so they are bound in every fact.
-    uses: BTreeSet<String>,
+    /// Brings the label `analysis` defines into scope with its meaning,
+    /// as verifying the analysis does. A label already in scope keeps
+    /// its meaning: CL013 reports a different one.
+    pub fn learn(&mut self, analysis: &PureAnalysis) {
+        let (name, args) = &analysis.defines;
+        let meaning = (args.clone(), analysis.witness.clone());
+        self.semantic.entry(name.to_string()).or_insert(meaning);
+    }
+
+    /// Also brings semantic label `name` into scope, meaning `witness`
+    /// over `params`: a meaning the checker has verified.
+    pub fn with_meaning(mut self, name: &str, params: &[PatVar], witness: &ForwardWitness) -> Self {
+        let args = params
+            .iter()
+            .map(|p| LabelArgPat::Var(VarPat::Pat(p.clone())));
+        self.semantic
+            .insert(name.to_string(), (args.collect(), witness.clone()));
+        self
+    }
 }
 
 /// The names of the pattern variables `walk` appends.
@@ -113,23 +117,6 @@ fn stmt_pat_has_wildcard(sp: &StmtPat) -> bool {
 /// any concrete statement ([`ExprPat::Fold`] is template-only).
 fn stmt_pat_has_fold(sp: &StmtPat) -> bool {
     matches!(sp, StmtPat::Assign(_, ExprPat::Fold(_)))
-}
-
-/// Sorts the guard's variables by how `Guard::solve` binds them.
-fn collect_guard(g: &Guard, acc: &mut GuardVars) {
-    g.visit(&mut |node, scope| {
-        let (sink, pat) = match node {
-            GuardNode::Atom(Guard::Stmt(pat)) if scope.binds() => (&mut acc.positive_binders, pat),
-            GuardNode::Atom(Guard::Stmt(pat)) | GuardNode::ArmPattern(pat) => {
-                (&mut acc.local_binders, pat)
-            }
-            _ => return,
-        };
-        sink.extend(names(|out| pat.vars(out)));
-    });
-    for (p, _) in g.enumerated_vars() {
-        acc.uses.insert(p.as_str().to_string());
-    }
 }
 
 /// Conservative subsumption between statement patterns: `true` only if
@@ -268,15 +255,19 @@ struct RuleParts<'r> {
     defines_vars: BTreeSet<String>,
     /// The forward witness, if the rule has one.
     forward_witness: Option<&'r ForwardWitness>,
+    /// The rule's direction (an analysis is forward).
+    direction: Direction,
 }
 
 /// The checks that apply to any guard, a label body's included: label
 /// references resolve with the right arity (CL003, CL004), and no `case`
-/// arm is shadowed by an earlier one (CL005).
+/// arm is shadowed by an earlier one (CL005). `direction` is the rule's,
+/// `None` for a label body.
 fn lint_guards(
     rule: &str,
     guards: &[(&'static str, &Guard)],
     ctx: &LintContext<'_>,
+    direction: Option<Direction>,
     diags: &mut Diagnostics,
 ) {
     let loc = |part: &str| Location::Rule {
@@ -294,36 +285,41 @@ fn lint_guards(
     }
     for (name, arity, part) in refs {
         match ctx.env.lookup(name) {
-            Some(def) => {
-                if def.params.len() != arity {
-                    diags.push(Diagnostic::error(
-                        "CL004",
-                        loc(part),
-                        format!(
-                            "label `{name}` expects {} argument(s), got {arity}",
-                            def.params.len()
-                        ),
-                    ));
-                }
+            Some(def) if def.params.len() != arity => {
+                diags.push(Diagnostic::error(
+                    "CL004",
+                    loc(part),
+                    format!(
+                        "label `{name}` expects {} argument(s), got {arity}",
+                        def.params.len()
+                    ),
+                ));
             }
-            None => {
-                if !ctx.semantic.contains(name.as_str()) {
-                    diags.push(
-                        Diagnostic::warning(
-                            "CL003",
-                            loc(part),
-                            format!(
-                                "label `{name}` is neither defined in the label \
-                                 environment nor produced by a known pure analysis"
-                            ),
-                        )
-                        .with_suggestion(
-                            "semantic labels evaluate to false when absent; \
-                             check the spelling or register the analysis",
-                        ),
-                    );
-                }
+            None if !ctx.semantic.contains_key(name.as_str()) => {
+                let message = format!(
+                    "label `{name}` is neither defined in the label environment nor \
+                     produced by a pure analysis in scope"
+                );
+                let (diag, hint) = match direction {
+                    Some(Direction::Forward) => (
+                        Diagnostic::error("CL003", loc(part), message),
+                        "the checker refuses a semantic label that no verified analysis \
+                         defines; check the spelling or define it in an analysis listed first",
+                    ),
+                    Some(Direction::Backward) => (
+                        Diagnostic::warning("CL003", loc(part), message),
+                        "a backward rule reads every semantic label as false; check the \
+                         spelling or define the label with `label`",
+                    ),
+                    None => (
+                        Diagnostic::warning("CL003", loc(part), message),
+                        "a forward rule using this label is refused, a backward one reads \
+                         it as false; check the spelling or define it in an analysis",
+                    ),
+                };
+                diags.push(diag.with_suggestion(hint));
             }
+            Some(_) | None => {}
         }
     }
 
@@ -364,29 +360,16 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
     // Collect binding structure. `from` binds by matching; psi1 binds
     // via the solve discipline; psi2/where only consume bindings.
     let from_vars = names(|out| parts.from.iter().for_each(|from| from.vars(out)));
-    let mut psi1_vars = GuardVars::default();
-    let mut other_vars = GuardVars::default();
-    for (part, g) in &parts.guards {
-        if *part == "psi1" {
-            collect_guard(g, &mut psi1_vars);
-        } else {
-            collect_guard(g, &mut other_vars);
-        }
-    }
-
+    let guards = GuardVars::of_rule(parts.guards.iter().map(|(part, g)| (*g, *part == "psi1")));
+    let read_as = |readings: &[Reading]| -> BTreeSet<String> {
+        let occurrences = guards.occurrences.iter();
+        let vars = occurrences.filter(|o| readings.contains(&o.2));
+        vars.map(|o| o.0.as_str().to_string()).collect()
+    };
+    let binders = read_as(&[Reading::Matched]);
     let mut bound: BTreeSet<String> = from_vars.clone();
-    bound.extend(psi1_vars.positive_binders.iter().cloned());
-    bound.extend(psi1_vars.uses.iter().cloned());
-    let mut local_only: BTreeSet<String> = BTreeSet::new();
-    for v in psi1_vars
-        .local_binders
-        .iter()
-        .chain(other_vars.local_binders.iter())
-    {
-        if !bound.contains(v) {
-            local_only.insert(v.clone());
-        }
-    }
+    bound.extend(read_as(&[Reading::Matched, Reading::Enumerated]));
+    let in_stmts = read_as(&[Reading::InStmt]);
 
     // CL001 / CL007: template and witness variables must be bound.
     let mut template_uses: Vec<(String, &'static str)> = Vec::new();
@@ -399,14 +382,14 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
         if bound.contains(v) {
             continue;
         }
-        if local_only.contains(v) {
+        if in_stmts.contains(v) {
             diags.push(
                 Diagnostic::error(
                     "CL007",
                     loc(part),
                     format!(
-                        "pattern variable `{v}` is only bound under a negation or \
-                         inside a `case` arm, which never contributes bindings"
+                        "pattern variable `{v}` is only bound under a negation, inside a \
+                         `case` arm or in psi2/where, which never contributes bindings"
                     ),
                 )
                 .with_suggestion(format!(
@@ -431,15 +414,10 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
     // probably meant to constrain something with it. `from` binders are
     // exempt (matching a shape and discarding parts of it is normal),
     // as are `_`-prefixed names.
-    let mut used_elsewhere: BTreeSet<String> = BTreeSet::new();
-    used_elsewhere.extend(psi1_vars.uses.iter().cloned());
-    used_elsewhere.extend(other_vars.uses.iter().cloned());
-    used_elsewhere.extend(other_vars.positive_binders.iter().cloned());
-    used_elsewhere.extend(from_vars.iter().cloned());
-    for (v, _) in &template_uses {
-        used_elsewhere.insert(v.clone());
-    }
-    for v in &psi1_vars.positive_binders {
+    let mut used_elsewhere = read_as(&[Reading::Enumerated, Reading::Read, Reading::InStmt]);
+    used_elsewhere.extend(from_vars);
+    used_elsewhere.extend(template_uses.iter().map(|(v, _)| v.clone()));
+    for v in &binders {
         if !v.starts_with('_') && !used_elsewhere.contains(v) {
             diags.push(
                 Diagnostic::warning(
@@ -452,7 +430,13 @@ fn lint_parts(parts: &RuleParts<'_>, ctx: &LintContext<'_>, opts: &RuleLintOptio
         }
     }
 
-    lint_guards(parts.name, &parts.guards, ctx, &mut diags);
+    lint_guards(
+        parts.name,
+        &parts.guards,
+        ctx,
+        Some(parts.direction),
+        &mut diags,
+    );
 
     // CL006: wildcards in the rewrite template can never instantiate.
     if let Some(to) = parts.to {
@@ -600,6 +584,7 @@ pub fn lint_optimization(
             Witness::Forward(w) => Some(w),
             Witness::Backward(_) => None,
         },
+        direction: pat.direction,
     };
     diags.absorb(lint_parts(&parts, ctx, opts));
 
@@ -632,7 +617,13 @@ pub fn lint_optimization(
 /// name.
 pub fn lint_label(def: &LabelDef, ctx: &LintContext<'_>) -> Diagnostics {
     let mut diags = Diagnostics::new();
-    lint_guards(def.name.as_str(), &[("label", &def.body)], ctx, &mut diags);
+    lint_guards(
+        def.name.as_str(),
+        &[("label", &def.body)],
+        ctx,
+        None,
+        &mut diags,
+    );
     diags
 }
 
@@ -664,8 +655,35 @@ pub fn lint_analysis(
         witness_vars: names(|out| analysis.witness.vars(out)),
         defines_vars: names(|out| analysis.defines.1.iter().for_each(|a| a.vars(out))),
         forward_witness: Some(&analysis.witness),
+        direction: Direction::Forward,
     };
     diags.absorb(lint_parts(&parts, ctx, opts));
+
+    // CL013: a label in scope keeps its meaning.
+    let (name, args) = &analysis.defines;
+    match ctx.semantic.get(name.as_str()) {
+        Some((held, witness)) if (held, witness) != (args, &analysis.witness) => {
+            let held: Vec<String> = held.iter().map(ToString::to_string).collect();
+            diags.push(
+                Diagnostic::error(
+                    "CL013",
+                    Location::Rule {
+                        rule: analysis.name.clone(),
+                        part: "defines".into(),
+                    },
+                    format!(
+                        "label `{name}` already means `{witness}` over ({}); the checker \
+                         refuses another meaning",
+                        held.join(", ")
+                    ),
+                )
+                .with_suggestion(
+                    "rename the label, or define it with the same parameters and witness",
+                ),
+            );
+        }
+        _ => {}
+    }
     diags
 }
 
@@ -708,6 +726,16 @@ mod tests {
 
     fn codes(diags: &Diagnostics) -> Vec<&'static str> {
         diags.iter().map(|d| d.code).collect()
+    }
+
+    /// The registry's `taint` analysis, which gives `notTainted` its
+    /// meaning.
+    fn taint() -> PureAnalysis {
+        cobalt_dsl::parse_analysis(
+            "analysis taint { stmt(decl X) followed by !stmt(... := &X)
+                 defines notTainted(X) with witness notPointedTo(X) }",
+        )
+        .unwrap()
     }
 
     #[test]
@@ -789,8 +817,8 @@ mod tests {
         let diags = lint_optimization(&rule, &LintContext::new(&e), &opts());
         assert!(codes(&diags).contains(&"CL003"), "{}", diags.render_human());
 
-        // notTainted is a known semantic label; an analysis-defined
-        // label becomes known through the context.
+        // A semantic label becomes known through the context: the
+        // taint analysis's notTainted, and an analysis-defined one.
         let psi1 = Guard::And(vec![
             Guard::Label("notTainted".into(), vec![LabelArgPat::Var(VarPat::pat("X"))]),
             Guard::Label("myFacts".into(), vec![LabelArgPat::Var(VarPat::pat("X"))]),
@@ -811,9 +839,63 @@ mod tests {
             defines: ("myFacts".into(), vec![LabelArgPat::Var(VarPat::pat("X"))]),
             witness: ForwardWitness::True,
         };
-        let ctx = LintContext::new(&e).with_analyses(std::slice::from_ref(&analysis));
+        let ctx = LintContext::new(&e).with_analyses(&[taint(), analysis]);
         let diags = lint_optimization(&rule, &ctx, &opts());
         assert!(!codes(&diags).contains(&"CL003"), "{}", diags.render_human());
+    }
+
+    #[test]
+    fn cl003_is_an_error_where_the_checker_refuses_the_label() {
+        let e = env();
+        let ctx = LintContext::new(&e);
+        let severity = |src: &str| {
+            let suite = cobalt_dsl::parse_suite(src).unwrap();
+            let diags = match (suite.optimizations.first(), suite.analyses.first()) {
+                (Some(o), _) => lint_optimization(o, &ctx, &opts()),
+                (None, Some(a)) => lint_analysis(a, &ctx, &opts()),
+                (None, None) => unreachable!("one rule per suite"),
+            };
+            assert_eq!(codes(&diags), ["CL003"], "{}", diags.render_human());
+            diags.has_errors()
+        };
+        assert!(severity(
+            "forward p { stmt(Y := C) followed by myLabel(Y)
+                 until X := Y => X := C with witness eta(Y) == C }"
+        ));
+        assert!(severity(
+            "analysis a { stmt(decl X) followed by myLabel(X)
+                 defines mine(X) with witness notPointedTo(X) }"
+        ));
+        assert!(!severity(
+            "backward d { stmt(X := E) preceded by !myLabel(X)
+                 since X := E => skip with witness old/X == new/X }"
+        ));
+    }
+
+    #[test]
+    fn cl013_a_label_in_scope_keeps_its_meaning() {
+        let e = env();
+        let zero = cobalt_dsl::parse_analysis(
+            "analysis zero { stmt(X := 0) followed by !mayDef(X)
+                 defines notTainted(X) with witness eta(X) == 0 }",
+        )
+        .unwrap();
+        let ctx = LintContext::new(&e).with_analyses(&[taint()]);
+        let diags = lint_analysis(&zero, &ctx, &opts());
+        assert_eq!(codes(&diags), ["CL013"], "{}", diags.render_human());
+        assert!(diags.has_errors());
+        assert!(
+            diags.render_human().contains("zero/defines"),
+            "{}",
+            diags.render_human()
+        );
+        // The same meaning again is no conflict; a label not yet in
+        // scope is none either.
+        assert!(lint_analysis(&taint(), &ctx, &opts()).is_empty());
+        assert!(lint_analysis(&zero, &LintContext::new(&e), &opts()).is_empty());
+        // The first meaning stays in scope, as in the checker.
+        let ctx = LintContext::new(&e).with_analyses(&[taint(), zero.clone()]);
+        assert_eq!(codes(&lint_analysis(&zero, &ctx, &opts())), ["CL013"]);
     }
 
     #[test]
@@ -1036,8 +1118,9 @@ mod tests {
             vec![LabelArgPat::Var(VarPat::pat("Y")); 2],
         ));
         assert_eq!(codes(&lint_label(&arity, &LintContext::new(&e))), ["CL004"]);
+        let ctx = LintContext::new(&e).with_analyses(&[taint()]);
         for def in e.iter() {
-            let diags = lint_label(def, &LintContext::new(&e));
+            let diags = lint_label(def, &ctx);
             assert!(diags.is_empty(), "{}", diags.render_human());
         }
     }

@@ -43,7 +43,7 @@ pub const EXIT_RESOURCE_LIMITED: u8 = 3;
 /// Version tag mixed into every request fingerprint; bump on any
 /// change to the fingerprint inputs or the rendered output format so
 /// stale caches invalidate wholesale instead of aliasing.
-const FINGERPRINT_VERSION: &str = "cobalt-serve-fp-v3";
+const FINGERPRINT_VERSION: &str = "cobalt-serve-fp-v4";
 
 /// Per-request execution settings, fixed at daemon startup (requests
 /// choose *what* to run; the daemon's operator chooses the budgets it
@@ -275,33 +275,30 @@ pub fn verifier(rules: &Suite, cfg: &ExecConfig, cancel: &Cancel) -> Verifier {
 /// followed by its `FAILED` obligations; the last line is the verdict
 /// sentence. Exit 0 when everything proved, 2 when an obligation
 /// genuinely failed (or a buggy variant proved), 3 when the failures
-/// were resource limits only, 1 for a rule the checker refuses.
+/// were resource limits only, 1 for a rule the checker refuses: the
+/// reports of the rules before it, then the refusal as the last line.
 pub fn verify(
     session: &mut Session,
     rules: &Suite,
     include_buggy: bool,
     line: fn(&Report) -> String,
 ) -> ExecResult {
-    let proved = (|| {
-        let mut sound = Vec::new();
+    let (mut sound, mut buggy) = (Vec::new(), Vec::new());
+    let refused = (|| {
         for a in &rules.analyses {
             sound.push(session.verify_analysis(a)?);
         }
         for o in &rules.optimizations {
             sound.push(session.verify_optimization(o)?);
         }
-        let mut buggy = Vec::new();
         if include_buggy {
             for o in cobalt_opts::buggy_optimizations() {
                 buggy.push(session.verify_optimization(&o)?);
             }
         }
-        Ok::<_, VerifyError>((sound, buggy))
-    })();
-    let (sound, buggy) = match proved {
-        Ok(reports) => reports,
-        Err(e) => return ExecResult::error(e.to_string()),
-    };
+        Ok::<_, VerifyError>(())
+    })()
+    .err();
     let mut out = String::new();
     let (mut unsound, mut limited) = (false, false);
     for report in &sound {
@@ -341,6 +338,9 @@ pub fn verify(
                 "UNEXPECTEDLY PROVED"
             }
         ));
+    }
+    if let Some(e) = refused {
+        return ExecResult::error(out + &e.to_string());
     }
     let (exit, verdict, sentence) = if unsound {
         (EXIT_UNSOUND, "unsound", "some obligations failed")
@@ -488,6 +488,32 @@ mod tests {
         assert_eq!(r.exit, EXIT_UNSOUND, "{}", r.output);
         assert_eq!(r.verdict, "unsound");
         assert!(r.output.contains("FAILED"), "{}", r.output);
+    }
+
+    #[test]
+    fn a_refusal_keeps_the_reports_before_it() {
+        // `bad` fails, so `myLabel` gets no meaning and the rule using
+        // it is refused: `bad`'s report and `FAILED` lines say why.
+        let suite = "analysis bad { stmt(decl X) followed by true
+                         defines myLabel(X) with witness notPointedTo(X) }
+                     forward use_bad { stmt(Y := C) followed by myLabel(Y)
+                         until X := Y => X := C with witness eta(Y) == C }";
+        let r = execute(&verify_op(suite), &ExecConfig::default(), &Cancel::new());
+        assert_eq!((r.exit, r.verdict.as_str()), (1, "error"), "{}", r.output);
+        let lines: Vec<&str> = r.output.lines().collect();
+        assert!(
+            lines[0].starts_with("bad: 24/26 obligations proved"),
+            "{}",
+            r.output
+        );
+        assert!(lines[1].starts_with("  FAILED A2/"), "{}", r.output);
+        let refusal = lines.last().unwrap();
+        assert!(
+            refusal.contains("CL003") && refusal.contains("`myLabel`"),
+            "{refusal}"
+        );
+        assert!(!r.output.ends_with('\n'));
+        assert!(!CachedResult::cacheable(r.exit));
     }
 
     #[test]
@@ -656,10 +682,10 @@ mod tests {
         ];
         assert_eq!(
             obligation_digest(&former_ladder),
-            (269, 0x508b_0344_4655_7db9)
+            (258, 0x6588_fa79_45c7_937b)
         );
         let tiers = RetryPolicy::default().tiers;
-        assert_eq!(obligation_digest(&tiers), (269, 0x6002_24e7_449d_e1f0));
+        assert_eq!(obligation_digest(&tiers), (258, 0x37a7_0447_3a09_ef4b));
     }
 
     /// How many registry obligations there are, and a digest of their

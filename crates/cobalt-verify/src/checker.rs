@@ -341,7 +341,8 @@ impl Verifier {
     /// The fast pre-verification gate (DESIGN.md §9): structural lints
     /// only — no solver, microseconds per rule — so a malformed rule is
     /// rejected with named diagnostics before any obligation is even
-    /// constructed, let alone sent to the prover. A panic inside the
+    /// constructed, let alone sent to the prover. The semantic labels in
+    /// scope are the verifier's current meanings. A panic inside the
     /// linter (e.g. an injected `lint.rule` fault) is isolated into a
     /// `CL000` diagnostic rather than unwinding through the checker.
     fn lint_gate(
@@ -349,7 +350,10 @@ impl Verifier {
         name: &str,
         lint: impl FnOnce(&cobalt_lint::LintContext<'_>, &cobalt_lint::RuleLintOptions) -> cobalt_lint::Diagnostics,
     ) -> Result<(), VerifyError> {
-        let ctx = cobalt_lint::LintContext::new(&self.env);
+        let ctx = self.meanings.iter().fold(
+            cobalt_lint::LintContext::new(&self.env),
+            |ctx, (name, (params, witness))| ctx.with_meaning(name.as_str(), params, witness),
+        );
         let opts = cobalt_lint::RuleLintOptions::structural();
         let diags = match catch_unwind(AssertUnwindSafe(|| lint(&ctx, &opts))) {
             Ok(diags) => diags,

@@ -108,6 +108,11 @@ impl SemanticMeanings {
     pub fn lookup(&self, name: &LabelName) -> Option<&(Vec<PatVar>, ForwardWitness)> {
         self.map.get(name)
     }
+
+    /// Every label with its meaning, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&LabelName, &(Vec<PatVar>, ForwardWitness))> {
+        self.map.iter()
+    }
 }
 
 /// A symbolic execution state.

@@ -38,16 +38,17 @@ impl fmt::Display for VerifyError {
             ),
             VerifyError::Unsupported(msg) => write!(f, "unsupported construct: {msg}"),
             VerifyError::Lint(diags) => {
-                let codes: Vec<&str> = diags
+                let errors = diags
                     .iter()
-                    .filter(|d| d.severity == cobalt_lint::Severity::Error)
-                    .map(|d| d.code)
-                    .collect();
+                    .filter(|d| d.severity == cobalt_lint::Severity::Error);
+                let (codes, messages): (Vec<&str>, Vec<&str>) =
+                    errors.map(|d| (d.code, d.message.as_str())).unzip();
                 write!(
                     f,
-                    "rejected by lint before proving: {} error(s) [{}]",
+                    "rejected by lint before proving: {} error(s) [{}]: {}",
                     diags.error_count(),
-                    codes.join(", ")
+                    codes.join(", "),
+                    messages.join("; ")
                 )
             }
         }

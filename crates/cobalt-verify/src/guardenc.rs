@@ -92,21 +92,14 @@ impl Enc<'_> {
                     Formula::or(parts)
                 }
             }
-            Guard::Stmt(pat) => {
-                let m = self.match_stmt_shape(pat, ctx.shape, bind)?;
-                match m {
-                    None => polarize(Formula::False, negated),
-                    Some((newbind, conds)) => {
-                        if newbind.len() > bind.len() {
-                            return Err(VerifyError::Unsupported(
-                                "statement guard binds pattern variables not in the vocabulary"
-                                    .into(),
-                            ));
-                        }
-                        polarize(Formula::and(conds), negated)
-                    }
-                }
-            }
+            // A variable `bind` lacks is local to the pattern (the
+            // vocabulary leaves it out, `GuardVars::theta`): matching
+            // binds it to the shape's part, as `Guard::eval` matches it
+            // afresh.
+            Guard::Stmt(pat) => match self.match_stmt_shape(pat, ctx.shape, bind)? {
+                None => polarize(Formula::False, negated),
+                Some((_, conds)) => polarize(Formula::and(conds), negated),
+            },
             Guard::Label(name, args) => {
                 if let Some(def) = self.label_defs().lookup(name) {
                     if def.params.len() != args.len() {

@@ -1,15 +1,18 @@
 //! Pattern-variable vocabulary of an optimization.
 //!
 //! Verification treats the substitution `θ` symbolically: each pattern
-//! variable becomes an uninterpreted logic constant, and the obligations
-//! are proven for *all* instantiations at once. This module collects
-//! every pattern variable of an optimization together with the kind of
-//! fragment it ranges over.
+//! variable `θ` binds becomes an uninterpreted logic constant, and the
+//! obligations are proven for *all* instantiations at once. This module
+//! collects those variables of an optimization together with the kind
+//! of fragment each ranges over. The exception is a variable local to a
+//! statement pattern, which [`GuardVars::theta`] leaves out: `θ` never
+//! binds one, so the guard encoder matches it inside its pattern, as the
+//! engine does.
 
 use crate::error::VerifyError;
 use cobalt_dsl::{
-    BackwardWitness, FragKind, GuardSpec, Optimization, PatVar, PureAnalysis, TransformPattern,
-    Witness,
+    BackwardWitness, FragKind, GuardSpec, GuardVars, Optimization, PatVar, PureAnalysis,
+    TransformPattern, Witness,
 };
 use std::collections::BTreeMap;
 
@@ -57,27 +60,25 @@ pub fn of_pattern(pat: &TransformPattern) -> Result<Kinds, VerifyError> {
     let mut vars = Vec::new();
     pat.from.vars(&mut vars);
     pat.to.vars(&mut vars);
-    pat.where_clause.vars(&mut vars);
-    if let GuardSpec::Region(rg) = &pat.guard {
-        rg.psi1.vars(&mut vars);
-        rg.psi2.vars(&mut vars);
-    }
     match &pat.witness {
         Witness::Forward(w) => w.vars(&mut vars),
         Witness::Backward(BackwardWitness::Identical) => {}
         Witness::Backward(BackwardWitness::AgreeExcept(x)) => x.vars(&mut vars),
     }
-    kinds(vars)
+    let mut guards = vec![(&pat.where_clause, false)];
+    if let GuardSpec::Region(rg) = &pat.guard {
+        guards.extend([(&rg.psi1, true), (&rg.psi2, false)]);
+    }
+    kinds(GuardVars::of_rule(guards).theta(vars))
 }
 
 /// Collects the full vocabulary of a pure analysis.
 pub fn of_analysis(analysis: &PureAnalysis) -> Result<Kinds, VerifyError> {
     let mut vars = Vec::new();
-    analysis.guard.psi1.vars(&mut vars);
-    analysis.guard.psi2.vars(&mut vars);
     analysis.defines.1.iter().for_each(|a| a.vars(&mut vars));
     analysis.witness.vars(&mut vars);
-    kinds(vars)
+    let rg = &analysis.guard;
+    kinds(GuardVars::of_rule([(&rg.psi1, true), (&rg.psi2, false)]).theta(vars))
 }
 
 #[cfg(test)]
@@ -139,15 +140,14 @@ mod tests {
 
     #[test]
     fn case_arm_locals_not_collected() {
-        let mut vars = Vec::new();
-        Guard::CaseStmt {
+        let guard = Guard::CaseStmt {
             arms: vec![(
                 StmtPat::Assign(LhsPat::Deref(VarPat::pat("$P")), ExprPat::Any),
                 Guard::True,
             )],
             default: Box::new(Guard::SyntacticDef(VarPat::pat("Y"))),
-        }
-        .vars(&mut vars);
-        assert_eq!(vars, vec![("Y".into(), FragKind::Var)]);
+        };
+        let vars = GuardVars::of_rule([(&guard, false)]).theta(Vec::new());
+        assert_eq!(vars, [("Y".into(), FragKind::Var)]);
     }
 }

@@ -154,6 +154,33 @@ if [[ $code -ne 4 || "$out" != *CL012* ]]; then
     echo "lint: template \`X := B != A\` exited $code (want 4, naming CL012)"; exit 1
 fi
 
+# Semantic labels come into scope as `verify` gives them meaning, so
+# lint fails (exit 4) where `verify` refuses: a label no analysis
+# defines (CL003), one an analysis uses before the analysis that
+# defines it (CL003), and a redefinition of `notTainted` with another
+# witness (CL013).
+lint_label_case() {
+    local want=$1 cob
+    shift
+    cob=$(mktemp /tmp/cobalt_lint_label_XXXXXX.cob)
+    printf '%s\n' "$@" >"$cob"
+    set +e
+    out=$("$COBALT" lint "$cob" 2>/dev/null)
+    code=$?
+    set -e
+    rm -f "$cob"
+    if [[ $code -ne 4 || "$out" != *"error[$want]"* ]]; then
+        echo "lint: $* exited $code (want 4, naming $want):"; echo "$out"; exit 1
+    fi
+}
+lint_label_case CL003 \
+    'forward bad_prop { stmt(Y := C) followed by myLabel(Y) until X := Y => X := C with witness eta(Y) == C }'
+lint_label_case CL003 \
+    'analysis early { stmt(decl X) followed by myLabel(X) defines early(X) with witness notPointedTo(X) }' \
+    'analysis mytaint { stmt(decl X) followed by !stmt(... := &X) defines myLabel(X) with witness notPointedTo(X) }'
+lint_label_case CL013 \
+    'analysis zero { stmt(X := 0) followed by !mayDef(X) defines notTainted(X) with witness eta(X) == 0 }'
+
 # An injected lint fault must surface as CL000 and fail the run.
 set +e
 COBALT_FAULTS=lint.rule:fail@1 "$COBALT" lint >/dev/null 2>&1
@@ -193,6 +220,48 @@ if ! grep -qF 'counterexample found for `bad_prop`' <<<"$hunt"; then
 fi
 if [[ $code_unknown -ne 1 ]] || ! grep -qF '`myLabel`' <<<"$err"; then
     echo "verify: a label with no verified meaning exited $code_unknown (want 1, naming it):"; echo "$err"; exit 1
+fi
+
+# A refusal keeps the reports before it: `bad` fails, so `myLabel` has
+# no meaning and the rule using it is refused (exit 1). `bad`'s FAILED
+# lines, which say why, are on stdout; the refusal is on stderr.
+bad_cob=$(mktemp /tmp/cobalt_refused_XXXXXX.cob)
+printf '%s\n' \
+    'analysis bad { stmt(decl X) followed by true defines myLabel(X) with witness notPointedTo(X) }' \
+    'forward use_bad { stmt(Y := C) followed by myLabel(Y) until X := Y => X := C with witness eta(Y) == C }' \
+    >"$bad_cob"
+set +e
+out=$("$COBALT" verify "$bad_cob" 2>/tmp/cobalt_refused_err.$$)
+code=$?
+set -e
+err=$(cat /tmp/cobalt_refused_err.$$)
+rm -f "$bad_cob" /tmp/cobalt_refused_err.$$
+if [[ $code -ne 1 ]] || ! grep -q '^  FAILED A2/' <<<"$out" || ! grep -qF '`myLabel`' <<<"$err"; then
+    echo "verify: a late refusal exited $code (want 1, bad's FAILED lines, then the refusal):"
+    echo "$out"; echo "$err"; exit 1
+fi
+
+# A `$`-variable only a statement atom names is local to it, in the
+# checker as in the engine: `noStore(Y)` excludes every pointer store,
+# so constant propagation under it proves, and the §6 rule's region
+# admits no store or call, so it builds no F2 obligation for one.
+nostore_cob=$(mktemp /tmp/cobalt_nostore_XXXXXX.cob)
+printf '%s\n' \
+    'label noStore(Y) { !stmt(*$Q := ...) && !mayDef(Y) }' \
+    'forward nostore_prop { stmt(Y := C) followed by noStore(Y) until X := Y => X := C with witness eta(Y) == C }' \
+    >"$nostore_cob"
+set +e
+out=$("$COBALT" verify "$nostore_cob" 2>&1)
+code=$?
+set -e
+rm -f "$nostore_cob"
+if [[ $code -ne 0 ]] || ! grep -qF 'nostore_prop: 18/18 obligations proved' <<<"$out"; then
+    echo "verify: the noStore suite exited $code (want 0, 18/18):"; echo "$out"; exit 1
+fi
+out=$("$COBALT" verify --include-buggy 2>&1)
+if ! grep -qF 'buggy_load_elim_no_alias: 5/16 obligations proved' <<<"$out" \
+    || grep -qE 'F2/(store|call)_' <<<"$out"; then
+    echo "verify: the §6 rule should read 5/16 with no F2/store_ or F2/call_ obligation:"; echo "$out"; exit 1
 fi
 
 echo "== journal stage (crash-safe resume)"
@@ -670,9 +739,9 @@ fi
 # change that moves a split, an instance or a branch fails here. The
 # default retry policy is one tier, so each obligation is one attempt
 # and nothing escalates.
-for want in "verify.obligations = 269" "verify.attempts = 269" "verify.escalations = 0" \
-    "logic.calls = 269" "logic.splits = 3420" "logic.instances = 7893" \
-    "logic.branches = 3515"; do
+for want in "verify.obligations = 258" "verify.attempts = 258" "verify.escalations = 0" \
+    "logic.calls = 258" "logic.splits = 2318" "logic.instances = 5313" \
+    "logic.branches = 2531"; do
     if ! grep -qx "metric $want count" <<<"$smoke"; then
         echo "perf: verify_registry smoke: want $want, got:"
         grep -E '^metric (verify\.(obligations|attempts|escalations)|logic\.(calls|splits|instances|branches)) ' <<<"$smoke"

@@ -438,8 +438,15 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
     let result = exec::verify(&mut session, &rules, args.has("--include-buggy"), Report::summary);
     if result.exit == 1 {
         // No finish: compaction would drop the journal records of the
-        // rules this failed run never reached.
-        return Err(result.output.into());
+        // rules this failed run never reached. The reports of the rules
+        // before the refusal go to stdout, the refusal to stderr.
+        let output = result.output.as_str();
+        let (reports, refusal) = output.rsplit_once('\n').unwrap_or(("", output));
+        return Err(CliError {
+            code: 1,
+            msg: refusal.to_string(),
+            out: (!reports.is_empty()).then(|| format!("{reports}\n")),
+        });
     }
     session.finish();
     let mut notes = String::new();
@@ -475,17 +482,22 @@ fn cmd_lint(args: &Args) -> Result<String, CliError> {
         Some("warn") => true,
         Some(other) => bail!("--deny: expected `warn`, got `{other}`"),
     };
-    // A suite's labels, then its analyses and optimizations.
+    // A suite's labels, then its analyses and optimizations. Semantic
+    // labels come into scope as `verify` gives them meaning: the
+    // registry's analyses, then the suite's in order.
     let lint_suite = |suite: &Suite, labels: &[LabelDef]| {
-        let mut diags = Diagnostics::new();
         let (env, opts) = (suite.label_env(), RuleLintOptions::default());
-        let ctx = LintContext::new(&env).with_analyses(&suite.analyses);
+        let mut ctx = LintContext::new(&env).with_analyses(&cobalt::opts::all_analyses());
+        let mut analyses = Diagnostics::new();
+        for a in &suite.analyses {
+            analyses.absorb(lint_analysis(a, &ctx, &opts));
+            ctx.learn(a);
+        }
+        let mut diags = Diagnostics::new();
         for l in labels {
             diags.absorb(lint_label(l, &ctx));
         }
-        for a in &suite.analyses {
-            diags.absorb(lint_analysis(a, &ctx, &opts));
-        }
+        diags.absorb(analyses);
         for o in &suite.optimizations {
             diags.absorb(lint_optimization(o, &ctx, &opts));
         }
@@ -1123,6 +1135,40 @@ proc main(x) {
             assert_eq!(code, 1, "{file}: {out}");
             assert!(msg.contains(label), "{file}: {msg}");
         }
+    }
+
+    #[test]
+    fn verify_prints_the_reports_before_a_refusal() {
+        let suite = "analysis bad { stmt(decl X) followed by true
+                         defines myLabel(X) with witness notPointedTo(X) }
+                     forward use_bad { stmt(Y := C) followed by myLabel(Y)
+                         until X := Y => X := C with witness eta(Y) == C }";
+        let p = write_tmp("refused_late.cob", suite);
+        let jpath = format!("{p}.journal");
+        let args = [
+            "verify".into(),
+            p.clone(),
+            "--journal".into(),
+            jpath.clone(),
+        ];
+        let err = run_cli(&args).unwrap_err();
+        assert_eq!(err.code, 1, "{}", err.msg);
+        // The refusal is the one stderr line; `bad`'s report is stdout.
+        assert!(
+            err.msg.contains("`myLabel`") && !err.msg.contains('\n'),
+            "{}",
+            err.msg
+        );
+        let out = err.out.expect("the reports before the refusal");
+        assert!(out.starts_with("bad: 24/26 obligations proved"), "{out}");
+        assert!(out.contains("  FAILED A2/assign_addrof"), "{out}");
+        assert!(out.ends_with('\n') && !out.contains("myLabel"), "{out}");
+        // Exit 1 leaves the journal uncompacted: a rerun replays what
+        // `bad` proved.
+        let again = run_cli(&args).unwrap_err();
+        assert!(again.out.unwrap().contains("(24 cached, 2 fresh)"));
+        std::fs::remove_file(p).ok();
+        std::fs::remove_file(jpath).ok();
     }
 
     /// `verify`'s stdout with each report's ` in <time>` removed — the

@@ -104,3 +104,42 @@ fn unsound_user_label_is_caught() {
         .all(|id| id.contains("call") || id.contains("store")),
         "{:?}", report.failures());
 }
+
+/// A label whose body names `$Q`, which no parameter binds: `$Q` is
+/// local to its `stmt(…)` pattern, so `noStore(Y)` excludes every
+/// pointer store, in the engine and in the checker alike.
+const NO_STORE: &str = "
+label noStore(Y) { !stmt(*$Q := ...) && !mayDef(Y) }
+
+forward no_store_prop {
+    stmt(Y := C)
+    followed by noStore(Y)
+    until X := Y => X := C
+    with witness eta(Y) == C
+}
+";
+
+#[test]
+fn a_statement_variable_no_parameter_binds_means_any() {
+    let suite = parse_suite(NO_STORE).unwrap();
+    let engine = Engine::new(suite.label_env());
+    let rewrites = |src: &str| {
+        let prog = parse_program(src).unwrap();
+        let ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
+        engine.apply(&ap, &suite.optimizations[0]).unwrap().1.len()
+    };
+    // A store through any pointer blocks the rewrite; none does not.
+    let store =
+        "proc main(x) { decl a; decl p; decl c; p := &c; a := 2; *p := 9; c := a; return c; }";
+    assert_eq!(rewrites(store), 0);
+    assert_eq!(rewrites(&store.replace("*p := 9", "x := 9")), 1);
+    let verifier = Verifier::new(suite.label_env(), SemanticMeanings::standard());
+    let report = verifier
+        .verify_optimization(&suite.optimizations[0])
+        .unwrap();
+    assert_eq!(
+        report.summary_stable(),
+        "no_store_prop: 18/18 obligations proved"
+    );
+    assert!(report.outcomes.iter().all(|o| !o.id.contains("store")));
+}

@@ -34,6 +34,38 @@ fn buggy_load_elimination_is_rejected() {
 }
 
 #[test]
+fn the_section_6_rule_fails_only_by_its_two_bugs() {
+    // Its region excludes every pointer store and call (`$Q`, `$D`, `$F`,
+    // `$Z` and `$C` are local to their `stmt(…)` atoms, as in the
+    // engine), so F2 builds no store or call obligation. What fails is
+    // a direct assignment through an alias (`F2/assign_*`, `F2/new`),
+    // and `X := *X`, which F1 cannot establish `eta(X) == eta(*X)` for.
+    let report = verifier()
+        .verify_optimization(&cobalt::opts::buggy_optimizations().remove(0))
+        .unwrap();
+    let ids: Vec<&str> = report.outcomes.iter().map(|o| o.id.as_str()).collect();
+    let assigns = [
+        "var", "const", "deref", "addrof", "op1v", "op1c", "op2vv", "op2vc", "op2cv",
+    ];
+    let assigns = assigns.map(|rhs| format!("F2/assign_{rhs}"));
+    let mut want = vec!["F1/assign_deref", "F2/decl", "F2/skip"];
+    want.extend(assigns.iter().map(String::as_str));
+    want.extend(["F2/new", "F2/if_var", "F2/if_const", "F3"]);
+    assert_eq!(ids, want);
+    let mut failed = vec!["F1/assign_deref"];
+    failed.extend(assigns.iter().map(String::as_str));
+    failed.push("F2/new");
+    let mut failures = report.failures();
+    failures.sort();
+    failed.sort();
+    assert_eq!(failures, failed);
+    assert!(report
+        .outcomes
+        .iter()
+        .all(|o| o.proved || !o.resource_limited));
+}
+
+#[test]
 fn fixed_load_elimination_is_proved() {
     let report = verifier()
         .verify_optimization(&cobalt::opts::optimization("load_elim").unwrap())
