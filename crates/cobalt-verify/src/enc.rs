@@ -44,6 +44,7 @@ use cobalt_dsl::{
 };
 use cobalt_logic::{Formula, Solver, TermId};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
 /// How semantic labels (those defined by pure analyses) are encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,6 +192,183 @@ pub enum Shape {
     },
     /// `return u`.
     Return(TermId),
+}
+
+/// An operand form of a [`ShapeKind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgKind {
+    /// A variable.
+    Var,
+    /// A constant.
+    Const,
+}
+
+/// A right-hand-side form of a [`ShapeKind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RhsKind {
+    /// `u`.
+    Var,
+    /// `k`.
+    Const,
+    /// `*u`.
+    Deref,
+    /// `&u`.
+    AddrOf,
+    /// A unary operator on one operand.
+    Op1(ArgKind),
+    /// A binary operator on two operands.
+    Op2(ArgKind, ArgKind),
+}
+
+/// The statement kinds the region obligations (F1, F2, A1, A2, B2, B3)
+/// enumerate: one per IL statement constructor and operand form, so a
+/// guard quantifying over all statements becomes one obligation per
+/// kind. A kind's `Display` is its tag in obligation ids
+/// (`F2/assign_var`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeKind {
+    /// `decl w`.
+    Decl,
+    /// `skip`.
+    Skip,
+    /// `w := rhs`.
+    Assign(RhsKind),
+    /// `*w := rhs`.
+    Store(RhsKind),
+    /// `w := new`.
+    New,
+    /// `w := f(arg)`.
+    Call(ArgKind),
+    /// `if cond goto t1 else t2`.
+    If(ArgKind),
+    /// `return u`.
+    Return,
+}
+
+/// Every kind in obligation order, `return` last.
+const SHAPE_KINDS: [ShapeKind; 26] = {
+    use ArgKind::{Const as C, Var as V};
+    use RhsKind as R;
+    use ShapeKind as K;
+    [
+        K::Decl,
+        K::Skip,
+        K::Assign(R::Var),
+        K::Assign(R::Const),
+        K::Assign(R::Deref),
+        K::Assign(R::AddrOf),
+        K::Assign(R::Op1(V)),
+        K::Assign(R::Op1(C)),
+        K::Assign(R::Op2(V, V)),
+        K::Assign(R::Op2(V, C)),
+        K::Assign(R::Op2(C, V)),
+        K::Store(R::Var),
+        K::Store(R::Const),
+        K::Store(R::Deref),
+        K::Store(R::AddrOf),
+        K::Store(R::Op1(V)),
+        K::Store(R::Op1(C)),
+        K::Store(R::Op2(V, V)),
+        K::Store(R::Op2(V, C)),
+        K::Store(R::Op2(C, V)),
+        K::New,
+        K::Call(V),
+        K::Call(C),
+        K::If(V),
+        K::If(C),
+        K::Return,
+    ]
+};
+
+impl ShapeKind {
+    /// The kinds region obligations enumerate, in obligation order.
+    /// `include_return` adds `return`, which only B3 enumerates: a
+    /// return may be a backward rule's enabling statement.
+    pub fn all(include_return: bool) -> &'static [ShapeKind] {
+        let n = SHAPE_KINDS.len() - usize::from(!include_return);
+        &SHAPE_KINDS[..n]
+    }
+
+    /// Whether `pat`'s constructors admit a statement of this kind: a
+    /// test on the constructors and operand forms alone, false exactly
+    /// where [`Enc::match_stmt_shape`] finds no match at this kind's
+    /// shape, whatever the terms.
+    pub fn admits(self, pat: &StmtPat) -> bool {
+        let arg = |p: &BasePat, a: ArgKind| {
+            matches!(
+                (p, a),
+                (BasePat::Var(_), ArgKind::Var) | (BasePat::Const(_), ArgKind::Const)
+            )
+        };
+        let rhs = |e: &ExprPat, r: RhsKind| match (e, r) {
+            (ExprPat::Any | ExprPat::Pat(_), _) => true,
+            (ExprPat::Base(b), RhsKind::Var) => arg(b, ArgKind::Var),
+            (ExprPat::Base(b), RhsKind::Const) => arg(b, ArgKind::Const),
+            (ExprPat::Deref(_), RhsKind::Deref) | (ExprPat::AddrOf(_), RhsKind::AddrOf) => true,
+            (ExprPat::Op(_, ps), RhsKind::Op1(a)) => matches!(ps.as_slice(), [p] if arg(p, a)),
+            (ExprPat::Op(_, ps), RhsKind::Op2(a, b)) => {
+                matches!(ps.as_slice(), [p, q] if arg(p, a) && arg(q, b))
+            }
+            _ => false,
+        };
+        match (pat, self) {
+            (StmtPat::Any, _)
+            | (StmtPat::Decl(_), ShapeKind::Decl)
+            | (StmtPat::Skip, ShapeKind::Skip)
+            | (StmtPat::New(_), ShapeKind::New)
+            | (StmtPat::Return(_) | StmtPat::ReturnAny, ShapeKind::Return) => true,
+            (StmtPat::Assign(lhs, e), ShapeKind::Assign(r)) => {
+                !matches!(lhs, LhsPat::Deref(_)) && rhs(e, r)
+            }
+            (StmtPat::Assign(lhs, e), ShapeKind::Store(r)) => {
+                !matches!(lhs, LhsPat::Var(_)) && rhs(e, r)
+            }
+            (StmtPat::Call { arg: a, .. }, ShapeKind::Call(k)) => arg(a, k),
+            (StmtPat::If { cond, .. }, ShapeKind::If(k)) => arg(cond, k),
+            _ => false,
+        }
+    }
+}
+
+impl fmt::Display for ArgKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ArgKind::Var => "var",
+            ArgKind::Const => "const",
+        })
+    }
+}
+
+impl fmt::Display for RhsKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let letter = |a: &ArgKind| match a {
+            ArgKind::Var => 'v',
+            ArgKind::Const => 'c',
+        };
+        match self {
+            RhsKind::Var => f.write_str("var"),
+            RhsKind::Const => f.write_str("const"),
+            RhsKind::Deref => f.write_str("deref"),
+            RhsKind::AddrOf => f.write_str("addrof"),
+            RhsKind::Op1(a) => write!(f, "op1{}", letter(a)),
+            RhsKind::Op2(a, b) => write!(f, "op2{}{}", letter(a), letter(b)),
+        }
+    }
+}
+
+impl fmt::Display for ShapeKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShapeKind::Decl => f.write_str("decl"),
+            ShapeKind::Skip => f.write_str("skip"),
+            ShapeKind::Assign(r) => write!(f, "assign_{r}"),
+            ShapeKind::Store(r) => write!(f, "store_{r}"),
+            ShapeKind::New => f.write_str("new"),
+            ShapeKind::Call(a) => write!(f, "call_{a}"),
+            ShapeKind::If(a) => write!(f, "if_{a}"),
+            ShapeKind::Return => f.write_str("return"),
+        }
+    }
 }
 
 /// A symbolic binding of pattern variables to logic terms.
@@ -638,148 +816,62 @@ impl<'a> Enc<'a> {
         Ok(next)
     }
 
-    /// The tags of the statement shapes region obligations enumerate
-    /// (F1, F2, B2, B3). `include_return` is set for B3, where a
-    /// `return` may be the enabling statement.
-    ///
-    /// Each obligation builds **only its own** shape with
-    /// [`shape_by_tag`](Self::shape_by_tag), keeping the skolem
+    /// An operand of a shape of `kind`, with a fresh constant named
+    /// `var_base` for a variable.
+    fn fresh_arg(&mut self, kind: ArgKind, var_base: &str) -> ArgShape {
+        match kind {
+            ArgKind::Var => ArgShape::Var(self.fresh_var(var_base)),
+            ArgKind::Const => ArgShape::Const(self.fresh("k")),
+        }
+    }
+
+    fn fresh_rhs(&mut self, kind: RhsKind) -> RhsShape {
+        match kind {
+            RhsKind::Var => RhsShape::Var(self.fresh_var("u")),
+            RhsKind::Const => RhsShape::Const(self.fresh("k")),
+            RhsKind::Deref => RhsShape::Deref(self.fresh_var("u")),
+            RhsKind::AddrOf => RhsShape::AddrOf(self.fresh_var("u")),
+            RhsKind::Op1(a) => {
+                let o = self.fresh("op");
+                RhsShape::Op(o, vec![self.fresh_arg(a, "a")])
+            }
+            RhsKind::Op2(a, b) => {
+                let o = self.fresh("op");
+                let a = self.fresh_arg(a, "a");
+                RhsShape::Op(o, vec![a, self.fresh_arg(b, "a")])
+            }
+        }
+    }
+
+    /// Builds a shape of `kind` with fresh constants in every position.
+    /// Each obligation builds only its own shape, keeping the skolem
     /// vocabulary (and hence the injectivity instances) small.
-    pub fn shape_tags(include_return: bool) -> Vec<&'static str> {
-        let mut out = vec![
-            "decl",
-            "skip",
-            "assign_var",
-            "assign_const",
-            "assign_deref",
-            "assign_addrof",
-            "assign_op1v",
-            "assign_op1c",
-            "assign_op2vv",
-            "assign_op2vc",
-            "assign_op2cv",
-            "store_var",
-            "store_const",
-            "store_deref",
-            "store_addrof",
-            "store_op1v",
-            "store_op1c",
-            "store_op2vv",
-            "store_op2vc",
-            "store_op2cv",
-            "new",
-            "call_var",
-            "call_const",
-            "if_var",
-            "if_const",
-        ];
-        if include_return {
-            out.push("return");
-        }
-        out
-    }
-
-    fn rhs_by_tag(&mut self, tag: &str) -> RhsShape {
-        match tag {
-            "var" => RhsShape::Var(self.fresh_var("u")),
-            "const" => RhsShape::Const(self.fresh("k")),
-            "deref" => RhsShape::Deref(self.fresh_var("u")),
-            "addrof" => RhsShape::AddrOf(self.fresh_var("u")),
-            "op1v" => {
-                let o = self.fresh("op");
-                let a = self.fresh_var("a");
-                RhsShape::Op(o, vec![ArgShape::Var(a)])
+    pub fn shape(&mut self, kind: ShapeKind) -> Shape {
+        match kind {
+            ShapeKind::Decl => Shape::Decl(self.fresh_var("w")),
+            ShapeKind::Skip => Shape::Skip,
+            ShapeKind::Assign(r) => {
+                let rhs = self.fresh_rhs(r);
+                Shape::AssignVar(self.fresh_var("w"), rhs)
             }
-            "op1c" => {
-                let o = self.fresh("op");
-                let k = self.fresh("k");
-                RhsShape::Op(o, vec![ArgShape::Const(k)])
+            ShapeKind::Store(r) => {
+                let rhs = self.fresh_rhs(r);
+                Shape::AssignDeref(self.fresh_var("w"), rhs)
             }
-            "op2vv" => {
-                let o = self.fresh("op");
-                let a = self.fresh_var("a");
-                let b = self.fresh_var("a");
-                RhsShape::Op(o, vec![ArgShape::Var(a), ArgShape::Var(b)])
-            }
-            "op2vc" => {
-                let o = self.fresh("op");
-                let a = self.fresh_var("a");
-                let k = self.fresh("k");
-                RhsShape::Op(o, vec![ArgShape::Var(a), ArgShape::Const(k)])
-            }
-            "op2cv" => {
-                let o = self.fresh("op");
-                let k = self.fresh("k");
-                let a = self.fresh_var("a");
-                RhsShape::Op(o, vec![ArgShape::Const(k), ArgShape::Var(a)])
-            }
-            other => unreachable!("unknown rhs tag `{other}`"),
-        }
-    }
-
-    /// Builds the single shape named by `tag` (see
-    /// [`shape_tags`](Self::shape_tags)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown tag.
-    pub fn shape_by_tag(&mut self, tag: &str) -> Shape {
-        if let Some(rhs_tag) = tag.strip_prefix("assign_") {
-            let rhs = self.rhs_by_tag(rhs_tag);
-            let w = self.fresh_var("w");
-            return Shape::AssignVar(w, rhs);
-        }
-        if let Some(rhs_tag) = tag.strip_prefix("store_") {
-            let rhs = self.rhs_by_tag(rhs_tag);
-            let w = self.fresh_var("w");
-            return Shape::AssignDeref(w, rhs);
-        }
-        match tag {
-            "decl" => Shape::Decl(self.fresh_var("w")),
-            "skip" => Shape::Skip,
-            "new" => Shape::New(self.fresh_var("w")),
-            "call_var" => {
-                let u = self.fresh_var("u");
+            ShapeKind::New => Shape::New(self.fresh_var("w")),
+            ShapeKind::Call(a) => {
+                let arg = self.fresh_arg(a, "u");
                 let dst = self.fresh_var("w");
                 let proc = self.fresh("f");
-                Shape::Call {
-                    dst,
-                    proc,
-                    arg: ArgShape::Var(u),
-                }
+                Shape::Call { dst, proc, arg }
             }
-            "call_const" => {
-                let k = self.fresh("k");
-                let dst = self.fresh_var("w");
-                let proc = self.fresh("f");
-                Shape::Call {
-                    dst,
-                    proc,
-                    arg: ArgShape::Const(k),
-                }
-            }
-            "if_var" => {
-                let u = self.fresh_var("u");
+            ShapeKind::If(a) => {
+                let cond = self.fresh_arg(a, "u");
                 let t1 = self.fresh("t");
                 let t2 = self.fresh("t");
-                Shape::If {
-                    cond: ArgShape::Var(u),
-                    t1,
-                    t2,
-                }
+                Shape::If { cond, t1, t2 }
             }
-            "if_const" => {
-                let k = self.fresh("k");
-                let t1 = self.fresh("t");
-                let t2 = self.fresh("t");
-                Shape::If {
-                    cond: ArgShape::Const(k),
-                    t1,
-                    t2,
-                }
-            }
-            "return" => Shape::Return(self.fresh_var("u")),
-            other => unreachable!("unknown shape tag `{other}`"),
+            ShapeKind::Return => Shape::Return(self.fresh_var("u")),
         }
     }
 
@@ -977,20 +1069,22 @@ mod tests {
 
     #[test]
     fn shape_enumeration_counts() {
-        let tags = Enc::shape_tags(false);
-        assert_eq!(tags.len(), 2 + 9 + 9 + 1 + 2 + 2);
-        let with_ret = Enc::shape_tags(true);
-        assert_eq!(with_ret.len(), tags.len() + 1);
-        // Tags are unique and all constructible.
-        let mut sorted = with_ret.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), with_ret.len());
+        let kinds = ShapeKind::all(false);
+        assert_eq!(kinds.len(), 2 + 9 + 9 + 1 + 2 + 2);
+        let with_ret = ShapeKind::all(true);
+        assert_eq!(with_ret.len(), kinds.len() + 1);
+        assert_eq!(with_ret.last(), Some(&ShapeKind::Return));
+        // Tags are unique, and every kind builds a shape.
+        let mut tags: Vec<String> = with_ret.iter().map(ShapeKind::to_string).collect();
+        assert_eq!(tags[..3], ["decl", "skip", "assign_var"]);
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), with_ret.len());
         let (mut s, defs, m) = setup();
         let kinds = Kinds::new();
         let (mut enc, _) = Enc::new(&mut s, &defs, &m, TaintMode::Semantic, &kinds);
-        for tag in with_ret {
-            let _ = enc.shape_by_tag(tag);
+        for &kind in with_ret {
+            let _ = enc.shape(kind);
         }
     }
 

@@ -75,7 +75,7 @@ pub mod session;
 pub mod vocab;
 
 pub use checker::{ObligationOutcome, Report, RetryPolicy, Verifier};
-pub use enc::{Enc, SemanticMeanings, Shape, SymState, TaintMode};
+pub use enc::{ArgKind, Enc, RhsKind, SemanticMeanings, Shape, ShapeKind, SymState, TaintMode};
 pub use error::VerifyError;
 pub use infer::{infer_witness, with_inferred_witness};
 pub use oblig::{

@@ -13,8 +13,10 @@
 //!
 //! F1, F2, B2, B3 and A1, A2 quantify over *all* statements satisfying a
 //! guard; the builders realize this as one obligation per statement
-//! shape (see [`crate::enc`]), skipping shapes whose guard is statically
-//! false.
+//! kind ([`ShapeKind`]), skipping kinds whose guard is statically false.
+//! A kind that a statement clause the guard requires cannot admit
+//! ([`may_hold_at`]) is dropped before its spec is built; the rest are
+//! dropped once their guard encodes to `false`.
 //!
 //! # Bank ownership ([`BankMode`])
 //!
@@ -32,7 +34,7 @@
 //! counter restarts per spec and nothing user-visible prints raw term
 //! ids, so the bank layout underneath an obligation is unobservable.
 
-use crate::enc::{Bind, Enc, SemanticMeanings, Shape, TaintMode};
+use crate::enc::{Bind, Enc, SemanticMeanings, Shape, ShapeKind, TaintMode};
 use crate::error::VerifyError;
 use crate::guardenc::GuardCtx;
 use crate::vocab::{self, Kinds};
@@ -212,6 +214,17 @@ pub fn obligations_for_optimization_with(
     meanings: &SemanticMeanings,
     mode: BankMode,
 ) -> Result<Vec<Prepared>, VerifyError> {
+    let (specs, kinds) = optimization_specs(opt, true)?;
+    prepare(specs, defs, meanings, &kinds, mode)
+}
+
+/// The specs of an optimization's obligations, with its vocabulary.
+/// Under `prefilter` a region part builds no spec for a kind its guard
+/// cannot hold at ([`may_hold_at`]); without, it builds one per kind.
+fn optimization_specs(
+    opt: &Optimization,
+    prefilter: bool,
+) -> Result<(Vec<Spec>, Kinds), VerifyError> {
     let pat = &opt.pattern;
     if let Some(violation) = pat.to.template_violation() {
         return Err(VerifyError::Unsupported(format!(
@@ -233,8 +246,8 @@ pub fn obligations_for_optimization_with(
                     "forward pattern requires a forward witness".into(),
                 ));
             };
-            specs.extend(region_f1_f2("F1", &rg.psi1, None, w));
-            specs.extend(region_f1_f2("F2", &rg.psi2, Some(w), w));
+            specs.extend(region_f1_f2("F1", &rg.psi1, None, w, prefilter));
+            specs.extend(region_f1_f2("F2", &rg.psi2, Some(w), w, prefilter));
             specs.push(f3_spec(opt)?);
         }
         (GuardSpec::Region(rg), Direction::Backward) => {
@@ -271,11 +284,11 @@ pub fn obligations_for_optimization_with(
                 }),
             });
             // B2 and B3, per shape.
-            specs.extend(backward_shapes("B2", &rg.psi2, w, false));
-            specs.extend(backward_shapes("B3", &rg.psi1, w, true));
+            specs.extend(backward_shapes("B2", &rg.psi2, w, false, prefilter));
+            specs.extend(backward_shapes("B3", &rg.psi1, w, true, prefilter));
         }
     }
-    prepare(specs, defs, meanings, &kinds, mode)
+    Ok((specs, kinds))
 }
 
 /// Builds A1/A2 for a pure analysis under the given [`BankMode`].
@@ -289,14 +302,58 @@ pub fn obligations_for_analysis_with(
     meanings: &SemanticMeanings,
     mode: BankMode,
 ) -> Result<Vec<Prepared>, VerifyError> {
+    let (specs, kinds) = analysis_specs(analysis, true)?;
+    prepare(specs, defs, meanings, &kinds, mode)
+}
+
+/// The specs of an analysis's obligations, with its vocabulary; see
+/// [`optimization_specs`].
+fn analysis_specs(
+    analysis: &PureAnalysis,
+    prefilter: bool,
+) -> Result<(Vec<Spec>, Kinds), VerifyError> {
     check_witness_encodable(&analysis.witness)?;
     let kinds = vocab::of_analysis(analysis)?;
     let RegionGuard { psi1, psi2 } = &analysis.guard;
     let w = &analysis.witness;
     let mut specs = Vec::new();
-    specs.extend(region_f1_f2("A1", psi1, None, w));
-    specs.extend(region_f1_f2("A2", psi2, Some(w), w));
-    prepare(specs, defs, meanings, &kinds, mode)
+    specs.extend(region_f1_f2("A1", psi1, None, w, prefilter));
+    specs.extend(region_f1_f2("A2", psi2, Some(w), w, prefilter));
+    Ok((specs, kinds))
+}
+
+/// Whether `psi` may hold at a statement of `kind`: false when a
+/// statement clause the guard requires — a positive top-level
+/// `stmt(…)` conjunct, or a top-level `||` of them — admits the kind
+/// nowhere, so that the guard encodes to `false` at its shape. The
+/// check after encoding still catches the falsity that labels,
+/// `unchanged(…)` and negation produce.
+fn may_hold_at(psi: &Guard, kind: ShapeKind) -> bool {
+    let conjuncts = match psi {
+        Guard::And(gs) => gs.as_slice(),
+        g => std::slice::from_ref(g),
+    };
+    conjuncts.iter().all(|g| match g {
+        Guard::Stmt(p) => kind.admits(p),
+        Guard::Or(gs) if gs.iter().all(|g| matches!(g, Guard::Stmt(_))) => gs
+            .iter()
+            .any(|g| matches!(g, Guard::Stmt(p) if kind.admits(p))),
+        _ => true,
+    })
+}
+
+/// The kinds a region part over `psi` builds specs for: every kind
+/// (`return` too when `include_return`), less, under `prefilter`, those
+/// `psi` cannot hold at.
+fn region_kinds(
+    psi: &Guard,
+    include_return: bool,
+    prefilter: bool,
+) -> impl Iterator<Item = ShapeKind> + '_ {
+    ShapeKind::all(include_return)
+        .iter()
+        .copied()
+        .filter(move |&kind| !prefilter || may_hold_at(psi, kind))
 }
 
 /// Shared spec builder for F1/F2/A1/A2: per shape, guard hypotheses
@@ -307,17 +364,18 @@ fn region_f1_f2(
     psi: &Guard,
     pre_witness: Option<&cobalt_dsl::ForwardWitness>,
     post_witness: &cobalt_dsl::ForwardWitness,
+    prefilter: bool,
 ) -> Vec<Spec> {
     let mut out = Vec::new();
-    for tag in Enc::shape_tags(false) {
+    for kind in region_kinds(psi, false, prefilter) {
         let psi = psi.clone();
         let pre_w = pre_witness.cloned();
         let post_w = post_witness.clone();
         out.push(Spec {
-            id: format!("{tag_prefix}/{tag}"),
+            id: format!("{tag_prefix}/{kind}"),
             taint: TaintMode::Semantic,
             build: Box::new(move |enc, bind| {
-                let shape = enc.shape_by_tag(tag);
+                let shape = enc.shape(kind);
                 let st0 = enc.init_state("0");
                 let mut taints = enc.definite_taints(&psi, &shape, bind)?;
                 if let Some(pw) = &pre_w {
@@ -388,16 +446,17 @@ fn backward_shapes(
     psi: &Guard,
     witness: &cobalt_dsl::BackwardWitness,
     enabling: bool,
+    prefilter: bool,
 ) -> Vec<Spec> {
     let mut out = Vec::new();
-    for name in Enc::shape_tags(enabling) {
+    for kind in region_kinds(psi, enabling, prefilter) {
         let psi = psi.clone();
         let w = witness.clone();
         out.push(Spec {
-            id: format!("{tag}/{name}"),
+            id: format!("{tag}/{kind}"),
             taint: TaintMode::AbsentFalse,
             build: Box::new(move |enc, bind| {
-                let shape = enc.shape_by_tag(name);
+                let shape = enc.shape(kind);
                 let st_old = enc.init_state("old");
                 let st_new = enc.init_state("new");
                 let pre_witness = enc.bwd_witness(&w, &st_old, &st_new, bind)?;
@@ -451,4 +510,284 @@ fn backward_shapes(
         });
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cobalt_dsl::{parse_suite, LabelArgPat, Optimization, PureAnalysis, Suite};
+    use std::path::{Path, PathBuf};
+
+    /// The string literals of Rust source, unescaped: plain ones
+    /// (`"…"`) and raw ones (`r"…"`, `r#"…"#`), outside comments.
+    fn string_literals(src: &str) -> Vec<String> {
+        let c: Vec<char> = src.chars().collect();
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < c.len() {
+            let ident_before = i > 0 && (c[i - 1].is_alphanumeric() || c[i - 1] == '_');
+            match c[i] {
+                '/' if c.get(i + 1) == Some(&'/') => {
+                    while i < c.len() && c[i] != '\n' {
+                        i += 1;
+                    }
+                }
+                '/' if c.get(i + 1) == Some(&'*') => {
+                    i += 2;
+                    while i + 1 < c.len() && !(c[i] == '*' && c[i + 1] == '/') {
+                        i += 1;
+                    }
+                    i += 2;
+                }
+                // A character literal (`'"'`, `'\''`) or a lifetime.
+                '\'' if c.get(i + 1) == Some(&'\\') => i += 4,
+                '\'' if c.get(i + 2) == Some(&'\'') => i += 3,
+                'r' if !ident_before && matches!(c.get(i + 1), Some('"' | '#')) => {
+                    let hashes = c[i + 1..].iter().take_while(|&&ch| ch == '#').count();
+                    let open = i + 1 + hashes;
+                    if c.get(open) != Some(&'"') {
+                        i += 1;
+                        continue;
+                    }
+                    let mut end = open + 1;
+                    while end < c.len()
+                        && !(c[end] == '"' && c[end + 1..].iter().take(hashes).all(|&h| h == '#'))
+                    {
+                        end += 1;
+                    }
+                    out.push(c[open + 1..end.min(c.len())].iter().collect());
+                    i = end + 1 + hashes;
+                }
+                '"' => {
+                    let mut s = String::new();
+                    i += 1;
+                    while i < c.len() && c[i] != '"' {
+                        if c[i] == '\\' {
+                            i += 1;
+                            match c.get(i) {
+                                Some('n') => s.push('\n'),
+                                Some('t') => s.push('\t'),
+                                // A line continuation skips the next
+                                // line's indentation.
+                                Some('\n') => {
+                                    while c.get(i + 1).is_some_and(|ch| ch.is_whitespace()) {
+                                        i += 1;
+                                    }
+                                }
+                                Some(&ch) => s.push(ch),
+                                None => {}
+                            }
+                        } else {
+                            s.push(c[i]);
+                        }
+                        i += 1;
+                    }
+                    out.push(s);
+                    i += 1;
+                }
+                _ => i += 1,
+            }
+        }
+        out
+    }
+
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// Every suite the workspace's sources and tests state as a string
+    /// literal that parses, in a stable order. A format string's
+    /// doubled braces are undoubled; one with placeholders left does
+    /// not parse and is skipped.
+    fn workspace_suites() -> Vec<(String, Suite)> {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        for dir in ["src", "tests", "examples"] {
+            rust_files(&root.join(dir), &mut files);
+        }
+        let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .collect();
+        crates.sort();
+        for krate in crates {
+            for dir in ["src", "tests", "benches", "examples"] {
+                rust_files(&krate.join(dir), &mut files);
+            }
+        }
+        files.sort();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut out = Vec::new();
+        for file in files {
+            let src = std::fs::read_to_string(&file).unwrap();
+            for lit in string_literals(&src) {
+                if !["forward", "backward", "analysis"]
+                    .iter()
+                    .any(|k| lit.contains(k))
+                {
+                    continue;
+                }
+                let text = lit.replace("{{", "{").replace("}}", "}");
+                let Ok(suite) = parse_suite(&text) else {
+                    continue;
+                };
+                let has_region = suite.analyses.len()
+                    + suite
+                        .optimizations
+                        .iter()
+                        .filter(|o| matches!(o.pattern.guard, GuardSpec::Region(_)))
+                        .count();
+                if has_region > 0 && seen.insert(text) {
+                    let name = file.strip_prefix(&root).unwrap_or(&file);
+                    out.push((name.display().to_string(), suite));
+                }
+            }
+        }
+        out
+    }
+
+    /// The meanings a session gives `analyses`' labels once they prove.
+    fn meanings_of(analyses: &[PureAnalysis]) -> SemanticMeanings {
+        let mut meanings = SemanticMeanings::standard();
+        for a in analyses {
+            let params: Option<Vec<_>> = a
+                .defines
+                .1
+                .iter()
+                .map(|p| match p {
+                    LabelArgPat::Var(VarPat::Pat(p)) => Some(p.clone()),
+                    _ => None,
+                })
+                .collect();
+            if let Some(params) = params {
+                let _ = meanings.register(a.defines.0.clone(), params, a.witness.clone());
+            }
+        }
+        meanings
+    }
+
+    /// What became of some rules' specs: dropped before encoding,
+    /// dropped after it, built into obligations, or refused.
+    #[derive(Debug, Default, PartialEq)]
+    struct Dropped {
+        before: usize,
+        after: usize,
+        obligations: usize,
+        errors: usize,
+    }
+
+    /// Encodes every spec of one rule in full, the pre-filter's drops
+    /// included, and requires each dropped one to encode to a
+    /// statically false guard: not to an obligation, and not to an
+    /// error the pre-filter would hide.
+    fn audit(
+        rule: &str,
+        specs: impl Fn(bool) -> Result<(Vec<Spec>, Kinds), VerifyError>,
+        defs: &LabelEnv,
+        meanings: &SemanticMeanings,
+        dropped: &mut Dropped,
+    ) {
+        let Ok((all, kinds)) = specs(false) else {
+            // Refused before any spec exists, with or without the
+            // pre-filter.
+            return;
+        };
+        let (kept, _) = specs(true).unwrap();
+        let kept: Vec<&str> = kept.iter().map(|s| s.id.as_str()).collect();
+        for spec in &all {
+            let encoded = encode_into(&mut Solver::new(), spec, defs, meanings, &kinds);
+            let at = format!("{rule} {}", spec.id);
+            if kept.contains(&spec.id.as_str()) {
+                match encoded {
+                    Ok(None) => dropped.after += 1,
+                    Ok(Some(_)) => dropped.obligations += 1,
+                    Err(_) => dropped.errors += 1,
+                }
+            } else {
+                assert!(
+                    matches!(encoded, Ok(None)),
+                    "{at}: dropped before encoding, but encodes to {:?}",
+                    encoded.map(|t| t.is_some())
+                );
+                dropped.before += 1;
+            }
+        }
+    }
+
+    fn audit_suite(
+        opts: &[Optimization],
+        analyses: &[PureAnalysis],
+        defs: &LabelEnv,
+        meanings: &SemanticMeanings,
+    ) -> Dropped {
+        let mut dropped = Dropped::default();
+        for a in analyses {
+            audit(
+                &a.name,
+                |p| analysis_specs(a, p),
+                defs,
+                meanings,
+                &mut dropped,
+            );
+        }
+        for o in opts {
+            audit(
+                &o.name,
+                |p| optimization_specs(o, p),
+                defs,
+                meanings,
+                &mut dropped,
+            );
+        }
+        dropped
+    }
+
+    #[test]
+    fn the_prefilter_never_drops_an_obligation() {
+        let (defs, meanings) = (LabelEnv::standard(), SemanticMeanings::standard());
+        let mut opts = cobalt_opts::all_optimizations();
+        opts.extend(cobalt_opts::buggy_optimizations());
+        let registry = audit_suite(&opts, &cobalt_opts::all_analyses(), &defs, &meanings);
+        println!("registry: {registry:?}");
+        // A registry pass builds 258 obligations; of the 257 specs whose
+        // guard is statically false, the pre-filter drops 217 unencoded.
+        assert_eq!(
+            registry,
+            Dropped {
+                before: 217,
+                after: 40,
+                obligations: 258,
+                errors: 0,
+            }
+        );
+        let suites = workspace_suites();
+        let mut rules = 0;
+        for (file, suite) in &suites {
+            let meanings = meanings_of(&suite.analyses);
+            let d = audit_suite(
+                &suite.optimizations,
+                &suite.analyses,
+                &suite.label_env(),
+                &meanings,
+            );
+            rules += suite.optimizations.len() + suite.analyses.len();
+            println!("{file}: {d:?}");
+        }
+        assert!(
+            suites.len() >= 10 && rules >= 20,
+            "{} suites, {rules} rules",
+            suites.len()
+        );
+    }
 }

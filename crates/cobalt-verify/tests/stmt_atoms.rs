@@ -7,12 +7,20 @@
 //! `true` exactly where `Guard::eval` finds it true. The encoding runs
 //! against the rule's vocabulary, so a `$`-variable that became an
 //! obligation constant again would show here.
+//!
+//! The term-free kind test the obligation builders filter with,
+//! `ShapeKind::admits`, agrees with `Enc::match_stmt_shape` on every
+//! statement-pattern form at every kind.
 
-use cobalt_dsl::{parse_optimization, Domain, GuardSpec, LabelEnv, LabelSet, NodeCtx, Subst};
-use cobalt_il::{parse_stmt, BaseExpr, Expr, Lhs, Stmt};
+use cobalt_dsl::{
+    parse_optimization, BasePat, ConstPat, Domain, ExprPat, GuardSpec, IdxPat, LabelEnv, LabelSet,
+    LhsPat, NodeCtx, PatVar, ProcPat, StmtPat, Subst, VarPat,
+};
+use cobalt_il::{parse_stmt, BaseExpr, Expr, Lhs, OpKind, Stmt};
 use cobalt_logic::{Formula, Solver};
 use cobalt_verify::guardenc::GuardCtx;
-use cobalt_verify::{vocab, Enc, SemanticMeanings, TaintMode};
+use cobalt_verify::vocab::Kinds;
+use cobalt_verify::{vocab, ArgKind, Enc, RhsKind, SemanticMeanings, ShapeKind, TaintMode};
 
 /// Every statement-pattern form, with fresh `$`-variables.
 const PATTERNS: [&str; 9] = [
@@ -27,8 +35,8 @@ const PATTERNS: [&str; 9] = [
     "if $B goto $I else $J",
 ];
 
-/// One statement of each shape the checker enumerates, in
-/// `Enc::shape_tags` order.
+/// One statement of each kind the checker enumerates, in
+/// `ShapeKind::all` order.
 const STATEMENTS: [&str; 26] = [
     "decl x",
     "skip",
@@ -58,49 +66,48 @@ const STATEMENTS: [&str; 26] = [
     "return x",
 ];
 
-/// The shape tag of a statement. The match has no wildcard, so a new IL
-/// statement form does not compile until it is given a shape or `None`.
-fn tag(stmt: &Stmt) -> Option<String> {
-    let rhs = |e: &Expr| -> Option<&str> {
+/// The kind of a statement. The match has no wildcard, so a new IL
+/// statement form does not compile until it is given a kind or `None`.
+fn kind(stmt: &Stmt) -> Option<ShapeKind> {
+    let arg = |b: &BaseExpr| match b {
+        BaseExpr::Var(_) => ArgKind::Var,
+        BaseExpr::Const(_) => ArgKind::Const,
+    };
+    let rhs = |e: &Expr| -> Option<RhsKind> {
         Some(match e {
-            Expr::Base(BaseExpr::Var(_)) => "var",
-            Expr::Base(BaseExpr::Const(_)) => "const",
-            Expr::Deref(_) => "deref",
-            Expr::AddrOf(_) => "addrof",
+            Expr::Base(BaseExpr::Var(_)) => RhsKind::Var,
+            Expr::Base(BaseExpr::Const(_)) => RhsKind::Const,
+            Expr::Deref(_) => RhsKind::Deref,
+            Expr::AddrOf(_) => RhsKind::AddrOf,
             Expr::Op(_, args) => match args.as_slice() {
-                [BaseExpr::Var(_)] => "op1v",
-                [BaseExpr::Const(_)] => "op1c",
-                [BaseExpr::Var(_), BaseExpr::Var(_)] => "op2vv",
-                [BaseExpr::Var(_), BaseExpr::Const(_)] => "op2vc",
-                [BaseExpr::Const(_), BaseExpr::Var(_)] => "op2cv",
-                // The checker enumerates no shape for these.
-                [BaseExpr::Const(_), BaseExpr::Const(_)] | [] | [_, _, _, ..] => return None,
+                [a] => RhsKind::Op1(arg(a)),
+                [a, b] if !matches!((a, b), (BaseExpr::Const(_), BaseExpr::Const(_))) => {
+                    RhsKind::Op2(arg(a), arg(b))
+                }
+                // The checker enumerates no kind for these.
+                [_, _] | [] | [_, _, _, ..] => return None,
             },
         })
     };
-    let arg = |b: &BaseExpr| match b {
-        BaseExpr::Var(_) => "var",
-        BaseExpr::Const(_) => "const",
-    };
     Some(match stmt {
-        Stmt::Decl(_) => "decl".into(),
-        Stmt::Skip => "skip".into(),
-        Stmt::Assign(Lhs::Var(_), e) => format!("assign_{}", rhs(e)?),
-        Stmt::Assign(Lhs::Deref(_), e) => format!("store_{}", rhs(e)?),
-        Stmt::New(_) => "new".into(),
-        Stmt::Call { arg: a, .. } => format!("call_{}", arg(a)),
-        Stmt::If { cond, .. } => format!("if_{}", arg(cond)),
-        Stmt::Return(_) => "return".into(),
+        Stmt::Decl(_) => ShapeKind::Decl,
+        Stmt::Skip => ShapeKind::Skip,
+        Stmt::Assign(Lhs::Var(_), e) => ShapeKind::Assign(rhs(e)?),
+        Stmt::Assign(Lhs::Deref(_), e) => ShapeKind::Store(rhs(e)?),
+        Stmt::New(_) => ShapeKind::New,
+        Stmt::Call { arg: a, .. } => ShapeKind::Call(arg(a)),
+        Stmt::If { cond, .. } => ShapeKind::If(arg(cond)),
+        Stmt::Return(_) => ShapeKind::Return,
     })
 }
 
 #[test]
 fn the_statements_cover_every_shape() {
-    let tags: Vec<String> = STATEMENTS
+    let kinds: Vec<ShapeKind> = STATEMENTS
         .iter()
-        .map(|s| tag(&parse_stmt(s).unwrap()).unwrap_or_else(|| panic!("`{s}` has no shape")))
+        .map(|s| kind(&parse_stmt(s).unwrap()).unwrap_or_else(|| panic!("`{s}` has no kind")))
         .collect();
-    assert_eq!(tags, Enc::shape_tags(true));
+    assert_eq!(kinds, ShapeKind::all(true));
 }
 
 #[test]
@@ -118,7 +125,7 @@ fn a_statement_atom_reads_as_the_engine_reads_it() {
             unreachable!("a region rule")
         };
         let (atom, kinds) = (&rg.psi2, vocab::of_optimization(&rule).unwrap());
-        for (tag, src) in Enc::shape_tags(true).into_iter().zip(STATEMENTS) {
+        for (&kind, src) in ShapeKind::all(true).iter().zip(STATEMENTS) {
             let stmt = parse_stmt(src).unwrap();
             let ctx = NodeCtx {
                 stmt: &stmt,
@@ -130,7 +137,7 @@ fn a_statement_atom_reads_as_the_engine_reads_it() {
             let mut solver = Solver::new();
             let (mut enc, bind) =
                 Enc::new(&mut solver, &env, &meanings, TaintMode::Semantic, &kinds);
-            let shape = enc.shape_by_tag(tag);
+            let shape = enc.shape(kind);
             let st = enc.init_state("0");
             let ctx = GuardCtx {
                 shape: &shape,
@@ -138,9 +145,87 @@ fn a_statement_atom_reads_as_the_engine_reads_it() {
                 steps: vec![],
             };
             let encoded = enc.encode_guard(atom, &ctx, &bind, false).unwrap();
-            let at = format!("!stmt({pattern}) at {tag} (`{src}`): engine {engine}, {encoded:?}");
+            let at = format!("!stmt({pattern}) at {kind} (`{src}`): engine {engine}, {encoded:?}");
             assert_eq!(encoded == Formula::False, !engine, "{at}");
             assert_eq!(encoded == Formula::True, engine, "{at}");
         }
     }
+}
+
+/// Every statement-pattern form: each `StmtPat` constructor, with each
+/// left-hand-side and right-hand-side form of an assignment and each
+/// operand form of an operator, a call and a branch.
+fn pattern_forms() -> Vec<StmtPat> {
+    let var = || VarPat::pat("X");
+    let bases = [
+        BasePat::Var(VarPat::pat("A")),
+        BasePat::Const(ConstPat::pat("K")),
+    ];
+    let mut exprs = vec![
+        ExprPat::Pat(PatVar::new("E")),
+        ExprPat::Any,
+        ExprPat::Deref(var()),
+        ExprPat::AddrOf(var()),
+        ExprPat::Fold(PatVar::new("E")),
+        ExprPat::Op(OpKind::Add, vec![]),
+        ExprPat::Op(OpKind::Add, vec![bases[0].clone(); 3]),
+    ];
+    for a in &bases {
+        exprs.push(ExprPat::Base(a.clone()));
+        exprs.push(ExprPat::Op(OpKind::Not, vec![a.clone()]));
+        for b in &bases {
+            exprs.push(ExprPat::Op(OpKind::Add, vec![a.clone(), b.clone()]));
+        }
+    }
+    let mut forms = vec![
+        StmtPat::Any,
+        StmtPat::Decl(var()),
+        StmtPat::Skip,
+        StmtPat::New(var()),
+        StmtPat::Return(var()),
+        StmtPat::ReturnAny,
+    ];
+    for lhs in [LhsPat::Var(var()), LhsPat::Deref(var()), LhsPat::Any] {
+        for e in &exprs {
+            forms.push(StmtPat::Assign(lhs.clone(), e.clone()));
+        }
+    }
+    for b in &bases {
+        forms.push(StmtPat::Call {
+            dst: var(),
+            proc: ProcPat::Pat(PatVar::new("F")),
+            arg: b.clone(),
+        });
+        forms.push(StmtPat::If {
+            cond: b.clone(),
+            then_target: IdxPat::Pat(PatVar::new("I")),
+            else_target: IdxPat::Concrete(0),
+        });
+    }
+    forms
+}
+
+#[test]
+fn the_kind_test_agrees_with_matching_at_every_kind() {
+    let env = LabelEnv::standard();
+    let meanings = SemanticMeanings::standard();
+    let mut admitted = 0;
+    for pat in pattern_forms() {
+        for &kind in ShapeKind::all(true) {
+            let mut solver = Solver::new();
+            let (mut enc, bind) = Enc::new(
+                &mut solver,
+                &env,
+                &meanings,
+                TaintMode::Semantic,
+                &Kinds::new(),
+            );
+            let shape = enc.shape(kind);
+            let matched = enc.match_stmt_shape(&pat, &shape, &bind).unwrap().is_some();
+            assert_eq!(kind.admits(&pat), matched, "`{pat}` at {kind}");
+            admitted += usize::from(matched);
+        }
+    }
+    // Neither side is vacuous.
+    assert!(admitted > 100, "{admitted}");
 }
