@@ -15,17 +15,21 @@
 use crate::term::{Sym, TermBank, TermData, TermId};
 use cobalt_support::FastMap;
 
-/// A congruence signature: a function symbol applied to the class
-/// representatives of its arguments. Two applications with the same
+/// A term's position in [`Cc`]'s per-term state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Slot(u32);
+
+/// A congruence signature: a function symbol applied to the classes
+/// (root slots) of its arguments. Two applications with the same
 /// signature are equal by congruence. Inline for the common arities so
 /// that registration — which re-derives signatures on every split
 /// alternative after a rewind — does not allocate per application.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum SigKey {
-    K1(Sym, TermId),
-    K2(Sym, TermId, TermId),
-    K3(Sym, TermId, TermId, TermId),
-    KN(Sym, Vec<TermId>),
+    K1(Sym, Slot),
+    K2(Sym, Slot, Slot),
+    K3(Sym, Slot, Slot, Slot),
+    KN(Sym, Box<[Slot]>),
 }
 
 /// One reversible mutation, recorded while at least one savepoint is
@@ -35,27 +39,170 @@ enum TrailOp {
     /// A term was registered (undo: clear its membership flag; the
     /// use-list/signature/constructor entries it created are trailed
     /// individually).
-    Registered(TermId),
-    /// `parent[t]` was overwritten; the old value.
-    Parent(TermId, TermId),
-    /// `size[t]` was overwritten; the old value.
-    Size(TermId, u32),
-    /// A signature was inserted (signatures are never overwritten).
-    SigInsert(SigKey),
-    /// `moved` use-list entries were copied onto `to`'s tail.
-    UseMove { to: TermId, moved: usize },
-    /// A term was pushed onto `root`'s use list.
-    UseListPush(TermId),
-    /// A disequality was watched under both its endpoint roots.
-    DiseqPush(TermId, TermId),
-    /// `moved` diseq-watch entries were copied onto `to`'s tail.
-    DiseqMove { to: TermId, moved: usize },
-    /// A constructor witness was recorded for a previously witness-free
-    /// class (witnesses are never overwritten).
-    CtorInsert(TermId),
+    Registered(Slot),
+    /// A slot's parent was overwritten; the old value.
+    Parent(Slot, Slot),
+    /// A slot's size was overwritten; the old value.
+    Size(Slot, u32),
+    /// The signature of an application was inserted (signatures are
+    /// never overwritten). Its key is recomputed on undo: every later
+    /// mutation is undone by then, so its classes are what they were.
+    SigInsert(TermId),
+    /// A term was pushed onto a root's use list, whose tail was `prev`.
+    UsePush { root: Slot, prev: u32 },
+    /// A dying root's use list was linked after `to`'s, whose tail was
+    /// `prev`.
+    UseLink { to: Slot, prev: u32 },
+    /// A disequality was pushed onto a root's watch list, whose tail was
+    /// `prev`.
+    DiseqPush { root: Slot, prev: u32 },
+    /// A dying root's watch list was linked after `to`'s, whose tail
+    /// was `prev`.
+    DiseqLink { to: Slot, prev: u32 },
+    /// A constructor witness was recorded for a witness-free class
+    /// (witnesses are never overwritten).
+    CtorInsert(Slot),
     /// The conflict flag was set (it was clear before: merges stop at
     /// the first conflict).
     Conflict,
+}
+
+/// No cell: the end of a list.
+const NIL: u32 = u32::MAX;
+
+/// A list of cells in a [`Cells`] arena: its first and last cell.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+/// An arena of singly linked list cells, each an item and the index of
+/// the next cell. A union links the dying root's list after the
+/// survivor's in O(1), leaving the dying root's own ends in place, and
+/// its undo cuts the link again.
+#[derive(Debug, Clone)]
+struct Cells<T> {
+    cells: Vec<(T, u32)>,
+}
+
+impl<T> Default for Cells<T> {
+    fn default() -> Self {
+        Cells { cells: Vec::new() }
+    }
+}
+
+impl<T: Copy> Cells<T> {
+    /// Appends `item` to `list`; returns the list's previous tail.
+    fn push(&mut self, list: &mut List, item: T) -> u32 {
+        let cell = self.cells.len() as u32;
+        self.cells.push((item, NIL));
+        self.link(
+            list,
+            List {
+                head: cell,
+                tail: cell,
+            },
+        )
+    }
+
+    /// Links `other` after `list`; returns `list`'s previous tail.
+    fn link(&mut self, list: &mut List, other: List) -> u32 {
+        let prev = list.tail;
+        if other.head != NIL {
+            match prev {
+                NIL => list.head = other.head,
+                _ => self.cells[prev as usize].1 = other.head,
+            }
+            list.tail = other.tail;
+        }
+        prev
+    }
+
+    /// Undoes a [`link`](Self::link) that found `prev` as the tail.
+    fn cut(&mut self, list: &mut List, prev: u32) {
+        match prev {
+            NIL => *list = List::EMPTY,
+            _ => {
+                self.cells[prev as usize].1 = NIL;
+                list.tail = prev;
+            }
+        }
+    }
+
+    /// Undoes the latest [`push`](Self::push), onto `list`: rewinds are
+    /// last in, first out, so its cell is the arena's last.
+    fn pop(&mut self, list: &mut List, prev: u32) {
+        self.cut(list, prev);
+        self.cells.pop();
+    }
+
+    /// The cell after `cell`, with its item.
+    fn next(&self, cell: u32) -> Option<(T, u32)> {
+        (cell != NIL).then(|| self.cells[cell as usize])
+    }
+}
+
+/// The state of one touched term.
+#[derive(Debug, Clone)]
+struct Node {
+    term: TermId,
+    parent: Slot,
+    size: u32,
+    /// Whether the term's use-list entries, signature and constructor
+    /// witness have been built (see [`Cc::register`]).
+    registered: bool,
+    /// A constructor application or integer literal in the class, kept
+    /// under its root.
+    ctor: Option<TermId>,
+    /// The applications over this class, kept under its root.
+    uses: List,
+    /// Asserted disequalities, watched under the *current root* of each
+    /// endpoint (so every disequality appears in exactly two lists —
+    /// or one, with multiplicity, if the roots later coincide in a
+    /// conflict). Unions link the dying root's watch list onto the
+    /// survivor's, so both violation checking in [`Cc::merge`] and the
+    /// [`are_diseq`](Cc::are_diseq) query touch only the disequalities
+    /// incident to the classes involved, never the whole set.
+    diseqs: List,
+}
+
+/// Term ids per page of a [`SlotIndex`].
+const PAGE: usize = 64;
+
+/// The slot of every term a context has touched, by term id, in pages
+/// allocated on first touch: the index costs the pages its terms fall
+/// in, not the bank under them.
+#[derive(Debug, Clone, Default)]
+struct SlotIndex {
+    pages: Vec<Option<Box<[u32; PAGE]>>>,
+}
+
+/// A page entry with no slot.
+const NO_SLOT: u32 = u32::MAX;
+
+impl SlotIndex {
+    fn get(&self, t: TermId) -> Option<Slot> {
+        let page = self.pages.get(t.idx() / PAGE)?.as_ref()?;
+        let s = page[t.idx() % PAGE];
+        (s != NO_SLOT).then_some(Slot(s))
+    }
+
+    fn insert(&mut self, t: TermId, s: Slot) {
+        let p = t.idx() / PAGE;
+        if self.pages.len() <= p {
+            self.pages.resize_with(p + 1, || None);
+        }
+        let page = self.pages[p].get_or_insert_with(|| Box::new([NO_SLOT; PAGE]));
+        page[t.idx() % PAGE] = s.0;
+    }
 }
 
 /// A congruence-closure context.
@@ -68,34 +215,21 @@ enum TrailOp {
 /// mark — so case splits reuse one context instead of re-closing (or
 /// deep-cloning) per branch.
 ///
-/// Every per-term table is a vector indexed by [`TermId`], grown by
-/// [`ensure`](Cc::ensure). A class's use list and watch list live under
-/// its root: a union copies the dying root's lists onto the survivor
-/// and leaves them in place (nothing reads a non-root's lists), so its
-/// undo only truncates the survivor's.
+/// A context keeps state only for the terms it touches — the terms it
+/// registers, merges or separates — in one slot each: a term it never
+/// touched is its own singleton class. So a context over a large
+/// shared bank costs its own terms, not the bank's, to build and to
+/// drop. A class's use list and watch list live under its root, as
+/// linked cells: a union links the dying root's lists after the
+/// survivor's and leaves the dying root's ends in place (nothing reads
+/// a non-root's lists), so its undo only cuts the link.
 #[derive(Debug, Clone, Default)]
 pub struct Cc {
-    parent: Vec<TermId>,
-    size: Vec<u32>,
-    /// Terms whose use lists, signatures, and constructor witnesses
-    /// have been built. Registration is *demand-driven* (see
-    /// [`register`](Cc::register)): a caller working over a large
-    /// shared bank registers only the terms its problem mentions, so
-    /// the cost of closure tracks the problem, not the bank.
-    registered: Vec<bool>,
-    use_list: Vec<Vec<TermId>>,
+    index: SlotIndex,
+    nodes: Vec<Node>,
+    uses: Cells<TermId>,
+    diseqs: Cells<(TermId, TermId)>,
     sig: FastMap<SigKey, TermId>,
-    /// Asserted disequalities, watched under the *current root* of each
-    /// endpoint (so every disequality appears in exactly two lists —
-    /// or one, with multiplicity, if the roots later coincide in a
-    /// conflict). Unions re-home the dying root's watch list, so both
-    /// violation checking in [`merge`](Cc::merge) and the
-    /// [`are_diseq`](Cc::are_diseq) query touch only the disequalities
-    /// incident to the classes involved, never the whole set.
-    diseq_watch: Vec<Vec<(TermId, TermId)>>,
-    /// Per-class witness that the class contains a constructor
-    /// application or integer literal, indexed by representative.
-    ctor: Vec<Option<TermId>>,
     conflict: bool,
     /// Bumped on every observable state change (registration, union,
     /// disequality, rewind). Callers memoize derived results — e.g.
@@ -109,13 +243,40 @@ pub struct Cc {
     pending: Vec<(TermId, TermId)>,
     /// The root pairs whose constructor arguments
     /// [`are_diseq`](Cc::are_diseq) is comparing, innermost last.
-    unfolding: Vec<(TermId, TermId)>,
+    unfolding: Vec<(Slot, Slot)>,
+}
+
+impl std::ops::Index<Slot> for Cc {
+    type Output = Node;
+
+    fn index(&self, s: Slot) -> &Node {
+        &self.nodes[s.0 as usize]
+    }
+}
+
+impl std::ops::IndexMut<Slot> for Cc {
+    fn index_mut(&mut self, s: Slot) -> &mut Node {
+        &mut self.nodes[s.0 as usize]
+    }
 }
 
 impl Cc {
     /// Creates an empty context.
     pub fn new() -> Self {
         Cc::default()
+    }
+
+    /// Creates an empty context with room for `terms` touched terms,
+    /// about two thirds of them applications with a signature.
+    pub fn with_capacity(terms: usize) -> Self {
+        Cc {
+            nodes: Vec::with_capacity(terms),
+            uses: Cells {
+                cells: Vec::with_capacity(terms),
+            },
+            sig: FastMap::with_capacity_and_hasher(terms * 2 / 3, Default::default()),
+            ..Cc::default()
+        }
     }
 
     /// Whether any savepoint is outstanding (mutations are trailed and
@@ -138,32 +299,37 @@ impl Cc {
     /// # Panics
     ///
     /// Panics if no savepoint is outstanding.
-    pub fn restore(&mut self) {
+    pub fn restore(&mut self, bank: &TermBank) {
         let mark = self.saves.pop().expect("restore without a matching save");
         self.version += 1;
         while self.trail.len() > mark {
             match self.trail.pop().expect("len checked") {
-                TrailOp::Registered(t) => self.registered[t.idx()] = false,
-                TrailOp::Parent(t, old) => self.parent[t.idx()] = old,
-                TrailOp::Size(t, old) => self.size[t.idx()] = old,
-                TrailOp::SigInsert(key) => {
+                TrailOp::Registered(s) => self[s].registered = false,
+                TrailOp::Parent(s, old) => self[s].parent = old,
+                TrailOp::Size(s, old) => self[s].size = old,
+                TrailOp::SigInsert(p) => {
+                    let TermData::App(f, args) = bank.data(p) else {
+                        unreachable!("only applications have signatures")
+                    };
+                    let key = self.sig_key_at(*f, args);
                     self.sig.remove(&key);
                 }
-                TrailOp::UseMove { to, moved } => {
-                    let dst = &mut self.use_list[to.idx()];
-                    dst.truncate(dst.len() - moved);
+                TrailOp::UsePush { root, prev } => {
+                    let r = &mut self.nodes[root.0 as usize];
+                    self.uses.pop(&mut r.uses, prev);
                 }
-                TrailOp::UseListPush(root) => {
-                    self.use_list[root.idx()].pop();
+                TrailOp::UseLink { to, prev } => {
+                    let r = &mut self.nodes[to.0 as usize];
+                    self.uses.cut(&mut r.uses, prev);
                 }
-                TrailOp::CtorInsert(t) => self.ctor[t.idx()] = None,
-                TrailOp::DiseqPush(ra, rb) => {
-                    self.diseq_watch[ra.idx()].pop();
-                    self.diseq_watch[rb.idx()].pop();
+                TrailOp::CtorInsert(s) => self[s].ctor = None,
+                TrailOp::DiseqPush { root, prev } => {
+                    let r = &mut self.nodes[root.0 as usize];
+                    self.diseqs.pop(&mut r.diseqs, prev);
                 }
-                TrailOp::DiseqMove { to, moved } => {
-                    let dst = &mut self.diseq_watch[to.idx()];
-                    dst.truncate(dst.len() - moved);
+                TrailOp::DiseqLink { to, prev } => {
+                    let r = &mut self.nodes[to.0 as usize];
+                    self.diseqs.cut(&mut r.diseqs, prev);
                 }
                 TrailOp::Conflict => self.conflict = false,
             }
@@ -183,31 +349,37 @@ impl Cc {
         self.conflict
     }
 
-    /// Enters the conflict state.
+    /// Enters the conflict state, if it is not in it already.
     fn set_conflict(&mut self) {
+        if self.conflict {
+            return;
+        }
         if self.trailing() {
             self.trail.push(TrailOp::Conflict);
         }
         self.conflict = true;
     }
 
-    /// Grows the per-term tables to cover every bank term, with fresh
-    /// terms as their own (singleton) classes. Idempotent and never
-    /// trailed: identity *is* the virgin state, so stale capacity left
-    /// behind by a rewind is harmless.
-    ///
-    /// Must be called after any batch of term creation and before
-    /// registering or merging the new terms.
-    pub fn ensure(&mut self, bank: &TermBank) {
-        let n = bank.len();
-        if self.parent.len() < n {
-            self.parent.extend((self.parent.len()..n).map(|i| TermId(i as u32)));
-            self.size.resize(n, 1);
-            self.registered.resize(n, false);
-            self.use_list.resize_with(n, Vec::new);
-            self.diseq_watch.resize_with(n, Vec::new);
-            self.ctor.resize(n, None);
+    /// `t`'s slot, made on first touch as a singleton class. Never
+    /// trailed: a fresh slot *is* the untouched state, and a rewind
+    /// undoes every mutation made to it since, so a slot left behind
+    /// by a rewind is harmless.
+    fn touch(&mut self, t: TermId) -> Slot {
+        if let Some(s) = self.index.get(t) {
+            return s;
         }
+        let s = Slot(self.nodes.len() as u32);
+        self.nodes.push(Node {
+            term: t,
+            parent: s,
+            size: 1,
+            registered: false,
+            ctor: None,
+            uses: List::EMPTY,
+            diseqs: List::EMPTY,
+        });
+        self.index.insert(t, s);
+        s
     }
 
     /// Registers `t` and (recursively) its subterms: builds their use
@@ -221,16 +393,15 @@ impl Cc {
     /// — extra terms never add equalities among existing ones — so the
     /// equivalence relation over the registered set is the same as if
     /// the whole bank had been registered.
-    ///
-    /// Call [`ensure`](Cc::ensure) first after minting new terms.
     pub fn register(&mut self, t: TermId, bank: &TermBank) {
-        if self.registered[t.idx()] {
+        let s = self.touch(t);
+        if self[s].registered {
             return;
         }
         self.version += 1;
-        self.registered[t.idx()] = true;
+        self[s].registered = true;
         if self.trailing() {
-            self.trail.push(TrailOp::Registered(t));
+            self.trail.push(TrailOp::Registered(s));
         }
         match bank.data(t) {
             TermData::App(f, args) => {
@@ -239,103 +410,164 @@ impl Cc {
                     self.register(a, bank);
                 }
                 for &a in args {
-                    let ra = self.find(a);
-                    self.use_list[ra.idx()].push(t);
+                    let root = self.class(a);
+                    let r = &mut self.nodes[root.0 as usize];
+                    let prev = self.uses.push(&mut r.uses, t);
                     if self.trailing() {
-                        self.trail.push(TrailOp::UseListPush(ra));
+                        self.trail.push(TrailOp::UsePush { root, prev });
                     }
                 }
                 if bank.is_constructor(f) {
-                    self.set_ctor(t, t);
+                    self.add_ctor(s, t, bank);
+                }
+                // Hash-consing makes a constant the only application of
+                // its symbol to no arguments: its signature could only
+                // ever match itself.
+                if args.is_empty() {
+                    return;
                 }
                 let key = self.sig_key(f, args);
                 if let Some(&q) = self.sig.get(&key) {
                     self.merge(t, q, bank);
                 } else {
                     if self.trailing() {
-                        self.trail.push(TrailOp::SigInsert(key.clone()));
+                        self.trail.push(TrailOp::SigInsert(t));
                     }
                     self.sig.insert(key, t);
                 }
             }
-            TermData::Int(_) => self.set_ctor(t, t),
+            TermData::Int(_) => self.add_ctor(s, t, bank),
             TermData::Var(_) => {}
         }
     }
 
-    /// Records `witness` as the constructor witness of `r`'s class.
-    fn set_ctor(&mut self, r: TermId, witness: TermId) {
-        self.ctor[r.idx()] = Some(witness);
-        if self.trailing() {
-            self.trail.push(TrailOp::CtorInsert(r));
+    /// Adds `t`, a constructor application or integer literal just
+    /// registered at slot `s`, to its class's witnesses: the class's
+    /// first witness, or one more that must agree with the one it has
+    /// (a term merged before it was registered is already in a class).
+    fn add_ctor(&mut self, s: Slot, t: TermId, bank: &TermBank) {
+        let r = self.root(s);
+        let Some(c) = self[r].ctor else {
+            self.set_ctor(r, t);
+            return;
+        };
+        match ctor_rel(bank, c, t) {
+            Some(CtorRel::SameCtor(ax, ay)) => {
+                for (&a, &b) in ax.iter().zip(ay) {
+                    self.merge(a, b, bank);
+                }
+            }
+            Some(CtorRel::Clash) => {
+                self.version += 1;
+                self.set_conflict();
+            }
+            None => {}
         }
     }
 
-    /// The constructor witness recorded under `r`, if any; `None` for
-    /// terms minted since the last [`ensure`](Cc::ensure).
-    fn ctor_at(&self, r: TermId) -> Option<TermId> {
-        self.ctor.get(r.idx()).copied().flatten()
+    /// Records `witness` as the constructor witness of the
+    /// witness-free class rooted at `s`.
+    fn set_ctor(&mut self, s: Slot, witness: TermId) {
+        self[s].ctor = Some(witness);
+        if self.trailing() {
+            self.trail.push(TrailOp::CtorInsert(s));
+        }
     }
 
     /// The congruence signature of `f` applied to `args`, with each
-    /// argument resolved to its current class representative.
+    /// argument resolved to its current class.
     fn sig_key(&mut self, f: Sym, args: &[TermId]) -> SigKey {
         match *args {
-            [a] => SigKey::K1(f, self.find(a)),
-            [a, b] => SigKey::K2(f, self.find(a), self.find(b)),
-            [a, b, c] => SigKey::K3(f, self.find(a), self.find(b), self.find(c)),
-            _ => SigKey::KN(f, args.iter().map(|&t| self.find(t)).collect()),
+            [a] => SigKey::K1(f, self.class(a)),
+            [a, b] => SigKey::K2(f, self.class(a), self.class(b)),
+            [a, b, c] => SigKey::K3(f, self.class(a), self.class(b), self.class(c)),
+            _ => SigKey::KN(f, args.iter().map(|&t| self.class(t)).collect()),
         }
     }
 
-    /// The class representative of `t`, with path compression (skipped
+    /// The root slot of `s`'s class, with path compression (skipped
     /// while a savepoint is outstanding — compressed pointers must not
     /// outlive the merges they shortcut).
-    pub fn find(&mut self, t: TermId) -> TermId {
-        // Terms minted since the last `ensure` are necessarily unmerged:
-        // their class is the identity.
-        if t.idx() >= self.parent.len() {
-            return t;
-        }
-        let mut root = t;
-        while self.parent[root.idx()] != root {
-            root = self.parent[root.idx()];
-        }
-        if self.saves.is_empty() {
-            let mut cur = t;
-            while self.parent[cur.idx()] != root {
-                let next = self.parent[cur.idx()];
-                self.parent[cur.idx()] = root;
+    fn root(&mut self, s: Slot) -> Slot {
+        let root = self.root_at(s);
+        if !self.trailing() {
+            let mut cur = s;
+            while self[cur].parent != root {
+                let next = self[cur].parent;
+                self[cur].parent = root;
                 cur = next;
             }
         }
         root
     }
 
+    /// The root slot of `s`'s class, without path compression.
+    fn root_at(&self, s: Slot) -> Slot {
+        let mut root = s;
+        while self[root].parent != root {
+            root = self[root].parent;
+        }
+        root
+    }
+
+    /// The signature of `f` applied to registered `args`, without path
+    /// compression (see [`TrailOp::SigInsert`]).
+    fn sig_key_at(&self, f: Sym, args: &[TermId]) -> SigKey {
+        let class = |t: TermId| self.root_at(self.index.get(t).expect("registered argument"));
+        match *args {
+            [a] => SigKey::K1(f, class(a)),
+            [a, b] => SigKey::K2(f, class(a), class(b)),
+            [a, b, c] => SigKey::K3(f, class(a), class(b), class(c)),
+            _ => SigKey::KN(f, args.iter().map(|&t| class(t)).collect()),
+        }
+    }
+
+    /// The root slot of `t`'s class, touching `t`.
+    fn class(&mut self, t: TermId) -> Slot {
+        let s = self.touch(t);
+        self.root(s)
+    }
+
+    /// The root slot of `t`'s class; `None` for an untouched term, a
+    /// singleton class with no watches and no constructor witness.
+    fn class_of(&mut self, t: TermId) -> Option<Slot> {
+        let s = self.index.get(t)?;
+        Some(self.root(s))
+    }
+
+    /// The class representative of `t`.
+    pub fn find(&mut self, t: TermId) -> TermId {
+        match self.class_of(t) {
+            Some(r) => self[r].term,
+            None => t,
+        }
+    }
+
     /// Whether `a` and `b` are known equal.
     pub fn are_eq(&mut self, a: TermId, b: TermId) -> bool {
-        self.find(a) == self.find(b)
+        a == b || self.find(a) == self.find(b)
     }
 
     /// Whether `a ≠ b` is known, either from an asserted disequality or
     /// from the constructor theory.
     pub fn are_diseq(&mut self, a: TermId, b: TermId, bank: &TermBank) -> bool {
-        let ra = self.find(a);
-        let rb = self.find(b);
+        let (Some(ra), Some(rb)) = (self.class_of(a), self.class_of(b)) else {
+            return false;
+        };
         if ra == rb {
             return false;
         }
         // Watched by current root: only disequalities incident to `a`'s
         // class can separate the pair.
-        let n = self.diseq_watch.get(ra.idx()).map_or(0, Vec::len);
-        for i in 0..n {
-            let (x, y) = self.diseq_watch[ra.idx()][i];
-            let (rx, ry) = (self.find(x), self.find(y));
+        let mut cell = self[ra].diseqs.head;
+        while let Some(((x, y), next)) = self.diseqs.next(cell) {
+            let (rx, ry) = (self.class(x), self.class(y));
             if (rx, ry) == (ra, rb) || (rx, ry) == (rb, ra) {
                 return true;
             }
+            cell = next;
         }
-        let (Some(ca), Some(cb)) = (self.ctor_at(ra), self.ctor_at(rb)) else {
+        let (Some(ca), Some(cb)) = (self[ra].ctor, self[rb].ctor) else {
             return false;
         };
         match ctor_rel(bank, ca, cb) {
@@ -381,17 +613,17 @@ impl Cc {
             if self.conflict {
                 return;
             }
-            let mut rx = self.find(x);
-            let mut ry = self.find(y);
+            let mut rx = self.class(x);
+            let mut ry = self.class(y);
             if rx == ry {
                 continue;
             }
             // Union by size: ry joins rx.
-            if self.size[rx.idx()] < self.size[ry.idx()] {
+            if self[rx].size < self[ry].size {
                 std::mem::swap(&mut rx, &mut ry);
             }
             // Constructor theory.
-            match (self.ctor_at(rx), self.ctor_at(ry)) {
+            match (self[rx].ctor, self[ry].ctor) {
                 (Some(cx), Some(cy)) => match ctor_rel(bank, cx, cy) {
                     Some(CtorRel::SameCtor(ax, ay)) => {
                         pending.extend(ax.iter().copied().zip(ay.iter().copied()));
@@ -407,16 +639,18 @@ impl Cc {
                 _ => {}
             }
             if self.trailing() {
-                self.trail.push(TrailOp::Parent(ry, self.parent[ry.idx()]));
-                self.trail.push(TrailOp::Size(rx, self.size[rx.idx()]));
+                self.trail.push(TrailOp::Parent(ry, self[ry].parent));
+                self.trail.push(TrailOp::Size(rx, self[rx].size));
             }
             self.version += 1;
-            self.parent[ry.idx()] = rx;
-            self.size[rx.idx()] += self.size[ry.idx()];
+            self[ry].parent = rx;
+            self[rx].size += self[ry].size;
             // Re-normalize signatures of applications that used ry, then
-            // copy ry's use list onto rx (ry keeps its own copy).
-            let moved = std::mem::take(&mut self.use_list[ry.idx()]);
-            for &p in &moved {
+            // link ry's use list after rx's.
+            let moved = self[ry].uses;
+            let mut cell = moved.head;
+            while let Some((p, next)) = self.uses.next(cell) {
+                cell = next;
                 let (f, args) = match bank.data(p) {
                     TermData::App(f, args) => (*f, args),
                     _ => continue,
@@ -424,40 +658,42 @@ impl Cc {
                 let key = self.sig_key(f, args);
                 match self.sig.get(&key) {
                     Some(&q) => {
-                        if self.find(q) != self.find(p) {
+                        if self.class(q) != self.class(p) {
                             pending.push((p, q));
                         }
                     }
                     None => {
                         if self.trailing() {
-                            self.trail.push(TrailOp::SigInsert(key.clone()));
+                            self.trail.push(TrailOp::SigInsert(p));
                         }
                         self.sig.insert(key, p);
                     }
                 }
             }
+            let r = &mut self.nodes[rx.0 as usize];
+            let prev = self.uses.link(&mut r.uses, moved);
             if self.trailing() {
-                self.trail.push(TrailOp::UseMove {
-                    to: rx,
-                    moved: moved.len(),
-                });
+                self.trail.push(TrailOp::UseLink { to: rx, prev });
             }
-            self.use_list[rx.idx()].extend_from_slice(&moved);
-            self.use_list[ry.idx()] = moved;
-            // Re-home ry's watched disequalities onto rx. Only the moved
-            // entries can be newly violated: a violation means both
-            // endpoints now share a root, which requires one of them to
-            // have been rooted at the dying class ry.
-            let moved = std::mem::take(&mut self.diseq_watch[ry.idx()]);
+            // Link ry's watched disequalities after rx's. Only ry's can
+            // be newly violated: a violation means both endpoints now
+            // share a root, which requires one of them to have been
+            // rooted at the dying class ry.
+            let moved = self[ry].diseqs;
+            let r = &mut self.nodes[rx.0 as usize];
+            let prev = self.diseqs.link(&mut r.diseqs, moved);
             if self.trailing() {
-                self.trail.push(TrailOp::DiseqMove {
-                    to: rx,
-                    moved: moved.len(),
-                });
+                self.trail.push(TrailOp::DiseqLink { to: rx, prev });
             }
-            self.diseq_watch[rx.idx()].extend_from_slice(&moved);
-            let violated = moved.iter().any(|&(u, v)| self.find(u) == self.find(v));
-            self.diseq_watch[ry.idx()] = moved;
+            let mut violated = false;
+            let mut cell = moved.head;
+            while let Some(((u, v), next)) = self.diseqs.next(cell) {
+                if self.class(u) == self.class(v) {
+                    violated = true;
+                    break;
+                }
+                cell = next;
+            }
             if violated {
                 self.version += 1;
                 self.set_conflict();
@@ -477,20 +713,23 @@ impl Cc {
             self.set_conflict();
             return;
         }
-        let (ra, rb) = (self.find(a), self.find(b));
+        let (ra, rb) = (self.class(a), self.class(b));
         self.version += 1;
-        self.diseq_watch[ra.idx()].push((a, b));
-        self.diseq_watch[rb.idx()].push((a, b));
-        if self.trailing() {
-            self.trail.push(TrailOp::DiseqPush(ra, rb));
+        for root in [ra, rb] {
+            let prev = self
+                .diseqs
+                .push(&mut self.nodes[root.0 as usize].diseqs, (a, b));
+            if self.trailing() {
+                self.trail.push(TrailOp::DiseqPush { root, prev });
+            }
         }
     }
 
     /// The constructor application or integer literal known to be in
     /// `t`'s class, if any.
     pub fn ctor_of(&mut self, t: TermId) -> Option<TermId> {
-        let r = self.find(t);
-        self.ctor_at(r)
+        let r = self.class_of(t)?;
+        self[r].ctor
     }
 }
 
@@ -524,10 +763,9 @@ mod tests {
         (TermBank::new(), Cc::new())
     }
 
-    /// Grows `cc` over the bank and registers `terms` (with their
-    /// subterms): the path the solver runs.
+    /// Registers `terms` (with their subterms): the path the solver
+    /// runs.
     fn register(cc: &mut Cc, b: &TermBank, terms: &[TermId]) {
-        cc.ensure(b);
         for &t in terms {
             cc.register(t, b);
         }
@@ -744,7 +982,7 @@ mod tests {
         cc.merge(x, y, &b);
         assert!(cc.are_eq(x, y));
         assert!(cc.are_eq(fx, fy));
-        cc.restore();
+        cc.restore(&b);
         assert!(!cc.are_eq(x, y));
         assert!(!cc.are_eq(fx, fy));
         // The context is fully reusable after the rewind.
@@ -765,7 +1003,7 @@ mod tests {
         let fy = b.app(f, vec![y]);
         register(&mut cc, &b, &[fx, fy]);
         assert!(cc.are_eq(fx, fy));
-        cc.restore();
+        cc.restore(&b);
         // fx/fy were deregistered; registering them again re-derives
         // the congruence from the surviving x = y merge.
         register(&mut cc, &b, &[fx, fy]);
@@ -787,7 +1025,6 @@ mod tests {
         let fy = b.app(f, vec![y]);
         let gx = b.app(g, vec![x]);
         let gy = b.app(g, vec![y]);
-        cc.ensure(&b);
         cc.register(fx, &b);
         cc.register(fy, &b);
         cc.merge(x, y, &b);
@@ -803,15 +1040,27 @@ mod tests {
     }
 
     #[test]
-    fn find_is_identity_beyond_ensure() {
+    fn untouched_terms_are_singletons_and_merge_unregistered() {
         let (mut b, mut cc) = setup();
+        let f = b.sym("f");
         let x = b.app0("x");
-        cc.ensure(&b);
         cc.register(x, &b);
         let late = b.app0("late");
-        // Minted after the last `ensure`: still a valid singleton query.
+        // Minted after the context last saw the bank: still a valid
+        // singleton query, and the context keeps no state for it.
         assert_eq!(cc.find(late), late);
         assert!(!cc.are_eq(x, late));
+        assert!(!cc.are_diseq(x, late, &b));
+        assert_eq!(cc.ctor_of(late), None);
+        assert_eq!(cc.nodes.len(), 1);
+        // Merging terms never registered unites them; registering an
+        // application over them later sees the union.
+        let y = b.app0("y");
+        cc.merge(late, y, &b);
+        assert!(cc.are_eq(y, late));
+        let (fl, fy) = (b.app(f, vec![late]), b.app(f, vec![y]));
+        register(&mut cc, &b, &[fl, fy]);
+        assert!(cc.are_eq(fl, fy));
     }
 
     #[test]
@@ -822,7 +1071,6 @@ mod tests {
         let y = b.app0("y");
         let fx = b.app(f, vec![x]);
         let fy = b.app(f, vec![y]);
-        cc.ensure(&b);
         cc.register(x, &b);
         cc.register(y, &b);
         cc.merge(x, y, &b);
@@ -830,7 +1078,7 @@ mod tests {
         cc.register(fx, &b);
         cc.register(fy, &b);
         assert!(cc.are_eq(fx, fy));
-        cc.restore();
+        cc.restore(&b);
         // fx/fy were deregistered; re-registering re-derives the
         // congruence from the surviving x = y merge.
         assert!(!cc.are_eq(fx, fy));
@@ -850,7 +1098,7 @@ mod tests {
         cc.assert_diseq(x, y);
         cc.merge(x, y, &b);
         assert!(cc.in_conflict());
-        cc.restore();
+        cc.restore(&b);
         assert!(!cc.in_conflict());
         assert!(!cc.are_eq(x, y));
         assert!(!cc.are_diseq(x, y, &b));
@@ -870,7 +1118,7 @@ mod tests {
         cc.save();
         cc.merge(x, two, &b);
         assert!(cc.in_conflict());
-        cc.restore();
+        cc.restore(&b);
         assert!(!cc.in_conflict());
         assert!(cc.are_eq(x, one));
         assert_eq!(cc.ctor_of(x), Some(one));
@@ -888,10 +1136,10 @@ mod tests {
         cc.save();
         cc.merge(y, z, &b);
         assert!(cc.are_eq(x, z));
-        cc.restore();
+        cc.restore(&b);
         assert!(cc.are_eq(x, y));
         assert!(!cc.are_eq(x, z));
-        cc.restore();
+        cc.restore(&b);
         assert!(!cc.are_eq(x, y));
     }
 
@@ -914,7 +1162,7 @@ mod tests {
             assert_eq!(cc.are_eq(s, t), cloned.are_eq(s, t));
             assert_eq!(cc.are_diseq(s, t, &b), cloned.are_diseq(s, t, &b));
         }
-        cc.restore();
+        cc.restore(&b);
         assert!(!cc.are_eq(x, u));
         assert!(!cc.are_eq(p1, p2));
     }

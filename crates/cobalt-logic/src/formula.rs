@@ -62,7 +62,8 @@ impl Formula {
 
     /// `p ∧ q ∧ …`, flattening and dropping `true`.
     pub fn and(parts: impl IntoIterator<Item = Formula>) -> Formula {
-        let mut out = Vec::new();
+        let parts = parts.into_iter();
+        let mut out = Vec::with_capacity(parts.size_hint().0);
         for p in parts {
             match p {
                 Formula::True => {}
@@ -80,7 +81,8 @@ impl Formula {
 
     /// `p ∨ q ∨ …`, flattening and dropping `false`.
     pub fn or(parts: impl IntoIterator<Item = Formula>) -> Formula {
-        let mut out = Vec::new();
+        let parts = parts.into_iter();
+        let mut out = Vec::with_capacity(parts.size_hint().0);
         for p in parts {
             match p {
                 Formula::False => {}

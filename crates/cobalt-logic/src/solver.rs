@@ -332,12 +332,14 @@ impl Solver {
             };
         };
         let start_terms = self.bank.len();
-        let mut cc = Cc::new();
-        cc.ensure(&self.bank);
         let mut relevant = RelevantSet::new(&self.bank);
         for f in &formulas {
             relevant.mark_formula(&self.bank, f);
         }
+        // The search touches the task's terms and, on a registry
+        // obligation, about an eighth more (skolems, instances): room for
+        // half as many again spares the core its regrowth.
+        let mut cc = Cc::with_capacity(relevant.order.len() * 3 / 2);
         // Register the task's relevant terms — and only those. Under a
         // batch-shared bank the bank holds a whole rule's vocabulary;
         // registering every bank term would make each obligation pay
@@ -416,8 +418,9 @@ fn conjuncts(task: &ProofTask) -> Option<Vec<Formula>> {
             return None;
         }
     }
-    let mut literals = FastSet::default();
-    let mut others: FastSet<&Formula> = FastSet::default();
+    let mut literals = FastSet::with_capacity_and_hasher(flat.len(), Default::default());
+    let mut others: FastSet<&Formula> =
+        FastSet::with_capacity_and_hasher(flat.len(), Default::default());
     let mut keep = Vec::with_capacity(flat.len());
     for f in &flat {
         keep.push(match literal(f) {
@@ -514,7 +517,7 @@ enum InstKey {
 }
 
 impl InstKey {
-    fn of(vars: &[Sym], binding: &Binding) -> InstKey {
+    fn of(vars: &[Sym], binding: &[(Sym, TermId)]) -> InstKey {
         let get = |i: usize| bound(binding, vars[i]).expect("binding covers all vars");
         match vars.len() {
             1 => InstKey::One(get(0)),
@@ -543,9 +546,12 @@ struct RelevantSet {
     /// Membership, one bit per term id.
     bits: Vec<u64>,
     /// Marked terms in mark order; the symbol is `Some(f)` exactly when
-    /// the term was indexed under `by_top[f]` (a ground application).
+    /// the term was indexed under `by_top[f]` (a ground application to
+    /// arguments).
     order: Vec<(TermId, Option<Sym>)>,
-    /// Ground applications by top symbol, in mark order.
+    /// Ground applications to arguments by top symbol, in mark order. A
+    /// constant is not indexed: hash-consing makes it the one term its
+    /// pattern matches.
     by_top: FastMap<Sym, Vec<TermId>>,
     /// Ground `select(m, k)` applications: `(term, m, k)`.
     selects: Vec<(TermId, TermId, TermId)>,
@@ -603,7 +609,7 @@ impl RelevantSet {
             for &a in args {
                 self.mark_term(bank, a);
             }
-            if !bank.has_var(t) {
+            if !args.is_empty() && !bank.has_var(t) {
                 top = Some(f);
                 self.by_top.entry(f).or_default().push(t);
                 if Some(f) == self.select_sym && args.len() == 2 {
@@ -734,7 +740,6 @@ impl Search<'_> {
     /// footprint even when the bank is shared across a whole batch of
     /// obligations.
     fn sync_cc(&mut self, branch: &mut Branch) {
-        branch.cc.ensure(&self.solver.bank);
         while branch.reg_upto < branch.relevant.order.len() {
             let (t, _) = branch.relevant.order[branch.reg_upto];
             branch.cc.register(t, &self.solver.bank);
@@ -747,7 +752,6 @@ impl Search<'_> {
     /// feed trigger matching or binding enumeration).
     fn register_tt(&mut self, branch: &mut Branch) -> TermId {
         let tt = *self.tt.get_or_insert_with(|| self.solver.tt());
-        branch.cc.ensure(&self.solver.bank);
         branch.cc.register(tt, &self.solver.bank);
         tt
     }
@@ -866,7 +870,7 @@ impl Search<'_> {
     }
 
     fn restore(&mut self, branch: &mut Branch, mark: BranchMark) {
-        branch.cc.restore();
+        branch.cc.restore(&self.solver.bank);
         branch.todo.truncate(mark.todo_len);
         while branch.consumed_log.len() > mark.consumed_len {
             let pos = branch.consumed_log.pop().expect("len checked");
@@ -1114,7 +1118,7 @@ impl Search<'_> {
             ..
         } = branch;
         let mut out = Vec::new();
-        let mut bindings = Vec::new();
+        let mut bindings = Bindings::default();
         for (fi, f) in foralls.iter().enumerate() {
             let Formula::Forall {
                 vars,
@@ -1132,7 +1136,7 @@ impl Search<'_> {
                     match_trigger(&self.solver.bank, relevant, trig, vars, &mut bindings);
                 }
             }
-            for binding in &bindings {
+            for binding in bindings.iter() {
                 let key = (fi, InstKey::of(vars, binding));
                 if done_instances.contains(&key) {
                     continue;
@@ -1230,19 +1234,43 @@ impl Search<'_> {
 /// scans win on both fronts.
 type Binding = Vec<(Sym, TermId)>;
 
+/// Complete bindings back to back in one buffer, so that a round's
+/// candidates cost no allocation each.
+#[derive(Default)]
+struct Bindings {
+    flat: Vec<(Sym, TermId)>,
+    ends: Vec<usize>,
+}
+
+impl Bindings {
+    fn clear(&mut self) {
+        self.flat.clear();
+        self.ends.clear();
+    }
+
+    fn push(&mut self, binding: &[(Sym, TermId)]) {
+        self.flat.extend_from_slice(binding);
+        self.ends.push(self.flat.len());
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[(Sym, TermId)]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let binding = &self.flat[start..end];
+            start = end;
+            binding
+        })
+    }
+}
+
 /// The term `v` is bound to, if any.
-fn bound(binding: &Binding, v: Sym) -> Option<TermId> {
+fn bound(binding: &[(Sym, TermId)], v: Sym) -> Option<TermId> {
     binding.iter().find(|&&(s, _)| s == v).map(|&(_, t)| t)
 }
 
 /// For trigger-less single-variable quantifiers: every ground term
 /// relevant to the branch (capped), in mark order, appended to `out`.
-fn enumerate_bindings(
-    bank: &TermBank,
-    relevant: &RelevantSet,
-    vars: &[Sym],
-    out: &mut Vec<Binding>,
-) {
+fn enumerate_bindings(bank: &TermBank, relevant: &RelevantSet, vars: &[Sym], out: &mut Bindings) {
     if vars.len() != 1 {
         return;
     }
@@ -1251,7 +1279,7 @@ fn enumerate_bindings(
         if matches!(bank.data(t), TermData::Var(_)) || bank.has_var(t) {
             continue;
         }
-        out.push(vec![(vars[0], t)]);
+        out.push(&[(vars[0], t)]);
     }
 }
 
@@ -1265,7 +1293,7 @@ fn match_trigger(
     relevant: &RelevantSet,
     trigger: TermId,
     vars: &[Sym],
-    out: &mut Vec<Binding>,
+    out: &mut Bindings,
 ) {
     let mut binding = Binding::new();
     let mut try_match = |t: TermId| {
@@ -1273,10 +1301,15 @@ fn match_trigger(
         if match_pattern(bank, trigger, t, &mut binding)
             && vars.iter().all(|v| bound(&binding, *v).is_some())
         {
-            out.push(binding.clone());
+            out.push(&binding);
         }
     };
     match bank.data(trigger) {
+        TermData::App(_, args) if args.is_empty() => {
+            if relevant.contains(trigger) {
+                try_match(trigger);
+            }
+        }
         TermData::App(f, _) => {
             for &t in relevant.by_top.get(f).map_or(&[][..], Vec::as_slice) {
                 try_match(t);

@@ -199,12 +199,14 @@ fn cc_universe() -> (TermBank, Vec<TermId>) {
 }
 
 /// One trailed mutation of a congruence-closure script. `Merge` and
-/// `Diseq` register their operands first, as the solver does.
+/// `Diseq` register their operands first, as the solver does; `Union`
+/// merges terms that may never have been registered.
 #[derive(Debug, Clone, Copy)]
 enum CcOp {
     Register(TermId),
     Merge(TermId, TermId),
     Diseq(TermId, TermId),
+    Union(TermId, TermId),
 }
 
 fn cc_apply(cc: &mut Cc, bank: &TermBank, op: CcOp) {
@@ -220,6 +222,7 @@ fn cc_apply(cc: &mut Cc, bank: &TermBank, op: CcOp) {
             cc.register(b, bank);
             cc.assert_diseq(a, b);
         }
+        CcOp::Union(a, b) => cc.merge(a, b, bank),
     }
 }
 
@@ -229,11 +232,10 @@ props! {
     config = Config::with_cases(512);
 
     fn cc_restore_matches_a_rebuilt_context(
-        script in vec((0u8..9, 0usize..13, 0usize..13), 1..48),
+        script in vec((0u8..10, 0usize..13, 0usize..13), 1..48),
     ) {
         let (bank, terms) = cc_universe();
         let mut cc = Cc::new();
-        cc.ensure(&bank);
         // The operations that survive, and the log length at each
         // outstanding savepoint.
         let mut log: Vec<CcOp> = Vec::new();
@@ -247,6 +249,7 @@ props! {
                 2 | 3 => Some(CcOp::Merge(terms[i % 3], terms[j % 3])),
                 4 => Some(CcOp::Merge(a, b)),
                 5 => Some(CcOp::Diseq(a, b)),
+                9 => Some(CcOp::Union(a, b)),
                 6 => {
                     cc.save();
                     saves.push(log.len());
@@ -254,7 +257,7 @@ props! {
                 }
                 _ => {
                     if let Some(mark) = saves.pop() {
-                        cc.restore();
+                        cc.restore(&bank);
                         log.truncate(mark);
                     }
                     None
@@ -265,7 +268,6 @@ props! {
                 log.push(op);
             }
             let mut oracle = Cc::new();
-            oracle.ensure(&bank);
             for &op in &log {
                 cc_apply(&mut oracle, &bank, op);
             }
