@@ -311,7 +311,7 @@ impl Cc {
                     let TermData::App(f, args) = bank.data(p) else {
                         unreachable!("only applications have signatures")
                     };
-                    let key = self.sig_key_at(*f, args);
+                    let key = self.sig_key(*f, args);
                     self.sig.remove(&key);
                 }
                 TrailOp::UsePush { root, prev } => {
@@ -474,17 +474,6 @@ impl Cc {
         }
     }
 
-    /// The congruence signature of `f` applied to `args`, with each
-    /// argument resolved to its current class.
-    fn sig_key(&mut self, f: Sym, args: &[TermId]) -> SigKey {
-        match *args {
-            [a] => SigKey::K1(f, self.class(a)),
-            [a, b] => SigKey::K2(f, self.class(a), self.class(b)),
-            [a, b, c] => SigKey::K3(f, self.class(a), self.class(b), self.class(c)),
-            _ => SigKey::KN(f, args.iter().map(|&t| self.class(t)).collect()),
-        }
-    }
-
     /// The root slot of `s`'s class, with path compression (skipped
     /// while a savepoint is outstanding — compressed pointers must not
     /// outlive the merges they shortcut).
@@ -510,9 +499,10 @@ impl Cc {
         root
     }
 
-    /// The signature of `f` applied to registered `args`, without path
-    /// compression (see [`TrailOp::SigInsert`]).
-    fn sig_key_at(&self, f: Sym, args: &[TermId]) -> SigKey {
+    /// The congruence signature of `f` applied to registered `args`,
+    /// each resolved to its current class. It compresses no path, so a
+    /// rewind can recompute it (see [`TrailOp::SigInsert`]).
+    fn sig_key(&self, f: Sym, args: &[TermId]) -> SigKey {
         let class = |t: TermId| self.root_at(self.index.get(t).expect("registered argument"));
         match *args {
             [a] => SigKey::K1(f, class(a)),

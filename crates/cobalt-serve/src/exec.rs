@@ -43,7 +43,7 @@ pub const EXIT_RESOURCE_LIMITED: u8 = 3;
 /// Version tag mixed into every request fingerprint; bump on any
 /// change to the fingerprint inputs or the rendered output format so
 /// stale caches invalidate wholesale instead of aliasing.
-const FINGERPRINT_VERSION: &str = "cobalt-serve-fp-v4";
+const FINGERPRINT_VERSION: &str = "cobalt-serve-fp-v5";
 
 /// Per-request execution settings, fixed at daemon startup (requests
 /// choose *what* to run; the daemon's operator chooses the budgets it
@@ -502,7 +502,7 @@ mod tests {
         assert_eq!((r.exit, r.verdict.as_str()), (1, "error"), "{}", r.output);
         let lines: Vec<&str> = r.output.lines().collect();
         assert!(
-            lines[0].starts_with("bad: 24/26 obligations proved"),
+            lines[0].starts_with("bad: 26/28 obligations proved"),
             "{}",
             r.output
         );
@@ -682,10 +682,10 @@ mod tests {
         ];
         assert_eq!(
             obligation_digest(&former_ladder),
-            (258, 0x6588_fa79_45c7_937b)
+            (278, 0x9e7a_19d9_4e2e_7481)
         );
         let tiers = RetryPolicy::default().tiers;
-        assert_eq!(obligation_digest(&tiers), (258, 0x37a7_0447_3a09_ef4b));
+        assert_eq!(obligation_digest(&tiers), (278, 0x29f0_0fe5_da7c_c859));
     }
 
     /// How many registry obligations there are, and a digest of their

@@ -246,7 +246,7 @@ pub enum ShapeKind {
 }
 
 /// Every kind in obligation order, `return` last.
-const SHAPE_KINDS: [ShapeKind; 26] = {
+const SHAPE_KINDS: [ShapeKind; 28] = {
     use ArgKind::{Const as C, Var as V};
     use RhsKind as R;
     use ShapeKind as K;
@@ -262,6 +262,7 @@ const SHAPE_KINDS: [ShapeKind; 26] = {
         K::Assign(R::Op2(V, V)),
         K::Assign(R::Op2(V, C)),
         K::Assign(R::Op2(C, V)),
+        K::Assign(R::Op2(C, C)),
         K::Store(R::Var),
         K::Store(R::Const),
         K::Store(R::Deref),
@@ -271,6 +272,7 @@ const SHAPE_KINDS: [ShapeKind; 26] = {
         K::Store(R::Op2(V, V)),
         K::Store(R::Op2(V, C)),
         K::Store(R::Op2(C, V)),
+        K::Store(R::Op2(C, C)),
         K::New,
         K::Call(V),
         K::Call(C),
@@ -1070,7 +1072,7 @@ mod tests {
     #[test]
     fn shape_enumeration_counts() {
         let kinds = ShapeKind::all(false);
-        assert_eq!(kinds.len(), 2 + 9 + 9 + 1 + 2 + 2);
+        assert_eq!(kinds.len(), 2 + 10 + 10 + 1 + 2 + 2);
         let with_ret = ShapeKind::all(true);
         assert_eq!(with_ret.len(), kinds.len() + 1);
         assert_eq!(with_ret.last(), Some(&ShapeKind::Return));

@@ -760,14 +760,14 @@ mod tests {
         opts.extend(cobalt_opts::buggy_optimizations());
         let registry = audit_suite(&opts, &cobalt_opts::all_analyses(), &defs, &meanings);
         println!("registry: {registry:?}");
-        // A registry pass builds 258 obligations; of the 257 specs whose
-        // guard is statically false, the pre-filter drops 217 unencoded.
+        // A registry pass builds 278 obligations; of the 277 specs whose
+        // guard is statically false, the pre-filter drops 234 unencoded.
         assert_eq!(
             registry,
             Dropped {
-                before: 217,
-                after: 40,
-                obligations: 258,
+                before: 234,
+                after: 43,
+                obligations: 278,
                 errors: 0,
             }
         );

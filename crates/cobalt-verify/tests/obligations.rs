@@ -59,7 +59,7 @@ fn forward_obligation_set_structure() {
     assert_eq!(ids.iter().filter(|i| i.starts_with("F1")).count(), 1);
     assert!(ids.contains(&"F1/assign_const"));
     // F2 covers every non-return statement shape.
-    assert_eq!(ids.iter().filter(|i| i.starts_with("F2")).count(), 25);
+    assert_eq!(ids.iter().filter(|i| i.starts_with("F2")).count(), 27);
     assert!(ids.contains(&"F3"));
 }
 
@@ -165,7 +165,7 @@ fn semantic_labels_without_meanings_are_refused() {
     // With no registered meanings, the standard mayDef's `notTainted`
     // arm has nothing to stand for. Reading it as false would drop
     // every F2 store and call shape as statically false and "prove"
-    // const_prop 16/16 instead of 27/27; the encoder refuses instead.
+    // const_prop 17/17 instead of 29/29; the encoder refuses instead.
     let verifier = Verifier::new(LabelEnv::standard(), SemanticMeanings::default());
     let err = verifier
         .verify_optimization(&cobalt_opts::optimization("const_prop").unwrap())
@@ -193,7 +193,7 @@ fn verified_analysis_unlocks_dependent_optimizations() {
     let report = session.verify_optimization(&load_elim).unwrap();
     assert_eq!(
         report.summary_stable(),
-        "load_elim: 16/16 obligations proved"
+        "load_elim: 17/17 obligations proved"
     );
 }
 

@@ -37,7 +37,7 @@ const PATTERNS: [&str; 9] = [
 
 /// One statement of each kind the checker enumerates, in
 /// `ShapeKind::all` order.
-const STATEMENTS: [&str; 26] = [
+const STATEMENTS: [&str; 28] = [
     "decl x",
     "skip",
     "x := y",
@@ -49,6 +49,7 @@ const STATEMENTS: [&str; 26] = [
     "x := y + z",
     "x := y + 1",
     "x := 1 + y",
+    "x := 1 + 2",
     "*q := y",
     "*q := 1",
     "*q := *p",
@@ -58,6 +59,7 @@ const STATEMENTS: [&str; 26] = [
     "*q := y + z",
     "*q := y + 1",
     "*q := 1 + y",
+    "*q := 1 + 2",
     "x := new",
     "x := f(y)",
     "x := f(1)",
@@ -81,11 +83,10 @@ fn kind(stmt: &Stmt) -> Option<ShapeKind> {
             Expr::AddrOf(_) => RhsKind::AddrOf,
             Expr::Op(_, args) => match args.as_slice() {
                 [a] => RhsKind::Op1(arg(a)),
-                [a, b] if !matches!((a, b), (BaseExpr::Const(_), BaseExpr::Const(_))) => {
-                    RhsKind::Op2(arg(a), arg(b))
-                }
-                // The checker enumerates no kind for these.
-                [_, _] | [] | [_, _, _, ..] => return None,
+                [a, b] => RhsKind::Op2(arg(a), arg(b)),
+                // Arities no IL operator has; the checker enumerates no
+                // kind for them.
+                [] | [_, _, _, ..] => return None,
             },
         })
     };

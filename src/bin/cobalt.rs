@@ -1104,14 +1104,14 @@ proc main(x) {
         let (code, hole, _) = verify_suite("hole.cob", HOLE_SUITE);
         assert_eq!(code, exec::EXIT_UNSOUND, "{hole}");
         assert!(
-            hole.contains("bad_prop: 14/27 obligations proved"),
+            hole.contains("bad_prop: 15/29 obligations proved"),
             "{hole}"
         );
         // The control: the same suite under the built-in label's name.
         let control = HOLE_SUITE.replace("myLabel", "notTainted");
         let (code, control, _) = verify_suite("hole_control.cob", &control);
         assert_eq!(code, exec::EXIT_UNSOUND, "{control}");
-        assert_eq!(failed(&hole).len(), 13, "{hole}");
+        assert_eq!(failed(&hole).len(), 14, "{hole}");
         assert_eq!(failed(&hole), failed(&control));
     }
 
@@ -1160,13 +1160,13 @@ proc main(x) {
             err.msg
         );
         let out = err.out.expect("the reports before the refusal");
-        assert!(out.starts_with("bad: 24/26 obligations proved"), "{out}");
+        assert!(out.starts_with("bad: 26/28 obligations proved"), "{out}");
         assert!(out.contains("  FAILED A2/assign_addrof"), "{out}");
         assert!(out.ends_with('\n') && !out.contains("myLabel"), "{out}");
         // Exit 1 leaves the journal uncompacted: a rerun replays what
         // `bad` proved.
         let again = run_cli(&args).unwrap_err();
-        assert!(again.out.unwrap().contains("(24 cached, 2 fresh)"));
+        assert!(again.out.unwrap().contains("(26 cached, 2 fresh)"));
         std::fs::remove_file(p).ok();
         std::fs::remove_file(jpath).ok();
     }

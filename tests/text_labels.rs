@@ -139,7 +139,7 @@ fn a_statement_variable_no_parameter_binds_means_any() {
         .unwrap();
     assert_eq!(
         report.summary_stable(),
-        "no_store_prop: 18/18 obligations proved"
+        "no_store_prop: 19/19 obligations proved"
     );
     assert!(report.outcomes.iter().all(|o| !o.id.contains("store")));
 }

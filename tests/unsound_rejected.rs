@@ -45,7 +45,7 @@ fn the_section_6_rule_fails_only_by_its_two_bugs() {
         .unwrap();
     let ids: Vec<&str> = report.outcomes.iter().map(|o| o.id.as_str()).collect();
     let assigns = [
-        "var", "const", "deref", "addrof", "op1v", "op1c", "op2vv", "op2vc", "op2cv",
+        "var", "const", "deref", "addrof", "op1v", "op1c", "op2vv", "op2vc", "op2cv", "op2cc",
     ];
     let assigns = assigns.map(|rhs| format!("F2/assign_{rhs}"));
     let mut want = vec!["F1/assign_deref", "F2/decl", "F2/skip"];
