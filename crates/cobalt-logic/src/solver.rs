@@ -809,7 +809,12 @@ impl Search<'_> {
                             break;
                         }
                         LitStatus::False => {}
-                        LitStatus::Undecided => remaining.push(d.clone()),
+                        LitStatus::Undecided => {
+                            if remaining.is_empty() {
+                                remaining.reserve_exact(disjuncts.len());
+                            }
+                            remaining.push(d.clone());
+                        }
                     }
                 }
                 branch.splits[pos].formulas = disjuncts;
