@@ -469,3 +469,24 @@ fn label_matches_concrete_pointer_behaviour() {
         }
     }
 }
+
+/// The engine journal keys a procedure's record by
+/// `fingerprint_proc`, which hashes the `Debug` text of every rule. A
+/// change to how any rule type prints would orphan every journaled
+/// record, so the registry pipeline's key is pinned.
+#[test]
+fn registry_pipeline_fingerprint_is_pinned() {
+    let prog = parse_program(
+        "proc main(x) { decl y; y := 7; x := 1 + 2; x := y; return x; }",
+    )
+    .unwrap();
+    let fp = cobalt_engine::session::fingerprint_proc(
+        prog.main().unwrap(),
+        &cobalt_opts::all_analyses(),
+        &cobalt_opts::default_pipeline(),
+        3,
+        None,
+        None,
+    );
+    assert_eq!(fp, 0x7c79_a809_126c_5643, "{fp:#x}");
+}
