@@ -18,8 +18,9 @@
 //! instantiation results), so parallel workers never contend on — or
 //! mutate — shared state.
 
-use cobalt_support::{FastMap, FastSet};
+use cobalt_support::{FastBuildHasher, FastMap, FastSet};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// An interned function or variable symbol.
@@ -74,12 +75,16 @@ pub struct TermBank {
     base: Option<Arc<TermBank>>,
     sym_names: Vec<String>,
     sym_memo: FastMap<String, Sym>,
+    /// Every term's structure, stored once.
     terms: Vec<TermData>,
-    term_memo: FastMap<TermData, TermId>,
+    /// The term interned last of each structure hash; the second half
+    /// of its `term_info` links it to the earlier terms of that hash.
+    term_memo: FastMap<u64, TermId>,
+    /// Per term: `has_var`, precomputed at intern time (arguments are
+    /// always interned first, so one lookup per argument suffices), and
+    /// the term interned before it with the same structure hash.
+    term_info: Vec<(bool, Option<TermId>)>,
     constructors: Vec<bool>,
-    /// `has_var`, precomputed at intern time (arguments are always
-    /// interned first, so one lookup per argument suffices).
-    var_flags: Vec<bool>,
     /// Base symbols promoted to constructors by this overlay. Rare:
     /// encoding interns constructor symbols up front, so overlays
     /// normally only add fresh ones.
@@ -180,13 +185,23 @@ impl TermBank {
         }
     }
 
-    fn intern(&mut self, data: TermData) -> TermId {
-        if let Some(b) = &self.base {
-            if let Some(&t) = b.term_memo.get(&data) {
-                return t;
+    /// The term of this layer with structure `data`, whose hash is `h`.
+    fn find_term(&self, data: &TermData, h: u64) -> Option<TermId> {
+        let mut next = self.term_memo.get(&h).copied();
+        while let Some(t) = next {
+            let k = t.idx() - self.base_terms();
+            if self.terms[k] == *data {
+                return Some(t);
             }
+            next = self.term_info[k].1;
         }
-        if let Some(&t) = self.term_memo.get(&data) {
+        None
+    }
+
+    fn intern(&mut self, data: TermData) -> TermId {
+        let h = FastBuildHasher::default().hash_one(&data);
+        let found = self.base.as_ref().and_then(|b| b.find_term(&data, h));
+        if let Some(t) = found.or_else(|| self.find_term(&data, h)) {
             return t;
         }
         let hv = match &data {
@@ -195,9 +210,9 @@ impl TermBank {
             TermData::App(_, args) => args.iter().any(|&a| self.has_var(a)),
         };
         let t = TermId((self.base_terms() + self.terms.len()) as u32);
-        self.terms.push(data.clone());
-        self.var_flags.push(hv);
-        self.term_memo.insert(data, t);
+        self.terms.push(data);
+        let prev = self.term_memo.insert(h, t);
+        self.term_info.push((hv, prev));
         t
     }
 
@@ -248,9 +263,9 @@ impl TermBank {
     pub fn has_var(&self, t: TermId) -> bool {
         let bt = self.base_terms();
         if t.idx() < bt {
-            self.base.as_ref().expect("base term implies base").var_flags[t.idx()]
+            self.base.as_ref().expect("base term implies base").term_info[t.idx()].0
         } else {
-            self.var_flags[t.idx() - bt]
+            self.term_info[t.idx() - bt].0
         }
     }
 
@@ -259,22 +274,32 @@ impl TermBank {
         if !self.has_var(t) {
             return t;
         }
-        let (f, mut args) = match self.data(t) {
+        let arg = |bank: &Self, i: usize| match bank.data(t) {
+            TermData::App(_, args) => args[i],
+            TermData::Var(_) | TermData::Int(_) => unreachable!("an application"),
+        };
+        let (f, n) = match self.data(t) {
             TermData::Var(v) => return map.iter().find(|&&(s, _)| s == *v).map_or(t, |&(_, r)| r),
             TermData::Int(_) => return t,
-            // The copy becomes the substituted argument list.
-            TermData::App(f, args) => (*f, args.clone()),
+            TermData::App(f, args) => (*f, args.len()),
         };
-        let mut changed = false;
-        for a in &mut args {
-            let b = self.subst(*a, map);
-            changed |= b != *a;
-            *a = b;
+        // The argument list is copied once an argument changes.
+        let mut changed: Option<Vec<TermId>> = None;
+        for i in 0..n {
+            let a = arg(self, i);
+            let b = self.subst(a, map);
+            if b != a && changed.is_none() {
+                let mut args = Vec::with_capacity(n);
+                args.extend((0..i).map(|j| arg(self, j)));
+                changed = Some(args);
+            }
+            if let Some(args) = &mut changed {
+                args.push(b);
+            }
         }
-        if changed {
-            self.app(f, args)
-        } else {
-            t
+        match changed {
+            Some(args) => self.app(f, args),
+            None => t,
         }
     }
 
