@@ -334,11 +334,7 @@ impl Guard {
     }
 
     fn eval_depth(&self, ctx: &NodeCtx<'_>, theta: &Subst, depth: usize) -> Result<bool, GuardError> {
-        if depth > MAX_LABEL_DEPTH {
-            return Err(GuardError::new(
-                "label definitions recurse too deeply (cyclic definition?)",
-            ));
-        }
+        check_depth(depth)?;
         match self {
             Guard::True => Ok(true),
             Guard::False => Ok(false),
@@ -360,21 +356,18 @@ impl Guard {
                 Ok(false)
             }
             Guard::Stmt(pat) => Ok(pat.try_match(ctx.stmt, theta).is_some()),
-            Guard::Label(name, args) => self.eval_label(ctx, theta, name, args, depth),
-            Guard::SyntacticDef(vp) => {
-                let v = vp.instantiate(theta)?;
-                Ok(ctx.stmt.syntactic_def() == Some(&v))
-            }
+            Guard::Label(name, args) => eval_label(ctx, theta, name, args, depth),
+            Guard::SyntacticDef(vp) => Ok(ctx.stmt.syntactic_def() == Some(vp.resolve(theta)?)),
             Guard::SyntacticUse(vp) => {
-                let v = vp.instantiate(theta)?;
-                Ok(ctx.stmt.read_vars().contains(&&v))
+                let v = vp.resolve(theta)?;
+                Ok(ctx.stmt.reads().any(|w| w == v))
             }
             Guard::Unchanged(ep) => {
                 let e = ep.instantiate(theta)?;
                 eval_unchanged(ctx, &e, depth)
             }
             Guard::ConstEq(a, b) => Ok(a.instantiate(theta)? == b.instantiate(theta)?),
-            Guard::VarEq(a, b) => Ok(a.instantiate(theta)? == b.instantiate(theta)?),
+            Guard::VarEq(a, b) => Ok(a.resolve(theta)? == b.resolve(theta)?),
             Guard::CaseStmt { arms, default } => {
                 for (pat, g) in arms {
                     if let Some(extended) = pat.try_match(ctx.stmt, theta) {
@@ -382,44 +375,6 @@ impl Guard {
                     }
                 }
                 default.eval_depth(ctx, theta, depth)
-            }
-        }
-    }
-
-    fn eval_label(
-        &self,
-        ctx: &NodeCtx<'_>,
-        theta: &Subst,
-        name: &LabelName,
-        args: &[LabelArgPat],
-        depth: usize,
-    ) -> Result<bool, GuardError> {
-        let concrete = args
-            .iter()
-            .map(|a| a.instantiate(theta))
-            .collect::<Result<Vec<_>, _>>()?;
-        match ctx.env.lookup(name) {
-            Some(def) => {
-                if def.params.len() != concrete.len() {
-                    return Err(GuardError::new(format!(
-                        "label `{name}` expects {} arguments, got {}",
-                        def.params.len(),
-                        concrete.len()
-                    )));
-                }
-                let mut inner = Subst::new();
-                for (p, a) in def.params.iter().zip(concrete) {
-                    inner.bind(p.clone(), Binding::from(a));
-                }
-                def.body.eval_depth(ctx, &inner, depth + 1)
-            }
-            None => {
-                // Semantic label: membership in the node's label set.
-                let inst = crate::label::LabelInst {
-                    name: name.clone(),
-                    args: concrete,
-                };
-                Ok(ctx.labels.contains(&inst))
             }
         }
     }
@@ -435,7 +390,54 @@ impl Guard {
     ///
     /// Propagates label-evaluation errors.
     pub fn solve(&self, ctx: &NodeCtx<'_>, theta: &Subst) -> Result<Vec<Subst>, GuardError> {
-        match self {
+        self.solver().solve(ctx, theta)
+    }
+
+    /// The guard prepared to be [solved](Self::solve) at many nodes.
+    pub fn solver(&self) -> Solver<'_> {
+        fn parts<'g>(g: &'g Guard, out: &mut Vec<(&'g Guard, Vec<(PatVar, FragKind)>)>) {
+            match g {
+                Guard::True | Guard::False | Guard::Stmt(_) => {}
+                Guard::And(gs) | Guard::Or(gs) => gs.iter().for_each(|g| parts(g, out)),
+                other => out.push((other, other.enumerated_vars())),
+            }
+        }
+        let mut needed = Vec::new();
+        parts(self, &mut needed);
+        Solver {
+            guard: self,
+            needed,
+        }
+    }
+}
+
+/// A guard prepared to be [solved](Guard::solve) at many nodes: the
+/// variables each part of it enumerates, found once.
+#[derive(Debug)]
+pub struct Solver<'g> {
+    guard: &'g Guard,
+    /// Each part below `&&` and `||` that enumerates, with its
+    /// [`Guard::enumerated_vars`].
+    needed: Vec<(&'g Guard, Vec<(PatVar, FragKind)>)>,
+}
+
+impl<'g> Solver<'g> {
+    /// [`Guard::solve`] of the prepared guard.
+    ///
+    /// # Errors
+    ///
+    /// Propagates label-evaluation errors.
+    pub fn solve(&self, ctx: &NodeCtx<'_>, theta: &Subst) -> Result<Vec<Subst>, GuardError> {
+        self.solve_part(self.guard, ctx, theta)
+    }
+
+    fn solve_part(
+        &self,
+        g: &'g Guard,
+        ctx: &NodeCtx<'_>,
+        theta: &Subst,
+    ) -> Result<Vec<Subst>, GuardError> {
+        match g {
             Guard::True => Ok(vec![theta.clone()]),
             Guard::False => Ok(vec![]),
             Guard::And(gs) => {
@@ -443,7 +445,7 @@ impl Guard {
                 for g in gs {
                     let mut next = Vec::new();
                     for t in &acc {
-                        next.extend(g.solve(ctx, t)?);
+                        next.extend(self.solve_part(g, ctx, t)?);
                     }
                     acc = next;
                     if acc.is_empty() {
@@ -455,7 +457,7 @@ impl Guard {
             Guard::Or(gs) => {
                 let mut acc = Vec::new();
                 for g in gs {
-                    acc.extend(g.solve(ctx, theta)?);
+                    acc.extend(self.solve_part(g, ctx, theta)?);
                 }
                 Ok(dedup(acc))
             }
@@ -463,39 +465,36 @@ impl Guard {
             other => {
                 // Enumerate the unbound pattern variables over the
                 // procedure's fragment domains, then filter by `eval`.
-                let mut needed = other.enumerated_vars();
-                needed.retain(|(p, _)| !theta.contains(p));
+                let (_, needed) = (self.needed.iter())
+                    .find(|(part, _)| std::ptr::eq(*part, other))
+                    .expect("every enumerating part is prepared");
                 let mut candidates = vec![theta.clone()];
-                for (p, kind) in &needed {
+                for (p, kind) in needed.iter().filter(|(p, _)| !theta.contains(p)) {
                     let mut next = Vec::new();
                     for t in &candidates {
-                        let bindings: Vec<Binding> = match kind {
+                        let (d, with) = (ctx.domain, |b| t.with(p, b));
+                        match kind {
                             FragKind::Var => {
-                                ctx.domain.vars.iter().cloned().map(Binding::Var).collect()
+                                next.extend(d.vars.iter().map(|v| with(Binding::Var(v.clone()))))
                             }
                             FragKind::Const => {
-                                ctx.domain.consts.iter().copied().map(Binding::Const).collect()
+                                next.extend(d.consts.iter().map(|&c| with(Binding::Const(c))))
                             }
                             FragKind::Expr => {
-                                ctx.domain.exprs.iter().cloned().map(Binding::Expr).collect()
+                                next.extend(d.exprs.iter().map(|e| with(Binding::Expr(e.clone()))))
                             }
                             FragKind::Index | FragKind::Proc => {
                                 return Err(GuardError::new(
                                     "cannot enumerate index/procedure pattern variables in a guard",
                                 ))
                             }
-                        };
-                        for b in bindings {
-                            let mut t2 = t.clone();
-                            t2.bind(p.clone(), b);
-                            next.push(t2);
                         }
                     }
                     candidates = next;
                 }
                 let mut out = Vec::new();
                 for t in candidates {
-                    if self.eval(ctx, &t)? {
+                    if other.eval(ctx, &t)? {
                         out.push(t);
                     }
                 }
@@ -503,6 +502,59 @@ impl Guard {
             }
         }
     }
+}
+
+fn check_depth(depth: usize) -> Result<(), GuardError> {
+    if depth > MAX_LABEL_DEPTH {
+        return Err(GuardError::new(
+            "label definitions recurse too deeply (cyclic definition?)",
+        ));
+    }
+    Ok(())
+}
+
+/// A label atom: a defined label's body under its parameters bound to
+/// the arguments, or a semantic label's membership in the node's set.
+/// Arguments are instantiated in order, and the first that fails is the
+/// error, before an arity mismatch is.
+fn eval_label(
+    ctx: &NodeCtx<'_>,
+    theta: &Subst,
+    name: &LabelName,
+    args: &[LabelArgPat],
+    depth: usize,
+) -> Result<bool, GuardError> {
+    let def = ctx.env.lookup(name);
+    if let Some(def) = def.filter(|def| def.params.len() == args.len()) {
+        let mut inner = Subst::new();
+        for (p, a) in def.params.iter().zip(args) {
+            inner.bind(p.clone(), a.instantiate(theta)?.into());
+        }
+        return def.body.eval_depth(ctx, &inner, depth + 1);
+    }
+    let concrete = args
+        .iter()
+        .map(|a| a.instantiate(theta))
+        .collect::<Result<Vec<_>, _>>()?;
+    match def {
+        Some(def) => Err(GuardError::new(format!(
+            "label `{name}` expects {} arguments, got {}",
+            def.params.len(),
+            concrete.len()
+        ))),
+        // Semantic label: membership in the node's label set.
+        None => Ok(ctx.labels.contains(&crate::label::LabelInst {
+            name: name.clone(),
+            args: concrete,
+        })),
+    }
+}
+
+/// The atom `name(v)` for a concrete variable `v`, evaluated at `depth`.
+fn eval_label_of(ctx: &NodeCtx<'_>, name: &str, v: &Var, depth: usize) -> Result<bool, GuardError> {
+    check_depth(depth)?;
+    let arg = [LabelArgPat::Var(VarPat::Concrete(v.clone()))];
+    eval_label(ctx, &Subst::new(), &LabelName::new(name), &arg, depth)
 }
 
 fn dedup(mut v: Vec<Subst>) -> Vec<Subst> {
@@ -516,15 +568,8 @@ fn dedup(mut v: Vec<Subst>) -> Vec<Subst> {
 /// unchanged.
 fn eval_unchanged(ctx: &NodeCtx<'_>, e: &Expr, depth: usize) -> Result<bool, GuardError> {
     // Any variable the expression reads must not be (may-)defined.
-    let may_def = |v: &Var| -> Result<bool, GuardError> {
-        Guard::Label(
-            "mayDef".into(),
-            vec![LabelArgPat::Var(VarPat::Concrete(v.clone()))],
-        )
-        .eval_depth(ctx, &Subst::new(), depth + 1)
-    };
-    for v in e.read_vars() {
-        if may_def(v)? {
+    for v in e.reads() {
+        if eval_label_of(ctx, "mayDef", v, depth + 1)? {
             return Ok(false);
         }
     }
@@ -535,12 +580,7 @@ fn eval_unchanged(ctx: &NodeCtx<'_>, e: &Expr, depth: usize) -> Result<bool, Gua
         match ctx.stmt {
             Stmt::Assign(cobalt_il::Lhs::Deref(_), _) | Stmt::Call { .. } => return Ok(false),
             Stmt::Assign(cobalt_il::Lhs::Var(y), _) | Stmt::New(y) => {
-                let not_tainted = Guard::Label(
-                    "notTainted".into(),
-                    vec![LabelArgPat::Var(VarPat::Concrete(y.clone()))],
-                )
-                .eval_depth(ctx, &Subst::new(), depth + 1)?;
-                if !not_tainted {
+                if !eval_label_of(ctx, "notTainted", y, depth + 1)? {
                     return Ok(false);
                 }
             }

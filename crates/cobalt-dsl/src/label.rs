@@ -12,30 +12,30 @@ use crate::pattern::{ConstPat, ExprPat, VarPat};
 use crate::subst::{Binding, PatVar, Subst};
 use crate::error::InstError;
 use crate::guard::Guard;
-use cobalt_il::{Expr, Var};
+use cobalt_il::{Expr, Name, Var};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::OnceLock;
 
 /// The name of a label, e.g. `mayDef` or `notTainted`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LabelName(String);
+pub struct LabelName(Name);
 
 impl LabelName {
     /// Creates a label name.
-    pub fn new(name: impl Into<String>) -> Self {
-        LabelName(name.into())
+    pub fn new(name: impl AsRef<str>) -> Self {
+        LabelName(Name::new(name.as_ref()))
     }
 
     /// The name as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.as_str()
     }
 }
 
 impl fmt::Display for LabelName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 

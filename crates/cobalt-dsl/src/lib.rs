@@ -60,7 +60,7 @@ pub mod subst;
 pub mod witness;
 
 pub use error::{DslParseError, GuardError, InstError};
-pub use guard::{Domain, Guard, GuardNode, GuardVars, NodeCtx, Reading, Scope};
+pub use guard::{Domain, Guard, GuardNode, GuardVars, NodeCtx, Reading, Scope, Solver};
 pub use label::{FragKind, LabelArg, LabelArgPat, LabelDef, LabelEnv, LabelInst, LabelName, LabelSet};
 pub use parser::{parse_analysis, parse_optimization, parse_suite, Suite};
 pub use opt::{

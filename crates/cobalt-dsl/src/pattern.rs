@@ -27,7 +27,11 @@ impl VarPat {
     pub fn matches(&self, v: &Var, theta: &mut Subst) -> bool {
         match self {
             VarPat::Concrete(w) => w == v,
-            VarPat::Pat(p) => theta.bind(p.clone(), Binding::Var(v.clone())),
+            VarPat::Pat(p) => theta.bind_with(
+                p,
+                |b| matches!(b, Binding::Var(w) if w == v),
+                || Binding::Var(v.clone()),
+            ),
         }
     }
 
@@ -37,10 +41,19 @@ impl VarPat {
     ///
     /// Fails if a pattern variable is unbound or bound to a non-variable.
     pub fn instantiate(&self, theta: &Subst) -> Result<Var, InstError> {
+        self.resolve(theta).cloned()
+    }
+
+    /// [`instantiate`](Self::instantiate), borrowing the variable.
+    ///
+    /// # Errors
+    ///
+    /// As [`instantiate`](Self::instantiate).
+    pub fn resolve<'a>(&'a self, theta: &'a Subst) -> Result<&'a Var, InstError> {
         match self {
-            VarPat::Concrete(v) => Ok(v.clone()),
+            VarPat::Concrete(v) => Ok(v),
             VarPat::Pat(p) => match theta.get(p) {
-                Some(Binding::Var(v)) => Ok(v.clone()),
+                Some(Binding::Var(v)) => Ok(v),
                 Some(other) => Err(InstError::kind_mismatch(p, "variable", other)),
                 None => Err(InstError::unbound(p)),
             },
@@ -195,7 +208,11 @@ impl ExprPat {
     /// Matches against a concrete expression.
     pub fn matches(&self, e: &Expr, theta: &mut Subst) -> bool {
         match (self, e) {
-            (ExprPat::Pat(p), e) => theta.bind(p.clone(), Binding::Expr(e.clone())),
+            (ExprPat::Pat(p), e) => theta.bind_with(
+                p,
+                |b| matches!(b, Binding::Expr(f) if f == e),
+                || Binding::Expr(e.clone()),
+            ),
             (ExprPat::Any, _) => true,
             (ExprPat::Base(bp), Expr::Base(b)) => bp.matches(b, theta),
             (ExprPat::Deref(vp), Expr::Deref(v)) => vp.matches(v, theta),
@@ -423,7 +440,11 @@ impl ProcPat {
     pub fn matches(&self, p: &ProcName, theta: &mut Subst) -> bool {
         match self {
             ProcPat::Concrete(q) => q == p,
-            ProcPat::Pat(v) => theta.bind(v.clone(), Binding::Proc(p.clone())),
+            ProcPat::Pat(v) => theta.bind_with(
+                v,
+                |b| matches!(b, Binding::Proc(q) if q == p),
+                || Binding::Proc(p.clone()),
+            ),
         }
     }
 
@@ -553,11 +574,38 @@ impl StmtPat {
     /// Matches against a statement, returning the extended substitution
     /// on success and leaving `theta` untouched on failure.
     pub fn try_match(&self, s: &Stmt, theta: &Subst) -> Option<Subst> {
+        if !self.same_shape(s) {
+            return None;
+        }
         let mut t = theta.clone();
-        if self.matches(s, &mut t) {
-            Some(t)
-        } else {
-            None
+        self.matches(s, &mut t).then_some(t)
+    }
+
+    /// Whether `s` has this pattern's statement form, and for an
+    /// assignment the forms of its two sides, which every match needs.
+    fn same_shape(&self, s: &Stmt) -> bool {
+        match (self, s) {
+            (StmtPat::Assign(lp, ep), Stmt::Assign(lhs, e)) => {
+                matches!(
+                    (lp, lhs),
+                    (LhsPat::Any, _) | (LhsPat::Var(_), Lhs::Var(_)) | (LhsPat::Deref(_), Lhs::Deref(_))
+                ) && matches!(
+                    (ep, e),
+                    (ExprPat::Pat(_) | ExprPat::Any, _)
+                        | (ExprPat::Base(_), Expr::Base(_))
+                        | (ExprPat::Deref(_), Expr::Deref(_))
+                        | (ExprPat::AddrOf(_), Expr::AddrOf(_))
+                        | (ExprPat::Op(..), Expr::Op(..))
+                )
+            }
+            (StmtPat::Any, _)
+            | (StmtPat::Decl(_), Stmt::Decl(_))
+            | (StmtPat::Skip, Stmt::Skip)
+            | (StmtPat::New(_), Stmt::New(_))
+            | (StmtPat::Call { .. }, Stmt::Call { .. })
+            | (StmtPat::If { .. }, Stmt::If { .. })
+            | (StmtPat::Return(_) | StmtPat::ReturnAny, Stmt::Return(_)) => true,
+            _ => false,
         }
     }
 

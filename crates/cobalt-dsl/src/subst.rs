@@ -5,8 +5,7 @@
 //! Substitutions are the *dataflow facts* of the execution engine
 //! (paper §5.2), so they are ordered and hashable.
 
-use cobalt_il::{Expr, ProcName, Var};
-use std::collections::BTreeMap;
+use cobalt_il::{Expr, Name, ProcName, Var};
 use std::fmt;
 
 /// A pattern variable, e.g. `X`, `Y`, `C`, `E`.
@@ -15,23 +14,23 @@ use std::fmt;
 /// allowed; the kind of fragment a pattern variable ranges over is
 /// determined by the syntactic position it occupies in a pattern.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PatVar(String);
+pub struct PatVar(Name);
 
 impl PatVar {
     /// Creates a pattern variable.
-    pub fn new(name: impl Into<String>) -> Self {
-        PatVar(name.into())
+    pub fn new(name: impl AsRef<str>) -> Self {
+        PatVar(Name::new(name.as_ref()))
     }
 
     /// The variable's name.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.as_str()
     }
 }
 
 impl fmt::Display for PatVar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -70,6 +69,11 @@ impl fmt::Display for Binding {
 
 /// A substitution `θ` from pattern variables to program fragments.
 ///
+/// Its bindings are kept sorted by pattern variable in one vector, so a
+/// clone is one exact-size allocation. Equality, order, hashing and
+/// `Debug` are those of the `BTreeMap<PatVar, Binding>` with the same
+/// bindings (the engine ranks its dataflow universe by this order).
+///
 /// # Examples
 ///
 /// ```
@@ -82,8 +86,8 @@ impl fmt::Display for Binding {
 /// assert!(theta.bind("Y".into(), Binding::Var(Var::new("a"))));
 /// assert!(!theta.bind("Y".into(), Binding::Var(Var::new("b"))));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Subst(BTreeMap<PatVar, Binding>);
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+pub struct Subst(Vec<(PatVar, Binding)>);
 
 impl Subst {
     /// The empty substitution.
@@ -91,26 +95,63 @@ impl Subst {
         Subst::default()
     }
 
+    fn find(&self, v: &PatVar) -> Result<usize, usize> {
+        self.0.binary_search_by(|(p, _)| p.cmp(v))
+    }
+
     /// Binds `v` to `b`. Returns false (leaving the substitution
     /// unchanged) if `v` is already bound to a different fragment.
     pub fn bind(&mut self, v: PatVar, b: Binding) -> bool {
-        match self.0.get(&v) {
-            Some(prev) => prev == &b,
-            None => {
-                self.0.insert(v, b);
+        match self.find(&v) {
+            Ok(k) => self.0[k].1 == b,
+            Err(k) => {
+                self.0.insert(k, (v, b));
                 true
+            }
+        }
+    }
+
+    /// [`bind`](Self::bind) without building what it need not keep:
+    /// when `v` is bound, `same` compares its fragment in place;
+    /// otherwise `v` is bound to what `make` returns.
+    pub(crate) fn bind_with(
+        &mut self,
+        v: &PatVar,
+        same: impl FnOnce(&Binding) -> bool,
+        make: impl FnOnce() -> Binding,
+    ) -> bool {
+        match self.find(v) {
+            Ok(k) => same(&self.0[k].1),
+            Err(k) => {
+                self.0.insert(k, (v.clone(), make()));
+                true
+            }
+        }
+    }
+
+    /// A copy of this substitution [bound](Self::bind) `v ↦ b`, in one
+    /// exact-size allocation.
+    pub(crate) fn with(&self, v: &PatVar, b: Binding) -> Subst {
+        match self.find(v) {
+            Ok(_) => self.clone(),
+            Err(k) => {
+                let mut out = Vec::with_capacity(self.0.len() + 1);
+                out.extend_from_slice(&self.0[..k]);
+                out.push((v.clone(), b));
+                out.extend_from_slice(&self.0[k..]);
+                Subst(out)
             }
         }
     }
 
     /// The binding of `v`, if any.
     pub fn get(&self, v: &PatVar) -> Option<&Binding> {
-        self.0.get(v)
+        self.find(v).ok().map(|k| &self.0[k].1)
     }
 
     /// Whether `v` is bound.
     pub fn contains(&self, v: &PatVar) -> bool {
-        self.0.contains_key(v)
+        self.find(v).is_ok()
     }
 
     /// Number of bound pattern variables.
@@ -125,7 +166,7 @@ impl Subst {
 
     /// Iterates over `(pattern variable, binding)` pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (&PatVar, &Binding)> {
-        self.0.iter()
+        self.0.iter().map(|(v, b)| (v, b))
     }
 
     /// Merges another substitution in; fails on any conflicting binding
@@ -140,10 +181,16 @@ impl Subst {
     }
 }
 
+impl fmt::Debug for Subst {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 impl fmt::Display for Subst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, (v, b)) in self.0.iter().enumerate() {
+        for (i, (v, b)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -154,8 +201,16 @@ impl fmt::Display for Subst {
 }
 
 impl FromIterator<(PatVar, Binding)> for Subst {
+    /// A later binding of a variable replaces an earlier one, as in a map.
     fn from_iter<T: IntoIterator<Item = (PatVar, Binding)>>(iter: T) -> Self {
-        Subst(iter.into_iter().collect())
+        let mut out = Subst::new();
+        for (v, b) in iter {
+            match out.find(&v) {
+                Ok(k) => out.0[k].1 = b,
+                Err(k) => out.0.insert(k, (v, b)),
+            }
+        }
+        out
     }
 }
 

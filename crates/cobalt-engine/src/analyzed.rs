@@ -4,6 +4,7 @@
 use crate::error::EngineError;
 use cobalt_dsl::{Domain, LabelEnv, LabelInst, LabelSet, NodeCtx};
 use cobalt_il::{Cfg, Index, Proc};
+use std::sync::OnceLock;
 
 /// A procedure together with everything guard evaluation needs.
 #[derive(Debug, Clone)]
@@ -47,6 +48,20 @@ impl AnalyzedProc {
             labels: &self.labels[index],
             env,
             domain: &self.domain,
+        }
+    }
+
+    /// [`node_ctx`](Self::node_ctx), seeing no semantic labels when
+    /// `masked`, as on [`without_labels`](Self::without_labels).
+    pub(crate) fn ctx<'a>(&'a self, env: &'a LabelEnv, index: Index, masked: bool) -> NodeCtx<'a> {
+        static NONE: OnceLock<LabelSet> = OnceLock::new();
+        let ctx = self.node_ctx(env, index);
+        match masked {
+            true => NodeCtx {
+                labels: NONE.get_or_init(LabelSet::new),
+                ..ctx
+            },
+            false => ctx,
         }
     }
 

@@ -85,21 +85,23 @@ pub fn forward_in_facts(
     env: &LabelEnv,
     guard: &RegionGuard,
 ) -> Result<Vec<FactSet>, EngineError> {
-    let ins = forward_in(ap, env, guard, &mut Budget::unlimited().meter())?;
+    let ins = forward_in(ap, env, guard, false, &mut Budget::unlimited().meter())?;
     Ok(ins.into_fact_sets(ap.proc.len()))
 }
 
-/// [`forward_in_facts`] in dense form, under `meter`.
+/// [`forward_in_facts`] in dense form, under `meter`, seeing no
+/// semantic labels when `masked`.
 pub(crate) fn forward_in(
     ap: &AnalyzedProc,
     env: &LabelEnv,
     guard: &RegionGuard,
+    masked: bool,
     meter: &mut Meter,
 ) -> Result<DenseFacts, EngineError> {
     fault_point("engine.fixpoint")?;
     meter.check()?;
     let n = ap.proc.len();
-    let mut locals = Locals::new(ap, env, guard)?;
+    let mut locals = Locals::new(ap, env, guard, masked)?;
     let len = locals.universe.len();
 
     // out[ι] starts at ⊤ (the universe); entry's in-fact is ∅.
@@ -145,7 +147,7 @@ pub fn backward_cont_facts(
     env: &LabelEnv,
     guard: &RegionGuard,
 ) -> Result<Vec<FactSet>, EngineError> {
-    let cont = backward_cont(ap, env, guard, &mut Budget::unlimited().meter())?;
+    let cont = backward_cont(ap, env, guard, false, &mut Budget::unlimited().meter())?;
     Ok(cont.into_fact_sets(ap.proc.len()))
 }
 
@@ -162,21 +164,23 @@ pub fn backward_site_facts(
     env: &LabelEnv,
     guard: &RegionGuard,
 ) -> Result<Vec<FactSet>, EngineError> {
-    let cont = backward_cont(ap, env, guard, &mut Budget::unlimited().meter())?;
+    let cont = backward_cont(ap, env, guard, false, &mut Budget::unlimited().meter())?;
     Ok(cont.into_site_facts(ap).into_fact_sets(ap.proc.len()))
 }
 
-/// [`backward_cont_facts`] in dense form, under `meter`.
+/// [`backward_cont_facts`] in dense form, under `meter`, seeing no
+/// semantic labels when `masked`.
 pub(crate) fn backward_cont(
     ap: &AnalyzedProc,
     env: &LabelEnv,
     guard: &RegionGuard,
+    masked: bool,
     meter: &mut Meter,
 ) -> Result<DenseFacts, EngineError> {
     fault_point("engine.fixpoint")?;
     meter.check()?;
     let n = ap.proc.len();
-    let mut locals = Locals::new(ap, env, guard)?;
+    let mut locals = Locals::new(ap, env, guard, masked)?;
     let len = locals.universe.len();
 
     let mut facts = Rows::full(n, len);
@@ -328,6 +332,7 @@ impl DenseFacts {
 struct Locals<'a> {
     ap: &'a AnalyzedProc,
     env: &'a LabelEnv,
+    masked: bool,
     psi2: &'a Guard,
     /// Every node's `ψ1` solutions, sorted and deduplicated.
     universe: Vec<Subst>,
@@ -344,12 +349,13 @@ impl<'a> Locals<'a> {
         ap: &'a AnalyzedProc,
         env: &'a LabelEnv,
         guard: &'a RegionGuard,
+        masked: bool,
     ) -> Result<Locals<'a>, EngineError> {
         let n = ap.proc.len();
+        let psi1 = guard.psi1.solver();
         let mut found: Vec<(Subst, usize)> = Vec::new();
         for i in 0..n {
-            let ctx = ap.node_ctx(env, i);
-            let sols = guard.psi1.solve(&ctx, &Subst::new())?;
+            let sols = psi1.solve(&ap.ctx(env, i, masked), &Subst::new())?;
             found.extend(sols.into_iter().map(|theta| (theta, i)));
         }
         // Canonical order: a substitution's index is its rank.
@@ -370,6 +376,7 @@ impl<'a> Locals<'a> {
         Ok(Locals {
             ap,
             env,
+            masked,
             psi2: &guard.psi2,
             universe,
             sols,
@@ -383,7 +390,7 @@ impl<'a> Locals<'a> {
     /// substitutions reaching `i` for the first time, in ascending
     /// universe order.
     fn transfer(&mut self, i: usize, in_fact: &[u64], out: &mut [u64]) -> Result<(), EngineError> {
-        let ctx = self.ap.node_ctx(self.env, i);
+        let ctx = self.ap.ctx(self.env, i, self.masked);
         let (checked, holds) = (self.checked.row_mut(i), self.holds.row_mut(i));
         let sols = self.sols.row(i);
         for (w, &word) in in_fact.iter().enumerate() {

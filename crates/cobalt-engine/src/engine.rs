@@ -89,27 +89,21 @@ impl Engine {
         // Paper §4.1: a forward pure analysis may not feed a backward
         // transformation (interference). Backward patterns therefore see
         // no semantic labels, in their guard or their `where` clause.
-        let masked;
-        let eval_ap: &AnalyzedProc = if pat.direction == Direction::Backward {
-            masked = ap.without_labels();
-            &masked
-        } else {
-            ap
-        };
+        let masked = pat.direction == Direction::Backward;
         let site_facts: DenseFacts = match (&pat.guard, pat.direction) {
             // Node-local rewrite: every node is a candidate with the
             // empty substitution.
             (GuardSpec::Local, _) => DenseFacts::everywhere(ap.proc.len(), Subst::new()),
             (GuardSpec::Region(guard), Direction::Forward) => {
-                forward_in(eval_ap, &self.env, guard, &mut meter)?
+                forward_in(ap, &self.env, guard, masked, &mut meter)?
             }
             (GuardSpec::Region(guard), Direction::Backward) => {
-                backward_cont(eval_ap, &self.env, guard, &mut meter)?.into_site_facts(eval_ap)
+                backward_cont(ap, &self.env, guard, masked, &mut meter)?.into_site_facts(ap)
             }
         };
         let mut sites = Vec::new();
-        for (i, stmt) in eval_ap.proc.stmts.iter().enumerate() {
-            let ctx = eval_ap.node_ctx(&self.env, i);
+        for (i, stmt) in ap.proc.stmts.iter().enumerate() {
+            let ctx = ap.ctx(&self.env, i, masked);
             for theta in site_facts.at(i) {
                 let Some(extended) = pat.from.try_match(stmt, theta) else {
                     continue;
@@ -163,7 +157,7 @@ impl Engine {
         ap: &mut AnalyzedProc,
         analysis: &PureAnalysis,
     ) -> Result<usize, EngineError> {
-        let ins = forward_in(ap, &self.env, &analysis.guard, &mut self.budget.meter())?;
+        let ins = forward_in(ap, &self.env, &analysis.guard, false, &mut self.budget.meter())?;
         let (name, args) = &analysis.defines;
         let mut added = 0;
         for i in 0..ap.proc.len() {

@@ -99,13 +99,14 @@ pub fn apply_recursive(
         }
         seen.push(key);
         let context = engine.apply_sites(&ap0, opt, &assumed)?;
-        let probe = AnalyzedProc::new(context)?.without_labels();
+        let probe = AnalyzedProc::new(context)?;
         let site_facts = match opt.pattern.direction {
             cobalt_dsl::Direction::Forward => {
-                forward_in(&probe, engine.env(), &region, &mut meter)?
+                forward_in(&probe, engine.env(), &region, true, &mut meter)?
             }
             cobalt_dsl::Direction::Backward => {
-                backward_cont(&probe, engine.env(), &region, &mut meter)?.into_site_facts(&probe)
+                backward_cont(&probe, engine.env(), &region, true, &mut meter)?
+                    .into_site_facts(&probe)
             }
         };
         let mut next = Vec::new();

@@ -9,6 +9,7 @@
 //! All AST types are passive data structures with public fields, following
 //! the C-struct spirit of the API guidelines.
 
+use cobalt_support::name::Name;
 use std::fmt;
 
 /// A local variable name.
@@ -21,23 +22,23 @@ use std::fmt;
 /// assert_eq!(x.as_str(), "x");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Var(String);
+pub struct Var(Name);
 
 impl Var {
     /// Creates a variable from a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Var(name.into())
+    pub fn new(name: impl AsRef<str>) -> Self {
+        Var(Name::new(name.as_ref()))
     }
 
     /// Returns the variable's name.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.as_str()
     }
 }
 
 impl fmt::Display for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -57,23 +58,23 @@ impl From<&str> for Var {
 /// assert_eq!(p.as_str(), "main");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProcName(String);
+pub struct ProcName(Name);
 
 impl ProcName {
     /// Creates a procedure name.
-    pub fn new(name: impl Into<String>) -> Self {
-        ProcName(name.into())
+    pub fn new(name: impl AsRef<str>) -> Self {
+        ProcName(Name::new(name.as_ref()))
     }
 
     /// Returns the name as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.as_str()
     }
 }
 
 impl fmt::Display for ProcName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -95,7 +96,7 @@ pub enum BaseExpr {
 
 impl BaseExpr {
     /// Convenience constructor for a variable operand.
-    pub fn var(name: impl Into<String>) -> Self {
+    pub fn var(name: impl AsRef<str>) -> Self {
         BaseExpr::Var(Var::new(name))
     }
 }
@@ -224,7 +225,7 @@ pub enum Expr {
 
 impl Expr {
     /// Convenience constructor for a variable expression.
-    pub fn var(name: impl Into<String>) -> Self {
+    pub fn var(name: impl AsRef<str>) -> Self {
         Expr::Base(BaseExpr::var(name))
     }
 
@@ -241,17 +242,21 @@ impl Expr {
     /// The variables this expression *reads* (not counting `&x`, which
     /// mentions `x` without reading its contents).
     pub fn read_vars(&self) -> Vec<&Var> {
-        match self {
-            Expr::Base(BaseExpr::Var(v)) | Expr::Deref(v) => vec![v],
-            Expr::Base(BaseExpr::Const(_)) | Expr::AddrOf(_) => vec![],
-            Expr::Op(_, args) => args
-                .iter()
-                .filter_map(|b| match b {
-                    BaseExpr::Var(v) => Some(v),
-                    BaseExpr::Const(_) => None,
-                })
-                .collect(),
-        }
+        self.reads().collect()
+    }
+
+    /// [`read_vars`](Self::read_vars), in the same order, uncollected.
+    pub fn reads(&self) -> impl Iterator<Item = &Var> {
+        let (one, args): (Option<&Var>, &[BaseExpr]) = match self {
+            Expr::Base(BaseExpr::Var(v)) | Expr::Deref(v) => (Some(v), &[]),
+            Expr::Base(BaseExpr::Const(_)) | Expr::AddrOf(_) => (None, &[]),
+            Expr::Op(_, args) => (None, args),
+        };
+        let vars = args.iter().filter_map(|b| match b {
+            BaseExpr::Var(v) => Some(v),
+            BaseExpr::Const(_) => None,
+        });
+        one.into_iter().chain(vars)
     }
 
     /// All variables syntactically mentioned, including in `&x`.
@@ -317,7 +322,7 @@ pub enum Lhs {
 
 impl Lhs {
     /// Convenience constructor for a variable left-hand side.
-    pub fn var(name: impl Into<String>) -> Self {
+    pub fn var(name: impl AsRef<str>) -> Self {
         Lhs::Var(Var::new(name))
     }
 }
@@ -372,7 +377,7 @@ pub enum Stmt {
 
 impl Stmt {
     /// Convenience constructor for `x := e`.
-    pub fn assign_var(name: impl Into<String>, e: Expr) -> Self {
+    pub fn assign_var(name: impl AsRef<str>, e: Expr) -> Self {
         Stmt::Assign(Lhs::var(name), e)
     }
 
@@ -381,25 +386,22 @@ impl Stmt {
     /// `&x` does not read `x`; `*x := e` reads `x` (the pointer) and the
     /// reads of `e`; `x := p(b)` reads `b`.
     pub fn read_vars(&self) -> Vec<&Var> {
-        match self {
-            Stmt::Decl(_) | Stmt::Skip | Stmt::New(_) => vec![],
-            Stmt::Assign(lhs, e) => {
-                let mut vs = e.read_vars();
-                if let Lhs::Deref(p) = lhs {
-                    vs.push(p);
-                }
-                vs
-            }
-            Stmt::Call { arg, .. } => match arg {
-                BaseExpr::Var(v) => vec![v],
-                BaseExpr::Const(_) => vec![],
+        self.reads().collect()
+    }
+
+    /// [`read_vars`](Self::read_vars), in the same order, uncollected.
+    pub fn reads(&self) -> impl Iterator<Item = &Var> {
+        let (e, last) = match self {
+            Stmt::Decl(_) | Stmt::Skip | Stmt::New(_) => (None, None),
+            Stmt::Assign(Lhs::Var(_), e) => (Some(e), None),
+            Stmt::Assign(Lhs::Deref(p), e) => (Some(e), Some(p)),
+            Stmt::Call { arg: b, .. } | Stmt::If { cond: b, .. } => match b {
+                BaseExpr::Var(v) => (None, Some(v)),
+                BaseExpr::Const(_) => (None, None),
             },
-            Stmt::If { cond, .. } => match cond {
-                BaseExpr::Var(v) => vec![v],
-                BaseExpr::Const(_) => vec![],
-            },
-            Stmt::Return(v) => vec![v],
-        }
+            Stmt::Return(v) => (None, Some(v)),
+        };
+        e.into_iter().flat_map(Expr::reads).chain(last)
     }
 
     /// The variable this statement *syntactically* defines, if any.
@@ -450,7 +452,7 @@ pub struct Proc {
 
 impl Proc {
     /// Creates a procedure.
-    pub fn new(name: impl Into<String>, param: impl Into<String>, stmts: Vec<Stmt>) -> Self {
+    pub fn new(name: impl AsRef<str>, param: impl AsRef<str>, stmts: Vec<Stmt>) -> Self {
         Proc {
             name: ProcName::new(name),
             param: Var::new(param),

@@ -60,3 +60,6 @@ pub use interp::{
 };
 pub use parser::{parse_expr, parse_program, parse_stmt};
 pub use pretty::{pretty_proc, pretty_program};
+/// Names are `cobalt-support`'s, so crates above this one need no edge
+/// to it for them.
+pub use cobalt_support::name::Name;

@@ -18,6 +18,8 @@
 //! * [`fault`] — deterministic, env-driven fault injection points
 //!   (`COBALT_FAULTS=site:panic@n,…`) used to exercise the workspace's
 //!   graceful-degradation paths; off by default with near-zero cost;
+//! * [`name`] — an immutable name stored inline when short, ordered,
+//!   hashed and printed exactly as the `String` with the same text;
 //! * [`journal`] — a crash-safe, corruption-tolerant append-only record
 //!   journal (length + FNV-64 checksum framing, truncation/bit-flip
 //!   recovery, atomic temp-file+rename compaction, advisory cross-process
@@ -40,6 +42,7 @@ pub mod budget;
 pub mod fast_hash;
 pub mod fault;
 pub mod journal;
+pub mod name;
 pub mod pool;
 pub mod prop;
 pub mod rng;
