@@ -572,11 +572,24 @@ fi
 # traced replay labels before every pass and must print the session's
 # bytes, and the interpreter oracle checks refinement. The last line is
 # the run's JSON result.
-last=$(perfbench/target/release/perfbench --workload optimize_generated --seed 1 \
-    --seconds 2 --trace 1 | tail -n 1)
+engine_smoke=$(perfbench/target/release/perfbench --workload optimize_generated --seed 1 \
+    --seconds 2 --trace 1)
+last=$(tail -n 1 <<<"$engine_smoke")
 if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0' <<<"$last"; then
     echo "engine: perfbench optimize_generated smoke failed:"; echo "$last"; exit 1
 fi
+# The rewrites themselves, not only their refinement: the traced replay
+# runs each procedure of the seed-1 corpus through every pass, so a
+# speed change that adds or drops a legal site, a rewrite, a round or
+# an analysis run fails here.
+for want in "engine.sites = 3900" "engine.applied = 2602" "engine.rounds = 120" \
+    "engine.analysis_calls = 1320"; do
+    if ! grep -qx "metric $want count" <<<"$engine_smoke"; then
+        echo "engine: optimize_generated smoke: want $want, got:"
+        grep -E '^metric engine\.(sites|applied|rounds|analysis_calls) ' <<<"$engine_smoke"
+        exit 1
+    fi
+done
 
 echo "== serve stage (daemon, shared cache, drain)"
 
