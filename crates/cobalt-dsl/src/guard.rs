@@ -416,17 +416,12 @@ impl Guard {
 #[derive(Debug)]
 pub struct Solver<'g> {
     guard: &'g Guard,
-    /// Each part below `&&` and `||` that enumerates, with its
-    /// [`Guard::enumerated_vars`].
+    /// Each part below `&&` and `||` that enumerates, with its variables.
     needed: Vec<(&'g Guard, Vec<(PatVar, FragKind)>)>,
 }
 
 impl<'g> Solver<'g> {
-    /// [`Guard::solve`] of the prepared guard.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-evaluation errors.
+    /// [`Guard::solve`] of the prepared guard, failing as that does.
     pub fn solve(&self, ctx: &NodeCtx<'_>, theta: &Subst) -> Result<Vec<Subst>, GuardError> {
         self.solve_part(self.guard, ctx, theta)
     }
@@ -513,10 +508,10 @@ fn check_depth(depth: usize) -> Result<(), GuardError> {
     Ok(())
 }
 
-/// A label atom: a defined label's body under its parameters bound to
-/// the arguments, or a semantic label's membership in the node's set.
-/// Arguments are instantiated in order, and the first that fails is the
-/// error, before an arity mismatch is.
+/// A label atom at `depth`: a defined label's body under its parameters
+/// bound to the arguments, or a semantic label's membership in the
+/// node's set. Arguments are instantiated in order, and the first that
+/// fails is the error, before an arity mismatch is.
 fn eval_label(
     ctx: &NodeCtx<'_>,
     theta: &Subst,
@@ -524,6 +519,7 @@ fn eval_label(
     args: &[LabelArgPat],
     depth: usize,
 ) -> Result<bool, GuardError> {
+    check_depth(depth)?;
     let def = ctx.env.lookup(name);
     if let Some(def) = def.filter(|def| def.params.len() == args.len()) {
         let mut inner = Subst::new();
@@ -552,7 +548,6 @@ fn eval_label(
 
 /// The atom `name(v)` for a concrete variable `v`, evaluated at `depth`.
 fn eval_label_of(ctx: &NodeCtx<'_>, name: &str, v: &Var, depth: usize) -> Result<bool, GuardError> {
-    check_depth(depth)?;
     let arg = [LabelArgPat::Var(VarPat::Concrete(v.clone()))];
     eval_label(ctx, &Subst::new(), &LabelName::new(name), &arg, depth)
 }

@@ -44,11 +44,8 @@ impl VarPat {
         self.resolve(theta).cloned()
     }
 
-    /// [`instantiate`](Self::instantiate), borrowing the variable.
-    ///
-    /// # Errors
-    ///
-    /// As [`instantiate`](Self::instantiate).
+    /// [`instantiate`](Self::instantiate), borrowing the variable; it
+    /// fails as that does.
     pub fn resolve<'a>(&'a self, theta: &'a Subst) -> Result<&'a Var, InstError> {
         match self {
             VarPat::Concrete(v) => Ok(v),
@@ -440,11 +437,7 @@ impl ProcPat {
     pub fn matches(&self, p: &ProcName, theta: &mut Subst) -> bool {
         match self {
             ProcPat::Concrete(q) => q == p,
-            ProcPat::Pat(v) => theta.bind_with(
-                v,
-                |b| matches!(b, Binding::Proc(q) if q == p),
-                || Binding::Proc(p.clone()),
-            ),
+            ProcPat::Pat(v) => theta.bind(v.clone(), Binding::Proc(p.clone())),
         }
     }
 
@@ -588,7 +581,9 @@ impl StmtPat {
             (StmtPat::Assign(lp, ep), Stmt::Assign(lhs, e)) => {
                 matches!(
                     (lp, lhs),
-                    (LhsPat::Any, _) | (LhsPat::Var(_), Lhs::Var(_)) | (LhsPat::Deref(_), Lhs::Deref(_))
+                    (LhsPat::Any, _)
+                        | (LhsPat::Var(_), Lhs::Var(_))
+                        | (LhsPat::Deref(_), Lhs::Deref(_))
                 ) && matches!(
                     (ep, e),
                     (ExprPat::Pat(_) | ExprPat::Any, _)

@@ -6,6 +6,7 @@
 //! (paper §5.2), so they are ordered and hashable.
 
 use cobalt_il::{Expr, Name, ProcName, Var};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A pattern variable, e.g. `X`, `Y`, `C`, `E`.
@@ -132,16 +133,10 @@ impl Subst {
     /// A copy of this substitution [bound](Self::bind) `v ↦ b`, in one
     /// exact-size allocation.
     pub(crate) fn with(&self, v: &PatVar, b: Binding) -> Subst {
-        match self.find(v) {
-            Ok(_) => self.clone(),
-            Err(k) => {
-                let mut out = Vec::with_capacity(self.0.len() + 1);
-                out.extend_from_slice(&self.0[..k]);
-                out.push((v.clone(), b));
-                out.extend_from_slice(&self.0[k..]);
-                Subst(out)
-            }
-        }
+        let mut out = Subst(Vec::with_capacity(self.0.len() + 1));
+        out.0.extend_from_slice(&self.0);
+        out.bind(v.clone(), b);
+        out
     }
 
     /// The binding of `v`, if any.
@@ -203,14 +198,8 @@ impl fmt::Display for Subst {
 impl FromIterator<(PatVar, Binding)> for Subst {
     /// A later binding of a variable replaces an earlier one, as in a map.
     fn from_iter<T: IntoIterator<Item = (PatVar, Binding)>>(iter: T) -> Self {
-        let mut out = Subst::new();
-        for (v, b) in iter {
-            match out.find(&v) {
-                Ok(k) => out.0[k].1 = b,
-                Err(k) => out.0.insert(k, (v, b)),
-            }
-        }
-        out
+        let map: BTreeMap<_, _> = iter.into_iter().collect();
+        Subst(map.into_iter().collect())
     }
 }
 

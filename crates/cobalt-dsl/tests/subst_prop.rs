@@ -12,9 +12,10 @@ use cobalt_support::{prop, prop_assert_eq, props, FastHasher};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// Pattern-variable names, one beyond the inline name limit.
-const PAT_VARS: &[&str] = &["X", "Y", "C", "$Q", "E1", "I2", "AVeryLongPatternVariableName"];
+const PAT_VARS: &[&str] = &["X", "Y", "C", "$Q", "E1", "I2", "LongerThanTheInlineLimit"];
 
 fn binding(kind: u8, k: u8) -> Binding {
     let names = ["a", "b", "x", "a_variable_name_longer_than_inline"];
@@ -52,7 +53,10 @@ fn hash_with<H: Hasher>(mut h: H, v: &impl Hash) -> u64 {
     h.finish()
 }
 
-fn script() -> prop::VecStrategy<(std::ops::Range<u8>, std::ops::Range<u8>, std::ops::Range<u8>)> {
+type Script = prop::VecStrategy<(Range<u8>, Range<u8>, Range<u8>)>;
+
+/// Up to 11 binds of (pattern variable, binding kind, fragment).
+fn script() -> Script {
     prop::vec((0..PAT_VARS.len() as u8, 0u8..5, 0u8..4), 0..12)
 }
 

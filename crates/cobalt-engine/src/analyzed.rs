@@ -56,13 +56,9 @@ impl AnalyzedProc {
     pub(crate) fn ctx<'a>(&'a self, env: &'a LabelEnv, index: Index, masked: bool) -> NodeCtx<'a> {
         static NONE: OnceLock<LabelSet> = OnceLock::new();
         let ctx = self.node_ctx(env, index);
-        match masked {
-            true => NodeCtx {
-                labels: NONE.get_or_init(LabelSet::new),
-                ..ctx
-            },
-            false => ctx,
-        }
+        let none = NONE.get_or_init(LabelSet::new);
+        let labels = if masked { none } else { ctx.labels };
+        NodeCtx { labels, ..ctx }
     }
 
     /// Adds a semantic label to a node.

@@ -89,8 +89,7 @@ pub fn forward_in_facts(
     Ok(ins.into_fact_sets(ap.proc.len()))
 }
 
-/// [`forward_in_facts`] in dense form, under `meter`, seeing no
-/// semantic labels when `masked`.
+/// [`forward_in_facts`] in dense form, under `meter`; `masked` hides labels.
 pub(crate) fn forward_in(
     ap: &AnalyzedProc,
     env: &LabelEnv,
@@ -168,8 +167,7 @@ pub fn backward_site_facts(
     Ok(cont.into_site_facts(ap).into_fact_sets(ap.proc.len()))
 }
 
-/// [`backward_cont_facts`] in dense form, under `meter`, seeing no
-/// semantic labels when `masked`.
+/// [`backward_cont_facts`] in dense form, under `meter`; `masked` hides labels.
 pub(crate) fn backward_cont(
     ap: &AnalyzedProc,
     env: &LabelEnv,

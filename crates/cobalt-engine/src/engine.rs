@@ -157,7 +157,8 @@ impl Engine {
         ap: &mut AnalyzedProc,
         analysis: &PureAnalysis,
     ) -> Result<usize, EngineError> {
-        let ins = forward_in(ap, &self.env, &analysis.guard, false, &mut self.budget.meter())?;
+        let mut meter = self.budget.meter();
+        let ins = forward_in(ap, &self.env, &analysis.guard, false, &mut meter)?;
         let (name, args) = &analysis.defines;
         let mut added = 0;
         for i in 0..ap.proc.len() {

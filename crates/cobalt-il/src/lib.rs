@@ -52,6 +52,8 @@ pub mod pretty;
 
 pub use ast::{BaseExpr, Expr, Index, Lhs, OpKind, Proc, ProcName, Program, Stmt, Var};
 pub use cfg::{validate, violations, Cfg};
+/// `cobalt-support`'s name, for crates that depend on this one alone.
+pub use cobalt_support::name::Name;
 pub use error::{EvalError, ParseError, WellFormedError};
 pub use gen::{generate, GenConfig};
 pub use interp::{
@@ -60,6 +62,3 @@ pub use interp::{
 };
 pub use parser::{parse_expr, parse_program, parse_stmt};
 pub use pretty::{pretty_proc, pretty_program};
-/// Names are `cobalt-support`'s, so crates above this one need no edge
-/// to it for them.
-pub use cobalt_support::name::Name;

@@ -187,15 +187,10 @@ impl TermBank {
 
     /// The term of this layer with structure `data`, whose hash is `h`.
     fn find_term(&self, data: &TermData, h: u64) -> Option<TermId> {
-        let mut next = self.term_memo.get(&h).copied();
-        while let Some(t) = next {
-            let k = t.idx() - self.base_terms();
-            if self.terms[k] == *data {
-                return Some(t);
-            }
-            next = self.term_info[k].1;
-        }
-        None
+        let local = |t: TermId| t.idx() - self.base_terms();
+        let first = self.term_memo.get(&h).copied();
+        std::iter::successors(first, |&t| self.term_info[local(t)].1)
+            .find(|&t| self.terms[local(t)] == *data)
     }
 
     fn intern(&mut self, data: TermData) -> TermId {
@@ -263,7 +258,8 @@ impl TermBank {
     pub fn has_var(&self, t: TermId) -> bool {
         let bt = self.base_terms();
         if t.idx() < bt {
-            self.base.as_ref().expect("base term implies base").term_info[t.idx()].0
+            let base = self.base.as_ref().expect("base term implies base");
+            base.term_info[t.idx()].0
         } else {
             self.term_info[t.idx() - bt].0
         }

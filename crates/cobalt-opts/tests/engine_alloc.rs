@@ -84,5 +84,6 @@ fn legal_sites_allocations_are_bounded() {
     eprintln!("legal_sites allocations: {total} in all, per pass {per_pass:?}");
     let of = |name: &str| per_pass.iter().find(|(n, _)| n == name).map_or(0, |p| p.1);
     assert!(total <= 20_000, "{total} allocations in all: {per_pass:?}");
-    assert!(of("dae") <= 10_000, "{} allocations in dae: {per_pass:?}", of("dae"));
+    let dae = of("dae");
+    assert!(dae <= 10_000, "{dae} allocations in dae: {per_pass:?}");
 }

@@ -476,10 +476,8 @@ fn label_matches_concrete_pointer_behaviour() {
 /// record, so the registry pipeline's key is pinned.
 #[test]
 fn registry_pipeline_fingerprint_is_pinned() {
-    let prog = parse_program(
-        "proc main(x) { decl y; y := 7; x := 1 + 2; x := y; return x; }",
-    )
-    .unwrap();
+    let prog =
+        parse_program("proc main(x) { decl y; y := 7; x := 1 + 2; x := y; return x; }").unwrap();
     let fp = cobalt_engine::session::fingerprint_proc(
         prog.main().unwrap(),
         &cobalt_opts::all_analyses(),

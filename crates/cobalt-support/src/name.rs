@@ -1,25 +1,12 @@
 //! An immutable name, stored inline when short.
 //!
-//! Program variables, procedure names, pattern variables and label names
-//! are cloned at every step of guard evaluation, so a name that owns a
-//! heap `String` costs an allocation per clone. A [`Name`] of up to
-//! [`INLINE`] bytes lives inside the value itself; a longer one is boxed
-//! once and shared by nothing (a clone copies it).
-//!
-//! Equality, ordering, hashing, `Display` and `Debug` are those of the
-//! `String` with the same text, byte for byte: rule `Debug` text keys
-//! the engine journal, and substitutions order the dataflow universe by
-//! the names they hold.
-//!
-//! # Examples
-//!
-//! ```
-//! use cobalt_support::name::Name;
-//! let x = Name::new("x");
-//! assert_eq!(x.as_str(), "x");
-//! assert_eq!(format!("{x:?}"), format!("{:?}", "x".to_string()));
-//! assert!(Name::new("a") < Name::new("b"));
-//! ```
+//! Guard evaluation clones variable, procedure, pattern-variable and
+//! label names at every step, so a name owning a heap `String` costs an
+//! allocation per clone. A [`Name`] of up to [`INLINE`] bytes lives in
+//! the value itself; a longer one is boxed. Equality, order, hashing,
+//! `Display` and `Debug` are those of the `String` with the same text:
+//! rule `Debug` text keys the engine journal, and substitutions order
+//! the engine's dataflow universe by the names they hold.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -56,12 +43,7 @@ impl Name {
 
     /// The name's text.
     pub fn as_str(&self) -> &str {
-        match &self.0 {
-            Repr::Inline { len, bytes } => {
-                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("built from a str")
-            }
-            Repr::Boxed(s) => s,
-        }
+        std::str::from_utf8(self.as_bytes()).expect("built from a str")
     }
 
     fn as_bytes(&self) -> &[u8] {
@@ -99,12 +81,6 @@ impl fmt::Display for Name {
 impl fmt::Debug for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
-    }
-}
-
-impl AsRef<str> for Name {
-    fn as_ref(&self) -> &str {
-        self.as_str()
     }
 }
 

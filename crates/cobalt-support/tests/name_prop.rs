@@ -32,7 +32,10 @@ fn related(a: &str, b: String, how: u8) -> String {
     match how {
         0 => a.to_string(),
         1 => a.chars().take(a.chars().count() / 2).collect(),
-        2 => text(&[], &(a.to_string() + &b).chars().collect::<Vec<_>>(), false),
+        2 => {
+            let joined: Vec<char> = a.chars().chain(b.chars()).collect();
+            text(&[], &joined, false)
+        }
         _ => b,
     }
 }
