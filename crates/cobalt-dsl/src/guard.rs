@@ -17,7 +17,7 @@
 //! local to each pattern, which matches it afresh.
 
 use crate::error::GuardError;
-use crate::label::{FragKind, LabelArgPat, LabelEnv, LabelName, LabelSet};
+use crate::label::{FragKind, LabelArgPat, LabelEnv, LabelName, Labels};
 use crate::pattern::{ConstPat, ExprPat, StmtPat, VarPat};
 use crate::subst::{Binding, PatVar, Subst};
 use cobalt_il::{Expr, Proc, Stmt, Var};
@@ -292,19 +292,24 @@ pub struct Domain {
 }
 
 impl Domain {
-    /// Builds the domain of a procedure.
+    /// Builds the domain of a procedure. Each fragment list is in order
+    /// of first occurrence, which is the order `solve` enumerates in.
     pub fn of_proc(proc: &Proc) -> Self {
-        let vars = proc.variables();
-        let consts = proc.constants();
-        let mut exprs = Vec::new();
-        for s in &proc.stmts {
-            if let Stmt::Assign(_, e) = s {
-                if !exprs.contains(e) {
-                    exprs.push(e.clone());
-                }
-            }
+        let mut rhs: Vec<(&Expr, usize)> = (proc.stmts.iter().enumerate())
+            .filter_map(|(i, s)| match s {
+                Stmt::Assign(_, e) => Some((e, i)),
+                _ => None,
+            })
+            .collect();
+        // Each distinct expression once, at its first occurrence.
+        rhs.sort_unstable();
+        rhs.dedup_by(|later, first| later.0 == first.0);
+        rhs.sort_unstable_by_key(|&(_, i)| i);
+        Domain {
+            vars: proc.variables(),
+            consts: proc.constants(),
+            exprs: rhs.into_iter().map(|(e, _)| e.clone()).collect(),
         }
-        Domain { vars, consts, exprs }
     }
 }
 
@@ -313,8 +318,10 @@ impl Domain {
 pub struct NodeCtx<'a> {
     /// The statement at the node (`currStmt`).
     pub stmt: &'a Stmt,
-    /// The node's semantic label set `L_p(ι)`.
-    pub labels: &'a LabelSet,
+    /// The node's index, at which `labels` is read.
+    pub node: usize,
+    /// The procedure's semantic labels; the node's are `L_p(ι)`.
+    pub labels: &'a dyn Labels,
     /// Label definitions in scope.
     pub env: &'a LabelEnv,
     /// The instantiation domain of the enclosing procedure.
@@ -509,9 +516,9 @@ fn check_depth(depth: usize) -> Result<(), GuardError> {
 }
 
 /// A label atom at `depth`: a defined label's body under its parameters
-/// bound to the arguments, or a semantic label's membership in the
-/// node's set. Arguments are instantiated in order, and the first that
-/// fails is the error, before an arity mismatch is.
+/// bound to the arguments, or whether the node carries a semantic label.
+/// Arguments are instantiated in order, and the first that fails is the
+/// error, before an arity mismatch is; one argument stays on the stack.
 fn eval_label(
     ctx: &NodeCtx<'_>,
     theta: &Subst,
@@ -528,21 +535,27 @@ fn eval_label(
         }
         return def.body.eval_depth(ctx, &inner, depth + 1);
     }
-    let concrete = args
-        .iter()
-        .map(|a| a.instantiate(theta))
-        .collect::<Result<Vec<_>, _>>()?;
+    let (one, many);
+    let concrete = match args {
+        [a] => {
+            one = [a.instantiate(theta)?];
+            &one[..]
+        }
+        _ => {
+            many = args
+                .iter()
+                .map(|a| a.instantiate(theta))
+                .collect::<Result<Vec<_>, _>>()?;
+            &many[..]
+        }
+    };
     match def {
         Some(def) => Err(GuardError::new(format!(
             "label `{name}` expects {} arguments, got {}",
             def.params.len(),
             concrete.len()
         ))),
-        // Semantic label: membership in the node's label set.
-        None => Ok(ctx.labels.contains(&crate::label::LabelInst {
-            name: name.clone(),
-            args: concrete,
-        })),
+        None => Ok(ctx.labels.holds(ctx.node, name, concrete)),
     }
 }
 
@@ -588,13 +601,13 @@ fn eval_unchanged(ctx: &NodeCtx<'_>, e: &Expr, depth: usize) -> Result<bool, Gua
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::{LabelArg, LabelInst};
+    use crate::label::{LabelArg, LabelInst, LabelSet};
     use crate::pattern::BasePat;
     use cobalt_il::parse_stmt;
 
-    fn ctx_parts(stmt_src: &str) -> (Stmt, LabelSet, LabelEnv, Domain) {
+    fn ctx_parts(stmt_src: &str) -> (Stmt, Vec<LabelSet>, LabelEnv, Domain) {
         let stmt = parse_stmt(stmt_src).unwrap();
-        let labels = LabelSet::new();
+        let labels = vec![LabelSet::new()];
         let env = LabelEnv::standard();
         let domain = Domain {
             vars: vec![Var::new("a"), Var::new("b"), Var::new("x"), Var::new("y")],
@@ -608,6 +621,7 @@ mod tests {
         let (stmt, labels, env, domain) = ctx_parts(stmt_src);
         let ctx = NodeCtx {
             stmt: &stmt,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,
@@ -650,12 +664,13 @@ mod tests {
     #[test]
     fn may_def_uses_taint_information_when_present() {
         let (stmt, mut labels, env, domain) = ctx_parts("*p := 1");
-        labels.insert(LabelInst::new(
+        labels[0].insert(LabelInst::new(
             "notTainted",
             vec![LabelArg::Var(Var::new("y"))],
         ));
         let ctx = NodeCtx {
             stmt: &stmt,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,
@@ -717,6 +732,7 @@ mod tests {
         let (stmt, labels, env, domain) = ctx_parts("a := 2");
         let ctx = NodeCtx {
             stmt: &stmt,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,
@@ -736,6 +752,7 @@ mod tests {
         let (stmt, labels, env, domain) = ctx_parts("return y");
         let ctx = NodeCtx {
             stmt: &stmt,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,
@@ -761,6 +778,7 @@ mod tests {
         let (stmt, labels, env, domain) = ctx_parts("a := 2");
         let ctx = NodeCtx {
             stmt: &stmt,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,
@@ -769,6 +787,7 @@ mod tests {
         let (stmt0, labels, env, domain) = ctx_parts("a := 0");
         let ctx0 = NodeCtx {
             stmt: &stmt0,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,
@@ -787,9 +806,10 @@ mod tests {
         );
         let (stmt, mut labels, env, domain) = ctx_parts("skip");
         let [a, b] = [Var::new("a"), Var::new("b")].map(LabelArg::Var);
-        labels.insert(LabelInst::new("l", vec![a.clone(), b, a]));
+        labels[0].insert(LabelInst::new("l", vec![a.clone(), b, a]));
         let ctx = NodeCtx {
             stmt: &stmt,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,
@@ -909,10 +929,11 @@ mod tests {
             body: Guard::Label("loopy".into(), vec![LabelArgPat::Var(VarPat::pat("X"))]),
         });
         let stmt = parse_stmt("skip").unwrap();
-        let labels = LabelSet::new();
+        let labels = vec![LabelSet::new()];
         let domain = Domain::default();
         let ctx = NodeCtx {
             stmt: &stmt,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,

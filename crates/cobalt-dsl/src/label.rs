@@ -2,9 +2,9 @@
 //!
 //! A label is either *defined* — given by a predicate over the current
 //! statement, registered in a [`LabelEnv`] — or *semantic* — attached to
-//! nodes by a pure analysis (paper §2.4) and looked up in the node's
-//! label set. A label name with no definition is treated as semantic;
-//! if it is absent from a node's label set it evaluates to false, which
+//! nodes by a pure analysis (paper §2.4) and looked up through the
+//! procedure's [`Labels`]. A label name with no definition is treated as
+//! semantic; if the node does not carry it, it evaluates to false, which
 //! is the conservative direction for the way labels are used in guards
 //! (e.g. `¬notTainted(Y)` then holds).
 
@@ -13,7 +13,7 @@ use crate::subst::{Binding, PatVar, Subst};
 use crate::error::InstError;
 use crate::guard::Guard;
 use cobalt_il::{Expr, Name, Var};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -46,7 +46,7 @@ impl From<&str> for LabelName {
 }
 
 /// A concrete label argument (no pattern variables).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LabelArg {
     /// A program variable.
     Var(Var),
@@ -195,7 +195,8 @@ pub struct LabelDef {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LabelEnv {
-    defs: HashMap<LabelName, LabelDef>,
+    /// In definition order, one per name: a handful, found by name.
+    defs: Vec<LabelDef>,
 }
 
 impl LabelEnv {
@@ -225,22 +226,40 @@ impl LabelEnv {
 
     /// Registers (or replaces) a label definition.
     pub fn define(&mut self, def: LabelDef) {
-        self.defs.insert(def.name.clone(), def);
+        match self.defs.iter_mut().find(|d| d.name == def.name) {
+            Some(old) => *old = def,
+            None => self.defs.push(def),
+        }
     }
 
     /// Looks up a definition; `None` means the label is semantic.
     pub fn lookup(&self, name: &LabelName) -> Option<&LabelDef> {
-        self.defs.get(name)
+        self.defs.iter().find(|d| d.name == *name)
     }
 
     /// Iterates over all definitions.
     pub fn iter(&self) -> impl Iterator<Item = &LabelDef> {
-        self.defs.values()
+        self.defs.iter()
     }
 }
 
-/// The semantic labels attached to one CFG node.
+/// The semantic labels of a procedure's nodes, as guard evaluation
+/// reads them.
+pub trait Labels: fmt::Debug {
+    /// Whether node `node` carries the label instance `name(args)`.
+    fn holds(&self, node: usize, name: &LabelName, args: &[LabelArg]) -> bool;
+}
+
+/// The semantic labels attached to one CFG node, as a set of instances:
+/// the plain form test oracles keep.
 pub type LabelSet = HashSet<LabelInst>;
+
+/// One set per node, indexed by node.
+impl Labels for Vec<LabelSet> {
+    fn holds(&self, node: usize, name: &LabelName, args: &[LabelArg]) -> bool {
+        self[node].contains(&LabelInst::new(name.clone(), args.to_vec()))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -291,9 +310,9 @@ mod tests {
     fn eval_may_def(stmt_src: &str, var: &str, tainted_facts: &[&str]) -> bool {
         use crate::guard::{Domain, NodeCtx};
         let stmt = cobalt_il::parse_stmt(stmt_src).unwrap();
-        let mut labels = LabelSet::new();
+        let mut labels = vec![LabelSet::new()];
         for v in tainted_facts {
-            labels.insert(LabelInst::new(
+            labels[0].insert(LabelInst::new(
                 "notTainted",
                 vec![LabelArg::Var(Var::new(*v))],
             ));
@@ -302,6 +321,7 @@ mod tests {
         let domain = Domain::default();
         let ctx = NodeCtx {
             stmt: &stmt,
+            node: 0,
             labels: &labels,
             env: &env,
             domain: &domain,

@@ -61,7 +61,9 @@ pub mod witness;
 
 pub use error::{DslParseError, GuardError, InstError};
 pub use guard::{Domain, Guard, GuardNode, GuardVars, NodeCtx, Reading, Scope, Solver};
-pub use label::{FragKind, LabelArg, LabelArgPat, LabelDef, LabelEnv, LabelInst, LabelName, LabelSet};
+pub use label::{
+    FragKind, LabelArg, LabelArgPat, LabelDef, LabelEnv, LabelInst, LabelName, LabelSet, Labels,
+};
 pub use parser::{parse_analysis, parse_optimization, parse_suite, Suite};
 pub use opt::{
     Choose, Direction, GuardSpec, MatchSite, Optimization, PureAnalysis, RegionGuard,

@@ -136,7 +136,8 @@ pub(crate) fn forward_in(
 ///
 /// A statement at `ι` may be transformed under `θ` iff `θ` is in the
 /// intersection of the continuation facts of `ι`'s successors — see
-/// [`backward_site_facts`].
+/// [`backward_site_facts`]. Like a backward pass, the guard sees no
+/// semantic labels (paper §4.1).
 ///
 /// # Errors
 ///
@@ -146,14 +147,14 @@ pub fn backward_cont_facts(
     env: &LabelEnv,
     guard: &RegionGuard,
 ) -> Result<Vec<FactSet>, EngineError> {
-    let cont = backward_cont(ap, env, guard, false, &mut Budget::unlimited().meter())?;
+    let cont = backward_cont(ap, env, guard, true, &mut Budget::unlimited().meter())?;
     Ok(cont.into_fact_sets(ap.proc.len()))
 }
 
 /// Computes, for each node `ι`, the *transformable* facts of a backward
 /// region guard, those [`Engine::legal_sites`](crate::Engine::legal_sites)
 /// reads: `θ` is valid at `ι` iff it is in every successor's
-/// continuation fact.
+/// continuation fact. The guard sees no semantic labels.
 ///
 /// # Errors
 ///
@@ -163,7 +164,7 @@ pub fn backward_site_facts(
     env: &LabelEnv,
     guard: &RegionGuard,
 ) -> Result<Vec<FactSet>, EngineError> {
-    let cont = backward_cont(ap, env, guard, false, &mut Budget::unlimited().meter())?;
+    let cont = backward_cont(ap, env, guard, true, &mut Budget::unlimited().meter())?;
     Ok(cont.into_site_facts(ap).into_fact_sets(ap.proc.len()))
 }
 
@@ -210,8 +211,8 @@ pub(crate) fn backward_cont(
 /// One bitset per node over a universe of substitution indices (the
 /// dense form of a `Vec<FactSet>`), stored row after row in one buffer:
 /// node `i`'s set is the `words`-long row starting at word `i * words`.
-#[derive(Clone)]
-struct Rows {
+#[derive(Debug, Clone)]
+pub(crate) struct Rows {
     words: usize,
     bits: Vec<u64>,
 }
@@ -221,7 +222,7 @@ impl Rows {
     /// word even for an empty universe: a sweep over zero-word rows of an
     /// unallocated buffer measured several times slower on x86-64 than
     /// one over one-word rows.
-    fn empty(n: usize, len: usize) -> Rows {
+    pub(crate) fn empty(n: usize, len: usize) -> Rows {
         let words = len.div_ceil(64).max(1);
         Rows {
             words,
@@ -249,12 +250,30 @@ impl Rows {
         &mut self.bits[i * self.words..(i + 1) * self.words]
     }
 
-    fn insert(&mut self, i: usize, k: usize) {
+    pub(crate) fn insert(&mut self, i: usize, k: usize) {
         self.row_mut(i)[k / 64] |= 1 << (k % 64);
     }
 
+    /// The number of nodes.
+    pub(crate) fn nodes(&self) -> usize {
+        self.bits.len() / self.words
+    }
+
+    /// Whether node `i`'s set has `k`.
+    pub(crate) fn contains(&self, i: usize, k: usize) -> bool {
+        self.bits[i * self.words + k / 64] >> (k % 64) & 1 == 1
+    }
+
+    /// Removes every (node, member) pair from `(i, k)` on, in node-major
+    /// order.
+    pub(crate) fn clear_from(&mut self, i: usize, k: usize) {
+        let w = i * self.words + k / 64;
+        self.bits[w] &= (1 << (k % 64)) - 1;
+        self.bits[w + 1..].fill(0);
+    }
+
     /// The members of node `i`'s set, in ascending order.
-    fn ones(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn ones(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         self.row(i).iter().enumerate().flat_map(|(w, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
@@ -287,8 +306,8 @@ fn meet_into(dst: &mut [u64], rows: &Rows, of: &[usize]) {
 /// sorted universe of substitutions. The engine reads these directly;
 /// the public functions convert them to [`FactSet`]s.
 pub(crate) struct DenseFacts {
-    universe: Vec<Subst>,
-    facts: Rows,
+    pub(crate) universe: Vec<Subst>,
+    pub(crate) facts: Rows,
 }
 
 impl DenseFacts {

@@ -9,9 +9,7 @@
 use crate::analyzed::AnalyzedProc;
 use crate::dataflow::{backward_cont, forward_in, DenseFacts};
 use crate::error::EngineError;
-use cobalt_dsl::{
-    Direction, GuardSpec, LabelEnv, LabelInst, MatchSite, Optimization, PureAnalysis, Subst,
-};
+use cobalt_dsl::{Direction, GuardSpec, LabelEnv, MatchSite, Optimization, PureAnalysis, Subst};
 use cobalt_il::Proc;
 use cobalt_support::budget::Budget;
 
@@ -140,18 +138,33 @@ impl Engine {
         ap: &AnalyzedProc,
         opt: &Optimization,
     ) -> Result<(Proc, Vec<MatchSite>), EngineError> {
+        let (proc, applied) = self.apply_selected(ap, opt)?;
+        Ok((proc.unwrap_or_else(|| ap.proc.clone()), applied))
+    }
+
+    /// [`apply`](Self::apply), with no procedure when `choose` selects no
+    /// site: the procedure is then `ap.proc`, and is not copied.
+    pub(crate) fn apply_selected(
+        &self,
+        ap: &AnalyzedProc,
+        opt: &Optimization,
+    ) -> Result<(Option<Proc>, Vec<MatchSite>), EngineError> {
         let mut applied = opt.choose.select(&self.legal_sites(ap, opt)?, &ap.proc);
+        if applied.is_empty() {
+            return Ok((None, applied));
+        }
         let mut first = vec![true; ap.proc.len()];
         applied.retain(|site| std::mem::take(&mut first[site.index]));
-        Ok((self.apply_sites(ap, opt, &applied)?, applied))
+        Ok((Some(self.apply_sites(ap, opt, &applied)?), applied))
     }
 
     /// Runs a pure analysis, adding its label to every node whose guard
-    /// holds (paper §2.4).
+    /// holds (paper §2.4). Returns how many label instances it added.
     ///
     /// # Errors
     ///
-    /// Propagates guard-evaluation errors.
+    /// Propagates guard-evaluation and argument-instantiation errors; the
+    /// labels added before an instantiation error stay.
     pub fn run_pure_analysis(
         &self,
         ap: &mut AnalyzedProc,
@@ -160,25 +173,7 @@ impl Engine {
         let mut meter = self.budget.meter();
         let ins = forward_in(ap, &self.env, &analysis.guard, false, &mut meter)?;
         let (name, args) = &analysis.defines;
-        let mut added = 0;
-        for i in 0..ap.proc.len() {
-            // Canonical (ascending) label-insertion order.
-            for theta in ins.at(i) {
-                let concrete = args
-                    .iter()
-                    .map(|a| a.instantiate(theta))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let inst = LabelInst {
-                    name: name.clone(),
-                    args: concrete,
-                };
-                if !ap.labels[i].contains(&inst) {
-                    ap.labels[i].insert(inst);
-                    added += 1;
-                }
-            }
-        }
-        Ok(added)
+        Ok(ap.labels.push(name, args, ins)?)
     }
 
     /// Applies an explicit set of sites (any subset of
@@ -393,8 +388,8 @@ mod tests {
         let added = engine.run_pure_analysis(&mut ap, &analysis).unwrap();
         assert!(added > 0);
         let has = |i: usize, v: &str| {
-            ap.labels[i]
-                .iter()
+            ap.labels
+                .at(i)
                 .any(|l| l.to_string() == format!("notTainted({v})"))
         };
         // After decl y (node 1): y is not tainted.

@@ -631,18 +631,22 @@ fn optimize_proc(
             let applied = isolate(|| {
                 fault::point_err("engine.pass")
                     .map_err(|e| EngineError::Guard(cobalt_dsl::GuardError::new(e.to_string())))?;
-                engine.apply(&ap, opt)
+                engine.apply_selected(&ap, opt)
             });
-            match applied {
-                Ok((next, sites)) => {
+            // `ap.proc` is `current` until a rewrite replaces it.
+            let unchanged = match applied {
+                Ok((Some(next), sites)) => {
                     round_applied += sites.len();
                     current = next;
+                    ap.proc == current
                 }
+                Ok((None, _)) => true,
                 Err(reason) => {
                     fail(&mut report, &mut dead, opt.name.to_string(), round, reason);
+                    true
                 }
-            }
-            if reusable && ap.proc == current {
+            };
+            if reusable && unchanged {
                 labelled = Some(ap);
             }
         }

@@ -259,21 +259,6 @@ impl Expr {
         one.into_iter().chain(vars)
     }
 
-    /// All variables syntactically mentioned, including in `&x`.
-    pub fn mentioned_vars(&self) -> Vec<&Var> {
-        match self {
-            Expr::Base(BaseExpr::Var(v)) | Expr::Deref(v) | Expr::AddrOf(v) => vec![v],
-            Expr::Base(BaseExpr::Const(_)) => vec![],
-            Expr::Op(_, args) => args
-                .iter()
-                .filter_map(|b| match b {
-                    BaseExpr::Var(v) => Some(v),
-                    BaseExpr::Const(_) => None,
-                })
-                .collect(),
-        }
-    }
-
     /// Whether this expression dereferences a pointer.
     pub fn has_deref(&self) -> bool {
         matches!(self, Expr::Deref(_))
@@ -493,8 +478,9 @@ impl Proc {
                     match lhs {
                         Lhs::Var(v) | Lhs::Deref(v) => push(v),
                     }
-                    for v in e.mentioned_vars() {
-                        push(v);
+                    match e {
+                        Expr::AddrOf(v) => push(v),
+                        _ => e.reads().for_each(&mut push),
                     }
                 }
                 Stmt::Call { dst, arg, .. } => {
@@ -669,7 +655,15 @@ mod tests {
     fn addr_of_is_mentioned_but_not_read() {
         let e = Expr::AddrOf(x());
         assert!(e.read_vars().is_empty());
-        assert_eq!(e.mentioned_vars(), vec![&x()]);
+        let p = Proc {
+            name: ProcName::new("main"),
+            param: Var::new("a"),
+            stmts: vec![
+                Stmt::Assign(Lhs::Var(Var::new("p")), e),
+                Stmt::Return(Var::new("a")),
+            ],
+        };
+        assert_eq!(p.variables(), [Var::new("a"), Var::new("p"), x()]);
     }
 
     #[test]

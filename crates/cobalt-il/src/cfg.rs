@@ -24,8 +24,14 @@ use crate::error::WellFormedError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
-    succs: Vec<Vec<Index>>,
-    preds: Vec<Vec<Index>>,
+    /// Node `i`'s successors are `succs[succ_at[i]..succ_at[i + 1]]`,
+    /// `then` before `else`.
+    succ_at: Vec<usize>,
+    succs: Vec<Index>,
+    /// Node `i`'s predecessors are `preds[pred_at[i]..pred_at[i + 1]]`,
+    /// ascending.
+    pred_at: Vec<usize>,
+    preds: Vec<Index>,
     exits: Vec<Index>,
 }
 
@@ -44,8 +50,9 @@ impl Cfg {
             return Err(e);
         }
         let n = proc.stmts.len();
-        let mut succs = vec![Vec::new(); n];
+        let (mut succ_at, mut succs) = (Vec::with_capacity(n + 1), Vec::with_capacity(2 * n));
         let mut exits = Vec::new();
+        succ_at.push(0);
         for (i, s) in proc.stmts.iter().enumerate() {
             match s {
                 Stmt::Return(_) => exits.push(i),
@@ -54,33 +61,52 @@ impl Cfg {
                     else_target,
                     ..
                 } => {
-                    succs[i].push(*then_target);
+                    succs.push(*then_target);
                     if else_target != then_target {
-                        succs[i].push(*else_target);
+                        succs.push(*else_target);
                     }
                 }
                 // The last statement is a `return`, so any other has a
                 // next one.
-                _ => succs[i].push(i + 1),
+                _ => succs.push(i + 1),
+            }
+            succ_at.push(succs.len());
+        }
+        // Counting sort by target; sources are visited in ascending
+        // order, and `pred_at[t]` runs from t's start to t + 1's.
+        let mut pred_at = vec![0; n + 1];
+        for &t in &succs {
+            pred_at[t + 1] += 1;
+        }
+        for t in 0..n {
+            pred_at[t + 1] += pred_at[t];
+        }
+        let mut preds = vec![0; succs.len()];
+        for i in 0..n {
+            for &t in &succs[succ_at[i]..succ_at[i + 1]] {
+                preds[pred_at[t]] = i;
+                pred_at[t] += 1;
             }
         }
-        let mut preds = vec![Vec::new(); n];
-        for (i, ss) in succs.iter().enumerate() {
-            for &t in ss {
-                preds[t].push(i);
-            }
-        }
-        Ok(Cfg { succs, preds, exits })
+        pred_at.copy_within(0..n, 1);
+        pred_at[0] = 0;
+        Ok(Cfg {
+            succ_at,
+            succs,
+            pred_at,
+            preds,
+            exits,
+        })
     }
 
     /// Number of nodes (statements).
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.succ_at.len() - 1
     }
 
     /// Whether the CFG has no nodes. Always false for a valid CFG.
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.len() == 0
     }
 
     /// The entry node index (always 0).
@@ -99,7 +125,7 @@ impl Cfg {
     ///
     /// Panics if `i` is out of range.
     pub fn successors(&self, i: Index) -> &[Index] {
-        &self.succs[i]
+        &self.succs[self.succ_at[i]..self.succ_at[i + 1]]
     }
 
     /// Predecessors of node `i`.
@@ -108,7 +134,7 @@ impl Cfg {
     ///
     /// Panics if `i` is out of range.
     pub fn predecessors(&self, i: Index) -> &[Index] {
-        &self.preds[i]
+        &self.preds[self.pred_at[i]..self.pred_at[i + 1]]
     }
 
     /// Nodes reachable from the entry, in a deterministic BFS order.

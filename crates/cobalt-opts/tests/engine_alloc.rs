@@ -5,11 +5,14 @@
 //! evaluation allocates is paid thousands of times per pass. Names are
 //! inline, a substitution is one exact-size vector, and matching clones
 //! nothing it does not keep; this bounds what `legal_sites` allocates
-//! for the registry's pipeline on a fixed generated procedure.
+//! for the registry's pipeline on a fixed generated procedure. Preparing
+//! and labelling a procedure, paid once per procedure version, is
+//! bounded too: the CFG is a few flat arrays and the labels keep the
+//! analysis's rows, not one instance per node and substitution.
 
 use cobalt_dsl::LabelEnv;
 use cobalt_engine::{AnalyzedProc, Engine};
-use cobalt_il::{generate, GenConfig};
+use cobalt_il::{generate, GenConfig, Proc};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -58,8 +61,8 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, CALLS.with(Cell::get))
 }
 
-#[test]
-fn legal_sites_allocations_are_bounded() {
+/// A fixed call-free generated procedure of 177 statements.
+fn procedure() -> Proc {
     let cfg = GenConfig {
         num_helpers: 0,
         call_ratio: 0.0,
@@ -68,8 +71,36 @@ fn legal_sites_allocations_are_bounded() {
     };
     let proc = generate(&cfg).procs.remove(0);
     assert_eq!(proc.stmts.len(), 177);
+    proc
+}
+
+#[test]
+fn analyzed_proc_allocations_are_bounded() {
+    let proc = procedure();
+    let (ap, calls) = allocations_of(|| AnalyzedProc::new(proc));
+    ap.unwrap();
+    eprintln!("AnalyzedProc::new allocations: {calls}");
+    assert!(calls <= 150, "{calls} allocations");
+}
+
+#[test]
+fn labelling_allocations_are_bounded() {
     let engine = Engine::new(LabelEnv::standard());
-    let mut ap = AnalyzedProc::new(proc).unwrap();
+    let mut ap = AnalyzedProc::new(procedure()).unwrap();
+    let mut calls = 0;
+    for analysis in cobalt_opts::all_analyses() {
+        let (added, c) = allocations_of(|| engine.run_pure_analysis(&mut ap, &analysis));
+        assert!(added.unwrap() > 0, "{} adds no label", analysis.name);
+        calls += c;
+    }
+    eprintln!("run_pure_analysis allocations: {calls}");
+    assert!(calls <= 150, "{calls} allocations");
+}
+
+#[test]
+fn legal_sites_allocations_are_bounded() {
+    let engine = Engine::new(LabelEnv::standard());
+    let mut ap = AnalyzedProc::new(procedure()).unwrap();
     for analysis in cobalt_opts::all_analyses() {
         engine.run_pure_analysis(&mut ap, &analysis).unwrap();
     }

@@ -419,8 +419,8 @@ fn taint_tracks_address_taking_through_branches() {
     let mut ap = AnalyzedProc::new(prog.main().unwrap().clone()).unwrap();
     engine.run_pure_analysis(&mut ap, &taint()).unwrap();
     let has = |i: usize, v: &str| {
-        ap.labels[i]
-            .iter()
+        ap.labels
+            .at(i)
             .any(|l| l.to_string() == format!("notTainted({v})"))
     };
     // At the merge (node 4), y may have been address-taken on one
@@ -454,7 +454,7 @@ fn label_matches_concrete_pointer_behaviour() {
     let mut st = interp.initial_state(0).unwrap();
     loop {
         let i = st.index();
-        for label in &ap.labels[i] {
+        for label in ap.labels.at(i) {
             if label.name.as_str() == "notTainted" {
                 let v = label.args[0].to_string();
                 assert!(

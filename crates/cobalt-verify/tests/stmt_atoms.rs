@@ -115,7 +115,7 @@ fn the_statements_cover_every_shape() {
 fn a_statement_atom_reads_as_the_engine_reads_it() {
     let env = LabelEnv::standard();
     let meanings = SemanticMeanings::standard();
-    let (labels, domain) = (LabelSet::new(), Domain::default());
+    let (labels, domain) = (vec![LabelSet::new()], Domain::default());
     for pattern in PATTERNS {
         let rule = parse_optimization(&format!(
             "forward t {{ stmt(decl A) followed by !stmt({pattern})
@@ -130,6 +130,7 @@ fn a_statement_atom_reads_as_the_engine_reads_it() {
             let stmt = parse_stmt(src).unwrap();
             let ctx = NodeCtx {
                 stmt: &stmt,
+                node: 0,
                 labels: &labels,
                 env: &env,
                 domain: &domain,
