@@ -76,8 +76,8 @@ impl From<LabelArg> for Binding {
     }
 }
 
-/// A concrete label instance, e.g. `notTainted(y)`, as stored in a
-/// node's label set `L_p(ι)`.
+/// A concrete label instance, e.g. `notTainted(y)`: one member of a
+/// node's labels `L_p(ι)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelInst {
     /// The label name.

@@ -261,7 +261,7 @@ impl Rows {
 
     /// Whether node `i`'s set has `k`.
     pub(crate) fn contains(&self, i: usize, k: usize) -> bool {
-        self.bits[i * self.words + k / 64] >> (k % 64) & 1 == 1
+        (self.bits[i * self.words + k / 64] >> (k % 64)) & 1 == 1
     }
 
     /// Removes every (node, member) pair from `(i, k)` on, in node-major
