@@ -5,41 +5,55 @@ use cobalt_il::Expr;
 use std::error::Error;
 use std::fmt;
 
-/// An error instantiating a pattern under a substitution.
+/// An error instantiating a pattern under a substitution. It keeps what
+/// went wrong and builds its text only when displayed: the engine refuses
+/// many instantiations whose errors it drops.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstError {
-    message: String,
+pub struct InstError(InstFault);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum InstFault {
+    Unbound(PatVar),
+    KindMismatch(PatVar, &'static str, Binding),
+    WildcardInTemplate,
+    NotFoldable(PatVar, Expr),
 }
 
 impl InstError {
     pub(crate) fn unbound(p: &PatVar) -> Self {
-        InstError {
-            message: format!("pattern variable `{p}` is unbound"),
-        }
+        InstError(InstFault::Unbound(p.clone()))
     }
 
-    pub(crate) fn kind_mismatch(p: &PatVar, expected: &str, got: &Binding) -> Self {
-        InstError {
-            message: format!("pattern variable `{p}` should be bound to a {expected}, but is bound to `{got}`"),
-        }
+    pub(crate) fn kind_mismatch(p: &PatVar, expected: &'static str, got: &Binding) -> Self {
+        InstError(InstFault::KindMismatch(p.clone(), expected, got.clone()))
     }
 
     pub(crate) fn wildcard_in_template() -> Self {
-        InstError {
-            message: "wildcard patterns cannot appear in a rewrite template".into(),
-        }
+        InstError(InstFault::WildcardInTemplate)
     }
 
     pub(crate) fn not_foldable(p: &PatVar, e: &Expr) -> Self {
-        InstError {
-            message: format!("expression `{e}` bound to `{p}` does not fold to a constant"),
-        }
+        InstError(InstFault::NotFoldable(p.clone(), e.clone()))
     }
 }
 
 impl fmt::Display for InstError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "instantiation error: {}", self.message)
+        f.write_str("instantiation error: ")?;
+        match &self.0 {
+            InstFault::Unbound(p) => write!(f, "pattern variable `{p}` is unbound"),
+            InstFault::KindMismatch(p, expected, got) => write!(
+                f,
+                "pattern variable `{p}` should be bound to a {expected}, but is bound to `{got}`"
+            ),
+            InstFault::WildcardInTemplate => {
+                f.write_str("wildcard patterns cannot appear in a rewrite template")
+            }
+            InstFault::NotFoldable(p, e) => write!(
+                f,
+                "expression `{e}` bound to `{p}` does not fold to a constant"
+            ),
+        }
     }
 }
 

@@ -17,11 +17,12 @@
 //! local to each pattern, which matches it afresh.
 
 use crate::error::GuardError;
-use crate::label::{FragKind, LabelArgPat, LabelEnv, LabelName, Labels};
+use crate::label::{eval_arms, FragKind, LabelArgPat, LabelEnv, LabelName, Labels};
 use crate::pattern::{ConstPat, ExprPat, StmtPat, VarPat};
 use crate::subst::{Binding, PatVar, Subst};
 use cobalt_il::{Expr, Proc, Stmt, Var};
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// Maximum depth of nested label definitions, guarding against cyclic
 /// definitions.
@@ -278,6 +279,18 @@ fn atom_vars(atom: &Guard, out: &mut Vec<(PatVar, FragKind)>) {
     }
 }
 
+/// The fragments [`Guard::solve`] enumerates pattern variables over, each
+/// kind in order of first occurrence: a [`Domain`] holds all three, the
+/// engine's prepared procedure lists each on its first enumeration.
+pub trait Fragments: fmt::Debug {
+    /// The variables, the parameter included.
+    fn vars(&self) -> &[Var];
+    /// The constants.
+    fn consts(&self) -> &[i64];
+    /// The distinct right-hand-side expressions.
+    fn exprs(&self) -> &[Expr];
+}
+
 /// The finite instantiation domain of a procedure: the fragments pattern
 /// variables may range over (paper §2.1.1: "pattern variables may be
 /// instantiated with any variables / constants of the procedure").
@@ -295,21 +308,25 @@ impl Domain {
     /// Builds the domain of a procedure. Each fragment list is in order
     /// of first occurrence, which is the order `solve` enumerates in.
     pub fn of_proc(proc: &Proc) -> Self {
-        let mut rhs: Vec<(&Expr, usize)> = (proc.stmts.iter().enumerate())
-            .filter_map(|(i, s)| match s {
-                Stmt::Assign(_, e) => Some((e, i)),
-                _ => None,
-            })
-            .collect();
-        // Each distinct expression once, at its first occurrence.
-        rhs.sort_unstable();
-        rhs.dedup_by(|later, first| later.0 == first.0);
-        rhs.sort_unstable_by_key(|&(_, i)| i);
         Domain {
             vars: proc.variables(),
             consts: proc.constants(),
-            exprs: rhs.into_iter().map(|(e, _)| e.clone()).collect(),
+            exprs: proc.expressions(),
         }
+    }
+}
+
+impl Fragments for Domain {
+    fn vars(&self) -> &[Var] {
+        &self.vars
+    }
+
+    fn consts(&self) -> &[i64] {
+        &self.consts
+    }
+
+    fn exprs(&self) -> &[Expr] {
+        &self.exprs
     }
 }
 
@@ -325,7 +342,7 @@ pub struct NodeCtx<'a> {
     /// Label definitions in scope.
     pub env: &'a LabelEnv,
     /// The instantiation domain of the enclosing procedure.
-    pub domain: &'a Domain,
+    pub domain: &'a dyn Fragments,
 }
 
 impl Guard {
@@ -477,13 +494,14 @@ impl<'g> Solver<'g> {
                         let (d, with) = (ctx.domain, |b| t.with(p, b));
                         match kind {
                             FragKind::Var => {
-                                next.extend(d.vars.iter().map(|v| with(Binding::Var(v.clone()))))
+                                next.extend(d.vars().iter().map(|v| with(Binding::Var(v.clone()))))
                             }
                             FragKind::Const => {
-                                next.extend(d.consts.iter().map(|&c| with(Binding::Const(c))))
+                                next.extend(d.consts().iter().map(|&c| with(Binding::Const(c))))
                             }
                             FragKind::Expr => {
-                                next.extend(d.exprs.iter().map(|e| with(Binding::Expr(e.clone()))))
+                                let exprs = d.exprs().iter();
+                                next.extend(exprs.map(|e| with(Binding::Expr(e.clone()))))
                             }
                             FragKind::Index | FragKind::Proc => {
                                 return Err(GuardError::new(
@@ -515,10 +533,11 @@ fn check_depth(depth: usize) -> Result<(), GuardError> {
     Ok(())
 }
 
-/// A label atom at `depth`: a defined label's body under its parameters
-/// bound to the arguments, or whether the node carries a semantic label.
-/// Arguments are instantiated in order, and the first that fails is the
-/// error, before an arity mismatch is; one argument stays on the stack.
+/// A label atom at `depth`: a compiled label's arms, a defined label's
+/// body under its parameters bound to the arguments, or whether the node
+/// carries a semantic label. Arguments are instantiated in order, and the
+/// first that fails is the error, before an arity mismatch is; one
+/// argument stays on the stack.
 fn eval_label(
     ctx: &NodeCtx<'_>,
     theta: &Subst,
@@ -527,8 +546,13 @@ fn eval_label(
     depth: usize,
 ) -> Result<bool, GuardError> {
     check_depth(depth)?;
-    let def = ctx.env.lookup(name);
-    if let Some(def) = def.filter(|def| def.params.len() == args.len()) {
+    let def = ctx.env.find(name);
+    if let Some((def, compiled)) = def.filter(|d| d.0.params.len() == args.len()) {
+        // A compiled label's atoms are one level deeper: at the last level
+        // the walk below reports the overflow.
+        if let ([LabelArgPat::Var(v)], true) = (args, *compiled && depth < MAX_LABEL_DEPTH) {
+            return Ok(eval_arms(def, ctx, v.resolve(theta)?));
+        }
         let mut inner = Subst::new();
         for (p, a) in def.params.iter().zip(args) {
             inner.bind(p.clone(), a.instantiate(theta)?.into());
@@ -550,7 +574,7 @@ fn eval_label(
         }
     };
     match def {
-        Some(def) => Err(GuardError::new(format!(
+        Some((def, _)) => Err(GuardError::new(format!(
             "label `{name}` expects {} arguments, got {}",
             def.params.len(),
             concrete.len()

@@ -8,14 +8,14 @@
 //! is the conservative direction for the way labels are used in guards
 //! (e.g. `¬notTainted(Y)` then holds).
 
-use crate::pattern::{ConstPat, ExprPat, VarPat};
+use crate::pattern::{ConstPat, ExprPat, StmtPat, VarPat};
 use crate::subst::{Binding, PatVar, Subst};
 use crate::error::InstError;
-use crate::guard::Guard;
+use crate::guard::{Guard, NodeCtx};
 use cobalt_il::{Expr, Name, Var};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The name of a label, e.g. `mayDef` or `notTainted`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -185,18 +185,25 @@ pub struct LabelDef {
 
 /// The label environment: all label definitions in scope.
 ///
+/// Defining a label compiles it where it can ([`LabelEnv::is_compiled`]):
+/// a one-parameter label whose body is a `case` over the statement, with
+/// no arm pattern naming the parameter, is then evaluated arm by arm,
+/// reading its argument in place. Clones share the definitions.
+///
 /// # Examples
 ///
 /// ```
 /// use cobalt_dsl::LabelEnv;
 /// let env = LabelEnv::standard();
 /// assert!(env.lookup(&"mayDef".into()).is_some());
+/// assert!(env.is_compiled(&"mayDef".into()));
 /// assert!(env.lookup(&"notTainted".into()).is_none()); // semantic
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LabelEnv {
-    /// In definition order, one per name: a handful, found by name.
-    defs: Vec<LabelDef>,
+    /// In definition order, one per name, each with whether it compiled:
+    /// a handful, found by name.
+    defs: Arc<Vec<(LabelDef, bool)>>,
 }
 
 impl LabelEnv {
@@ -224,22 +231,160 @@ impl LabelEnv {
             .clone()
     }
 
-    /// Registers (or replaces) a label definition.
+    /// Registers (or replaces) a label definition, and compiles every
+    /// definition again: the new name may be one a compiled label read
+    /// as semantic.
     pub fn define(&mut self, def: LabelDef) {
-        match self.defs.iter_mut().find(|d| d.name == def.name) {
-            Some(old) => *old = def,
-            None => self.defs.push(def),
+        let defs = Arc::make_mut(&mut self.defs);
+        match defs.iter_mut().find(|d| d.0.name == def.name) {
+            Some(old) => old.0 = def,
+            None => defs.push((def, false)),
+        }
+        for k in 0..defs.len() {
+            defs[k].1 = compiles(&defs[k].0, &|name| defs.iter().any(|d| d.0.name == *name));
         }
     }
 
     /// Looks up a definition; `None` means the label is semantic.
     pub fn lookup(&self, name: &LabelName) -> Option<&LabelDef> {
-        self.defs.iter().find(|d| d.name == *name)
+        self.find(name).map(|d| &d.0)
+    }
+
+    /// A definition and whether it compiled.
+    pub(crate) fn find(&self, name: &LabelName) -> Option<&(LabelDef, bool)> {
+        self.defs.iter().find(|d| d.0.name == *name)
+    }
+
+    /// Whether `name` is a defined label evaluated arm by arm
+    /// ([`eval_arms`]) rather than by walking its body under a
+    /// substitution.
+    pub fn is_compiled(&self, name: &LabelName) -> bool {
+        self.find(name).is_some_and(|d| d.1)
+    }
+
+    /// This environment with no label compiled: the slow oracle the
+    /// compiled labels are tested against.
+    pub fn interpreted(&self) -> LabelEnv {
+        let defs = self.defs.iter().map(|d| (d.0.clone(), false));
+        LabelEnv {
+            defs: Arc::new(defs.collect()),
+        }
     }
 
     /// Iterates over all definitions.
     pub fn iter(&self) -> impl Iterator<Item = &LabelDef> {
-        self.defs.iter()
+        self.defs.iter().map(|d| &d.0)
+    }
+}
+
+/// Whether `def` compiles (DESIGN.md §13): it has one parameter and a
+/// `case` body whose arm patterns do not name it, and each arm's guard
+/// reads only the parameter, concrete variables and variables its pattern
+/// binds at variable positions only, in atoms [`direct`] accepts.
+fn compiles(def: &LabelDef, defined: &dyn Fn(&LabelName) -> bool) -> bool {
+    let ([param], Guard::CaseStmt { arms, default }) = (&def.params[..], &def.body) else {
+        return false;
+    };
+    let arm = |pat: Option<&StmtPat>, g: &Guard| {
+        let mut vars = Vec::new();
+        pat.inspect(|pat| pat.vars(&mut vars));
+        let bound = |v: &VarPat| match v {
+            VarPat::Concrete(_) => true,
+            VarPat::Pat(p) => {
+                p == param
+                    || vars.iter().any(|(q, _)| q == p)
+                        && vars.iter().all(|(q, k)| q != p || *k == FragKind::Var)
+            }
+        };
+        vars.iter().all(|(p, _)| p != param) && direct(g, &bound, defined)
+    };
+    arms.iter().all(|(pat, g)| arm(Some(pat), g)) && arm(None, default)
+}
+
+/// Whether `g` is built from `true`, `false`, `!`, `&&`, `||`,
+/// `syntacticDef`, `syntacticUse`, `==` of variables and labels of one
+/// variable that are not `defined`, over `bound` variables: a guard that
+/// never fails.
+fn direct(
+    g: &Guard,
+    bound: &dyn Fn(&VarPat) -> bool,
+    defined: &dyn Fn(&LabelName) -> bool,
+) -> bool {
+    match g {
+        Guard::True | Guard::False => true,
+        Guard::Not(g) => direct(g, bound, defined),
+        Guard::And(gs) | Guard::Or(gs) => gs.iter().all(|g| direct(g, bound, defined)),
+        Guard::SyntacticDef(v) | Guard::SyntacticUse(v) => bound(v),
+        Guard::VarEq(a, b) => bound(a) && bound(b),
+        Guard::Label(name, args) => {
+            !defined(name) && matches!(&args[..], [LabelArgPat::Var(v)] if bound(v))
+        }
+        _ => false,
+    }
+}
+
+/// A compiled label's value at `ctx`'s node with its parameter bound to
+/// `arg`: the guard of the first arm whose pattern matches the statement
+/// under the empty θ, its atoms tested directly.
+pub(crate) fn eval_arms(def: &LabelDef, ctx: &NodeCtx<'_>, arg: &Var) -> bool {
+    let Guard::CaseStmt { arms, default } = &def.body else {
+        unreachable!("a compiled label is a `case`")
+    };
+    let none = Subst::new();
+    let matched = (arms.iter()).find_map(|(pat, g)| Some((g, pat.try_match(ctx.stmt, &none)?)));
+    let (g, locals) = matched.unwrap_or((default, none));
+    Arm {
+        ctx,
+        param: &def.params[0],
+        arg,
+        locals,
+    }
+    .eval(g)
+}
+
+/// What a compiled label's arm reads.
+struct Arm<'a> {
+    ctx: &'a NodeCtx<'a>,
+    param: &'a PatVar,
+    arg: &'a Var,
+    locals: Subst,
+}
+
+impl Arm<'_> {
+    fn var<'v>(&'v self, v: &'v VarPat) -> &'v Var {
+        match v {
+            VarPat::Concrete(v) => v,
+            VarPat::Pat(p) if p == self.param => self.arg,
+            VarPat::Pat(p) => match self.locals.get(p) {
+                Some(Binding::Var(v)) => v,
+                _ => unreachable!("a compiled arm's pattern binds `{p}` to a variable"),
+            },
+        }
+    }
+
+    fn eval(&self, g: &Guard) -> bool {
+        let stmt = self.ctx.stmt;
+        match g {
+            Guard::True => true,
+            Guard::False => false,
+            Guard::Not(g) => !self.eval(g),
+            Guard::And(gs) => gs.iter().all(|g| self.eval(g)),
+            Guard::Or(gs) => gs.iter().any(|g| self.eval(g)),
+            Guard::SyntacticDef(v) => stmt.syntactic_def() == Some(self.var(v)),
+            Guard::SyntacticUse(v) => {
+                let v = self.var(v);
+                stmt.reads().any(|w| w == v)
+            }
+            Guard::VarEq(a, b) => self.var(a) == self.var(b),
+            Guard::Label(name, args) => {
+                let [LabelArgPat::Var(v)] = &args[..] else {
+                    unreachable!("a compiled label reads labels of one variable")
+                };
+                let arg = [LabelArg::Var(self.var(v).clone())];
+                self.ctx.labels.holds(self.ctx.node, name, &arg)
+            }
+            _ => unreachable!("a compiled label tests no other atom"),
+        }
     }
 }
 
@@ -305,6 +450,31 @@ mod tests {
         for name in ["mayDef", "mayUse"] {
             assert!(env.lookup(&name.into()).is_some(), "{name} missing");
         }
+    }
+
+    /// The engine evaluates `mayDef`/`mayUse` at every node for every
+    /// substitution, so each label of `stdlib.cob` must take the compiled
+    /// path, not the walk.
+    #[test]
+    fn every_standard_label_compiles() {
+        let env = LabelEnv::standard();
+        for def in env.iter() {
+            let name = &def.name;
+            assert!(env.is_compiled(name), "`{name}` does not compile");
+        }
+        assert!(env.iter().count() >= 2);
+    }
+
+    #[test]
+    fn a_new_definition_recompiles_the_labels_that_read_it() {
+        let mut env = LabelEnv::standard();
+        env.define(LabelDef {
+            name: "notTainted".into(),
+            params: vec!["X".into()],
+            body: Guard::True,
+        });
+        assert!(!env.is_compiled(&"mayDef".into()));
+        assert!(LabelEnv::standard().is_compiled(&"mayDef".into()));
     }
 
     fn eval_may_def(stmt_src: &str, var: &str, tainted_facts: &[&str]) -> bool {

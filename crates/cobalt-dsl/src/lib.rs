@@ -60,7 +60,8 @@ pub mod subst;
 pub mod witness;
 
 pub use error::{DslParseError, GuardError, InstError};
-pub use guard::{Domain, Guard, GuardNode, GuardVars, NodeCtx, Reading, Scope, Solver};
+pub use guard::{Domain, Fragments, Guard, GuardNode, GuardVars, NodeCtx};
+pub use guard::{Reading, Scope, Solver};
 pub use label::{
     FragKind, LabelArg, LabelArgPat, LabelDef, LabelEnv, LabelInst, LabelName, LabelSet, Labels,
 };

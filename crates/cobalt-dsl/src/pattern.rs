@@ -249,16 +249,13 @@ impl ExprPat {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Expr::Op(*op, args))
             }
-            ExprPat::Fold(p) => {
-                let e = match theta.get(p) {
-                    Some(Binding::Expr(e)) => e.clone(),
-                    Some(other) => return Err(InstError::kind_mismatch(p, "expression", other)),
-                    None => return Err(InstError::unbound(p)),
-                };
-                fold_expr(&e)
+            ExprPat::Fold(p) => match theta.get(p) {
+                Some(Binding::Expr(e)) => fold_expr(e)
                     .map(Expr::constant)
-                    .ok_or_else(|| InstError::not_foldable(p, &e))
-            }
+                    .ok_or_else(|| InstError::not_foldable(p, e)),
+                Some(other) => Err(InstError::kind_mismatch(p, "expression", other)),
+                None => Err(InstError::unbound(p)),
+            },
         }
     }
 
@@ -280,14 +277,15 @@ pub fn fold_expr(e: &Expr) -> Option<i64> {
     match e {
         Expr::Base(BaseExpr::Const(c)) => Some(*c),
         Expr::Op(op, args) => {
-            let ints: Option<Vec<i64>> = args
-                .iter()
-                .map(|b| match b {
-                    BaseExpr::Const(c) => Some(*c),
-                    BaseExpr::Var(_) => None,
-                })
-                .collect();
-            eval_op(*op, &ints?)
+            let int = |b: &BaseExpr| match b {
+                BaseExpr::Const(c) => Some(*c),
+                BaseExpr::Var(_) => None,
+            };
+            match &args[..] {
+                [a] => eval_op(*op, &[int(a)?]),
+                [a, b] => eval_op(*op, &[int(a)?, int(b)?]),
+                _ => eval_op(*op, &args.iter().map(int).collect::<Option<Vec<_>>>()?),
+            }
         }
         _ => None,
     }

@@ -4,10 +4,11 @@
 use crate::dataflow::{DenseFacts, Rows};
 use crate::error::EngineError;
 use cobalt_dsl::{
-    Domain, InstError, LabelArg, LabelArgPat, LabelEnv, LabelInst, LabelName, Labels, NodeCtx,
+    Fragments, InstError, LabelArg, LabelArgPat, LabelEnv, LabelInst, LabelName, Labels, NodeCtx,
 };
-use cobalt_il::{Cfg, Index, Proc};
+use cobalt_il::{Cfg, Expr, Index, Proc, Var};
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 /// A procedure together with everything guard evaluation needs.
 #[derive(Debug, Clone)]
@@ -16,8 +17,8 @@ pub struct AnalyzedProc {
     pub proc: Proc,
     /// Its control-flow graph.
     pub cfg: Cfg,
-    /// The instantiation domain for pattern variables.
-    pub domain: Domain,
+    /// The instantiation domain for pattern variables ([`Fragments`]).
+    domain: Lists,
     /// The semantic labels of every pure analysis run on it.
     pub labels: Labelling,
 }
@@ -30,11 +31,10 @@ impl AnalyzedProc {
     /// Returns [`EngineError::IllFormed`] if the CFG cannot be built.
     pub fn new(proc: Proc) -> Result<Self, EngineError> {
         let cfg = Cfg::new(&proc)?;
-        let domain = Domain::of_proc(&proc);
         Ok(AnalyzedProc {
             proc,
             cfg,
-            domain,
+            domain: Default::default(),
             labels: Labelling::default(),
         })
     }
@@ -52,8 +52,31 @@ impl AnalyzedProc {
             node: index,
             labels: if masked { &NONE } else { &self.labels },
             env,
-            domain: &self.domain,
+            domain: self,
         }
+    }
+}
+
+/// The procedure's fragments of each kind, listed when a guard first
+/// enumerates that kind: most passes enumerate only variables, or nothing.
+#[derive(Debug, Clone, Default)]
+struct Lists {
+    vars: OnceLock<Vec<Var>>,
+    consts: OnceLock<Vec<i64>>,
+    exprs: OnceLock<Vec<Expr>>,
+}
+
+impl Fragments for AnalyzedProc {
+    fn vars(&self) -> &[Var] {
+        self.domain.vars.get_or_init(|| self.proc.variables())
+    }
+
+    fn consts(&self) -> &[i64] {
+        self.domain.consts.get_or_init(|| self.proc.constants())
+    }
+
+    fn exprs(&self) -> &[Expr] {
+        self.domain.exprs.get_or_init(|| self.proc.expressions())
     }
 }
 
@@ -122,17 +145,15 @@ impl Run {
 
 impl Labelling {
     /// Adds the run of an analysis defining `name(args)` whose forward
-    /// in-facts are `facts`, and returns how many label instances it adds
-    /// to the nodes, each counted once per node. Arguments are
-    /// instantiated in (node, rank) order, each member's once: if one
-    /// fails, the run keeps the instances before it and the error is
-    /// returned.
+    /// in-facts are `facts`. Arguments are instantiated in (node, rank)
+    /// order, each member's once: if one fails, the run keeps the
+    /// instances before it and the error is returned.
     pub(crate) fn push(
         &mut self,
         name: &LabelName,
         args: &[LabelArgPat],
         facts: DenseFacts,
-    ) -> Result<usize, InstError> {
+    ) -> Result<(), InstError> {
         let DenseFacts {
             universe,
             facts: mut rows,
@@ -176,25 +197,17 @@ impl Labelling {
             members.push(ranks[p]);
         }
         at.push(members.len());
-        let run = Run {
+        self.runs.push(Run {
             name: name.clone(),
             arity,
             keys,
             at,
             members,
             rows,
-        };
-        let mut added = 0;
-        for i in 0..n {
-            for k in (0..run.len()).filter(|&k| run.has(i, k)) {
-                let key = run.key(k);
-                added += usize::from(!self.runs.iter().any(|r| r.holds(i, name, key)));
-            }
-        }
-        self.runs.push(run);
+        });
         match failed {
             Some((_, _, e)) => Err(e),
-            None => Ok(added),
+            None => Ok(()),
         }
     }
 
@@ -231,7 +244,9 @@ mod tests {
     fn builds_cfg_and_domain() {
         let ap = sample();
         assert_eq!(ap.cfg.len(), 3);
-        assert_eq!(ap.domain.vars.len(), 2);
+        assert!(ap.domain.vars.get().is_none(), "listed too early");
+        assert_eq!(ap.vars(), [Var::new("x"), Var::new("y")]);
+        assert_eq!(ap.consts(), [5]);
         assert_eq!(ap.labels.at(0).count(), 0);
     }
 
@@ -240,7 +255,7 @@ mod tests {
         let mut ap = sample();
         let engine = crate::Engine::new(LabelEnv::standard());
         for analysis in taint() {
-            assert_eq!(engine.run_pure_analysis(&mut ap, &analysis).unwrap(), 2);
+            engine.run_pure_analysis(&mut ap, &analysis).unwrap();
         }
         let y = [LabelArg::Var(Var::new("y"))];
         let not_tainted = LabelName::new("notTainted");
@@ -318,16 +333,15 @@ mod tests {
         name: &LabelName,
         args: &[LabelArgPat],
         facts: &DenseFacts,
-    ) -> Result<usize, InstError> {
-        let mut added = 0;
+    ) -> Result<(), InstError> {
         for (i, set) in sets.iter_mut().enumerate() {
             for k in facts.facts.ones(i) {
                 let inst = args.iter().map(|a| a.instantiate(&facts.universe[k]));
-                let inst = LabelInst::new(name.clone(), inst.collect::<Result<_, _>>()?);
-                added += usize::from(set.insert(inst));
+                let inst = inst.collect::<Result<_, _>>()?;
+                set.insert(LabelInst::new(name.clone(), inst));
             }
         }
-        Ok(added)
+        Ok(())
     }
 
     props! {

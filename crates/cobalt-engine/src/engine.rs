@@ -159,7 +159,7 @@ impl Engine {
     }
 
     /// Runs a pure analysis, adding its label to every node whose guard
-    /// holds (paper §2.4). Returns how many label instances it added.
+    /// holds (paper §2.4).
     ///
     /// # Errors
     ///
@@ -169,7 +169,7 @@ impl Engine {
         &self,
         ap: &mut AnalyzedProc,
         analysis: &PureAnalysis,
-    ) -> Result<usize, EngineError> {
+    ) -> Result<(), EngineError> {
         let mut meter = self.budget.meter();
         let ins = forward_in(ap, &self.env, &analysis.guard, false, &mut meter)?;
         let (name, args) = &analysis.defines;
@@ -385,8 +385,7 @@ mod tests {
                 return a;
              }",
         );
-        let added = engine.run_pure_analysis(&mut ap, &analysis).unwrap();
-        assert!(added > 0);
+        engine.run_pure_analysis(&mut ap, &analysis).unwrap();
         let has = |i: usize, v: &str| {
             ap.labels
                 .at(i)

@@ -463,73 +463,75 @@ impl Proc {
     /// All variables declared in or otherwise mentioned by the procedure,
     /// including the parameter, deduplicated in first-mention order.
     pub fn variables(&self) -> Vec<Var> {
-        let mut seen = Vec::new();
-        let mut push = |v: &Var| {
-            if !seen.contains(v) {
-                seen.push(v.clone());
-            }
-        };
-        push(&self.param);
+        let mut all = vec![&self.param];
         for s in &self.stmts {
             match s {
-                Stmt::Decl(v) | Stmt::New(v) | Stmt::Return(v) => push(v),
+                Stmt::Decl(v) | Stmt::New(v) | Stmt::Return(v) => all.push(v),
                 Stmt::Skip => {}
                 Stmt::Assign(lhs, e) => {
                     match lhs {
-                        Lhs::Var(v) | Lhs::Deref(v) => push(v),
+                        Lhs::Var(v) | Lhs::Deref(v) => all.push(v),
                     }
                     match e {
-                        Expr::AddrOf(v) => push(v),
-                        _ => e.reads().for_each(&mut push),
+                        Expr::AddrOf(v) => all.push(v),
+                        _ => all.extend(e.reads()),
                     }
                 }
                 Stmt::Call { dst, arg, .. } => {
-                    push(dst);
+                    all.push(dst);
                     if let BaseExpr::Var(v) = arg {
-                        push(v);
+                        all.push(v);
                     }
                 }
                 Stmt::If { cond, .. } => {
                     if let BaseExpr::Var(v) = cond {
-                        push(v);
+                        all.push(v);
                     }
                 }
             }
         }
-        seen
+        first_occurrences(all)
     }
 
-    /// All integer constants appearing in the procedure, deduplicated.
+    /// All integer constants appearing in the procedure, deduplicated in
+    /// first-occurrence order.
     pub fn constants(&self) -> Vec<i64> {
-        let mut out = Vec::new();
-        let mut push = |c: i64| {
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        };
-        let base = |b: &BaseExpr, push: &mut dyn FnMut(i64)| {
-            if let BaseExpr::Const(c) = b {
-                push(*c);
-            }
-        };
+        let mut all = Vec::new();
         for s in &self.stmts {
-            match s {
-                Stmt::Assign(_, e) => match e {
-                    Expr::Base(b) => base(b, &mut push),
-                    Expr::Op(_, args) => {
-                        for a in args {
-                            base(a, &mut push);
-                        }
-                    }
-                    Expr::Deref(_) | Expr::AddrOf(_) => {}
-                },
-                Stmt::Call { arg, .. } => base(arg, &mut push),
-                Stmt::If { cond, .. } => base(cond, &mut push),
-                _ => {}
-            }
+            let bases: &[BaseExpr] = match s {
+                Stmt::Assign(_, Expr::Base(b))
+                | Stmt::Call { arg: b, .. }
+                | Stmt::If { cond: b, .. } => std::slice::from_ref(b),
+                Stmt::Assign(_, Expr::Op(_, args)) => args,
+                _ => &[],
+            };
+            all.extend(bases.iter().filter_map(|b| match b {
+                BaseExpr::Const(c) => Some(c),
+                BaseExpr::Var(_) => None,
+            }));
         }
-        out
+        first_occurrences(all)
     }
+
+    /// The distinct right-hand sides of the procedure's assignments, in
+    /// first-occurrence order.
+    pub fn expressions(&self) -> Vec<Expr> {
+        let rhs = self.stmts.iter().filter_map(|s| match s {
+            Stmt::Assign(_, e) => Some(e),
+            _ => None,
+        });
+        first_occurrences(rhs.collect())
+    }
+}
+
+/// Each distinct item of `all` once, at its first occurrence: found by
+/// sorting, not by a search per item.
+fn first_occurrences<T: Ord + Clone>(all: Vec<&T>) -> Vec<T> {
+    let mut found: Vec<(&T, usize)> = all.into_iter().zip(0..).collect();
+    found.sort_unstable();
+    found.dedup_by(|later, first| later.0 == first.0);
+    found.sort_unstable_by_key(|&(_, i)| i);
+    found.into_iter().map(|(x, _)| x.clone()).collect()
 }
 
 /// A whole program: a sequence of procedures with a distinguished `main`.
